@@ -306,7 +306,8 @@ fn dag_scheduler_latency(c: &mut Criterion) {
 /// (default config — the hooks reduce to one branch per event), with a
 /// metrics registry attached, and with timeline recording on. The no-sink
 /// variant is the guard: it must stay within noise (<5%) of what the
-/// engine did before instrumentation existed.
+/// engine did before instrumentation existed. Beside it, the same engine
+/// at eight lanes against eight runs at one.
 fn instrumentation_overhead(c: &mut Criterion) {
     use pevpm_obs::Registry;
     use std::sync::Arc;
@@ -346,6 +347,33 @@ fn instrumentation_overhead(c: &mut Criterion) {
     });
     c.bench_function("pevpm: evaluation, timeline recording", |b| {
         b.iter(|| black_box(evaluate(&model, &with_timeline, &timing).unwrap().makespan))
+    });
+
+    // Lock-step lanes against the same eight replications one lane at a
+    // time (what `monte_carlo` did before lanes, and still does for a
+    // remainder): each lane must carry its scalar replica's bits.
+    let lanes_cfg = no_sink.clone().with_threads(1);
+    let scalar_replicas = || -> Vec<f64> {
+        (0..8)
+            .map(|i| {
+                let seed = pevpm::replicate::replica_seed(lanes_cfg.seed, i);
+                let cfg = lanes_cfg.clone().with_seed(seed);
+                evaluate(&model, &cfg, &timing).unwrap().makespan
+            })
+            .collect()
+    };
+    let lanes = monte_carlo(&model, &lanes_cfg, &timing, 8).unwrap();
+    let lane_bits: Vec<u64> = lanes.runs.iter().map(|p| p.makespan.to_bits()).collect();
+    let scalar_bits: Vec<u64> = scalar_replicas().iter().map(|m| m.to_bits()).collect();
+    assert_eq!(
+        lane_bits, scalar_bits,
+        "lock-step lanes must not perturb any replica"
+    );
+    c.bench_function("pevpm: 8 replications, one lane at a time", |b| {
+        b.iter(|| black_box(scalar_replicas()))
+    });
+    c.bench_function("pevpm: 8 replications, lock-step lanes", |b| {
+        b.iter(|| black_box(monte_carlo(&model, &lanes_cfg, &timing, 8).unwrap().mean))
     });
 
     // Service-span telemetry as the daemon applies it: a stage window

@@ -1346,8 +1346,14 @@ mod tests {
         run(s.split_whitespace().map(String::from).collect())
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("pevpm_cli_test_{}", std::process::id()));
+    /// A fresh directory of the calling test's own: tests run in parallel
+    /// and each removes its directory when done, so sharing one would let
+    /// a finishing test delete files a sibling is still reading.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let d =
+            std::env::temp_dir().join(format!("pevpm_cli_test_{}_{test}_{n}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -1361,7 +1367,7 @@ mod tests {
 
     #[test]
     fn bench_inspect_fit_predict_pipeline() {
-        let dir = tmpdir();
+        let dir = tmpdir("bench_inspect_fit_predict_pipeline");
         let db = dir.join("db.dist");
         let fitted = dir.join("fitted.dist");
         let model = dir.join("pingpong.c");
@@ -1456,7 +1462,7 @@ mod tests {
 
     #[test]
     fn trace_subcommand_and_sinks() {
-        let dir = tmpdir();
+        let dir = tmpdir("trace_subcommand_and_sinks");
         let trace = dir.join("trace.json");
         let metrics = dir.join("metrics.json");
         let db = dir.join("trace_db.dist");
@@ -1595,7 +1601,7 @@ mod tests {
 
     #[test]
     fn deadlocked_model_exits_with_budget_code() {
-        let dir = tmpdir();
+        let dir = tmpdir("deadlocked_model_exits_with_budget_code");
         let db = dir.join("dl_db.dist");
         let model = dir.join("deadlock.c");
         run_cmd(&format!(
@@ -1637,7 +1643,7 @@ mod tests {
 
     #[test]
     fn quorum_partial_failures_reach_report_and_metrics() {
-        let dir = tmpdir();
+        let dir = tmpdir("quorum_partial_failures_reach_report_and_metrics");
         let db = dir.join("quorum_db.dist");
         let model = dir.join("quorum_model.c");
         let metrics = dir.join("quorum_metrics.json");
@@ -1745,7 +1751,7 @@ mod tests {
         );
 
         // A non-artifact file is an input error naming the header.
-        let dir = tmpdir();
+        let dir = tmpdir("fuzz_smoke_flags_and_replay");
         let bogus = dir.join("bogus.model");
         std::fs::write(&bogus, "hello\n").unwrap();
         let e = run_cmd(&format!("fuzz --replay {}", bogus.display())).unwrap_err();
@@ -1760,7 +1766,7 @@ mod tests {
     fn serve_and_client_round_trip_deterministically() {
         use pevpm_obs::json::{self, Json};
 
-        let dir = tmpdir();
+        let dir = tmpdir("serve_and_client_round_trip_deterministically");
         let db = dir.join("serve_db.dist");
         let model = dir.join("serve_model.c");
         let port_file = dir.join("serve_port");
@@ -1960,7 +1966,7 @@ mod tests {
 
     #[test]
     fn faults_flag_loads_validates_and_degrades() {
-        let dir = tmpdir();
+        let dir = tmpdir("faults_flag_loads_validates_and_degrades");
         let db = dir.join("faults_db.dist");
         let plan = dir.join("plan.toml");
 

@@ -14,10 +14,12 @@
 //!   sorted slices, so neighbour selection is pure `partition_point` with
 //!   zero allocation;
 //! - each [`crate::CommDist`] becomes a [`CompiledDist`]: histograms carry
-//!   an inclusive cumulative-count prefix array, turning the inverse CDF
-//!   into an exact `O(log bins)` binary search that is **bitwise identical**
-//!   to the interpreted linear walk (cumulative counts are integers below
-//!   2^53, so the float prefix is exact); parametric fits carry a monotone
+//!   inclusive cumulative counts plus a [`GUIDE_CELLS`]-entry guide table
+//!   (cut-point method), turning the inverse CDF into an `O(1)` start index
+//!   and a short forward scan that lands on the same bin as the interpreted
+//!   linear walk, so the result is **bitwise identical** to it (cumulative
+//!   counts are integers below 2^53, so the float prefix is exact);
+//!   parametric fits carry a monotone
 //!   quantile lookup table with linear interpolation, replacing the
 //!   80-iteration CDF bisection per draw (the exact bisection is retained
 //!   for the tail beyond [`LUT_TAIL_Q`] and, with
@@ -26,7 +28,13 @@
 //!   `(size, contention)` query bits (`-0.0` folds onto `0.0`; NaN is
 //!   rejected before keying) — contention is a small-integer scoreboard
 //!   population and each program sends a handful of distinct message
-//!   sizes, so nearly every draw after the first hits the cache.
+//!   sizes, so nearly every draw after the first hits the cache;
+//! - a query splits into *resolve* ([`CompiledTable::resolve`]: the cache
+//!   lookup, once per `(op, size, contention)`) and *quantile*
+//!   ([`ResolvedCell::quantile`]: the inverse CDF, once per draw), so a
+//!   caller drawing several variates from one cell — the VM's replica
+//!   lanes — pays for the lookup once. The blended minimum rides along as
+//!   a field of the resolved cell.
 //!
 //! Compilation also *validates* the table: an empty histogram (nothing to
 //! sample) is a hard [`CompileError`] instead of a silent 0.0 draw.
@@ -131,17 +139,38 @@ impl Default for CompileOptions {
 
 // -------------------------------------------------------------- dists --
 
-/// A histogram compiled for `O(log bins)` exact inverse-CDF evaluation.
+/// Cells of the inverse-CDF guide table: cell `j` covers the quantiles
+/// `[j/K, (j+1)/K)`. A power of two, so `q * K` is exact and the cell of
+/// `q` is decided without rounding.
+pub const GUIDE_CELLS: usize = 256;
+
+/// One histogram bin, laid out for the inverse CDF: everything the
+/// interpolation reads sits next to the cumulative count the scan compares.
+#[derive(Debug, Clone, PartialEq)]
+struct Bin {
+    /// Inclusive cumulative count of bins `0..=i`. Counts are integers far
+    /// below 2^53, so the value is exact and comparisons against
+    /// `q * total` are bitwise identical to the interpreted running-sum
+    /// walk in [`crate::Histogram::quantile`].
+    cum: f64,
+    /// Left edge clamped to the observed minimum.
+    lo: f64,
+    /// Clamped right edge minus `lo` (never negative).
+    span: f64,
+}
+
+/// A histogram compiled for `O(1)` exact inverse-CDF evaluation.
 ///
-/// `prefix[i]` is the inclusive cumulative count of bins `0..=i`, stored as
-/// `f64`. Counts are integers far below 2^53, so every prefix value is
-/// exact and comparisons against `q * total` are bitwise identical to the
-/// interpreted running-sum walk in [`crate::Histogram::quantile`].
+/// `guide[j]` is the first bin whose cumulative count reaches
+/// `(j / K) * total`. A quantile `q` in cell `j` has `q >= j/K` exactly
+/// (`q * K` is a power-of-two scaling), and rounding is monotone, so
+/// `q * total >= (j/K) * total` as computed: the bin of `q` is never left
+/// of `guide[j]`, and a forward scan from there stops on exactly the bin a
+/// binary search — or the interpreted walk — would have found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledHist {
-    origin: f64,
-    bin_width: f64,
-    prefix: Vec<f64>,
+    bins: Vec<Bin>,
+    guide: Vec<u32>,
     total: f64,
     min: f64,
     max: f64,
@@ -149,6 +178,41 @@ pub struct CompiledHist {
 }
 
 impl CompiledHist {
+    fn new(h: &crate::Histogram, min: f64, max: f64, mean: f64) -> Self {
+        let mut bins = Vec::with_capacity(h.counts().len());
+        let mut running: u64 = 0;
+        for (i, &c) in h.counts().iter().enumerate() {
+            running += c;
+            let left = h.origin() + i as f64 * h.bin_width();
+            let lo = left.max(min);
+            let hi = (left + h.bin_width()).min(max).max(lo);
+            bins.push(Bin {
+                cum: running as f64,
+                lo,
+                span: hi - lo,
+            });
+        }
+        let total = h.total() as f64;
+        let mut guide = Vec::with_capacity(GUIDE_CELLS);
+        let mut i = 0usize;
+        for j in 0..GUIDE_CELLS {
+            let cut = (j as f64 / GUIDE_CELLS as f64) * total;
+            while i < bins.len() && bins[i].cum < cut {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        CompiledHist {
+            bins,
+            guide,
+            total,
+            min,
+            max,
+            mean,
+        }
+    }
+
+    #[inline]
     fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
         if q == 0.0 {
@@ -160,20 +224,19 @@ impl CompiledHist {
         let target = q * self.total;
         // First bin whose inclusive cumulative count reaches `target`. It
         // necessarily has a positive count (a zero-count bin shares its
-        // prefix with its predecessor, so it can never be the *first*
-        // crossing), exactly like the interpreted walk's `continue`.
-        let i = self.prefix.partition_point(|&p| p < target);
-        if i >= self.prefix.len() {
+        // cumulative count with its predecessor, so it can never be the
+        // *first* crossing), exactly like the interpreted walk's `continue`.
+        let mut i = self.guide[(q * GUIDE_CELLS as f64) as usize] as usize;
+        while i < self.bins.len() && self.bins[i].cum < target {
+            i += 1;
+        }
+        if i >= self.bins.len() {
             return self.max;
         }
-        let cum = if i == 0 { 0.0 } else { self.prefix[i - 1] };
-        let c = self.prefix[i] - cum;
-        let frac = (target - cum) / c;
-        let left = self.origin + i as f64 * self.bin_width;
-        let lo = left.max(self.min);
-        let hi = (left + self.bin_width).min(self.max);
-        let hi = hi.max(lo);
-        lo + frac * (hi - lo)
+        let cum = if i == 0 { 0.0 } else { self.bins[i - 1].cum };
+        let bin = &self.bins[i];
+        let frac = (target - cum) / (bin.cum - cum);
+        bin.lo + frac * bin.span
     }
 }
 
@@ -228,7 +291,12 @@ fn divergence_nudge(v: f64) -> f64 {
 }
 
 impl CompiledDist {
-    fn compile(key: DistKey, dist: &CommDist, opts: &CompileOptions) -> Result<Self, CompileError> {
+    /// Compile one distribution; `key` names the cell in errors.
+    pub fn compile(
+        key: DistKey,
+        dist: &CommDist,
+        opts: &CompileOptions,
+    ) -> Result<Self, CompileError> {
         let finite = |v: f64, what: &'static str| {
             if v.is_finite() {
                 Ok(v)
@@ -241,21 +309,14 @@ impl CompiledDist {
                 if h.is_empty() {
                     return Err(CompileError::EmptyHistogram { key });
                 }
-                let mut prefix = Vec::with_capacity(h.counts().len());
-                let mut running: u64 = 0;
-                for &c in h.counts() {
-                    running += c;
-                    prefix.push(running as f64);
-                }
-                CompiledDist::Hist(CompiledHist {
-                    origin: finite(h.origin(), "histogram origin")?,
-                    bin_width: finite(h.bin_width(), "histogram bin width")?,
-                    prefix,
-                    total: h.total() as f64,
-                    min: finite(h.summary().min().unwrap_or(0.0), "histogram min")?,
-                    max: finite(h.summary().max().unwrap_or(0.0), "histogram max")?,
-                    mean: finite(h.summary().mean().unwrap_or(0.0), "histogram mean")?,
-                })
+                finite(h.origin(), "histogram origin")?;
+                finite(h.bin_width(), "histogram bin width")?;
+                CompiledDist::Hist(CompiledHist::new(
+                    h,
+                    finite(h.summary().min().unwrap_or(0.0), "histogram min")?,
+                    finite(h.summary().max().unwrap_or(0.0), "histogram max")?,
+                    finite(h.summary().mean().unwrap_or(0.0), "histogram mean")?,
+                ))
             }
             CommDist::Fit(f) => {
                 finite(f.shift, "fit shift")?;
@@ -328,6 +389,11 @@ struct Blend {
     idx: [u32; 4],
     w: [f64; 4],
     n: u8,
+    /// Sum of `w`, accumulated in index order.
+    wsum: f64,
+    /// Blended minimum (the 0-quantile), filled in with `wsum` when the
+    /// blend is built.
+    min: f64,
 }
 
 impl Blend {
@@ -453,7 +519,16 @@ impl OpGrid {
                 b.push((c0 + cj) as u32, wsize * wcont);
             }
         }
-        (b.n > 0).then_some(b)
+        if b.n == 0 {
+            return None;
+        }
+        for k in 0..b.n as usize {
+            b.wsum += b.w[k];
+        }
+        if b.wsum > 0.0 {
+            b.min = self.reduce(&b, CompiledDist::min);
+        }
+        Some(b)
     }
 
     fn blend(&self, size: f64, contention: f64) -> Option<Blend> {
@@ -482,21 +557,45 @@ impl OpGrid {
     }
 
     /// Weighted reduction over the blend, mirroring the interpreted
-    /// accumulation order so results stay bitwise identical.
+    /// accumulation order so results stay bitwise identical. Callers
+    /// check `wsum > 0` first.
     #[inline]
-    fn reduce(&self, b: &Blend, mut f: impl FnMut(&CompiledDist) -> f64) -> Option<f64> {
-        let mut wsum = 0.0;
-        for k in 0..b.n as usize {
-            wsum += b.w[k];
-        }
-        if wsum <= 0.0 {
-            return None;
-        }
+    fn reduce(&self, b: &Blend, mut f: impl FnMut(&CompiledDist) -> f64) -> f64 {
         let mut sum = 0.0;
         for k in 0..b.n as usize {
             sum += f(&self.dists[b.idx[k] as usize]) * b.w[k];
         }
-        Some(sum / wsum)
+        sum / b.wsum
+    }
+}
+
+/// One `(op, size, contention)` query point resolved to its blended
+/// neighbour cells: what every draw at that point shares. Resolve once,
+/// then call [`ResolvedCell::quantile`] per variate.
+#[derive(Debug, Clone, Copy)]
+pub struct ResolvedCell<'t> {
+    grid: &'t OpGrid,
+    blend: Blend,
+}
+
+impl ResolvedCell<'_> {
+    /// Interpolated inverse CDF at probability `q`. Bitwise identical to
+    /// [`DistTable::quantile_at`] for histogram/point grids.
+    #[inline]
+    pub fn quantile(&self, q: f64) -> f64 {
+        self.grid.reduce(&self.blend, |d| d.quantile(q))
+    }
+
+    /// Interpolated minimum (bitwise identical to [`DistTable::min_at`],
+    /// and to `quantile(0.0)`): computed when the cell was first blended.
+    #[inline]
+    pub fn min(&self) -> f64 {
+        self.blend.min
+    }
+
+    /// Interpolated mean (bitwise identical to [`DistTable::mean_at`]).
+    pub fn mean(&self) -> f64 {
+        self.grid.reduce(&self.blend, CompiledDist::mean)
     }
 }
 
@@ -622,13 +721,22 @@ impl CompiledTable {
         self.grids[op.index()].as_ref()
     }
 
+    /// Resolve a query point to its blended cell: one blend-cache lookup,
+    /// shared by every draw at that point. `None` where the table has no
+    /// data (missing op, NaN coordinate, zero total weight) — exactly where
+    /// [`CompiledTable::quantile_at`] answers `None`, whatever the `q`.
+    #[inline]
+    pub fn resolve(&self, op: Op, size: f64, contention: f64) -> Option<ResolvedCell<'_>> {
+        let grid = self.grid(op)?;
+        let blend = grid.blend(size, contention)?;
+        (blend.wsum > 0.0).then_some(ResolvedCell { grid, blend })
+    }
+
     /// Interpolated inverse CDF at probability `q` for the query point.
     /// Bitwise identical to [`DistTable::quantile_at`] for histogram/point
     /// grids.
     pub fn quantile_at(&self, op: Op, size: f64, contention: f64, q: f64) -> Option<f64> {
-        let g = self.grid(op)?;
-        let b = g.blend(size, contention)?;
-        g.reduce(&b, |d| d.quantile(q))
+        Some(self.resolve(op, size, contention)?.quantile(q))
     }
 
     /// Draw one communication time: one uniform variate, blended across
@@ -648,17 +756,13 @@ impl CompiledTable {
     /// Interpolated mean at the query point (bitwise identical to
     /// [`DistTable::mean_at`]).
     pub fn mean_at(&self, op: Op, size: f64, contention: f64) -> Option<f64> {
-        let g = self.grid(op)?;
-        let b = g.blend(size, contention)?;
-        g.reduce(&b, |d| d.mean())
+        Some(self.resolve(op, size, contention)?.mean())
     }
 
     /// Interpolated minimum at the query point (bitwise identical to
     /// [`DistTable::min_at`]).
     pub fn min_at(&self, op: Op, size: f64, contention: f64) -> Option<f64> {
-        let g = self.grid(op)?;
-        let b = g.blend(size, contention)?;
-        g.reduce(&b, |d| d.min())
+        Some(self.resolve(op, size, contention)?.min())
     }
 }
 

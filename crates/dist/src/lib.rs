@@ -38,7 +38,7 @@ pub mod sample;
 pub mod summary;
 pub mod table;
 
-pub use compiled::{CompileError, CompileOptions, CompiledDist, CompiledTable};
+pub use compiled::{CompileError, CompileOptions, CompiledDist, CompiledTable, ResolvedCell};
 pub use ecdf::Ecdf;
 pub use fit::{FitKind, ParametricFit};
 pub use histogram::Histogram;

@@ -83,6 +83,18 @@ impl Op {
         Op::ALL.iter().copied().find(|o| o.name() == s)
     }
 
+    /// The other point-to-point send flavour: benchmark databases often
+    /// measure only one of `Send`/`Isend`, so samplers retry a query the
+    /// table cannot answer on the sibling (`Isend` for `Send`, `Send` for
+    /// everything else).
+    pub fn p2p_sibling(self) -> Op {
+        if self == Op::Send {
+            Op::Isend
+        } else {
+            Op::Send
+        }
+    }
+
     /// Position of this operation in [`Op::ALL`]: a dense index used for
     /// flat per-op storage (e.g. [`crate::compiled::CompiledTable`]).
     pub fn index(self) -> usize {

@@ -4,10 +4,10 @@
 //! histogram/point tables, and within the documented LUT error bound
 //! ([`LUT_REL_ERROR`]) for fitted tables.
 
-use pevpm_dist::compiled::{LUT_REL_ERROR, LUT_TAIL_Q};
+use pevpm_dist::compiled::{GUIDE_CELLS, LUT_REL_ERROR, LUT_TAIL_Q};
 use pevpm_dist::{
-    CommDist, CompileOptions, CompiledTable, DistKey, DistTable, FitKind, Histogram, Op,
-    ParametricFit,
+    CommDist, CompileOptions, CompiledDist, CompiledTable, DistKey, DistTable, FitKind, Histogram,
+    Op, ParametricFit,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -74,8 +74,133 @@ fn random_fit(seed: u64, kindsel: usize) -> ParametricFit {
     }
 }
 
+/// A random histogram shaped to stress the inverse CDF: `clusters` groups
+/// of samples separated by gaps many bins wide (runs of empty bins), each
+/// group either spread over a few bins or — `single` — a single repeated
+/// value (all of its mass in one bin).
+fn gappy_histogram(seed: u64, clusters: usize, single: bool) -> Histogram {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let bin_width = rng.gen_range(1e-6..1e-4);
+    let mut samples = Vec::new();
+    let mut at = rng.gen_range(1e-5..1e-3);
+    for _ in 0..clusters {
+        let n = rng.gen_range(1usize..60);
+        let spread = if single {
+            0.0
+        } else {
+            bin_width * rng.gen_range(0.5..6.0)
+        };
+        samples.extend((0..n).map(|_| at + rng.gen::<f64>() * spread));
+        at += spread + bin_width * rng.gen_range(3.0..40.0);
+    }
+    Histogram::from_samples(&samples, bin_width)
+}
+
+fn ulp_neighbours(q: f64) -> [f64; 3] {
+    let bits = q.to_bits();
+    [
+        f64::from_bits(bits.saturating_sub(1)),
+        q,
+        f64::from_bits(bits + 1),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The guide-table inverse CDF lands on the interpreted walk's bin —
+    /// and so on its bits — at the ends, at every guide cut `k/K` and at
+    /// every bin-boundary crossing `cum_i/total`, each with its two ULP
+    /// neighbours, on histograms with runs of empty bins and single-bin
+    /// mass.
+    #[test]
+    fn guide_table_inverse_cdf_matches_histogram_quantile_bitwise(
+        seed in 0u64..1_000_000,
+        clusters in 1usize..5,
+        single in 0usize..2,
+        q in 0.0f64..1.0,
+    ) {
+        let h = gappy_histogram(seed, clusters, single == 1);
+        let key = DistKey { op: Op::Send, size: 1, contention: 1 };
+        let c = CompiledDist::compile(key, &CommDist::Hist(h.clone()), &CompileOptions::default())
+            .unwrap();
+        let mut qs = vec![q, 0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0];
+        for k in 0..=GUIDE_CELLS {
+            qs.extend(ulp_neighbours(k as f64 / GUIDE_CELLS as f64));
+        }
+        let mut cum = 0u64;
+        for &count in h.counts() {
+            cum += count;
+            qs.extend(ulp_neighbours(cum as f64 / h.total() as f64));
+        }
+        for q in qs {
+            if !(0.0..=1.0).contains(&q) {
+                continue; // a neighbour of 0 or 1 that left the domain
+            }
+            prop_assert_eq!(
+                h.quantile(q).unwrap().to_bits(),
+                c.quantile(q).to_bits(),
+                "q = {:e} ({} bins, total {})", q, h.counts().len(), h.total()
+            );
+        }
+        prop_assert_eq!(c.min().to_bits(), h.quantile(0.0).unwrap().to_bits());
+    }
+
+    /// Resolve-then-quantile is the one-shot query split in two: on grid,
+    /// off grid and out of range, `resolve(..).quantile(u)` and `.min()`
+    /// carry the bits of the interpreted `quantile_at(.., u)` and `min_at`
+    /// (and `.min()` those of `quantile(0)`), a NaN coordinate resolves to
+    /// nothing, and a table holding only one of Send/Isend answers the
+    /// other on its `p2p_sibling` — the Send↔Isend fallback — and only
+    /// there.
+    #[test]
+    fn resolved_cell_matches_one_shot_queries_bitwise(
+        seed in 0u64..1_000_000,
+        nsizes in 1usize..5,
+        nconts in 1usize..5,
+        size in 1.0f64..200_000.0,
+        cont in 0.0f64..64.0,
+        u in 0.0f64..1.0,
+    ) {
+        let t = random_table(seed, nsizes, nconts);
+        let c = CompiledTable::compile(&t).unwrap();
+        for &s in &[size, 16.0, 65536.0, 1e9] {
+            for &co in &[cont, 1.0, 32.0, 500.0] {
+                let cell = c.resolve(Op::Isend, s, co).expect("the grid covers every query");
+                for &q in &[u, 0.0, 1.0] {
+                    prop_assert_eq!(
+                        t.quantile_at(Op::Isend, s, co, q).map(f64::to_bits),
+                        Some(cell.quantile(q).to_bits()),
+                        "quantile at size={} cont={} q={}", s, co, q
+                    );
+                }
+                prop_assert_eq!(
+                    t.min_at(Op::Isend, s, co).map(f64::to_bits),
+                    Some(cell.min().to_bits())
+                );
+                prop_assert_eq!(cell.min().to_bits(), cell.quantile(0.0).to_bits());
+                prop_assert_eq!(
+                    t.mean_at(Op::Isend, s, co).map(f64::to_bits),
+                    Some(cell.mean().to_bits())
+                );
+                // Only Isend was benchmarked: Send has nothing of its own
+                // and falls back to it; Recv falls back to Send and finds
+                // nothing either.
+                prop_assert!(c.resolve(Op::Send, s, co).is_none());
+                let sibling = c
+                    .resolve(Op::Send.p2p_sibling(), s, co)
+                    .expect("Isend stands in for Send");
+                prop_assert_eq!(sibling.quantile(u).to_bits(), cell.quantile(u).to_bits());
+                prop_assert_eq!(sibling.min().to_bits(), cell.min().to_bits());
+                prop_assert_eq!(Op::Isend.p2p_sibling(), Op::Send);
+                prop_assert!(c.resolve(Op::Recv.p2p_sibling(), s, co).is_none());
+            }
+        }
+        prop_assert!(c.resolve(Op::Isend, f64::NAN, cont).is_none());
+        prop_assert!(c.resolve(Op::Isend, size, f64::NAN).is_none());
+        prop_assert!(c.resolve(Op::Isend, f64::NAN, f64::NAN).is_none());
+        prop_assert!(c.resolve(Op::Barrier, size, cont).is_none());
+    }
 
     /// Histogram/point tables: compiled quantiles, means, and minima are
     /// bitwise identical to the interpreted table at on-grid, off-grid,

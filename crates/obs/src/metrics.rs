@@ -130,11 +130,22 @@ impl FixedHistogram {
 
     /// Record one observation.
     pub fn record(&self, v: f64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of the same value `v` in one update. Bins,
+    /// count, min and max end up exactly as after `n` calls of
+    /// [`FixedHistogram::record`]; the sum does too whenever `v * n` is
+    /// exact (integer-valued observations, the batched callers' case).
+    pub fn record_n(&self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = ((v - self.lo) / self.width).floor();
         let idx = (idx.max(0.0) as usize).min(self.bins.len() - 1);
-        self.bins[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.add(v);
+        self.bins[idx].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.add(v * n as f64);
         self.min_bits.fetch_min(sortable_bits(v), Ordering::Relaxed);
         self.max_bits.fetch_max(sortable_bits(v), Ordering::Relaxed);
     }

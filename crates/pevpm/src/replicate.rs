@@ -18,6 +18,7 @@
 //! Thread counts are expressed as `0 = use all available parallelism`;
 //! `1` forces the serial path.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -236,13 +237,11 @@ where
     try_parallel_map_profiled(n, threads, f).map(|(out, _)| out)
 }
 
-/// Run job `i` under [`catch_unwind`], mapping both failure modes into
-/// [`JobError`].
-fn run_caught<T, E, F>(f: &F, i: usize) -> Result<T, JobError<E>>
-where
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    match catch_unwind(AssertUnwindSafe(|| f(i))) {
+/// Run `job` as replica `i` under [`catch_unwind`], mapping both failure
+/// modes into [`JobError`]: the panic-isolation primitive every map in
+/// this module is built on.
+pub fn isolated<T, E>(i: usize, job: impl FnOnce() -> Result<T, E>) -> Result<T, JobError<E>> {
+    match catch_unwind(AssertUnwindSafe(job)) {
         Ok(r) => r.map_err(JobError::Err),
         Err(payload) => Err(JobError::Panic(ReplicaPanic {
             index: Some(i),
@@ -266,6 +265,23 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
+    try_parallel_map_weighted(n, threads, |_| 1, f)
+}
+
+/// [`try_parallel_map_profiled`] where job `i` stands for `weight(i)`
+/// replicas: [`WorkerStat::jobs`] counts replicas, so a profile reads the
+/// same whether replicas ran one per job or several.
+fn try_parallel_map_weighted<T, E, F>(
+    n: usize,
+    threads: usize,
+    weight: impl Fn(usize) -> usize + Sync,
+    f: F,
+) -> Result<(Vec<T>, ReplicateProfile), JobError<E>>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
+{
     let threads = resolve_threads(threads).min(n.max(1));
     let batch_start = Instant::now();
     if threads <= 1 || n <= 1 {
@@ -273,9 +289,9 @@ where
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let t0 = Instant::now();
-            let r = run_caught(&f, i);
+            let r = isolated(i, || f(i));
             stat.busy_secs += t0.elapsed().as_secs_f64();
-            stat.jobs += 1;
+            stat.jobs += weight(i);
             out.push(r?);
         }
         let profile = ReplicateProfile {
@@ -303,9 +319,9 @@ where
                             break;
                         }
                         let t0 = Instant::now();
-                        local.push((i, run_caught(&f, i)));
+                        local.push((i, isolated(i, || f(i))));
                         stat.busy_secs += t0.elapsed().as_secs_f64();
-                        stat.jobs += 1;
+                        stat.jobs += weight(i);
                     }
                     (stat, local)
                 })
@@ -377,24 +393,42 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let isolated = |i: usize| -> Result<Result<T, JobError<E>>, std::convert::Infallible> {
-        Ok(match catch_unwind(AssertUnwindSafe(|| f(i))) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(JobError::Err(e)),
-            Err(payload) => Err(JobError::Panic(ReplicaPanic {
-                index: Some(i),
-                message: panic_message(payload),
-            })),
-        })
-    };
-    match try_parallel_map_profiled(n, threads, isolated) {
-        Ok(pair) => pair,
+    let singles: Vec<Range<usize>> = (0..n).map(|i| i..i + 1).collect();
+    isolated_groups_profiled(&singles, threads, |group| {
+        vec![isolated(group.start, || f(group.start))]
+    })
+}
+
+/// [`isolated_map_profiled`] over jobs that each produce the outcomes of a
+/// *group* of consecutive replica indices (the lock-step lane groups of
+/// [`crate::vm::monte_carlo`]). `groups` must tile `0..n` (or any index
+/// range) in order; `f(group)` returns one outcome per index of the group
+/// and does its own per-replica isolation with [`isolated`]. Outcomes come
+/// back flattened in index order and the profile counts replicas, not
+/// groups.
+pub fn isolated_groups_profiled<T, E, F>(
+    groups: &[Range<usize>],
+    threads: usize,
+    f: F,
+) -> (Vec<Result<T, JobError<E>>>, ReplicateProfile)
+where
+    T: Send,
+    E: Send,
+    F: Fn(Range<usize>) -> Vec<Result<T, JobError<E>>> + Sync,
+{
+    let job = |g: usize| Ok::<_, std::convert::Infallible>(f(groups[g].clone()));
+    match try_parallel_map_weighted(groups.len(), threads, |g| groups[g].len(), job) {
+        Ok((outcomes, profile)) => (outcomes.into_iter().flatten().collect(), profile),
         Err(JobError::Err(e)) => match e {},
-        // Harness-level failure (outside any job closure): report it for
-        // every index so the quorum policy sees a fully-failed batch
-        // instead of the process dying.
+        // Harness-level failure (outside any replica's isolation): report
+        // it for every index so the quorum policy sees a fully-failed
+        // batch instead of the process dying.
         Err(JobError::Panic(p)) => (
-            (0..n).map(|_| Err(JobError::Panic(p.clone()))).collect(),
+            groups
+                .iter()
+                .flat_map(|group| group.clone())
+                .map(|_| Err(JobError::Panic(p.clone())))
+                .collect(),
             ReplicateProfile::default(),
         ),
     }

@@ -15,7 +15,7 @@
 //! A purely analytic [`TimingModel::hockney`] (`T = l + b/W`) is included
 //! as the classic textbook baseline.
 
-use pevpm_dist::{CompileOptions, CompiledTable, DistTable, Op, PointKind};
+use pevpm_dist::{CompileOptions, CompiledTable, DistTable, Op, PointKind, ResolvedCell};
 use rand::Rng;
 
 /// How per-message times are drawn from the benchmark data.
@@ -67,6 +67,65 @@ pub enum TimingModel {
         /// Effective bandwidth in bytes per second.
         bandwidth: f64,
     },
+}
+
+/// A `(op, size, contention)` query resolved against a [`TimingModel`]:
+/// everything about a message's time that does not depend on the draw.
+/// The VM resolves once per message and takes one
+/// [`ResolvedTime::quantile`] per replica lane, so the table lookup is
+/// shared by the lanes and only the inverse CDF runs per lane.
+#[derive(Debug, Clone, Copy)]
+pub enum ResolvedTime<'t> {
+    /// Full-distribution sampling from the compiled table.
+    Cell(ResolvedCell<'t>),
+    /// Full-distribution sampling through the interpreted [`DistTable`]
+    /// (the reference path): every quantile is a whole table query.
+    Interpreted {
+        /// The table to query.
+        table: &'t DistTable,
+        /// The operation that has data (after any Send↔Isend fallback).
+        op: Op,
+        /// Message size queried.
+        size: f64,
+        /// Contention level queried.
+        contention: f64,
+        /// The 0-quantile, from the query that established there is data.
+        floor: f64,
+    },
+    /// Point modes and the analytic model: one time whatever the draw.
+    Fixed(f64),
+}
+
+impl ResolvedTime<'_> {
+    /// The time at probability `u` — what [`TimingModel::quantile_time`]
+    /// answers for the resolved query, bit for bit.
+    #[inline]
+    pub fn quantile(&self, u: f64) -> f64 {
+        match self {
+            ResolvedTime::Cell(cell) => cell.quantile(u),
+            ResolvedTime::Interpreted {
+                table,
+                op,
+                size,
+                contention,
+                ..
+            } => table
+                .quantile_at(*op, *size, *contention, u)
+                .expect("a resolved query has data at every probability"),
+            ResolvedTime::Fixed(t) => *t,
+        }
+    }
+
+    /// `quantile(0.0)` without the lookup: the distribution's minimum in
+    /// full-distribution mode, the point statistic in the point modes.
+    #[inline]
+    pub fn floor(&self) -> f64 {
+        match self {
+            ResolvedTime::Cell(cell) => cell.min(),
+            ResolvedTime::Interpreted { floor, .. } => *floor,
+            ResolvedTime::Fixed(t) => *t,
+        }
+    }
 }
 
 impl TimingModel {
@@ -203,6 +262,48 @@ impl TimingModel {
         }
     }
 
+    /// Resolve `(op, size, contention)` once, for any number of
+    /// [`ResolvedTime::quantile`] draws. `None` exactly where
+    /// [`TimingModel::quantile_time`] is `None` (that depends on the query
+    /// alone, never on the probability).
+    pub fn resolve(&self, op: Op, size: f64, contention: f64) -> Option<ResolvedTime<'_>> {
+        if let TimingModel::Empirical {
+            table,
+            compiled,
+            mode: PredictionMode::FullDistribution,
+            fixed_contention,
+        } = self
+        {
+            let c = fixed_contention.unwrap_or(contention);
+            return match compiled {
+                Some(ct) => ct.resolve(op, size, c).map(ResolvedTime::Cell),
+                None => {
+                    table
+                        .quantile_at(op, size, c, 0.0)
+                        .map(|floor| ResolvedTime::Interpreted {
+                            table,
+                            op,
+                            size,
+                            contention: c,
+                            floor,
+                        })
+                }
+            };
+        }
+        // Point modes and the analytic model answer the same whatever the
+        // probability.
+        self.quantile_time(op, size, contention, 0.0)
+            .map(ResolvedTime::Fixed)
+    }
+
+    /// [`TimingModel::resolve`] with the Send↔Isend fallback (benchmark
+    /// databases often measure only one of the two point-to-point
+    /// flavours).
+    pub fn resolve_p2p(&self, op: Op, size: f64, contention: f64) -> Option<ResolvedTime<'_>> {
+        self.resolve(op, size, contention)
+            .or_else(|| self.resolve(op.p2p_sibling(), size, contention))
+    }
+
     /// The fraction of a message's end-to-end time spent on the sender
     /// side (software overhead + first-link NIC serialisation, plus the
     /// mean queueing of back-to-back sends) before the sender can proceed.
@@ -226,7 +327,7 @@ impl TimingModel {
                 ..
             } => {
                 let c = fixed_contention.unwrap_or(1.0);
-                let alt = if op == Op::Send { Op::Isend } else { Op::Send };
+                let alt = op.p2p_sibling();
                 let min_at = |o: Op| match compiled {
                     Some(ct) => ct.min_at(o, size, c),
                     None => table.min_at(o, size, c),
@@ -344,6 +445,57 @@ mod tests {
                 slow.send_local_cost(Op::Send, size).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn resolved_queries_answer_like_one_shot_queries() {
+        // Every kind of model, on and off grid: resolve-then-quantile is
+        // `quantile_time`, `floor` is the 0-quantile, and a Send query
+        // against an Isend-only table resolves through the fallback.
+        let mut isend_only = DistTable::new();
+        for (k, d) in table().iter() {
+            isend_only.insert(DistKey { op: Op::Isend, ..k }, d.clone());
+        }
+        let models = [
+            TimingModel::distributions(table()),
+            TimingModel::interpreted(table()),
+            TimingModel::point(table(), PointKind::Average),
+            TimingModel::pingpong_only(&table(), PredictionMode::Minimum),
+            TimingModel::hockney(1e-4, 12.5e6),
+            TimingModel::distributions(isend_only.clone()),
+            TimingModel::interpreted(isend_only),
+        ];
+        for (m, model) in models.iter().enumerate() {
+            for &size in &[1.0, 1024.0, 4096.0] {
+                for &c in &[0.5, 1.0, 3.0, 20.0] {
+                    let time = model
+                        .resolve_p2p(Op::Send, size, c)
+                        .unwrap_or_else(|| panic!("model {m} has send data"));
+                    let one_shot = |u: f64| {
+                        model
+                            .quantile_time(Op::Send, size, c, u)
+                            .or_else(|| model.quantile_time(Op::Isend, size, c, u))
+                            .unwrap()
+                    };
+                    for i in 0..=10 {
+                        let u = i as f64 / 10.0;
+                        assert_eq!(
+                            time.quantile(u).to_bits(),
+                            one_shot(u).to_bits(),
+                            "model {m} size={size} c={c} u={u}"
+                        );
+                    }
+                    assert_eq!(time.floor().to_bits(), one_shot(0.0).to_bits());
+                }
+            }
+            // A NaN size has no table cell (the analytic model computes
+            // with it).
+            if !matches!(model, TimingModel::Hockney { .. }) {
+                assert!(model.resolve_p2p(Op::Send, f64::NAN, 1.0).is_none());
+            }
+        }
+        // Without the fallback an Isend-only table has nothing for Send.
+        assert!(models[5].resolve(Op::Send, 1024.0, 1.0).is_none());
     }
 
     #[test]

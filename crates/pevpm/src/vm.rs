@@ -481,20 +481,62 @@ impl From<ExprError> for PevpmError {
 
 // ------------------------------------------------------------------ VM --
 
-/// A scoreboard entry: one message in flight. Pair identity and FIFO
-/// position live in the [`PairFifo`] index, not here.
+/// Replica lanes of a lock-step group: [`monte_carlo`] evaluates this many
+/// replications with one instruction stream (see DESIGN.md "Lock-step
+/// lanes"); everything else runs the same engine at a width of one.
+const LANES: usize = 8;
+
+/// What distinguishes one lane of a group from the next: its RNG seed and
+/// whether its draws are mirrored ([`EvalConfig::mirror`]).
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    seed: u64,
+    mirror: bool,
+}
+
+/// Why a lane group stopped short of a result.
+enum Halt {
+    /// Something whose outcome can differ between lanes came up (a
+    /// wildcard receive, a lane over the virtual-time budget): the group's
+    /// replicas are re-run one lane at a time. Never raised at `W == 1`.
+    StandDown,
+    /// A failure that does not depend on the draws, identical in every
+    /// lane.
+    Uniform(PevpmError),
+    /// A failure every lane hits at the same step but reports with its own
+    /// clocks (deadlock, step or wall budget): one error per lane.
+    PerLane(Vec<PevpmError>),
+}
+
+impl From<PevpmError> for Halt {
+    fn from(e: PevpmError) -> Self {
+        Halt::Uniform(e)
+    }
+}
+
+impl From<ExprError> for Halt {
+    fn from(e: ExprError) -> Self {
+        Halt::Uniform(e.into())
+    }
+}
+
+/// A scoreboard entry: one message in flight, with its times in `W` replica
+/// lanes. Pair identity and FIFO position live in the [`PairFifo`] index,
+/// not here.
 #[derive(Debug, Clone)]
-struct SbMsg {
+struct SbMsg<const W: usize> {
     from: usize,
     size: f64,
     kind: MsgKind,
-    depart: f64,
+    sender_blocked: bool,
+    /// Whether `arrival` has been sampled yet (by a match phase).
+    arrived: bool,
+    depart: [f64; W],
     /// The message's Monte-Carlo draw (probability coordinate). Shared by
     /// the sender-side cost and the transit-time lookup so that both land
     /// on the same mode of a multi-modal distribution.
-    u: f64,
-    arrival: Option<f64>,
-    sender_blocked: bool,
+    u: [f64; W],
+    arrival: [f64; W],
 }
 
 /// Why a process is blocked. Labels borrow from the model (`'m`), so
@@ -570,31 +612,25 @@ struct Frame<'m> {
     var: Option<(u32, u64)>,
 }
 
-struct Proc<'m> {
+/// One virtual process. Control state (environment, frame stack, blocked
+/// reason, handles) is seed-independent and shared by the lanes; clocks and
+/// time accounts are per lane.
+struct Proc<'m, const W: usize> {
     /// Slot-indexed variable environment (see [`crate::lower`]); `None` =
     /// unbound.
     env: Vec<Option<f64>>,
-    clock: f64,
     stack: Vec<Frame<'m>>,
-    blocked: Option<(Block<'m>, f64)>,
+    /// Why the process is blocked, and each lane's clock when it blocked.
+    blocked: Option<(Block<'m>, [f64; W])>,
     finished: bool,
-    compute_time: f64,
-    send_time: f64,
-    blocked_time: f64,
     coll_count: u64,
     /// Outstanding nonblocking-receive handles, indexed by interned handle
     /// slot: `(source, reserved per-pair sequence number)`.
     handles: Vec<Option<(usize, u64)>>,
-}
-
-/// Metric handles resolved once per evaluation, so the per-event cost with
-/// a registry installed is a single relaxed atomic RMW (and a single
-/// `Option` branch without one).
-struct VmMetrics {
-    sweep_phases: Arc<Counter>,
-    match_phases: Arc<Counter>,
-    contention: Arc<FixedHistogram>,
-    occupancy: Arc<FixedHistogram>,
+    clock: [f64; W],
+    compute_time: [f64; W],
+    send_time: [f64; W],
+    blocked_time: [f64; W],
 }
 
 /// Bin count / range of the engine's contention histograms: contention
@@ -602,8 +638,30 @@ struct VmMetrics {
 /// hundred; one bin per level up to 256 (clamped above).
 const CONTENTION_BINS: usize = 256;
 
+/// Per-event metrics of one lane group, tallied locally and added to the
+/// registry when the group is done: each event then counts once per lane,
+/// exactly what that many separate evaluations would have recorded, and a
+/// group that stands down leaves no trace for its re-run to double.
+struct VmMetrics {
+    sweep_phases: Arc<Counter>,
+    match_phases: Arc<Counter>,
+    contention: Arc<FixedHistogram>,
+    occupancy: Arc<FixedHistogram>,
+    lanes: u64,
+    sweeps: u64,
+    matches: u64,
+    /// Events per integer scoreboard population.
+    contention_at: Vec<u64>,
+    occupancy_at: Vec<u64>,
+    /// Whether dropping the tally records it. A single lane always records
+    /// (even the part-way counts of an evaluation that panics, as before);
+    /// a wider group only once it has run to a result or a failure of its
+    /// own.
+    record_on_drop: bool,
+}
+
 impl VmMetrics {
-    fn resolve(registry: &Registry) -> VmMetrics {
+    fn resolve(registry: &Registry, lanes: usize) -> VmMetrics {
         VmMetrics {
             sweep_phases: registry.counter("vm.sweep_phases"),
             match_phases: registry.counter("vm.match_phases"),
@@ -619,22 +677,63 @@ impl VmMetrics {
                 CONTENTION_BINS as f64,
                 CONTENTION_BINS,
             ),
+            lanes: lanes as u64,
+            sweeps: 0,
+            matches: 0,
+            contention_at: Vec::new(),
+            occupancy_at: Vec::new(),
+            record_on_drop: lanes == 1,
+        }
+    }
+
+    fn tally(levels: &mut Vec<u64>, population: usize) {
+        if population >= levels.len() {
+            levels.resize(population + 1, 0);
+        }
+        levels[population] += 1;
+    }
+}
+
+impl Drop for VmMetrics {
+    fn drop(&mut self) {
+        if !self.record_on_drop {
+            return;
+        }
+        self.sweep_phases.add(self.sweeps * self.lanes);
+        self.match_phases.add(self.matches * self.lanes);
+        for (hist, levels) in [
+            (&self.contention, &self.contention_at),
+            (&self.occupancy, &self.occupancy_at),
+        ] {
+            for (population, &n) in levels.iter().enumerate() {
+                if n > 0 {
+                    hist.record_n(population as f64, n * self.lanes);
+                }
+            }
         }
     }
 }
 
-struct Vm<'m> {
+/// The sweep/match engine over `W` replica lanes. Everything that does not
+/// depend on the seed — statement decode, expression evaluation, endpoint
+/// checks, FIFO matching, blocked/finished state, contention level, step
+/// and message counts — is one value executed once; clocks, time accounts,
+/// draws, departures, arrivals, loss accumulators and the RNG are `[_; W]`.
+/// `W == 1` is the scalar engine.
+struct Vm<'m, const W: usize> {
     cfg: &'m EvalConfig,
     timing: &'m TimingModel,
     /// Variable-name table of the lowered model, for error messages.
     names: &'m Names,
-    procs: Vec<Proc<'m>>,
+    procs: Vec<Proc<'m, W>>,
     /// In-flight messages: a generational slab, so matches remove in O(1)
     /// and rendezvous senders hold stable [`Handle`]s.
-    scoreboard: Slab<SbMsg>,
+    scoreboard: Slab<SbMsg<W>>,
     /// Per (from, to) sequence counters and FIFO queues over the slab.
     fifo: PairFifo,
-    rng: SmallRng,
+    rng: [SmallRng; W],
+    /// Mirror the lane's draws (`u → 1 - u`, see [`EvalConfig::mirror`]).
+    mirror: [bool; W],
     steps: u64,
     /// Wall-clock start of the evaluation, for the budget's wall axis.
     started: std::time::Instant,
@@ -643,11 +742,14 @@ struct Vm<'m> {
     /// Per-label loss accumulators, indexed by [`Label::slot`]; `touched`
     /// marks labels that saw at least one attributable event (so the
     /// reported map has exactly the keys the string-keyed version had).
-    loss: Vec<f64>,
+    loss: Vec<[f64; W]>,
     loss_touched: Vec<bool>,
+    /// Wildcard-race reports. Wildcards are matched by arrival time, so
+    /// they only ever run at `W == 1`.
     races: Vec<(usize, String)>,
     metrics: Option<VmMetrics>,
-    /// Per-proc predicted timelines, when `cfg.record_timeline`.
+    /// Per-proc predicted timelines, when `cfg.record_timeline` (recorded
+    /// from lane 0: timelines are only requested at `W == 1`).
     timeline: Option<Vec<Vec<TimelineSpan>>>,
 }
 
@@ -721,11 +823,12 @@ pub(crate) struct VmOutcome {
     pub(crate) external: Vec<ExternalMsg>,
 }
 
-/// Run the sweep/match engine over the prepared program. `active` limits
-/// the run to a subset of processes (inactive ones start finished and are
-/// never swept); `injected` preloads cross-component messages with fixed
-/// arrivals. The unrestricted call — `active: None`, no injections, seed
-/// `cfg.seed` — is bit-for-bit the historical serial evaluation.
+/// Run the sweep/match engine over the prepared program at a width of one
+/// lane. `active` limits the run to a subset of processes (inactive ones
+/// start finished and are never swept); `injected` preloads
+/// cross-component messages with fixed arrivals. The unrestricted call —
+/// `active: None`, no injections, seed `cfg.seed` — is bit-for-bit the
+/// historical serial evaluation.
 pub(crate) fn run_lowered(
     setup: &EvalSetup<'_>,
     cfg: &EvalConfig,
@@ -734,43 +837,66 @@ pub(crate) fn run_lowered(
     active: Option<&[bool]>,
     injected: &[ExternalMsg],
 ) -> Result<VmOutcome, PevpmError> {
+    let lane = Lane {
+        seed,
+        mirror: cfg.mirror,
+    };
+    match run_lanes::<1>(setup, cfg, timing, [lane], active, injected) {
+        Ok(mut outcomes) => Ok(outcomes.remove(0)),
+        Err(Halt::Uniform(e)) => Err(e),
+        Err(Halt::PerLane(mut errors)) => Err(errors.remove(0)),
+        Err(Halt::StandDown) => unreachable!("a single lane has nothing to diverge from"),
+    }
+}
+
+/// Run the engine over `W` replica lanes in lock step: one outcome per
+/// lane, each bitwise what [`run_lowered`] returns for that lane alone.
+#[allow(clippy::needless_range_loop)]
+fn run_lanes<const W: usize>(
+    setup: &EvalSetup<'_>,
+    cfg: &EvalConfig,
+    timing: &TimingModel,
+    lanes: [Lane; W],
+    active: Option<&[bool]>,
+    injected: &[ExternalMsg],
+) -> Result<Vec<VmOutcome>, Halt> {
+    #[cfg(test)]
+    tests::poison::check(&lanes);
     let lowered = &setup.lowered;
-    let procs: Vec<Proc> = (0..cfg.nprocs)
+    let procs: Vec<Proc<W>> = (0..cfg.nprocs)
         .map(|p| {
-            if active.is_some_and(|a| !a[p]) {
-                // Inactive processes never run: no environment clone, no
-                // stack — they just read as finished with zero clocks.
-                return Proc {
-                    env: Vec::new(),
-                    clock: 0.0,
-                    stack: Vec::new(),
-                    blocked: None,
-                    finished: true,
-                    compute_time: 0.0,
-                    send_time: 0.0,
-                    blocked_time: 0.0,
-                    coll_count: 0,
-                    handles: Vec::new(),
-                };
+            // Inactive processes never run: no environment clone, no
+            // stack — they just read as finished with zero clocks.
+            let idle = active.is_some_and(|a| !a[p]);
+            let mut env = Vec::new();
+            if !idle {
+                env = setup.base.clone();
+                env[lowered.procnum as usize] = Some(p as f64);
             }
-            let mut env = setup.base.clone();
-            env[lowered.procnum as usize] = Some(p as f64);
             Proc {
                 env,
-                clock: 0.0,
-                stack: vec![Frame {
-                    stmts: &lowered.stmts,
-                    idx: 0,
-                    remaining: 1,
-                    var: None,
-                }],
+                stack: if idle {
+                    Vec::new()
+                } else {
+                    vec![Frame {
+                        stmts: &lowered.stmts,
+                        idx: 0,
+                        remaining: 1,
+                        var: None,
+                    }]
+                },
                 blocked: None,
-                finished: lowered.stmts.is_empty(),
-                compute_time: 0.0,
-                send_time: 0.0,
-                blocked_time: 0.0,
+                finished: idle || lowered.stmts.is_empty(),
                 coll_count: 0,
-                handles: vec![None; lowered.nhandles],
+                handles: if idle {
+                    Vec::new()
+                } else {
+                    vec![None; lowered.nhandles]
+                },
+                clock: [0.0; W],
+                compute_time: [0.0; W],
+                send_time: [0.0; W],
+                blocked_time: [0.0; W],
             }
         })
         .collect();
@@ -782,15 +908,19 @@ pub(crate) fn run_lowered(
         procs,
         scoreboard: Slab::new(),
         fifo: PairFifo::new(cfg.nprocs),
-        rng: SmallRng::seed_from_u64(seed),
+        rng: lanes.map(|lane| SmallRng::seed_from_u64(lane.seed)),
+        mirror: lanes.map(|lane| lane.mirror),
         steps: 0,
         started: std::time::Instant::now(),
         sb_peak: 0,
         messages: 0,
-        loss: vec![0.0; lowered.labels.len()],
+        loss: vec![[0.0; W]; lowered.labels.len()],
         loss_touched: vec![false; lowered.labels.len()],
         races: Vec::new(),
-        metrics: cfg.metrics.as_deref().map(VmMetrics::resolve),
+        metrics: cfg
+            .metrics
+            .as_deref()
+            .map(|registry| VmMetrics::resolve(registry, W)),
         timeline: cfg
             .record_timeline
             .then(|| (0..cfg.nprocs).map(|_| Vec::new()).collect()),
@@ -804,65 +934,74 @@ pub(crate) fn run_lowered(
             from: m.from,
             size: m.size,
             kind: m.kind,
-            depart: m.arrival,
-            u: 0.0,
-            arrival: Some(m.arrival),
             sender_blocked: false,
+            arrived: true,
+            depart: [m.arrival; W],
+            u: [0.0; W],
+            arrival: [m.arrival; W],
         });
         vm.fifo.enqueue(m.from, m.to, seq, h);
     }
     vm.sb_peak = vm.scoreboard.len();
-    vm.run()?;
+    let ran = vm.run();
+    if let Some(metrics) = &mut vm.metrics {
+        metrics.record_on_drop = !matches!(ran, Err(Halt::StandDown));
+    }
+    ran?;
 
     // Collect sends left addressed to inactive processes: they cross the
     // component boundary. Arrivals not yet sampled get one at the final
     // scoreboard population, replaying the stored draw — the same rule
     // `match_phase` would apply on its next pass.
-    let external = match active {
-        None => Vec::new(),
-        Some(active) => {
-            let contention = vm.scoreboard.len() as f64;
-            let mut out = Vec::new();
-            for (from, to, h) in vm.fifo.in_flight() {
-                if active[to] {
-                    continue;
+    let mut external: Vec<Vec<ExternalMsg>> = vec![Vec::new(); W];
+    if let Some(active) = active {
+        let contention = vm.scoreboard.len() as f64;
+        for (from, to, h) in vm.fifo.in_flight() {
+            if active[to] {
+                continue;
+            }
+            let m = vm.scoreboard.get(h).expect("in-flight handles are live");
+            let mut arrival = m.arrival;
+            if !m.arrived {
+                let op = op_for_kind(m.kind);
+                let time = timing
+                    .resolve_p2p(op, m.size, contention)
+                    .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
+                for l in 0..W {
+                    arrival[l] = m.depart[l] + time.quantile(m.u[l]).max(0.0);
                 }
-                let m = vm.scoreboard.get(h).expect("in-flight handles are live");
-                let arrival = match m.arrival {
-                    Some(a) => a,
-                    None => {
-                        let op = op_for_kind(m.kind);
-                        let dt = Vm::quantile_with_fallback(timing, op, m.size, contention, m.u)
-                            .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
-                        m.depart + dt.max(0.0)
-                    }
-                };
+            }
+            for (l, out) in external.iter_mut().enumerate() {
                 out.push(ExternalMsg {
                     from,
                     to,
                     size: m.size,
                     kind: m.kind,
-                    arrival,
+                    arrival: arrival[l],
                 });
             }
-            out
         }
-    };
+    }
 
-    Ok(VmOutcome {
-        clocks: vm.procs.iter().map(|p| p.clock).collect(),
-        compute_time: vm.procs.iter().map(|p| p.compute_time).collect(),
-        send_time: vm.procs.iter().map(|p| p.send_time).collect(),
-        blocked_time: vm.procs.iter().map(|p| p.blocked_time).collect(),
-        messages: vm.messages,
-        steps: vm.steps,
-        sb_peak: vm.sb_peak,
-        races: vm.races,
-        loss: vm.loss,
-        loss_touched: vm.loss_touched,
-        timeline: vm.timeline.take(),
-        external,
-    })
+    let mut timeline = vm.timeline.take();
+    Ok(external
+        .into_iter()
+        .enumerate()
+        .map(|(l, external)| VmOutcome {
+            clocks: vm.procs.iter().map(|p| p.clock[l]).collect(),
+            compute_time: vm.procs.iter().map(|p| p.compute_time[l]).collect(),
+            send_time: vm.procs.iter().map(|p| p.send_time[l]).collect(),
+            blocked_time: vm.procs.iter().map(|p| p.blocked_time[l]).collect(),
+            messages: vm.messages,
+            steps: vm.steps,
+            sb_peak: vm.sb_peak,
+            races: vm.races.clone(),
+            loss: vm.loss.iter().map(|lanes| lanes[l]).collect(),
+            loss_touched: vm.loss_touched.clone(),
+            timeline: timeline.take(),
+            external,
+        })
+        .collect())
 }
 
 /// The shared evaluation epilogue: stable race reporting, the label-keyed
@@ -1025,11 +1164,11 @@ pub fn monte_carlo(
     assert!(replications > 0, "need at least one replication");
     let start = std::time::Instant::now();
     // Replica i is seeded from (cfg.seed, i) alone, so fanning the batch
-    // across threads cannot change any replica's result; collection is in
-    // index order, so the aggregate is bitwise identical to a serial loop.
-    // Each replication runs panic-isolated: a worker that panics (bad
-    // timing table, hostile model) is recorded as a failure, not a
-    // process abort.
+    // across threads — or packing replicas into lock-step lane groups —
+    // cannot change any replica's result; collection is in index order, so
+    // the aggregate is bitwise identical to a serial loop. Each replication
+    // runs panic-isolated: a worker that panics (bad timing table, hostile
+    // model) is recorded as a failure, not a process abort.
     // Nested parallelism shares one worker budget: the outer pool keeps
     // the requested `threads` width and each replica's DAG scheduler gets
     // the per-job share, so `threads × eval_threads` never oversubscribes
@@ -1038,10 +1177,7 @@ pub fn monte_carlo(
     let budget = crate::replicate::ThreadBudget::from_host();
     let outer = budget.outer(cfg.threads, replications);
     let inner_eval = budget.inner(outer, cfg.eval_threads);
-    let (outcomes, profile) =
-        crate::replicate::isolated_map_profiled(replications, cfg.threads, |i| {
-            evaluate(model, &replica_cfg(cfg, i, inner_eval), timing)
-        });
+    let (outcomes, profile) = run_replicas(model, cfg, timing, 0..replications, inner_eval);
     let wall_secs = start.elapsed().as_secs_f64();
 
     let mut runs: Vec<Prediction> = Vec::with_capacity(replications);
@@ -1100,20 +1236,126 @@ pub fn monte_carlo(
     })
 }
 
-/// Per-replica configuration: derived seed, the per-job eval-thread
-/// share, and — under [`EvalConfig::antithetic`] — the paired seed with
-/// the mirror flag on odd replicas. Independent seeding is byte-for-byte
-/// the historical `base + i` derivation.
-fn replica_cfg(cfg: &EvalConfig, i: usize, inner_eval: usize) -> EvalConfig {
-    let mut c = cfg.clone();
+/// Replica `i`'s lane: the derived seed and — under
+/// [`EvalConfig::antithetic`] — the paired seed with the mirror flag on odd
+/// replicas. Independent seeding is byte-for-byte the historical `base + i`
+/// derivation.
+fn replica_lane(cfg: &EvalConfig, i: usize) -> Lane {
     if cfg.antithetic {
-        c.seed = crate::replicate::replica_seed(cfg.seed, (i / 2) as u64);
-        c.mirror = i % 2 == 1;
+        Lane {
+            seed: crate::replicate::replica_seed(cfg.seed, (i / 2) as u64),
+            mirror: i % 2 == 1,
+        }
     } else {
-        c.seed = crate::replicate::replica_seed(cfg.seed, i as u64);
+        Lane {
+            seed: crate::replicate::replica_seed(cfg.seed, i as u64),
+            mirror: cfg.mirror,
+        }
     }
+}
+
+/// Per-replica configuration for a one-lane evaluation: the replica's
+/// [`Lane`] plus the per-job eval-thread share.
+fn replica_cfg(cfg: &EvalConfig, i: usize, inner_eval: usize) -> EvalConfig {
+    let lane = replica_lane(cfg, i);
+    let mut c = cfg.clone();
+    c.seed = lane.seed;
+    c.mirror = lane.mirror;
     c.eval_threads = inner_eval;
     c
+}
+
+/// Replicas per pool job: [`LANES`], unless the evaluation wants the DAG
+/// scheduler or a timeline — then every replica runs one lane at a time.
+fn lane_width(cfg: &EvalConfig, inner_eval: usize) -> usize {
+    if inner_eval == 0 && !cfg.record_timeline {
+        LANES
+    } else {
+        1
+    }
+}
+
+type ReplicaResult = Result<Prediction, crate::replicate::JobError<PevpmError>>;
+
+/// Evaluate replicas `range` of the batch on the replication pool, in
+/// index order. Full groups of [`lane_width`] consecutive replicas run in
+/// lock step, the remainder one lane at a time. The width never shows in a
+/// result: each lane is bitwise its own `evaluate`.
+fn run_replicas(
+    model: &Model,
+    cfg: &EvalConfig,
+    timing: &TimingModel,
+    range: std::ops::Range<usize>,
+    inner_eval: usize,
+) -> (Vec<ReplicaResult>, crate::replicate::ReplicateProfile) {
+    let width = lane_width(cfg, inner_eval);
+    let mut groups = Vec::new();
+    let mut next = range.start;
+    while next < range.end {
+        let len = if range.end - next >= width { width } else { 1 };
+        groups.push(next..next + len);
+        next += len;
+    }
+    crate::replicate::isolated_groups_profiled(&groups, cfg.threads, |group| {
+        run_group(model, cfg, timing, group, inner_eval)
+    })
+}
+
+/// One pool job: replicas `group` as a lock-step lane group if it is a full
+/// one, else (or if the lanes stand down, or anything in the group panics
+/// — some lane's draw did, and only a re-run can say whose) one at a time
+/// under the usual panic isolation, so errors, quorum accounting and
+/// diagnostics are exactly those of separate evaluations.
+fn run_group(
+    model: &Model,
+    cfg: &EvalConfig,
+    timing: &TimingModel,
+    group: std::ops::Range<usize>,
+    inner_eval: usize,
+) -> Vec<ReplicaResult> {
+    if group.len() == LANES {
+        let lanes =
+            std::panic::AssertUnwindSafe(|| evaluate_lanes(model, cfg, timing, group.start));
+        if let Ok(Some(results)) = std::panic::catch_unwind(lanes) {
+            return results
+                .into_iter()
+                .map(|r| r.map_err(crate::replicate::JobError::Err))
+                .collect();
+        }
+    }
+    group
+        .map(|i| {
+            crate::replicate::isolated(i, || {
+                evaluate(model, &replica_cfg(cfg, i, inner_eval), timing)
+            })
+        })
+        .collect()
+}
+
+/// Replicas `first .. first + LANES` in lock step; `None` if the lanes
+/// stood down.
+fn evaluate_lanes(
+    model: &Model,
+    cfg: &EvalConfig,
+    timing: &TimingModel,
+    first: usize,
+) -> Option<Vec<Result<Prediction, PevpmError>>> {
+    let setup = match prepare(model, cfg) {
+        Ok(setup) => setup,
+        Err(e) => return Some(vec![Err(e); LANES]),
+    };
+    let lanes: [Lane; LANES] = std::array::from_fn(|l| replica_lane(cfg, first + l));
+    match run_lanes(&setup, cfg, timing, lanes, None, &[]) {
+        Ok(outcomes) => Some(
+            outcomes
+                .into_iter()
+                .map(|outcome| Ok(finish_prediction(&setup, cfg, outcome)))
+                .collect(),
+        ),
+        Err(Halt::StandDown) => None,
+        Err(Halt::Uniform(e)) => Some(vec![Err(e); LANES]),
+        Err(Halt::PerLane(errors)) => Some(errors.into_iter().map(Err).collect()),
+    }
 }
 
 fn job_error_to_pevpm(job_err: crate::replicate::JobError<PevpmError>, i: usize) -> PevpmError {
@@ -1183,19 +1425,25 @@ fn monte_carlo_adaptive(
     let mut chosen: Option<usize> = None;
     while chosen.is_none() && outcomes.len() < policy.max_reps {
         // First chunk covers the replication floor; later chunks keep the
-        // pool full. Chunk width only controls how much overshoot may be
-        // computed and discarded — never the stopping index.
+        // pool full — one lock-step lane group per worker when the
+        // evaluation runs in lanes. Chunk width only controls how much
+        // overshoot may be computed and discarded — never the stopping
+        // index.
+        let pool_full = outer.max(1) * lane_width(cfg, inner_eval);
         let want = if outcomes.is_empty() {
-            policy.min_reps.max(outer)
+            policy.min_reps.max(pool_full)
         } else {
-            outer.max(1)
+            pool_full
         };
         let chunk = want.min(policy.max_reps - outcomes.len());
         let base_index = outcomes.len();
-        let (chunk_out, chunk_profile) =
-            crate::replicate::isolated_map_profiled(chunk, cfg.threads, |j| {
-                evaluate(model, &replica_cfg(cfg, base_index + j, inner_eval), timing)
-            });
+        let (chunk_out, chunk_profile) = run_replicas(
+            model,
+            cfg,
+            timing,
+            base_index..base_index + chunk,
+            inner_eval,
+        );
         workers.extend(chunk_profile.workers);
         attempted += chunk;
         for out in chunk_out {
@@ -1284,8 +1532,10 @@ fn monte_carlo_adaptive(
     })
 }
 
-impl<'m> Vm<'m> {
-    fn run(&mut self) -> Result<(), PevpmError> {
+// Lane loops walk several `[_; W]` arrays in step; an index says so best.
+#[allow(clippy::needless_range_loop)]
+impl<'m, const W: usize> Vm<'m, W> {
+    fn run(&mut self) -> Result<(), Halt> {
         loop {
             let advanced_sweep = self.sweep()?;
             if self.procs.iter().all(|p| p.finished) {
@@ -1293,35 +1543,55 @@ impl<'m> Vm<'m> {
             }
             let advanced_match = self.match_phase()?;
             if !advanced_sweep && !advanced_match {
-                let blocked = self
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, p)| p.blocked.as_ref().map(|(b, _)| (i, b.describe())))
-                    .collect();
-                let time = self.procs.iter().map(|p| p.clock).fold(0.0, f64::max);
-                return Err(PevpmError::Deadlock { time, blocked });
+                let blocked = self.blocked_report();
+                return Err(Halt::PerLane(
+                    (0..W)
+                        .map(|l| PevpmError::Deadlock {
+                            time: self.latest_clock(l),
+                            blocked: blocked.clone(),
+                        })
+                        .collect(),
+                ));
             }
         }
     }
 
-    /// Build the structured abort report for an exhausted budget axis:
-    /// partial per-process results plus the deadlock-style blocked list.
-    fn budget_error(&self, axis: BudgetAxis) -> PevpmError {
-        PevpmError::Budget(Box::new(BudgetReport {
-            axis,
-            steps: self.steps,
-            virtual_time: self.procs.iter().map(|p| p.clock).fold(0.0, f64::max),
-            wall_secs: self.started.elapsed().as_secs_f64(),
-            clocks: self.procs.iter().map(|p| p.clock).collect(),
-            finished: self.procs.iter().map(|p| p.finished).collect(),
-            blocked: self
-                .procs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.blocked.as_ref().map(|(b, _)| (i, b.describe())))
+    /// `(procnum, description)` of every blocked process.
+    fn blocked_report(&self) -> Vec<(usize, String)> {
+        self.procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.blocked.as_ref().map(|(b, _)| (i, b.describe())))
+            .collect()
+    }
+
+    /// Largest process clock of lane `l`.
+    fn latest_clock(&self, l: usize) -> f64 {
+        self.procs.iter().map(|p| p.clock[l]).fold(0.0, f64::max)
+    }
+
+    /// Build the structured abort report for an exhausted budget axis, one
+    /// per lane: partial per-process results plus the deadlock-style
+    /// blocked list.
+    fn budget_error(&self, axis: BudgetAxis) -> Halt {
+        let wall_secs = self.started.elapsed().as_secs_f64();
+        let finished: Vec<bool> = self.procs.iter().map(|p| p.finished).collect();
+        let blocked = self.blocked_report();
+        Halt::PerLane(
+            (0..W)
+                .map(|l| {
+                    PevpmError::Budget(Box::new(BudgetReport {
+                        axis,
+                        steps: self.steps,
+                        virtual_time: self.latest_clock(l),
+                        wall_secs,
+                        clocks: self.procs.iter().map(|p| p.clock[l]).collect(),
+                        finished: finished.clone(),
+                        blocked: blocked.clone(),
+                    }))
+                })
                 .collect(),
-        }))
+        )
     }
 
     /// Record a timeline span for proc `p` (zero-length spans dropped, so
@@ -1341,22 +1611,31 @@ impl<'m> Vm<'m> {
 
     /// Run every unblocked process to its next decision point. Returns
     /// whether any process executed at least one directive.
-    fn sweep(&mut self) -> Result<bool, PevpmError> {
-        if let Some(m) = &self.metrics {
-            m.sweep_phases.inc();
+    fn sweep(&mut self) -> Result<bool, Halt> {
+        if let Some(m) = &mut self.metrics {
+            m.sweeps += 1;
         }
+        let budget = self.cfg.budget;
         let mut advanced = false;
         for p in 0..self.procs.len() {
             while !self.procs[p].finished && self.procs[p].blocked.is_none() {
                 advanced |= self.step(p)?;
                 self.steps += 1;
-                let budget = self.cfg.budget;
                 if self.steps > budget.max_steps {
                     return Err(self.budget_error(BudgetAxis::Steps));
                 }
                 // A livelocked model (e.g. an unbounded loop of serial
                 // work) never deadlocks — the clock axis is what stops it.
-                if self.procs[p].clock > budget.max_virtual_secs {
+                // Lanes cross it at different steps, so a group that sees
+                // one do so stands down.
+                if self.procs[p]
+                    .clock
+                    .iter()
+                    .any(|&clock| clock > budget.max_virtual_secs)
+                {
+                    if W > 1 {
+                        return Err(Halt::StandDown);
+                    }
                     return Err(self.budget_error(BudgetAxis::VirtualTime));
                 }
                 // The wall clock is only consulted every 64 Ki steps: an
@@ -1373,7 +1652,7 @@ impl<'m> Vm<'m> {
 
     /// Execute one directive (or control-flow transition) on process `p`.
     /// Returns false only when the process just finished.
-    fn step(&mut self, p: usize) -> Result<bool, PevpmError> {
+    fn step(&mut self, p: usize) -> Result<bool, Halt> {
         // Pop exhausted frames / re-enter loops.
         loop {
             let Some(frame) = self.procs[p].stack.last_mut() else {
@@ -1416,11 +1695,15 @@ impl<'m> Vm<'m> {
                     let label = label.map(|l| l.text);
                     return Err(PevpmError::BadModel(format!(
                         "negative serial time {t} at {label:?}"
-                    )));
+                    ))
+                    .into());
                 }
-                let start = self.procs[p].clock;
-                self.procs[p].clock += t;
-                self.procs[p].compute_time += t;
+                let proc = &mut self.procs[p];
+                let start = proc.clock[0];
+                for l in 0..W {
+                    proc.clock[l] += t;
+                    proc.compute_time[l] += t;
+                }
                 if self.timeline.is_some() {
                     self.record_span(
                         p,
@@ -1469,7 +1752,8 @@ impl<'m> Vm<'m> {
                     let label = label.map(|l| l.text);
                     return Err(PevpmError::BadModel(format!(
                         "proc {p}: Wait on unbound handle {handle_name:?} at {label:?}"
-                    )));
+                    ))
+                    .into());
                 };
                 let clock = self.procs[p].clock;
                 self.procs[p].blocked = Some((
@@ -1494,6 +1778,7 @@ impl<'m> Vm<'m> {
                 // MPI_ANY_SOURCE. `ltext` is the label as the plain
                 // optional string the diagnostics print.
                 let ltext = label.map(|l| l.text);
+                let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
                 let from_raw = from.eval(&self.procs[p].env, names)?;
                 let wildcard = from_raw < -0.5 && *kind == MsgKind::Recv;
                 // Reuse the evaluation above rather than walking the
@@ -1511,7 +1796,7 @@ impl<'m> Vm<'m> {
                 let to_v = to.eval_usize(&self.procs[p].env, names)?;
                 let size_v = size.eval(&self.procs[p].env, names)?;
                 if (!wildcard && from_v >= self.cfg.nprocs) || to_v >= self.cfg.nprocs {
-                    return Err(PevpmError::BadModel(format!(
+                    return Err(bad_model(format!(
                         "message endpoint out of range: from={from_raw} to={to_v} \
                          (numprocs={}) at {ltext:?}",
                         self.cfg.nprocs
@@ -1520,20 +1805,26 @@ impl<'m> Vm<'m> {
                 match kind {
                     MsgKind::Send | MsgKind::Isend => {
                         if from_v != p {
-                            return Err(PevpmError::BadModel(format!(
+                            return Err(bad_model(format!(
                                 "proc {p} executing a send whose from={from_v} at {ltext:?}"
                             )));
                         }
-                        self.post_send(p, *kind, size_v, to_v, *label)?;
+                        self.post_send(p, *kind, size_v, to_v, *label);
                     }
                     MsgKind::Recv => {
                         if to_v != p {
-                            return Err(PevpmError::BadModel(format!(
+                            return Err(bad_model(format!(
                                 "proc {p} executing a recv whose to={to_v} at {ltext:?}"
                             )));
                         }
                         let clock = self.procs[p].clock;
                         if wildcard {
+                            // A wildcard receive takes whichever candidate
+                            // arrives first — the one thing in a match that
+                            // looks at a lane's times.
+                            if W > 1 {
+                                return Err(Halt::StandDown);
+                            }
                             self.procs[p].blocked = Some((
                                 Block::Recv {
                                     from: None,
@@ -1556,24 +1847,24 @@ impl<'m> Vm<'m> {
                     }
                     MsgKind::Irecv => {
                         if to_v != p {
-                            return Err(PevpmError::BadModel(format!(
+                            return Err(bad_model(format!(
                                 "proc {p} executing an irecv whose to={to_v} at {ltext:?}"
                             )));
                         }
                         if wildcard {
-                            return Err(PevpmError::BadModel(format!(
+                            return Err(bad_model(format!(
                                 "wildcard MPI_Irecv is not supported at {ltext:?}"
                             )));
                         }
                         let Some(h) = handle else {
-                            return Err(PevpmError::BadModel(format!(
+                            return Err(bad_model(format!(
                                 "MPI_Irecv without a handle at {ltext:?}"
                             )));
                         };
                         let h = *h as usize;
                         if self.procs[p].handles[h].is_some() {
                             let h = handle_name.unwrap_or_default();
-                            return Err(PevpmError::BadModel(format!(
+                            return Err(bad_model(format!(
                                 "proc {p}: handle {h:?} already outstanding at {ltext:?}"
                             )));
                         }
@@ -1604,15 +1895,35 @@ impl<'m> Vm<'m> {
         Ok(true)
     }
 
-    /// The next Monte-Carlo probability coordinate. Every quantile lookup
-    /// in the engine draws through here so that an antithetic replica
-    /// ([`EvalConfig::mirror`]) sees exactly the mirrored stream
+    /// The generator lane `l` draws from: its own.
+    #[cfg(not(feature = "divergence-injection"))]
+    #[inline]
+    fn rng_lane(l: usize) -> usize {
+        l
+    }
+
+    /// Divergence drill hook (compile-time, like the DAG seed rotation): a
+    /// lane-index slip — the last lane of a group reads lane 0's generator
+    /// — which the lanes-vs-scalar oracle must catch in both lanes.
+    #[cfg(feature = "divergence-injection")]
+    fn rng_lane(l: usize) -> usize {
+        if W > 1 && l == W - 1 {
+            0
+        } else {
+            l
+        }
+    }
+
+    /// Lane `l`'s next Monte-Carlo probability coordinate. Every quantile
+    /// lookup in the engine draws through here so that an antithetic
+    /// replica ([`EvalConfig::mirror`]) sees exactly the mirrored stream
     /// `u → 1 - u` of its paired replica — same draw count, same order.
     /// `comm_time(…, rng)` ≡ `quantile_time(…, rng.gen())`, so routing
     /// draws through this helper is bitwise neutral when not mirrored.
-    fn draw_u(&mut self) -> f64 {
-        let u: f64 = rand::Rng::gen(&mut self.rng);
-        if self.cfg.mirror {
+    #[inline]
+    fn draw_u(&mut self, l: usize) -> f64 {
+        let u: f64 = rand::Rng::gen(&mut self.rng[Self::rng_lane(l)]);
+        if self.mirror[l] {
             1.0 - u
         } else {
             u
@@ -1626,46 +1937,56 @@ impl<'m> Vm<'m> {
         size: f64,
         to: usize,
         label: Option<Label<'m>>,
-    ) -> Result<(), PevpmError> {
+    ) {
         let seq = self.fifo.next_send_seq(p, to);
         self.messages += 1;
         let rndv = kind == MsgKind::Send && size >= self.cfg.rndv_threshold;
-        // One Monte-Carlo draw per message: the sender-side cost uses the
-        // same probability coordinate as the transit time will at match
-        // time, so correlated (e.g. intra- vs inter-node) path modes stay
-        // correlated. The sender occupies its NIC for a *path-mode*
+        let population = self.scoreboard.len() + 1;
+        if let Some(m) = &mut self.metrics {
+            VmMetrics::tally(&mut m.contention_at, population);
+        }
+        // One Monte-Carlo draw per message and lane: the sender-side cost
+        // uses the same probability coordinate as the transit time will at
+        // match time, so correlated (e.g. intra- vs inter-node) path modes
+        // stay correlated. The sender occupies its NIC for a *path-mode*
         // dependent time but not for the downstream congestion the full
         // sample includes, so the cost blends the distribution minimum
-        // with the correlated quantile (calibrated weight 0.4).
-        let u: f64 = self.draw_u();
-        let contention = (self.scoreboard.len() + 1) as f64;
-        if let Some(m) = &self.metrics {
-            m.contention.record(contention);
+        // with the correlated quantile (calibrated weight 0.4). The table
+        // lookup is the lanes' common part; a table without data for the
+        // message costs the sender nothing here and fails the match phase.
+        let time = self
+            .timing
+            .resolve_p2p(op_for_kind(kind), size, population as f64);
+        let u: [f64; W] = std::array::from_fn(|l| self.draw_u(l));
+        let mut local = [0.0; W];
+        if let Some(time) = &time {
+            let floor = time.floor();
+            for l in 0..W {
+                local[l] =
+                    TimingModel::SENDER_SHARE * (floor + 0.4 * (time.quantile(u[l]) - floor));
+            }
         }
-        let op = op_for_kind(kind);
-        let q = Self::quantile_with_fallback(self.timing, op, size, contention, u);
-        let qmin = Self::quantile_with_fallback(self.timing, op, size, contention, 0.0);
-        let local = match (q, qmin) {
-            (Some(q), Some(m)) => TimingModel::SENDER_SHARE * (m + 0.4 * (q - m)),
-            _ => 0.0,
-        };
         let depart = self.procs[p].clock;
         let msg = self.scoreboard.insert(SbMsg {
             from: p,
             size,
             kind,
+            sender_blocked: rndv,
+            arrived: false,
             depart,
             u,
-            arrival: None,
-            sender_blocked: rndv,
+            arrival: [0.0; W],
         });
         self.fifo.enqueue(p, to, seq, msg);
         self.sb_peak = self.sb_peak.max(self.scoreboard.len());
         if rndv {
             self.procs[p].blocked = Some((Block::SendRndv { msg, label }, depart));
         } else {
-            self.procs[p].clock += local;
-            self.procs[p].send_time += local;
+            let proc = &mut self.procs[p];
+            for l in 0..W {
+                proc.clock[l] += local[l];
+                proc.send_time[l] += local[l];
+            }
             // Send-side costs are part of the loss report too.
             if let Some(l) = label {
                 self.add_loss(l, local);
@@ -1674,61 +1995,48 @@ impl<'m> Vm<'m> {
                 self.record_span(
                     p,
                     SpanKind::Send,
-                    depart,
-                    depart + local,
+                    depart[0],
+                    depart[0] + local[0],
                     label.map(|l| l.text),
                 );
             }
         }
-        Ok(())
-    }
-
-    /// Quantile lookup with the Send↔Isend fallback (benchmark databases
-    /// often measure only one of the two point-to-point flavours). An
-    /// associated function (not a method) so callers can hold disjoint
-    /// mutable borrows of other `Vm` fields — e.g. filling arrivals through
-    /// `scoreboard.iter_mut()`.
-    fn quantile_with_fallback(
-        timing: &TimingModel,
-        op: Op,
-        size: f64,
-        contention: f64,
-        u: f64,
-    ) -> Option<f64> {
-        timing.quantile_time(op, size, contention, u).or_else(|| {
-            let alt = if op == Op::Send { Op::Isend } else { Op::Send };
-            timing.quantile_time(alt, size, contention, u)
-        })
     }
 
     /// Determine arrival times, match messages to receives, resolve
     /// collectives. Returns whether any process was unblocked.
-    fn match_phase(&mut self) -> Result<bool, PevpmError> {
+    fn match_phase(&mut self) -> Result<bool, Halt> {
         // 1. Determine arrival times for newly posted messages at the
         //    current contention level (scoreboard population), using each
-        //    message's own Monte-Carlo draw.
-        let contention = self.scoreboard.len() as f64;
-        if let Some(m) = &self.metrics {
-            m.match_phases.inc();
-            m.occupancy.record(contention);
+        //    message's own Monte-Carlo draws.
+        let population = self.scoreboard.len();
+        if let Some(m) = &mut self.metrics {
+            m.matches += 1;
+            VmMetrics::tally(&mut m.occupancy_at, population);
         }
-        // No RNG is consumed here — each message replays its stored draw
+        // No RNG is consumed here — each message replays its stored draws
         // `u` — so slab iteration order cannot perturb the draw sequence.
         let timing = self.timing;
         for m in self.scoreboard.iter_mut() {
-            if m.arrival.is_none() {
+            if !m.arrived {
                 let op = op_for_kind(m.kind);
-                let dt = Self::quantile_with_fallback(timing, op, m.size, contention, m.u)
+                let time = timing
+                    .resolve_p2p(op, m.size, population as f64)
                     .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
-                m.arrival = Some(m.depart + dt.max(0.0));
+                for l in 0..W {
+                    m.arrival[l] = m.depart[l] + time.quantile(m.u[l]).max(0.0);
+                }
+                m.arrived = true;
             }
         }
 
         let mut woke = false;
 
-        // 2. Match blocked receives in per-pair FIFO order. Wildcard
-        //    receives take the FIFO-head message with the earliest arrival
-        //    across all senders.
+        // 2. Match blocked receives in per-pair FIFO order — a directed
+        //    receive names its message by sequence number and never looks
+        //    at an arrival time, so the match is the same in every lane.
+        //    Wildcard receives take the FIFO-head message with the
+        //    earliest arrival across all senders.
         for p in 0..self.procs.len() {
             let Some((Block::Recv { from, seq, .. }, _)) = self.procs[p].blocked.as_ref() else {
                 continue;
@@ -1736,51 +2044,7 @@ impl<'m> Vm<'m> {
             let (from, seq) = (*from, *seq);
             let handle = match from {
                 Some(from) => self.fifo.take(from, p, seq),
-                None => {
-                    // Wildcard: per-pair FIFO heads only, earliest arrival
-                    // wins (ties broken by sender rank for determinism).
-                    let mut best: Option<(f64, Handle, usize)> = None;
-                    let mut candidates = 0usize;
-                    for (sender, h) in self.fifo.heads(p) {
-                        candidates += 1;
-                        let a = self
-                            .scoreboard
-                            .get(h)
-                            .expect("fifo handles are live")
-                            .arrival
-                            .expect("sampled above");
-                        if best.is_none() || (a, sender) < (best.unwrap().0, best.unwrap().2) {
-                            best = Some((a, h, sender));
-                        }
-                    }
-                    if let Some((_, h, sender)) = best {
-                        if candidates > 1 {
-                            // Multiple in-flight messages could have
-                            // matched: which one wins depends on timing —
-                            // a potential race (paper §5).
-                            let label = self.procs[p]
-                                .blocked
-                                .as_ref()
-                                .and_then(|(b, _)| b.label())
-                                .map(|l| l.text)
-                                .unwrap_or("<unlabelled wildcard recv>")
-                                .to_string();
-                            self.races.push((
-                                p,
-                                format!(
-                                    "wildcard receive at {label} had {candidates} candidate \
-                                     senders (matched {sender})"
-                                ),
-                            ));
-                        }
-                        // Consume this pair's FIFO head.
-                        let consumed = self.fifo.consume_head(sender, p);
-                        debug_assert_eq!(consumed, Some(h));
-                        Some(h)
-                    } else {
-                        None
-                    }
-                }
+                None => self.take_wildcard(p),
             };
             let Some(handle) = handle else {
                 continue; // no matching message posted yet
@@ -1789,11 +2053,14 @@ impl<'m> Vm<'m> {
                 .scoreboard
                 .remove(handle)
                 .expect("fifo handles are live");
-            let arrival = msg.arrival.expect("sampled above");
+            debug_assert!(msg.arrived, "sampled above");
             let sender = msg.from;
 
             let (block, since) = self.procs[p].blocked.take().unwrap();
-            let wake = self.procs[p].clock.max(arrival);
+            let mut wake = self.procs[p].clock;
+            for l in 0..W {
+                wake[l] = wake[l].max(msg.arrival[l]);
+            }
             self.account_block(p, &block, since, wake);
             self.procs[p].clock = wake;
             woke = true;
@@ -1802,7 +2069,10 @@ impl<'m> Vm<'m> {
                 // Rendezvous: the sender completes when the receiver does.
                 if let Some((Block::SendRndv { .. }, s_since)) = self.procs[sender].blocked {
                     let (sblock, _) = self.procs[sender].blocked.take().unwrap();
-                    let swake = self.procs[sender].clock.max(wake);
+                    let mut swake = self.procs[sender].clock;
+                    for l in 0..W {
+                        swake[l] = swake[l].max(wake[l]);
+                    }
                     self.account_block(sender, &sblock, s_since, swake);
                     self.procs[sender].clock = swake;
                 }
@@ -1835,28 +2105,32 @@ impl<'m> Vm<'m> {
                 _ => false,
             });
             if same {
-                let enter_max = self
-                    .procs
-                    .iter()
-                    .map(|p| p.blocked.as_ref().unwrap().1)
-                    .fold(0.0, f64::max);
-                let contention = self.cfg.nprocs as f64;
+                let mut enter_max = [0.0f64; W];
+                for proc in &self.procs {
+                    let since = proc.blocked.as_ref().unwrap().1;
+                    for l in 0..W {
+                        enter_max[l] = enter_max[l].max(since[l]);
+                    }
+                }
+                let (op, size, _) = first;
+                let dop = op_for_coll(op);
+                let time = self
+                    .timing
+                    .resolve(dop, size, self.cfg.nprocs as f64)
+                    .ok_or(PevpmError::MissingTiming { op: dop, size })?;
                 for p in 0..self.procs.len() {
                     let (block, since) = self.procs[p].blocked.take().unwrap();
-                    let (op, size) = match &block {
-                        Block::Collective { op, size, .. } => (*op, *size),
-                        _ => unreachable!(),
-                    };
-                    let dop = op_for_coll(op);
-                    let u = self.draw_u();
-                    let dt = self
-                        .timing
-                        .quantile_time(dop, size, contention, u)
-                        .ok_or(PevpmError::MissingTiming { op: dop, size })?;
-                    let wake = enter_max + dt.max(0.0);
+                    let mut wake = [0.0; W];
+                    for l in 0..W {
+                        let u = self.draw_u(l);
+                        wake[l] = enter_max[l] + time.quantile(u).max(0.0);
+                    }
                     self.account_block(p, &block, since, wake);
-                    self.procs[p].clock = self.procs[p].clock.max(wake);
-                    self.procs[p].coll_count += 1;
+                    let proc = &mut self.procs[p];
+                    for l in 0..W {
+                        proc.clock[l] = proc.clock[l].max(wake[l]);
+                    }
+                    proc.coll_count += 1;
                 }
                 woke = true;
             }
@@ -1865,21 +2139,69 @@ impl<'m> Vm<'m> {
         Ok(woke)
     }
 
-    /// Attribute `dt` seconds of loss to `label`: an indexed add on the
-    /// slot accumulator — no hashing, no allocation.
-    fn add_loss(&mut self, label: Label<'m>, dt: f64) {
+    /// The message a wildcard receive at `p` takes: per-pair FIFO heads
+    /// only, earliest arrival wins (ties broken by sender rank for
+    /// determinism). Arrival order is a lane's own, so wildcards only run
+    /// at `W == 1` (wider groups stand down when one is posted).
+    fn take_wildcard(&mut self, p: usize) -> Option<Handle> {
+        debug_assert_eq!(W, 1, "lane groups stand down at a wildcard receive");
+        let mut best: Option<(f64, Handle, usize)> = None;
+        let mut candidates = 0usize;
+        for (sender, h) in self.fifo.heads(p) {
+            candidates += 1;
+            let m = self.scoreboard.get(h).expect("fifo handles are live");
+            debug_assert!(m.arrived, "sampled by the match phase");
+            let a = m.arrival[0];
+            if best.is_none() || (a, sender) < (best.unwrap().0, best.unwrap().2) {
+                best = Some((a, h, sender));
+            }
+        }
+        let (_, h, sender) = best?;
+        if candidates > 1 {
+            // Multiple in-flight messages could have matched: which one
+            // wins depends on timing — a potential race (paper §5).
+            let label = self.procs[p]
+                .blocked
+                .as_ref()
+                .and_then(|(b, _)| b.label())
+                .map(|l| l.text)
+                .unwrap_or("<unlabelled wildcard recv>")
+                .to_string();
+            self.races.push((
+                p,
+                format!(
+                    "wildcard receive at {label} had {candidates} candidate \
+                     senders (matched {sender})"
+                ),
+            ));
+        }
+        // Consume this pair's FIFO head.
+        let consumed = self.fifo.consume_head(sender, p);
+        debug_assert_eq!(consumed, Some(h));
+        Some(h)
+    }
+
+    /// Attribute `dt` seconds of loss per lane to `label`: an indexed add
+    /// on the slot accumulator — no hashing, no allocation.
+    fn add_loss(&mut self, label: Label<'m>, dt: [f64; W]) {
         let i = label.slot as usize;
-        self.loss[i] += dt;
+        for l in 0..W {
+            self.loss[i][l] += dt[l];
+        }
         self.loss_touched[i] = true;
     }
 
-    fn account_block(&mut self, p: usize, block: &Block<'m>, since: f64, wake: f64) {
-        let dt = (wake - since).max(0.0);
-        self.procs[p].blocked_time += dt;
+    fn account_block(&mut self, p: usize, block: &Block<'m>, since: [f64; W], wake: [f64; W]) {
+        let mut dt = [0.0; W];
+        for l in 0..W {
+            dt[l] = (wake[l] - since[l]).max(0.0);
+            self.procs[p].blocked_time[l] += dt[l];
+        }
         if let Some(label) = block.label() {
             self.add_loss(label, dt);
         }
-        if self.timeline.is_some() && dt > 0.0 {
+        if self.timeline.is_some() && dt[0] > 0.0 {
+            let (since, dt) = (since[0], dt[0]);
             match block.label() {
                 Some(label) => {
                     self.record_span(p, SpanKind::Blocked, since, since + dt, Some(label.text))
@@ -1917,6 +2239,39 @@ mod tests {
     use crate::model::build::*;
     use crate::model::{Model, Stmt};
     use pevpm_dist::{CommDist, DistKey, DistTable};
+
+    /// Test hook: an evaluation holding the poisoned seed in any lane
+    /// panics as it starts — the stand-in for a draw that panics for one
+    /// replica only (no public table can be made to).
+    pub(super) mod poison {
+        use super::super::Lane;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// No test seeds its replicas anywhere near this.
+        const NONE: u64 = 0x5EED_0FF5_EED0_FF00;
+        static SEED: AtomicU64 = AtomicU64::new(NONE);
+
+        pub(in super::super) fn check(lanes: &[Lane]) {
+            let poisoned = SEED.load(Ordering::Relaxed);
+            if lanes.iter().any(|lane| lane.seed == poisoned) {
+                panic!("poisoned replica seed {poisoned:#x}");
+            }
+        }
+
+        /// Poison `seed` until the guard drops.
+        pub(in super::super) struct Guard;
+
+        pub(in super::super) fn set(seed: u64) -> Guard {
+            SEED.store(seed, Ordering::Relaxed);
+            Guard
+        }
+
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                SEED.store(NONE, Ordering::Relaxed);
+            }
+        }
+    }
 
     /// A timing model where every p2p message takes exactly `t` seconds.
     fn fixed_timing(t: f64) -> TimingModel {
@@ -2434,6 +2789,145 @@ mod tests {
         assert_eq!(mc.max_sb_peak(), 1);
         assert!((mc.mean_steps() - mc.total_steps() as f64 / 8.0).abs() < 1e-12);
         assert_eq!(mc.profile.total_jobs(), 8);
+    }
+
+    /// Histogram spread, so lanes draw different times.
+    fn spread_timing() -> TimingModel {
+        let samples: Vec<f64> = (0..200).map(|i| 1e-3 + (i % 41) as f64 * 1e-5).collect();
+        let mut table = DistTable::new();
+        table.insert(
+            DistKey {
+                op: Op::Send,
+                size: 64,
+                contention: 1,
+            },
+            CommDist::Hist(pevpm_dist::Histogram::from_samples(&samples, 2e-5)),
+        );
+        TimingModel::distributions(table)
+    }
+
+    fn ring(wildcard_tail: bool) -> Model {
+        let mut m = Model::new().with_stmt(looped(
+            "4",
+            vec![
+                send("64", "procnum", "(procnum + 1) % numprocs"),
+                labelled(
+                    recv("64", "(procnum - 1) % numprocs", "procnum"),
+                    "ring-recv",
+                ),
+            ],
+        ));
+        if wildcard_tail {
+            m = m.with_stmt(Stmt::Runon {
+                branches: vec![
+                    (e("procnum == 0"), vec![recv("64", "0-1", "0")]),
+                    (e("procnum == 1"), vec![send("64", "1", "0")]),
+                ],
+            });
+        }
+        m
+    }
+
+    #[test]
+    fn lane_group_records_what_separate_evaluations_record() {
+        // One lock-step group of eight must leave the registry exactly as
+        // eight evaluations do — also when it stands down part-way (the
+        // wildcard tail) and its replicas are evaluated again.
+        let timing = spread_timing();
+        for wildcard_tail in [false, true] {
+            let model = ring(wildcard_tail);
+            let lanes = Arc::new(Registry::new());
+            let cfg = EvalConfig::new(3).with_seed(40).with_threads(1);
+            let mc =
+                monte_carlo(&model, &cfg.clone().with_metrics(lanes.clone()), &timing, 8).unwrap();
+            let solo = Arc::new(Registry::new());
+            for i in 0..8 {
+                let c = replica_cfg(&cfg, i, 0).with_metrics(solo.clone());
+                let p = evaluate(&model, &c, &timing).unwrap();
+                assert_eq!(p.makespan.to_bits(), mc.runs[i].makespan.to_bits());
+            }
+            for name in [
+                "vm.sweep_phases",
+                "vm.match_phases",
+                "vm.steps",
+                "vm.evaluations",
+                "vm.messages",
+            ] {
+                assert_eq!(
+                    lanes.counter(name).get(),
+                    solo.counter(name).get(),
+                    "{name}, wildcard tail {wildcard_tail}"
+                );
+            }
+            assert_eq!(lanes.counter("vm.evaluations").get(), 8);
+            for name in ["vm.contention_at_injection", "vm.scoreboard_occupancy"] {
+                let (a, b) = (
+                    lanes.histogram(name, 0.0, 1.0, 1),
+                    solo.histogram(name, 0.0, 1.0, 1),
+                );
+                assert!(a.count() > 0, "{name} recorded nothing");
+                assert_eq!(a.bin_counts(), b.bin_counts(), "{name}");
+                assert_eq!(a.sum().to_bits(), b.sum().to_bits(), "{name} sum");
+                assert_eq!((a.min(), a.max()), (b.min(), b.max()), "{name} range");
+            }
+            let (a, b) = (
+                lanes.gauge("vm.loss_secs.ring-recv").get(),
+                solo.gauge("vm.loss_secs.ring-recv").get(),
+            );
+            assert_eq!(a.to_bits(), b.to_bits(), "loss gauge");
+        }
+    }
+
+    #[test]
+    fn poisoned_replica_stands_its_group_down_and_fails_alone() {
+        // Replica 5's evaluation panics. The group of eight it sits in
+        // cannot say whose draw it was, so it stands down; the one-lane
+        // re-run attributes the panic, and the k-of-n quorum aggregates
+        // the seven survivors — each still its own evaluation.
+        let timing = spread_timing();
+        let model = ring(false);
+        let base = 0xD1CE_0000_0000;
+        let _poisoned = poison::set(crate::replicate::replica_seed(base, 5));
+        let cfg = EvalConfig::new(3).with_seed(base).with_threads(1);
+
+        let mc = monte_carlo(&model, &cfg.clone().with_quorum(7), &timing, 8).unwrap();
+        assert_eq!(mc.failures.len(), 1);
+        let (index, what) = &mc.failures[0];
+        assert_eq!(*index, 5);
+        assert!(
+            what.starts_with("replication 5 panicked: poisoned replica seed"),
+            "{what}"
+        );
+        assert_eq!(mc.runs.len(), 7);
+        assert_eq!(mc.profile.total_jobs(), 8);
+        let survivors = (0..8).filter(|&i| i != 5);
+        for (i, run) in survivors.zip(&mc.runs) {
+            let solo = evaluate(&model, &replica_cfg(&cfg, i, 0), &timing).unwrap();
+            assert_eq!(
+                solo.makespan.to_bits(),
+                run.makespan.to_bits(),
+                "replica {i}"
+            );
+            assert_eq!(solo.finish_times, run.finish_times, "replica {i}");
+        }
+
+        // All-must-succeed and a quorum out of reach report it as before.
+        match monte_carlo(&model, &cfg, &timing, 8).unwrap_err() {
+            PevpmError::ReplicaPanic { index: 5, .. } => {}
+            other => panic!("expected replica 5's panic, got {other}"),
+        }
+        match monte_carlo(&model, &cfg.clone().with_quorum(8), &timing, 8).unwrap_err() {
+            PevpmError::QuorumFailed {
+                succeeded: 7,
+                required: 8,
+                total: 8,
+                first_failure,
+            } => assert!(matches!(
+                *first_failure,
+                PevpmError::ReplicaPanic { index: 5, .. }
+            )),
+            other => panic!("expected QuorumFailed, got {other}"),
+        }
     }
 
     #[test]

@@ -413,8 +413,14 @@ pub fn render_single_report(p: &Prediction) -> String {
         "predicted makespan: {:.6} s over {} procs ({} messages)\n",
         p.makespan, p.nprocs, p.messages
     );
+    // Costliest first; equal losses in label order, so the report does not
+    // depend on the map's iteration order.
     let mut losses: Vec<(&String, &f64)> = p.loss_by_label.iter().collect();
-    losses.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap_or(std::cmp::Ordering::Equal));
+    losses.sort_by(|a, b| {
+        b.1.partial_cmp(a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(b.0))
+    });
     if !losses.is_empty() {
         out.push_str("top blocking sources:\n");
         for (label, loss) in losses.iter().take(5) {
@@ -638,5 +644,49 @@ mod tests {
         let cfg = PredictRequest::new(src, 2).eval_config().unwrap();
         let e = evaluate_plan(&model, &cfg, &timing, 1).unwrap_err();
         assert_eq!(e.kind, PlanErrorKind::Budget);
+    }
+
+    #[test]
+    fn equal_losses_render_in_label_order_whatever_the_insertion_order() {
+        // Three directives with the same loss and one costlier one: the
+        // report must not depend on how the map happens to iterate.
+        let labels = ["recv-b", "recv-c", "recv-a", "slow"];
+        let orders: [[usize; 4]; 4] = [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]];
+        let reports: Vec<String> = orders
+            .iter()
+            .map(|order| {
+                let mut loss_by_label = std::collections::HashMap::new();
+                for &i in order {
+                    let loss = if labels[i] == "slow" { 0.5 } else { 0.25 };
+                    loss_by_label.insert(labels[i].to_string(), loss);
+                }
+                render_single_report(&Prediction {
+                    nprocs: 2,
+                    finish_times: vec![1.0, 1.0],
+                    makespan: 1.0,
+                    compute_time: vec![0.0; 2],
+                    send_time: vec![0.0; 2],
+                    blocked_time: vec![0.0; 2],
+                    messages: 4,
+                    loss_by_label,
+                    races: Vec::new(),
+                    steps: 8,
+                    sb_peak: 1,
+                    timeline: Vec::new(),
+                })
+            })
+            .collect();
+        assert_eq!(
+            reports[0],
+            "predicted makespan: 1.000000 s over 2 procs (4 messages)\n\
+             top blocking sources:\n\
+             \x20 slow                     0.500000 s\n\
+             \x20 recv-a                   0.250000 s\n\
+             \x20 recv-b                   0.250000 s\n\
+             \x20 recv-c                   0.250000 s\n"
+        );
+        for report in &reports[1..] {
+            assert_eq!(report, &reports[0]);
+        }
     }
 }

@@ -197,18 +197,67 @@ fn compare(
             ));
         }
     }
-    if a.messages != b.messages {
+    for (field, xs, ys) in [
+        ("compute_time", &a.compute_time, &b.compute_time),
+        ("send_time", &a.send_time, &b.send_time),
+        ("blocked_time", &a.blocked_time, &b.blocked_time),
+    ] {
+        for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+            if x.to_bits() != y.to_bits() {
+                return Err(fail(
+                    format!("{field}[{i}]"),
+                    format!("{x:.17e}"),
+                    format!("{y:.17e}"),
+                ));
+            }
+        }
+    }
+    for (field, x, y) in [
+        ("messages", a.messages, b.messages),
+        ("steps", a.steps, b.steps),
+        ("sb_peak", a.sb_peak as u64, b.sb_peak as u64),
+    ] {
+        if x != y {
+            return Err(fail(field.into(), x.to_string(), y.to_string()));
+        }
+    }
+    if a.races != b.races {
         return Err(fail(
-            "messages".into(),
-            a.messages.to_string(),
-            b.messages.to_string(),
+            "races".into(),
+            format!("{:?}", a.races),
+            format!("{:?}", b.races),
         ));
+    }
+    // Label sets first (sorted, so the rendering is deterministic), then
+    // each label's loss.
+    fn labels(p: &Prediction) -> Vec<&String> {
+        let mut labels: Vec<&String> = p.loss_by_label.keys().collect();
+        labels.sort();
+        labels
+    }
+    if labels(a) != labels(b) {
+        return Err(fail(
+            "loss_by_label.keys".into(),
+            format!("{:?}", labels(a)),
+            format!("{:?}", labels(b)),
+        ));
+    }
+    for label in labels(a) {
+        let (x, y) = (a.loss_by_label[label], b.loss_by_label[label]);
+        if x.to_bits() != y.to_bits() {
+            return Err(fail(
+                format!("loss_by_label[{label}]"),
+                format!("{x:.17e}"),
+                format!("{y:.17e}"),
+            ));
+        }
     }
     Ok(())
 }
 
 /// Oracle 1 — the interpreted, compiled, and unfolded-lowering evaluation
-/// paths must agree bitwise on every replication.
+/// paths must agree bitwise on every replication, and so must the
+/// lock-step lanes with the scalar engine ([`check_lanes`]).
 ///
 /// "Unfolded" evaluates through the compiled timing model but with
 /// constant folding disabled ([`EvalConfig::without_const_fold`]), so the
@@ -231,6 +280,59 @@ pub fn check_differential(
             .map_err(|e| eval_err("unfolded", &e))?;
         compare("interpreted", "compiled", r, &a, &b)?;
         compare("compiled", "unfolded", r, &b, &c)?;
+    }
+    check_lanes(prog, table, seed)
+}
+
+/// Replication counts the lanes check sweeps: below, at and above one
+/// lock-step group of eight, and two groups plus a remainder.
+pub const LANE_REPS: [usize; 6] = [1, 2, 7, 8, 9, 17];
+
+/// Oracle 1, lanes half — every replication of a `monte_carlo` batch must
+/// equal a standalone `evaluate` at its replica seed in every field,
+/// however the batch was packed into lock-step lane groups: for each
+/// replication count in [`LANE_REPS`], at 1, 2 and 3 worker threads, with
+/// independent and with antithetic seeding. Programs with wildcard
+/// receives exercise the stand-down path (the group re-runs its replicas
+/// one at a time); everything else runs in lanes to the end.
+pub fn check_lanes(prog: &TestProgram, table: &DistTable, seed: u64) -> Result<(), Failure> {
+    let model = prog.to_model();
+    let timing = TimingModel::distributions(table.clone());
+    let most = LANE_REPS.iter().copied().max().unwrap_or(0);
+    for (scalar, lanes, antithetic) in [
+        ("scalar", "lanes", false),
+        ("scalar-antithetic", "lanes-antithetic", true),
+    ] {
+        let mut base = EvalConfig::new(prog.nprocs).with_seed(seed);
+        base.antithetic = antithetic;
+        let mut solos = Vec::with_capacity(most);
+        for r in 0..most {
+            let mut cfg = base.clone();
+            let pair = if antithetic { r / 2 } else { r };
+            cfg.seed = replica_seed(seed, pair as u64);
+            cfg.mirror = antithetic && r % 2 == 1;
+            solos.push(evaluate(&model, &cfg, &timing).map_err(|e| eval_err(scalar, &e))?);
+        }
+        for reps in LANE_REPS {
+            for threads in [1, 2, 3] {
+                let cfg = base.clone().with_threads(threads);
+                let mc =
+                    monte_carlo(&model, &cfg, &timing, reps).map_err(|e| eval_err(lanes, &e))?;
+                if mc.runs.len() != reps {
+                    return Err(Failure::Differential {
+                        left: scalar,
+                        right: lanes,
+                        replication: mc.runs.len().min(reps),
+                        field: "runs.len".into(),
+                        left_value: reps.to_string(),
+                        right_value: mc.runs.len().to_string(),
+                    });
+                }
+                for (r, run) in mc.runs.iter().enumerate() {
+                    compare(scalar, lanes, r, &solos[r], run)?;
+                }
+            }
+        }
     }
     Ok(())
 }

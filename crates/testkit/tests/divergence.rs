@@ -10,7 +10,10 @@
 //!   a ≤ 10-directive counterexample, and the artifact must round-trip.
 //! - A compiled-sampler drill behind the `divergence-injection` cargo
 //!   feature: `pevpm-dist` flips one ULP on every compiled-path quantile,
-//!   so the whole differential campaign must light up. Run explicitly via
+//!   so the whole differential campaign must light up. The same feature
+//!   seeds one defect each in the DAG scheduler, the adaptive stopping
+//!   rule and the lock-step replica lanes, each with its own drill
+//!   against the oracle that owns it. Run explicitly via
 //!   `cargo test -p pevpm-testkit --features divergence-injection --test
 //!   divergence` (the feature deliberately breaks bitwise guarantees, so
 //!   it is never enabled in normal builds).
@@ -224,6 +227,67 @@ fn injected_off_by_one_stopping_rule_is_caught_and_shrunk() {
     assert_eq!(parsed.program, minimised);
     assert_eq!(parsed.seed, seed);
     assert_eq!(parsed.oracle, "adaptive");
+}
+
+/// With the `divergence-injection` feature the last lane of every
+/// lock-step group draws from lane 0's generator — a model of a lane-index
+/// slip. Two replicas of each full group then diverge from their
+/// standalone evaluations; the lanes half of Oracle 1 must catch it on
+/// wildcard-free programs (a wildcard makes the group stand down, which
+/// hides the lanes and with them the defect), and the shrinker must keep
+/// the witness in that family.
+#[cfg(feature = "divergence-injection")]
+#[test]
+fn injected_lane_crosstalk_is_caught_and_shrunk() {
+    use pevpm_testkit::oracle::check_lanes;
+
+    let gen_cfg = GenConfig::metamorphic();
+    let mut sizes = gen_cfg.sizes.clone();
+    sizes.extend(gen_cfg.sizes.iter().map(|s| s * 2));
+    let table = synthetic_table(&sizes, 11);
+
+    let fails = |prog: &TestProgram, seed: u64| -> Option<Failure> {
+        check_lanes(prog, &table, seed)
+            .err()
+            .filter(|f| f.kind() == "differential")
+    };
+
+    let (seed, prog, first) = (0..20u64)
+        .find_map(|seed| {
+            let prog = generate(&gen_cfg, seed);
+            fails(&prog, seed).map(|f| (seed, prog, f))
+        })
+        .expect("a lane reading another lane's generator must be caught within 20 programs");
+    match &first {
+        Failure::Differential {
+            left, replication, ..
+        } => {
+            assert!(left.starts_with("scalar"), "{first}");
+            assert!(
+                *replication == 0 || *replication == 7,
+                "the slip touches lanes 0 and 7 of a group: {first}"
+            );
+        }
+        other => panic!("expected a differential failure, got {other}"),
+    }
+
+    let minimised = shrink(&prog, &gen_cfg.sizes, |cand| fails(cand, seed).is_some());
+    assert!(
+        minimised.directives() <= 10,
+        "shrinker left {} directives:\n{}",
+        minimised.directives(),
+        minimised.to_text()
+    );
+    assert!(
+        fails(&minimised, seed).is_some(),
+        "minimised program must still diverge between lanes and scalar"
+    );
+
+    let cx = Counterexample::new(&first, seed, &prog, minimised.clone());
+    let parsed = Counterexample::parse(&cx.render()).expect("artifact must parse back");
+    assert_eq!(parsed.program, minimised);
+    assert_eq!(parsed.seed, seed);
+    assert_eq!(parsed.oracle, "differential");
 }
 
 /// With the `divergence-injection` feature the compiled sampler's every
