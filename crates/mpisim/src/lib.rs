@@ -1,8 +1,8 @@
 //! A simulated MPI library over the packet-level cluster simulator.
 //!
 //! This crate stands in for MPICH 1.2.0 on the paper's Perseus cluster:
-//! rank programs are ordinary Rust closures executed by coroutine-scheduled
-//! threads in exact virtual-time order, with an eager/rendezvous
+//! rank programs are ordinary Rust closures executed by threads that pass
+//! a baton in exact virtual-time order, with an eager/rendezvous
 //! point-to-point protocol and MPICH-style collective algorithms whose
 //! network traffic flows through [`pevpm_netsim`]. The result is
 //! deterministic per seed and exposes the globally synchronised virtual

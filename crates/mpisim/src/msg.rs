@@ -1,5 +1,5 @@
-//! Message, request and syscall types shared between ranks and the
-//! scheduler.
+//! Message, request and call types shared between the rank API and the
+//! engine.
 
 use bytes::Bytes;
 use pevpm_netsim::{Dur, Time};
@@ -54,10 +54,15 @@ pub struct MsgMeta {
 }
 
 /// Handle for a nonblocking operation.
+///
+/// The number is the key of the request's slot in the engine, which is
+/// recycled once the request has been waited on (or tested complete);
+/// the key's generation half makes a second `wait` on the same handle
+/// fail rather than find the slot's next request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Request(pub u64);
 
-/// Syscalls a rank thread issues to the scheduler.
+/// The MPI calls a rank makes of the engine.
 #[derive(Debug)]
 pub(crate) enum Call {
     /// Advance the rank's virtual clock by a computation time.
@@ -84,14 +89,9 @@ pub(crate) enum Call {
     Wait { req: Request },
     /// Nonblocking completion test; replies immediately.
     Test { req: Request },
-    /// The rank's program returned; carries the recorded trace (empty when
-    /// tracing is disabled).
-    Finish(Vec<crate::trace::TraceEvent>),
-    /// The rank's program panicked; the scheduler aborts the world.
-    Aborted(String),
 }
 
-/// Scheduler replies to rank syscalls.
+/// The engine's answers.
 #[derive(Debug)]
 pub(crate) enum Reply {
     /// Operation finished; the rank's clock is now `clock`.
@@ -109,12 +109,25 @@ pub(crate) enum Reply {
         clock: Time,
         done: Option<Option<(MsgMeta, Bytes)>>,
     },
-    /// The simulation is being torn down (deadlock or another rank's
-    /// panic); the rank thread must exit.
-    Poison,
 }
 
-/// Marker panic payload used to unwind a rank thread during teardown.
+impl Reply {
+    /// The reply that completes a blocking call at `clock`: the received
+    /// message, or plain success for a send.
+    pub(crate) fn done(clock: Time, msg: Option<(MsgMeta, Bytes)>) -> Reply {
+        match msg {
+            Some((meta, payload)) => Reply::Msg {
+                clock,
+                meta,
+                payload,
+            },
+            None => Reply::Ok { clock },
+        }
+    }
+}
+
+/// Marker panic payload that unwinds a rank out of its program when the
+/// world is torn down (an error elsewhere); never reported.
 pub(crate) struct SimAborted;
 
 #[cfg(test)]

@@ -6,15 +6,21 @@
 //! [`Rank::compute`]). Collective operations live in
 //! [`crate::collectives`] as further methods on this type.
 //!
-//! Every method is a *syscall*: it suspends the calling OS thread until the
-//! scheduler decides the operation's completion time, so virtual time flows
-//! correctly no matter what real-time interleaving the OS picks.
+//! A rank's thread runs only while it holds the world's baton (see
+//! [`crate::sched`]), and every method here runs the engine on that
+//! thread: `isend`, `irecv`, `test` and an eager `send` return at once
+//! with the baton still in hand; `recv`, `wait`, `compute` and a
+//! rendezvous `send` run the event loop and, unless this rank is itself
+//! the next one due, hand the baton to the rank that is and sleep until it
+//! comes back. Virtual time therefore flows correctly no matter what
+//! real-time interleaving the OS picks.
 
-use crate::msg::{Call, MsgMeta, Reply, Request, SimAborted, SrcSel, TagSel};
+use crate::msg::{Call, MsgMeta, Reply, Request, SrcSel, TagSel};
+use crate::sched::Shared;
 use crate::trace::{TraceEvent, TraceKind};
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use pevpm_netsim::{Dur, Time};
+use std::sync::Arc;
 
 /// Handle to one simulated MPI process.
 pub struct Rank {
@@ -22,8 +28,7 @@ pub struct Rank {
     nranks: usize,
     node: usize,
     clock: Time,
-    call_tx: Sender<Call>,
-    reply_rx: Receiver<Reply>,
+    shared: Arc<Shared>,
     tracing: bool,
     trace: Vec<TraceEvent>,
     coll_depth: u32,
@@ -34,8 +39,7 @@ impl Rank {
         id: usize,
         nranks: usize,
         node: usize,
-        call_tx: Sender<Call>,
-        reply_rx: Receiver<Reply>,
+        shared: Arc<Shared>,
         tracing: bool,
     ) -> Self {
         Rank {
@@ -43,17 +47,17 @@ impl Rank {
             nranks,
             node,
             clock: Time::ZERO,
-            call_tx,
-            reply_rx,
+            shared,
             tracing,
             trace: Vec::new(),
             coll_depth: 0,
         }
     }
 
-    pub(crate) fn send_finish(&mut self) {
+    /// The program returned: hand in the trace and give the baton away.
+    pub(crate) fn finish(&mut self) {
         let trace = std::mem::take(&mut self.trace);
-        let _ = self.call_tx.send(Call::Finish(trace));
+        self.shared.finish(self.id, trace);
     }
 
     pub(crate) fn enter_collective(&mut self) {
@@ -77,18 +81,8 @@ impl Rank {
         }
     }
 
-    pub(crate) fn send_aborted(&self, message: String) {
-        let _ = self.call_tx.send(Call::Aborted(message));
-    }
-
     fn roundtrip(&mut self, call: Call) -> Reply {
-        if self.call_tx.send(call).is_err() {
-            std::panic::panic_any(SimAborted);
-        }
-        match self.reply_rx.recv() {
-            Ok(Reply::Poison) | Err(_) => std::panic::panic_any(SimAborted),
-            Ok(reply) => reply,
-        }
+        self.shared.call(self.id, call)
     }
 
     /// This process's rank (0-based).

@@ -1,10 +1,48 @@
 //! The virtual-time scheduler and MPI message-progress engine.
 //!
-//! Ranks run as real OS threads, but **exactly one runs at a time**: every
-//! MPI call is a syscall to this scheduler, which interleaves rank
-//! execution with network events in strict virtual-time order. This yields
-//! deterministic simulation (per seed) while letting applications be
-//! written as ordinary Rust functions.
+//! Ranks run as real OS threads, but **exactly one runs at a time**: the
+//! one holding the *baton*. There is no scheduler thread. The `Engine`
+//! — virtual clocks, the ready heap, the message engine, the network —
+//! sits behind one lock that only the baton holder takes, so it is never
+//! contended, and every MPI call runs the engine's handler on the calling
+//! rank's own thread:
+//!
+//! - a call that completes at once (eager `send`, `isend`, `irecv`,
+//!   `test`) returns with no thread switch at all;
+//! - a call that blocks or yields (`recv`, `wait`, rendezvous `send`,
+//!   `compute`) runs the event loop itself (`Engine::dispatch`: advance
+//!   the network, pop the next ready rank in `(time, seq, rank)` order).
+//!   If the caller is next it just carries on; otherwise it wakes that
+//!   rank and parks — one switch.
+//!
+//! Execution therefore interleaves with network events in strict
+//! virtual-time order, which makes the simulation deterministic per seed
+//! while applications stay ordinary Rust functions.
+//!
+//! **Wake flags.** Each rank has a flag and parks in
+//! `while !flag.swap(false) { park() }`; a waker sets the flag, then
+//! unparks. The flag, not the park token, carries the wake-up, so spurious
+//! returns and an unpark that lands before the park are both harmless. A
+//! rank thread parks before it runs any program code, so nothing a
+//! program does to the host happens out of schedule order.
+//!
+//! **Teardown.** The thread in [`World::run`] spawns the ranks, hands the
+//! first baton over and sleeps until an outcome is posted: the report, by
+//! the last rank to finish, or an error — a deadlock or a missed
+//! `virtual_deadline` found by whichever rank ran the event loop, or a
+//! rank's panic. Posting an error raises the `aborted` flag and wakes
+//! every rank; a rank that wakes to `aborted` unwinds out of its program
+//! (`SimAborted`) without touching the engine again, so an engine lock
+//! poisoned by a panic inside a handler is never taken a second time.
+//!
+//! **Bounded stores.** Messages, requests and (in `netsim`) transfers live
+//! in [`Slots`] and leave when they are delivered, consumed or complete,
+//! so the engine's memory follows what is in flight, not the length of
+//! the run. This is not only tidiness: engine allocations come from
+//! whichever rank thread holds the baton, each with its own malloc arena,
+//! and grow-only stores smeared over 128 arenas cost more resident memory
+//! than the engine thread they replaced (EXPERIMENTS.md, "Engine —
+//! baton-passing mpisim").
 //!
 //! The message engine implements MPICH-1.2-like semantics:
 //!
@@ -29,12 +67,14 @@ use crate::msg::{Call, MsgMeta, Reply, Request, SimAborted, SrcSel, Tag, TagSel}
 use crate::rank::Rank;
 use crate::trace::TraceEvent;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use pevpm_netsim::network::{Completion, NetStats, TransferId};
-use pevpm_netsim::{Dur, FaultEvent, Network, Time};
+use pevpm_netsim::network::{Completion, NetStats};
+use pevpm_netsim::{Dur, FaultEvent, Network, Slots, Time};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BinaryHeap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::Thread;
 
 /// Result of a completed simulation.
 #[derive(Debug, Clone)]
@@ -133,57 +173,59 @@ impl World {
     /// Run `program` once per rank and simulate until every rank returns.
     ///
     /// The closure receives a [`Rank`] handle; it may capture shared state
-    /// (`Arc<Mutex<..>>`) to extract results — rank syscalls are serialised
-    /// by the scheduler, and collection vectors indexed per rank stay
+    /// (`Arc<Mutex<..>>`) to extract results — only the rank holding the
+    /// baton runs, and collection vectors indexed per rank stay
     /// deterministic.
     pub fn run<F>(cfg: WorldConfig, program: F) -> Result<RunReport, SimError>
     where
         F: Fn(&mut Rank) + Send + Sync,
     {
+        Self::run_shared(cfg, program).0
+    }
+
+    /// [`World::run`], also handing back the world's shared state as the
+    /// run left it (tests look at the engine's stores).
+    fn run_shared<F>(cfg: WorldConfig, program: F) -> (Result<RunReport, SimError>, Arc<Shared>)
+    where
+        F: Fn(&mut Rank) + Send + Sync,
+    {
         let nranks = cfg.nranks();
         assert!(nranks > 0, "world must have at least one rank");
-
-        let mut call_rx: Vec<Receiver<Call>> = Vec::with_capacity(nranks);
-        let mut reply_tx: Vec<Sender<Reply>> = Vec::with_capacity(nranks);
-        let mut rank_ends: Vec<Option<(Sender<Call>, Receiver<Reply>)>> =
-            Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            let (ctx, crx) = unbounded::<Call>();
-            let (rtx, rrx) = unbounded::<Reply>();
-            call_rx.push(crx);
-            reply_tx.push(rtx);
-            rank_ends.push(Some((ctx, rrx)));
-        }
-
-        let mut engine = Engine::new(cfg.clone(), call_rx, reply_tx);
+        let shared = Arc::new(Shared::new(&cfg));
         let program = &program;
 
-        std::thread::scope(|s| {
-            for (r, ends) in rank_ends.iter_mut().enumerate() {
-                let (ctx, rrx) = ends.take().expect("rank endpoints");
+        let outcome = std::thread::scope(|s| {
+            // A panic on this thread (thread spawn refused, say) must not
+            // leave the ranks spawned so far parked for ever.
+            let _teardown = AbortOnUnwind(&shared);
+            for r in 0..nranks {
                 let node = cfg.node_of(r);
                 let tracing = cfg.record_trace;
-                s.spawn(move || {
-                    let mut rank = Rank::new(r, nranks, node, ctx, rrx, tracing);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| program(&mut rank)));
-                    match outcome {
-                        Ok(()) => rank.send_finish(),
-                        Err(e) => {
-                            if e.downcast_ref::<SimAborted>().is_none() {
-                                let msg = panic_message(&e);
-                                rank.send_aborted(msg);
-                            }
-                            // SimAborted: scheduler is tearing down; exit.
+                let shared_r = Arc::clone(&shared);
+                let handle = s.spawn(move || {
+                    if !shared_r.park(r) {
+                        return;
+                    }
+                    let mut rank = Rank::new(r, nranks, node, Arc::clone(&shared_r), tracing);
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        program(&mut rank);
+                        rank.finish();
+                    }));
+                    if let Err(e) = run {
+                        // SimAborted: the world is being torn down; exit.
+                        if e.downcast_ref::<SimAborted>().is_none() {
+                            let message = panic_message(&e);
+                            pevpm_obs::diag::warn(&format!("mpisim: rank {r} aborted: {message}"));
+                            shared_r.post(Err(SimError::RankPanic { rank: r, message }));
                         }
                     }
                 });
+                let _ = shared.seats[r].thread.set(handle.thread().clone());
             }
-            let result = engine.main_loop();
-            if result.is_err() {
-                engine.poison_all();
-            }
-            result.map(|()| engine.report())
-        })
+            shared.pass_baton(shared.lock_engine(), None);
+            shared.wait_for_outcome()
+        });
+        (outcome, shared)
     }
 }
 
@@ -197,8 +239,181 @@ fn panic_message(e: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-type MsgId = usize;
-type ReqId = usize;
+/// Where a rank thread sleeps while it does not hold the baton.
+struct Seat {
+    /// Set by whoever wants this rank to run (or to notice `aborted`),
+    /// cleared by the rank when it wakes.
+    wake: AtomicBool,
+    /// The rank's thread, set by the spawner before the first baton moves.
+    thread: OnceLock<Thread>,
+}
+
+/// What a world's threads share: the engine, the seats, the outcome.
+pub(crate) struct Shared {
+    /// Locked only by the baton holder (and by `World::run` to hand the
+    /// first baton over), hence never contended.
+    engine: Mutex<Engine>,
+    seats: Vec<Seat>,
+    /// Raised with the first error; every rank that wakes to it unwinds.
+    aborted: AtomicBool,
+    outcome: Mutex<Option<Result<RunReport, SimError>>>,
+    posted: Condvar,
+}
+
+impl Shared {
+    fn new(cfg: &WorldConfig) -> Self {
+        Shared {
+            engine: Mutex::new(Engine::new(cfg.clone())),
+            seats: (0..cfg.nranks())
+                .map(|_| Seat {
+                    wake: AtomicBool::new(false),
+                    thread: OnceLock::new(),
+                })
+                .collect(),
+            aborted: AtomicBool::new(false),
+            outcome: Mutex::new(None),
+            posted: Condvar::new(),
+        }
+    }
+
+    fn lock_engine(&self) -> MutexGuard<'_, Engine> {
+        self.engine
+            .lock()
+            .expect("a panic inside the engine aborts the world; nobody locks it afterwards")
+    }
+
+    /// One MPI call of rank `me`, on `me`'s thread: run the handler and, if
+    /// the rank cannot continue yet, the event loop; returns when `me`
+    /// holds the baton again, with the call's reply.
+    pub(crate) fn call(&self, me: usize, call: Call) -> Reply {
+        let mut eng = self.lock_engine();
+        if let Some(reply) = eng.call(me, call) {
+            return reply;
+        }
+        let mut eng = match self.pass_baton(eng, Some(me)) {
+            Some(eng) => eng,
+            None => {
+                if !self.park(me) {
+                    resume_unwind(Box::new(SimAborted));
+                }
+                self.lock_engine()
+            }
+        };
+        eng.pending_reply[me]
+            .take()
+            .expect("rank resumed without a reply")
+    }
+
+    /// Rank `me`'s program returned: record it and pass the baton on for
+    /// good.
+    pub(crate) fn finish(&self, me: usize, trace: Vec<TraceEvent>) {
+        let mut eng = self.lock_engine();
+        eng.finish(me, trace);
+        self.pass_baton(eng, None);
+    }
+
+    /// Run the event loop up to the next rank that can run. If that is
+    /// `me`, `me` keeps the baton and gets the engine back. Otherwise the
+    /// engine is released and the baton goes to that rank — or, with every
+    /// rank finished or an error found, to nobody: the outcome is posted
+    /// instead.
+    fn pass_baton<'a>(
+        &'a self,
+        mut eng: MutexGuard<'a, Engine>,
+        me: Option<usize>,
+    ) -> Option<MutexGuard<'a, Engine>> {
+        match eng.dispatch() {
+            Ok(Some(next)) if Some(next) == me => return Some(eng),
+            Ok(Some(next)) => {
+                drop(eng);
+                self.wake(next);
+            }
+            Ok(None) => {
+                let report = eng.report();
+                drop(eng);
+                self.post(Ok(report));
+            }
+            Err(e) => {
+                drop(eng);
+                self.post(Err(e));
+            }
+        }
+        None
+    }
+
+    fn wake(&self, rank: usize) {
+        let seat = &self.seats[rank];
+        // Release: pairs with the Acquire swap in `park`, publishing what
+        // the waker did (the `aborted` flag included) to the woken rank.
+        seat.wake.store(true, Ordering::Release);
+        if let Some(t) = seat.thread.get() {
+            t.unpark();
+        }
+    }
+
+    /// Sleep until woken. `false`: the world was aborted meanwhile and the
+    /// caller must leave without touching the engine.
+    fn park(&self, me: usize) -> bool {
+        while !self.seats[me].wake.swap(false, Ordering::Acquire) {
+            std::thread::park();
+        }
+        !self.aborted.load(Ordering::Acquire)
+    }
+
+    /// Raise `aborted` and wake every rank, parked or not yet started.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+        for rank in 0..self.seats.len() {
+            self.wake(rank);
+        }
+    }
+
+    /// Publish the run's outcome (the first one posted stands) and, if it
+    /// is an error, tear the world down.
+    fn post(&self, outcome: Result<RunReport, SimError>) {
+        let failed = outcome.is_err();
+        self.outcome
+            .lock()
+            .expect("outcome lock is never held across a panic")
+            .get_or_insert(outcome);
+        if failed {
+            self.abort();
+        }
+        self.posted.notify_one();
+    }
+
+    fn wait_for_outcome(&self) -> Result<RunReport, SimError> {
+        let mut slot = self
+            .outcome
+            .lock()
+            .expect("outcome lock is never held across a panic");
+        loop {
+            if let Some(outcome) = slot.take() {
+                return outcome;
+            }
+            slot = self
+                .posted
+                .wait(slot)
+                .expect("outcome lock is never held across a panic");
+        }
+    }
+}
+
+/// Tears the world down if the thread in `World::run` unwinds.
+struct AbortOnUnwind<'a>(&'a Shared);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.abort();
+        }
+    }
+}
+
+/// Key of a message in `Engine::msgs`.
+type MsgId = u64;
+/// Key of a request in `Engine::reqs`; a [`Request`] carries it verbatim.
+type ReqId = u64;
 
 /// Where an in-flight transfer fits in the MPI protocol.
 #[derive(Debug, Clone, Copy)]
@@ -237,6 +452,8 @@ enum SenderWait {
     Req(ReqId),
 }
 
+/// A message from `send` to delivery; it leaves `Engine::msgs`, payload
+/// and all, when it is handed to its receiver.
 #[derive(Debug)]
 struct Msg {
     src: usize,
@@ -245,6 +462,8 @@ struct Msg {
     bytes: u64,
     payload: Bytes,
     eager: bool,
+    /// Index of the (src, dst) record in `Engine::pairs`.
+    pair: u32,
     /// Per-(src,dst) send sequence number for envelope ordering.
     seq: u64,
     /// Envelope visible (in-order arrived) time.
@@ -255,6 +474,9 @@ struct Msg {
     sender_wait: Option<SenderWait>,
 }
 
+/// A request leaves `Engine::reqs` when its completion is handed to the
+/// rank (`wait`, or a `test` that finds it done): a second `wait` finds
+/// nothing.
 #[derive(Debug)]
 enum ReqState {
     /// Send posted; completion time not yet known (rendezvous awaiting CTS).
@@ -265,8 +487,24 @@ enum ReqState {
     RecvPending,
     /// Receive delivered at this time with this envelope and payload.
     RecvDone(Time, MsgMeta, Bytes),
-    /// Request already waited on.
-    Consumed,
+}
+
+impl ReqState {
+    /// When the request completes, once that is known.
+    fn done_at(&self) -> Option<Time> {
+        match self {
+            ReqState::SendDone(t) | ReqState::RecvDone(t, ..) => Some(*t),
+            ReqState::SendPending | ReqState::RecvPending => None,
+        }
+    }
+
+    /// The message of a completed receive.
+    fn into_msg(self) -> Option<(MsgMeta, Bytes)> {
+        match self {
+            ReqState::RecvDone(_, meta, payload) => Some((meta, payload)),
+            _ => None,
+        }
+    }
 }
 
 struct ReqEntry {
@@ -281,37 +519,78 @@ struct Posted {
     target: RecvTarget,
 }
 
+/// Envelope-ordering state of one (src, dst) pair.
+#[derive(Default)]
+struct Pair {
+    /// Sequence number of the next message sent.
+    send_seq: u64,
+    /// Sequence number of the next envelope to become visible.
+    env_next: u64,
+    /// Envelopes that arrived ahead of `env_next`: entry `i` holds sequence
+    /// number `env_next + i`.
+    env_buf: VecDeque<Option<(MsgId, Time)>>,
+    /// When the last envelope became visible.
+    env_visible: Time,
+}
+
+/// What a rank that cannot run is blocked in; text only when a deadlock
+/// report needs it.
+#[derive(Debug, Clone, Copy)]
+enum Blocked {
+    Send { dst: usize, tag: Tag, bytes: u64 },
+    Recv { src: SrcSel, tag: TagSel },
+    Wait(Request),
+}
+
+impl std::fmt::Display for Blocked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Blocked::Send { dst, tag, bytes } => {
+                write!(f, "Send(dst={dst}, tag={tag}, bytes={bytes}) [rendezvous]")
+            }
+            Blocked::Recv { src, tag } => write!(f, "Recv(src={src:?}, tag={tag:?})"),
+            Blocked::Wait(req) => write!(f, "Wait(req={})", req.0),
+        }
+    }
+}
+
 struct Engine {
     cfg: WorldConfig,
     net: Network,
+    /// Completions of the event time being processed, as the network
+    /// reports them and as (purpose, delivery time); kept for their
+    /// capacity.
+    completions: Vec<Completion>,
+    arrived: Vec<(Purpose, Time)>,
     clocks: Vec<Time>,
     ready: BinaryHeap<Reverse<(Time, u64, usize)>>,
     ready_seq: u64,
+    /// The reply a rank in the ready heap resumes with (none at its first
+    /// start).
     pending_reply: Vec<Option<Reply>>,
     finished: Vec<bool>,
     nfinished: usize,
-    blocked_desc: Vec<Option<String>>,
-    call_rx: Vec<Receiver<Call>>,
-    reply_tx: Vec<Sender<Reply>>,
+    blocked: Vec<Option<Blocked>>,
 
-    msgs: Vec<Msg>,
-    purpose: HashMap<TransferId, Purpose>,
-    pair_send_seq: HashMap<(usize, usize), u64>,
-    pair_env_next: HashMap<(usize, usize), u64>,
-    pair_env_buf: HashMap<(usize, usize), BTreeMap<u64, (MsgId, Time)>>,
-    pair_env_visible: HashMap<(usize, usize), Time>,
+    msgs: Slots<Msg>,
+    /// What each in-flight transfer carries, by `TransferId::slot`.
+    purpose: Vec<Option<Purpose>>,
+    /// `src * nranks + dst` → index into `pairs` plus one; 0 = the pair
+    /// has not exchanged a message yet.
+    pair_index: Vec<u32>,
+    pairs: Vec<Pair>,
     /// Per destination rank: visible but unmatched envelopes, in visible
     /// order (the "unexpected message queue").
     pending_env: Vec<VecDeque<MsgId>>,
     /// Per destination rank: posted but unmatched receives, in post order.
     posted: Vec<VecDeque<Posted>>,
-    reqs: Vec<ReqEntry>,
+    reqs: Slots<ReqEntry>,
     msg_count: u64,
     traces: Vec<Vec<TraceEvent>>,
 }
 
 impl Engine {
-    fn new(cfg: WorldConfig, call_rx: Vec<Receiver<Call>>, reply_tx: Vec<Sender<Reply>>) -> Self {
+    fn new(cfg: WorldConfig) -> Self {
         let nranks = cfg.nranks();
         let net = Network::new(cfg.cluster.clone(), cfg.seed);
         let mut ready = BinaryHeap::new();
@@ -320,24 +599,22 @@ impl Engine {
         }
         Engine {
             net,
+            completions: Vec::new(),
+            arrived: Vec::new(),
             clocks: vec![Time::ZERO; nranks],
             ready,
             ready_seq: nranks as u64,
             pending_reply: (0..nranks).map(|_| None).collect(),
             finished: vec![false; nranks],
             nfinished: 0,
-            blocked_desc: vec![None; nranks],
-            call_rx,
-            reply_tx,
-            msgs: Vec::new(),
-            purpose: HashMap::new(),
-            pair_send_seq: HashMap::new(),
-            pair_env_next: HashMap::new(),
-            pair_env_buf: HashMap::new(),
-            pair_env_visible: HashMap::new(),
+            blocked: vec![None; nranks],
+            msgs: Slots::new(),
+            purpose: Vec::new(),
+            pair_index: vec![0; nranks * nranks],
+            pairs: Vec::new(),
             pending_env: (0..nranks).map(|_| VecDeque::new()).collect(),
             posted: (0..nranks).map(|_| VecDeque::new()).collect(),
-            reqs: Vec::new(),
+            reqs: Slots::new(),
             msg_count: 0,
             traces: (0..nranks).map(|_| Vec::new()).collect(),
             cfg,
@@ -360,14 +637,6 @@ impl Engine {
         }
     }
 
-    fn poison_all(&mut self) {
-        for (r, tx) in self.reply_tx.iter().enumerate() {
-            if !self.finished[r] {
-                let _ = tx.send(Reply::Poison);
-            }
-        }
-    }
-
     /// CPU time the sender spends injecting a message of `bytes`.
     fn inj_cost(&self, bytes: u64) -> Dur {
         let c = &self.cfg.cluster;
@@ -384,9 +653,21 @@ impl Engine {
             "double wake for rank {rank}"
         );
         self.pending_reply[rank] = Some(reply);
-        self.blocked_desc[rank] = None;
+        self.blocked[rank] = None;
         self.ready_seq += 1;
         self.ready.push(Reverse((at, self.ready_seq, rank)));
+    }
+
+    /// Start a network transfer and note what it carries.
+    fn start_transfer(&mut self, at: Time, from: usize, to: usize, bytes: u64, purpose: Purpose) {
+        let tid = self
+            .net
+            .start_transfer(at, self.node(from), self.node(to), bytes);
+        let slot = tid.slot();
+        if slot >= self.purpose.len() {
+            self.purpose.resize(slot + 1, None);
+        }
+        self.purpose[slot] = Some(purpose);
     }
 
     /// Process all network events strictly up to time `t`, reacting to each
@@ -397,30 +678,49 @@ impl Engine {
             if tn > t {
                 break;
             }
-            let completions: Vec<Completion> = self.net.advance_until(tn);
-            for c in completions {
-                self.handle_completion(c);
+            let mut done = std::mem::take(&mut self.completions);
+            self.net.advance_into(tn, &mut done);
+            // Look every purpose up before reacting to any: the network has
+            // already freed these transfers' slots, and a reaction that
+            // starts a transfer may be given the slot of a completion
+            // further down the batch.
+            let mut arrived = std::mem::take(&mut self.arrived);
+            arrived.extend(done.drain(..).map(|c| {
+                let purpose = self.purpose[c.id.slot()].take();
+                (
+                    purpose.expect("completion for unknown transfer"),
+                    c.delivered_at,
+                )
+            }));
+            for (purpose, at) in arrived.drain(..) {
+                self.handle_completion(purpose, at);
             }
+            self.completions = done;
+            self.arrived = arrived;
         }
     }
 
-    fn main_loop(&mut self) -> Result<(), SimError> {
+    /// The event loop: advance the network until a rank is due, and return
+    /// it with its clock brought forward. `None` once every rank has
+    /// finished.
+    fn dispatch(&mut self) -> Result<Option<usize>, SimError> {
         let nranks = self.cfg.nranks();
         let deadline = self.cfg.virtual_deadline.map(|d| Time::ZERO + d);
         loop {
             if self.nfinished == nranks {
-                return Ok(());
+                return Ok(None);
             }
             let t_rank = self.ready.peek().map(|Reverse((t, _, _))| *t);
             let t_net = self.net.next_event_time();
             let t_next = match (t_rank, t_net) {
                 (None, None) => {
-                    let blocked = self
-                        .blocked_desc
-                        .iter()
-                        .enumerate()
-                        .filter(|(r, _)| !self.finished[*r])
-                        .map(|(r, d)| (r, d.clone().unwrap_or_else(|| "<unknown>".into())))
+                    let blocked = (0..nranks)
+                        .filter(|&r| !self.finished[r])
+                        .map(|r| {
+                            let desc = self.blocked[r]
+                                .map_or_else(|| "<unknown>".into(), |b| b.to_string());
+                            (r, desc)
+                        })
                         .collect();
                     let err = SimError::Deadlock {
                         time: self.net.now(),
@@ -450,181 +750,126 @@ impl Engine {
             let Reverse((t, _, r)) = self.ready.pop().unwrap();
             self.advance_net(t);
             self.clocks[r] = self.clocks[r].max(t);
-            if let Some(reply) = self.pending_reply[r].take() {
-                let _ = self.reply_tx[r].send(reply);
-            }
-            self.serve(r)?;
+            return Ok(Some(r));
         }
     }
 
-    /// Serve syscalls from the running rank `r` until it blocks, yields or
-    /// finishes.
-    fn serve(&mut self, r: usize) -> Result<(), SimError> {
-        loop {
-            let call = match self.call_rx[r].recv() {
-                Ok(c) => c,
-                Err(_) => {
-                    return Err(SimError::RankPanic {
-                        rank: r,
-                        message: "rank thread exited without Finish".into(),
-                    })
+    fn finish(&mut self, r: usize, trace: Vec<TraceEvent>) {
+        self.finished[r] = true;
+        self.nfinished += 1;
+        if self.cfg.record_trace {
+            self.traces[r] = trace;
+        }
+    }
+
+    /// Handle one call of the running rank `r`. `Some`: the call is
+    /// complete and `r` keeps running. `None`: `r` blocked, or yielded with
+    /// its wake-up already in the ready heap; its reply will be in
+    /// `pending_reply` when [`Engine::dispatch`] next returns it.
+    fn call(&mut self, r: usize, call: Call) -> Option<Reply> {
+        match call {
+            Call::Compute(d) => {
+                let wake = self.clocks[r] + d;
+                self.clocks[r] = wake;
+                self.schedule_wake(r, wake, Reply::Ok { clock: wake });
+                None
+            }
+            Call::Send {
+                dst,
+                tag,
+                bytes,
+                payload,
+            } => {
+                let local = self.node(r) == self.node(dst);
+                let eager = local || bytes < self.cfg.protocol.eager_threshold;
+                let mid = self.new_msg(r, dst, tag, bytes, payload, eager);
+                if eager {
+                    let t0 = self.clocks[r];
+                    self.start_transfer(t0, r, dst, bytes, Purpose::EagerData(mid));
+                    let done = t0 + self.inj_cost(bytes);
+                    self.clocks[r] = done;
+                    // An eager send does not yield.
+                    Some(Reply::Ok { clock: done })
+                } else {
+                    self.post_rts(mid);
+                    self.msgs[mid].sender_wait = Some(SenderWait::Block(r));
+                    self.blocked[r] = Some(Blocked::Send { dst, tag, bytes });
+                    None
                 }
-            };
-            match call {
-                Call::Finish(trace) => {
-                    self.finished[r] = true;
-                    self.nfinished += 1;
-                    if self.cfg.record_trace {
-                        self.traces[r] = trace;
+            }
+            Call::Isend {
+                dst,
+                tag,
+                bytes,
+                payload,
+            } => {
+                let local = self.node(r) == self.node(dst);
+                let eager = local || bytes < self.cfg.protocol.eager_threshold;
+                let mid = self.new_msg(r, dst, tag, bytes, payload, eager);
+                let state = if eager {
+                    let t0 = self.clocks[r];
+                    self.start_transfer(t0, r, dst, bytes, Purpose::EagerData(mid));
+                    ReqState::SendDone(t0 + self.inj_cost(bytes))
+                } else {
+                    self.post_rts(mid);
+                    ReqState::SendPending
+                };
+                let req = self.new_req(state);
+                if !eager {
+                    self.msgs[mid].sender_wait = Some(SenderWait::Req(req));
+                }
+                Some(Reply::Posted {
+                    clock: self.clocks[r],
+                    req: Request(req),
+                })
+            }
+            Call::Recv { src, tag } => {
+                let target = RecvTarget::Block {
+                    rank: r,
+                    post_time: self.clocks[r],
+                };
+                self.blocked[r] = Some(Blocked::Recv { src, tag });
+                self.post_recv(r, src, tag, target);
+                None
+            }
+            Call::Irecv { src, tag } => {
+                let req = self.new_req(ReqState::RecvPending);
+                let target = RecvTarget::Req {
+                    req,
+                    post_time: self.clocks[r],
+                };
+                self.post_recv(r, src, tag, target);
+                Some(Reply::Posted {
+                    clock: self.clocks[r],
+                    req: Request(req),
+                })
+            }
+            Call::Wait { req } => {
+                let Some(entry) = self.reqs.get_mut(req.0) else {
+                    panic!("rank {r} waited on request {} twice", req.0)
+                };
+                match entry.state.done_at() {
+                    None => {
+                        entry.waiter = Some(r);
+                        self.blocked[r] = Some(Blocked::Wait(req));
                     }
-                    return Ok(());
-                }
-                Call::Aborted(message) => {
-                    pevpm_obs::diag::warn(&format!("mpisim: rank {r} aborted: {message}"));
-                    return Err(SimError::RankPanic { rank: r, message });
-                }
-                Call::Compute(d) => {
-                    let wake = self.clocks[r] + d;
-                    self.clocks[r] = wake;
-                    self.schedule_wake(r, wake, Reply::Ok { clock: wake });
-                    return Ok(());
-                }
-                Call::Send {
-                    dst,
-                    tag,
-                    bytes,
-                    payload,
-                } => {
-                    let local = self.node(r) == self.node(dst);
-                    let eager = local || bytes < self.cfg.protocol.eager_threshold;
-                    let mid = self.new_msg(r, dst, tag, bytes, payload, eager);
-                    if eager {
-                        let t0 = self.clocks[r];
-                        let tid = self
-                            .net
-                            .start_transfer(t0, self.node(r), self.node(dst), bytes);
-                        self.purpose.insert(tid, Purpose::EagerData(mid));
-                        let done = t0 + self.inj_cost(bytes);
-                        self.clocks[r] = done;
-                        let _ = self.reply_tx[r].send(Reply::Ok { clock: done });
-                        // continue serving: eager send does not yield
-                    } else {
-                        self.post_rts(mid);
-                        self.msgs[mid].sender_wait = Some(SenderWait::Block(r));
-                        self.blocked_desc[r] = Some(format!(
-                            "Send(dst={dst}, tag={tag}, bytes={bytes}) [rendezvous]"
-                        ));
-                        return Ok(());
+                    Some(t) => {
+                        let done = self.reqs.remove(req.0).expect("request is live");
+                        let wake = self.clocks[r].max(t);
+                        self.clocks[r] = wake;
+                        self.schedule_wake(r, wake, Reply::done(wake, done.state.into_msg()));
                     }
                 }
-                Call::Isend {
-                    dst,
-                    tag,
-                    bytes,
-                    payload,
-                } => {
-                    let local = self.node(r) == self.node(dst);
-                    let eager = local || bytes < self.cfg.protocol.eager_threshold;
-                    let mid = self.new_msg(r, dst, tag, bytes, payload, eager);
-                    let req = self.new_req();
-                    if eager {
-                        let t0 = self.clocks[r];
-                        let tid = self
-                            .net
-                            .start_transfer(t0, self.node(r), self.node(dst), bytes);
-                        self.purpose.insert(tid, Purpose::EagerData(mid));
-                        self.reqs[req].state = ReqState::SendDone(t0 + self.inj_cost(bytes));
-                    } else {
-                        self.post_rts(mid);
-                        self.msgs[mid].sender_wait = Some(SenderWait::Req(req));
-                        self.reqs[req].state = ReqState::SendPending;
-                    }
-                    let clock = self.clocks[r];
-                    let _ = self.reply_tx[r].send(Reply::Posted {
-                        clock,
-                        req: Request(req as u64),
-                    });
-                }
-                Call::Recv { src, tag } => {
-                    let target = RecvTarget::Block {
-                        rank: r,
-                        post_time: self.clocks[r],
-                    };
-                    self.blocked_desc[r] = Some(format!("Recv(src={src:?}, tag={tag:?})"));
-                    self.post_recv(r, src, tag, target);
-                    return Ok(());
-                }
-                Call::Irecv { src, tag } => {
-                    let req = self.new_req();
-                    self.reqs[req].state = ReqState::RecvPending;
-                    let target = RecvTarget::Req {
-                        req,
-                        post_time: self.clocks[r],
-                    };
-                    self.post_recv(r, src, tag, target);
-                    let clock = self.clocks[r];
-                    let _ = self.reply_tx[r].send(Reply::Posted {
-                        clock,
-                        req: Request(req as u64),
-                    });
-                }
-                Call::Wait { req } => {
-                    let rid = req.0 as usize;
-                    match &self.reqs[rid].state {
-                        ReqState::SendDone(t) => {
-                            let wake = self.clocks[r].max(*t);
-                            self.clocks[r] = wake;
-                            self.reqs[rid].state = ReqState::Consumed;
-                            self.schedule_wake(r, wake, Reply::Ok { clock: wake });
-                        }
-                        ReqState::RecvDone(..) => {
-                            let ReqState::RecvDone(t, meta, payload) =
-                                std::mem::replace(&mut self.reqs[rid].state, ReqState::Consumed)
-                            else {
-                                unreachable!()
-                            };
-                            let wake = self.clocks[r].max(t);
-                            self.clocks[r] = wake;
-                            self.schedule_wake(
-                                r,
-                                wake,
-                                Reply::Msg {
-                                    clock: wake,
-                                    meta,
-                                    payload,
-                                },
-                            );
-                        }
-                        ReqState::SendPending | ReqState::RecvPending => {
-                            self.reqs[rid].waiter = Some(r);
-                            self.blocked_desc[r] = Some(format!("Wait(req={})", req.0));
-                        }
-                        ReqState::Consumed => {
-                            panic!("rank {r} waited on request {} twice", req.0)
-                        }
-                    }
-                    return Ok(());
-                }
-                Call::Test { req } => {
-                    let rid = req.0 as usize;
-                    let clock = self.clocks[r];
-                    let done = match &self.reqs[rid].state {
-                        ReqState::SendDone(t) if *t <= clock => {
-                            self.reqs[rid].state = ReqState::Consumed;
-                            Some(None)
-                        }
-                        ReqState::RecvDone(t, ..) if *t <= clock => {
-                            let ReqState::RecvDone(_, meta, payload) =
-                                std::mem::replace(&mut self.reqs[rid].state, ReqState::Consumed)
-                            else {
-                                unreachable!()
-                            };
-                            Some(Some((meta, payload)))
-                        }
-                        _ => None,
-                    };
-                    let _ = self.reply_tx[r].send(Reply::TestResult { clock, done });
-                }
+                None
+            }
+            Call::Test { req } => {
+                let clock = self.clocks[r];
+                let done_at = self.reqs.get(req.0).and_then(|e| e.state.done_at());
+                let done = done_at.is_some_and(|t| t <= clock).then(|| {
+                    let done = self.reqs.remove(req.0).expect("request is live");
+                    done.state.into_msg()
+                });
+                Some(Reply::TestResult { clock, done })
             }
         }
     }
@@ -638,42 +883,44 @@ impl Engine {
         payload: Bytes,
         eager: bool,
     ) -> MsgId {
-        let seq = self.pair_send_seq.entry((src, dst)).or_insert(0);
-        let s = *seq;
-        *seq += 1;
+        let key = src * self.clocks.len() + dst;
+        let index = &mut self.pair_index[key];
+        if *index == 0 {
+            self.pairs.push(Pair::default());
+            *index = u32::try_from(self.pairs.len()).expect("pair table overflow");
+        }
+        let pair = *index - 1;
+        let p = &mut self.pairs[pair as usize];
+        let seq = p.send_seq;
+        p.send_seq += 1;
         self.msg_count += 1;
-        self.msgs.push(Msg {
+        self.msgs.insert(Msg {
             src,
             dst,
             tag,
             bytes,
             payload,
             eager,
-            seq: s,
+            pair,
+            seq,
             visible_at: None,
             matched: None,
             sender_wait: None,
-        });
-        self.msgs.len() - 1
+        })
     }
 
-    fn new_req(&mut self) -> ReqId {
-        self.reqs.push(ReqEntry {
-            state: ReqState::SendPending,
+    fn new_req(&mut self, state: ReqState) -> ReqId {
+        self.reqs.insert(ReqEntry {
+            state,
             waiter: None,
-        });
-        self.reqs.len() - 1
+        })
     }
 
     /// Send the rendezvous request-to-send control message.
     fn post_rts(&mut self, mid: MsgId) {
         let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
-        let t0 = self.clocks[src];
         let ctrl = self.cfg.protocol.ctrl_bytes;
-        let tid = self
-            .net
-            .start_transfer(t0, self.node(src), self.node(dst), ctrl);
-        self.purpose.insert(tid, Purpose::Rts(mid));
+        self.start_transfer(self.clocks[src], src, dst, ctrl, Purpose::Rts(mid));
     }
 
     fn matches(m: &Msg, src: SrcSel, tag: TagSel) -> bool {
@@ -701,30 +948,22 @@ impl Engine {
         }
     }
 
-    fn handle_completion(&mut self, c: Completion) {
-        let purpose = self
-            .purpose
-            .remove(&c.id)
-            .expect("completion for unknown transfer");
+    /// A transfer carrying `purpose` was delivered at `at`.
+    fn handle_completion(&mut self, purpose: Purpose, at: Time) {
         match purpose {
-            Purpose::EagerData(mid) | Purpose::Rts(mid) => {
-                self.on_env_arrival(mid, c.delivered_at);
-            }
+            Purpose::EagerData(mid) | Purpose::Rts(mid) => self.on_env_arrival(mid, at),
             Purpose::Cts(mid) => {
-                let (src, dst, bytes) =
-                    (self.msgs[mid].src, self.msgs[mid].dst, self.msgs[mid].bytes);
-                let t0 = c.delivered_at;
-                let tid = self
-                    .net
-                    .start_transfer(t0, self.node(src), self.node(dst), bytes);
-                self.purpose.insert(tid, Purpose::RndvData(mid));
-                let done = t0 + self.inj_cost(bytes);
-                match self.msgs[mid].sender_wait.take() {
+                let m = &mut self.msgs[mid];
+                let (src, dst, bytes) = (m.src, m.dst, m.bytes);
+                let sender_wait = m.sender_wait.take();
+                self.start_transfer(at, src, dst, bytes, Purpose::RndvData(mid));
+                let done = at + self.inj_cost(bytes);
+                match sender_wait {
                     Some(SenderWait::Block(r)) => {
                         self.clocks[r] = done;
                         self.schedule_wake(r, done, Reply::Ok { clock: done });
                     }
-                    Some(SenderWait::Req(req)) => self.complete_send_req(req, done),
+                    Some(SenderWait::Req(req)) => self.complete_req(req, done, None),
                     None => {}
                 }
             }
@@ -733,7 +972,7 @@ impl Engine {
                     .matched
                     .take()
                     .expect("rendezvous data without a matched receive");
-                let wake = c.delivered_at.max(target.post_time()) + self.cfg.protocol.match_cost;
+                let wake = at.max(target.post_time()) + self.cfg.protocol.match_cost;
                 self.deliver(mid, target, wake);
             }
         }
@@ -742,31 +981,32 @@ impl Engine {
     /// Envelope arrived on the wire: apply per-pair in-order visibility,
     /// then run matching for every envelope that became visible.
     fn on_env_arrival(&mut self, mid: MsgId, at: Time) {
-        let pair = (self.msgs[mid].src, self.msgs[mid].dst);
-        self.pair_env_buf
-            .entry(pair)
-            .or_default()
-            .insert(self.msgs[mid].seq, (mid, at));
-        loop {
-            let next = *self.pair_env_next.entry(pair).or_insert(0);
-            let Some(&(m2, a2)) = self.pair_env_buf.get(&pair).and_then(|b| b.get(&next)) else {
-                break;
-            };
-            self.pair_env_buf.get_mut(&pair).unwrap().remove(&next);
-            *self.pair_env_next.get_mut(&pair).unwrap() += 1;
-            let vis_entry = self.pair_env_visible.entry(pair).or_insert(Time::ZERO);
-            let vis = a2.max(*vis_entry);
-            *vis_entry = vis;
+        let m = &self.msgs[mid];
+        let (pair, seq) = (m.pair as usize, m.seq);
+        let p = &mut self.pairs[pair];
+        let ahead = (seq - p.env_next) as usize;
+        if ahead >= p.env_buf.len() {
+            p.env_buf.resize(ahead + 1, None);
+        }
+        p.env_buf[ahead] = Some((mid, at));
+        while let Some(&Some((m2, a2))) = self.pairs[pair].env_buf.front() {
+            let p = &mut self.pairs[pair];
+            p.env_buf.pop_front();
+            p.env_next += 1;
+            let vis = a2.max(p.env_visible);
+            p.env_visible = vis;
             self.on_envelope_visible(m2, vis);
         }
     }
 
     fn on_envelope_visible(&mut self, mid: MsgId, visible: Time) {
-        self.msgs[mid].visible_at = Some(visible);
-        let dst = self.msgs[mid].dst;
+        let m = &mut self.msgs[mid];
+        m.visible_at = Some(visible);
+        let dst = m.dst;
+        let m = &self.msgs[mid];
         let hit = self.posted[dst]
             .iter()
-            .position(|p| Self::matches(&self.msgs[mid], p.src, p.tag));
+            .position(|p| Self::matches(m, p.src, p.tag));
         match hit {
             Some(pos) => {
                 let p = self.posted[dst].remove(pos).unwrap();
@@ -779,78 +1019,97 @@ impl Engine {
     /// An envelope met a receive: deliver (eager) or start the rendezvous
     /// CTS handshake.
     fn match_msg(&mut self, mid: MsgId, target: RecvTarget) {
-        let visible = self.msgs[mid]
+        let m = &mut self.msgs[mid];
+        let visible = m
             .visible_at
             .expect("matching an envelope that is not visible");
         let tm = visible.max(target.post_time()) + self.cfg.protocol.match_cost;
-        if self.msgs[mid].eager {
+        if m.eager {
             self.deliver(mid, target, tm);
         } else {
-            self.msgs[mid].matched = Some(target);
-            let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
+            m.matched = Some(target);
+            let (src, dst) = (m.src, m.dst);
             let ctrl = self.cfg.protocol.ctrl_bytes;
-            let tid = self
-                .net
-                .start_transfer(tm, self.node(dst), self.node(src), ctrl);
-            self.purpose.insert(tid, Purpose::Cts(mid));
+            self.start_transfer(tm, dst, src, ctrl, Purpose::Cts(mid));
         }
     }
 
+    /// Hand a message to its receiver; the message's slot is free again.
     fn deliver(&mut self, mid: MsgId, target: RecvTarget, wake: Time) {
-        let m = &self.msgs[mid];
+        let m = self.msgs.remove(mid).expect("message delivered twice");
         let meta = MsgMeta {
             src: m.src,
             tag: m.tag,
             bytes: m.bytes,
         };
-        let payload = m.payload.clone();
+        let msg = Some((meta, m.payload));
         match target {
             RecvTarget::Block { rank, .. } => {
                 self.clocks[rank] = self.clocks[rank].max(wake);
-                self.schedule_wake(
-                    rank,
-                    wake,
-                    Reply::Msg {
-                        clock: wake,
-                        meta,
-                        payload,
-                    },
-                );
+                self.schedule_wake(rank, wake, Reply::done(wake, msg));
             }
-            RecvTarget::Req { req, .. } => {
-                let waiter = self.reqs[req].waiter.take();
-                match waiter {
-                    Some(r) => {
-                        let w = wake.max(self.clocks[r]);
-                        self.clocks[r] = w;
-                        self.reqs[req].state = ReqState::Consumed;
-                        self.schedule_wake(
-                            r,
-                            w,
-                            Reply::Msg {
-                                clock: w,
-                                meta,
-                                payload,
-                            },
-                        );
-                    }
-                    None => {
-                        self.reqs[req].state = ReqState::RecvDone(wake, meta, payload);
-                    }
+            RecvTarget::Req { req, .. } => self.complete_req(req, wake, msg),
+        }
+    }
+
+    /// A pending request completed at `at`: wake the rank waiting on it, or
+    /// keep the result for its `wait`/`test`.
+    fn complete_req(&mut self, req: ReqId, at: Time, msg: Option<(MsgMeta, Bytes)>) {
+        match self.reqs[req].waiter {
+            Some(r) => {
+                self.reqs.remove(req);
+                let w = at.max(self.clocks[r]);
+                self.clocks[r] = w;
+                self.schedule_wake(r, w, Reply::done(w, msg));
+            }
+            None => {
+                self.reqs[req].state = match msg {
+                    Some((meta, payload)) => ReqState::RecvDone(at, meta, payload),
+                    None => ReqState::SendDone(at),
                 }
             }
         }
     }
+}
 
-    fn complete_send_req(&mut self, req: ReqId, done: Time) {
-        match self.reqs[req].waiter.take() {
-            Some(r) => {
-                let w = done.max(self.clocks[r]);
-                self.clocks[r] = w;
-                self.reqs[req].state = ReqState::Consumed;
-                self.schedule_wake(r, w, Reply::Ok { clock: w });
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stores_are_bounded_by_what_is_in_flight() {
+        const NRANKS: usize = 8;
+        const ROUNDS: usize = 1_250;
+        // 10 000 ring messages: a blocking shift with a real payload, then a
+        // nonblocking one with requests on both sides.
+        let (result, shared) = World::run_shared(WorldConfig::perseus(NRANKS, 1, 7), |rank| {
+            let (r, n) = (rank.rank(), rank.nranks());
+            let (left, right) = ((r + n - 1) % n, (r + 1) % n);
+            for i in 0..ROUNDS / 2 {
+                let (_, payload) = rank.sendrecv(right, 0, vec![i as u8; 1024], left, 0);
+                assert_eq!(payload.len(), 1024);
+                let rq = rank.irecv(left, 1);
+                let sq = rank.isend_size(right, 1, 20_000);
+                rank.wait(rq);
+                rank.wait(sq);
             }
-            None => self.reqs[req].state = ReqState::SendDone(done),
+        });
+        let report = result.expect("ring runs");
+        assert_eq!(report.messages, (NRANKS * ROUNDS) as u64);
+        let eng = shared.lock_engine();
+        let high_water = [
+            ("messages", eng.msgs.slots()),
+            ("requests", eng.reqs.slots()),
+            ("transfers", eng.net.transfer_slots()),
+            ("transfer purposes", eng.purpose.len()),
+        ];
+        for (store, slots) in high_water {
+            assert!(
+                slots <= 4 * NRANKS,
+                "{store}: {slots} slots after {} messages",
+                report.messages
+            );
         }
+        assert_eq!(eng.pairs.len(), NRANKS, "one record per ring edge");
     }
 }

@@ -1,0 +1,177 @@
+//! Teardown under baton passing. When a run ends in an error, every rank
+//! thread — parked mid-call, or still waiting for its first baton — has to
+//! be woken and leave, or `World::run` never returns. Each case runs under
+//! a watchdog, so a lost wake-up fails the test instead of hanging it.
+
+use pevpm_mpisim::{Dur, RunReport, SimError, World, WorldConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// Run `f` on its own thread and give it 30 s to come back.
+fn watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("world did not tear down: a wake-up was lost"),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(e) => std::panic::resume_unwind(e),
+            Ok(()) => unreachable!("worker returned without sending"),
+        },
+    }
+}
+
+fn run_guarded(
+    cfg: WorldConfig,
+    program: impl Fn(&mut pevpm_mpisim::Rank) + Send + Sync + 'static,
+) -> Result<RunReport, SimError> {
+    watchdog(move || World::run(cfg, program))
+}
+
+#[test]
+fn panic_wakes_127_ranks_parked_in_recv() {
+    let err = run_guarded(WorldConfig::perseus(64, 2, 1), |rank| {
+        if rank.rank() == 0 {
+            // Yield first, so that every other rank is parked inside its
+            // receive when the panic comes.
+            rank.compute_secs(1.0);
+            panic!("boom on rank 0");
+        }
+        rank.recv(0, 0);
+    })
+    .unwrap_err();
+    match err {
+        SimError::RankPanic { rank, message } => {
+            assert_eq!(rank, 0);
+            assert!(message.contains("boom on rank 0"), "message: {message}");
+        }
+        other => panic!("expected a rank panic, got {other}"),
+    }
+}
+
+#[test]
+fn ranks_without_a_first_baton_never_run_program_code() {
+    let started = Arc::new(AtomicUsize::new(0));
+    let started2 = Arc::clone(&started);
+    let err = run_guarded(WorldConfig::perseus(32, 2, 1), move |rank| {
+        started2.fetch_add(1, Ordering::SeqCst);
+        // Rank 0 holds the first baton; nobody else has had one yet.
+        panic!("rank {} fails at once", rank.rank());
+    })
+    .unwrap_err();
+    assert!(matches!(err, SimError::RankPanic { rank: 0, .. }), "{err}");
+    assert_eq!(started.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn programs_start_in_schedule_order() {
+    for _ in 0..20 {
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let order2 = Arc::clone(&order);
+        run_guarded(WorldConfig::ideal(8, 2), move |rank| {
+            order2.lock().unwrap().push(rank.rank());
+            rank.barrier();
+        })
+        .unwrap();
+        assert_eq!(*order.lock().unwrap(), (0..16).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn deadlock_among_parked_and_finished_ranks_is_reported() {
+    let err = run_guarded(WorldConfig::perseus(16, 2, 1), |rank| {
+        // The upper half returns at once; the lower half waits for
+        // messages nobody sends.
+        if rank.rank() < 16 {
+            rank.recv(rank.rank() + 16, 9);
+        }
+    })
+    .unwrap_err();
+    match err {
+        SimError::Deadlock { blocked, .. } => {
+            assert_eq!(blocked.len(), 16);
+            for (i, (r, desc)) in blocked.iter().enumerate() {
+                assert_eq!(*r, i);
+                assert_eq!(*desc, format!("Recv(src=Rank({}), tag=Tag(9))", i + 16));
+            }
+        }
+        other => panic!("expected a deadlock, got {other}"),
+    }
+}
+
+#[test]
+fn deadlock_descriptions_keep_their_text() {
+    let err = run_guarded(WorldConfig::ideal(3, 1), |rank| match rank.rank() {
+        0 => rank.send_size(1, 4, 100_000),
+        1 => {
+            let req = rank.irecv(2, 5);
+            rank.wait(req);
+        }
+        _ => {
+            rank.recv(pevpm_mpisim::SrcSel::Any, pevpm_mpisim::TagSel::Any);
+        }
+    })
+    .unwrap_err();
+    let SimError::Deadlock { blocked, .. } = err else {
+        panic!("expected a deadlock, got {err}");
+    };
+    let descs: Vec<&str> = blocked.iter().map(|(_, d)| d.as_str()).collect();
+    assert_eq!(
+        descs,
+        [
+            "Send(dst=1, tag=4, bytes=100000) [rendezvous]",
+            "Wait(req=0)",
+            "Recv(src=Any, tag=Any)",
+        ]
+    );
+}
+
+#[test]
+fn deadline_unwinds_every_parked_rank() {
+    let mut cfg = WorldConfig::perseus(32, 2, 1);
+    cfg.virtual_deadline = Some(Dur::from_secs_f64(10.0));
+    let err = run_guarded(cfg, |rank| loop {
+        rank.compute_secs(1.0);
+        rank.barrier();
+    })
+    .unwrap_err();
+    assert!(matches!(err, SimError::DeadlineExceeded { .. }), "{err}");
+}
+
+#[test]
+fn second_wait_on_a_recycled_request_is_a_rank_panic() {
+    let err = run_guarded(WorldConfig::ideal(2, 1), |rank| {
+        if rank.rank() == 0 {
+            let first = rank.isend_size(1, 0, 8);
+            rank.wait(first);
+            // Takes over the slot `first` had.
+            let second = rank.isend_size(1, 0, 8);
+            assert_ne!(first, second);
+            assert_eq!(first.0 as u32, second.0 as u32, "slot was not recycled");
+            assert!(rank.test(first).is_none(), "a stale handle tested complete");
+            rank.wait(first);
+            unreachable!("a second wait must not return");
+        }
+        for _ in 0..3 {
+            rank.recv(0, 0);
+        }
+    })
+    .unwrap_err();
+    match err {
+        SimError::RankPanic { rank, message } => {
+            assert_eq!(rank, 0);
+            assert!(
+                message.contains("waited on request") && message.contains("twice"),
+                "message: {message}"
+            );
+        }
+        other => panic!("expected a rank panic, got {other}"),
+    }
+    // The panic unwound through the engine with its lock held; that must
+    // stay that world's business.
+    run_guarded(WorldConfig::ideal(2, 1), |rank| rank.barrier()).unwrap();
+}

@@ -565,6 +565,29 @@ fn tracing_disabled_returns_none_and_costs_nothing() {
 }
 
 #[test]
+fn simultaneous_completions_keep_their_transfers_apart() {
+    // Two pairs, each on a switch of its own, on the jitter-free network:
+    // both RTS messages are delivered in the same nanosecond, i.e. in one
+    // batch of completions. Answering the first with a CTS starts a
+    // transfer in the network slot the second one has just vacated; the
+    // second must still be taken for an RTS.
+    let mut cfg = ideal(4, 1);
+    cfg.cluster.switch_ports = 2;
+    let report = World::run(cfg, |rank| {
+        let r = rank.rank();
+        if r % 2 == 0 {
+            rank.send(r + 1, 0, vec![r as u8; 20_000 + r]);
+        } else {
+            let (meta, payload) = rank.recv(r - 1, 0);
+            assert_eq!(meta.bytes as usize, 20_000 + r - 1);
+            assert!(payload.iter().all(|&b| b as usize == r - 1));
+        }
+    })
+    .unwrap();
+    assert_eq!(report.net_stats.transfers_completed, 6);
+}
+
+#[test]
 fn large_worlds_run_to_completion() {
     let cfg = WorldConfig::perseus(32, 2, 3);
     let report = World::run(cfg, |rank| {

@@ -31,6 +31,7 @@
 pub mod config;
 pub mod faults;
 pub mod network;
+pub mod slots;
 pub mod time;
 
 pub use config::{ClusterConfig, NodeId, SwitchId};
@@ -38,4 +39,5 @@ pub use faults::{
     Background, FaultError, FaultEvent, FaultKind, FaultPlan, LinkDegrade, LinkFlap, Pause,
 };
 pub use network::{Completion, NetStats, Network, TransferId};
+pub use slots::Slots;
 pub use time::{wire_time, Dur, Time};

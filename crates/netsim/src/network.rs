@@ -23,6 +23,7 @@
 
 use crate::config::{ClusterConfig, NodeId};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
+use crate::slots::{slot_of, Slots};
 use crate::time::{wire_time, Dur, Time};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +31,25 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Identifier of a transfer, unique within one [`Network`].
+///
+/// A [`Slots`] key: the network recycles a transfer's table slot as soon
+/// as the transfer completes, and the key's generation half lets it tell
+/// a frame or timer of a finished transfer from the slot's next tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransferId(pub u64);
+
+impl TransferId {
+    /// The transfer's table slot: unique among transfers in flight, and
+    /// below [`Network::transfer_slots`] — a dense index for per-transfer
+    /// state in the layer above. The slot is free for the next transfer
+    /// from the moment this one completes, which is before the caller
+    /// sees its [`Completion`]: a caller that starts transfers while
+    /// reacting to a batch of completions must read its per-slot state for
+    /// the whole batch first.
+    pub fn slot(self) -> usize {
+        slot_of(self.0)
+    }
+}
 
 /// Notification that a transfer's last byte (plus receive overhead) reached
 /// the destination node.
@@ -153,7 +171,7 @@ enum Ev {
     LocalDeliver { tid: TransferId },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Transfer {
     src: NodeId,
     dst: NodeId,
@@ -171,7 +189,6 @@ struct Transfer {
     /// Once a transfer has lost a frame, its retransmitted frames are
     /// injected paced (congestion avoidance stand-in).
     paced: bool,
-    completed: bool,
     /// Whether the frame path crosses switches (has a trunk hop).
     inter_switch: bool,
     /// Fault-plan cross-traffic: occupies queues like any transfer but
@@ -187,7 +204,9 @@ pub struct Network {
     fabric: Vec<Server>,
     trunk: Server,
     port: Vec<Server>,
-    transfers: Vec<Transfer>,
+    /// Transfers in flight: a transfer leaves the table when it completes,
+    /// so the table grows to the peak number in flight and no further.
+    transfers: Slots<Transfer>,
     heap: BinaryHeap<Reverse<(Time, u64, HeapEv)>>,
     heap_seq: u64,
     rng: SmallRng,
@@ -314,7 +333,7 @@ impl Network {
             port: (0..nodes)
                 .map(|_| Server::new(cfg.link_bw_bps, cfg.port_buffer_bytes))
                 .collect(),
-            transfers: Vec::new(),
+            transfers: Slots::new(),
             heap: BinaryHeap::new(),
             heap_seq: 0,
             rng: SmallRng::seed_from_u64(seed),
@@ -407,6 +426,29 @@ impl Network {
         Dur::from_nanos((-(u.ln()) * mean as f64) as u64)
     }
 
+    fn new_transfer(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        background: bool,
+    ) -> TransferId {
+        TransferId(self.transfers.insert(Transfer {
+            src,
+            dst,
+            bytes,
+            nframes: self.cfg.frames_for(bytes),
+            next_expected: 0,
+            epoch: 0,
+            retx_armed: false,
+            rto: self.cfg.rto_base,
+            retransmissions: 0,
+            paced: false,
+            inter_switch: self.cfg.switch_of(src) != self.cfg.switch_of(dst),
+            background,
+        }))
+    }
+
     /// Begin moving `bytes` from `src` to `dst` at virtual time `at`
     /// (must not be earlier than the engine's current time).
     pub fn start_transfer(&mut self, at: Time, src: NodeId, dst: NodeId, bytes: u64) -> TransferId {
@@ -415,24 +457,7 @@ impl Network {
             "node out of range"
         );
         assert!(at >= self.now, "cannot start a transfer in the past");
-        let tid = TransferId(self.transfers.len() as u64);
-        let inter_switch = self.cfg.switch_of(src) != self.cfg.switch_of(dst);
-        let nframes = self.cfg.frames_for(bytes);
-        self.transfers.push(Transfer {
-            src,
-            dst,
-            bytes,
-            nframes,
-            next_expected: 0,
-            epoch: 0,
-            retx_armed: false,
-            rto: self.cfg.rto_base,
-            retransmissions: 0,
-            paced: false,
-            completed: false,
-            inter_switch,
-            background: false,
-        });
+        let tid = self.new_transfer(src, dst, bytes, false);
 
         if src == dst {
             // Intra-node: shared-memory copy, no network resources.
@@ -453,23 +478,7 @@ impl Network {
     /// servers as user traffic, retransmits on drops, but never surfaces
     /// a [`Completion`].
     fn start_background_transfer(&mut self, at: Time, src: NodeId, dst: NodeId, bytes: u64) {
-        let tid = TransferId(self.transfers.len() as u64);
-        let inter_switch = self.cfg.switch_of(src) != self.cfg.switch_of(dst);
-        self.transfers.push(Transfer {
-            src,
-            dst,
-            bytes,
-            nframes: self.cfg.frames_for(bytes),
-            next_expected: 0,
-            epoch: 0,
-            retx_armed: false,
-            rto: self.cfg.rto_base,
-            retransmissions: 0,
-            paced: false,
-            completed: false,
-            inter_switch,
-            background: true,
-        });
+        let tid = self.new_transfer(src, dst, bytes, true);
         self.stats.faults_background_transfers += 1;
         self.fault_events.push(FaultEvent {
             at,
@@ -484,7 +493,7 @@ impl Network {
     /// CPU overhead; transfers recovering from a loss are paced at a
     /// fraction of the link rate (congestion avoidance stand-in).
     fn inject_frames(&mut self, tid: TransferId, at: Time, from_seq: u64, epoch: u32) {
-        let tr = &self.transfers[tid.0 as usize];
+        let tr = &self.transfers[tid.0];
         let nframes = tr.nframes;
         let pace = if tr.paced {
             let wire = crate::time::wire_time(
@@ -516,14 +525,14 @@ impl Network {
     /// Intra-switch: NIC → fabric → port → deliver.
     /// Inter-switch: NIC → fabric(src) → trunk(src) → fabric(dst) → port →
     /// deliver.
-    fn hop(&self, tr: &Transfer, hop_idx: u8) -> Hop {
+    fn hop(cfg: &ClusterConfig, tr: &Transfer, hop_idx: u8) -> Hop {
         match (hop_idx, tr.inter_switch) {
             (0, _) => Hop::Nic(tr.src),
-            (1, _) => Hop::Fabric(self.cfg.switch_of(tr.src)),
+            (1, _) => Hop::Fabric(cfg.switch_of(tr.src)),
             (2, false) => Hop::Port(tr.dst),
             (3, false) => Hop::Deliver,
             (2, true) => Hop::Trunk,
-            (3, true) => Hop::Fabric(self.cfg.switch_of(tr.dst)),
+            (3, true) => Hop::Fabric(cfg.switch_of(tr.dst)),
             (4, true) => Hop::Port(tr.dst),
             (5, true) => Hop::Deliver,
             _ => unreachable!("hop index out of range"),
@@ -538,6 +547,14 @@ impl Network {
     /// Process all events up to and including virtual time `t`. Returns the
     /// transfers that completed during this window, in completion order.
     pub fn advance_until(&mut self, t: Time) -> Vec<Completion> {
+        let mut out = Vec::new();
+        self.advance_into(t, &mut out);
+        out
+    }
+
+    /// [`Network::advance_until`] appending to a buffer the caller keeps,
+    /// for event loops that advance once per event time.
+    pub fn advance_into(&mut self, t: Time, out: &mut Vec<Completion>) {
         while let Some(Reverse((et, _, _))) = self.heap.peek() {
             if *et > t {
                 break;
@@ -550,14 +567,14 @@ impl Network {
             self.handle(et, hev.unpack());
         }
         self.now = self.now.max(t);
-        std::mem::take(&mut self.completions)
+        out.append(&mut self.completions);
     }
 
     /// Drain every pending event. Returns all completions.
     pub fn run_to_completion(&mut self) -> Vec<Completion> {
         let mut out = Vec::new();
         while let Some(t) = self.next_event_time() {
-            out.extend(self.advance_until(t));
+            self.advance_into(t, &mut out);
         }
         out
     }
@@ -566,10 +583,10 @@ impl Network {
         match ev {
             Ev::LocalDeliver { tid } => self.complete(tid, now),
             Ev::Retransmit { tid, epoch, fast } => {
-                let tr = &mut self.transfers[tid.0 as usize];
-                if tr.completed || tr.epoch != epoch {
-                    return; // stale timer
-                }
+                let live = self.transfers.get_mut(tid.0);
+                let Some(tr) = live.filter(|tr| tr.epoch == epoch) else {
+                    return; // stale timer: superseded epoch or finished transfer
+                };
                 tr.epoch += 1;
                 tr.retx_armed = false;
                 tr.retransmissions += 1;
@@ -589,16 +606,16 @@ impl Network {
                 epoch,
                 hop_idx,
             } => {
-                let tr = self.transfers[tid.0 as usize].clone();
-                if tr.completed || epoch != tr.epoch {
-                    return; // stale frame from a superseded epoch
-                }
-                match self.hop(&tr, hop_idx) {
+                let live = self.transfers.get_mut(tid.0);
+                let Some(tr) = live.filter(|tr| tr.epoch == epoch) else {
+                    return; // stale frame: superseded epoch or finished transfer
+                };
+                let (src, bytes) = (tr.src, tr.bytes);
+                match Self::hop(&self.cfg, tr, hop_idx) {
                     Hop::Deliver => {
-                        let t = &mut self.transfers[tid.0 as usize];
-                        if seq == t.next_expected {
-                            t.next_expected += 1;
-                            if t.next_expected == t.nframes {
+                        if seq == tr.next_expected {
+                            tr.next_expected += 1;
+                            if tr.next_expected == tr.nframes {
                                 let done = now + self.cfg.recv_overhead;
                                 self.complete(tid, done);
                             }
@@ -607,7 +624,7 @@ impl Network {
                         // go-back-N will resend them.
                     }
                     hop => {
-                        let mut wire = self.cfg.frame_wire_bytes(tr.bytes, seq);
+                        let mut wire = self.cfg.frame_wire_bytes(bytes, seq);
                         // Injected faults: every check below is gated on an
                         // active plan, so the no-fault path is untouched
                         // (same branches, same RNG draws).
@@ -686,7 +703,7 @@ impl Network {
                                         self.stats.faults_injected_losses += 1;
                                         self.fault_events.push(FaultEvent {
                                             at: now,
-                                            node: tr.src,
+                                            node: src,
                                             kind: FaultKind::InjectedLoss,
                                         });
                                         self.frame_dropped(now, tid, seq);
@@ -727,7 +744,7 @@ impl Network {
             0.0
         };
         let fast_delay = self.cfg.fast_retx_delay;
-        let t = &mut self.transfers[tid.0 as usize];
+        let t = &mut self.transfers[tid.0];
         if !t.retx_armed {
             t.retx_armed = true;
             // Fast retransmit needs >= 3 successor frames to trigger
@@ -751,9 +768,12 @@ impl Network {
     }
 
     fn complete(&mut self, tid: TransferId, at: Time) {
-        let tr = &mut self.transfers[tid.0 as usize];
-        debug_assert!(!tr.completed, "transfer completed twice");
-        tr.completed = true;
+        // Frames and timers of this transfer still in the heap keep its key
+        // and find nothing when they fire.
+        let Some(tr) = self.transfers.remove(tid.0) else {
+            debug_assert!(false, "transfer completed twice");
+            return;
+        };
         if tr.background {
             // Fault-plan cross-traffic is invisible to the protocol layer:
             // no Completion, no goodput accounting.
@@ -770,7 +790,13 @@ impl Network {
 
     /// Whether the given transfer has been delivered.
     pub fn is_completed(&self, tid: TransferId) -> bool {
-        self.transfers[tid.0 as usize].completed
+        !self.transfers.contains(tid.0)
+    }
+
+    /// Size of the transfer table: the most transfers that were ever in
+    /// flight at once.
+    pub fn transfer_slots(&self) -> usize {
+        self.transfers.slots()
     }
 
     /// Injected-fault occurrences so far (empty without an active plan).
@@ -1163,6 +1189,100 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
+    }
+
+    #[test]
+    fn stale_events_miss_the_slots_next_tenant() {
+        // Control: one 10-frame transfer on an otherwise idle network.
+        let control = {
+            let mut net = ideal(2);
+            net.start_transfer(Time::ZERO, 0, 1, 15_000);
+            let done = net.run_to_completion();
+            (done[0].delivered_at, net.stats().events_processed)
+        };
+
+        let mut net = ideal(2);
+        let old = net.start_transfer(Time::ZERO, 0, 1, 100);
+        assert_eq!(net.run_to_completion().len(), 1);
+        assert!(net.is_completed(old));
+        let t0 = net.now();
+        // What a lossy run leaves in the heap behind a finished transfer:
+        // a frame on its way to the NIC and both kinds of timer. Taken for
+        // the new tenant's, the frame would be sent and a timer would
+        // start a retransmission round.
+        let new = net.start_transfer(t0, 0, 1, 15_000);
+        assert_eq!(new.slot(), old.slot(), "the entry is recycled");
+        assert_ne!(new, old);
+        let stale_at = t0 + Dur::from_micros(1);
+        net.push(
+            stale_at,
+            Ev::Arrive {
+                tid: old,
+                seq: 0,
+                epoch: 0,
+                hop_idx: 0,
+            },
+        );
+        for fast in [true, false] {
+            net.push(
+                stale_at,
+                Ev::Retransmit {
+                    tid: old,
+                    epoch: 0,
+                    fast,
+                },
+            );
+        }
+        let done = net.run_to_completion();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, new);
+        assert_eq!(done[0].retransmissions, 0);
+        assert_eq!(done[0].delivered_at.since(t0), control.0.since(Time::ZERO));
+        assert_eq!(net.stats().retransmissions, 0);
+        assert_eq!(net.stats().frames_sent, 1 + 10);
+        // Ignored, but counted: one event for the first transfer's single
+        // frame per hop (NIC, fabric, port, deliver), three stale ones.
+        assert_eq!(net.stats().events_processed, control.1 + 4 + 3);
+        assert!(net.is_completed(old) && net.is_completed(new));
+        assert_eq!(net.transfer_slots(), 1);
+    }
+
+    #[test]
+    fn finished_transfers_stay_completed_while_their_slot_is_reused() {
+        let mut net = ideal(4);
+        let first: Vec<TransferId> = (0..3)
+            .map(|i| net.start_transfer(Time::ZERO, i, 3, 1_000))
+            .collect();
+        net.run_to_completion();
+        let t = net.now();
+        let second: Vec<TransferId> = (0..3).map(|i| net.start_transfer(t, i, 3, 1_000)).collect();
+        for (a, b) in first.iter().zip(&second) {
+            assert!(net.is_completed(*a), "{a:?} forgot it completed");
+            assert!(!net.is_completed(*b), "{b:?} inherited a completion");
+        }
+        net.run_to_completion();
+        assert!(second.iter().all(|&id| net.is_completed(id)));
+        assert_eq!(net.transfer_slots(), 3);
+    }
+
+    #[test]
+    fn transfer_table_is_bounded_by_transfers_in_flight() {
+        let mut net = Network::new(ClusterConfig::perseus(8), 9);
+        for i in 0..8usize {
+            net.start_transfer(Time::ZERO, i, (i + 1) % 8, 2_000);
+        }
+        let mut started = 8;
+        while let Some(t) = net.next_event_time() {
+            for c in net.advance_until(t) {
+                if started < 10_000 {
+                    let src = started % 8;
+                    net.start_transfer(c.delivered_at, src, (src + 3) % 8, 2_000);
+                    started += 1;
+                }
+            }
+        }
+        assert_eq!(net.stats().transfers_completed, 10_000);
+        assert!(net.transfer_slots() <= 8, "{} slots", net.transfer_slots());
     }
 
     #[test]
