@@ -15,12 +15,11 @@
 //! against a naive O(N²) DFT in the tests. Virtual compute time is charged
 //! per butterfly stage via a calibrated flop rate.
 
-use parking_lot::Mutex;
 use pevpm::model::build::*;
 use pevpm::model::CollOp;
 use pevpm::Model;
 use pevpm_mpisim::{decode_f64s, encode_f64s, RunReport, SimError, World, WorldConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of the distributed FFT.
 #[derive(Debug, Clone)]
@@ -253,14 +252,14 @@ pub fn run_measured(world: WorldConfig, cfg: &FftConfig) -> Result<FftRun, SimEr
                             }
                         }
                     }
-                    *gathered2.lock() = output;
+                    *gathered2.lock().expect("result lock poisoned") = output;
                 }
             }
         }
     })?;
 
     let time = report.virtual_time.as_secs_f64();
-    let output = std::mem::take(&mut *gathered.lock());
+    let output = std::mem::take(&mut *gathered.lock().expect("result lock poisoned"));
     Ok(FftRun {
         report,
         time,

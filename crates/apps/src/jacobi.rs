@@ -20,9 +20,7 @@
 use pevpm::model::build::*;
 use pevpm::Model;
 use pevpm_mpisim::{Rank, ReduceOp, RunReport, SimError, World, WorldConfig};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a Jacobi run / model.
 #[derive(Debug, Clone)]
@@ -136,7 +134,7 @@ pub fn run_measured(world: WorldConfig, cfg: &JacobiConfig) -> Result<JacobiRun,
     })?;
 
     let time = report.virtual_time.as_secs_f64();
-    let checksum = *checksum.lock();
+    let checksum = *checksum.lock().expect("result lock poisoned");
     Ok(JacobiRun {
         report,
         time,
@@ -213,7 +211,7 @@ fn run_rank(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) {
     // Verification: global checksum to rank 0.
     let local: f64 = grid[1..=rows].iter().flatten().map(|&v| v as f64).sum();
     if let Some(total) = rank.reduce_f64s(0, &[local], ReduceOp::Sum) {
-        *checksum.lock() = total[0];
+        *checksum.lock().expect("result lock poisoned") = total[0];
     }
 }
 
@@ -238,7 +236,7 @@ pub fn run_measured_overlap(world: WorldConfig, cfg: &JacobiConfig) -> Result<Ja
     })?;
 
     let time = report.virtual_time.as_secs_f64();
-    let checksum = *checksum.lock();
+    let checksum = *checksum.lock().expect("result lock poisoned");
     Ok(JacobiRun {
         report,
         time,
@@ -322,7 +320,7 @@ fn run_rank_overlap(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) 
 
     let local: f64 = grid[1..=rows].iter().flatten().map(|&v| v as f64).sum();
     if let Some(total) = rank.reduce_f64s(0, &[local], ReduceOp::Sum) {
-        *checksum.lock() = total[0];
+        *checksum.lock().expect("result lock poisoned") = total[0];
     }
 }
 

@@ -12,12 +12,11 @@
 //! task costs and many tasks per worker, the round-robin and dynamic
 //! schedules converge in total time.
 
-use parking_lot::Mutex;
 use pevpm::model::build::*;
 use pevpm::model::{MsgKind, Stmt};
 use pevpm::Model;
 use pevpm_mpisim::{RunReport, SimError, SrcSel, World, WorldConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const TAG_REQ: u64 = 10;
 const TAG_TASK: u64 = 11;
@@ -127,12 +126,12 @@ pub fn run_measured(world: WorldConfig, cfg: &FarmConfig) -> Result<FarmRun, Sim
                 rank.compute_secs(cfg.work_secs(task));
                 count += 1;
             }
-            done2.lock()[me] = count;
+            done2.lock().expect("result lock poisoned")[me] = count;
         }
     })?;
 
     let time = report.virtual_time.as_secs_f64();
-    let tasks_done = done.lock().clone();
+    let tasks_done = done.lock().expect("result lock poisoned").clone();
     Ok(FarmRun {
         report,
         time,

@@ -1,14 +1,12 @@
 //! T-cost: PEVPM evaluation cost vs actual (packet-level) execution —
-//! the paper's "67.5 times its actual execution speed" claim — plus a
-//! compiled-vs-interpreted sampler comparison quantifying what the
-//! allocation-free fast path buys.
+//! the paper's "67.5 times its actual execution speed" claim.
 //!
-//! Run with `cargo bench -p pevpm-bench --bench tcost_eval_speed`.
-//! Writes a machine-readable `BENCH_tcost.json` (override the path with
-//! the `BENCH_TCOST_OUT` environment variable) for CI artifact upload.
+//! Run with `cargo bench -p pevpm-bench --bench tcost_eval_speed`. Every
+//! other timing figure (evaluation rate, sampler cost, DAG and replication
+//! speed-up) is measured by the benchmark under `perf/`.
 
 use pevpm_apps::jacobi::JacobiConfig;
-use pevpm_bench::tcost::{self, SamplerMode};
+use pevpm_bench::tcost;
 use pevpm_mpibench::MachineShape;
 
 fn main() {
@@ -24,66 +22,14 @@ fn main() {
         MachineShape { nodes: 64, ppn: 2 },
     ];
     eprintln!("[tcost] timing PEVPM evaluation vs packet-level execution...");
-    let mut results = Vec::new();
-    for &s in &shapes {
-        for mode in [SamplerMode::Compiled, SamplerMode::Interpreted] {
-            results.push(tcost::run_with(s, &jacobi, 30, 8, 11, mode));
-        }
-    }
+    let results: Vec<_> = shapes
+        .iter()
+        .map(|&s| tcost::run(s, &jacobi, 30, 8, 11))
+        .collect();
     println!("T-cost: model evaluation cost (1000-iteration Jacobi)\n");
     println!("{}", tcost::render(&results));
     println!(
         "paper: the prototype PEVPM evaluated 11h15m of processor time in ~10 min (67.5x \
-         real time) on one Perseus CPU; 'vs-realtime' is the equivalent figure here.\n\
-         'sampler' compares the compiled (allocation-free) fast path against the \
-         interpreted DistTable baseline; both draw the same RNG stream, so their \
-         predictions are bitwise identical."
+         real time) on one Perseus CPU; 'vs-realtime' is the equivalent figure here."
     );
-
-    // Single-evaluation latency: the serial engine vs the DAG scheduler
-    // at each --eval-threads value, on the paper's 64x2 shape. The plain
-    // Jacobi halo chain condenses to one SCC (the DAG rows are then
-    // bitwise the serial engine, measuring pure scheduler overhead); the
-    // ensemble variant splits 128 ranks into eight 16-rank regions, the
-    // decomposable shape where extra workers can actually overlap work.
-    eprintln!("[tcost] timing single-evaluation latency, serial vs DAG...");
-    let lat_shape = MachineShape { nodes: 64, ppn: 2 };
-    let lat_jacobi = JacobiConfig {
-        xsize: 256,
-        iterations: 200,
-        serial_secs: 3.24e-3,
-    };
-    let mut latencies = Vec::new();
-    for region in [None, Some(16)] {
-        for eval_threads in [0usize, 1, 2, 8] {
-            latencies.push(tcost::run_latency(
-                lat_shape,
-                &lat_jacobi,
-                region,
-                30,
-                5,
-                11,
-                eval_threads,
-            ));
-        }
-    }
-    println!("\nT-cost: single-evaluation latency (200-iteration Jacobi, 64x2)\n");
-    println!("{}", tcost::render_latency(&latencies));
-    println!(
-        "'dag-N' routes evaluation through the SCC/DAG scheduler with N workers; \
-         predictions are bitwise identical at every N. Wall-clock speedup is \
-         bounded by the physical cores of the measuring host (host_cores in the \
-         JSON artifact) and by the component count of the program."
-    );
-
-    // Cargo runs benches with CWD = the crate directory; default to the
-    // workspace root so CI (and humans) find the file in a fixed place.
-    let out = std::env::var("BENCH_TCOST_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tcost.json").to_string()
-    });
-    let json = tcost::to_json(&results, &latencies);
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("[tcost] machine-readable results written to {out}"),
-        Err(e) => eprintln!("[tcost] cannot write {out}: {e}"),
-    }
 }

@@ -22,7 +22,6 @@
 //! mean so they stay comparable with a single measured execution.
 
 use pevpm::replicate::ReplicateProfile;
-use pevpm::stats::{AdaptivePolicy, AdaptiveReport};
 use pevpm::timing::TimingModel;
 use pevpm::vm::{monte_carlo, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
@@ -30,32 +29,11 @@ use pevpm_mpibench::MachineShape;
 use pevpm_mpisim::WorldConfig;
 use std::time::Instant;
 
-/// Which sampling path the PEVPM engine uses for the cost experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplerMode {
-    /// Compiled tables — the default allocation-free fast path.
-    Compiled,
-    /// Interpreted `DistTable` lookups — the pre-compilation baseline,
-    /// kept to measure what the compiled layer buys.
-    Interpreted,
-}
-
-impl std::fmt::Display for SamplerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SamplerMode::Compiled => "compiled",
-            SamplerMode::Interpreted => "interpreted",
-        })
-    }
-}
-
 /// Result of the evaluation-cost experiment.
 #[derive(Debug, Clone)]
 pub struct CostResult {
     /// Machine shape evaluated.
     pub shape: MachineShape,
-    /// Sampling path the PEVPM batch ran with.
-    pub sampler: SamplerMode,
     /// Monte-Carlo replications in the PEVPM batch.
     pub reps: usize,
     /// Virtual (simulated program) time of the run, in seconds.
@@ -102,43 +80,16 @@ impl CostResult {
     pub fn steps_per_sec(&self) -> f64 {
         self.steps as f64 / self.pevpm_wall.max(1e-12)
     }
-
-    /// Complete PEVPM evaluations per wall-clock second across the batch.
-    pub fn evals_per_sec(&self) -> f64 {
-        self.reps as f64 / self.pevpm_wall.max(1e-12)
-    }
 }
 
 /// Run the cost comparison for one shape: an `mc_reps`-replication PEVPM
-/// Monte-Carlo batch against a single packet-level execution, using the
-/// default compiled sampling path.
+/// Monte-Carlo batch against a single packet-level execution.
 pub fn run(
     shape: MachineShape,
     jacobi_cfg: &JacobiConfig,
     bench_reps: usize,
     mc_reps: usize,
     seed: u64,
-) -> CostResult {
-    run_with(
-        shape,
-        jacobi_cfg,
-        bench_reps,
-        mc_reps,
-        seed,
-        SamplerMode::Compiled,
-    )
-}
-
-/// As [`run`], but with an explicit sampler mode. The compiled and
-/// interpreted paths draw the same RNG stream, so their makespans are
-/// bitwise identical for histogram/point tables — only wall time differs.
-pub fn run_with(
-    shape: MachineShape,
-    jacobi_cfg: &JacobiConfig,
-    bench_reps: usize,
-    mc_reps: usize,
-    seed: u64,
-    sampler: SamplerMode,
 ) -> CostResult {
     let table = crate::fig6::shape_table(
         shape,
@@ -150,10 +101,7 @@ pub fn run_with(
         bench_reps,
         seed,
     );
-    let timing = match sampler {
-        SamplerMode::Compiled => TimingModel::distributions(table),
-        SamplerMode::Interpreted => TimingModel::interpreted(table),
-    };
+    let timing = TimingModel::distributions(table);
     let model = jacobi::model(jacobi_cfg);
     let nprocs = shape.nodes * shape.ppn;
 
@@ -175,7 +123,6 @@ pub fn run_with(
 
     CostResult {
         shape,
-        sampler,
         reps: mc_reps,
         virtual_secs: mc.mean.max(measured.time),
         pevpm_wall: mc.wall_secs,
@@ -187,341 +134,6 @@ pub fn run_with(
     }
 }
 
-/// One row of the adaptive-replication cost experiment: the same Jacobi
-/// program evaluated once under the sequential stopping rule and once as
-/// a fixed batch of `policy.max_reps`, at the same base seed. Because
-/// adaptive replication walks the identical seed stream and merely stops
-/// early, its runs are a bitwise prefix of the fixed batch — the row
-/// records that (`prefix_bitwise`) along with how many replications the
-/// rule spent and what that saved in wall time.
-#[derive(Debug, Clone)]
-pub struct AdaptiveCostResult {
-    /// Row label — `"easy"` (long, internally-averaging program) or
-    /// `"hard"` (short, noisy program).
-    pub row: String,
-    /// Machine shape evaluated.
-    pub shape: MachineShape,
-    /// Jacobi iteration count (the difficulty knob).
-    pub iterations: usize,
-    /// What the stopping rule did: reps chosen, achieved half-width,
-    /// convergence, drift.
-    pub report: AdaptiveReport,
-    /// Mean predicted makespan of the adaptive batch.
-    pub mean: f64,
-    /// Wall-clock seconds of the adaptive batch.
-    pub adaptive_wall: f64,
-    /// Wall-clock seconds of the fixed `max_reps` batch.
-    pub fixed_wall: f64,
-    /// Whether every adaptive replication was bitwise identical to the
-    /// same-index replication of the fixed batch (the determinism
-    /// contract: early stopping never changes what ran, only how much).
-    pub prefix_bitwise: bool,
-}
-
-impl AdaptiveCostResult {
-    /// Fixed-batch replications per adaptive replication — `2.0` means
-    /// the stopping rule did the job with half the evaluations.
-    pub fn savings_factor(&self) -> f64 {
-        self.report.max_reps as f64 / self.report.reps.max(1) as f64
-    }
-
-    /// Wall-clock speedup of the adaptive batch over the fixed batch.
-    pub fn wall_speedup(&self) -> f64 {
-        self.fixed_wall / self.adaptive_wall.max(1e-12)
-    }
-}
-
-/// Run one adaptive-vs-fixed row: the stopping rule against a fixed
-/// batch of `policy.max_reps` replications on the same seed stream.
-pub fn run_adaptive(
-    row: &str,
-    shape: MachineShape,
-    jacobi_cfg: &JacobiConfig,
-    bench_reps: usize,
-    policy: AdaptivePolicy,
-    seed: u64,
-) -> AdaptiveCostResult {
-    let table = crate::fig6::shape_table(
-        shape,
-        &[
-            jacobi_cfg.halo_bytes() / 2,
-            jacobi_cfg.halo_bytes(),
-            jacobi_cfg.halo_bytes() * 2,
-        ],
-        bench_reps,
-        seed,
-    );
-    let timing = TimingModel::distributions(table);
-    let model = jacobi::model(jacobi_cfg);
-    let nprocs = shape.nodes * shape.ppn;
-    let base = EvalConfig::new(nprocs).with_seed(seed);
-
-    let adaptive = monte_carlo(
-        &model,
-        &base.clone().with_adaptive(policy),
-        &timing,
-        policy.max_reps,
-    )
-    .expect("adaptive PEVPM evaluation failed");
-    let fixed = monte_carlo(&model, &base, &timing, policy.max_reps)
-        .expect("fixed PEVPM evaluation failed");
-
-    let report = adaptive.adaptive.expect("adaptive batch carries a report");
-    let prefix_bitwise = adaptive.runs.len() <= fixed.runs.len()
-        && adaptive
-            .runs
-            .iter()
-            .zip(&fixed.runs)
-            .all(|(a, f)| a.makespan.to_bits() == f.makespan.to_bits());
-
-    AdaptiveCostResult {
-        row: row.to_string(),
-        shape,
-        iterations: jacobi_cfg.iterations,
-        report,
-        mean: adaptive.mean,
-        adaptive_wall: adaptive.wall_secs,
-        fixed_wall: fixed.wall_secs,
-        prefix_bitwise,
-    }
-}
-
-/// Render the adaptive rep-savings table.
-pub fn render_adaptive(results: &[AdaptiveCostResult]) -> String {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.row.clone(),
-                r.shape.to_string(),
-                r.iterations.to_string(),
-                format!("{:.0e}", r.report.precision),
-                format!("{}/{}", r.report.min_reps, r.report.max_reps),
-                r.report.reps.to_string(),
-                r.report.reps_saved().to_string(),
-                format!("{:.1}x", r.savings_factor()),
-                format!("{:.2e}", r.report.rel_half_width),
-                if r.report.converged { "yes" } else { "NO" }.to_string(),
-                format!("{:.1}x", r.wall_speedup()),
-                if r.prefix_bitwise { "yes" } else { "NO" }.to_string(),
-            ]
-        })
-        .collect();
-    crate::report::table(
-        &[
-            "row",
-            "shape",
-            "iters",
-            "precision",
-            "min/max",
-            "reps",
-            "saved",
-            "savings",
-            "half-width",
-            "converged",
-            "wall-speedup",
-            "prefix",
-        ],
-        &rows,
-    )
-}
-
-/// Serialise adaptive rep-savings rows as the `BENCH_adaptive.json` CI
-/// artifact: one record per row plus an `easy_vs_hard` pairing so the CI
-/// check can assert the stopping rule actually discriminates (fewer reps
-/// on the easy row than the hard one, and a real saving on the easy row).
-pub fn adaptive_to_json(results: &[AdaptiveCostResult]) -> String {
-    use pevpm_obs::json::{escape, num};
-    let mut out = format!(
-        "{{\n  \"host_cores\": {},\n  \"rows\": [\n",
-        pevpm::replicate::available_threads()
-    );
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"row\": \"{}\", \"shape\": \"{}\", \"iterations\": {}, \
-             \"precision\": {}, \"confidence\": {}, \"min_reps\": {}, \"max_reps\": {}, \
-             \"reps\": {}, \"reps_saved\": {}, \"savings_factor\": {}, \
-             \"rel_half_width\": {}, \"converged\": {}, \"drift\": {}, \
-             \"mean_secs\": {}, \"adaptive_wall_secs\": {}, \"fixed_wall_secs\": {}, \
-             \"wall_speedup\": {}, \"prefix_bitwise\": {}}}{}\n",
-            escape(&r.row),
-            escape(&r.shape.to_string()),
-            r.iterations,
-            num(r.report.precision),
-            num(r.report.confidence),
-            r.report.min_reps,
-            r.report.max_reps,
-            r.report.reps,
-            r.report.reps_saved(),
-            num(r.savings_factor()),
-            num(r.report.rel_half_width),
-            r.report.converged,
-            r.report.drift,
-            num(r.mean),
-            num(r.adaptive_wall),
-            num(r.fixed_wall),
-            num(r.wall_speedup()),
-            r.prefix_bitwise,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"easy_vs_hard\": [\n");
-    let pairs: Vec<String> = results
-        .iter()
-        .filter(|r| r.row == "easy")
-        .filter_map(|e| {
-            let h = results.iter().find(|r| {
-                r.row == "hard" && r.shape.nodes == e.shape.nodes && r.shape.ppn == e.shape.ppn
-            })?;
-            Some(format!(
-                "{{\"shape\": \"{}\", \"easy_reps\": {}, \"hard_reps\": {}, \
-                 \"easy_savings_factor\": {}}}",
-                escape(&e.shape.to_string()),
-                e.report.reps,
-                h.report.reps,
-                num(e.savings_factor()),
-            ))
-        })
-        .collect();
-    for (i, row) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One single-evaluation latency measurement: the same Jacobi program
-/// evaluated `evals` times at a fixed seed, reporting the median wall
-/// time of one evaluation. `eval_threads == 0` is the classic serial
-/// engine; any other value routes through the DAG scheduler, whose
-/// prediction is bitwise identical at every worker count (asserted here:
-/// all `evals` runs must agree to the bit).
-#[derive(Debug, Clone)]
-pub struct LatencyResult {
-    /// Machine shape evaluated.
-    pub shape: MachineShape,
-    /// Which program: `"jacobi"` (one halo chain — a single SCC) or
-    /// `"jacobi-ensemble"` (independent regions — one SCC each).
-    pub model: String,
-    /// `--eval-threads` value (0 = serial engine).
-    pub eval_threads: usize,
-    /// How many timed evaluations the median is over.
-    pub evals: usize,
-    /// Median wall seconds per single evaluation.
-    pub p50_eval_wall: f64,
-    /// Predicted makespan — identical across the `evals` runs and, for
-    /// the single-SCC plain Jacobi, identical to the serial engine's.
-    pub virtual_secs: f64,
-    /// SCC components the dependency analysis found.
-    pub components: usize,
-    /// Why the analysis declined, if it did (evaluation then took the
-    /// serial path regardless of `eval_threads`).
-    pub fallback: Option<String>,
-}
-
-/// Measure single-evaluation latency for the §6 Jacobi (or, with
-/// `region_size: Some(r)`, the decomposable ensemble variant) at one
-/// `eval_threads` setting. Uses the same benchmarked table pipeline as
-/// [`run_with`] so rows are comparable with the throughput experiment.
-pub fn run_latency(
-    shape: MachineShape,
-    jacobi_cfg: &JacobiConfig,
-    region_size: Option<usize>,
-    bench_reps: usize,
-    evals: usize,
-    seed: u64,
-    eval_threads: usize,
-) -> LatencyResult {
-    assert!(evals >= 1);
-    let table = crate::fig6::shape_table(
-        shape,
-        &[
-            jacobi_cfg.halo_bytes() / 2,
-            jacobi_cfg.halo_bytes(),
-            jacobi_cfg.halo_bytes() * 2,
-        ],
-        bench_reps,
-        seed,
-    );
-    let timing = TimingModel::distributions(table);
-    let (name, model) = match region_size {
-        Some(r) => (
-            "jacobi-ensemble".to_string(),
-            jacobi::ensemble_model(jacobi_cfg, r),
-        ),
-        None => ("jacobi".to_string(), jacobi::model(jacobi_cfg)),
-    };
-    let nprocs = shape.nodes * shape.ppn;
-    let cfg = EvalConfig::new(nprocs)
-        .with_seed(seed)
-        .with_eval_threads(eval_threads);
-    let plan = pevpm::dag::plan(&model, &cfg).expect("dependency analysis failed");
-
-    let mut walls = Vec::with_capacity(evals);
-    let mut makespan_bits = None;
-    for _ in 0..evals {
-        let t0 = Instant::now();
-        let p = pevpm::vm::evaluate(&model, &cfg, &timing).expect("PEVPM evaluation failed");
-        walls.push(t0.elapsed().as_secs_f64());
-        match makespan_bits {
-            None => makespan_bits = Some(p.makespan.to_bits()),
-            Some(bits) => assert_eq!(
-                bits,
-                p.makespan.to_bits(),
-                "repeated evaluation at a fixed seed must be bitwise stable"
-            ),
-        }
-    }
-    walls.sort_by(f64::total_cmp);
-    LatencyResult {
-        shape,
-        model: name,
-        eval_threads,
-        evals,
-        p50_eval_wall: walls[walls.len() / 2],
-        virtual_secs: f64::from_bits(makespan_bits.expect("at least one eval")),
-        components: plan.components,
-        fallback: plan.fallback,
-    }
-}
-
-/// Render the single-evaluation latency table.
-pub fn render_latency(results: &[LatencyResult]) -> String {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.shape.to_string(),
-                r.model.clone(),
-                if r.eval_threads == 0 {
-                    "serial".to_string()
-                } else {
-                    format!("dag-{}", r.eval_threads)
-                },
-                crate::report::secs(r.p50_eval_wall),
-                crate::report::secs(r.virtual_secs),
-                r.components.to_string(),
-                r.fallback.clone().unwrap_or_default(),
-            ]
-        })
-        .collect();
-    crate::report::table(
-        &[
-            "shape",
-            "model",
-            "engine",
-            "p50-eval",
-            "virtual",
-            "components",
-            "fallback",
-        ],
-        &rows,
-    )
-}
-
 /// Render the cost table.
 pub fn render(results: &[CostResult]) -> String {
     let rows: Vec<Vec<String>> = results
@@ -529,7 +141,6 @@ pub fn render(results: &[CostResult]) -> String {
         .map(|r| {
             vec![
                 r.shape.to_string(),
-                r.sampler.to_string(),
                 crate::report::secs(r.virtual_secs),
                 crate::report::secs(r.pevpm_eval_wall()),
                 crate::report::secs(r.mpisim_wall),
@@ -545,7 +156,6 @@ pub fn render(results: &[CostResult]) -> String {
     crate::report::table(
         &[
             "shape",
-            "sampler",
             "virtual",
             "pevpm-eval",
             "mpisim-wall",
@@ -558,123 +168,6 @@ pub fn render(results: &[CostResult]) -> String {
         ],
         &rows,
     )
-}
-
-/// Serialise cost results as machine-readable JSON (the `BENCH_tcost.json`
-/// CI artifact): one record per (shape, sampler) run, a `speedups`
-/// section pairing compiled against interpreted runs of the same shape,
-/// a `latency` section of single-evaluation rows (serial engine vs DAG
-/// scheduler at each `eval_threads`), and a `dag_vs_serial` section
-/// pairing each DAG row against the serial row of the same (shape,
-/// model). `host_cores` records how many physical workers the measuring
-/// host actually had — wall-clock speedups are bounded by it (a
-/// single-core host can only show ~1x however many components there are),
-/// while `virtual_secs` agreement is exact everywhere by construction.
-pub fn to_json(results: &[CostResult], latencies: &[LatencyResult]) -> String {
-    use pevpm_obs::json::{escape, num};
-    let mut out = format!(
-        "{{\n  \"host_cores\": {},\n  \"results\": [\n",
-        pevpm::replicate::available_threads()
-    );
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"sampler\": \"{}\", \"reps\": {}, \
-             \"virtual_secs\": {}, \"pevpm_wall_secs\": {}, \"mpisim_wall_secs\": {}, \
-             \"evals_per_sec\": {}, \"steps\": {}, \"mean_steps\": {}, \
-             \"steps_per_sec\": {}, \"sb_peak\": {}, \"realtime_factor\": {}, \
-             \"vs_packet_sim\": {}}}{}\n",
-            escape(&r.shape.to_string()),
-            r.sampler,
-            r.reps,
-            num(r.virtual_secs),
-            num(r.pevpm_wall),
-            num(r.mpisim_wall),
-            num(r.evals_per_sec()),
-            r.steps,
-            num(r.mean_steps),
-            num(r.steps_per_sec()),
-            r.sb_peak,
-            num(r.realtime_factor()),
-            num(r.vs_packet_sim()),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": [\n");
-    let pairs: Vec<(String, f64)> = results
-        .iter()
-        .filter(|r| r.sampler == SamplerMode::Compiled)
-        .filter_map(|c| {
-            let base = results.iter().find(|r| {
-                r.sampler == SamplerMode::Interpreted
-                    && r.shape.nodes == c.shape.nodes
-                    && r.shape.ppn == c.shape.ppn
-            })?;
-            Some((
-                c.shape.to_string(),
-                c.evals_per_sec() / base.evals_per_sec().max(1e-12),
-            ))
-        })
-        .collect();
-    for (i, (shape, speedup)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"compiled_vs_interpreted\": {}}}{}\n",
-            escape(shape),
-            num(*speedup),
-            if i + 1 < pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"latency\": [\n");
-    for (i, r) in latencies.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"model\": \"{}\", \"engine\": \"{}\", \
-             \"eval_threads\": {}, \"evals\": {}, \"p50_eval_wall_secs\": {}, \
-             \"virtual_secs\": {}, \"components\": {}, \"fallback\": {}}}{}\n",
-            escape(&r.shape.to_string()),
-            escape(&r.model),
-            if r.eval_threads == 0 { "serial" } else { "dag" },
-            r.eval_threads,
-            r.evals,
-            num(r.p50_eval_wall),
-            num(r.virtual_secs),
-            r.components,
-            match &r.fallback {
-                Some(reason) => format!("\"{}\"", escape(reason)),
-                None => "null".to_string(),
-            },
-            if i + 1 < latencies.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"dag_vs_serial\": [\n");
-    let dag_pairs: Vec<String> = latencies
-        .iter()
-        .filter(|r| r.eval_threads > 0)
-        .filter_map(|d| {
-            let serial = latencies.iter().find(|s| {
-                s.eval_threads == 0
-                    && s.model == d.model
-                    && s.shape.nodes == d.shape.nodes
-                    && s.shape.ppn == d.shape.ppn
-            })?;
-            Some(format!(
-                "{{\"shape\": \"{}\", \"model\": \"{}\", \"eval_threads\": {}, \
-                 \"speedup\": {}, \"components\": {}, \"virtual_match\": {}}}",
-                escape(&d.shape.to_string()),
-                escape(&d.model),
-                d.eval_threads,
-                num(serial.p50_eval_wall / d.p50_eval_wall.max(1e-12)),
-                d.components,
-                d.virtual_secs.to_bits() == serial.virtual_secs.to_bits(),
-            ))
-        })
-        .collect();
-    for (i, row) in dag_pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < dag_pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -728,188 +221,5 @@ mod tests {
         let table = render(&[res]);
         assert!(table.contains("workers"));
         assert!(table.contains("util"));
-    }
-
-    #[test]
-    fn compiled_and_interpreted_runs_agree_and_serialize() {
-        let cfg = JacobiConfig {
-            xsize: 64,
-            iterations: 20,
-            serial_secs: 1e-4,
-        };
-        let shape = MachineShape { nodes: 4, ppn: 1 };
-        let c = run_with(shape, &cfg, 10, 3, 7, SamplerMode::Compiled);
-        let i = run_with(shape, &cfg, 10, 3, 7, SamplerMode::Interpreted);
-        // Same RNG streams, same tables: only wall time may differ.
-        assert_eq!(c.virtual_secs.to_bits(), i.virtual_secs.to_bits());
-        assert_eq!(c.steps, i.steps);
-        assert_eq!(c.sb_peak, i.sb_peak);
-
-        let js = to_json(&[c, i], &[]);
-        let parsed = pevpm_obs::json::parse(&js).expect("BENCH_tcost.json parses");
-        assert!(parsed
-            .get("host_cores")
-            .and_then(|v| v.as_num())
-            .is_some_and(|v| v >= 1.0));
-        let results = parsed.get("results").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(
-            results[0].get("sampler").and_then(|s| s.as_str()),
-            Some("compiled")
-        );
-        assert!(results[0]
-            .get("evals_per_sec")
-            .and_then(|v| v.as_num())
-            .is_some_and(|v| v > 0.0));
-        let speedups = parsed.get("speedups").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(speedups.len(), 1);
-        assert!(speedups[0]
-            .get("compiled_vs_interpreted")
-            .and_then(|v| v.as_num())
-            .is_some_and(|v| v > 0.0));
-    }
-
-    #[test]
-    fn latency_rows_pair_dag_against_serial_bitwise() {
-        let cfg = JacobiConfig {
-            xsize: 64,
-            iterations: 10,
-            serial_secs: 1e-4,
-        };
-        let shape = MachineShape { nodes: 8, ppn: 1 };
-        let mut latencies = Vec::new();
-        // Serial engine plus the DAG scheduler at each worker count, on
-        // both the single-SCC Jacobi and the 4-region ensemble.
-        for region in [None, Some(2)] {
-            for eval_threads in [0usize, 1, 2, 8] {
-                latencies.push(run_latency(shape, &cfg, region, 10, 3, 7, eval_threads));
-            }
-        }
-        let plain: Vec<&LatencyResult> = latencies.iter().filter(|r| r.model == "jacobi").collect();
-        let ens: Vec<&LatencyResult> = latencies
-            .iter()
-            .filter(|r| r.model == "jacobi-ensemble")
-            .collect();
-        assert_eq!(plain[0].components, 1, "the halo chain is one SCC");
-        assert_eq!(ens[0].components, 4, "2-rank regions over 8 ranks");
-        // The single-SCC program is bitwise the serial engine at every
-        // eval-threads value. The multi-component ensemble draws
-        // per-component RNG streams, so its DAG rows are only required
-        // to agree with each other — at every worker count.
-        for r in &plain {
-            assert_eq!(
-                r.virtual_secs.to_bits(),
-                plain[0].virtual_secs.to_bits(),
-                "plain Jacobi diverged at eval-threads={}",
-                r.eval_threads
-            );
-        }
-        for r in ens.iter().filter(|r| r.eval_threads > 0) {
-            assert_eq!(
-                r.virtual_secs.to_bits(),
-                ens[1].virtual_secs.to_bits(),
-                "ensemble DAG rows diverged at eval-threads={}",
-                r.eval_threads
-            );
-        }
-
-        let js = to_json(&[], &latencies);
-        let parsed = pevpm_obs::json::parse(&js).expect("json parses");
-        let lat = parsed.get("latency").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(lat.len(), 8);
-        assert!(lat.iter().all(|r| r
-            .get("p50_eval_wall_secs")
-            .and_then(|v| v.as_num())
-            .unwrap()
-            > 0.0));
-        let dvs = parsed
-            .get("dag_vs_serial")
-            .and_then(|r| r.as_array())
-            .unwrap();
-        assert_eq!(dvs.len(), 6, "three DAG rows per model");
-        // The plain-Jacobi rows must report an exact virtual-time match.
-        for row in dvs
-            .iter()
-            .filter(|r| r.get("model").and_then(|m| m.as_str()) == Some("jacobi"))
-        {
-            assert_eq!(
-                row.get("virtual_match").and_then(|v| v.as_bool()),
-                Some(true)
-            );
-            assert!(row.get("speedup").and_then(|v| v.as_num()).unwrap() > 0.0);
-        }
-    }
-
-    #[test]
-    fn adaptive_rows_discriminate_easy_from_hard_and_serialize() {
-        let shape = MachineShape { nodes: 4, ppn: 1 };
-        let policy = AdaptivePolicy::new(0.01).with_min_reps(2).with_max_reps(16);
-        // Long program: hundreds of iterations average the per-message
-        // noise internally, so the replication spread is tiny relative to
-        // the mean and the rule stops at (or near) the floor. Short
-        // program: two iterations keep the relative spread high, so the
-        // same precision needs many more replications.
-        let easy_cfg = JacobiConfig {
-            xsize: 64,
-            iterations: 400,
-            serial_secs: 1e-4,
-        };
-        let hard_cfg = JacobiConfig {
-            xsize: 64,
-            iterations: 2,
-            serial_secs: 1e-6,
-        };
-        let easy = run_adaptive("easy", shape, &easy_cfg, 10, policy, 11);
-        let hard = run_adaptive("hard", shape, &hard_cfg, 10, policy, 11);
-
-        assert!(
-            easy.report.reps < hard.report.reps,
-            "stopping rule failed to discriminate: easy {} reps vs hard {}",
-            easy.report.reps,
-            hard.report.reps
-        );
-        assert!(
-            easy.savings_factor() >= 2.0,
-            "easy row saved only {:.2}x",
-            easy.savings_factor()
-        );
-        assert!(easy.report.converged, "easy row did not converge");
-        for r in [&easy, &hard] {
-            assert!(
-                r.prefix_bitwise,
-                "{} row: adaptive runs are not a bitwise prefix of the fixed batch",
-                r.row
-            );
-            assert!(r.report.reps >= policy.min_reps && r.report.reps <= policy.max_reps);
-        }
-
-        let table = render_adaptive(&[easy.clone(), hard.clone()]);
-        assert!(table.contains("savings"));
-        assert!(table.contains("prefix"));
-
-        let js = adaptive_to_json(&[easy, hard]);
-        let parsed = pevpm_obs::json::parse(&js).expect("BENCH_adaptive.json parses");
-        let rows = parsed.get("rows").and_then(|r| r.as_array()).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("row").and_then(|s| s.as_str()), Some("easy"));
-        assert_eq!(
-            rows[0].get("prefix_bitwise").and_then(|v| v.as_bool()),
-            Some(true)
-        );
-        let pairs = parsed
-            .get("easy_vs_hard")
-            .and_then(|r| r.as_array())
-            .unwrap();
-        assert_eq!(pairs.len(), 1);
-        let easy_reps = pairs[0].get("easy_reps").and_then(|v| v.as_num()).unwrap();
-        let hard_reps = pairs[0].get("hard_reps").and_then(|v| v.as_num()).unwrap();
-        assert!(easy_reps < hard_reps);
-        assert!(
-            pairs[0]
-                .get("easy_savings_factor")
-                .and_then(|v| v.as_num())
-                .unwrap()
-                >= 2.0
-        );
     }
 }

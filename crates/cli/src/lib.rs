@@ -567,7 +567,6 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
 fn compile_options(args: &Args) -> CompileOptions {
     CompileOptions {
         exact_quantiles: args.has("exact-quantiles"),
-        ..CompileOptions::default()
     }
 }
 

@@ -44,9 +44,8 @@
 //! matches `DistTable::sample_at` **draw-for-draw on the same RNG stream**
 //! (bitwise). For `Fit` distributions the LUT introduces a bounded
 //! interpolation error: relative error ≤ [`LUT_REL_ERROR`] against the
-//! exact bisection for quantiles in `[0, LUT_TAIL_Q]` at the default
-//! [`CompileOptions::lut_points`] resolution (tail quantiles always use the
-//! exact bisection).
+//! exact bisection for quantiles in `[0, LUT_TAIL_Q]` at [`LUT_POINTS`]
+//! knots (tail quantiles always use the exact bisection).
 
 use crate::fit::ParametricFit;
 use crate::table::{size_weight, CommDist, DistKey, DistTable, Op};
@@ -62,9 +61,14 @@ use std::sync::RwLock;
 pub const LUT_TAIL_Q: f64 = 0.992_187_5;
 
 /// Documented relative-error bound of the `Fit` quantile LUT against the
-/// exact bisection over `q ∈ [0, LUT_TAIL_Q]` at the default
-/// [`CompileOptions::lut_points`]. Asserted by `tests/prop_compiled.rs`.
+/// exact bisection over `q ∈ [0, LUT_TAIL_Q]` at [`LUT_POINTS`] knots.
+/// Asserted by `tests/prop_compiled.rs`.
 pub const LUT_REL_ERROR: f64 = 1e-3;
+
+/// Knots in each `Fit` quantile lookup table (uniform in `q` over
+/// `[0, LUT_TAIL_Q]`): enough to keep the relative interpolation error
+/// under [`LUT_REL_ERROR`].
+pub const LUT_POINTS: usize = 1025;
 
 /// Blend-cache entries kept per op grid. Real programs query a handful of
 /// (size, contention) cells; the cap only guards against degenerate
@@ -115,26 +119,13 @@ impl std::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// Options controlling table compilation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompileOptions {
     /// Answer every `Fit` quantile with the exact 80-iteration bisection
     /// instead of the lookup table (the CLI's `--exact-quantiles`). Slow;
     /// used to bound LUT error and for bit-exact reproduction of pre-LUT
     /// results.
     pub exact_quantiles: bool,
-    /// Knots in each `Fit` quantile lookup table (uniform in `q` over
-    /// `[0, LUT_TAIL_Q]`). Must be at least 2; the default (1025) keeps the
-    /// relative interpolation error under [`LUT_REL_ERROR`].
-    pub lut_points: usize,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            exact_quantiles: false,
-            lut_points: 1025,
-        }
-    }
 }
 
 // -------------------------------------------------------------- dists --
@@ -325,11 +316,10 @@ impl CompiledDist {
                 let lut = if opts.exact_quantiles {
                     Vec::new()
                 } else {
-                    let n = opts.lut_points.max(2);
-                    (0..n)
+                    (0..LUT_POINTS)
                         .map(|k| {
                             finite(
-                                f.quantile(k as f64 * LUT_TAIL_Q / (n - 1) as f64),
+                                f.quantile(k as f64 * LUT_TAIL_Q / (LUT_POINTS - 1) as f64),
                                 "fit quantile-LUT knot",
                             )
                         })
@@ -905,7 +895,6 @@ mod tests {
             &t,
             CompileOptions {
                 exact_quantiles: true,
-                ..CompileOptions::default()
             },
         )
         .unwrap();

@@ -284,7 +284,7 @@ proptest! {
         let lut = CompiledTable::compile(&t).unwrap();
         let exact = CompiledTable::compile_with(
             &t,
-            CompileOptions { exact_quantiles: true, ..CompileOptions::default() },
+            CompileOptions { exact_quantiles: true },
         )
         .unwrap();
 

@@ -8,10 +8,9 @@
 
 use crate::clock::ClockModel;
 use crate::p2p::histogram_from_samples;
-use parking_lot::Mutex;
 use pevpm_dist::{CommDist, DistKey, DistTable, Op, Summary};
 use pevpm_mpisim::{Rank, ReduceOp, SimError, World, WorldConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which collective to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,13 +151,14 @@ pub fn run_collective(cfg: &CollConfig) -> Result<CollResult, SimError> {
                 let t1 = clock2.read(r, rank.now());
                 local.push((t1 - t0).max(0.0));
             }
-            stamps2.lock()[r][si] = local;
+            stamps2.lock().expect("result lock poisoned")[r][si] = local;
         }
     })?;
 
     let stamps = Arc::try_unwrap(stamps)
         .unwrap_or_else(|_| panic!("stamp log still shared"))
-        .into_inner();
+        .into_inner()
+        .expect("result lock poisoned");
     let mut by_size = Vec::with_capacity(nsizes);
     for (si, &size) in cfg.sizes.iter().enumerate() {
         let mut samples = Vec::with_capacity(reps * n);

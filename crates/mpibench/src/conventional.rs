@@ -16,10 +16,9 @@
 //!    "repetition" means.
 
 use crate::p2p::{run_p2p, P2pConfig};
-use parking_lot::Mutex;
 use pevpm_dist::Summary;
 use pevpm_mpisim::{SimError, World, WorldConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Result of a conventional ping-pong benchmark: one number per size.
 #[derive(Debug, Clone)]
@@ -61,15 +60,17 @@ pub fn run_pingpong(
             }
             if rank.rank() == 0 {
                 let elapsed = rank.now().since(t0).as_secs_f64();
-                out2.lock().push(PingPongResult {
-                    size,
-                    avg: elapsed / (2.0 * reps as f64),
-                });
+                out2.lock()
+                    .expect("result lock poisoned")
+                    .push(PingPongResult {
+                        size,
+                        avg: elapsed / (2.0 * reps as f64),
+                    });
             }
         }
     })?;
 
-    let results = out.lock().clone();
+    let results = out.lock().expect("result lock poisoned").clone();
     Ok(results)
 }
 

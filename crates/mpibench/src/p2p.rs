@@ -11,11 +11,10 @@
 //! contention.
 
 use crate::clock::ClockModel;
-use parking_lot::Mutex;
 use pevpm_dist::{CommDist, DistKey, DistTable, Op};
 use pevpm_dist::{Histogram, Summary};
 use pevpm_mpisim::{SimError, TraceEvent, World, WorldConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Pairing pattern for the point-to-point test.
 ///
@@ -310,7 +309,7 @@ pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
                     recvs.push(clock2.read(r, rank.now()));
                 }
             }
-            let mut log = stamps2.lock();
+            let mut log = stamps2.lock().expect("result lock poisoned");
             log[r].sends[si] = sends;
             log[r].recvs[si] = recvs;
         }
@@ -319,7 +318,8 @@ pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
     // Pair up stamps: sample = recv_complete(dst) − send_start(src).
     let stamps = Arc::try_unwrap(stamps)
         .unwrap_or_else(|_| panic!("stamp log still shared"))
-        .into_inner();
+        .into_inner()
+        .expect("result lock poisoned");
     let mut by_size = Vec::with_capacity(nsizes);
     for (si, &size) in cfg.sizes.iter().enumerate() {
         let mut samples = Vec::new();

@@ -7,10 +7,9 @@
 //! send + blocked) sum to the rank's makespan exactly (up to floating
 //! rounding in the nanosecond→seconds conversion).
 
-use parking_lot::Mutex;
 use pevpm_mpisim::{breakdown, trace, Dur, World, WorldConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Run a deadlock-free scripted world (every rank walks a global edge
 /// list, computing then sending on its `src` edges and receiving on its
@@ -43,10 +42,10 @@ fn run_traced(
                 let _ = rank.recv(src, i as u64);
             }
         }
-        clocks2.lock()[rank.rank()] = rank.now().as_secs_f64();
+        clocks2.lock().unwrap()[rank.rank()] = rank.now().as_secs_f64();
     })
     .unwrap();
-    let final_clocks = clocks.lock().clone();
+    let final_clocks = clocks.lock().unwrap().clone();
     (report.traces.unwrap(), final_clocks)
 }
 

@@ -2,10 +2,9 @@
 //! communication pattern completes without deadlock, delivers intact
 //! payloads, and is deterministic per seed.
 
-use parking_lot::Mutex;
 use pevpm_mpisim::{Time, World, WorldConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A random communication script: a global sequence of (src, dst, bytes)
 /// edges. Every rank walks the script in order, sending on its `src`
@@ -38,12 +37,12 @@ fn run_script(
                 assert_eq!(meta.bytes, bytes);
                 assert_eq!(payload.len(), bytes as usize);
                 assert!(payload.iter().all(|&b| b == (i % 251) as u8));
-                received2.lock()[me] += 1;
+                received2.lock().unwrap()[me] += 1;
             }
         }
     })
     .unwrap();
-    let counts = received.lock().clone();
+    let counts = received.lock().unwrap().clone();
     (report.virtual_time, counts)
 }
 
@@ -91,10 +90,10 @@ proptest! {
             let before = rank.now().as_secs_f64();
             rank.barrier();
             let after = rank.now().as_secs_f64();
-            c2.lock()[me] = (before, after);
+            c2.lock().unwrap()[me] = (before, after);
         })
         .unwrap();
-        let clocks = clocks.lock();
+        let clocks = clocks.lock().unwrap();
         let max_entry = clocks.iter().map(|c| c.0).fold(0.0, f64::max);
         for &(_, after) in clocks.iter() {
             prop_assert!(after >= max_entry, "left barrier before the slowest entered");

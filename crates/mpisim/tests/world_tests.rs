@@ -2,9 +2,8 @@
 //! correctness, protocol behaviour, determinism and failure modes.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use pevpm_mpisim::{Placement, ReduceOp, SimError, SrcSel, TagSel, Time, World, WorldConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn ideal(nodes: usize, ppn: usize) -> WorldConfig {
     WorldConfig::ideal(nodes, ppn)
@@ -29,11 +28,11 @@ fn ping_pong_transfers_payload_and_time_advances() {
             }
             _ => unreachable!(),
         }
-        t2.lock()[rank.rank()] = rank.now();
+        t2.lock().unwrap()[rank.rank()] = rank.now();
     })
     .unwrap();
     assert!(report.virtual_time > Time::ZERO);
-    let times = times.lock();
+    let times = times.lock().unwrap();
     assert!(times[0] > Time::ZERO && times[1] > Time::ZERO);
     assert_eq!(report.messages, 2);
 }
@@ -293,10 +292,10 @@ fn barrier_synchronises_clocks() {
         // Stagger the ranks, then barrier: everyone leaves after the latest.
         rank.compute_secs(0.01 * rank.rank() as f64);
         rank.barrier();
-        a2.lock()[rank.rank()] = rank.now();
+        a2.lock().unwrap()[rank.rank()] = rank.now();
     })
     .unwrap();
-    let after = after.lock();
+    let after = after.lock().unwrap();
     let slowest_entry = Time::from_secs_f64(0.03);
     for (r, &t) in after.iter().enumerate() {
         assert!(
@@ -317,10 +316,10 @@ fn bcast_delivers_payload_to_all() {
             None
         };
         let out = rank.bcast(2, payload);
-        s2.lock()[rank.rank()] = out.to_vec();
+        s2.lock().unwrap()[rank.rank()] = out.to_vec();
     })
     .unwrap();
-    for v in seen.lock().iter() {
+    for v in seen.lock().unwrap().iter() {
         assert_eq!(v.as_slice(), b"broadcast!");
     }
 }
@@ -333,13 +332,13 @@ fn reduce_computes_elementwise_sum() {
         let data = vec![rank.rank() as f64, 1.0];
         let out = rank.reduce_f64s(0, &data, ReduceOp::Sum);
         if rank.rank() == 0 {
-            *r2.lock() = out;
+            *r2.lock().unwrap() = out;
         } else {
             assert!(out.is_none());
         }
     })
     .unwrap();
-    let got = result.lock().clone().unwrap();
+    let got = result.lock().unwrap().clone().unwrap();
     assert_eq!(got, vec![15.0, 6.0]); // 0+1+..+5, six ones
 }
 

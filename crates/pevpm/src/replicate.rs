@@ -2,8 +2,8 @@
 //!
 //! Monte-Carlo prediction (§6 of the paper) and benchmark sweeps both run
 //! many *independent* replications — same computation, different derived
-//! seed. This module fans those replications across OS threads (crossbeam
-//! scoped threads over an atomic work counter) while keeping the results
+//! seed. This module fans those replications across OS threads (scoped
+//! threads over an atomic work counter) while keeping the results
 //! **bitwise identical to the serial path at any thread count**:
 //!
 //! - replica `i` derives its RNG seed as [`replica_seed`]`(base, i)` — the
@@ -155,12 +155,12 @@ pub fn replica_seed(base: u64, index: u64) -> u64 {
 
 /// Shared worker budget for nested parallelism: an outer replication pool
 /// whose jobs each run an inner DAG-scheduled evaluation
-/// (`--threads × --eval-threads`). The outer pool keeps the width the
-/// user asked for — the historical `--threads` contract — and the inner
-/// scheduler gets the per-job share of the total, so the two levels
-/// combined never spawn more workers than the budget. Capping the inner
-/// level is result-neutral: DAG predictions are bitwise identical at any
-/// worker count `>= 1`.
+/// (`--threads × --eval-threads`). An explicit outer width is honoured
+/// verbatim and the inner scheduler gets the per-job share of the total,
+/// so the two levels combined never spawn more than
+/// `max(budget, outer)` workers. Capping the inner level is
+/// result-neutral: DAG predictions are bitwise identical at any worker
+/// count `>= 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadBudget {
     total: usize,
@@ -307,7 +307,7 @@ where
     // `join()` below cannot fail for a job-level panic.
     type Bucket<T, E> = (WorkerStat, Vec<(usize, Result<T, JobError<E>>)>);
     let next = AtomicUsize::new(0);
-    let buckets: Vec<Bucket<T, E>> = crossbeam::thread::scope(|scope| {
+    let buckets: Vec<Bucket<T, E>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
@@ -342,12 +342,6 @@ where
             }
         }
         Ok(buckets)
-    })
-    .unwrap_or_else(|payload| {
-        Err(JobError::Panic(ReplicaPanic {
-            index: None,
-            message: panic_message(payload),
-        }))
     })?;
 
     let wall_secs = batch_start.elapsed().as_secs_f64();

@@ -53,7 +53,8 @@ pub struct EvalConfig {
     /// Replication quorum for [`monte_carlo`]: the prediction completes
     /// (with the failures surfaced in [`McPrediction::failures`]) if at
     /// least this many replications succeed. `None` requires **all**
-    /// replications to succeed — the historical behaviour.
+    /// replications to succeed; the lowest-index failure is then the
+    /// error returned, at any thread count.
     pub quorum: Option<usize>,
     /// Worker threads for replicated evaluation ([`monte_carlo`]):
     /// `0` = all available cores, `1` = serial. Results are bitwise
@@ -85,10 +86,10 @@ pub struct EvalConfig {
     /// fuzzed programs both ways to enforce exactly that.
     pub const_fold: bool,
     /// Sequential-stopping policy for [`monte_carlo`]. `None` (the
-    /// default) runs the fixed replication count passed to `monte_carlo`
-    /// — bitwise identical to the historical behaviour. `Some(policy)`
-    /// runs replications in deterministic seed order until the relative
-    /// Student-t CI half-width on the mean drops below
+    /// default) runs the fixed replication count passed to `monte_carlo`.
+    /// `Some(policy)` runs the same replications in the same seed order —
+    /// its runs are a bitwise prefix of the fixed batch — until the
+    /// relative Student-t CI half-width on the mean drops below
     /// [`crate::stats::AdaptivePolicy::precision`], bounded by the policy's
     /// `min_reps`/`max_reps`; the fixed `replications` argument is then
     /// ignored. The chosen replication count is itself deterministic for
@@ -1152,53 +1153,100 @@ impl McPrediction {
 /// statistical error in the mean is negligibly small." For programs that
 /// are not internally iterative, independent replications serve the same
 /// purpose; `stderr` quantifies the remaining statistical error.
+///
+/// With [`EvalConfig::adaptive`] set, `replications` is ignored and the
+/// batch ends at the first replication index `n >= min_reps` whose prefix
+/// of successful makespans (in index order) meets the precision target,
+/// else at `max_reps`. Replications are computed in chunks sized to the
+/// worker pool and any overshoot past the stopping index is discarded, so
+/// the chosen count, the surviving runs and the aggregate are invariant to
+/// thread count and chunk width. A fixed batch is the same loop with
+/// floor = ceiling = `replications` and no stopping test: its first chunk
+/// is the whole batch. Failed replications contribute no sample but count
+/// toward the ceiling.
 pub fn monte_carlo(
     model: &Model,
     cfg: &EvalConfig,
     timing: &TimingModel,
     replications: usize,
 ) -> Result<McPrediction, PevpmError> {
-    if cfg.adaptive.is_some() {
-        return monte_carlo_adaptive(model, cfg, timing);
-    }
-    assert!(replications > 0, "need at least one replication");
+    let (floor, ceiling) = match &cfg.adaptive {
+        Some(policy) => {
+            policy.validate().map_err(PevpmError::Config)?;
+            (policy.min_reps, policy.max_reps)
+        }
+        None => {
+            assert!(replications > 0, "need at least one replication");
+            (replications, replications)
+        }
+    };
     let start = std::time::Instant::now();
-    // Replica i is seeded from (cfg.seed, i) alone, so fanning the batch
-    // across threads — or packing replicas into lock-step lane groups —
-    // cannot change any replica's result; collection is in index order, so
-    // the aggregate is bitwise identical to a serial loop. Each replication
-    // runs panic-isolated: a worker that panics (bad timing table, hostile
-    // model) is recorded as a failure, not a process abort.
-    // Nested parallelism shares one worker budget: the outer pool keeps
-    // the requested `threads` width and each replica's DAG scheduler gets
-    // the per-job share, so `threads × eval_threads` never oversubscribes
-    // the host. The cap is result-neutral — DAG predictions are bitwise
-    // identical at any eval-thread count >= 1.
+    // The outer pool keeps the requested `threads` width and each replica's
+    // DAG scheduler gets the per-job share, so `threads × eval_threads`
+    // never oversubscribes the host. The cap is result-neutral: DAG
+    // predictions are bitwise identical at any eval-thread count >= 1.
     let budget = crate::replicate::ThreadBudget::from_host();
-    let outer = budget.outer(cfg.threads, replications);
+    let outer = budget.outer(cfg.threads, ceiling);
     let inner_eval = budget.inner(outer, cfg.eval_threads);
-    let (outcomes, profile) = run_replicas(model, cfg, timing, 0..replications, inner_eval);
-    let wall_secs = start.elapsed().as_secs_f64();
 
-    let mut runs: Vec<Prediction> = Vec::with_capacity(replications);
+    // Replica i is seeded from (cfg.seed, i) alone and outcomes fold in
+    // index order, so neither the thread count, the lane packing nor the
+    // chunk width can change a replica, the stopping index or the
+    // aggregate. Each replication runs panic-isolated: a worker that panics
+    // (bad timing table, hostile model) is a recorded failure, not a
+    // process abort.
+    let mut runs: Vec<Prediction> = Vec::new();
     let mut failures: Vec<(usize, String)> = Vec::new();
     let mut first_failure: Option<PevpmError> = None;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(p) => runs.push(p),
-            Err(job_err) => {
-                failures.push((i, job_err.to_string()));
-                if first_failure.is_none() {
-                    first_failure = Some(job_error_to_pevpm(job_err, i));
+    let mut makespans = pevpm_dist::Summary::new();
+    let mut workers: Vec<crate::replicate::WorkerStat> = Vec::new();
+    let mut attempted = 0usize;
+    let mut reps_run = 0usize;
+    let mut converged = false;
+    while !converged && reps_run < ceiling {
+        // The first chunk covers the floor; later chunks keep the pool full
+        // — one lock-step lane group per worker when the evaluation runs in
+        // lanes.
+        let pool_full = outer.max(1) * lane_width(cfg, inner_eval);
+        let want = if reps_run == 0 {
+            floor.max(pool_full)
+        } else {
+            pool_full
+        };
+        let chunk = want.min(ceiling - reps_run);
+        let (outcomes, profile) =
+            run_replicas(model, cfg, timing, reps_run..reps_run + chunk, inner_eval);
+        workers.extend(profile.workers);
+        attempted += chunk;
+        for outcome in outcomes {
+            match outcome {
+                Ok(p) => {
+                    makespans.add(p.makespan);
+                    runs.push(p);
                 }
+                Err(job_err) => {
+                    failures.push((reps_run, job_err.to_string()));
+                    if first_failure.is_none() {
+                        first_failure = Some(job_error_to_pevpm(job_err, reps_run));
+                    }
+                }
+            }
+            reps_run += 1;
+            converged = cfg.adaptive.as_ref().is_some_and(|policy| {
+                reps_run >= policy.min_reps && stopping_satisfied(policy, &makespans)
+            });
+            if converged {
+                break;
             }
         }
     }
+    let wall_secs = start.elapsed().as_secs_f64();
 
-    // k-of-n quorum: with `quorum: None` every replication must succeed
-    // (the historical contract) and the lowest-index failure is returned —
-    // exactly what a serial loop would have reported first.
-    let required = cfg.quorum.unwrap_or(replications).clamp(1, replications);
+    // k-of-n quorum over the replications actually run (clamped, so an
+    // early-stopped batch is never unsatisfiable). Without a quorum every
+    // replication must succeed and the lowest-index failure is returned —
+    // the one a serial loop would have hit first.
+    let required = cfg.quorum.unwrap_or(reps_run).clamp(1, reps_run);
     if let Some(first) = first_failure {
         if runs.len() < required {
             if cfg.quorum.is_none() {
@@ -1207,16 +1255,26 @@ pub fn monte_carlo(
             return Err(PevpmError::QuorumFailed {
                 succeeded: runs.len(),
                 required,
-                total: replications,
+                total: reps_run,
                 first_failure: Box::new(first),
             });
         }
     }
 
-    let mut makespans = pevpm_dist::Summary::new();
-    for p in &runs {
-        makespans.add(p.makespan);
-    }
+    let adaptive = cfg.adaptive.as_ref().map(|policy| {
+        let stream: Vec<f64> = runs.iter().map(|p| p.makespan).collect();
+        crate::stats::AdaptiveReport {
+            precision: policy.precision,
+            confidence: policy.confidence,
+            min_reps: policy.min_reps,
+            max_reps: policy.max_reps,
+            reps: reps_run,
+            rel_half_width: crate::stats::rel_half_width(&makespans, policy.confidence)
+                .unwrap_or(f64::INFINITY),
+            converged,
+            drift: crate::stats::detect_drift(&stream, crate::stats::DRIFT_ALPHA),
+        }
+    });
     Ok(McPrediction {
         mean: makespans.mean().unwrap_or(0.0),
         stderr: makespans.stderr_mean().unwrap_or(0.0),
@@ -1225,21 +1283,22 @@ pub fn monte_carlo(
         makespans,
         wall_secs,
         evals_per_sec: if wall_secs > 0.0 {
-            replications as f64 / wall_secs
+            attempted as f64 / wall_secs
         } else {
             0.0
         },
-        profile,
+        profile: crate::replicate::ReplicateProfile { workers, wall_secs },
         runs,
         failures,
-        adaptive: None,
+        adaptive,
     })
 }
 
 /// Replica `i`'s lane: the derived seed and — under
 /// [`EvalConfig::antithetic`] — the paired seed with the mirror flag on odd
-/// replicas. Independent seeding is byte-for-byte the historical `base + i`
-/// derivation.
+/// replicas. Independent seeding is `base + i`
+/// ([`crate::replicate::replica_seed`]): a replica depends on its index,
+/// never on the thread or lane group that ran it.
 fn replica_lane(cfg: &EvalConfig, i: usize) -> Lane {
     if cfg.antithetic {
         Lane {
@@ -1392,144 +1451,6 @@ fn stopping_satisfied(policy: &crate::stats::AdaptivePolicy, s: &pevpm_dist::Sum
     }
     let hw = crate::stats::ci_half_width(s.count() + 1, var.sqrt(), policy.confidence);
     hw / mean.abs() <= policy.precision
-}
-
-/// Adaptive Monte-Carlo: run replications in deterministic seed order
-/// until [`EvalConfig::adaptive`]'s precision target is met.
-///
-/// The stopping decision folds successful makespans over *prefixes in
-/// replication-index order*: the chosen count is the first
-/// `n >= min_reps` whose prefix satisfies the rule, else `max_reps`.
-/// Replications are computed in chunks sized to the worker pool, and any
-/// overshoot past the stopping index is discarded — so the chosen count,
-/// the surviving runs, and therefore the aggregate are all invariant to
-/// thread count and chunk width, and bitwise reproducible for a given
-/// (seed, policy). Failed replications contribute no sample but still
-/// count toward `max_reps` attempts.
-fn monte_carlo_adaptive(
-    model: &Model,
-    cfg: &EvalConfig,
-    timing: &TimingModel,
-) -> Result<McPrediction, PevpmError> {
-    let policy = cfg.adaptive.expect("adaptive policy checked by caller");
-    policy.validate().map_err(PevpmError::Config)?;
-    let start = std::time::Instant::now();
-    let budget = crate::replicate::ThreadBudget::from_host();
-    let outer = budget.outer(cfg.threads, policy.max_reps);
-    let inner_eval = budget.inner(outer, cfg.eval_threads);
-
-    let mut outcomes: Vec<Result<Prediction, crate::replicate::JobError<PevpmError>>> = Vec::new();
-    let mut stream = pevpm_dist::Summary::new();
-    let mut workers: Vec<crate::replicate::WorkerStat> = Vec::new();
-    let mut attempted = 0usize;
-    let mut chosen: Option<usize> = None;
-    while chosen.is_none() && outcomes.len() < policy.max_reps {
-        // First chunk covers the replication floor; later chunks keep the
-        // pool full — one lock-step lane group per worker when the
-        // evaluation runs in lanes. Chunk width only controls how much
-        // overshoot may be computed and discarded — never the stopping
-        // index.
-        let pool_full = outer.max(1) * lane_width(cfg, inner_eval);
-        let want = if outcomes.is_empty() {
-            policy.min_reps.max(pool_full)
-        } else {
-            pool_full
-        };
-        let chunk = want.min(policy.max_reps - outcomes.len());
-        let base_index = outcomes.len();
-        let (chunk_out, chunk_profile) = run_replicas(
-            model,
-            cfg,
-            timing,
-            base_index..base_index + chunk,
-            inner_eval,
-        );
-        workers.extend(chunk_profile.workers);
-        attempted += chunk;
-        for out in chunk_out {
-            if let Ok(p) = &out {
-                stream.add(p.makespan);
-            }
-            outcomes.push(out);
-            let n = outcomes.len();
-            if n >= policy.min_reps && stopping_satisfied(&policy, &stream) {
-                chosen = Some(n);
-                break; // overshoot beyond the stopping index is discarded
-            }
-        }
-    }
-    let reps_run = chosen.unwrap_or(outcomes.len());
-    outcomes.truncate(reps_run);
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let mut runs: Vec<Prediction> = Vec::with_capacity(reps_run);
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut first_failure: Option<PevpmError> = None;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            Ok(p) => runs.push(p),
-            Err(job_err) => {
-                failures.push((i, job_err.to_string()));
-                if first_failure.is_none() {
-                    first_failure = Some(job_error_to_pevpm(job_err, i));
-                }
-            }
-        }
-    }
-
-    // Quorum counts the replications actually run, not the ceiling a
-    // fixed-reps caller would have named: `k` of the `reps_run` attempts
-    // must have succeeded (clamped so `k > reps_run` cannot make an
-    // early-stopped batch unsatisfiable).
-    let required = cfg.quorum.unwrap_or(reps_run).clamp(1, reps_run);
-    if let Some(first) = first_failure {
-        if runs.len() < required {
-            if cfg.quorum.is_none() {
-                return Err(first);
-            }
-            return Err(PevpmError::QuorumFailed {
-                succeeded: runs.len(),
-                required,
-                total: reps_run,
-                first_failure: Box::new(first),
-            });
-        }
-    }
-
-    let mut makespans = pevpm_dist::Summary::new();
-    let mut stream_xs: Vec<f64> = Vec::with_capacity(runs.len());
-    for p in &runs {
-        makespans.add(p.makespan);
-        stream_xs.push(p.makespan);
-    }
-    let report = crate::stats::AdaptiveReport {
-        precision: policy.precision,
-        confidence: policy.confidence,
-        min_reps: policy.min_reps,
-        max_reps: policy.max_reps,
-        reps: reps_run,
-        rel_half_width: crate::stats::rel_half_width(&makespans, policy.confidence)
-            .unwrap_or(f64::INFINITY),
-        converged: chosen.is_some(),
-        drift: crate::stats::detect_drift(&stream_xs, crate::stats::DRIFT_ALPHA),
-    };
-    Ok(McPrediction {
-        mean: makespans.mean().unwrap_or(0.0),
-        stderr: makespans.stderr_mean().unwrap_or(0.0),
-        min: makespans.min().unwrap_or(0.0),
-        max: makespans.max().unwrap_or(0.0),
-        makespans,
-        wall_secs,
-        evals_per_sec: if wall_secs > 0.0 {
-            attempted as f64 / wall_secs
-        } else {
-            0.0
-        },
-        profile: crate::replicate::ReplicateProfile { workers, wall_secs },
-        runs,
-        failures,
-        adaptive: Some(report),
-    })
 }
 
 // Lane loops walk several `[_; W]` arrays in step; an index says so best.

@@ -293,6 +293,8 @@ fn every_lane_equals_evaluate_at_its_replica_seed() {
                     let mc = monte_carlo(&model, &cfg, &timing, reps).unwrap();
                     assert_eq!(mc.runs.len(), reps);
                     assert_eq!(mc.profile.total_jobs(), reps, "profile counts replicas");
+                    assert!(mc.adaptive.is_none(), "a fixed batch carries no report");
+                    assert!(mc.failures.is_empty());
                     for (i, run) in mc.runs.iter().enumerate() {
                         let what = format!(
                             "{name}, antithetic {antithetic}, reps {reps}, \

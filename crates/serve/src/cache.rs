@@ -20,6 +20,7 @@
 //! lifetime hit/miss counters keep accumulating across epochs.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -81,15 +82,61 @@ impl HitRate {
     }
 }
 
-/// Parsed-and-lowered models keyed by a hash of their source text.
-pub struct ModelCache {
-    map: Mutex<HashMap<u64, Arc<Model>>>,
+/// The one bounded store both caches are typed fronts over: lookup,
+/// build on miss, clear-on-full insert, and the counters and hit-rate
+/// gauge named on [`ModelCache::new`] / [`TimingCache::new`].
+struct Store<K, V> {
+    map: Mutex<HashMap<K, Arc<V>>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     compiles: Arc<Counter>,
     evictions: Arc<Counter>,
     hit_rate: HitRate,
 }
+
+impl<K: Copy + Eq + Hash, V> Store<K, V> {
+    fn new(registry: &Registry, what: &str) -> Self {
+        Store {
+            map: Mutex::new(HashMap::new()),
+            hits: registry.counter(&format!("serve.{what}_cache_hits")),
+            misses: registry.counter(&format!("serve.{what}_cache_misses")),
+            compiles: registry.counter(&format!("serve.{what}_compiles")),
+            evictions: registry.counter("serve.cache.evictions"),
+            hit_rate: HitRate::new(registry.gauge(&format!("serve.{what}_cache_hit_rate"))),
+        }
+    }
+
+    /// The cached value for `key`, built (and cached) on first sight; a
+    /// failed build caches nothing. The second element reports whether the
+    /// lookup was a cache hit.
+    fn get_or_build(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, PlanError>,
+    ) -> Result<(Arc<V>, bool), PlanError> {
+        let cached = self.map.lock().ok().and_then(|map| map.get(&key).cloned());
+        self.hit_rate.observe(cached.is_some());
+        if let Some(value) = cached {
+            self.hits.inc();
+            return Ok((value, true));
+        }
+        self.misses.inc();
+        let value = Arc::new(build()?);
+        self.compiles.inc();
+        if let Ok(mut map) = self.map.lock() {
+            if map.len() >= CACHE_CAP {
+                map.clear();
+                self.evictions.inc();
+                self.hit_rate.reset();
+            }
+            map.insert(key, Arc::clone(&value));
+        }
+        Ok((value, false))
+    }
+}
+
+/// Parsed-and-lowered models keyed by a hash of their source text.
+pub struct ModelCache(Store<u64, Model>);
 
 impl ModelCache {
     /// A cache whose hit/miss/compile counters live in `registry` under
@@ -98,52 +145,20 @@ impl ModelCache {
     /// `serve.model_cache_hit_rate` gauge and the shared
     /// `serve.cache.evictions` counter.
     pub fn new(registry: &Registry) -> Self {
-        ModelCache {
-            map: Mutex::new(HashMap::new()),
-            hits: registry.counter("serve.model_cache_hits"),
-            misses: registry.counter("serve.model_cache_misses"),
-            compiles: registry.counter("serve.model_compiles"),
-            evictions: registry.counter("serve.cache.evictions"),
-            hit_rate: HitRate::new(registry.gauge("serve.model_cache_hit_rate")),
-        }
+        ModelCache(Store::new(registry, "model"))
     }
 
     /// The cached model for `src`, parsing (and caching) it on first
     /// sight. `origin` labels parse errors. The second element reports
     /// whether the lookup was a cache hit.
     pub fn get_or_parse(&self, src: &str, origin: &str) -> Result<(Arc<Model>, bool), PlanError> {
-        let key = fnv1a(src.as_bytes());
-        if let Some(m) = self.lookup(key) {
-            self.hits.inc();
-            self.hit_rate.observe(true);
-            return Ok((m, true));
-        }
-        self.misses.inc();
-        self.hit_rate.observe(false);
-        let model = Arc::new(plan::parse_model(src, origin)?);
-        self.compiles.inc();
-        self.store(key, Arc::clone(&model));
-        Ok((model, false))
-    }
-
-    fn lookup(&self, key: u64) -> Option<Arc<Model>> {
-        self.map.lock().ok()?.get(&key).cloned()
-    }
-
-    fn store(&self, key: u64, model: Arc<Model>) {
-        if let Ok(mut map) = self.map.lock() {
-            if map.len() >= CACHE_CAP {
-                map.clear();
-                self.evictions.inc();
-                self.hit_rate.reset();
-            }
-            map.insert(key, model);
-        }
+        self.0
+            .get_or_build(fnv1a(src.as_bytes()), || plan::parse_model(src, origin))
     }
 }
 
 /// Cache key for a built timing model: which table content, which
-/// prediction mode, and which compile-affecting options.
+/// prediction mode, and every compile option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimingKey {
     /// FNV-1a of the table's canonical serialization.
@@ -162,13 +177,15 @@ impl TimingKey {
         table_hash: u64,
         mode: PredictionMode,
         pingpong: bool,
-        exact_quantiles: bool,
+        options: CompileOptions,
     ) -> Self {
         let mode = match mode {
             PredictionMode::FullDistribution => 0,
             PredictionMode::Average => 1,
             PredictionMode::Minimum => 2,
         };
+        // Destructured so a new compile option cannot be left out of the key.
+        let CompileOptions { exact_quantiles } = options;
         TimingKey {
             table_hash,
             mode,
@@ -179,14 +196,7 @@ impl TimingKey {
 }
 
 /// Compiled timing models keyed by table content and request shape.
-pub struct TimingCache {
-    map: Mutex<HashMap<TimingKey, Arc<TimingModel>>>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    compiles: Arc<Counter>,
-    evictions: Arc<Counter>,
-    hit_rate: HitRate,
-}
+pub struct TimingCache(Store<TimingKey, TimingModel>);
 
 impl TimingCache {
     /// A cache whose counters live in `registry` under
@@ -195,14 +205,7 @@ impl TimingCache {
     /// `serve.table_cache_hit_rate` gauge and the shared
     /// `serve.cache.evictions` counter.
     pub fn new(registry: &Registry) -> Self {
-        TimingCache {
-            map: Mutex::new(HashMap::new()),
-            hits: registry.counter("serve.table_cache_hits"),
-            misses: registry.counter("serve.table_cache_misses"),
-            compiles: registry.counter("serve.table_compiles"),
-            evictions: registry.counter("serve.cache.evictions"),
-            hit_rate: HitRate::new(registry.gauge("serve.table_cache_hit_rate")),
-        }
+        TimingCache(Store::new(registry, "table"))
     }
 
     /// The cached timing model for this (table, shape), building it on
@@ -217,33 +220,9 @@ impl TimingCache {
         pingpong: bool,
         options: CompileOptions,
     ) -> Result<(Arc<TimingModel>, bool), PlanError> {
-        let key = TimingKey::new(table_hash, mode, pingpong, options.exact_quantiles);
-        if let Some(t) = self.lookup(key) {
-            self.hits.inc();
-            self.hit_rate.observe(true);
-            return Ok((t, true));
-        }
-        self.misses.inc();
-        self.hit_rate.observe(false);
-        let timing = Arc::new(plan::build_timing(table, mode, pingpong, options)?);
-        self.compiles.inc();
-        self.store(key, Arc::clone(&timing));
-        Ok((timing, false))
-    }
-
-    fn lookup(&self, key: TimingKey) -> Option<Arc<TimingModel>> {
-        self.map.lock().ok()?.get(&key).cloned()
-    }
-
-    fn store(&self, key: TimingKey, timing: Arc<TimingModel>) {
-        if let Ok(mut map) = self.map.lock() {
-            if map.len() >= CACHE_CAP {
-                map.clear();
-                self.evictions.inc();
-                self.hit_rate.reset();
-            }
-            map.insert(key, timing);
-        }
+        let key = TimingKey::new(table_hash, mode, pingpong, options);
+        self.0
+            .get_or_build(key, || plan::build_timing(table, mode, pingpong, options))
     }
 }
 
@@ -356,6 +335,26 @@ mod tests {
         );
         // The next lookup starts the new epoch's ratio from scratch.
         cache.get_or_parse(&src_n(CACHE_CAP), "t").unwrap();
+        assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 1.0);
+
+        // The timing cache wipes the same way: the evictions counter is
+        // shared, the hit-rate gauge it resets is its own.
+        let (timings, table) = (TimingCache::new(&reg), pevpm_bench_table());
+        let build = |hash: u64| {
+            let (mode, opts) = (PredictionMode::Average, CompileOptions::default());
+            timings
+                .get_or_build(hash, &table, mode, false, opts)
+                .unwrap()
+        };
+        for hash in 0..CACHE_CAP as u64 {
+            build(hash);
+        }
+        assert!(build(0).1, "a warm hit inside the first epoch");
+        assert!(reg.gauge("serve.table_cache_hit_rate").get() > 0.0);
+        assert_eq!(reg.counter("serve.cache.evictions").get(), 1);
+        build(CACHE_CAP as u64);
+        assert_eq!(reg.counter("serve.cache.evictions").get(), 2);
+        assert_eq!(reg.gauge("serve.table_cache_hit_rate").get(), 0.0);
         assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 1.0);
     }
 

@@ -181,7 +181,6 @@ impl PredictRequest {
     pub fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             exact_quantiles: self.exact_quantiles,
-            ..CompileOptions::default()
         }
     }
 
