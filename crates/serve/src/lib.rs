@@ -45,6 +45,9 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
+mod config;
+mod conn;
+mod gate;
 pub mod plan;
 pub mod proto;
 pub mod server;

@@ -47,13 +47,12 @@
 //! spans. When [`ServeConfig::http_addr`] is set, `run` also starts the
 //! HTTP observability sidecar (`/metrics`, `/healthz`, `/spans`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pevpm::replicate::isolated_map_observed;
@@ -61,21 +60,14 @@ use pevpm_dist::{io as dist_io, DistTable};
 use pevpm_obs::{diag, Registry};
 
 use crate::cache::{fnv1a, ModelCache, TimingCache};
+pub use crate::config::{
+    ServeConfig, DEFAULT_CONNS, DEFAULT_DRAIN_MS, DEFAULT_IO_TIMEOUT_MS, DEFAULT_SHED_RETRY_MS,
+};
+use crate::conn::{ConnQueue, ConnTracker, TrackerGuard};
+use crate::gate::{Admission, Gate, GatePermit};
 use crate::plan::{self, EvalOutcome, PlanError, PredictRequest};
 use crate::proto::{self, FrameRead, Request};
-use crate::telemetry::{HttpServer, RequestTimer, Telemetry, DEFAULT_SPAN_CAPACITY};
-
-/// Worker-pool width when [`ServeConfig::conns`] is 0.
-pub const DEFAULT_CONNS: usize = 4;
-
-/// Default per-connection read/write deadline in milliseconds.
-pub const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
-
-/// Default graceful-drain deadline in milliseconds.
-pub const DEFAULT_DRAIN_MS: u64 = 2_000;
-
-/// Default `retry_after_ms` hint on `"overloaded"` responses.
-pub const DEFAULT_SHED_RETRY_MS: u64 = 100;
+use crate::telemetry::{HttpServer, RequestTimer, Telemetry};
 
 /// How long the non-blocking accept loop sleeps between polls (also
 /// bounds shutdown-signal latency).
@@ -89,338 +81,6 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Pending-connection queue slots per worker; past this the accept loop
 /// sheds fresh connections with an unsolicited `"overloaded"` frame.
 const PENDING_PER_WORKER: usize = 8;
-
-/// Lock a mutex, recovering the data on poisoning (a poisoned guard here
-/// only means another worker panicked mid-update of a counter-like
-/// state; the daemon must keep serving).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Daemon configuration.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Bind address; port 0 asks the OS for a free port.
-    pub addr: String,
-    /// Benchmark tables to preload, as `(name, path)`.
-    pub tables: Vec<(String, PathBuf)>,
-    /// Worker threads for batch fan-out and Monte-Carlo replication
-    /// (0 = all cores).
-    pub threads: usize,
-    /// Default intra-evaluation DAG worker count applied to requests that
-    /// don't set `eval_threads` themselves (0 = classic serial engine).
-    /// Shares the host core budget with `threads`: batch items and
-    /// replications get the per-job share, so the fan-out × eval product
-    /// never oversubscribes. Predictions are bitwise identical at every
-    /// value >= 1.
-    pub eval_threads: usize,
-    /// Admission control: refuse requests asking for more replications
-    /// than this (0 = unlimited).
-    pub max_reps: usize,
-    /// Admission control: cap every evaluation's directive budget.
-    pub max_steps: Option<u64>,
-    /// Admission control: cap every evaluation's simulated-seconds budget.
-    pub max_virtual_secs: Option<f64>,
-    /// Maximum accepted frame payload in bytes.
-    pub max_frame: usize,
-    /// Bind address for the HTTP observability sidecar (`/metrics`,
-    /// `/healthz`, `/spans`); `None` disables it.
-    pub http_addr: Option<String>,
-    /// Write the structured one-line-JSON request log to this file
-    /// instead of stderr.
-    pub log_out: Option<PathBuf>,
-    /// Only log requests at least this slow, in milliseconds. Setting it
-    /// (even to `0.0`) enables the request log.
-    pub log_slow_ms: Option<f64>,
-    /// How many finished request spans the in-memory ring retains.
-    pub span_capacity: usize,
-    /// Connection worker-pool width (0 = [`DEFAULT_CONNS`]). Responses
-    /// are bitwise identical at every value — concurrency changes
-    /// wall-clock, never payloads.
-    pub conns: usize,
-    /// Per-connection read/write deadline in milliseconds (0 = none).
-    /// Bounds both idle occupancy of a worker slot and mid-frame stalls.
-    pub io_timeout_ms: u64,
-    /// Maximum in-flight predictions (`predict`/`batch` frames being
-    /// evaluated); 0 = the worker-pool width.
-    pub inflight: usize,
-    /// Bounded wait-queue slots past `inflight` before the server sheds
-    /// with an `"overloaded"` response; `None` = same as `inflight`.
-    pub queue: Option<usize>,
-    /// The `retry_after_ms` hint carried on shed responses.
-    pub shed_retry_ms: u64,
-    /// Graceful-drain deadline in milliseconds: how long `shutdown` (or
-    /// an external stop) waits for in-flight requests before
-    /// force-closing their connections.
-    pub drain_ms: u64,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            tables: Vec::new(),
-            threads: 0,
-            eval_threads: 0,
-            max_reps: 0,
-            max_steps: None,
-            max_virtual_secs: None,
-            max_frame: proto::MAX_FRAME,
-            http_addr: None,
-            log_out: None,
-            log_slow_ms: None,
-            span_capacity: DEFAULT_SPAN_CAPACITY,
-            conns: 0,
-            io_timeout_ms: DEFAULT_IO_TIMEOUT_MS,
-            inflight: 0,
-            queue: None,
-            shed_retry_ms: DEFAULT_SHED_RETRY_MS,
-            drain_ms: DEFAULT_DRAIN_MS,
-        }
-    }
-}
-
-/// The in-flight prediction semaphore: `max_inflight` permits plus a
-/// bounded wait queue of `max_queue` slots. A request arriving past both
-/// is shed immediately — the daemon never queues unboundedly.
-struct Gate {
-    max_inflight: usize,
-    max_queue: usize,
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    inflight: usize,
-    waiting: usize,
-    /// Set on drain: queued acquirers wake and shed instead of waiting
-    /// out work that will never be admitted.
-    closed: bool,
-}
-
-/// Outcome of asking the gate for a permit.
-enum Admission {
-    /// Admitted after waiting this long in the queue.
-    Admitted { waited: Duration },
-    /// Both the in-flight permits and the wait queue are full.
-    Shed,
-}
-
-impl Gate {
-    fn new(max_inflight: usize, max_queue: usize) -> Gate {
-        Gate {
-            max_inflight: max_inflight.max(1),
-            max_queue,
-            state: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> Admission {
-        let t0 = Instant::now();
-        let mut st = lock_recover(&self.state);
-        if st.closed {
-            return Admission::Shed;
-        }
-        if st.inflight < self.max_inflight {
-            st.inflight += 1;
-            return Admission::Admitted {
-                waited: Duration::ZERO,
-            };
-        }
-        if st.waiting >= self.max_queue {
-            return Admission::Shed;
-        }
-        st.waiting += 1;
-        loop {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-            if st.closed {
-                st.waiting -= 1;
-                return Admission::Shed;
-            }
-            if st.inflight < self.max_inflight {
-                st.waiting -= 1;
-                st.inflight += 1;
-                return Admission::Admitted {
-                    waited: t0.elapsed(),
-                };
-            }
-        }
-    }
-
-    /// Drain: wake every queued acquirer and shed it (plus anything that
-    /// arrives later), so shutdown never waits on parked requests that
-    /// would otherwise be admitted and evaluated long past `--drain-ms`.
-    fn close(&self) {
-        let mut st = lock_recover(&self.state);
-        st.closed = true;
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Re-arm a drained gate; the server outlives a `run` and must
-    /// admit again on the next one.
-    fn open(&self) {
-        lock_recover(&self.state).closed = false;
-    }
-
-    fn release(&self) {
-        let mut st = lock_recover(&self.state);
-        st.inflight = st.inflight.saturating_sub(1);
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    fn inflight(&self) -> usize {
-        lock_recover(&self.state).inflight
-    }
-}
-
-/// RAII permit: releases the gate slot and refreshes the `serve.inflight`
-/// gauge even if the request path unwinds.
-struct GatePermit<'a> {
-    gate: &'a Gate,
-    registry: &'a Registry,
-}
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        self.gate.release();
-        self.registry
-            .gauge("serve.inflight")
-            .set(self.gate.inflight() as f64);
-    }
-}
-
-/// The bounded queue of accepted-but-unserved connections between the
-/// accept loop and the worker pool.
-struct ConnQueue {
-    cap: usize,
-    state: Mutex<(VecDeque<TcpStream>, bool)>,
-    cv: Condvar,
-}
-
-impl ConnQueue {
-    fn new(cap: usize) -> ConnQueue {
-        ConnQueue {
-            cap: cap.max(1),
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Enqueue a stream; gives it back when the queue is full or closed
-    /// so the caller can shed it.
-    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut st = lock_recover(&self.state);
-        if st.1 || st.0.len() >= self.cap {
-            return Err(stream);
-        }
-        st.0.push_back(stream);
-        drop(st);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop; `None` once the queue is closed and empty.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut st = lock_recover(&self.state);
-        loop {
-            if let Some(s) = st.0.pop_front() {
-                return Some(s);
-            }
-            if st.1 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Close the queue: wakes all workers and drops pending streams.
-    fn close(&self) {
-        let mut st = lock_recover(&self.state);
-        st.1 = true;
-        st.0.clear();
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
-/// Live-connection registry: a socket handle plus a busy flag per served
-/// connection, so drain can wake idle readers immediately and force-close
-/// stragglers after the deadline.
-struct ConnTracker {
-    next: AtomicU64,
-    conns: Mutex<HashMap<u64, ConnEntry>>,
-}
-
-struct ConnEntry {
-    stream: TcpStream,
-    busy: Arc<AtomicBool>,
-}
-
-impl ConnTracker {
-    fn new() -> ConnTracker {
-        ConnTracker {
-            next: AtomicU64::new(1),
-            conns: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn register(&self, stream: &TcpStream) -> io::Result<(u64, Arc<AtomicBool>)> {
-        let clone = stream.try_clone()?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        let busy = Arc::new(AtomicBool::new(false));
-        lock_recover(&self.conns).insert(
-            id,
-            ConnEntry {
-                stream: clone,
-                busy: Arc::clone(&busy),
-            },
-        );
-        Ok((id, busy))
-    }
-
-    fn unregister(&self, id: u64) {
-        lock_recover(&self.conns).remove(&id);
-    }
-
-    fn any_busy(&self) -> bool {
-        lock_recover(&self.conns)
-            .values()
-            .any(|c| c.busy.load(Ordering::SeqCst))
-    }
-
-    /// Shut down tracked sockets — all of them, or only those whose
-    /// worker is parked in a read (not mid-request). Returns how many.
-    fn shutdown_conns(&self, include_busy: bool) -> usize {
-        let conns = lock_recover(&self.conns);
-        let mut n = 0;
-        for c in conns.values() {
-            if include_busy || !c.busy.load(Ordering::SeqCst) {
-                let _ = c.stream.shutdown(Shutdown::Both);
-                n += 1;
-            }
-        }
-        n
-    }
-}
-
-/// RAII unregistration: drops the tracker entry (and its cloned socket
-/// handle) on *every* exit from `serve_connection`, including `?` early
-/// returns — a peer whose response write fails must not leak an fd and
-/// a map entry in a daemon meant to face misbehaving peers forever.
-struct TrackerGuard<'a> {
-    tracker: &'a ConnTracker,
-    id: u64,
-}
-
-impl Drop for TrackerGuard<'_> {
-    fn drop(&mut self) {
-        self.tracker.unregister(self.id);
-    }
-}
 
 /// Per-`run` shared state between the accept loop and the worker pool.
 struct RunShared {
@@ -1193,6 +853,7 @@ impl RequestError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::lock_recover;
     use pevpm_obs::json::{self, Json};
 
     const SRC: &str = "\
