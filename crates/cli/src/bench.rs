@@ -1,3 +1,6 @@
+//! `pevpm bench`, plus the `--machine` / `--faults` handling it shares with
+//! `trace`.
+
 use crate::args::Args;
 use crate::{err, write_text, CliError};
 use pevpm_dist::{io as dist_io, DistTable, Op};

@@ -1,3 +1,6 @@
+//! Database and model inspection: `inspect`, `fit`, `annotate`, and the
+//! `--db` loader the other commands use.
+
 use crate::args::Args;
 use crate::{err, CliError};
 use pevpm_dist::{io as dist_io, CommDist, CompileOptions, DistTable};

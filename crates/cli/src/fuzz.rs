@@ -1,3 +1,5 @@
+//! `pevpm fuzz`: front-end to the `pevpm-testkit` campaign driver.
+
 use crate::args::Args;
 use crate::CliError;
 use pevpm_obs::diag;

@@ -72,6 +72,10 @@ mod sigterm {
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGTERM: i32 = 15;
+        // SAFETY: `signal` is the POSIX libc function with this C
+        // signature, and `on_sigterm` is an `extern "C" fn(i32)` that
+        // only stores to a static atomic (async-signal-safe) and lives
+        // for the whole process, so the handler pointer never dangles.
         unsafe {
             signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
         }
@@ -164,20 +168,6 @@ impl From<PlanError> for CliError {
 
 fn err<T>(m: impl Into<String>) -> Result<T, CliError> {
     Err(CliError::usage(m))
-}
-
-/// Map an evaluation failure onto the exit-code contract: deadlocks and
-/// budget aborts are *terminations* (4); everything else — unknown
-/// parameters, missing distributions, replication quorum failures — is a
-/// model/input error (3).
-fn eval_error(e: pevpm::vm::PevpmError) -> CliError {
-    use pevpm::vm::PevpmError;
-    match &e {
-        PevpmError::Deadlock { .. } | PevpmError::Budget(_) => {
-            CliError::budget(format!("evaluation failed: {e}"))
-        }
-        _ => CliError::input(format!("evaluation failed: {e}")),
-    }
 }
 
 /// Usage text.

@@ -1,3 +1,6 @@
+//! `pevpm predict`, and the flags-to-[`PredictRequest`] mapping `client`
+//! reuses.
+
 use crate::args::Args;
 use crate::db::load_db;
 use crate::{err, write_text, CliError};

@@ -1,3 +1,5 @@
+//! The daemon commands: `serve`, `client`, and `client --chaos`.
+
 use crate::args::Args;
 use crate::predict::predict_request;
 use crate::{err, sigterm, write_text, CliError};
@@ -48,7 +50,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, CliError> {
                     .map_err(|_| CliError::usage("--max-virtual-secs must be a number"))?,
             ),
         },
-        max_frame: pevpm_serve::proto::MAX_FRAME,
         http_addr: args.get("http").map(str::to_string),
         log_out: args.get("log-out").map(PathBuf::from),
         log_slow_ms: match args.get("log-slow-ms") {

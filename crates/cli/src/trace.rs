@@ -1,12 +1,15 @@
+//! `pevpm trace`: measured vs predicted Jacobi timelines.
+
 use crate::args::Args;
 use crate::bench::{cluster_for, resolve_machine};
 use crate::db::compile_options;
-use crate::{err, eval_error, write_text, CliError};
+use crate::{err, write_text, CliError};
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_dist::io as dist_io;
 use pevpm_mpisim::{Placement, ProtocolConfig, WorldConfig};
 use pevpm_obs::diag;
+use pevpm_serve::plan;
 use std::path::Path;
 
 /// `pevpm trace`: run the Jacobi example with measured tracing on, print
@@ -67,7 +70,7 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
         None => TimingModel::hockney(100e-6, 12.5e6),
     };
     let cfg = EvalConfig::new(nprocs).with_seed(seed).with_timeline();
-    let pred = evaluate(&jacobi::model(&jcfg), &cfg, &timing).map_err(eval_error)?;
+    let pred = evaluate(&jacobi::model(&jcfg), &cfg, &timing).map_err(plan::eval_error)?;
 
     let mut out = format!(
         "measured makespan:  {:.6} s over {nprocs} ranks ({} messages)\n\

@@ -232,22 +232,6 @@ impl Histogram {
         self.quantile(rng.gen::<f64>())
     }
 
-    /// Approximate mean computed from the binned representation (bin
-    /// midpoints weighted by mass). Differs from `summary().mean()` by at
-    /// most half a bin width.
-    pub fn binned_mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let s: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c as f64 * self.bin_mid(i))
-            .sum();
-        Some(s / self.total as f64)
-    }
-
     /// Fraction of mass at or beyond `x` — used to quantify outlier tails
     /// (e.g. retransmission-timeout events).
     pub fn tail_mass(&self, x: f64) -> f64 {
@@ -432,21 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn binned_mean_close_to_exact_mean() {
-        let samples: Vec<f64> = (0..1000).map(|i| 10.0 + (i % 97) as f64 * 0.013).collect();
-        let h = Histogram::from_samples(&samples, 0.05);
-        let exact = h.summary().mean().unwrap();
-        let binned = h.binned_mean().unwrap();
-        assert!((exact - binned).abs() <= 0.05 / 2.0 + 1e-9);
-    }
-
-    #[test]
     fn empty_histogram_behaviour() {
         let h = Histogram::new(0.0, 1.0);
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mode(), None);
-        assert_eq!(h.binned_mean(), None);
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(h.sample(&mut rng), None);
     }

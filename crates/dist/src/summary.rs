@@ -187,11 +187,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     }
 }
 
-/// Median of a sorted slice.
-pub fn median_sorted(sorted: &[f64]) -> Option<f64> {
-    quantile_sorted(sorted, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +257,6 @@ mod tests {
         assert_eq!(quantile_sorted(&xs, 0.0), Some(1.0));
         assert_eq!(quantile_sorted(&xs, 1.0), Some(4.0));
         assert_eq!(quantile_sorted(&xs, 0.5), Some(2.5));
-        assert_eq!(median_sorted(&xs), Some(2.5));
         assert_eq!(quantile_sorted(&[], 0.5), None);
     }
 

@@ -298,26 +298,6 @@ impl Rank {
         self.wait(req);
         msg
     }
-
-    /// Send a slice of `f64`s (little-endian encoded).
-    pub fn send_f64s(&mut self, dst: usize, tag: u64, data: &[f64]) {
-        self.send(dst, tag, encode_f64s(data));
-    }
-
-    /// Nonblocking variant of [`Rank::send_f64s`].
-    pub fn isend_f64s(&mut self, dst: usize, tag: u64, data: &[f64]) -> Request {
-        self.isend(dst, tag, encode_f64s(data))
-    }
-
-    /// Receive a slice of `f64`s sent by [`Rank::send_f64s`].
-    pub fn recv_f64s(
-        &mut self,
-        src: impl Into<SrcSel>,
-        tag: impl Into<TagSel>,
-    ) -> (MsgMeta, Vec<f64>) {
-        let (meta, payload) = self.recv(src, tag);
-        (meta, decode_f64s(&payload))
-    }
 }
 
 /// Encode a `f64` slice as little-endian bytes.

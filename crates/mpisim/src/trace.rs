@@ -194,41 +194,6 @@ pub fn fault_marks(events: &[FaultEvent]) -> ChromeTrace {
     trace
 }
 
-/// Render a compact ASCII timeline of the first `max_events` events of
-/// each rank (debugging aid).
-pub fn render_timeline(traces: &[Vec<TraceEvent>], max_events: usize) -> String {
-    let mut out = String::new();
-    for (r, events) in traces.iter().enumerate() {
-        out.push_str(&format!("rank {r}:\n"));
-        for e in events.iter().take(max_events) {
-            let glyph = match e.kind {
-                TraceKind::Compute => "====",
-                TraceKind::Send => "send",
-                TraceKind::Isend => "isnd",
-                TraceKind::Recv => "recv",
-                TraceKind::Irecv => "ircv",
-                TraceKind::Wait => "wait",
-            };
-            out.push_str(&format!(
-                "  {:>12} .. {:>12}  {glyph}{}{}{}\n",
-                format!("{}", e.start),
-                format!("{}", e.end),
-                e.peer.map(|p| format!(" peer {p}")).unwrap_or_default(),
-                if e.bytes > 0 {
-                    format!(" {} B", e.bytes)
-                } else {
-                    String::new()
-                },
-                if e.in_collective { " [coll]" } else { "" },
-            ));
-        }
-        if events.len() > max_events {
-            out.push_str(&format!("  … {} more events\n", events.len() - max_events));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,15 +224,6 @@ mod tests {
         assert!((b[0].collective - 0.1).abs() < 1e-12);
         assert_eq!(b[0].messages, 1);
         assert!((b[0].comm_fraction() - 0.7 / 1.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeline_renders_and_truncates() {
-        let traces = vec![vec![ev(TraceKind::Recv, 0, 500, false); 5]];
-        let text = render_timeline(&traces, 3);
-        assert!(text.contains("rank 0"));
-        assert!(text.contains("… 2 more events"));
-        assert_eq!(text.matches("recv").count(), 3);
     }
 
     #[test]

@@ -141,7 +141,6 @@ struct Tracer<'a, 'm> {
     env: Vec<Option<f64>>,
     p: usize,
     nprocs: usize,
-    rndv_threshold: f64,
     steps: u64,
     /// Directed edges out of every rank (dedup via set).
     adj: &'a mut Vec<BTreeSet<usize>>,
@@ -253,7 +252,7 @@ impl<'a, 'm> Tracer<'a, 'm> {
                 self.senders_to[to_v].insert(self.p);
                 // A rendezvous send blocks until the receiver matches:
                 // the dependency runs both ways.
-                if kind == MsgKind::Send && size_v >= self.rndv_threshold {
+                if kind == MsgKind::Send && size_v >= vm::RNDV_THRESHOLD_BYTES {
                     self.adj[to_v].insert(self.p);
                 }
             }
@@ -373,7 +372,6 @@ fn analyze(setup: &vm::EvalSetup<'_>, cfg: &EvalConfig) -> Decision {
             env,
             p,
             nprocs: n,
-            rndv_threshold: cfg.rndv_threshold,
             steps: 0,
             adj: &mut adj,
             senders_to: &mut senders_to,

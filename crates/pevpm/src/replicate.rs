@@ -109,13 +109,6 @@ impl ReplicateProfile {
         self.workers.iter().map(|w| w.busy_secs).sum()
     }
 
-    /// Summed idle seconds across workers: each worker's share of the
-    /// batch wall time not spent evaluating (work-stealing imbalance,
-    /// scheduling gaps).
-    pub fn idle_secs(&self) -> f64 {
-        (self.workers.len() as f64 * self.wall_secs - self.busy_secs()).max(0.0)
-    }
-
     /// Fraction of worker wall time spent evaluating, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         let total = self.workers.len() as f64 * self.wall_secs;
@@ -638,7 +631,6 @@ mod tests {
         let p = ReplicateProfile::default();
         assert_eq!(p.total_jobs(), 0);
         assert_eq!(p.utilization(), 0.0);
-        assert_eq!(p.idle_secs(), 0.0);
     }
 
     #[test]

@@ -309,39 +309,6 @@ impl TimingModel {
     /// mean queueing of back-to-back sends) before the sender can proceed.
     /// Calibrated against the Jacobi halo exchange; see EXPERIMENTS.md.
     pub const SENDER_SHARE: f64 = 0.56;
-
-    /// The sender-side (local) cost of injecting a message: until this
-    /// time elapses the sender can neither compute nor inject its *next*
-    /// message (its NIC is still serialising this one). Modelled as a
-    /// fraction of the contention-free minimum transfer time: software
-    /// overhead (~37 us) plus first-link NIC serialisation (~85 us for a
-    /// 1 KiB frame) is ~0.48 of the ~254 us end-to-end minimum on the
-    /// Perseus-like store-and-forward path.
-    /// Falls back between Send/Isend data like [`TimingModel::comm_time`].
-    pub fn send_local_cost(&self, op: Op, size: f64) -> f64 {
-        match self {
-            TimingModel::Empirical {
-                table,
-                compiled,
-                fixed_contention,
-                ..
-            } => {
-                let c = fixed_contention.unwrap_or(1.0);
-                let alt = op.p2p_sibling();
-                let min_at = |o: Op| match compiled {
-                    Some(ct) => ct.min_at(o, size, c),
-                    None => table.min_at(o, size, c),
-                };
-                min_at(op)
-                    .or_else(|| min_at(alt))
-                    .map(|m| m * Self::SENDER_SHARE)
-                    .unwrap_or(0.0)
-            }
-            TimingModel::Hockney { latency, bandwidth } => {
-                (latency + size / bandwidth) * Self::SENDER_SHARE
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -407,25 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn send_local_cost_is_fraction_of_min() {
-        let m = TimingModel::distributions(table());
-        let c = m.send_local_cost(Op::Send, 1024.0);
-        assert!((c - 56.0).abs() < 1e-9, "c = {c}");
-        // Falls back to the sibling op when only Isend was benchmarked.
-        let mut t = DistTable::new();
-        t.insert(
-            DistKey {
-                op: Op::Isend,
-                size: 1024,
-                contention: 1,
-            },
-            CommDist::Point(100.0),
-        );
-        let m = TimingModel::distributions(t);
-        assert!((m.send_local_cost(Op::Send, 1024.0) - 56.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn compiled_and_interpreted_models_agree_bitwise() {
         let fast = TimingModel::distributions(table());
         let slow = TimingModel::interpreted(table());
@@ -440,10 +388,6 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(
-                fast.send_local_cost(Op::Send, size).to_bits(),
-                slow.send_local_cost(Op::Send, size).to_bits()
-            );
         }
     }
 

@@ -1,8 +1,14 @@
+//! What an evaluation is asked to do: [`EvalConfig`] and its [`RunBudget`].
+
 #[cfg(doc)]
 use super::{monte_carlo, McPrediction, PevpmError, Prediction};
 use crate::expr::Env;
 use pevpm_obs::Registry;
 use std::sync::Arc;
+
+/// Messages at least this large (bytes) use blocking-rendezvous semantics
+/// for `Send`: the sender cannot complete before the receiver matches.
+pub const RNDV_THRESHOLD_BYTES: f64 = 16.0 * 1024.0;
 
 /// Evaluation parameters.
 #[derive(Debug, Clone)]
@@ -13,9 +19,6 @@ pub struct EvalConfig {
     pub params: Env,
     /// RNG seed for Monte-Carlo sampling.
     pub seed: u64,
-    /// Messages at least this large use blocking-rendezvous semantics for
-    /// `Send` (the sender cannot complete before the receiver matches).
-    pub rndv_threshold: f64,
     /// Resource limits for one evaluation: a runaway (livelocked or
     /// hostile) model is aborted with a structured
     /// [`PevpmError::Budget`] carrying partial results instead of
@@ -87,7 +90,6 @@ impl EvalConfig {
             nprocs,
             params: Env::default(),
             seed: 1,
-            rndv_threshold: 16.0 * 1024.0,
             budget: RunBudget::default(),
             quorum: None,
             threads: 0,

@@ -1,3 +1,7 @@
+//! The Monte-Carlo loop of §6: replications in seed order on the
+//! replication pool, full groups of eight as lock-step lanes, fixed or
+//! adaptive (sequential-stopping) batch length.
+
 use super::engine::{evaluate, finish_prediction, prepare, run_lanes, Halt, Lane, LANES};
 use super::{EvalConfig, McPrediction, PevpmError, Prediction};
 use crate::model::Model;

@@ -1,6 +1,13 @@
+//! The sweep/match virtual machine of §5, generic over `W` replica lanes
+//! (`W == 1` is the scalar engine). The hot loop — `step`, `post_send`,
+//! `match_phase`, `draw_u` — and the types it touches live together here.
+
 #[cfg(test)]
 use super::tests;
-use super::{BudgetAxis, BudgetReport, EvalConfig, PevpmError, Prediction, SpanKind, TimelineSpan};
+use super::{
+    BudgetAxis, BudgetReport, EvalConfig, PevpmError, Prediction, SpanKind, TimelineSpan,
+    RNDV_THRESHOLD_BYTES,
+};
 use crate::expr::ExprError;
 use crate::lower::{LStmt, Label, Names};
 use crate::model::{CollOp, Model, MsgKind};
@@ -1019,7 +1026,7 @@ impl<'m, const W: usize> Vm<'m, W> {
     ) {
         let seq = self.fifo.next_send_seq(p, to);
         self.messages += 1;
-        let rndv = kind == MsgKind::Send && size >= self.cfg.rndv_threshold;
+        let rndv = kind == MsgKind::Send && size >= RNDV_THRESHOLD_BYTES;
         let population = self.scoreboard.len() + 1;
         if let Some(m) = &mut self.metrics {
             VmMetrics::tally(&mut m.contention_at, population);

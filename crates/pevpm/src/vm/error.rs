@@ -1,3 +1,5 @@
+//! How an evaluation fails: [`PevpmError`] and the budget-abort report.
+
 #[cfg(doc)]
 use super::{monte_carlo, RunBudget};
 use crate::expr::ExprError;

@@ -20,6 +20,10 @@
 //! which processes are blocked where — the paper's "automatically discover
 //! program deadlock" capability. Blocked time is attributed to directive
 //! labels, giving the per-source performance-loss report of §5.
+//!
+//! This file only re-exports. `engine` is that virtual machine, `driver`
+//! the Monte-Carlo loop of §6 around it; `config` says what to run,
+//! `prediction` and `error` what comes back.
 
 mod config;
 mod driver;
@@ -29,7 +33,7 @@ mod prediction;
 #[cfg(test)]
 mod tests;
 
-pub use config::{EvalConfig, RunBudget};
+pub use config::{EvalConfig, RunBudget, RNDV_THRESHOLD_BYTES};
 pub use driver::monte_carlo;
 pub use engine::evaluate;
 pub(crate) use engine::{

@@ -1,3 +1,6 @@
+//! What an evaluation returns: one [`Prediction`], or the [`McPrediction`]
+//! aggregate of a Monte-Carlo batch.
+
 #[cfg(doc)]
 use super::EvalConfig;
 use std::collections::HashMap;
@@ -130,15 +133,5 @@ impl McPrediction {
     /// Largest contention-scoreboard peak seen by any replication.
     pub fn max_sb_peak(&self) -> usize {
         self.runs.iter().map(|p| p.sb_peak).max().unwrap_or(0)
-    }
-
-    /// Histogram of the replication makespans with `bins` equal-width bins
-    /// spanning the observed range.
-    pub fn makespan_histogram(&self, bins: usize) -> pevpm_dist::Histogram {
-        let samples: Vec<f64> = self.runs.iter().map(|p| p.makespan).collect();
-        let lo = self.makespans.min().unwrap_or(0.0);
-        let hi = self.makespans.max().unwrap_or(0.0);
-        let width = ((hi - lo) / bins.max(1) as f64).max(f64::EPSILON * lo.abs().max(1.0));
-        pevpm_dist::Histogram::from_samples(&samples, width)
     }
 }

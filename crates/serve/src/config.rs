@@ -1,6 +1,7 @@
+//! Daemon configuration and its defaults.
+
 use std::path::PathBuf;
 
-use crate::proto;
 use crate::telemetry::DEFAULT_SPAN_CAPACITY;
 
 /// Worker-pool width when [`ServeConfig::conns`] is 0.
@@ -39,8 +40,6 @@ pub struct ServeConfig {
     pub max_steps: Option<u64>,
     /// Admission control: cap every evaluation's simulated-seconds budget.
     pub max_virtual_secs: Option<f64>,
-    /// Maximum accepted frame payload in bytes.
-    pub max_frame: usize,
     /// Bind address for the HTTP observability sidecar (`/metrics`,
     /// `/healthz`, `/spans`); `None` disables it.
     pub http_addr: Option<String>,
@@ -83,7 +82,6 @@ impl Default for ServeConfig {
             max_reps: 0,
             max_steps: None,
             max_virtual_secs: None,
-            max_frame: proto::MAX_FRAME,
             http_addr: None,
             log_out: None,
             log_slow_ms: None,

@@ -1,3 +1,6 @@
+//! Accepted connections on their way through the worker pool: the bounded
+//! hand-off queue and the live-connection tracker drain uses.
+
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, TcpStream};

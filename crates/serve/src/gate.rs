@@ -1,3 +1,6 @@
+//! In-flight admission: a counting semaphore with a bounded wait queue that
+//! sheds past both.
+
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 

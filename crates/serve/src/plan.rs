@@ -343,16 +343,6 @@ impl EvalOutcome {
             EvalOutcome::Batch(mc) => mc.mean,
         }
     }
-
-    /// The prediction whose timeline belongs in a trace sink: the single
-    /// run, or the batch's first replication (whose seed equals a
-    /// `reps == 1` run with the same base seed).
-    pub fn trace_prediction(&self) -> Option<&Prediction> {
-        match self {
-            EvalOutcome::Single(p) => Some(p),
-            EvalOutcome::Batch(mc) => mc.runs.first(),
-        }
-    }
 }
 
 /// Evaluate a parsed model under a prepared timing model and config —
@@ -610,7 +600,6 @@ mod tests {
             panic!("expected single outcome")
         };
         assert!(p.makespan > 0.0);
-        assert!(single.trace_prediction().is_some());
         let batch = evaluate_plan(&model, &cfg, &timing, 3).unwrap();
         let EvalOutcome::Batch(mc) = &batch else {
             panic!("expected batch outcome")

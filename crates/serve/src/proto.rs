@@ -31,9 +31,8 @@ use crate::plan::{
     PlanError, PredictRequest,
 };
 
-/// Maximum accepted frame payload (16 MiB) unless the server configures
-/// a different bound. Annotated sources are kilobytes; this is a
-/// protect-the-daemon limit, not a capacity target.
+/// Maximum accepted frame payload (16 MiB). Annotated sources are
+/// kilobytes; this is a protect-the-daemon limit, not a capacity target.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Write one frame: 4-byte big-endian length, then the payload.

@@ -468,7 +468,7 @@ impl Server {
             if shared.draining.load(Ordering::SeqCst) {
                 break Ok(false);
             }
-            match proto::read_frame_deadline(&mut reader, self.cfg.max_frame) {
+            match proto::read_frame_deadline(&mut reader, proto::MAX_FRAME) {
                 Ok(FrameRead::Frame(frame)) => {
                     busy.store(true, Ordering::SeqCst);
                     // handle_frame already isolates prediction panics; a
