@@ -96,14 +96,24 @@ impl Args {
             .ok_or_else(|| ArgError(format!("missing required option --{key}")))
     }
 
+    /// The name of every option given, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.opts.keys().map(String::as_str)
+    }
+
+    /// Typed optional option: `None` when absent.
+    pub fn get_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| ArgError(format!("invalid value for --{key}: {v:?}")))
+            })
+            .transpose()
+    }
+
     /// Typed option with default.
     pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("invalid value for --{key}: {v:?}"))),
-        }
+        Ok(self.get_opt(key)?.unwrap_or(default))
     }
 
     /// Comma-separated list option, e.g. `--sizes 512,1024`.
@@ -178,6 +188,10 @@ mod tests {
             vec![512, 1024, 2048]
         );
         assert!(a.get_parsed::<usize>("sizes", 0).is_err());
+        assert_eq!(a.get_opt::<usize>("reps").unwrap(), Some(50));
+        assert_eq!(a.get_opt::<u64>("seed").unwrap(), None);
+        let e = a.get_opt::<usize>("sizes").unwrap_err();
+        assert!(e.0.contains("--sizes"), "{e}");
     }
 
     #[test]

@@ -178,14 +178,17 @@ USAGE:
   pevpm bench    --nodes N [--ppn P] [--machine perseus|gigabit|lowlatency|ideal]
                  [--pattern ring|halfsplit|adjacent] [--sizes 512,1024,...]
                  [--reps R] [--replicas K] [--threads T] [--seed S]
-                 [--faults PLAN.toml] --out DB.dist
+                 [--faults PLAN.toml] [--trace-out TRACE.json]
+                 [--metrics-out M.json] --out DB.dist
       Run MPIBench on a simulated cluster and save the distribution database.
       --replicas K merges K independent derived-seed runs; --threads T fans
       replicas over T worker threads (0 = all cores, 1 = serial) with
       bitwise-identical output at any thread count. --faults degrades the
       simulated network with a TOML fault scenario (random frame loss,
       per-link degradation, link flaps, background traffic, node pauses) so
-      the same sweep can be re-measured on an unhealthy machine.
+      the same sweep can be re-measured on an unhealthy machine. --trace-out
+      writes a Chrome trace of one benchmark replica, --metrics-out the
+      per-size latency histograms as metrics JSON.
 
   pevpm inspect  --db DB.dist
       Summarise a distribution database.
@@ -291,11 +294,15 @@ USAGE:
                  [--shutdown] [--batch K] [--crn] [--table NAME]
                  [--connect-timeout-ms MS] [--retries N]
                  [--retry-backoff-ms MS] [--chaos MODE|all]
-                 [predict flags: --model FILE.c --procs N ...]
+                 [--io-timeout-ms MS] [--model FILE.c --procs N ...]
       Send requests to a running daemon and print one response JSON line
       each. With --model, sends the same prediction `predict` would run
-      (accepts the same flags); --batch K sends it as one batch of K
-      identical items. --crn marks the batch for common random numbers:
+      and accepts its request flags (--mode --pingpong --exact-quantiles
+      --param --seed --reps --threads --eval-threads --quorum --precision
+      --min-reps --max-reps --antithetic --max-steps --max-virtual-secs),
+      against the daemon's table --table names; --batch K sends it as one
+      batch of K identical items. --crn marks the batch for common random
+      numbers:
       the daemon evaluates every item of the batch from one shared base
       seed, so what-if arms differ only by the modelled change, not by
       sampling noise (paired comparison). --stats fetches the server's
@@ -348,9 +355,6 @@ GLOBAL FLAGS:
   -q / --quiet     suppress informational stderr output
   --verbose        enable debug stderr output
 
-`bench` also accepts --trace-out (Chrome trace of one benchmark replica)
-and --metrics-out (per-size latency histograms as metrics JSON).
-
 EXIT CODES:
   0  success
   2  usage error (bad flags, unknown command/machine)
@@ -370,6 +374,176 @@ const BOOL_FLAGS: &[&str] = &[
     "shutdown",
     "antithetic",
     "crn",
+];
+
+/// One subcommand: its entry point and every `--option` it reads, in
+/// groups so that commands sharing a reader share its list. [`run`] refuses
+/// an option the command does not list, so a mistyped flag fails instead of
+/// being ignored; a test holds each list equal to the command's [`USAGE`]
+/// block.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<String, CliError>,
+    options: &'static [&'static [&'static str]],
+}
+
+/// Accepted by every command: the verbosity flags [`run`] reads itself, and
+/// `--help`, which has always parsed as a flag nothing reads.
+const GLOBAL_OPTIONS: &[&str] = &["quiet", "verbose", "help"];
+
+/// Read by `bench::cluster_for` (`bench`, `trace`).
+const CLUSTER_OPTIONS: &[&str] = &["machine", "faults"];
+
+/// Read by `predict::predict_request` (`predict`, `client`).
+const REQUEST_OPTIONS: &[&str] = &[
+    "procs",
+    "mode",
+    "pingpong",
+    "exact-quantiles",
+    "param",
+    "seed",
+    "reps",
+    "threads",
+    "eval-threads",
+    "quorum",
+    "precision",
+    "min-reps",
+    "max-reps",
+    "antithetic",
+    "max-steps",
+    "max-virtual-secs",
+];
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "bench",
+        run: cmd_bench,
+        options: &[
+            &[
+                "nodes",
+                "ppn",
+                "pattern",
+                "sizes",
+                "reps",
+                "replicas",
+                "threads",
+                "seed",
+                "out",
+                "trace-out",
+                "metrics-out",
+            ],
+            CLUSTER_OPTIONS,
+        ],
+    },
+    Command {
+        name: "inspect",
+        run: cmd_inspect,
+        options: &[&["db"]],
+    },
+    Command {
+        name: "fit",
+        run: cmd_fit,
+        options: &[&["db", "out"]],
+    },
+    Command {
+        name: "annotate",
+        run: cmd_annotate,
+        options: &[],
+    },
+    Command {
+        name: "predict",
+        run: cmd_predict,
+        options: &[
+            &["model", "db", "trace-out", "metrics-out"],
+            REQUEST_OPTIONS,
+        ],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        options: &[&[
+            "db",
+            "addr",
+            "threads",
+            "eval-threads",
+            "conns",
+            "io-timeout-ms",
+            "inflight",
+            "queue",
+            "shed-retry-ms",
+            "drain-ms",
+            "max-reps",
+            "max-steps",
+            "max-virtual-secs",
+            "port-file",
+            "metrics-out",
+            "http",
+            "log-out",
+            "log-slow-ms",
+            "span-cap",
+        ]],
+    },
+    Command {
+        name: "client",
+        run: cmd_client,
+        options: &[
+            &[
+                "addr",
+                "port-file",
+                "stats",
+                "ping",
+                "shutdown",
+                "batch",
+                "crn",
+                "table",
+                "connect-timeout-ms",
+                "retries",
+                "retry-backoff-ms",
+                "chaos",
+                "io-timeout-ms",
+                "model",
+            ],
+            REQUEST_OPTIONS,
+        ],
+    },
+    Command {
+        name: "trace",
+        run: cmd_trace,
+        options: &[
+            &[
+                "nodes",
+                "ppn",
+                "xsize",
+                "iters",
+                "serial-ms",
+                "seed",
+                "db",
+                "exact-quantiles",
+                "trace-out",
+            ],
+            CLUSTER_OPTIONS,
+        ],
+    },
+    Command {
+        name: "fuzz",
+        run: cmd_fuzz,
+        options: &[&[
+            "mode",
+            "programs",
+            "seed",
+            "alpha",
+            "reps",
+            "ks-runs",
+            "bench-reps",
+            "out",
+            "replay",
+        ]],
+    },
+    Command {
+        name: "help",
+        run: |_| Ok(USAGE.to_string()),
+        options: &[],
+    },
 ];
 
 /// Dispatch a full argument vector (without the program name).
@@ -395,19 +569,23 @@ pub fn run(tokens: Vec<String>) -> Result<String, CliError> {
     let Some(cmd) = args.positional().first().map(|s| s.as_str()) else {
         return err(USAGE);
     };
-    match cmd {
-        "bench" => cmd_bench(&args),
-        "inspect" => cmd_inspect(&args),
-        "fit" => cmd_fit(&args),
-        "annotate" => cmd_annotate(&args),
-        "predict" => cmd_predict(&args),
-        "serve" => cmd_serve(&args),
-        "client" => cmd_client(&args),
-        "trace" => cmd_trace(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "help" | "--help" => Ok(USAGE.to_string()),
-        other => err(format!("unknown command {other:?}\n\n{USAGE}")),
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        return err(format!("unknown command {cmd:?}\n\n{USAGE}"));
+    };
+    let mut unknown: Vec<&str> = args
+        .keys()
+        .filter(|key| {
+            !GLOBAL_OPTIONS.contains(key) && !command.options.iter().any(|g| g.contains(key))
+        })
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return err(format!(
+            "unknown option --{} for `pevpm {cmd}` (see `pevpm help`)",
+            unknown.join(", --")
+        ));
     }
+    (command.run)(&args)
 }
 
 fn write_text(path: &str, contents: &str) -> Result<(), CliError> {

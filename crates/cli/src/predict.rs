@@ -33,42 +33,12 @@ pub(crate) fn predict_request(args: &Args, src: String) -> Result<PredictRequest
             .map_err(|_| CliError::usage(format!("--param {k}: bad number {v:?}")))?;
         req.params.push((k.to_string(), v));
     }
-    if let Some(q) = args.get("quorum") {
-        req.quorum = Some(
-            q.parse()
-                .map_err(|_| CliError::usage("--quorum must be an integer"))?,
-        );
-    }
-    if let Some(s) = args.get("max-steps") {
-        req.max_steps = Some(
-            s.parse()
-                .map_err(|_| CliError::usage("--max-steps must be an integer"))?,
-        );
-    }
-    if let Some(s) = args.get("max-virtual-secs") {
-        req.max_virtual_secs = Some(
-            s.parse()
-                .map_err(|_| CliError::usage("--max-virtual-secs must be a number"))?,
-        );
-    }
-    if let Some(p) = args.get("precision") {
-        req.precision = Some(
-            p.parse()
-                .map_err(|_| CliError::usage("--precision must be a number"))?,
-        );
-    }
-    if let Some(n) = args.get("min-reps") {
-        req.min_reps = Some(
-            n.parse()
-                .map_err(|_| CliError::usage("--min-reps must be an integer"))?,
-        );
-    }
-    if let Some(n) = args.get("max-reps") {
-        req.max_reps = Some(
-            n.parse()
-                .map_err(|_| CliError::usage("--max-reps must be an integer"))?,
-        );
-    }
+    req.quorum = args.get_opt("quorum")?;
+    req.max_steps = args.get_opt("max-steps")?;
+    req.max_virtual_secs = args.get_opt("max-virtual-secs")?;
+    req.precision = args.get_opt("precision")?;
+    req.min_reps = args.get_opt("min-reps")?;
+    req.max_reps = args.get_opt("max-reps")?;
     req.antithetic = args.has("antithetic");
     Ok(req)
 }

@@ -36,42 +36,18 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, CliError> {
         threads: args.get_parsed("threads", 0)?,
         eval_threads: args.get_parsed("eval-threads", 0)?,
         max_reps: args.get_parsed("max-reps", 0)?,
-        max_steps: match args.get("max-steps") {
-            None => None,
-            Some(s) => Some(
-                s.parse()
-                    .map_err(|_| CliError::usage("--max-steps must be an integer"))?,
-            ),
-        },
-        max_virtual_secs: match args.get("max-virtual-secs") {
-            None => None,
-            Some(s) => Some(
-                s.parse()
-                    .map_err(|_| CliError::usage("--max-virtual-secs must be a number"))?,
-            ),
-        },
+        max_steps: args.get_opt("max-steps")?,
+        max_virtual_secs: args.get_opt("max-virtual-secs")?,
         http_addr: args.get("http").map(str::to_string),
         log_out: args.get("log-out").map(PathBuf::from),
-        log_slow_ms: match args.get("log-slow-ms") {
-            None => None,
-            Some(s) => Some(
-                s.parse()
-                    .map_err(|_| CliError::usage("--log-slow-ms must be a number"))?,
-            ),
-        },
+        log_slow_ms: args.get_opt("log-slow-ms")?,
         span_capacity: args
             .get_parsed("span-cap", pevpm_serve::telemetry::DEFAULT_SPAN_CAPACITY)?,
         conns: args.get_parsed("conns", 0)?,
         io_timeout_ms: args
             .get_parsed("io-timeout-ms", pevpm_serve::server::DEFAULT_IO_TIMEOUT_MS)?,
         inflight: args.get_parsed("inflight", 0)?,
-        queue: match args.get("queue") {
-            None => None,
-            Some(s) => Some(
-                s.parse()
-                    .map_err(|_| CliError::usage("--queue must be an integer"))?,
-            ),
-        },
+        queue: args.get_opt("queue")?,
         shed_retry_ms: args
             .get_parsed("shed-retry-ms", pevpm_serve::server::DEFAULT_SHED_RETRY_MS)?,
         drain_ms: args.get_parsed("drain-ms", pevpm_serve::server::DEFAULT_DRAIN_MS)?,

@@ -24,6 +24,84 @@ fn help_and_unknown_commands() {
 }
 
 #[test]
+fn unknown_options_are_usage_errors_naming_option_and_command() {
+    // Rejected before the command looks at a single file.
+    for (line, option, command) in [
+        (
+            "predict --rep 8 --model x.c --db x.dist --procs 2",
+            "--rep ",
+            "`pevpm predict`",
+        ),
+        (
+            "serve --db x.dist --inflght 1",
+            "--inflght ",
+            "`pevpm serve`",
+        ),
+        (
+            "client --addr 127.0.0.1:9 --ping --db x.dist",
+            "--db ",
+            "`pevpm client`",
+        ),
+        ("annotate x.c --nodes=2", "--nodes ", "`pevpm annotate`"),
+    ] {
+        let e = run_cmd(line).unwrap_err();
+        assert_eq!(e.code, EXIT_USAGE, "{line}: {e}");
+        assert!(e.message.contains("unknown option"), "{line}: {e}");
+        assert!(e.message.contains(option), "{line}: {e}");
+        assert!(e.message.contains(command), "{line}: {e}");
+    }
+    // Several at once are all named, in a fixed order.
+    let e = run_cmd("fit --zeta 1 --db x.dist --alpha 2").unwrap_err();
+    assert!(e.message.contains("--alpha, --zeta for"), "{e}");
+    // The global flags are options of every command.
+    assert!(run_cmd("help -q --verbose").is_ok());
+}
+
+#[test]
+fn command_option_lists_match_their_usage_blocks() {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    // `--flag` spellings per `  pevpm NAME ...` block of USAGE; a block
+    // ends at the next synopsis or the first unindented line.
+    let mut documented: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut current = None;
+    for line in USAGE.lines() {
+        if let Some(synopsis) = line.strip_prefix("  pevpm ") {
+            current = synopsis.split_whitespace().next();
+        } else if !line.is_empty() && !line.starts_with(' ') {
+            current = None;
+        }
+        if let Some(name) = current {
+            documented.entry(name).or_default().extend(
+                line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .filter_map(|token| token.strip_prefix("--"))
+                    .filter(|flag| !flag.is_empty()),
+            );
+        }
+    }
+    for command in COMMANDS.iter().filter(|c| c.name != "help") {
+        let listed: BTreeSet<&str> = command.options.iter().copied().flatten().copied().collect();
+        assert_eq!(
+            Some(&listed),
+            documented.get(command.name),
+            "`pevpm {}`: option list vs USAGE block",
+            command.name
+        );
+    }
+    assert_eq!(documented.len(), COMMANDS.len() - 1, "a block per command");
+    // What only the parser needs to know is still a real option somewhere.
+    for flag in BOOL_FLAGS {
+        assert!(
+            GLOBAL_OPTIONS.contains(flag)
+                || COMMANDS
+                    .iter()
+                    .any(|c| c.options.iter().any(|g| g.contains(flag))),
+            "BOOL_FLAGS names --{flag}, which no command reads"
+        );
+    }
+}
+
+#[test]
 fn bench_inspect_fit_predict_pipeline() {
     let dir = tmpdir("bench_inspect_fit_predict_pipeline");
     let db = dir.join("db.dist");
