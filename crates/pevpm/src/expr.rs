@@ -103,60 +103,11 @@ fn err<T>(message: impl Into<String>) -> Result<T, ExprError> {
     })
 }
 
-/// A fast, non-cryptographic string hasher (FxHash-style multiply-rotate
-/// mix) for the interpreter environment. `Expr::Var` resolution happens on
-/// the Monte-Carlo hot path — once per variable reference per directive per
-/// replication — where SipHash's per-lookup cost is measurable. Environment
-/// keys are short, trusted model identifiers, so HashDoS resistance buys
-/// nothing here.
-#[derive(Default)]
-pub struct FastHasher {
-    hash: u64,
-}
-
-impl FastHasher {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
-    }
-}
-
-impl std::hash::Hasher for FastHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, b: u8) {
-        self.mix(b as u64);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// Variable bindings for evaluation. Construct with `Env::default()` (the
-/// custom hasher has no `new`).
-pub type Env = HashMap<String, f64, std::hash::BuildHasherDefault<FastHasher>>;
+/// Variable bindings for evaluation. Keys are model and request parameter
+/// names — input from outside the program since the daemon — so the map
+/// keeps the standard library's collision-resistant hasher; the sweep loop
+/// resolves variables by slot ([`crate::lower`]), never through this map.
+pub type Env = HashMap<String, f64>;
 
 /// Build an environment with the two standard PEVPM variables plus user
 /// parameters.

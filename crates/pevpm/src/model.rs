@@ -16,7 +16,6 @@
 //!   models).
 
 use crate::expr::{Env, Expr, ExprError};
-use std::collections::HashMap;
 
 /// Message kinds a [`Stmt::Message`] directive can describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -353,9 +352,6 @@ pub mod build {
         stmt
     }
 }
-
-/// Parameter map type re-export for convenience.
-pub type Params = HashMap<String, f64>;
 
 #[cfg(test)]
 mod tests {
