@@ -1,4 +1,4 @@
-//! Criterion micro-benchmark of what the observability sinks cost the
+//! Micro-benchmark of what the observability sinks cost the
 //! PEVPM engine: no sink, metrics registry, timeline recording, service
 //! span telemetry — each bitwise the bare prediction. Engine, sampler and
 //! simulator speed are measured by the probes of the benchmark under
@@ -6,19 +6,41 @@
 //!
 //! Run with `cargo bench -p pevpm-bench --bench engine_micro`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, monte_carlo, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
 use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Print one row: min / median / max per-call time over seven samples, each
+/// sample enough calls to fill about 40 ms.
+fn time_row(name: &str, mut call: impl FnMut() -> f64) {
+    let warm = Instant::now();
+    black_box(call());
+    let calls = ((0.04 / warm.elapsed().as_secs_f64().max(1e-9)).ceil() as u32).max(1);
+    let mut micros: Vec<f64> = (0..7)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                black_box(call());
+            }
+            start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
+        })
+        .collect();
+    micros.sort_by(f64::total_cmp);
+    println!(
+        "{name:<50} time: [{:.2} {:.2} {:.2}] µs",
+        micros[0], micros[3], micros[6]
+    );
+}
 
 /// Cost of the observability hooks: the same evaluation with no sink
 /// (default config — the hooks reduce to one branch per event), with a
 /// metrics registry attached, and with timeline recording on. The no-sink
 /// variant is the guard: it must stay within noise (<5%) of what the
 /// engine did before instrumentation existed.
-fn instrumentation_overhead(c: &mut Criterion) {
+fn main() {
     use pevpm_obs::Registry;
     use std::sync::Arc;
 
@@ -49,14 +71,14 @@ fn instrumentation_overhead(c: &mut Criterion) {
         .with_metrics(registry.clone());
     let with_timeline = EvalConfig::new(16).with_seed(1).with_timeline();
 
-    c.bench_function("pevpm: evaluation, no sink", |b| {
-        b.iter(|| black_box(evaluate(&model, &no_sink, &timing).unwrap().makespan))
+    time_row("pevpm: evaluation, no sink", || {
+        evaluate(&model, &no_sink, &timing).unwrap().makespan
     });
-    c.bench_function("pevpm: evaluation, metrics registry", |b| {
-        b.iter(|| black_box(evaluate(&model, &with_metrics, &timing).unwrap().makespan))
+    time_row("pevpm: evaluation, metrics registry", || {
+        evaluate(&model, &with_metrics, &timing).unwrap().makespan
     });
-    c.bench_function("pevpm: evaluation, timeline recording", |b| {
-        b.iter(|| black_box(evaluate(&model, &with_timeline, &timing).unwrap().makespan))
+    time_row("pevpm: evaluation, timeline recording", || {
+        evaluate(&model, &with_timeline, &timing).unwrap().makespan
     });
 
     // Service-span telemetry as the daemon applies it: a stage window
@@ -66,7 +88,7 @@ fn instrumentation_overhead(c: &mut Criterion) {
     let ring = pevpm_obs::SpanRing::new(64);
     let span_registry = Arc::new(Registry::new());
     let evaluate_with_span = |ring: &pevpm_obs::SpanRing, reg: &Registry| {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let mut span = pevpm_obs::RequestSpan::new(ring.next_id(), "predict", 0, 0.0);
         let pred = evaluate(&model, &no_sink, &timing).unwrap();
         let dur_us = t0.elapsed().as_secs_f64() * 1e6;
@@ -81,8 +103,8 @@ fn instrumentation_overhead(c: &mut Criterion) {
         ring.push(span);
         pred
     };
-    c.bench_function("pevpm: evaluation, span telemetry", |b| {
-        b.iter(|| black_box(evaluate_with_span(&ring, &span_registry).makespan))
+    time_row("pevpm: evaluation, span telemetry", || {
+        evaluate_with_span(&ring, &span_registry).makespan
     });
     let bare = evaluate(&model, &no_sink, &timing).unwrap();
     let spanned = evaluate_with_span(&ring, &span_registry);
@@ -109,6 +131,3 @@ fn instrumentation_overhead(c: &mut Criterion) {
         (plain.evals_per_sec / metered.evals_per_sec.max(1e-9) - 1.0) * 100.0,
     );
 }
-
-criterion_group!(benches, instrumentation_overhead);
-criterion_main!(benches);
