@@ -22,12 +22,12 @@
 //!    degenerate `--reps 1`-style configurations instead of emitting
 //!    NaN.
 
-use pevpm::model::build::*;
-use pevpm::model::{Model, Stmt};
+mod common;
+
+use common::{noisy_timing, ring_model};
 use pevpm::stats::{self, AdaptivePolicy};
-use pevpm::timing::TimingModel;
 use pevpm::vm::{monte_carlo, EvalConfig, PevpmError};
-use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op, Summary};
+use pevpm_dist::Summary;
 
 // ---------------------------------------------------------------------
 // Synthetic streams: splitmix64 + Box-Muller, no external dependency.
@@ -173,48 +173,6 @@ fn drift_detector_calibrates_on_synthetic_streams() {
 // Engine fixtures
 // ---------------------------------------------------------------------
 
-/// A stochastic timing model with real spread, optionally scaled — the
-/// scaled variant is the "what-if" arm for CRN tests.
-fn noisy_timing(scale: f64) -> TimingModel {
-    let samples: Vec<f64> = (0..400)
-        .map(|i| scale * (1e-4 + (i % 37) as f64 * 3e-6 + (i % 11) as f64 * 7e-6))
-        .collect();
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 24] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Hist(Histogram::from_samples(&samples, 5e-6 * scale)),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
-
-/// A small ring-exchange model whose makespan is dominated by sampled
-/// communication times (so replication noise is real).
-fn ring_model(iters: &str) -> Model {
-    Model::new().with_stmt(looped(
-        iters,
-        vec![
-            Stmt::Message {
-                kind: pevpm::MsgKind::Isend,
-                size: e("1024"),
-                from: e("procnum"),
-                to: e("(procnum + 1) % numprocs"),
-                handle: None,
-                label: None,
-            },
-            recv("1024", "(procnum - 1) % numprocs", "procnum"),
-            serial("0.00001"),
-        ],
-    ))
-}
-
 fn base_cfg(seed: u64) -> EvalConfig {
     EvalConfig::new(4).with_seed(seed).with_threads(2)
 }
@@ -228,7 +186,7 @@ fn base_cfg(seed: u64) -> EvalConfig {
 /// paired difference strictly less variable than independent seeding.
 #[test]
 fn crn_reduces_paired_difference_variance() {
-    let model = ring_model("8");
+    let model = ring_model("8", "1024", "0.00001");
     let fast = noisy_timing(1.0);
     let slow = noisy_timing(1.2);
     let reps = 24;
@@ -268,7 +226,7 @@ fn crn_reduces_paired_difference_variance() {
 /// independent pairs'.
 #[test]
 fn antithetic_pairing_reduces_pair_mean_variance() {
-    let model = ring_model("8");
+    let model = ring_model("8", "1024", "0.00001");
     let timing = noisy_timing(1.0);
     let reps = 32; // 16 pairs
     let seed = 0xA17;
@@ -323,7 +281,7 @@ fn adaptive_cfg(seed: u64, precision: f64, max_reps: usize) -> EvalConfig {
 /// re-runs and across thread counts.
 #[test]
 fn adaptive_is_deterministic_across_reruns_and_thread_counts() {
-    let model = ring_model("6");
+    let model = ring_model("6", "1024", "0.00001");
     let timing = noisy_timing(1.0);
     let reference = monte_carlo(&model, &adaptive_cfg(0xBEEF, 0.02, 48), &timing, 48).unwrap();
     let ref_report = reference.adaptive.expect("adaptive report missing");
@@ -364,7 +322,7 @@ fn adaptive_is_deterministic_across_reruns_and_thread_counts() {
 /// fixed stream.
 #[test]
 fn adaptive_agrees_with_the_fixed_prefix_and_the_reference_rule() {
-    let model = ring_model("6");
+    let model = ring_model("6", "1024", "0.00001");
     let timing = noisy_timing(1.0);
     let max_reps = 48;
     let policy = AdaptivePolicy::new(0.02)
@@ -421,7 +379,7 @@ fn adaptive_agrees_with_the_fixed_prefix_and_the_reference_rule() {
 /// than looping or lying.
 #[test]
 fn unreachable_precision_stops_at_the_ceiling_unconverged() {
-    let model = ring_model("4");
+    let model = ring_model("4", "1024", "0.00001");
     let timing = noisy_timing(1.0);
     let mc = monte_carlo(&model, &adaptive_cfg(3, 1e-9, 12), &timing, 12).unwrap();
     let report = mc.adaptive.unwrap();
@@ -436,7 +394,7 @@ fn unreachable_precision_stops_at_the_ceiling_unconverged() {
 /// that legitimately stopped early with every replication succeeding.
 #[test]
 fn quorum_counts_reps_actually_run_under_early_stopping() {
-    let model = ring_model("6");
+    let model = ring_model("6", "1024", "0.00001");
     let timing = noisy_timing(1.0);
     // quorum = max_reps: meaningful for a fixed batch of 48; an early
     // stop at k < 48 clamps it to k (all k succeeded → quorum met).
@@ -461,7 +419,7 @@ fn quorum_counts_reps_actually_run_under_early_stopping() {
 /// configuration error instead of dividing by zero degrees of freedom.
 #[test]
 fn single_rep_and_degenerate_floors_are_handled() {
-    let model = ring_model("4");
+    let model = ring_model("4", "1024", "0.00001");
     let timing = noisy_timing(1.0);
     let one = monte_carlo(&model, &base_cfg(9), &timing, 1).unwrap();
     assert_eq!(one.runs.len(), 1);

@@ -12,52 +12,15 @@
 //! - **Shared thread budget**: `threads × eval_threads` stays within the
 //!   host budget when Monte-Carlo replication nests DAG evaluations.
 
+mod common;
+
+use common::{assert_identical, noisy_timing, point_timing, ring_model};
 use pevpm::model::build::*;
 use pevpm::model::{Model, Stmt};
 use pevpm::timing::TimingModel;
-use pevpm::vm::{evaluate, monte_carlo, EvalConfig, Prediction};
+use pevpm::vm::{evaluate, monte_carlo, EvalConfig};
 use pevpm::{dag, ThreadBudget};
-use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
 use std::sync::Arc;
-
-fn point_timing(t: f64) -> TimingModel {
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 24] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Point(t),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
-
-/// Histogram timing with real spread, so RNG draws matter and any
-/// scheduling-dependent draw order would change bits.
-fn noisy_timing() -> TimingModel {
-    let samples: Vec<f64> = (0..400)
-        .map(|i| 1e-4 + (i % 37) as f64 * 3e-6 + (i % 11) as f64 * 7e-6)
-        .collect();
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 24] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Hist(Histogram::from_samples(&samples, 5e-6)),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
 
 /// Eight ranks in four independent ping-pong pairs: four SCCs, no edges.
 fn island_model() -> Model {
@@ -104,58 +67,9 @@ fn pipeline_model() -> Model {
         ))
 }
 
-/// A ring exchange: every rank depends on its neighbours — one SCC.
-fn ring_model() -> Model {
-    Model::new().with_stmt(looped(
-        "4",
-        vec![
-            Stmt::Message {
-                kind: pevpm::MsgKind::Isend,
-                size: e("1024"),
-                from: e("procnum"),
-                to: e("(procnum + 1) % numprocs"),
-                handle: None,
-                label: None,
-            },
-            recv("1024", "(procnum - 1) % numprocs", "procnum"),
-            serial("0.0001"),
-        ],
-    ))
-}
-
-fn assert_identical(a: &Prediction, b: &Prediction, what: &str) {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(a.nprocs, b.nprocs, "{what}: nprocs");
-    assert_eq!(
-        a.makespan.to_bits(),
-        b.makespan.to_bits(),
-        "{what}: makespan"
-    );
-    assert_eq!(
-        bits(&a.finish_times),
-        bits(&b.finish_times),
-        "{what}: finish_times"
-    );
-    assert_eq!(
-        bits(&a.compute_time),
-        bits(&b.compute_time),
-        "{what}: compute_time"
-    );
-    assert_eq!(bits(&a.send_time), bits(&b.send_time), "{what}: send_time");
-    assert_eq!(
-        bits(&a.blocked_time),
-        bits(&b.blocked_time),
-        "{what}: blocked_time"
-    );
-    assert_eq!(a.messages, b.messages, "{what}: messages");
-    assert_eq!(a.steps, b.steps, "{what}: steps");
-    assert_eq!(a.sb_peak, b.sb_peak, "{what}: sb_peak");
-    assert_eq!(a.races, b.races, "{what}: races");
-}
-
 #[test]
 fn multi_component_dag_is_bitwise_identical_at_any_thread_count() {
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     for (name, model, nprocs) in [
         ("islands", island_model(), 8),
         ("pipeline", pipeline_model(), 4),
@@ -177,8 +91,8 @@ fn multi_component_dag_is_bitwise_identical_at_any_thread_count() {
 
 #[test]
 fn single_component_dag_matches_serial_bitwise() {
-    let timing = noisy_timing();
-    let model = ring_model();
+    let timing = noisy_timing(1.0);
+    let model = ring_model("4", "1024", "0.0001");
     let cfg = EvalConfig::new(6).with_seed(7);
     let plan = dag::plan(&model, &cfg).unwrap();
     assert_eq!(plan.components, 1, "ring must condense to one SCC");
@@ -245,7 +159,7 @@ fn monte_carlo_shares_the_thread_budget() {
     // replica's DAG scheduler gets the per-job share of the host budget.
     // Capping is result-neutral, so the aggregate stays bitwise equal to
     // the fully serial nesting.
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = island_model();
     let reps = 6;
     let registry = Arc::new(pevpm_obs::Registry::new());

@@ -15,6 +15,9 @@
 //! group ran to the end or stood down (wildcard receive, a lane over the
 //! virtual-time budget) and re-ran its replicas one at a time.
 
+mod common;
+
+use common::{assert_identical, noisy_timing};
 use pevpm::model::build::*;
 use pevpm::model::{Model, Stmt};
 use pevpm::replicate;
@@ -22,28 +25,6 @@ use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, monte_carlo, EvalConfig, PevpmError, Prediction, RunBudget};
 use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
-
-/// A stochastic timing model: histogram entries with real spread, so each
-/// evaluation's RNG draws matter.
-fn noisy_timing() -> TimingModel {
-    let samples: Vec<f64> = (0..400)
-        .map(|i| 1e-4 + (i % 37) as f64 * 3e-6 + (i % 11) as f64 * 7e-6)
-        .collect();
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 24] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Hist(Histogram::from_samples(&samples, 5e-6)),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
 
 /// A model exercising every observable the engine reports: a ring
 /// exchange (labelled blocking receives → loss_by_label), nonblocking
@@ -85,52 +66,9 @@ fn stress_model() -> Model {
         })
 }
 
-/// Bitwise comparison of every field of two predictions.
-fn assert_identical(a: &Prediction, b: &Prediction, what: &str) {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(a.nprocs, b.nprocs, "{what}: nprocs");
-    assert_eq!(
-        a.makespan.to_bits(),
-        b.makespan.to_bits(),
-        "{what}: makespan"
-    );
-    assert_eq!(
-        bits(&a.finish_times),
-        bits(&b.finish_times),
-        "{what}: finish_times"
-    );
-    assert_eq!(
-        bits(&a.compute_time),
-        bits(&b.compute_time),
-        "{what}: compute_time"
-    );
-    assert_eq!(bits(&a.send_time), bits(&b.send_time), "{what}: send_time");
-    assert_eq!(
-        bits(&a.blocked_time),
-        bits(&b.blocked_time),
-        "{what}: blocked_time"
-    );
-    assert_eq!(a.messages, b.messages, "{what}: messages");
-    assert_eq!(a.steps, b.steps, "{what}: steps");
-    assert_eq!(a.sb_peak, b.sb_peak, "{what}: sb_peak");
-    assert_eq!(a.races, b.races, "{what}: races");
-    assert_eq!(
-        a.loss_by_label.len(),
-        b.loss_by_label.len(),
-        "{what}: loss labels"
-    );
-    for (label, loss) in &a.loss_by_label {
-        let other = b
-            .loss_by_label
-            .get(label)
-            .unwrap_or_else(|| panic!("{what}: label {label:?} missing from one side"));
-        assert_eq!(loss.to_bits(), other.to_bits(), "{what}: loss[{label}]");
-    }
-}
-
 #[test]
 fn monte_carlo_is_bitwise_identical_at_any_thread_count() {
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = stress_model();
     let reps = 12;
     let serial_cfg = EvalConfig::new(4).with_seed(0xD5).with_threads(1);
@@ -179,7 +117,7 @@ fn monte_carlo_is_bitwise_identical_at_any_thread_count() {
 fn parallel_replicas_match_standalone_evaluations() {
     // Each replica of a parallel batch must equal a standalone `evaluate`
     // with the derived seed — the batch adds no hidden state.
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = stress_model();
     let base = 0xABCD;
     let cfg = EvalConfig::new(4).with_seed(base).with_threads(4);
@@ -193,7 +131,7 @@ fn parallel_replicas_match_standalone_evaluations() {
 
 #[test]
 fn thread_count_zero_resolves_to_all_cores_and_stays_deterministic() {
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = stress_model();
     let serial = monte_carlo(
         &model,
@@ -274,7 +212,7 @@ fn solo_cfg(cfg: &EvalConfig, i: usize) -> EvalConfig {
 
 #[test]
 fn every_lane_equals_evaluate_at_its_replica_seed() {
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     for (name, model) in [("lanes", lane_model()), ("stand-down", stress_model())] {
         for antithetic in [false, true] {
             let mut base = EvalConfig::new(4).with_seed(0x1A9E5);
@@ -310,7 +248,7 @@ fn every_lane_equals_evaluate_at_its_replica_seed() {
 
 #[test]
 fn adaptive_run_is_a_bitwise_prefix_of_the_fixed_batch() {
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = lane_model();
     // A precision no 24 replications reach, and one met early: the run
     // covers whole lane groups plus a remainder, or stops inside a group.
@@ -339,7 +277,7 @@ fn wildcard_group_stands_down_to_the_historical_outputs() {
     // The fan-in's wildcard receives make the group of eight stand down;
     // what comes back is what eight separate evaluations report, race
     // reports included.
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = stress_model();
     let cfg = EvalConfig::new(4).with_seed(0xFA4).with_threads(1);
     let mc = monte_carlo(&model, &cfg, &timing, 8).unwrap();
@@ -429,7 +367,7 @@ fn virtual_time_budget_crossed_by_one_lane_fails_exactly_that_replica() {
 fn lane_uniform_failures_are_reported_per_lane() {
     // Every lane deadlocks at the same step but at its own virtual time:
     // the group reports eight deadlocks, each the replica's own.
-    let timing = noisy_timing();
+    let timing = noisy_timing(1.0);
     let model = Model::new()
         .with_stmt(runon2(
             "procnum == 0",

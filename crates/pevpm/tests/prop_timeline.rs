@@ -6,52 +6,11 @@
 //! process must be well-formed (`end >= start`) and tile its clock: span
 //! durations sum to the process's finish time.
 
-use pevpm::model::build::*;
-use pevpm::model::{Model, Stmt};
-use pevpm::timing::TimingModel;
+mod common;
+
+use common::{bound_ring_model, point_timing};
 use pevpm::vm::{evaluate, EvalConfig};
-use pevpm_dist::{CommDist, DistKey, DistTable, Op};
 use proptest::prelude::*;
-
-fn point_timing(t: f64) -> TimingModel {
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 24] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Point(t),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
-
-/// Ring-shift model with per-lap compute (same shape as `prop_vm.rs`).
-fn ring_model(laps: u64, size: u64, work: f64) -> Model {
-    Model::new()
-        .with_param("laps", laps as f64)
-        .with_param("size", size as f64)
-        .with_param("work", work)
-        .with_stmt(looped(
-            "laps",
-            vec![
-                Stmt::Message {
-                    kind: pevpm::MsgKind::Isend,
-                    size: e("size"),
-                    from: e("procnum"),
-                    to: e("(procnum + 1) % numprocs"),
-                    handle: None,
-                    label: None,
-                },
-                recv("size", "(procnum - 1) % numprocs", "procnum"),
-                serial("work"),
-            ],
-        ))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -67,7 +26,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         let work = work_us as f64 * 1e-6;
-        let m = ring_model(laps, size, work);
+        let m = bound_ring_model(laps, size, work);
         let cfg = EvalConfig::new(nprocs).with_seed(seed).with_timeline();
         let p = evaluate(&m, &cfg, &point_timing(comm_us as f64 * 1e-6)).unwrap();
         prop_assert_eq!(p.timeline.len(), nprocs);
@@ -100,7 +59,7 @@ proptest! {
         work_us in 1u64..2_000,
         seed in 0u64..50,
     ) {
-        let m = ring_model(laps, 1024, work_us as f64 * 1e-6);
+        let m = bound_ring_model(laps, 1024, work_us as f64 * 1e-6);
         let cfg = EvalConfig::new(nprocs).with_seed(seed).with_timeline();
         let p = evaluate(&m, &cfg, &point_timing(1e-5)).unwrap();
         let total: usize = p.timeline.iter().map(Vec::len).sum();
@@ -116,7 +75,7 @@ proptest! {
         nprocs in 2usize..7,
         seed in 0u64..50,
     ) {
-        let m = ring_model(laps, 2048, 1e-5);
+        let m = bound_ring_model(laps, 2048, 1e-5);
         let timing = point_timing(2e-5);
         let plain = evaluate(&m, &EvalConfig::new(nprocs).with_seed(seed), &timing).unwrap();
         let traced = evaluate(

@@ -2,54 +2,15 @@
 //! invariants of evaluation over randomly generated (but well-formed)
 //! models.
 
+mod common;
+
+use common::{bound_ring_model, point_timing};
 use pevpm::model::build::*;
-use pevpm::model::{Model, Stmt};
+use pevpm::model::Model;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_dist::{CommDist, DistKey, DistTable, Op};
 use proptest::prelude::*;
-
-fn point_timing(t: f64) -> TimingModel {
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 24] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Point(t),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
-
-/// A ring-shift model: every proc sends `size` bytes right and receives
-/// from the left, `laps` times, with `work` seconds of compute per lap —
-/// deadlock-free for any nprocs ≥ 2 because the sends are nonblocking.
-fn ring_model(laps: u64, size: u64, work: f64) -> Model {
-    Model::new()
-        .with_param("laps", laps as f64)
-        .with_param("size", size as f64)
-        .with_param("work", work)
-        .with_stmt(looped(
-            "laps",
-            vec![
-                Stmt::Message {
-                    kind: pevpm::MsgKind::Isend,
-                    size: e("size"),
-                    from: e("procnum"),
-                    to: e("(procnum + 1) % numprocs"),
-                    handle: None,
-                    label: None,
-                },
-                recv("size", "(procnum - 1) % numprocs", "procnum"),
-                serial("work"),
-            ],
-        ))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -67,7 +28,7 @@ proptest! {
     ) {
         let work = work_us as f64 * 1e-6;
         let comm = comm_us as f64 * 1e-6;
-        let m = ring_model(laps, size, work);
+        let m = bound_ring_model(laps, size, work);
         let p = evaluate(&m, &EvalConfig::new(nprocs), &point_timing(comm)).unwrap();
         // Lower bound: each proc does `laps` serial segments, and each lap
         // contains at least one message wait of `comm` from the previous
@@ -80,7 +41,7 @@ proptest! {
 
         // Monotonicity in laps.
         let p2 = evaluate(
-            &ring_model(laps + 1, size, work),
+            &bound_ring_model(laps + 1, size, work),
             &EvalConfig::new(nprocs),
             &point_timing(comm),
         )
@@ -103,7 +64,7 @@ proptest! {
             CommDist::Hist(pevpm_dist::Histogram::from_samples(&samples, 1e-6)),
         );
         let timing = TimingModel::distributions(table);
-        let m = ring_model(laps, 1024, 0.0);
+        let m = bound_ring_model(laps, 1024, 0.0);
         let run = |s: u64| {
             evaluate(&m, &EvalConfig::new(nprocs).with_seed(s), &timing)
                 .unwrap()

@@ -11,14 +11,15 @@
 //! - Fixed-reps responses must not change shape: no `adaptive` key, same
 //!   bytes as ever (the wider Jacobi determinism suite pins the values).
 
+mod common;
+
+use common::{mean_of, parse_ok, start_daemon};
 use pevpm_bench::fig6;
 use pevpm_dist::DistTable;
 use pevpm_mpibench::MachineShape;
 use pevpm_obs::json::{self, Json};
 use pevpm_serve::plan::{self, EvalOutcome, PredictRequest};
-use pevpm_serve::{Client, ServeConfig, Server};
-use std::net::SocketAddr;
-use std::thread::JoinHandle;
+use pevpm_serve::{Client, ServeConfig};
 
 const JACOBI_SRC: &str = "\
 // PEVPM Loop iterations = iterations
@@ -70,38 +71,17 @@ fn request(xsize: f64, seed: u64, reps: usize) -> PredictRequest {
     req
 }
 
-fn start_daemon(cfg: ServeConfig) -> (SocketAddr, JoinHandle<()>) {
-    let server = Server::with_tables(cfg, vec![("default".to_string(), table())]).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run().expect("daemon run"));
-    (addr, handle)
-}
-
-fn parse_ok(response: &str) -> Json {
-    let j = json::parse(response).expect("response parses");
-    assert_eq!(
-        j.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "daemon refused the request: {response}"
-    );
-    j.get("result").expect("result field").clone()
-}
-
-fn mean_of(result: &Json) -> f64 {
-    result
-        .get("mean")
-        .and_then(Json::as_num)
-        .expect("mean field")
-}
-
 /// Run the CRN what-if batch (fast arm seed 11, slow arm seed 999 — the
 /// seeds deliberately differ so only CRN can pair them) on a daemon with
 /// `conns` workers and return the raw response bytes.
 fn crn_batch_bytes(conns: usize) -> String {
-    let (addr, handle) = start_daemon(ServeConfig {
-        conns,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            conns,
+            ..ServeConfig::default()
+        },
+        table(),
+    );
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let items = vec![
         ("default".to_string(), request(256.0, 11, 8)),
@@ -127,7 +107,7 @@ fn crn_batches_are_bitwise_reproducible_across_restarts_and_conns() {
     // CRN really rewrites the arm seeds to the shared base: the second
     // arm's answer equals that item evaluated alone under seed 11, and
     // differs from its answer under its own seed 999.
-    let (addr, handle) = start_daemon(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default(), table());
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let slots_json = parse_ok(&reference);
     let slots = slots_json.as_array().expect("batch array");
@@ -183,10 +163,13 @@ fn adaptive_requests_are_deterministic_and_save_reps() {
     assert!(report.converged);
     assert!(report.reps_saved() > 0);
 
-    let (addr, handle) = start_daemon(ServeConfig {
-        conns: 8,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            conns: 8,
+            ..ServeConfig::default()
+        },
+        table(),
+    );
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let cold = client.predict("r", "default", &req).expect("cold");
     let warm = client.predict("r", "default", &req).expect("warm");
@@ -244,10 +227,13 @@ fn adaptive_requests_are_deterministic_and_save_reps() {
 /// ceiling instead of rejecting it (fixed-reps admission is unchanged).
 #[test]
 fn server_max_reps_tightens_the_adaptive_ceiling() {
-    let (addr, handle) = start_daemon(ServeConfig {
-        max_reps: 6,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            max_reps: 6,
+            ..ServeConfig::default()
+        },
+        table(),
+    );
     let mut client = Client::connect(&addr.to_string()).expect("connect");
 
     let mut req = request(256.0, 11, 4);

@@ -7,16 +7,17 @@
 //! additionally pins the full 64x2 shape to the repository's canonical
 //! Jacobi baseline, `0.6487360493288068`.
 
+mod common;
+
+use common::{mean_of, parse_ok, start_daemon};
 use pevpm::vm::{monte_carlo, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
 use pevpm_bench::fig6;
 use pevpm_dist::DistTable;
 use pevpm_mpibench::MachineShape;
-use pevpm_obs::json::{self, Json};
+use pevpm_obs::json::Json;
 use pevpm_serve::plan::{self, EvalOutcome, PredictRequest};
 use pevpm_serve::{Client, ServeConfig, Server};
-use std::net::SocketAddr;
-use std::thread::JoinHandle;
 
 /// Hand-annotated Jacobi halo exchange, directive-for-directive the
 /// structure `pevpm_apps::jacobi::model` builds programmatically (even/odd
@@ -104,6 +105,15 @@ fn jacobi_request(procs: usize, iterations: usize, reps: usize) -> PredictReques
     req
 }
 
+/// The widest supported worker pool: every determinism assertion in this
+/// file must hold under full connection concurrency too.
+fn widest_pool() -> ServeConfig {
+    ServeConfig {
+        conns: 8,
+        ..ServeConfig::default()
+    }
+}
+
 /// Evaluate a request in-process through the same plan layer the one-shot
 /// `pevpm predict` CLI uses, returning the headline makespan (batch mean).
 fn oneshot_mean(table: &DistTable, req: &PredictRequest) -> f64 {
@@ -117,37 +127,6 @@ fn oneshot_mean(table: &DistTable, req: &PredictRequest) -> f64 {
         EvalOutcome::Batch(mc) => mc.mean,
         EvalOutcome::Single(p) => p.makespan,
     }
-}
-
-fn start_daemon(table: DistTable) -> (SocketAddr, JoinHandle<()>) {
-    // The widest supported worker pool: every determinism assertion in
-    // this file must hold under full connection concurrency too.
-    let cfg = ServeConfig {
-        conns: 8,
-        ..ServeConfig::default()
-    };
-    let server = Server::with_tables(cfg, vec![("default".to_string(), table)]).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run().expect("daemon run"));
-    (addr, handle)
-}
-
-fn parse_ok(response: &str) -> Json {
-    let j = json::parse(response).expect("response parses");
-    assert_eq!(
-        j.get("ok").and_then(Json::as_bool),
-        Some(true),
-        "daemon refused the request: {response}"
-    );
-    j.get("result").expect("result field").clone()
-}
-
-fn mean_of(result: &Json) -> f64 {
-    assert_eq!(result.get("kind").and_then(Json::as_str), Some("mc"));
-    result
-        .get("mean")
-        .and_then(Json::as_num)
-        .expect("mean field")
 }
 
 #[test]
@@ -188,7 +167,7 @@ fn daemon_replay_is_bitwise_identical_to_oneshot() {
         "annotated source diverged from jacobi::model: {programmatic} vs {expected}"
     );
 
-    let (addr, handle) = start_daemon(table);
+    let (addr, handle) = start_daemon(widest_pool(), table);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
 
     // Cold cache, then warm cache: byte-identical responses.
@@ -371,7 +350,7 @@ fn daemon_reproduces_the_64x2_jacobi_baseline() {
         );
     }
 
-    let (addr, handle) = start_daemon(table);
+    let (addr, handle) = start_daemon(widest_pool(), table);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     let cold = client.predict("r", "default", &req).expect("cold");
     let warm = client.predict("r", "default", &req).expect("warm");

@@ -2,59 +2,17 @@
 //! slowloris eviction under concurrency, load shedding, drain, and
 //! bitwise serial-vs-concurrent determinism — all over real sockets.
 
-use pevpm_dist::DistTable;
+mod common;
+
+use common::{start_daemon, test_table, SRC};
 use pevpm_obs::json::{self, Json};
 use pevpm_serve::plan::PredictRequest;
 use pevpm_serve::{proto, ChaosMode, Client, ServeConfig, Server};
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-const SRC: &str = "\
-// PEVPM Loop iterations = rounds
-// PEVPM {
-// PEVPM Runon c1 = procnum == 0
-// PEVPM &     c2 = procnum == 1
-// PEVPM {
-// PEVPM Message type = MPI_Send
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM {
-// PEVPM Message type = MPI_Recv
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM }
-";
-
-fn test_table() -> DistTable {
-    let mut t = DistTable::new();
-    let mut h = pevpm_dist::Histogram::new(0.0, 1e-6);
-    for i in 0..64 {
-        h.add(1e-6 * f64::from(i % 11));
-    }
-    for op in [pevpm_dist::Op::Send, pevpm_dist::Op::Recv] {
-        for size in [512u64, 1024, 2048] {
-            for contention in [1u32, 2] {
-                t.insert(
-                    pevpm_dist::DistKey {
-                        op,
-                        size,
-                        contention,
-                    },
-                    pevpm_dist::CommDist::Hist(h.clone()),
-                );
-            }
-        }
-    }
-    t
-}
 
 fn request(rounds: f64, seed: u64) -> PredictRequest {
     let mut req = PredictRequest::new(SRC, 2);
@@ -62,14 +20,6 @@ fn request(rounds: f64, seed: u64) -> PredictRequest {
     req.seed = seed;
     req.reps = 2;
     req
-}
-
-fn start(cfg: ServeConfig) -> (SocketAddr, JoinHandle<()>) {
-    let server =
-        Server::with_tables(cfg, vec![("default".to_string(), test_table())]).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    let handle = std::thread::spawn(move || server.run().expect("daemon run"));
-    (addr, handle)
 }
 
 fn counters_of(stats_resp: &str) -> Json {
@@ -89,11 +39,14 @@ fn counter(counters: &Json, name: &str) -> f64 {
 /// are observably distinct outcomes, not one generic "error".
 #[test]
 fn disconnect_classes_stay_distinct_under_concurrency() {
-    let (addr, handle) = start(ServeConfig {
-        conns: 2,
-        io_timeout_ms: 300,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            conns: 2,
+            io_timeout_ms: 300,
+            ..ServeConfig::default()
+        },
+        test_table(),
+    );
 
     // Clean EOF: connect, say nothing, close.
     let s = TcpStream::connect(addr).expect("connect");
@@ -155,11 +108,14 @@ fn disconnect_classes_stay_distinct_under_concurrency() {
 #[test]
 fn stalled_peer_is_evicted_while_others_are_served() {
     let io_timeout_ms = 400u64;
-    let (addr, handle) = start(ServeConfig {
-        conns: 2,
-        io_timeout_ms,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            conns: 2,
+            io_timeout_ms,
+            ..ServeConfig::default()
+        },
+        test_table(),
+    );
 
     // Occupy one worker with a slowloris peer.
     let stalled = TcpStream::connect(addr).expect("connect");
@@ -199,11 +155,14 @@ fn stalled_peer_is_evicted_while_others_are_served() {
 #[test]
 fn chaos_modes_never_kill_the_daemon() {
     let io_timeout_ms = 300u64;
-    let (addr, handle) = start(ServeConfig {
-        conns: 2,
-        io_timeout_ms,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            conns: 2,
+            io_timeout_ms,
+            ..ServeConfig::default()
+        },
+        test_table(),
+    );
     let reports = pevpm_serve::chaos::run_all(&addr.to_string(), io_timeout_ms).expect("chaos run");
     assert_eq!(reports.len(), ChaosMode::ALL.len());
     for r in &reports {
@@ -237,14 +196,17 @@ fn chaos_modes_never_kill_the_daemon() {
 /// `serve.shed.total` counter and the `serve.inflight` gauge.
 #[test]
 fn saturation_sheds_instead_of_queueing() {
-    let (addr, handle) = start(ServeConfig {
-        conns: 4,
-        inflight: 1,
-        queue: Some(0),
-        shed_retry_ms: 42,
-        drain_ms: 30_000,
-        ..ServeConfig::default()
-    });
+    let (addr, handle) = start_daemon(
+        ServeConfig {
+            conns: 4,
+            inflight: 1,
+            queue: Some(0),
+            shed_retry_ms: 42,
+            drain_ms: 30_000,
+            ..ServeConfig::default()
+        },
+        test_table(),
+    );
 
     // A batch big enough to hold the single permit while the probe runs;
     // the permit spans the whole frame.
@@ -322,10 +284,13 @@ fn concurrent_responses_are_bitwise_identical_to_serial() {
         .map(|i| request(30.0 + i as f64, 100 + i))
         .collect();
 
-    let (serial_addr, serial_handle) = start(ServeConfig {
-        conns: 1,
-        ..ServeConfig::default()
-    });
+    let (serial_addr, serial_handle) = start_daemon(
+        ServeConfig {
+            conns: 1,
+            ..ServeConfig::default()
+        },
+        test_table(),
+    );
     let mut serial_client = Client::connect(&serial_addr.to_string()).expect("connect serial");
     let serial: Vec<String> = requests
         .iter()
@@ -339,10 +304,13 @@ fn concurrent_responses_are_bitwise_identical_to_serial() {
     serial_client.shutdown("bye").expect("shutdown");
     serial_handle.join().expect("serial daemon");
 
-    let (conc_addr, conc_handle) = start(ServeConfig {
-        conns: 8,
-        ..ServeConfig::default()
-    });
+    let (conc_addr, conc_handle) = start_daemon(
+        ServeConfig {
+            conns: 8,
+            ..ServeConfig::default()
+        },
+        test_table(),
+    );
     let concurrent: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = requests
             .iter()

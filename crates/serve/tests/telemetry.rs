@@ -10,55 +10,14 @@
 //!    its wall time: the stages cover the work, and no stage is counted
 //!    twice.
 
-use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
+mod common;
+
+use common::{test_table, SRC};
 use pevpm_obs::json::{self, Json};
 use pevpm_serve::{Client, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-
-const SRC: &str = "\
-// PEVPM Loop iterations = rounds
-// PEVPM {
-// PEVPM Runon c1 = procnum == 0
-// PEVPM &     c2 = procnum == 1
-// PEVPM {
-// PEVPM Message type = MPI_Send
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM {
-// PEVPM Message type = MPI_Recv
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM }
-";
-
-fn test_table() -> DistTable {
-    let mut t = DistTable::new();
-    let mut h = Histogram::new(0.0, 1e-6);
-    for i in 0..64 {
-        h.add(1e-6 * f64::from(i % 11));
-    }
-    for op in [Op::Send, Op::Recv] {
-        for size in [512u64, 1024, 2048] {
-            for contention in [1u32, 2] {
-                t.insert(
-                    DistKey {
-                        op,
-                        size,
-                        contention,
-                    },
-                    CommDist::Hist(h.clone()),
-                );
-            }
-        }
-    }
-    t
-}
 
 fn predict_frame(reps: usize) -> String {
     format!(
