@@ -24,7 +24,15 @@ pub(crate) fn resolve_machine(args: &Args) -> Result<&'static str, CliError> {
     })
 }
 
-pub(crate) fn cluster_for(args: &Args, nodes: usize) -> Result<ClusterConfig, CliError> {
+/// The simulated world `bench` and `trace` run on: the `--machine` cluster
+/// with any `--faults` plan, block placement, default protocol.
+pub(crate) fn world_for(
+    args: &Args,
+    nodes: usize,
+    procs_per_node: usize,
+    seed: u64,
+    record_trace: bool,
+) -> Result<WorldConfig, CliError> {
     let mut cluster = match resolve_machine(args)? {
         "gigabit" => ClusterConfig::gigabit(nodes),
         "lowlatency" => ClusterConfig::lowlatency(nodes),
@@ -32,7 +40,15 @@ pub(crate) fn cluster_for(args: &Args, nodes: usize) -> Result<ClusterConfig, Cl
         _ => ClusterConfig::perseus(nodes),
     };
     cluster.faults = load_faults(args, &cluster)?;
-    Ok(cluster)
+    Ok(WorldConfig {
+        cluster,
+        procs_per_node,
+        placement: Placement::Block,
+        protocol: ProtocolConfig::default(),
+        seed,
+        virtual_deadline: None,
+        record_trace,
+    })
 }
 
 /// Load and validate a `--faults PLAN.toml` fault scenario. Errors name
@@ -78,18 +94,9 @@ pub(crate) fn cmd_bench(args: &Args) -> Result<String, CliError> {
         "benchmarking {nodes}x{ppn} on {machine} ({} sizes, {reps} reps, {replicas} replica(s))",
         sizes.len()
     ));
-    let world = WorldConfig {
-        cluster: cluster_for(args, nodes)?,
-        procs_per_node: ppn,
-        placement: Placement::Block,
-        protocol: ProtocolConfig::default(),
-        seed,
-        virtual_deadline: None,
-        record_trace: trace_out.is_some(),
-    };
     let res = run_p2p_reps(
         &P2pConfig {
-            world,
+            world: world_for(args, nodes, ppn, seed, trace_out.is_some())?,
             sizes: sizes.clone(),
             repetitions: reps,
             warmup: (reps / 10).max(2),

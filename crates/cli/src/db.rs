@@ -3,19 +3,8 @@
 
 use crate::args::Args;
 use crate::{err, CliError};
-use pevpm_dist::{io as dist_io, CommDist, CompileOptions, DistTable};
+use pevpm_dist::{io as dist_io, CommDist, DistTable};
 use std::path::Path;
-
-/// Sampler-compilation options selected on the command line.
-///
-/// `--exact-quantiles` disables the fitted-distribution quantile LUT and
-/// answers every inverse-CDF query by exact bisection — slower, but useful
-/// to bound the LUT's (documented, <=0.1% relative) interpolation error.
-pub(crate) fn compile_options(args: &Args) -> CompileOptions {
-    CompileOptions {
-        exact_quantiles: args.has("exact-quantiles"),
-    }
-}
 
 pub(crate) fn load_db(args: &Args) -> Result<DistTable, CliError> {
     let path = args.require("db")?;

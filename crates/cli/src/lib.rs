@@ -376,74 +376,53 @@ const BOOL_FLAGS: &[&str] = &[
     "crn",
 ];
 
-/// One subcommand: its entry point and every `--option` it reads, in
-/// groups so that commands sharing a reader share its list. [`run`] refuses
-/// an option the command does not list, so a mistyped flag fails instead of
-/// being ignored; a test holds each list equal to the command's [`USAGE`]
-/// block.
+/// One subcommand: its entry point and every `--option` it reads, as
+/// space-separated lists so that commands sharing a reader share its list.
+/// [`run`] refuses an option the command does not list, so a mistyped flag
+/// fails instead of being ignored; a test holds each list equal to the
+/// command's [`USAGE`] block.
 struct Command {
     name: &'static str,
     run: fn(&Args) -> Result<String, CliError>,
-    options: &'static [&'static [&'static str]],
+    options: &'static [&'static str],
+}
+
+impl Command {
+    fn reads(&self, option: &str) -> bool {
+        let mut listed = self.options.iter().flat_map(|list| list.split(' '));
+        listed.any(|o| o == option)
+    }
 }
 
 /// Accepted by every command: the verbosity flags [`run`] reads itself, and
 /// `--help`, which has always parsed as a flag nothing reads.
 const GLOBAL_OPTIONS: &[&str] = &["quiet", "verbose", "help"];
 
-/// Read by `bench::cluster_for` (`bench`, `trace`).
-const CLUSTER_OPTIONS: &[&str] = &["machine", "faults"];
+/// Read by `bench::world_for` (`bench`, `trace`).
+const CLUSTER_OPTIONS: &str = "machine faults";
 
 /// Read by `predict::predict_request` (`predict`, `client`).
-const REQUEST_OPTIONS: &[&str] = &[
-    "procs",
-    "mode",
-    "pingpong",
-    "exact-quantiles",
-    "param",
-    "seed",
-    "reps",
-    "threads",
-    "eval-threads",
-    "quorum",
-    "precision",
-    "min-reps",
-    "max-reps",
-    "antithetic",
-    "max-steps",
-    "max-virtual-secs",
-];
+const REQUEST_OPTIONS: &str = "procs mode pingpong exact-quantiles param seed reps threads \
+    eval-threads quorum precision min-reps max-reps antithetic max-steps max-virtual-secs";
 
 const COMMANDS: &[Command] = &[
     Command {
         name: "bench",
         run: cmd_bench,
         options: &[
-            &[
-                "nodes",
-                "ppn",
-                "pattern",
-                "sizes",
-                "reps",
-                "replicas",
-                "threads",
-                "seed",
-                "out",
-                "trace-out",
-                "metrics-out",
-            ],
+            "nodes ppn pattern sizes reps replicas threads seed out trace-out metrics-out",
             CLUSTER_OPTIONS,
         ],
     },
     Command {
         name: "inspect",
         run: cmd_inspect,
-        options: &[&["db"]],
+        options: &["db"],
     },
     Command {
         name: "fit",
         run: cmd_fit,
-        options: &[&["db", "out"]],
+        options: &["db out"],
     },
     Command {
         name: "annotate",
@@ -453,56 +432,23 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "predict",
         run: cmd_predict,
-        options: &[
-            &["model", "db", "trace-out", "metrics-out"],
-            REQUEST_OPTIONS,
-        ],
+        options: &["model db trace-out metrics-out", REQUEST_OPTIONS],
     },
     Command {
         name: "serve",
         run: cmd_serve,
-        options: &[&[
-            "db",
-            "addr",
-            "threads",
-            "eval-threads",
-            "conns",
-            "io-timeout-ms",
-            "inflight",
-            "queue",
-            "shed-retry-ms",
-            "drain-ms",
-            "max-reps",
-            "max-steps",
-            "max-virtual-secs",
-            "port-file",
-            "metrics-out",
-            "http",
-            "log-out",
-            "log-slow-ms",
-            "span-cap",
-        ]],
+        options: &[
+            "db addr threads eval-threads conns io-timeout-ms inflight queue shed-retry-ms",
+            "drain-ms max-reps max-steps max-virtual-secs port-file metrics-out http log-out",
+            "log-slow-ms span-cap",
+        ],
     },
     Command {
         name: "client",
         run: cmd_client,
         options: &[
-            &[
-                "addr",
-                "port-file",
-                "stats",
-                "ping",
-                "shutdown",
-                "batch",
-                "crn",
-                "table",
-                "connect-timeout-ms",
-                "retries",
-                "retry-backoff-ms",
-                "chaos",
-                "io-timeout-ms",
-                "model",
-            ],
+            "addr port-file stats ping shutdown batch crn table connect-timeout-ms retries",
+            "retry-backoff-ms chaos io-timeout-ms model",
             REQUEST_OPTIONS,
         ],
     },
@@ -510,34 +456,14 @@ const COMMANDS: &[Command] = &[
         name: "trace",
         run: cmd_trace,
         options: &[
-            &[
-                "nodes",
-                "ppn",
-                "xsize",
-                "iters",
-                "serial-ms",
-                "seed",
-                "db",
-                "exact-quantiles",
-                "trace-out",
-            ],
+            "nodes ppn xsize iters serial-ms seed db exact-quantiles trace-out",
             CLUSTER_OPTIONS,
         ],
     },
     Command {
         name: "fuzz",
         run: cmd_fuzz,
-        options: &[&[
-            "mode",
-            "programs",
-            "seed",
-            "alpha",
-            "reps",
-            "ks-runs",
-            "bench-reps",
-            "out",
-            "replay",
-        ]],
+        options: &["mode programs seed alpha reps ks-runs bench-reps out replay"],
     },
     Command {
         name: "help",
@@ -574,9 +500,7 @@ pub fn run(tokens: Vec<String>) -> Result<String, CliError> {
     };
     let mut unknown: Vec<&str> = args
         .keys()
-        .filter(|key| {
-            !GLOBAL_OPTIONS.contains(key) && !command.options.iter().any(|g| g.contains(key))
-        })
+        .filter(|key| !GLOBAL_OPTIONS.contains(key) && !command.reads(key))
         .collect();
     if !unknown.is_empty() {
         unknown.sort_unstable();

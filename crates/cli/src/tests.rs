@@ -1,6 +1,27 @@
 use super::*;
 use pevpm_dist::{io as dist_io, CommDist, DistTable, Op};
 
+/// Annotated two-process send/recv loop with the free parameter `rounds`.
+const PINGPONG: &str = "\
+// PEVPM Loop iterations = rounds
+// PEVPM {
+// PEVPM Runon c1 = procnum == 0
+// PEVPM &     c2 = procnum == 1
+// PEVPM {
+// PEVPM Message type = MPI_Send
+// PEVPM &       size = 1024
+// PEVPM &       from = 0
+// PEVPM &       to = 1
+// PEVPM }
+// PEVPM {
+// PEVPM Message type = MPI_Recv
+// PEVPM &       size = 1024
+// PEVPM &       from = 0
+// PEVPM &       to = 1
+// PEVPM }
+// PEVPM }
+";
+
 fn run_cmd(s: &str) -> Result<String, CliError> {
     run(s.split_whitespace().map(String::from).collect())
 }
@@ -80,7 +101,7 @@ fn command_option_lists_match_their_usage_blocks() {
         }
     }
     for command in COMMANDS.iter().filter(|c| c.name != "help") {
-        let listed: BTreeSet<&str> = command.options.iter().copied().flatten().copied().collect();
+        let listed: BTreeSet<&str> = command.options.iter().flat_map(|l| l.split(' ')).collect();
         assert_eq!(
             Some(&listed),
             documented.get(command.name),
@@ -92,10 +113,7 @@ fn command_option_lists_match_their_usage_blocks() {
     // What only the parser needs to know is still a real option somewhere.
     for flag in BOOL_FLAGS {
         assert!(
-            GLOBAL_OPTIONS.contains(flag)
-                || COMMANDS
-                    .iter()
-                    .any(|c| c.options.iter().any(|g| g.contains(flag))),
+            GLOBAL_OPTIONS.contains(flag) || COMMANDS.iter().any(|c| c.reads(flag)),
             "BOOL_FLAGS names --{flag}, which no command reads"
         );
     }
@@ -132,29 +150,7 @@ fn bench_inspect_fit_predict_pipeline() {
     assert!(out.contains("smaller"), "{out}");
 
     // annotate + predict
-    std::fs::write(
-        &model,
-        "\
-// PEVPM Loop iterations = rounds
-// PEVPM {
-// PEVPM Runon c1 = procnum == 0
-// PEVPM &     c2 = procnum == 1
-// PEVPM {
-// PEVPM Message type = MPI_Send
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM {
-// PEVPM Message type = MPI_Recv
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM }
-",
-    )
-    .unwrap();
+    std::fs::write(&model, PINGPONG).unwrap();
     let out = run_cmd(&format!("annotate {}", model.display())).unwrap();
     assert!(out.contains("free parameters [\"rounds\"]"), "{out}");
 
@@ -220,29 +216,7 @@ fn trace_subcommand_and_sinks() {
     assert!(js.contains("mpisim measured"), "both pids present");
 
     // predict --trace-out/--metrics-out on a tiny model.
-    std::fs::write(
-        &model,
-        "\
-// PEVPM Loop iterations = 5
-// PEVPM {
-// PEVPM Runon c1 = procnum == 0
-// PEVPM &     c2 = procnum == 1
-// PEVPM {
-// PEVPM Message type = MPI_Send
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM {
-// PEVPM Message type = MPI_Recv
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM }
-",
-    )
-    .unwrap();
+    std::fs::write(&model, PINGPONG.replace("rounds", "5")).unwrap();
     run_cmd(&format!(
         "bench --nodes 2 --sizes 1024 --reps 10 --out {}",
         db.display()
@@ -399,29 +373,10 @@ fn quorum_partial_failures_reach_report_and_metrics() {
         CommDist::Hist(pevpm_dist::Histogram::from_samples(&samples, 0.1)),
     );
     std::fs::write(&db, dist_io::write_table(&table)).unwrap();
-    std::fs::write(
-        &model,
-        "\
-// PEVPM Runon c1 = procnum == 0
-// PEVPM &     c2 = procnum == 1
-// PEVPM {
-// PEVPM Message type = MPI_Send
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM {
-// PEVPM Message type = MPI_Recv
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-",
-    )
-    .unwrap();
+    std::fs::write(&model, PINGPONG).unwrap();
 
     let base = format!(
-        "predict --model {} --db {} --procs 2 --reps 16 --seed 9",
+        "predict --model {} --db {} --procs 2 --param rounds=1 --reps 16 --seed 9",
         model.display(),
         db.display()
     );
@@ -511,29 +466,7 @@ fn serve_and_client_round_trip_deterministically() {
         db.display()
     ))
     .unwrap();
-    std::fs::write(
-        &model,
-        "\
-// PEVPM Loop iterations = rounds
-// PEVPM {
-// PEVPM Runon c1 = procnum == 0
-// PEVPM &     c2 = procnum == 1
-// PEVPM {
-// PEVPM Message type = MPI_Send
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM {
-// PEVPM Message type = MPI_Recv
-// PEVPM &       size = 1024
-// PEVPM &       from = 0
-// PEVPM &       to = 1
-// PEVPM }
-// PEVPM }
-",
-    )
-    .unwrap();
+    std::fs::write(&model, PINGPONG).unwrap();
 
     let metrics = dir.join("serve_metrics.json");
     let serve_cmd = format!(

@@ -1,13 +1,11 @@
 //! `pevpm trace`: measured vs predicted Jacobi timelines.
 
 use crate::args::Args;
-use crate::bench::{cluster_for, resolve_machine};
-use crate::db::compile_options;
+use crate::bench::{resolve_machine, world_for};
 use crate::{err, write_text, CliError};
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
-use pevpm_dist::io as dist_io;
-use pevpm_mpisim::{Placement, ProtocolConfig, WorldConfig};
+use pevpm_dist::{io as dist_io, CompileOptions};
 use pevpm_obs::diag;
 use pevpm_serve::plan;
 use std::path::Path;
@@ -45,16 +43,7 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
     diag::info(&format!(
         "tracing {iters}-iteration Jacobi ({xsize}x{xsize}) on {nodes}x{ppn} {machine}"
     ));
-    let world = WorldConfig {
-        cluster: cluster_for(args, nodes)?,
-        procs_per_node: ppn,
-        placement: Placement::Block,
-        protocol: ProtocolConfig::default(),
-        seed,
-        virtual_deadline: None,
-        record_trace: true,
-    };
-    let measured = jacobi::run_measured(world, &jcfg)
+    let measured = jacobi::run_measured(world_for(args, nodes, ppn, seed, true)?, &jcfg)
         .map_err(|e| CliError::input(format!("measured run failed: {e}")))?;
     let traces = measured.report.traces.as_deref().unwrap_or(&[]);
     let breakdown = pevpm_mpisim::breakdown(traces);
@@ -65,7 +54,9 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
         Some(path) => TimingModel::distributions_with(
             dist_io::load_table(Path::new(path))
                 .map_err(|e| CliError::input(format!("cannot load {path}: {e}")))?,
-            compile_options(args),
+            CompileOptions {
+                exact_quantiles: args.has("exact-quantiles"),
+            },
         ),
         None => TimingModel::hockney(100e-6, 12.5e6),
     };

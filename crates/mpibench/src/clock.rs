@@ -46,17 +46,6 @@ impl ClockModel {
     pub fn offset(&self, rank: usize) -> f64 {
         self.offsets[rank]
     }
-
-    /// Worst-case pairwise clock disagreement, in seconds.
-    pub fn max_skew(&self) -> f64 {
-        let max = self
-            .offsets
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let min = self.offsets.iter().cloned().fold(f64::INFINITY, f64::min);
-        (max - min).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +56,6 @@ mod tests {
     fn perfect_clock_reads_true_time() {
         let c = ClockModel::perfect(4);
         assert_eq!(c.read(2, Time::from_secs_f64(1.5)), 1.5);
-        assert_eq!(c.max_skew(), 0.0);
     }
 
     #[test]
@@ -76,8 +64,7 @@ mod tests {
         for r in 0..16 {
             assert!(c.offset(r).abs() <= 1e-4);
         }
-        assert!(c.max_skew() > 0.0);
-        assert!(c.max_skew() <= 2e-4);
+        assert!((0..16).any(|r| c.offset(r) != 0.0));
     }
 
     #[test]

@@ -195,14 +195,6 @@ impl P2pResult {
             .collect()
     }
 
-    /// The minimum-time series (size, min seconds) — the `min` curve.
-    pub fn min_series(&self) -> Vec<(u64, f64)> {
-        self.by_size
-            .iter()
-            .map(|r| (r.size, r.summary.min().unwrap_or(0.0)))
-            .collect()
-    }
-
     /// Insert this run's histograms into a benchmark database.
     pub fn add_to_table(&self, table: &mut DistTable, op: Op, bins: usize) {
         for r in &self.by_size {
@@ -438,9 +430,7 @@ mod tests {
         let cfg = P2pConfig::perseus(2, 1, vec![64, 256], 20, 1);
         let res = run_p2p(&cfg).unwrap();
         let avg = res.avg_series();
-        let min = res.min_series();
         assert_eq!(avg.len(), 2);
-        assert!(min[0].1 <= avg[0].1);
 
         let mut table = DistTable::new();
         res.add_to_table(&mut table, Op::Isend, 64);

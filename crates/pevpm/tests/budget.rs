@@ -10,28 +10,14 @@
 //!   model even when a deadlock would eventually be impossible to reach;
 //! - panic-isolated replication with k-of-n quorum aggregation.
 
+mod common;
+
+use common::point_timing;
 use pevpm::model::build::*;
 use pevpm::model::Model;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, monte_carlo, BudgetAxis, EvalConfig, PevpmError, RunBudget};
 use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
-
-fn fixed_timing(t: f64) -> TimingModel {
-    let mut table = DistTable::new();
-    for op in [Op::Send, Op::Isend] {
-        for &size in &[1u64, 1 << 30] {
-            table.insert(
-                DistKey {
-                    op,
-                    size,
-                    contention: 1,
-                },
-                CommDist::Point(t),
-            );
-        }
-    }
-    TimingModel::distributions(table)
-}
 
 /// Two processes, each stuck receiving from the other after 1.5 s of
 /// computation: a classic deadlock with a nonzero timestamp.
@@ -55,7 +41,7 @@ fn deadlock_diagnostic_golden_text() {
     let err = evaluate(
         &deadlocking_model(),
         &EvalConfig::new(2),
-        &fixed_timing(0.1),
+        &point_timing(0.1),
     )
     .unwrap_err();
     // Golden text: the CLI and bench harness print this verbatim, and the
@@ -69,7 +55,7 @@ fn deadlock_diagnostic_golden_text() {
 #[test]
 fn livelock_is_stopped_by_step_budget_with_partial_results() {
     let cfg = EvalConfig::new(2).with_budget(RunBudget::default().with_max_steps(10_000));
-    let err = evaluate(&livelocked_model(), &cfg, &fixed_timing(0.1)).unwrap_err();
+    let err = evaluate(&livelocked_model(), &cfg, &point_timing(0.1)).unwrap_err();
     let PevpmError::Budget(report) = err else {
         panic!("expected Budget error, got {err}");
     };
@@ -97,7 +83,7 @@ fn livelock_is_stopped_by_step_budget_with_partial_results() {
 #[test]
 fn livelock_is_stopped_by_virtual_time_budget() {
     let cfg = EvalConfig::new(1).with_budget(RunBudget::default().with_max_virtual_secs(2.0));
-    let err = evaluate(&livelocked_model(), &cfg, &fixed_timing(0.1)).unwrap_err();
+    let err = evaluate(&livelocked_model(), &cfg, &point_timing(0.1)).unwrap_err();
     let PevpmError::Budget(report) = err else {
         panic!("expected Budget error, got {err}");
     };
@@ -124,7 +110,7 @@ fn budget_fires_before_deadlock_on_a_livelocked_prefix() {
             vec![recv("8", "0", "1")],
         ));
     let cfg = EvalConfig::new(2).with_budget(RunBudget::default().with_max_steps(50_000));
-    match evaluate(&m, &cfg, &fixed_timing(0.1)).unwrap_err() {
+    match evaluate(&m, &cfg, &point_timing(0.1)).unwrap_err() {
         PevpmError::Budget(report) => assert_eq!(report.axis, BudgetAxis::Steps),
         other => panic!("budget must fire before deadlock, got {other}"),
     }
@@ -133,7 +119,7 @@ fn budget_fires_before_deadlock_on_a_livelocked_prefix() {
 #[test]
 fn deadlock_still_wins_when_budget_is_roomy() {
     let cfg = EvalConfig::new(2).with_budget(RunBudget::default().with_max_steps(1_000_000));
-    match evaluate(&deadlocking_model(), &cfg, &fixed_timing(0.1)).unwrap_err() {
+    match evaluate(&deadlocking_model(), &cfg, &point_timing(0.1)).unwrap_err() {
         PevpmError::Deadlock { time, blocked } => {
             assert!((time - 1.5).abs() < 1e-9);
             assert_eq!(blocked.len(), 2);
@@ -147,7 +133,7 @@ fn wall_budget_stops_a_spin() {
     // 64 Ki-step check cadence: the loop body must be cheap enough to hit
     // the cadence quickly but the model big enough not to finish first.
     let cfg = EvalConfig::new(1).with_budget(RunBudget::default().with_max_wall_secs(0.05));
-    let err = evaluate(&livelocked_model(), &cfg, &fixed_timing(0.1)).unwrap_err();
+    let err = evaluate(&livelocked_model(), &cfg, &point_timing(0.1)).unwrap_err();
     match err {
         PevpmError::Budget(report) => {
             assert_eq!(report.axis, BudgetAxis::WallTime);
@@ -165,7 +151,7 @@ fn monte_carlo_without_quorum_reports_lowest_index_failure() {
     let err = monte_carlo(
         &deadlocking_model(),
         &EvalConfig::new(2),
-        &fixed_timing(0.1),
+        &point_timing(0.1),
         4,
     )
     .unwrap_err();
@@ -178,7 +164,7 @@ fn monte_carlo_without_quorum_reports_lowest_index_failure() {
 #[test]
 fn monte_carlo_quorum_failure_is_structured() {
     let cfg = EvalConfig::new(2).with_quorum(2);
-    let err = monte_carlo(&deadlocking_model(), &cfg, &fixed_timing(0.1), 4).unwrap_err();
+    let err = monte_carlo(&deadlocking_model(), &cfg, &point_timing(0.1), 4).unwrap_err();
     match err {
         PevpmError::QuorumFailed {
             succeeded,
@@ -272,7 +258,7 @@ fn quorum_none_with_no_failures_matches_previous_behaviour() {
         "procnum == 1",
         vec![recv("64", "0", "1")],
     ));
-    let mc = monte_carlo(&m, &EvalConfig::new(2), &fixed_timing(0.01), 8).unwrap();
+    let mc = monte_carlo(&m, &EvalConfig::new(2), &point_timing(0.01), 8).unwrap();
     assert_eq!(mc.runs.len(), 8);
     assert!(mc.failures.is_empty());
 }

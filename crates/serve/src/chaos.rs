@@ -127,14 +127,6 @@ pub fn run_mode(addr: &str, mode: ChaosMode, io_timeout_hint_ms: u64) -> io::Res
     })
 }
 
-/// Run every mode in [`ChaosMode::ALL`] order.
-pub fn run_all(addr: &str, io_timeout_hint_ms: u64) -> io::Result<Vec<ChaosReport>> {
-    ChaosMode::ALL
-        .into_iter()
-        .map(|mode| run_mode(addr, mode, io_timeout_hint_ms))
-        .collect()
-}
-
 fn connect(addr: &str) -> io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;

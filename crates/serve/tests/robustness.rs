@@ -163,7 +163,11 @@ fn chaos_modes_never_kill_the_daemon() {
         },
         test_table(),
     );
-    let reports = pevpm_serve::chaos::run_all(&addr.to_string(), io_timeout_ms).expect("chaos run");
+    let reports: Vec<_> = ChaosMode::ALL
+        .into_iter()
+        .map(|mode| pevpm_serve::chaos::run_mode(&addr.to_string(), mode, io_timeout_ms))
+        .collect::<Result<_, _>>()
+        .expect("chaos run");
     assert_eq!(reports.len(), ChaosMode::ALL.len());
     for r in &reports {
         assert!(r.survived, "daemon died under {}: {r:?}", r.mode.name());
