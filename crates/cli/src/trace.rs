@@ -2,13 +2,13 @@
 
 use crate::args::Args;
 use crate::bench::{resolve_machine, world_for};
+use crate::db::load_db;
 use crate::{err, write_text, CliError};
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
-use pevpm_dist::{io as dist_io, CompileOptions};
+use pevpm_dist::CompileOptions;
 use pevpm_obs::diag;
 use pevpm_serve::plan;
-use std::path::Path;
 
 /// `pevpm trace`: run the Jacobi example with measured tracing on, print
 /// the per-rank breakdown, and optionally export predicted + measured
@@ -50,15 +50,13 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
 
     // Predicted counterpart: sample --db when given, else fall back to an
     // analytic Hockney model (Fast-Ethernet-era constants).
-    let timing = match args.get("db") {
-        Some(path) => TimingModel::distributions_with(
-            dist_io::load_table(Path::new(path))
-                .map_err(|e| CliError::input(format!("cannot load {path}: {e}")))?,
-            CompileOptions {
-                exact_quantiles: args.has("exact-quantiles"),
-            },
-        ),
-        None => TimingModel::hockney(100e-6, 12.5e6),
+    let timing = if args.has("db") {
+        let options = CompileOptions {
+            exact_quantiles: args.has("exact-quantiles"),
+        };
+        TimingModel::distributions_with(load_db(args)?, options)
+    } else {
+        TimingModel::hockney(100e-6, 12.5e6)
     };
     let cfg = EvalConfig::new(nprocs).with_seed(seed).with_timeline();
     let pred = evaluate(&jacobi::model(&jcfg), &cfg, &timing).map_err(plan::eval_error)?;

@@ -106,7 +106,7 @@ fn err<T>(message: impl Into<String>) -> Result<T, ExprError> {
 /// Variable bindings for evaluation. Keys are model and request parameter
 /// names — input from outside the program since the daemon — so the map
 /// keeps the standard library's collision-resistant hasher; the sweep loop
-/// resolves variables by slot ([`crate::lower`]), never through this map.
+/// resolves variables by slot (the `lower` pass), never through this map.
 pub type Env = HashMap<String, f64>;
 
 /// Build an environment with the two standard PEVPM variables plus user
