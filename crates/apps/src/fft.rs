@@ -19,7 +19,7 @@ use pevpm::model::build::*;
 use pevpm::model::CollOp;
 use pevpm::Model;
 use pevpm_mpisim::{decode_f64s, encode_f64s, RunReport, SimError, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 /// Configuration of the distributed FFT.
 #[derive(Debug, Clone)]
@@ -169,11 +169,9 @@ pub fn run_measured(world: WorldConfig, cfg: &FftConfig) -> Result<FftRun, SimEr
         cfg.n1.is_multiple_of(p) && cfg.n2.is_multiple_of(p),
         "rank count must divide N1 and N2"
     );
-    let cfg = cfg.clone();
-    let gathered: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
-    let gathered2 = gathered.clone();
+    let gathered = RefCell::new(Vec::new());
 
-    let report = World::run(world, move |rank| {
+    let report = World::run_async(world, async |rank| {
         let me = rank.rank();
         let nr = rank.nranks();
         let (n1, n2) = (cfg.n1, cfg.n2);
@@ -206,14 +204,14 @@ pub fn run_measured(world: WorldConfig, cfg: &FftConfig) -> Result<FftRun, SimEr
                     *v = (v.0 * c - v.1 * s, v.0 * s + v.1 * c);
                 }
             }
-            rank.compute_secs(compute_secs * 0.5);
+            rank.compute_secs(compute_secs * 0.5).await;
 
             // Step 3: global transpose. Peer q gets our rows' entries for
             // its k2 block [q*rows2, (q+1)*rows2).
             let chunks: Vec<pevpm_mpisim::Bytes> = (0..nr)
                 .map(|q| encode_f64s(&pack(&rows, q * rows2..(q + 1) * rows2)))
                 .collect();
-            let got = rank.alltoall(chunks);
+            let got = rank.alltoall(chunks).await;
 
             // Reassemble: now rank owns k2 block; columns[k2local][n1idx].
             let mut cols: Vec<Vec<(f64, f64)>> = vec![vec![(0.0, 0.0); n1]; rows2];
@@ -232,12 +230,12 @@ pub fn run_measured(world: WorldConfig, cfg: &FftConfig) -> Result<FftRun, SimEr
             for col in cols.iter_mut() {
                 fft_inplace(col);
             }
-            rank.compute_secs(compute_secs * 0.5);
+            rank.compute_secs(compute_secs * 0.5).await;
 
             // Verification gather (single iteration only): X[N2·k1 + k2].
             if cfg.iterations == 1 {
                 let flat = pack(&cols, 0..n1);
-                let all = rank.gather(0, encode_f64s(&flat));
+                let all = rank.gather(0, encode_f64s(&flat)).await;
                 if let Some(parts) = all {
                     let mut output = vec![0.0f64; 2 * n];
                     for (q, blob) in parts.iter().enumerate() {
@@ -252,18 +250,16 @@ pub fn run_measured(world: WorldConfig, cfg: &FftConfig) -> Result<FftRun, SimEr
                             }
                         }
                     }
-                    *gathered2.lock().expect("result lock poisoned") = output;
+                    gathered.replace(output);
                 }
             }
         }
     })?;
 
-    let time = report.virtual_time.as_secs_f64();
-    let output = std::mem::take(&mut *gathered.lock().expect("result lock poisoned"));
     Ok(FftRun {
+        time: report.virtual_time.as_secs_f64(),
         report,
-        time,
-        output,
+        output: gathered.into_inner(),
     })
 }
 

@@ -19,8 +19,8 @@
 
 use pevpm::model::build::*;
 use pevpm::Model;
-use pevpm_mpisim::{Rank, ReduceOp, RunReport, SimError, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use pevpm_mpisim::{Proc, ReduceOp, RunReport, SimError, World, WorldConfig};
+use std::cell::Cell;
 
 /// Configuration of a Jacobi run / model.
 #[derive(Debug, Clone)]
@@ -80,12 +80,12 @@ fn encode_f32s(row: &[f32]) -> Vec<u8> {
     out
 }
 
-fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
-    assert!(bytes.len().is_multiple_of(4), "halo payload not whole f32s");
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+/// Unpack a halo payload into the ghost row it is for.
+fn decode_f32s_into(bytes: &[u8], row: &mut [f32]) {
+    assert_eq!(bytes.len(), row.len() * 4, "halo payload is not one row");
+    for (v, c) in row.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes(c.try_into().unwrap());
+    }
 }
 
 /// The initial condition: top boundary row = 1, all else 0 (a standard
@@ -98,16 +98,28 @@ fn initial_row(global_row: usize, xsize: usize) -> Vec<f32> {
     }
 }
 
+/// One row of the five-point stencil from the rows above, at and below
+/// it; the first and last columns are fixed. The sum associates as
+/// `((left + up) + right) + down` everywhere it is computed, so serial
+/// and distributed grids agree bit for bit.
+fn stencil_row(up: &[f32], mid: &[f32], down: &[f32], out: &mut [f32]) {
+    let x = mid.len();
+    // One length for all four, so the loop carries no bounds checks.
+    let (up, down, out) = (&up[..x], &down[..x], &mut out[..x]);
+    out[0] = mid[0];
+    out[x - 1] = mid[x - 1];
+    for k in 1..x - 1 {
+        out[k] = 0.25 * (mid[k - 1] + up[k] + mid[k + 1] + down[k]);
+    }
+}
+
 /// Serial reference implementation, used by tests and for checksums.
 pub fn serial_reference(xsize: usize, iterations: usize) -> f64 {
     let mut grid: Vec<Vec<f32>> = (0..xsize).map(|r| initial_row(r, xsize)).collect();
     let mut next = grid.clone();
     for _ in 0..iterations {
         for j in 1..xsize - 1 {
-            for k in 1..xsize - 1 {
-                next[j][k] =
-                    0.25 * (grid[j][k - 1] + grid[j - 1][k] + grid[j][k + 1] + grid[j + 1][k]);
-            }
+            stencil_row(&grid[j - 1], &grid[j], &grid[j + 1], &mut next[j]);
         }
         std::mem::swap(&mut grid, &mut next);
     }
@@ -118,101 +130,128 @@ pub fn serial_reference(xsize: usize, iterations: usize) -> f64 {
 ///
 /// `world.nranks()` must divide `cfg.xsize`.
 pub fn run_measured(world: WorldConfig, cfg: &JacobiConfig) -> Result<JacobiRun, SimError> {
+    measure(world, cfg, run_rank)
+}
+
+fn measure(
+    world: WorldConfig,
+    cfg: &JacobiConfig,
+    program: impl AsyncFn(&mut Proc, &JacobiConfig, &Cell<f64>),
+) -> Result<JacobiRun, SimError> {
     let nranks = world.nranks();
-    assert!(nranks >= 1, "need at least one rank");
     assert!(
         cfg.xsize.is_multiple_of(nranks),
         "xsize {} must be divisible by nranks {nranks}",
         cfg.xsize
     );
-    let cfg = cfg.clone();
-    let checksum = Arc::new(Mutex::new(0.0f64));
-    let checksum2 = checksum.clone();
-
-    let report = World::run(world, move |rank| {
-        run_rank(rank, &cfg, &checksum2);
-    })?;
-
-    let time = report.virtual_time.as_secs_f64();
-    let checksum = *checksum.lock().expect("result lock poisoned");
+    let checksum = Cell::new(0.0f64);
+    let report = World::run_async(world, async |rank| program(rank, cfg, &checksum).await)?;
     Ok(JacobiRun {
+        time: report.virtual_time.as_secs_f64(),
         report,
-        time,
-        checksum,
+        checksum: checksum.get(),
     })
 }
 
-fn run_rank(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) {
-    let (r, n, x) = (rank.rank(), rank.nranks(), cfg.xsize);
-    let rows = x / n;
-    let first_global = r * rows;
+/// One rank's slab of the grid, and the rows of the next iteration.
+struct Slab {
+    /// Rows `1..=rows` are this rank's; 0 and `rows + 1` are ghost rows.
+    grid: Vec<Vec<f32>>,
+    next: Vec<Vec<f32>>,
+    rows: usize,
+    first_global: usize,
+}
 
-    // Local slab with two ghost rows: indices 0 and rows+1.
-    let mut grid: Vec<Vec<f32>> = std::iter::once(vec![0.0; x])
-        .chain((0..rows).map(|j| initial_row(first_global + j, x)))
-        .chain(std::iter::once(vec![0.0; x]))
-        .collect();
-    let mut next = grid.clone();
+impl Slab {
+    fn new(rank: &Proc, x: usize) -> Self {
+        let rows = x / rank.nranks();
+        let first_global = rank.rank() * rows;
+        let grid: Vec<Vec<f32>> = std::iter::once(vec![0.0; x])
+            .chain((0..rows).map(|j| initial_row(first_global + j, x)))
+            .chain(std::iter::once(vec![0.0; x]))
+            .collect();
+        Slab {
+            next: grid.clone(),
+            grid,
+            rows,
+            first_global,
+        }
+    }
 
+    /// Stencil update of local row `j` (global boundary rows are fixed).
+    fn update_row(&mut self, j: usize) {
+        let (grid, gj) = (&self.grid, self.first_global + j - 1);
+        if gj == 0 || gj == grid[j].len() - 1 {
+            self.next[j].copy_from_slice(&grid[j]);
+        } else {
+            stencil_row(&grid[j - 1], &grid[j], &grid[j + 1], &mut self.next[j]);
+        }
+    }
+
+    fn swap(&mut self) {
+        for j in 1..=self.rows {
+            std::mem::swap(&mut self.grid[j], &mut self.next[j]);
+        }
+    }
+
+    /// Verification: global checksum to rank 0.
+    async fn reduce_checksum(&self, rank: &mut Proc, checksum: &Cell<f64>) {
+        let own = &self.grid[1..=self.rows];
+        let local: f64 = own.iter().flatten().map(|&v| v as f64).sum();
+        if let Some(total) = rank.reduce_f64s(0, &[local], ReduceOp::Sum).await {
+            checksum.set(total[0]);
+        }
+    }
+}
+
+/// One rank of [`run_measured`]: the program itself, for a world that
+/// wants to run something around it. Rank 0 leaves the grid's checksum in
+/// `checksum`.
+pub async fn run_rank(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f64>) {
+    let (r, n) = (rank.rank(), rank.nranks());
+    let mut slab = Slab::new(rank, cfg.xsize);
+    let rows = slab.rows;
     let per_iter = cfg.serial_secs / n as f64;
     let even = r % 2 == 0;
 
     for _ in 0..cfg.iterations {
         // Halo exchange with the paper's even/odd phasing.
+        let grid = &mut slab.grid;
         if even {
             if r != 0 {
-                rank.send(r - 1, TAG_UP, encode_f32s(&grid[1]));
+                rank.send(r - 1, TAG_UP, encode_f32s(&grid[1])).await;
             }
             if r != n - 1 {
-                rank.send(r + 1, TAG_DOWN, encode_f32s(&grid[rows]));
-                let (_, p) = rank.recv(r + 1, TAG_UP);
-                grid[rows + 1] = decode_f32s(&p);
+                rank.send(r + 1, TAG_DOWN, encode_f32s(&grid[rows])).await;
+                let (_, p) = rank.recv(r + 1, TAG_UP).await;
+                decode_f32s_into(&p, &mut grid[rows + 1]);
             }
             if r != 0 {
-                let (_, p) = rank.recv(r - 1, TAG_DOWN);
-                grid[0] = decode_f32s(&p);
+                let (_, p) = rank.recv(r - 1, TAG_DOWN).await;
+                decode_f32s_into(&p, &mut grid[0]);
             }
         } else {
             if r != n - 1 {
-                let (_, p) = rank.recv(r + 1, TAG_UP);
-                grid[rows + 1] = decode_f32s(&p);
+                let (_, p) = rank.recv(r + 1, TAG_UP).await;
+                decode_f32s_into(&p, &mut grid[rows + 1]);
             }
-            let (_, p) = rank.recv(r - 1, TAG_DOWN);
-            grid[0] = decode_f32s(&p);
-            rank.send(r - 1, TAG_UP, encode_f32s(&grid[1]));
+            let (_, p) = rank.recv(r - 1, TAG_DOWN).await;
+            decode_f32s_into(&p, &mut grid[0]);
+            rank.send(r - 1, TAG_UP, encode_f32s(&grid[1])).await;
             if r != n - 1 {
-                rank.send(r + 1, TAG_DOWN, encode_f32s(&grid[rows]));
+                rank.send(r + 1, TAG_DOWN, encode_f32s(&grid[rows])).await;
             }
         }
 
-        // Stencil update on interior points (global boundary rows/cols are
-        // fixed).
         for j in 1..=rows {
-            let gj = first_global + j - 1;
-            if gj == 0 || gj == x - 1 {
-                next[j].copy_from_slice(&grid[j]);
-                continue;
-            }
-            for k in 1..x - 1 {
-                next[j][k] =
-                    0.25 * (grid[j][k - 1] + grid[j - 1][k] + grid[j][k + 1] + grid[j + 1][k]);
-            }
-            next[j][0] = grid[j][0];
-            next[j][x - 1] = grid[j][x - 1];
+            slab.update_row(j);
         }
-        for j in 1..=rows {
-            std::mem::swap(&mut grid[j], &mut next[j]);
-        }
+        slab.swap();
 
         // Charge the calibrated serial compute time for this iteration.
-        rank.compute_secs(per_iter);
+        rank.compute_secs(per_iter).await;
     }
-
-    // Verification: global checksum to rank 0.
-    let local: f64 = grid[1..=rows].iter().flatten().map(|&v| v as f64).sum();
-    if let Some(total) = rank.reduce_f64s(0, &[local], ReduceOp::Sum) {
-        *checksum.lock().expect("result lock poisoned") = total[0];
-    }
+    slab.reduce_checksum(rank, checksum).await;
 }
 
 /// Execute an *overlap-optimised* Jacobi variant: nonblocking halo
@@ -222,38 +261,13 @@ fn run_rank(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) {
 /// [`model_overlap`]; comparing the two models *before writing this code*
 /// is exactly the design-stage question §1 motivates PEVPM with.
 pub fn run_measured_overlap(world: WorldConfig, cfg: &JacobiConfig) -> Result<JacobiRun, SimError> {
-    let nranks = world.nranks();
-    assert!(
-        cfg.xsize.is_multiple_of(nranks),
-        "xsize must divide by nranks"
-    );
-    let cfg = cfg.clone();
-    let checksum = Arc::new(Mutex::new(0.0f64));
-    let checksum2 = checksum.clone();
-
-    let report = World::run(world, move |rank| {
-        run_rank_overlap(rank, &cfg, &checksum2);
-    })?;
-
-    let time = report.virtual_time.as_secs_f64();
-    let checksum = *checksum.lock().expect("result lock poisoned");
-    Ok(JacobiRun {
-        report,
-        time,
-        checksum,
-    })
+    measure(world, cfg, run_rank_overlap)
 }
 
-fn run_rank_overlap(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) {
-    let (r, n, x) = (rank.rank(), rank.nranks(), cfg.xsize);
-    let rows = x / n;
-    let first_global = r * rows;
-
-    let mut grid: Vec<Vec<f32>> = std::iter::once(vec![0.0; x])
-        .chain((0..rows).map(|j| initial_row(first_global + j, x)))
-        .chain(std::iter::once(vec![0.0; x]))
-        .collect();
-    let mut next = grid.clone();
+async fn run_rank_overlap(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f64>) {
+    let (r, n) = (rank.rank(), rank.nranks());
+    let mut slab = Slab::new(rank, cfg.xsize);
+    let rows = slab.rows;
 
     // Split the calibrated compute time: interior rows overlap the halo
     // exchange; the two boundary rows are computed after the waits.
@@ -266,21 +280,9 @@ fn run_rank_overlap(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) 
     let interior_secs = per_iter * (1.0 - boundary_frac);
     let boundary_secs = per_iter * boundary_frac;
 
-    let stencil_row = |grid: &Vec<Vec<f32>>, next: &mut Vec<Vec<f32>>, j: usize| {
-        let gj = first_global + j - 1;
-        if gj == 0 || gj == x - 1 {
-            next[j].copy_from_slice(&grid[j]);
-            return;
-        }
-        for k in 1..x - 1 {
-            next[j][k] = 0.25 * (grid[j][k - 1] + grid[j - 1][k] + grid[j][k + 1] + grid[j + 1][k]);
-        }
-        next[j][0] = grid[j][0];
-        next[j][x - 1] = grid[j][x - 1];
-    };
-
     for _ in 0..cfg.iterations {
         // Post all nonblocking halo traffic up front.
+        let grid = &slab.grid;
         let rx_up = (r != 0).then(|| rank.irecv(r - 1, TAG_DOWN));
         let rx_down = (r != n - 1).then(|| rank.irecv(r + 1, TAG_UP));
         let tx_up = (r != 0).then(|| rank.isend(r - 1, TAG_UP, encode_f32s(&grid[1])));
@@ -288,40 +290,33 @@ fn run_rank_overlap(rank: &mut Rank, cfg: &JacobiConfig, checksum: &Mutex<f64>) 
 
         // Interior rows overlap the transfers.
         for j in 2..rows {
-            stencil_row(&grid, &mut next, j);
+            slab.update_row(j);
         }
-        rank.compute_secs(interior_secs);
+        rank.compute_secs(interior_secs).await;
 
         // Complete the halos, then the boundary rows.
         if let Some(req) = rx_up {
-            let (_, p) = rank.wait(req).expect("halo receive");
-            grid[0] = decode_f32s(&p);
+            let (_, p) = rank.wait(req).await.expect("halo receive");
+            decode_f32s_into(&p, &mut slab.grid[0]);
         }
         if let Some(req) = rx_down {
-            let (_, p) = rank.wait(req).expect("halo receive");
-            grid[rows + 1] = decode_f32s(&p);
+            let (_, p) = rank.wait(req).await.expect("halo receive");
+            decode_f32s_into(&p, &mut slab.grid[rows + 1]);
         }
-        stencil_row(&grid, &mut next, 1);
+        slab.update_row(1);
         if rows >= 2 {
-            stencil_row(&grid, &mut next, rows);
+            slab.update_row(rows);
         }
-        rank.compute_secs(boundary_secs);
+        rank.compute_secs(boundary_secs).await;
         if let Some(req) = tx_up {
-            rank.wait(req);
+            rank.wait(req).await;
         }
         if let Some(req) = tx_down {
-            rank.wait(req);
+            rank.wait(req).await;
         }
-
-        for j in 1..=rows {
-            std::mem::swap(&mut grid[j], &mut next[j]);
-        }
+        slab.swap();
     }
-
-    let local: f64 = grid[1..=rows].iter().flatten().map(|&v| v as f64).sum();
-    if let Some(total) = rank.reduce_f64s(0, &[local], ReduceOp::Sum) {
-        *checksum.lock().expect("result lock poisoned") = total[0];
-    }
+    slab.reduce_checksum(rank, checksum).await;
 }
 
 /// The PEVPM model of the overlap-optimised variant ([`run_measured_overlap`]):

@@ -16,7 +16,7 @@ use pevpm::model::build::*;
 use pevpm::model::{MsgKind, Stmt};
 use pevpm::Model;
 use pevpm_mpisim::{RunReport, SimError, SrcSel, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 const TAG_REQ: u64 = 10;
 const TAG_TASK: u64 = 11;
@@ -87,11 +87,9 @@ pub struct FarmRun {
 pub fn run_measured(world: WorldConfig, cfg: &FarmConfig) -> Result<FarmRun, SimError> {
     let n = world.nranks();
     assert!(n >= 2, "a farm needs a master and at least one worker");
-    let cfg = cfg.clone();
-    let done: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(vec![0; n]));
-    let done2 = done.clone();
+    let done = RefCell::new(vec![0; n]);
 
-    let report = World::run(world, move |rank| {
+    let report = World::run_async(world, async |rank| {
         let me = rank.rank();
         if me == 0 {
             // Master: serve tasks to whoever asks.
@@ -99,17 +97,18 @@ pub fn run_measured(world: WorldConfig, cfg: &FarmConfig) -> Result<FarmRun, Sim
             let mut stopped = 0usize;
             let workers = rank.nranks() - 1;
             while stopped < workers {
-                let (meta, _) = rank.recv(SrcSel::Any, TAG_REQ);
+                let (meta, _) = rank.recv(SrcSel::Any, TAG_REQ).await;
                 if next_task < cfg.tasks {
                     // Encode the task id in the payload.
                     rank.send(
                         meta.src,
                         TAG_TASK,
                         (next_task as u64).to_le_bytes().to_vec(),
-                    );
+                    )
+                    .await;
                     next_task += 1;
                 } else {
-                    rank.send_size(meta.src, TAG_STOP, 8);
+                    rank.send_size(meta.src, TAG_STOP, 8).await;
                     stopped += 1;
                 }
             }
@@ -117,25 +116,23 @@ pub fn run_measured(world: WorldConfig, cfg: &FarmConfig) -> Result<FarmRun, Sim
             // Worker: request, work, repeat.
             let mut count = 0usize;
             loop {
-                rank.send_size(0, TAG_REQ, cfg.result_bytes.min(64));
-                let (meta, payload) = rank.recv(0, pevpm_mpisim::TagSel::Any);
+                rank.send_size(0, TAG_REQ, cfg.result_bytes.min(64)).await;
+                let (meta, payload) = rank.recv(0, pevpm_mpisim::TagSel::Any).await;
                 if meta.tag == TAG_STOP {
                     break;
                 }
                 let task = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                rank.compute_secs(cfg.work_secs(task));
+                rank.compute_secs(cfg.work_secs(task)).await;
                 count += 1;
             }
-            done2.lock().expect("result lock poisoned")[me] = count;
+            done.borrow_mut()[me] = count;
         }
     })?;
 
-    let time = report.virtual_time.as_secs_f64();
-    let tasks_done = done.lock().expect("result lock poisoned").clone();
     Ok(FarmRun {
+        time: report.virtual_time.as_secs_f64(),
         report,
-        time,
-        tasks_done,
+        tasks_done: done.into_inner(),
     })
 }
 

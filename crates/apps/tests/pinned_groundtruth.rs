@@ -56,6 +56,10 @@ fn jacobi_64x2_seed_11_reproduces_the_recorded_run() {
     let run = jacobi::run_measured(world, &cfg).expect("jacobi runs");
     let report = &run.report;
 
+    // The arithmetic, too: the serial loop and the 128 partial sums.
+    let serial = jacobi::serial_reference(256, 250);
+    assert_eq!(serial.to_bits(), 2327.1815129355828f64.to_bits());
+    assert_eq!(run.checksum.to_bits(), 0x40a2_2e5c_ef43_7587);
     assert_eq!(run.time.to_bits(), 0.158622348f64.to_bits());
     assert_eq!(report.virtual_time.as_nanos(), 158_622_348);
     assert_eq!(report.messages, 63_627);

@@ -9,8 +9,8 @@
 use crate::clock::ClockModel;
 use crate::p2p::histogram_from_samples;
 use pevpm_dist::{CommDist, DistKey, DistTable, Op, Summary};
-use pevpm_mpisim::{Rank, ReduceOp, SimError, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use pevpm_mpisim::{Proc, ReduceOp, SimError, World, WorldConfig};
+use std::cell::RefCell;
 
 /// Which collective to benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,22 +39,22 @@ impl CollKind {
         }
     }
 
-    fn run(self, rank: &mut Rank, bytes: u64) {
+    async fn run(self, rank: &mut Proc, bytes: u64) {
         match self {
-            CollKind::Barrier => rank.barrier(),
-            CollKind::Bcast => rank.bcast_size(0, bytes),
+            CollKind::Barrier => rank.barrier().await,
+            CollKind::Bcast => rank.bcast_size(0, bytes).await,
             CollKind::Reduce => {
                 // Use a real payload sized to `bytes` (f64 elements).
                 let n = (bytes as usize / 8).max(1);
                 let data = vec![1.0f64; n];
-                let _ = rank.reduce_f64s(0, &data, ReduceOp::Sum);
+                let _ = rank.reduce_f64s(0, &data, ReduceOp::Sum).await;
             }
             CollKind::Allreduce => {
                 let n = (bytes as usize / 8).max(1);
                 let data = vec![1.0f64; n];
-                let _ = rank.allreduce_f64s(&data, ReduceOp::Sum);
+                let _ = rank.allreduce_f64s(&data, ReduceOp::Sum).await;
             }
-            CollKind::Alltoall => rank.alltoall_size(bytes),
+            CollKind::Alltoall => rank.alltoall_size(bytes).await,
         }
     }
 }
@@ -130,35 +130,28 @@ pub fn run_collective(cfg: &CollConfig) -> Result<CollResult, SimError> {
     let nsizes = cfg.sizes.len();
     let clock = cfg.clock.clone().unwrap_or_else(|| ClockModel::perfect(n));
 
-    let stamps: Arc<Mutex<Vec<Vec<Vec<f64>>>>> =
-        Arc::new(Mutex::new(vec![vec![Vec::new(); nsizes]; n]));
-    let stamps2 = stamps.clone();
-    let sizes = cfg.sizes.clone();
+    let stamps = RefCell::new(vec![vec![Vec::new(); nsizes]; n]);
     let (kind, reps, warmup) = (cfg.kind, cfg.repetitions, cfg.warmup);
-    let clock2 = clock.clone();
 
-    World::run(cfg.world.clone(), move |rank| {
+    World::run_async(cfg.world.clone(), async |rank| {
         let r = rank.rank();
-        for (si, &size) in sizes.iter().enumerate() {
+        for (si, &size) in cfg.sizes.iter().enumerate() {
             for _ in 0..warmup {
-                kind.run(rank, size);
+                kind.run(rank, size).await;
             }
             let mut local = Vec::with_capacity(reps);
             for _ in 0..reps {
-                rank.barrier();
-                let t0 = clock2.read(r, rank.now());
-                kind.run(rank, size);
-                let t1 = clock2.read(r, rank.now());
+                rank.barrier().await;
+                let t0 = clock.read(r, rank.now());
+                kind.run(rank, size).await;
+                let t1 = clock.read(r, rank.now());
                 local.push((t1 - t0).max(0.0));
             }
-            stamps2.lock().expect("result lock poisoned")[r][si] = local;
+            stamps.borrow_mut()[r][si] = local;
         }
     })?;
 
-    let stamps = Arc::try_unwrap(stamps)
-        .unwrap_or_else(|_| panic!("stamp log still shared"))
-        .into_inner()
-        .expect("result lock poisoned");
+    let stamps = stamps.into_inner();
     let mut by_size = Vec::with_capacity(nsizes);
     for (si, &size) in cfg.sizes.iter().enumerate() {
         let mut samples = Vec::with_capacity(reps * n);

@@ -17,8 +17,8 @@
 
 use crate::p2p::{run_p2p, P2pConfig};
 use pevpm_dist::Summary;
-use pevpm_mpisim::{SimError, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use pevpm_mpisim::{Proc, SimError, World, WorldConfig};
+use std::cell::RefCell;
 
 /// Result of a conventional ping-pong benchmark: one number per size.
 #[derive(Debug, Clone)]
@@ -38,40 +38,35 @@ pub fn run_pingpong(
     reps: usize,
 ) -> Result<Vec<PingPongResult>, SimError> {
     assert!(world.nranks() >= 2, "ping-pong needs two ranks");
-    let sizes_v = sizes.to_vec();
-    let out: Arc<Mutex<Vec<PingPongResult>>> = Arc::new(Mutex::new(Vec::new()));
-    let out2 = out.clone();
+    let out = RefCell::new(Vec::new());
 
-    World::run(world, move |rank| {
+    World::run_async(world, async |rank| {
         if rank.rank() > 1 {
             return;
         }
-        for (si, &size) in sizes_v.iter().enumerate() {
-            rank.barrier2(); // pairwise sync between ranks 0 and 1
+        for (si, &size) in sizes.iter().enumerate() {
+            barrier2(rank).await; // pairwise sync between ranks 0 and 1
             let t0 = rank.now();
             for _ in 0..reps {
                 if rank.rank() == 0 {
-                    rank.send_size(1, si as u64, size);
-                    let _ = rank.recv(1, si as u64);
+                    rank.send_size(1, si as u64, size).await;
+                    let _ = rank.recv(1, si as u64).await;
                 } else {
-                    let _ = rank.recv(0, si as u64);
-                    rank.send_size(0, si as u64, size);
+                    let _ = rank.recv(0, si as u64).await;
+                    rank.send_size(0, si as u64, size).await;
                 }
             }
             if rank.rank() == 0 {
                 let elapsed = rank.now().since(t0).as_secs_f64();
-                out2.lock()
-                    .expect("result lock poisoned")
-                    .push(PingPongResult {
-                        size,
-                        avg: elapsed / (2.0 * reps as f64),
-                    });
+                out.borrow_mut().push(PingPongResult {
+                    size,
+                    avg: elapsed / (2.0 * reps as f64),
+                });
             }
         }
     })?;
 
-    let results = out.lock().expect("result lock poisoned").clone();
-    Ok(results)
+    Ok(out.into_inner())
 }
 
 /// What the conventional number misses, per size: MPIBench's per-message
@@ -124,20 +119,14 @@ pub fn compare(
 /// Minimal two-rank synchronisation used by the ping-pong driver (a full
 /// `barrier()` would involve all ranks, which the conventional tools do
 /// not do for a pairwise test).
-trait PairSync {
-    fn barrier2(&mut self);
-}
-
-impl PairSync for pevpm_mpisim::Rank {
-    fn barrier2(&mut self) {
-        const TAG: u64 = (1 << 40) + 99;
-        if self.rank() == 0 {
-            self.send_size(1, TAG, 0);
-            let _ = self.recv(1, TAG);
-        } else if self.rank() == 1 {
-            let _ = self.recv(0, TAG);
-            self.send_size(0, TAG, 0);
-        }
+async fn barrier2(rank: &mut Proc) {
+    const TAG: u64 = (1 << 40) + 99;
+    if rank.rank() == 0 {
+        rank.send_size(1, TAG, 0).await;
+        let _ = rank.recv(1, TAG).await;
+    } else if rank.rank() == 1 {
+        let _ = rank.recv(0, TAG).await;
+        rank.send_size(0, TAG, 0).await;
     }
 }
 

@@ -14,7 +14,7 @@ use crate::clock::ClockModel;
 use pevpm_dist::{CommDist, DistKey, DistTable, Op};
 use pevpm_dist::{Histogram, Summary};
 use pevpm_mpisim::{SimError, TraceEvent, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 /// Pairing pattern for the point-to-point test.
 ///
@@ -249,69 +249,60 @@ pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
     let nsizes = cfg.sizes.len();
     let clock = cfg.clock.clone().unwrap_or_else(|| ClockModel::perfect(n));
 
-    // Written only by the owning rank, so the shared Mutex is purely for
-    // Sync; contents stay deterministic.
-    let stamps: Arc<Mutex<Vec<Stamps>>> = Arc::new(Mutex::new(vec![
+    let stamps = RefCell::new(vec![
         Stamps {
             sends: vec![Vec::new(); nsizes],
             recvs: vec![Vec::new(); nsizes],
         };
         n
-    ]));
-
-    let stamps2 = stamps.clone();
-    let sizes = cfg.sizes.clone();
+    ]);
     let (reps, warmup, sync_every) = (cfg.repetitions, cfg.warmup, cfg.sync_every.max(1));
     let (pattern, direction) = (cfg.pattern, cfg.direction);
-    let clock2 = clock.clone();
 
-    let report = World::run(cfg.world.clone(), move |rank| {
+    let report = World::run_async(cfg.world.clone(), async |rank| {
         let r = rank.rank();
         let (send_to, recv_from, sends_here, recvs_here) = pattern.role(r, n, direction);
-        for (si, &size) in sizes.iter().enumerate() {
-            rank.barrier();
+        for (si, &size) in cfg.sizes.iter().enumerate() {
+            rank.barrier().await;
             for _ in 0..warmup {
                 if sends_here {
                     let req = rank.isend_size(send_to, si as u64, size);
                     if recvs_here {
-                        let _ = rank.recv(recv_from, si as u64);
+                        let _ = rank.recv(recv_from, si as u64).await;
                     }
-                    rank.wait(req);
+                    rank.wait(req).await;
                 } else {
-                    let _ = rank.recv(recv_from, si as u64);
+                    let _ = rank.recv(recv_from, si as u64).await;
                 }
             }
             let mut sends: Vec<f64> = Vec::with_capacity(reps);
             let mut recvs: Vec<f64> = Vec::with_capacity(reps);
             for rep in 0..reps {
                 if rep % sync_every == 0 {
-                    rank.barrier();
+                    rank.barrier().await;
                 }
                 if sends_here {
-                    let t0 = clock2.read(r, rank.now());
+                    let t0 = clock.read(r, rank.now());
                     let req = rank.isend_size(send_to, si as u64, size);
                     if recvs_here {
-                        let _ = rank.recv(recv_from, si as u64);
-                        recvs.push(clock2.read(r, rank.now()));
+                        let _ = rank.recv(recv_from, si as u64).await;
+                        recvs.push(clock.read(r, rank.now()));
                     }
-                    rank.wait(req);
+                    rank.wait(req).await;
                     sends.push(t0);
                 } else {
-                    let _ = rank.recv(recv_from, si as u64);
-                    recvs.push(clock2.read(r, rank.now()));
+                    let _ = rank.recv(recv_from, si as u64).await;
+                    recvs.push(clock.read(r, rank.now()));
                 }
             }
-            let mut log = stamps2.lock().expect("result lock poisoned");
+            let mut log = stamps.borrow_mut();
             log[r].sends[si] = sends;
             log[r].recvs[si] = recvs;
         }
     })?;
 
     // Pair up stamps: sample = recv_complete(dst) − send_start(src).
-    let stamps = Arc::try_unwrap(stamps)
-        .unwrap_or_else(|_| panic!("stamp log still shared"))
-        .into_inner()
-        .expect("result lock poisoned");
+    let stamps = stamps.into_inner();
     let mut by_size = Vec::with_capacity(nsizes);
     for (si, &size) in cfg.sizes.iter().enumerate() {
         let mut samples = Vec::new();

@@ -8,8 +8,10 @@
 //! the same type follows from MPI's per-pair FIFO matching.
 
 use crate::msg::{MsgMeta, COLLECTIVE_TAG_BASE};
-use crate::rank::{decode_f64s, encode_f64s, Rank};
+use crate::rank::{decode_f64s, encode_f64s, Proc};
 use bytes::Bytes;
+use std::cell::Cell;
+use std::rc::Rc;
 
 const TAG_BARRIER: u64 = COLLECTIVE_TAG_BASE;
 const TAG_BCAST: u64 = COLLECTIVE_TAG_BASE + 1;
@@ -19,7 +21,7 @@ const TAG_SCATTER: u64 = COLLECTIVE_TAG_BASE + 4;
 const TAG_ALLGATHER: u64 = COLLECTIVE_TAG_BASE + 5;
 const TAG_ALLTOALL: u64 = COLLECTIVE_TAG_BASE + 6;
 
-/// Reduction operators for [`Rank::reduce_f64s`] / [`Rank::allreduce_f64s`].
+/// Reduction operators for [`Proc::reduce_f64s`] / [`Proc::allreduce_f64s`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Elementwise sum.
@@ -43,97 +45,25 @@ impl ReduceOp {
     }
 }
 
-/// Public collective entry points: each wraps its implementation so that
-/// the point-to-point operations issued inside are marked
-/// `in_collective` in recorded traces.
-impl Rank {
-    /// Dissemination barrier: ⌈log₂ n⌉ rounds of pairwise notifications.
-    pub fn barrier(&mut self) {
-        self.enter_collective();
-        self.barrier_impl();
-        self.exit_collective();
-    }
+/// While one lives, the point-to-point operations its [`Proc`] issues are
+/// marked `in_collective` in recorded traces.
+struct InCollective(Rc<Cell<u32>>);
 
-    /// Binomial-tree broadcast of a real payload from `root`. Every rank
-    /// returns the payload.
-    pub fn bcast(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
-        self.enter_collective();
-        let out = self.bcast_impl(root, payload);
-        self.exit_collective();
-        out
-    }
-
-    /// Broadcast of a synthetic `bytes`-sized message (benchmark use).
-    pub fn bcast_size(&mut self, root: usize, bytes: u64) {
-        self.enter_collective();
-        self.bcast_size_impl(root, bytes);
-        self.exit_collective();
-    }
-
-    /// Binomial-tree reduction of `f64` vectors to `root`. Returns the
-    /// reduced vector at the root, `None` elsewhere.
-    pub fn reduce_f64s(&mut self, root: usize, data: &[f64], op: ReduceOp) -> Option<Vec<f64>> {
-        self.enter_collective();
-        let out = self.reduce_f64s_impl(root, data, op);
-        self.exit_collective();
-        out
-    }
-
-    /// Allreduce = reduce-to-0 + broadcast (the MPICH 1.2 composition).
-    pub fn allreduce_f64s(&mut self, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        self.enter_collective();
-        let out = self.allreduce_f64s_impl(data, op);
-        self.exit_collective();
-        out
-    }
-
-    /// Linear gather of per-rank payloads to `root`; returns the payloads
-    /// in rank order at the root, `None` elsewhere.
-    pub fn gather(&mut self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
-        self.enter_collective();
-        let out = self.gather_impl(root, payload);
-        self.exit_collective();
-        out
-    }
-
-    /// Linear scatter of per-rank payloads from `root`; returns this
-    /// rank's chunk.
-    pub fn scatter(&mut self, root: usize, chunks: Option<Vec<Bytes>>) -> Bytes {
-        self.enter_collective();
-        let out = self.scatter_impl(root, chunks);
-        self.exit_collective();
-        out
-    }
-
-    /// Ring allgather: n−1 steps, each rank forwarding the newest block to
-    /// its right neighbour. Returns all ranks' payloads in rank order.
-    pub fn allgather(&mut self, payload: Bytes) -> Vec<Bytes> {
-        self.enter_collective();
-        let out = self.allgather_impl(payload);
-        self.exit_collective();
-        out
-    }
-
-    /// Pairwise-exchange all-to-all of synthetic `bytes`-per-peer messages.
-    pub fn alltoall_size(&mut self, bytes: u64) {
-        self.enter_collective();
-        self.alltoall_size_impl(bytes);
-        self.exit_collective();
-    }
-
-    /// Pairwise-exchange all-to-all with real payloads (one per peer, in
-    /// rank order). Returns the payloads received, indexed by source rank.
-    pub fn alltoall(&mut self, chunks: Vec<Bytes>) -> Vec<Bytes> {
-        self.enter_collective();
-        let out = self.alltoall_impl(chunks);
-        self.exit_collective();
-        out
+impl Drop for InCollective {
+    fn drop(&mut self) {
+        self.0.set(self.0.get() - 1);
     }
 }
 
-impl Rank {
+impl Proc {
+    fn collective(&self) -> InCollective {
+        self.coll_depth.set(self.coll_depth.get() + 1);
+        InCollective(Rc::clone(&self.coll_depth))
+    }
+
     /// Dissemination barrier: ⌈log₂ n⌉ rounds of pairwise notifications.
-    fn barrier_impl(&mut self) {
+    pub async fn barrier(&mut self) {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         if n == 1 {
@@ -144,15 +74,16 @@ impl Rank {
             let dst = (r + k) % n;
             let src = (r + n - k % n) % n;
             let sreq = self.isend_size(dst, TAG_BARRIER, 0);
-            let _ = self.recv(src, TAG_BARRIER);
-            self.wait(sreq);
+            let _ = self.recv(src, TAG_BARRIER).await;
+            self.wait(sreq).await;
             k <<= 1;
         }
     }
 
     /// Binomial-tree broadcast of a real payload from `root`. Every rank
     /// returns the payload.
-    fn bcast_impl(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
+    pub async fn bcast(&mut self, root: usize, payload: Option<Bytes>) -> Bytes {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         let mut data = if r == root {
@@ -169,7 +100,7 @@ impl Rank {
         while mask < n {
             if vr & mask != 0 {
                 let src = (vr - mask + root) % n;
-                let (_, p) = self.recv(src, TAG_BCAST);
+                let (_, p) = self.recv(src, TAG_BCAST).await;
                 data = p;
                 break;
             }
@@ -180,7 +111,7 @@ impl Rank {
         while mask > 0 {
             if vr + mask < n {
                 let dst = (vr + mask + root) % n;
-                self.send(dst, TAG_BCAST, data.clone());
+                self.send(dst, TAG_BCAST, data.clone()).await;
             }
             mask >>= 1;
         }
@@ -188,7 +119,8 @@ impl Rank {
     }
 
     /// Broadcast of a synthetic `bytes`-sized message (benchmark use).
-    fn bcast_size_impl(&mut self, root: usize, bytes: u64) {
+    pub async fn bcast_size(&mut self, root: usize, bytes: u64) {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         if n == 1 {
@@ -199,7 +131,7 @@ impl Rank {
         while mask < n {
             if vr & mask != 0 {
                 let src = (vr - mask + root) % n;
-                let _ = self.recv(src, TAG_BCAST);
+                let _ = self.recv(src, TAG_BCAST).await;
                 break;
             }
             mask <<= 1;
@@ -208,7 +140,7 @@ impl Rank {
         while mask > 0 {
             if vr + mask < n {
                 let dst = (vr + mask + root) % n;
-                self.send_size(dst, TAG_BCAST, bytes);
+                self.send_size(dst, TAG_BCAST, bytes).await;
             }
             mask >>= 1;
         }
@@ -216,7 +148,13 @@ impl Rank {
 
     /// Binomial-tree reduction of `f64` vectors to `root`. Returns the
     /// reduced vector at the root, `None` elsewhere.
-    fn reduce_f64s_impl(&mut self, root: usize, data: &[f64], op: ReduceOp) -> Option<Vec<f64>> {
+    pub async fn reduce_f64s(
+        &mut self,
+        root: usize,
+        data: &[f64],
+        op: ReduceOp,
+    ) -> Option<Vec<f64>> {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         let mut acc = data.to_vec();
@@ -230,12 +168,12 @@ impl Rank {
                 let peer = vr | mask;
                 if peer < n {
                     let src = (peer + root) % n;
-                    let (_, p) = self.recv(src, TAG_REDUCE);
+                    let (_, p) = self.recv(src, TAG_REDUCE).await;
                     op.combine(&mut acc, &decode_f64s(&p));
                 }
             } else {
                 let dst = (vr - mask + root) % n;
-                self.send(dst, TAG_REDUCE, encode_f64s(&acc));
+                self.send(dst, TAG_REDUCE, encode_f64s(&acc)).await;
                 return None;
             }
             mask <<= 1;
@@ -244,16 +182,17 @@ impl Rank {
     }
 
     /// Allreduce = reduce-to-0 + broadcast (the MPICH 1.2 composition).
-    fn allreduce_f64s_impl(&mut self, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        let reduced = self.reduce_f64s_impl(0, data, op);
+    pub async fn allreduce_f64s(&mut self, data: &[f64], op: ReduceOp) -> Vec<f64> {
+        let reduced = self.reduce_f64s(0, data, op).await;
         let payload = reduced.map(|v| encode_f64s(&v));
-        let out = self.bcast_impl(0, payload);
+        let out = self.bcast(0, payload).await;
         decode_f64s(&out)
     }
 
     /// Linear gather of per-rank payloads to `root`; returns the payloads
     /// in rank order at the root, `None` elsewhere.
-    fn gather_impl(&mut self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
+    pub async fn gather(&mut self, root: usize, payload: Bytes) -> Option<Vec<Bytes>> {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         if r == root {
@@ -261,20 +200,21 @@ impl Rank {
             out[root] = payload;
             for (src, slot) in out.iter_mut().enumerate() {
                 if src != root {
-                    let (_, p) = self.recv(src, TAG_GATHER);
+                    let (_, p) = self.recv(src, TAG_GATHER).await;
                     *slot = p;
                 }
             }
             Some(out)
         } else {
-            self.send(root, TAG_GATHER, payload);
+            self.send(root, TAG_GATHER, payload).await;
             None
         }
     }
 
     /// Linear scatter of per-rank payloads from `root`; returns this
     /// rank's chunk.
-    fn scatter_impl(&mut self, root: usize, chunks: Option<Vec<Bytes>>) -> Bytes {
+    pub async fn scatter(&mut self, root: usize, chunks: Option<Vec<Bytes>>) -> Bytes {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         if r == root {
@@ -287,17 +227,18 @@ impl Rank {
                 }
             }
             let mine = chunks[root].clone();
-            self.waitall(reqs);
+            self.waitall(reqs).await;
             mine
         } else {
-            let (_, p) = self.recv(root, TAG_SCATTER);
+            let (_, p) = self.recv(root, TAG_SCATTER).await;
             p
         }
     }
 
     /// Ring allgather: n−1 steps, each rank forwarding the newest block to
     /// its right neighbour. Returns all ranks' payloads in rank order.
-    fn allgather_impl(&mut self, payload: Bytes) -> Vec<Bytes> {
+    pub async fn allgather(&mut self, payload: Bytes) -> Vec<Bytes> {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         let mut out: Vec<Bytes> = vec![Bytes::new(); n];
@@ -310,30 +251,32 @@ impl Rank {
         let mut have = r; // index of the newest block we hold
         for _ in 0..n - 1 {
             let sreq = self.isend(right, TAG_ALLGATHER, out[have].clone());
-            let (_, p) = self.recv(left, TAG_ALLGATHER);
+            let (_, p) = self.recv(left, TAG_ALLGATHER).await;
             have = (have + n - 1) % n;
             out[have] = p;
-            self.wait(sreq);
+            self.wait(sreq).await;
         }
         out
     }
 
     /// Pairwise-exchange all-to-all of synthetic `bytes`-per-peer messages.
-    fn alltoall_size_impl(&mut self, bytes: u64) {
+    pub async fn alltoall_size(&mut self, bytes: u64) {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         for step in 1..n {
             let dst = (r + step) % n;
             let src = (r + n - step) % n;
             let sreq = self.isend_size(dst, TAG_ALLTOALL, bytes);
-            let _ = self.recv(src, TAG_ALLTOALL);
-            self.wait(sreq);
+            let _ = self.recv(src, TAG_ALLTOALL).await;
+            self.wait(sreq).await;
         }
     }
 
     /// Pairwise-exchange all-to-all with real payloads (one per peer, in
     /// rank order). Returns the payloads received, indexed by source rank.
-    fn alltoall_impl(&mut self, chunks: Vec<Bytes>) -> Vec<Bytes> {
+    pub async fn alltoall(&mut self, chunks: Vec<Bytes>) -> Vec<Bytes> {
+        let _in = self.collective();
         let n = self.nranks();
         let r = self.rank();
         assert_eq!(chunks.len(), n, "alltoall needs one chunk per rank");
@@ -343,10 +286,10 @@ impl Rank {
             let dst = (r + step) % n;
             let src = (r + n - step) % n;
             let sreq = self.isend(dst, TAG_ALLTOALL, chunks[dst].clone());
-            let (meta, p): (MsgMeta, Bytes) = self.recv(src, TAG_ALLTOALL);
+            let (meta, p): (MsgMeta, Bytes) = self.recv(src, TAG_ALLTOALL).await;
             debug_assert_eq!(meta.src, src);
             out[src] = p;
-            self.wait(sreq);
+            self.wait(sreq).await;
         }
         out
     }

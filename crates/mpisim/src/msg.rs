@@ -126,10 +126,6 @@ impl Reply {
     }
 }
 
-/// Marker panic payload that unwinds a rank out of its program when the
-/// world is torn down (an error elsewhere); never reported.
-pub(crate) struct SimAborted;
-
 #[cfg(test)]
 mod tests {
     use super::*;

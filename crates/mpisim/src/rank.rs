@@ -1,71 +1,80 @@
 //! The per-process MPI handle available inside rank programs.
 //!
-//! A [`Rank`] is handed to the user closure by [`crate::World::run`]. Its
-//! methods mirror the MPI point-to-point interface (`send`/`isend`/`recv`/
-//! `irecv`/`wait`/`test`) plus virtual-clock access ([`Rank::now`],
-//! [`Rank::compute`]). Collective operations live in
+//! A [`Proc`] is lent to the rank program by [`crate::World::run_async`].
+//! Its methods mirror the MPI point-to-point interface (`send`/`isend`/
+//! `recv`/`irecv`/`wait`/`test`) plus virtual-clock access ([`Proc::now`],
+//! [`Proc::compute`]). Collective operations live in
 //! [`crate::collectives`] as further methods on this type.
 //!
-//! A rank's thread runs only while it holds the world's baton (see
-//! [`crate::sched`]), and every method here runs the engine on that
-//! thread: `isend`, `irecv`, `test` and an eager `send` return at once
-//! with the baton still in hand; `recv`, `wait`, `compute` and a
-//! rendezvous `send` run the event loop and, unless this rank is itself
-//! the next one due, hand the baton to the rank that is and sleep until it
-//! comes back. Virtual time therefore flows correctly no matter what
-//! real-time interleaving the OS picks.
+//! Calls that can never yield — `isend`, `irecv`, `test`, `now` — are
+//! plain methods. Every call that may have to wait for virtual time to
+//! pass — `recv`, `wait`, `compute`, `send` (a rendezvous one blocks) and
+//! everything built from them — is `async` and bottoms out in one leaf
+//! future (`Proc::roundtrip`), whose two polls are the two halves of an
+//! engine call as [`crate::sched`] describes them.
 
 use crate::msg::{Call, MsgMeta, Reply, Request, SrcSel, TagSel};
-use crate::sched::Shared;
+use crate::sched::Engine;
+use crate::threads::Shared;
 use crate::trace::{TraceEvent, TraceKind};
 use bytes::Bytes;
 use pevpm_netsim::{Dur, Time};
+use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
+
+/// How a [`Proc`] reaches its world's engine.
+pub(crate) enum Link {
+    /// Under [`crate::World::run_async`]: one thread's rank futures share it.
+    Executor(Rc<RefCell<Engine>>),
+    /// Under the blocking façade ([`crate::threads`]): one thread per rank.
+    Threads(Arc<Shared>),
+}
 
 /// Handle to one simulated MPI process.
-pub struct Rank {
+pub struct Proc {
     id: usize,
     nranks: usize,
     node: usize,
     clock: Time,
-    shared: Arc<Shared>,
+    link: Link,
     tracing: bool,
     trace: Vec<TraceEvent>,
-    coll_depth: u32,
+    /// Collectives this rank is inside of, nested (see `collectives`).
+    pub(crate) coll_depth: Rc<Cell<u32>>,
 }
 
-impl Rank {
-    pub(crate) fn new(
-        id: usize,
-        nranks: usize,
-        node: usize,
-        shared: Arc<Shared>,
-        tracing: bool,
-    ) -> Self {
-        Rank {
+/// The output of a future that does not yield where it is called.
+pub(crate) fn poll_once<T>(call: impl Future<Output = T>) -> T {
+    match std::pin::pin!(call).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => unreachable!("a call that cannot yield here did"),
+    }
+}
+
+impl Proc {
+    pub(crate) fn new(id: usize, nranks: usize, node: usize, link: Link, tracing: bool) -> Self {
+        Proc {
             id,
             nranks,
             node,
             clock: Time::ZERO,
-            shared,
+            link,
             tracing,
             trace: Vec::new(),
-            coll_depth: 0,
+            coll_depth: Rc::default(),
         }
     }
 
-    /// The program returned: hand in the trace and give the baton away.
+    /// The program returned: hand in the trace and leave the schedule.
     pub(crate) fn finish(&mut self) {
         let trace = std::mem::take(&mut self.trace);
-        self.shared.finish(self.id, trace);
-    }
-
-    pub(crate) fn enter_collective(&mut self) {
-        self.coll_depth += 1;
-    }
-
-    pub(crate) fn exit_collective(&mut self) {
-        self.coll_depth -= 1;
+        match &self.link {
+            Link::Executor(engine) => engine.borrow_mut().finish(self.id, trace),
+            Link::Threads(shared) => shared.finish(self.id, trace),
+        }
     }
 
     fn record(&mut self, kind: TraceKind, start: Time, peer: Option<usize>, bytes: u64) {
@@ -76,13 +85,35 @@ impl Rank {
                 end: self.clock,
                 peer,
                 bytes,
-                in_collective: self.coll_depth > 0,
+                in_collective: self.coll_depth.get() > 0,
             });
         }
     }
 
-    fn roundtrip(&mut self, call: Call) -> Reply {
-        self.shared.call(self.id, call)
+    /// One engine call, as the leaf future: the first poll runs the handler,
+    /// and if that left the rank blocked or yielding, the second — made
+    /// when the rank is due again — takes the reply the engine kept for it.
+    fn roundtrip(&self, call: Call) -> impl Future<Output = Reply> + '_ {
+        let (me, mut call) = (self.id, Some(call));
+        std::future::poll_fn(move |_| match (&self.link, call.take()) {
+            (Link::Executor(engine), Some(call)) => {
+                let reply = engine.borrow_mut().call(me, call);
+                reply.map_or(Poll::Pending, Poll::Ready)
+            }
+            (Link::Executor(engine), None) => {
+                let reply = engine.borrow_mut().pending_reply[me].take();
+                Poll::Ready(reply.expect("rank resumed without a reply"))
+            }
+            // A rank thread sleeps inside the call instead of yielding.
+            (Link::Threads(shared), call) => {
+                Poll::Ready(shared.call(me, call.expect("a blocking call is polled once")))
+            }
+        })
+    }
+
+    /// A call that completes inside the handler (`isend`, `irecv`, `test`).
+    fn call_now(&self, call: Call) -> Reply {
+        poll_once(self.roundtrip(call))
     }
 
     /// This process's rank (0-based).
@@ -111,43 +142,44 @@ impl Rank {
 
     /// Advance this rank's clock by a computation time (models a serial
     /// code segment of known duration).
-    pub fn compute(&mut self, d: Dur) {
+    pub async fn compute(&mut self, d: Dur) {
         let start = self.clock;
-        match self.roundtrip(Call::Compute(d)) {
+        match self.roundtrip(Call::Compute(d)).await {
             Reply::Ok { clock } => self.clock = clock,
             r => unreachable!("unexpected reply to Compute: {r:?}"),
         }
         self.record(TraceKind::Compute, start, None, 0);
     }
 
-    /// [`Rank::compute`] taking seconds.
-    pub fn compute_secs(&mut self, secs: f64) {
-        self.compute(Dur::from_secs_f64(secs));
+    /// [`Proc::compute`] taking seconds.
+    pub async fn compute_secs(&mut self, secs: f64) {
+        self.compute(Dur::from_secs_f64(secs)).await;
     }
 
     /// Blocking standard-mode send of a real payload.
-    pub fn send(&mut self, dst: usize, tag: u64, payload: impl Into<Bytes>) {
+    pub async fn send(&mut self, dst: usize, tag: u64, payload: impl Into<Bytes>) {
         let payload = payload.into();
         let bytes = payload.len() as u64;
-        self.send_inner(dst, tag, bytes, payload);
+        self.send_inner(dst, tag, bytes, payload).await;
     }
 
     /// Blocking send of a synthetic `bytes`-sized message with no payload
     /// (benchmark use: exercises the full protocol and network without
     /// materialising buffers).
-    pub fn send_size(&mut self, dst: usize, tag: u64, bytes: u64) {
-        self.send_inner(dst, tag, bytes, Bytes::new());
+    pub async fn send_size(&mut self, dst: usize, tag: u64, bytes: u64) {
+        self.send_inner(dst, tag, bytes, Bytes::new()).await;
     }
 
-    fn send_inner(&mut self, dst: usize, tag: u64, bytes: u64, payload: Bytes) {
+    async fn send_inner(&mut self, dst: usize, tag: u64, bytes: u64, payload: Bytes) {
         assert!(dst < self.nranks, "send to out-of-range rank {dst}");
         let start = self.clock;
-        match self.roundtrip(Call::Send {
+        let call = Call::Send {
             dst,
             tag,
             bytes,
             payload,
-        }) {
+        };
+        match self.roundtrip(call).await {
             Reply::Ok { clock } => self.clock = clock,
             r => unreachable!("unexpected reply to Send: {r:?}"),
         }
@@ -169,7 +201,7 @@ impl Rank {
     fn isend_inner(&mut self, dst: usize, tag: u64, bytes: u64, payload: Bytes) -> Request {
         assert!(dst < self.nranks, "isend to out-of-range rank {dst}");
         let start = self.clock;
-        let req = match self.roundtrip(Call::Isend {
+        let req = match self.call_now(Call::Isend {
             dst,
             tag,
             bytes,
@@ -187,12 +219,17 @@ impl Rank {
 
     /// Blocking receive. `src`/`tag` accept concrete values or the
     /// wildcards [`SrcSel::Any`] / [`TagSel::Any`].
-    pub fn recv(&mut self, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> (MsgMeta, Bytes) {
+    pub async fn recv(
+        &mut self,
+        src: impl Into<SrcSel>,
+        tag: impl Into<TagSel>,
+    ) -> (MsgMeta, Bytes) {
         let start = self.clock;
-        let (meta, payload) = match self.roundtrip(Call::Recv {
+        let call = Call::Recv {
             src: src.into(),
             tag: tag.into(),
-        }) {
+        };
+        let (meta, payload) = match self.roundtrip(call).await {
             Reply::Msg {
                 clock,
                 meta,
@@ -209,7 +246,7 @@ impl Rank {
 
     /// Nonblocking receive.
     pub fn irecv(&mut self, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> Request {
-        match self.roundtrip(Call::Irecv {
+        match self.call_now(Call::Irecv {
             src: src.into(),
             tag: tag.into(),
         }) {
@@ -223,9 +260,9 @@ impl Rank {
 
     /// Block until a request completes. Returns the message for receive
     /// requests, `None` for send requests.
-    pub fn wait(&mut self, req: Request) -> Option<(MsgMeta, Bytes)> {
+    pub async fn wait(&mut self, req: Request) -> Option<(MsgMeta, Bytes)> {
         let start = self.clock;
-        let out = match self.roundtrip(Call::Wait { req }) {
+        let out = match self.roundtrip(Call::Wait { req }).await {
             Reply::Ok { clock } => {
                 self.clock = clock;
                 None
@@ -247,17 +284,21 @@ impl Rank {
     }
 
     /// Wait for every request in order.
-    pub fn waitall(
+    pub async fn waitall(
         &mut self,
         reqs: impl IntoIterator<Item = Request>,
     ) -> Vec<Option<(MsgMeta, Bytes)>> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
+        let mut out = Vec::new();
+        for r in reqs {
+            out.push(self.wait(r).await);
+        }
+        out
     }
 
     /// Nonblocking completion test. `Some(None)` = send request completed;
     /// `Some(Some(msg))` = receive completed; `None` = still pending.
     pub fn test(&mut self, req: Request) -> Option<Option<(MsgMeta, Bytes)>> {
-        match self.roundtrip(Call::Test { req }) {
+        match self.call_now(Call::Test { req }) {
             Reply::TestResult { clock, done } => {
                 self.clock = clock;
                 done
@@ -270,7 +311,7 @@ impl Rank {
     /// blocking, completes the receive, then waits out the send. Safe
     /// against the head-to-head exchange deadlock that two opposing
     /// blocking rendezvous sends would produce.
-    pub fn sendrecv(
+    pub async fn sendrecv(
         &mut self,
         dst: usize,
         send_tag: u64,
@@ -279,13 +320,13 @@ impl Rank {
         recv_tag: impl Into<TagSel>,
     ) -> (MsgMeta, Bytes) {
         let req = self.isend(dst, send_tag, payload);
-        let msg = self.recv(src, recv_tag);
-        self.wait(req);
+        let msg = self.recv(src, recv_tag).await;
+        self.wait(req).await;
         msg
     }
 
-    /// [`Rank::sendrecv`] with a synthetic send size.
-    pub fn sendrecv_size(
+    /// [`Proc::sendrecv`] with a synthetic send size.
+    pub async fn sendrecv_size(
         &mut self,
         dst: usize,
         send_tag: u64,
@@ -294,8 +335,8 @@ impl Rank {
         recv_tag: impl Into<TagSel>,
     ) -> (MsgMeta, Bytes) {
         let req = self.isend_size(dst, send_tag, bytes);
-        let msg = self.recv(src, recv_tag);
-        self.wait(req);
+        let msg = self.recv(src, recv_tag).await;
+        self.wait(req).await;
         msg
     }
 }

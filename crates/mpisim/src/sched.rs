@@ -1,48 +1,34 @@
-//! The virtual-time scheduler and MPI message-progress engine.
+//! The virtual-time executor and MPI message-progress engine.
 //!
-//! Ranks run as real OS threads, but **exactly one runs at a time**: the
-//! one holding the *baton*. There is no scheduler thread. The `Engine`
-//! — virtual clocks, the ready heap, the message engine, the network —
-//! sits behind one lock that only the baton holder takes, so it is never
-//! contended, and every MPI call runs the engine's handler on the calling
-//! rank's own thread:
+//! A rank program is an `async` state machine, and [`World::run_async`]
+//! runs all of them on the calling thread: it boxes one future per rank
+//! and loops `Engine::dispatch` — advance the network, pop the next ready
+//! rank in `(time, seq, rank)` order — then polls that rank's future once.
+//! There is no waker and no run queue besides the engine's ready heap: a
+//! future is polled exactly when virtual time says its rank runs next.
+//! Every MPI call on a [`Proc`] runs the engine's handler (`Engine::call`)
+//! inside that poll:
 //!
 //! - a call that completes at once (eager `send`, `isend`, `irecv`,
-//!   `test`) returns with no thread switch at all;
+//!   `test`) returns without leaving the poll;
 //! - a call that blocks or yields (`recv`, `wait`, rendezvous `send`,
-//!   `compute`) runs the event loop itself (`Engine::dispatch`: advance
-//!   the network, pop the next ready rank in `(time, seq, rank)` order).
-//!   If the caller is next it just carries on; otherwise it wakes that
-//!   rank and parks — one switch.
+//!   `compute`) returns `Pending`; when `dispatch` next returns the rank,
+//!   its future is polled again and takes the reply the engine left it.
 //!
 //! Execution therefore interleaves with network events in strict
-//! virtual-time order, which makes the simulation deterministic per seed
-//! while applications stay ordinary Rust functions.
-//!
-//! **Wake flags.** Each rank has a flag and parks in
-//! `while !flag.swap(false) { park() }`; a waker sets the flag, then
-//! unparks. The flag, not the park token, carries the wake-up, so spurious
-//! returns and an unpark that lands before the park are both harmless. A
-//! rank thread parks before it runs any program code, so nothing a
-//! program does to the host happens out of schedule order.
-//!
-//! **Teardown.** The thread in [`World::run`] spawns the ranks, hands the
-//! first baton over and sleeps until an outcome is posted: the report, by
-//! the last rank to finish, or an error — a deadlock or a missed
-//! `virtual_deadline` found by whichever rank ran the event loop, or a
-//! rank's panic. Posting an error raises the `aborted` flag and wakes
-//! every rank; a rank that wakes to `aborted` unwinds out of its program
-//! (`SimAborted`) without touching the engine again, so an engine lock
-//! poisoned by a panic inside a handler is never taken a second time.
+//! virtual-time order, deterministically per seed, and futures being lazy
+//! no program code runs before its rank is first due. A rank's panic is
+//! caught around its one `poll` ([`SimError::RankPanic`]); a deadlock or a
+//! missed `virtual_deadline` is found by `dispatch`. Either way
+//! `run_async` returns the error and drops every rank's future where it
+//! stands. The blocking [`World::run`] of [`crate::threads`] drives this
+//! same engine from one OS thread per rank, for `perf/` only, until it can
+//! be deleted (see that module).
 //!
 //! **Bounded stores.** Messages, requests and (in `netsim`) transfers live
 //! in [`Slots`] and leave when they are delivered, consumed or complete,
 //! so the engine's memory follows what is in flight, not the length of
-//! the run. This is not only tidiness: engine allocations come from
-//! whichever rank thread holds the baton, each with its own malloc arena,
-//! and grow-only stores smeared over 128 arenas cost more resident memory
-//! than the engine thread they replaced (EXPERIMENTS.md, "Engine —
-//! baton-passing mpisim").
+//! the run.
 //!
 //! The message engine implements MPICH-1.2-like semantics:
 //!
@@ -63,21 +49,23 @@
 //! is documented in DESIGN.md.
 
 use crate::config::WorldConfig;
-use crate::msg::{Call, MsgMeta, Reply, Request, SimAborted, SrcSel, Tag, TagSel};
-use crate::rank::Rank;
+use crate::msg::{Call, MsgMeta, Reply, Request, SrcSel, Tag, TagSel};
+use crate::rank::{Link, Proc};
 use crate::trace::TraceEvent;
 use bytes::Bytes;
 use pevpm_netsim::network::{Completion, NetStats};
 use pevpm_netsim::{Dur, FaultEvent, Network, Slots, Time};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::Thread;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Result of a completed simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Virtual time at which the last rank finished.
     pub virtual_time: Time,
@@ -170,244 +158,66 @@ impl std::error::Error for SimError {}
 pub struct World;
 
 impl World {
-    /// Run `program` once per rank and simulate until every rank returns.
+    /// Run `program` once per rank, on this thread, and simulate until
+    /// every rank returns.
     ///
-    /// The closure receives a [`Rank`] handle; it may capture shared state
-    /// (`Arc<Mutex<..>>`) to extract results — only the rank holding the
-    /// baton runs, and collection vectors indexed per rank stay
-    /// deterministic.
-    pub fn run<F>(cfg: WorldConfig, program: F) -> Result<RunReport, SimError>
+    /// The closure receives a [`Proc`] handle and may borrow its
+    /// environment (`RefCell`/`Cell` to extract results): ranks run one at
+    /// a time, so collection vectors indexed per rank stay deterministic.
+    pub fn run_async<F>(cfg: WorldConfig, program: F) -> Result<RunReport, SimError>
     where
-        F: Fn(&mut Rank) + Send + Sync,
+        F: AsyncFn(&mut Proc),
     {
-        Self::run_shared(cfg, program).0
-    }
-
-    /// [`World::run`], also handing back the world's shared state as the
-    /// run left it (tests look at the engine's stores).
-    fn run_shared<F>(cfg: WorldConfig, program: F) -> (Result<RunReport, SimError>, Arc<Shared>)
-    where
-        F: Fn(&mut Rank) + Send + Sync,
-    {
-        let nranks = cfg.nranks();
-        assert!(nranks > 0, "world must have at least one rank");
-        let shared = Arc::new(Shared::new(&cfg));
-        let program = &program;
-
-        let outcome = std::thread::scope(|s| {
-            // A panic on this thread (thread spawn refused, say) must not
-            // leave the ranks spawned so far parked for ever.
-            let _teardown = AbortOnUnwind(&shared);
-            for r in 0..nranks {
-                let node = cfg.node_of(r);
-                let tracing = cfg.record_trace;
-                let shared_r = Arc::clone(&shared);
-                let handle = s.spawn(move || {
-                    if !shared_r.park(r) {
-                        return;
-                    }
-                    let mut rank = Rank::new(r, nranks, node, Arc::clone(&shared_r), tracing);
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        program(&mut rank);
-                        rank.finish();
-                    }));
-                    if let Err(e) = run {
-                        // SimAborted: the world is being torn down; exit.
-                        if e.downcast_ref::<SimAborted>().is_none() {
-                            let message = panic_message(&e);
-                            pevpm_obs::diag::warn(&format!("mpisim: rank {r} aborted: {message}"));
-                            shared_r.post(Err(SimError::RankPanic { rank: r, message }));
-                        }
-                    }
-                });
-                let _ = shared.seats[r].thread.set(handle.thread().clone());
-            }
-            shared.pass_baton(shared.lock_engine(), None);
-            shared.wait_for_outcome()
-        });
-        (outcome, shared)
+        assert!(cfg.nranks() > 0, "world must have at least one rank");
+        drive(&Rc::new(RefCell::new(Engine::new(cfg))), &program)
     }
 }
 
-fn panic_message(e: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
+/// The executor: one future per rank, polled in the engine's order.
+fn drive<F>(engine: &Rc<RefCell<Engine>>, program: &F) -> Result<RunReport, SimError>
+where
+    F: AsyncFn(&mut Proc),
+{
+    let cfg = engine.borrow().cfg.clone();
+    let nranks = cfg.nranks();
+    let mut ranks: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = (0..nranks)
+        .map(|r| {
+            let link = Link::Executor(Rc::clone(engine));
+            let mut proc = Proc::new(r, nranks, cfg.node_of(r), link, cfg.record_trace);
+            let run = async move {
+                program(&mut proc).await;
+                proc.finish();
+            };
+            Some(Box::pin(run) as _)
+        })
+        .collect();
+    // Nothing ever wakes a rank but `dispatch` returning it.
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        let next = engine.borrow_mut().dispatch()?;
+        let Some(r) = next else {
+            return Ok(engine.borrow_mut().report());
+        };
+        let rank = ranks[r].as_mut().expect("a finished rank is never due");
+        match catch_unwind(AssertUnwindSafe(|| rank.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => {}
+            Ok(Poll::Ready(())) => ranks[r] = None,
+            Err(e) => return Err(rank_panic(r, &e)),
+        }
+    }
+}
+
+/// The error a panic of rank `rank`'s program becomes.
+pub(crate) fn rank_panic(rank: usize, e: &Box<dyn std::any::Any + Send>) -> SimError {
+    let message = if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = e.downcast_ref::<String>() {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
-    }
-}
-
-/// Where a rank thread sleeps while it does not hold the baton.
-struct Seat {
-    /// Set by whoever wants this rank to run (or to notice `aborted`),
-    /// cleared by the rank when it wakes.
-    wake: AtomicBool,
-    /// The rank's thread, set by the spawner before the first baton moves.
-    thread: OnceLock<Thread>,
-}
-
-/// What a world's threads share: the engine, the seats, the outcome.
-pub(crate) struct Shared {
-    /// Locked only by the baton holder (and by `World::run` to hand the
-    /// first baton over), hence never contended.
-    engine: Mutex<Engine>,
-    seats: Vec<Seat>,
-    /// Raised with the first error; every rank that wakes to it unwinds.
-    aborted: AtomicBool,
-    outcome: Mutex<Option<Result<RunReport, SimError>>>,
-    posted: Condvar,
-}
-
-impl Shared {
-    fn new(cfg: &WorldConfig) -> Self {
-        Shared {
-            engine: Mutex::new(Engine::new(cfg.clone())),
-            seats: (0..cfg.nranks())
-                .map(|_| Seat {
-                    wake: AtomicBool::new(false),
-                    thread: OnceLock::new(),
-                })
-                .collect(),
-            aborted: AtomicBool::new(false),
-            outcome: Mutex::new(None),
-            posted: Condvar::new(),
-        }
-    }
-
-    fn lock_engine(&self) -> MutexGuard<'_, Engine> {
-        self.engine
-            .lock()
-            .expect("a panic inside the engine aborts the world; nobody locks it afterwards")
-    }
-
-    /// One MPI call of rank `me`, on `me`'s thread: run the handler and, if
-    /// the rank cannot continue yet, the event loop; returns when `me`
-    /// holds the baton again, with the call's reply.
-    pub(crate) fn call(&self, me: usize, call: Call) -> Reply {
-        let mut eng = self.lock_engine();
-        if let Some(reply) = eng.call(me, call) {
-            return reply;
-        }
-        let mut eng = match self.pass_baton(eng, Some(me)) {
-            Some(eng) => eng,
-            None => {
-                if !self.park(me) {
-                    resume_unwind(Box::new(SimAborted));
-                }
-                self.lock_engine()
-            }
-        };
-        eng.pending_reply[me]
-            .take()
-            .expect("rank resumed without a reply")
-    }
-
-    /// Rank `me`'s program returned: record it and pass the baton on for
-    /// good.
-    pub(crate) fn finish(&self, me: usize, trace: Vec<TraceEvent>) {
-        let mut eng = self.lock_engine();
-        eng.finish(me, trace);
-        self.pass_baton(eng, None);
-    }
-
-    /// Run the event loop up to the next rank that can run. If that is
-    /// `me`, `me` keeps the baton and gets the engine back. Otherwise the
-    /// engine is released and the baton goes to that rank — or, with every
-    /// rank finished or an error found, to nobody: the outcome is posted
-    /// instead.
-    fn pass_baton<'a>(
-        &'a self,
-        mut eng: MutexGuard<'a, Engine>,
-        me: Option<usize>,
-    ) -> Option<MutexGuard<'a, Engine>> {
-        match eng.dispatch() {
-            Ok(Some(next)) if Some(next) == me => return Some(eng),
-            Ok(Some(next)) => {
-                drop(eng);
-                self.wake(next);
-            }
-            Ok(None) => {
-                let report = eng.report();
-                drop(eng);
-                self.post(Ok(report));
-            }
-            Err(e) => {
-                drop(eng);
-                self.post(Err(e));
-            }
-        }
-        None
-    }
-
-    fn wake(&self, rank: usize) {
-        let seat = &self.seats[rank];
-        // Release: pairs with the Acquire swap in `park`, publishing what
-        // the waker did (the `aborted` flag included) to the woken rank.
-        seat.wake.store(true, Ordering::Release);
-        if let Some(t) = seat.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Sleep until woken. `false`: the world was aborted meanwhile and the
-    /// caller must leave without touching the engine.
-    fn park(&self, me: usize) -> bool {
-        while !self.seats[me].wake.swap(false, Ordering::Acquire) {
-            std::thread::park();
-        }
-        !self.aborted.load(Ordering::Acquire)
-    }
-
-    /// Raise `aborted` and wake every rank, parked or not yet started.
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-        for rank in 0..self.seats.len() {
-            self.wake(rank);
-        }
-    }
-
-    /// Publish the run's outcome (the first one posted stands) and, if it
-    /// is an error, tear the world down.
-    fn post(&self, outcome: Result<RunReport, SimError>) {
-        let failed = outcome.is_err();
-        self.outcome
-            .lock()
-            .expect("outcome lock is never held across a panic")
-            .get_or_insert(outcome);
-        if failed {
-            self.abort();
-        }
-        self.posted.notify_one();
-    }
-
-    fn wait_for_outcome(&self) -> Result<RunReport, SimError> {
-        let mut slot = self
-            .outcome
-            .lock()
-            .expect("outcome lock is never held across a panic");
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self
-                .posted
-                .wait(slot)
-                .expect("outcome lock is never held across a panic");
-        }
-    }
-}
-
-/// Tears the world down if the thread in `World::run` unwinds.
-struct AbortOnUnwind<'a>(&'a Shared);
-
-impl Drop for AbortOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort();
-        }
-    }
+    };
+    pevpm_obs::diag::warn(&format!("mpisim: rank {rank} aborted: {message}"));
+    SimError::RankPanic { rank, message }
 }
 
 /// Key of a message in `Engine::msgs`.
@@ -554,7 +364,7 @@ impl std::fmt::Display for Blocked {
     }
 }
 
-struct Engine {
+pub(crate) struct Engine {
     cfg: WorldConfig,
     net: Network,
     /// Completions of the event time being processed, as the network
@@ -567,7 +377,7 @@ struct Engine {
     ready_seq: u64,
     /// The reply a rank in the ready heap resumes with (none at its first
     /// start).
-    pending_reply: Vec<Option<Reply>>,
+    pub(crate) pending_reply: Vec<Option<Reply>>,
     finished: Vec<bool>,
     nfinished: usize,
     blocked: Vec<Option<Blocked>>,
@@ -590,7 +400,7 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(cfg: WorldConfig) -> Self {
+    pub(crate) fn new(cfg: WorldConfig) -> Self {
         let nranks = cfg.nranks();
         let net = Network::new(cfg.cluster.clone(), cfg.seed);
         let mut ready = BinaryHeap::new();
@@ -621,7 +431,7 @@ impl Engine {
         }
     }
 
-    fn report(&mut self) -> RunReport {
+    pub(crate) fn report(&mut self) -> RunReport {
         let virtual_time = self.clocks.iter().copied().max().unwrap_or(Time::ZERO);
         RunReport {
             virtual_time,
@@ -703,7 +513,7 @@ impl Engine {
     /// The event loop: advance the network until a rank is due, and return
     /// it with its clock brought forward. `None` once every rank has
     /// finished.
-    fn dispatch(&mut self) -> Result<Option<usize>, SimError> {
+    pub(crate) fn dispatch(&mut self) -> Result<Option<usize>, SimError> {
         let nranks = self.cfg.nranks();
         let deadline = self.cfg.virtual_deadline.map(|d| Time::ZERO + d);
         loop {
@@ -754,7 +564,7 @@ impl Engine {
         }
     }
 
-    fn finish(&mut self, r: usize, trace: Vec<TraceEvent>) {
+    pub(crate) fn finish(&mut self, r: usize, trace: Vec<TraceEvent>) {
         self.finished[r] = true;
         self.nfinished += 1;
         if self.cfg.record_trace {
@@ -766,7 +576,7 @@ impl Engine {
     /// complete and `r` keeps running. `None`: `r` blocked, or yielded with
     /// its wake-up already in the ready heap; its reply will be in
     /// `pending_reply` when [`Engine::dispatch`] next returns it.
-    fn call(&mut self, r: usize, call: Call) -> Option<Reply> {
+    pub(crate) fn call(&mut self, r: usize, call: Call) -> Option<Reply> {
         match call {
             Call::Compute(d) => {
                 let wake = self.clocks[r] + d;
@@ -1082,21 +892,24 @@ mod tests {
         const ROUNDS: usize = 1_250;
         // 10 000 ring messages: a blocking shift with a real payload, then a
         // nonblocking one with requests on both sides.
-        let (result, shared) = World::run_shared(WorldConfig::perseus(NRANKS, 1, 7), |rank| {
+        let engine = Rc::new(RefCell::new(Engine::new(WorldConfig::perseus(
+            NRANKS, 1, 7,
+        ))));
+        let report = drive(&engine, &async |rank: &mut Proc| {
             let (r, n) = (rank.rank(), rank.nranks());
             let (left, right) = ((r + n - 1) % n, (r + 1) % n);
             for i in 0..ROUNDS / 2 {
-                let (_, payload) = rank.sendrecv(right, 0, vec![i as u8; 1024], left, 0);
+                let (_, payload) = rank.sendrecv(right, 0, vec![i as u8; 1024], left, 0).await;
                 assert_eq!(payload.len(), 1024);
                 let rq = rank.irecv(left, 1);
                 let sq = rank.isend_size(right, 1, 20_000);
-                rank.wait(rq);
-                rank.wait(sq);
+                rank.wait(rq).await;
+                rank.wait(sq).await;
             }
-        });
-        let report = result.expect("ring runs");
+        })
+        .expect("ring runs");
         assert_eq!(report.messages, (NRANKS * ROUNDS) as u64);
-        let eng = shared.lock_engine();
+        let eng = engine.borrow();
         let high_water = [
             ("messages", eng.msgs.slots()),
             ("requests", eng.reqs.slots()),

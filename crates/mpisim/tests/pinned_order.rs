@@ -1,11 +1,12 @@
 //! The schedule, pinned: a 16x2 world running every kind of MPI call must
 //! reproduce — bit for bit — the virtual times, clocks, counters and
 //! per-rank traces recorded before the scheduler was rewritten from an
-//! engine thread to baton passing. Totals alone would not notice two
-//! ranks swapping places in the ready heap; the trace digest does.
+//! engine thread to baton passing, and from that to `async` rank programs
+//! on one thread. Totals alone would not notice two ranks swapping places
+//! in the ready heap; the trace digest does.
 
 use pevpm_mpisim::{
-    Dur, FaultPlan, Rank, RunReport, SrcSel, TagSel, TraceEvent, TraceKind, World, WorldConfig,
+    Dur, FaultPlan, Proc, RunReport, SrcSel, TagSel, TraceEvent, TraceKind, World, WorldConfig,
 };
 
 /// FNV-1a over 64-bit words.
@@ -61,39 +62,42 @@ fn clock_digest(report: &RunReport) -> u64 {
 /// Eager and rendezvous sizes, every nonblocking call, a wildcard gather,
 /// compute and a barrier. Payload-carrying messages check that what
 /// arrives is what was sent.
-fn mixed(rank: &mut Rank) {
+async fn mixed(rank: &mut Proc) {
     let (r, n) = (rank.rank(), rank.nranks());
     let (left, right) = ((r + n - 1) % n, (r + 1) % n);
     // Every rank comes out of this at the same instant and sends at once,
     // two to a NIC: who goes first is the ready heap's tie-break (ranks
     // meet on equal times nowhere else, jitter sees to that).
-    rank.compute(Dur::from_micros(50));
-    rank.send_size(right, 7, 1_200);
-    rank.recv(left, 7);
+    rank.compute(Dur::from_micros(50)).await;
+    rank.send_size(right, 7, 1_200).await;
+    rank.recv(left, 7).await;
     for round in 0..6u64 {
         // Eager ring shift, nonblocking on both sides, polled once. Any
         // tag: nothing else from `left` is in flight here.
         let rq = rank.irecv(left, TagSel::Any);
         let sq = rank.isend(right, 1, vec![r as u8; 256 + 64 * round as usize]);
-        rank.compute(Dur::from_micros(20 + 7 * (r as u64 % 5)));
+        rank.compute(Dur::from_micros(20 + 7 * (r as u64 % 5)))
+            .await;
         let (meta, payload) = match rank.test(rq) {
             Some(done) => done.expect("receive request"),
-            None => rank.wait(rq).expect("receive request"),
+            None => rank.wait(rq).await.expect("receive request"),
         };
         assert_eq!(meta.src, left);
         assert!(payload.iter().all(|&b| b == left as u8));
-        assert!(rank.wait(sq).is_none());
+        assert!(rank.wait(sq).await.is_none());
 
         // Rendezvous pairwise exchange (isend + recv + wait).
         let partner = r ^ 1;
-        let (meta, _) = rank.sendrecv_size(partner, 2, 40_000 + 1_000 * round, partner, 2);
+        let (meta, _) = rank
+            .sendrecv_size(partner, 2, 40_000 + 1_000 * round, partner, 2)
+            .await;
         assert_eq!(meta.src, partner);
 
         // Blocking rendezvous send across the machine.
         if r < n / 2 {
-            rank.send_size(r + n / 2, 3, 64 * 1024);
+            rank.send_size(r + n / 2, 3, 64 * 1024).await;
         } else {
-            rank.recv(r - n / 2, 3);
+            rank.recv(r - n / 2, 3).await;
         }
 
         // Any-source gather at a rotating root (a fixed tag keeps the
@@ -102,14 +106,14 @@ fn mixed(rank: &mut Rank) {
         if r == root {
             let mut seen = vec![false; n];
             for _ in 1..n {
-                let (meta, _) = rank.recv(SrcSel::Any, 100);
+                let (meta, _) = rank.recv(SrcSel::Any, 100).await;
                 assert_eq!(meta.bytes, 96 + 8 * meta.src as u64);
                 assert!(!std::mem::replace(&mut seen[meta.src], true));
             }
         } else {
-            rank.send_size(root, 100, 96 + 8 * r as u64);
+            rank.send_size(root, 100, 96 + 8 * r as u64).await;
         }
-        rank.barrier();
+        rank.barrier().await;
     }
 }
 
@@ -137,7 +141,7 @@ fn run_mixed(seed: u64, loss_prob: f64) -> RunReport {
             ..Default::default()
         });
     }
-    World::run(cfg, mixed).expect("mixed program runs")
+    World::run_async(cfg, mixed).expect("mixed program runs")
 }
 
 /// Recorded at the last commit that ran the scheduler on an engine thread

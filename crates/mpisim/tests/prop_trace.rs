@@ -9,7 +9,7 @@
 
 use pevpm_mpisim::{breakdown, trace, Dur, World, WorldConfig};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 /// Run a deadlock-free scripted world (every rank walks a global edge
 /// list, computing then sending on its `src` edges and receiving on its
@@ -26,27 +26,24 @@ fn run_traced(
         .map(|&(a, b, s, c)| (a % nranks, b % nranks, s, c))
         .filter(|&(a, b, _, _)| a != b)
         .collect();
-    let edges2 = edges.clone();
-    let clocks: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(vec![0.0; nranks]));
-    let clocks2 = clocks.clone();
+    let clocks = RefCell::new(vec![0.0; nranks]);
 
     let mut cfg = WorldConfig::perseus(nodes, 1, seed);
     cfg.record_trace = true;
-    let report = World::run(cfg, move |rank| {
+    let report = World::run_async(cfg, async |rank| {
         let me = rank.rank();
-        for (i, &(src, dst, bytes, compute_us)) in edges2.iter().enumerate() {
+        for (i, &(src, dst, bytes, compute_us)) in edges.iter().enumerate() {
             if me == src {
-                rank.compute(Dur::from_micros(compute_us));
-                rank.send(dst, i as u64, vec![0u8; bytes as usize]);
+                rank.compute(Dur::from_micros(compute_us)).await;
+                rank.send(dst, i as u64, vec![0u8; bytes as usize]).await;
             } else if me == dst {
-                let _ = rank.recv(src, i as u64);
+                let _ = rank.recv(src, i as u64).await;
             }
         }
-        clocks2.lock().unwrap()[rank.rank()] = rank.now().as_secs_f64();
+        clocks.borrow_mut()[rank.rank()] = rank.now().as_secs_f64();
     })
     .unwrap();
-    let final_clocks = clocks.lock().unwrap().clone();
-    (report.traces.unwrap(), final_clocks)
+    (report.traces.unwrap(), clocks.into_inner())
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use pevpm_mpisim::{Placement, ReduceOp, SimError, SrcSel, TagSel, Time, World, WorldConfig};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 fn ideal(nodes: usize, ppn: usize) -> WorldConfig {
     WorldConfig::ideal(nodes, ppn)
@@ -11,37 +11,36 @@ fn ideal(nodes: usize, ppn: usize) -> WorldConfig {
 
 #[test]
 fn ping_pong_transfers_payload_and_time_advances() {
-    let times = Arc::new(Mutex::new(vec![Time::ZERO; 2]));
-    let t2 = times.clone();
-    let report = World::run(ideal(2, 1), move |rank| {
+    let times = RefCell::new(vec![Time::ZERO; 2]);
+    let report = World::run_async(ideal(2, 1), async |rank| {
         match rank.rank() {
             0 => {
-                rank.send(1, 1, &b"ping"[..]);
-                let (_, p) = rank.recv(1, 2);
+                rank.send(1, 1, &b"ping"[..]).await;
+                let (_, p) = rank.recv(1, 2).await;
                 assert_eq!(&p[..], b"pong");
             }
             1 => {
-                let (meta, p) = rank.recv(0, 1);
+                let (meta, p) = rank.recv(0, 1).await;
                 assert_eq!(meta.bytes, 4);
                 assert_eq!(&p[..], b"ping");
-                rank.send(0, 2, &b"pong"[..]);
+                rank.send(0, 2, &b"pong"[..]).await;
             }
             _ => unreachable!(),
         }
-        t2.lock().unwrap()[rank.rank()] = rank.now();
+        times.borrow_mut()[rank.rank()] = rank.now();
     })
     .unwrap();
     assert!(report.virtual_time > Time::ZERO);
-    let times = times.lock().unwrap();
+    let times = times.into_inner();
     assert!(times[0] > Time::ZERO && times[1] > Time::ZERO);
     assert_eq!(report.messages, 2);
 }
 
 #[test]
 fn compute_advances_only_local_clock() {
-    let report = World::run(ideal(2, 1), |rank| {
+    let report = World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
-            rank.compute_secs(1.0);
+            rank.compute_secs(1.0).await;
             assert_eq!(rank.now(), Time::from_secs_f64(1.0));
         }
     })
@@ -54,13 +53,13 @@ fn compute_advances_only_local_clock() {
 fn receive_waits_for_late_sender() {
     // Rank 1 computes for 10 ms before sending; rank 0's recv must complete
     // after that, not before.
-    let report = World::run(ideal(2, 1), |rank| {
+    let report = World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
-            let (_, _) = rank.recv(1, 0);
+            let (_, _) = rank.recv(1, 0).await;
             assert!(rank.now() > Time::from_secs_f64(0.010));
         } else {
-            rank.compute_secs(0.010);
-            rank.send_size(0, 0, 64);
+            rank.compute_secs(0.010).await;
+            rank.send_size(0, 0, 64).await;
         }
     })
     .unwrap();
@@ -71,17 +70,17 @@ fn receive_waits_for_late_sender() {
 fn eager_send_returns_before_delivery() {
     // A small (eager) send must complete locally in ~tens of microseconds
     // even though the receiver posts its recv 1 second later.
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
-            rank.send_size(1, 0, 1024);
+            rank.send_size(1, 0, 1024).await;
             assert!(
                 rank.now() < Time::from_secs_f64(0.01),
                 "eager send blocked until the receive: {}",
                 rank.now()
             );
         } else {
-            rank.compute_secs(1.0);
-            let _ = rank.recv(0, 0);
+            rank.compute_secs(1.0).await;
+            let _ = rank.recv(0, 0).await;
         }
     })
     .unwrap();
@@ -91,17 +90,17 @@ fn eager_send_returns_before_delivery() {
 fn rendezvous_send_blocks_until_receiver_arrives() {
     // A 64 KB (rendezvous) send cannot complete until the receiver posts,
     // because the CTS only comes back after the match.
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
-            rank.send_size(1, 0, 64 * 1024);
+            rank.send_size(1, 0, 64 * 1024).await;
             assert!(
                 rank.now() > Time::from_secs_f64(1.0),
                 "rendezvous send completed before the receiver posted: {}",
                 rank.now()
             );
         } else {
-            rank.compute_secs(1.0);
-            let _ = rank.recv(0, 0);
+            rank.compute_secs(1.0).await;
+            let _ = rank.recv(0, 0).await;
         }
     })
     .unwrap();
@@ -109,14 +108,14 @@ fn rendezvous_send_blocks_until_receiver_arrives() {
 
 #[test]
 fn message_order_between_pair_is_fifo() {
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
             for i in 0..10u64 {
-                rank.send(1, 5, vec![i as u8]);
+                rank.send(1, 5, vec![i as u8]).await;
             }
         } else {
             for i in 0..10u64 {
-                let (_, p) = rank.recv(0, 5);
+                let (_, p) = rank.recv(0, 5).await;
                 assert_eq!(p[0] as u64, i, "messages reordered");
             }
         }
@@ -126,14 +125,14 @@ fn message_order_between_pair_is_fifo() {
 
 #[test]
 fn tag_matching_selects_correct_message() {
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
-            rank.send(1, 10, &b"ten"[..]);
-            rank.send(1, 20, &b"twenty"[..]);
+            rank.send(1, 10, &b"ten"[..]).await;
+            rank.send(1, 20, &b"twenty"[..]).await;
         } else {
             // Receive in reverse tag order: matching must pick by tag.
-            let (_, p20) = rank.recv(0, 20);
-            let (_, p10) = rank.recv(0, 10);
+            let (_, p20) = rank.recv(0, 20).await;
+            let (_, p10) = rank.recv(0, 10).await;
             assert_eq!(&p20[..], b"twenty");
             assert_eq!(&p10[..], b"ten");
         }
@@ -143,32 +142,32 @@ fn tag_matching_selects_correct_message() {
 
 #[test]
 fn wildcard_receive_matches_any_source_and_tag() {
-    World::run(ideal(3, 1), |rank| match rank.rank() {
+    World::run_async(ideal(3, 1), async |rank| match rank.rank() {
         0 => {
-            let (m1, _) = rank.recv(SrcSel::Any, TagSel::Any);
-            let (m2, _) = rank.recv(SrcSel::Any, TagSel::Any);
+            let (m1, _) = rank.recv(SrcSel::Any, TagSel::Any).await;
+            let (m2, _) = rank.recv(SrcSel::Any, TagSel::Any).await;
             let mut srcs = [m1.src, m2.src];
             srcs.sort_unstable();
             assert_eq!(srcs, [1, 2]);
         }
-        r => rank.send_size(0, 100 + r as u64, 32),
+        r => rank.send_size(0, 100 + r as u64, 32).await,
     })
     .unwrap();
 }
 
 #[test]
 fn isend_irecv_wait_roundtrip() {
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
             let r1 = rank.isend(1, 1, &b"a"[..]);
             let r2 = rank.isend(1, 2, &b"b"[..]);
-            rank.wait(r1);
-            rank.wait(r2);
+            rank.wait(r1).await;
+            rank.wait(r2).await;
         } else {
             let q2 = rank.irecv(0, 2);
             let q1 = rank.irecv(0, 1);
-            let m1 = rank.wait(q1).unwrap();
-            let m2 = rank.wait(q2).unwrap();
+            let m1 = rank.wait(q1).await.unwrap();
+            let m2 = rank.wait(q2).await.unwrap();
             assert_eq!(&m1.1[..], b"a");
             assert_eq!(&m2.1[..], b"b");
         }
@@ -178,18 +177,18 @@ fn isend_irecv_wait_roundtrip() {
 
 #[test]
 fn test_reports_pending_then_done() {
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
             let req = rank.irecv(1, 0);
             assert!(rank.test(req).is_none(), "request done before sender ran");
             // Wait out the sender's compute + transfer.
-            rank.compute_secs(0.5);
+            rank.compute_secs(0.5).await;
             let done = rank.test(req);
             assert!(done.is_some(), "request still pending after 0.5 s");
             assert!(done.unwrap().is_some());
         } else {
-            rank.compute_secs(0.1);
-            rank.send_size(0, 0, 8);
+            rank.compute_secs(0.1).await;
+            rank.send_size(0, 0, 8).await;
         }
     })
     .unwrap();
@@ -197,11 +196,11 @@ fn test_reports_pending_then_done() {
 
 #[test]
 fn intra_node_messages_bypass_network() {
-    let report = World::run(ideal(1, 2), |rank| {
+    let report = World::run_async(ideal(1, 2), async |rank| {
         if rank.rank() == 0 {
-            rank.send(1, 0, vec![42u8; 1000]);
+            rank.send(1, 0, vec![42u8; 1000]).await;
         } else {
-            let (_, p) = rank.recv(0, 0);
+            let (_, p) = rank.recv(0, 0).await;
             assert_eq!(p.len(), 1000);
         }
     })
@@ -214,10 +213,10 @@ fn intra_node_messages_bypass_network() {
 
 #[test]
 fn deadlock_is_detected_and_reported() {
-    let err = World::run(ideal(2, 1), |rank| {
+    let err = World::run_async(ideal(2, 1), async |rank| {
         // Both ranks receive from each other; nobody sends.
         let peer = 1 - rank.rank();
-        let _ = rank.recv(peer, 0);
+        let _ = rank.recv(peer, 0).await;
     })
     .unwrap_err();
     match err {
@@ -231,11 +230,11 @@ fn deadlock_is_detected_and_reported() {
 
 #[test]
 fn rank_panic_is_reported() {
-    let err = World::run(ideal(2, 1), |rank| {
+    let err = World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 1 {
             panic!("boom on rank 1");
         } else {
-            let _ = rank.recv(1, 0);
+            let _ = rank.recv(1, 0).await;
         }
     })
     .unwrap_err();
@@ -252,8 +251,8 @@ fn rank_panic_is_reported() {
 fn deadline_guard_fires() {
     let mut cfg = ideal(2, 1);
     cfg.virtual_deadline = Some(pevpm_netsim::Dur::from_millis(1));
-    let err = World::run(cfg, |rank| {
-        rank.compute_secs(10.0);
+    let err = World::run_async(cfg, async |rank| {
+        rank.compute_secs(10.0).await;
     })
     .unwrap_err();
     assert!(matches!(err, SimError::DeadlineExceeded { .. }));
@@ -264,17 +263,17 @@ fn determinism_same_seed_same_result() {
     let run = |seed: u64| {
         let mut cfg = WorldConfig::perseus(4, 2, seed);
         cfg.virtual_deadline = None;
-        World::run(cfg, |rank| {
+        World::run_async(cfg, async |rank| {
             let n = rank.nranks();
             let r = rank.rank();
             // All-pairs exchange with the opposite half.
             let peer = (r + n / 2) % n;
             if r < n / 2 {
-                rank.send_size(peer, 0, 2048);
-                let _ = rank.recv(peer, 1);
+                rank.send_size(peer, 0, 2048).await;
+                let _ = rank.recv(peer, 1).await;
             } else {
-                let _ = rank.recv(peer, 0);
-                rank.send_size(peer, 1, 2048);
+                let _ = rank.recv(peer, 0).await;
+                rank.send_size(peer, 1, 2048).await;
             }
         })
         .unwrap()
@@ -286,16 +285,15 @@ fn determinism_same_seed_same_result() {
 
 #[test]
 fn barrier_synchronises_clocks() {
-    let after = Arc::new(Mutex::new(vec![Time::ZERO; 4]));
-    let a2 = after.clone();
-    World::run(ideal(4, 1), move |rank| {
+    let after = RefCell::new(vec![Time::ZERO; 4]);
+    World::run_async(ideal(4, 1), async |rank| {
         // Stagger the ranks, then barrier: everyone leaves after the latest.
-        rank.compute_secs(0.01 * rank.rank() as f64);
-        rank.barrier();
-        a2.lock().unwrap()[rank.rank()] = rank.now();
+        rank.compute_secs(0.01 * rank.rank() as f64).await;
+        rank.barrier().await;
+        after.borrow_mut()[rank.rank()] = rank.now();
     })
     .unwrap();
-    let after = after.lock().unwrap();
+    let after = after.into_inner();
     let slowest_entry = Time::from_secs_f64(0.03);
     for (r, &t) in after.iter().enumerate() {
         assert!(
@@ -307,47 +305,49 @@ fn barrier_synchronises_clocks() {
 
 #[test]
 fn bcast_delivers_payload_to_all() {
-    let seen = Arc::new(Mutex::new(vec![Vec::new(); 5]));
-    let s2 = seen.clone();
-    World::run(ideal(5, 1), move |rank| {
+    let seen = RefCell::new(vec![Vec::new(); 5]);
+    World::run_async(ideal(5, 1), async |rank| {
         let payload = if rank.rank() == 2 {
             Some(Bytes::from_static(b"broadcast!"))
         } else {
             None
         };
-        let out = rank.bcast(2, payload);
-        s2.lock().unwrap()[rank.rank()] = out.to_vec();
+        let out = rank.bcast(2, payload).await;
+        seen.borrow_mut()[rank.rank()] = out.to_vec();
     })
     .unwrap();
-    for v in seen.lock().unwrap().iter() {
+    for v in seen.into_inner() {
         assert_eq!(v.as_slice(), b"broadcast!");
     }
 }
 
 #[test]
 fn reduce_computes_elementwise_sum() {
-    let result = Arc::new(Mutex::new(None));
-    let r2 = result.clone();
-    World::run(ideal(6, 1), move |rank| {
+    let result = RefCell::new(None);
+    World::run_async(ideal(6, 1), async |rank| {
         let data = vec![rank.rank() as f64, 1.0];
-        let out = rank.reduce_f64s(0, &data, ReduceOp::Sum);
+        let out = rank.reduce_f64s(0, &data, ReduceOp::Sum).await;
         if rank.rank() == 0 {
-            *r2.lock().unwrap() = out;
+            *result.borrow_mut() = out;
         } else {
             assert!(out.is_none());
         }
     })
     .unwrap();
-    let got = result.lock().unwrap().clone().unwrap();
+    let got = result.into_inner().unwrap();
     assert_eq!(got, vec![15.0, 6.0]); // 0+1+..+5, six ones
 }
 
 #[test]
 fn allreduce_gives_every_rank_the_result() {
-    World::run(ideal(4, 1), |rank| {
-        let out = rank.allreduce_f64s(&[rank.rank() as f64], ReduceOp::Max);
+    World::run_async(ideal(4, 1), async |rank| {
+        let out = rank
+            .allreduce_f64s(&[rank.rank() as f64], ReduceOp::Max)
+            .await;
         assert_eq!(out, vec![3.0]);
-        let out = rank.allreduce_f64s(&[rank.rank() as f64], ReduceOp::Min);
+        let out = rank
+            .allreduce_f64s(&[rank.rank() as f64], ReduceOp::Min)
+            .await;
         assert_eq!(out, vec![0.0]);
     })
     .unwrap();
@@ -355,9 +355,9 @@ fn allreduce_gives_every_rank_the_result() {
 
 #[test]
 fn gather_collects_in_rank_order() {
-    World::run(ideal(4, 1), |rank| {
+    World::run_async(ideal(4, 1), async |rank| {
         let mine = Bytes::from(vec![rank.rank() as u8; 3]);
-        let out = rank.gather(1, mine);
+        let out = rank.gather(1, mine).await;
         if rank.rank() == 1 {
             let got = out.unwrap();
             for (i, b) in got.iter().enumerate() {
@@ -372,13 +372,13 @@ fn gather_collects_in_rank_order() {
 
 #[test]
 fn scatter_distributes_chunks() {
-    World::run(ideal(3, 1), |rank| {
+    World::run_async(ideal(3, 1), async |rank| {
         let chunks = (rank.rank() == 0).then(|| {
             (0..3)
                 .map(|i| Bytes::from(vec![i as u8 * 10; 2]))
                 .collect::<Vec<_>>()
         });
-        let mine = rank.scatter(0, chunks);
+        let mine = rank.scatter(0, chunks).await;
         assert_eq!(mine.as_ref(), &[rank.rank() as u8 * 10; 2]);
     })
     .unwrap();
@@ -386,9 +386,9 @@ fn scatter_distributes_chunks() {
 
 #[test]
 fn allgather_returns_everything_everywhere() {
-    World::run(ideal(5, 1), |rank| {
+    World::run_async(ideal(5, 1), async |rank| {
         let mine = Bytes::from(vec![rank.rank() as u8 + 1]);
-        let all = rank.allgather(mine);
+        let all = rank.allgather(mine).await;
         for (i, b) in all.iter().enumerate() {
             assert_eq!(b.as_ref(), &[i as u8 + 1]);
         }
@@ -398,12 +398,12 @@ fn allgather_returns_everything_everywhere() {
 
 #[test]
 fn alltoall_exchanges_personalised_chunks() {
-    World::run(ideal(4, 1), |rank| {
+    World::run_async(ideal(4, 1), async |rank| {
         let r = rank.rank();
         let chunks: Vec<Bytes> = (0..4)
             .map(|dst| Bytes::from(vec![(r * 10 + dst) as u8]))
             .collect();
-        let got = rank.alltoall(chunks);
+        let got = rank.alltoall(chunks).await;
         for (src, b) in got.iter().enumerate() {
             assert_eq!(b.as_ref(), &[(src * 10 + r) as u8]);
         }
@@ -415,10 +415,10 @@ fn alltoall_exchanges_personalised_chunks() {
 fn sendrecv_exchanges_without_deadlock() {
     // Head-to-head large (rendezvous) exchange: plain blocking sends on
     // both sides would deadlock; sendrecv must not.
-    World::run(ideal(2, 1), |rank| {
+    World::run_async(ideal(2, 1), async |rank| {
         let peer = 1 - rank.rank();
         let mine = vec![rank.rank() as u8; 64 * 1024];
-        let (meta, payload) = rank.sendrecv(peer, 5, mine, peer, 5);
+        let (meta, payload) = rank.sendrecv(peer, 5, mine, peer, 5).await;
         assert_eq!(meta.src, peer);
         assert_eq!(payload.len(), 64 * 1024);
         assert!(payload.iter().all(|&b| b == peer as u8));
@@ -428,11 +428,13 @@ fn sendrecv_exchanges_without_deadlock() {
 
 #[test]
 fn sendrecv_size_shifts_a_ring() {
-    World::run(ideal(4, 1), |rank| {
+    World::run_async(ideal(4, 1), async |rank| {
         let n = rank.nranks();
         let r = rank.rank();
         for _ in 0..5 {
-            let (meta, _) = rank.sendrecv_size((r + 1) % n, 1, 2048, (r + n - 1) % n, 1);
+            let (meta, _) = rank
+                .sendrecv_size((r + 1) % n, 1, 2048, (r + n - 1) % n, 1)
+                .await;
             assert_eq!(meta.src, (r + n - 1) % n);
             assert_eq!(meta.bytes, 2048);
         }
@@ -446,17 +448,17 @@ fn nic_contention_slows_two_procs_per_node() {
     // with 1 proc/node: two processes share one NIC (paper §3).
     let time_for = |nodes: usize, ppn: usize| {
         let cfg = WorldConfig::perseus(nodes, ppn, 1);
-        World::run(cfg, |rank| {
+        World::run_async(cfg, async |rank| {
             let n = rank.nranks();
             let r = rank.rank();
             let peer = (r + n / 2) % n;
             for _ in 0..10 {
                 if r < n / 2 {
-                    rank.send_size(peer, 0, 4096);
-                    let _ = rank.recv(peer, 1);
+                    rank.send_size(peer, 0, 4096).await;
+                    let _ = rank.recv(peer, 1).await;
                 } else {
-                    let _ = rank.recv(peer, 0);
-                    rank.send_size(peer, 1, 4096);
+                    let _ = rank.recv(peer, 0).await;
+                    rank.send_size(peer, 1, 4096).await;
                 }
             }
         })
@@ -475,7 +477,7 @@ fn nic_contention_slows_two_procs_per_node() {
 fn round_robin_placement_is_supported() {
     let mut cfg = ideal(2, 2);
     cfg.placement = Placement::RoundRobin;
-    World::run(cfg, |rank| {
+    World::run_async(cfg, async |rank| {
         // With round-robin, ranks 0 and 2 share node 0.
         if rank.rank() == 0 {
             assert_eq!(rank.node(), 0);
@@ -495,12 +497,12 @@ fn traces_record_operation_timelines() {
     use pevpm_mpisim::{breakdown, TraceKind};
     let mut cfg = ideal(2, 1);
     cfg.record_trace = true;
-    let report = World::run(cfg, |rank| {
+    let report = World::run_async(cfg, async |rank| {
         if rank.rank() == 0 {
-            rank.compute_secs(0.25);
-            rank.send_size(1, 0, 2048);
+            rank.compute_secs(0.25).await;
+            rank.send_size(1, 0, 2048).await;
         } else {
-            let _ = rank.recv(0, 0);
+            let _ = rank.recv(0, 0).await;
         }
     })
     .unwrap();
@@ -530,9 +532,9 @@ fn traces_mark_collective_internals() {
     use pevpm_mpisim::breakdown;
     let mut cfg = ideal(4, 1);
     cfg.record_trace = true;
-    let report = World::run(cfg, |rank| {
-        rank.barrier();
-        rank.compute_secs(0.01);
+    let report = World::run_async(cfg, async |rank| {
+        rank.barrier().await;
+        rank.compute_secs(0.01).await;
     })
     .unwrap();
     let traces = report.traces.unwrap();
@@ -552,11 +554,11 @@ fn traces_mark_collective_internals() {
 
 #[test]
 fn tracing_disabled_returns_none_and_costs_nothing() {
-    let report = World::run(ideal(2, 1), |rank| {
+    let report = World::run_async(ideal(2, 1), async |rank| {
         if rank.rank() == 0 {
-            rank.send_size(1, 0, 64);
+            rank.send_size(1, 0, 64).await;
         } else {
-            let _ = rank.recv(0, 0);
+            let _ = rank.recv(0, 0).await;
         }
     })
     .unwrap();
@@ -572,12 +574,12 @@ fn simultaneous_completions_keep_their_transfers_apart() {
     // second must still be taken for an RTS.
     let mut cfg = ideal(4, 1);
     cfg.cluster.switch_ports = 2;
-    let report = World::run(cfg, |rank| {
+    let report = World::run_async(cfg, async |rank| {
         let r = rank.rank();
         if r % 2 == 0 {
-            rank.send(r + 1, 0, vec![r as u8; 20_000 + r]);
+            rank.send(r + 1, 0, vec![r as u8; 20_000 + r]).await;
         } else {
-            let (meta, payload) = rank.recv(r - 1, 0);
+            let (meta, payload) = rank.recv(r - 1, 0).await;
             assert_eq!(meta.bytes as usize, 20_000 + r - 1);
             assert!(payload.iter().all(|&b| b as usize == r - 1));
         }
@@ -589,16 +591,16 @@ fn simultaneous_completions_keep_their_transfers_apart() {
 #[test]
 fn large_worlds_run_to_completion() {
     let cfg = WorldConfig::perseus(32, 2, 3);
-    let report = World::run(cfg, |rank| {
+    let report = World::run_async(cfg, async |rank| {
         let n = rank.nranks();
         let r = rank.rank();
         let peer = (r + n / 2) % n;
         if r < n / 2 {
-            rank.send_size(peer, 0, 1024);
-            let _ = rank.recv(peer, 1);
+            rank.send_size(peer, 0, 1024).await;
+            let _ = rank.recv(peer, 1).await;
         } else {
-            let _ = rank.recv(peer, 0);
-            rank.send_size(peer, 1, 1024);
+            let _ = rank.recv(peer, 0).await;
+            rank.send_size(peer, 1, 1024).await;
         }
     })
     .unwrap();

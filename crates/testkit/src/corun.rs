@@ -8,17 +8,17 @@
 
 use crate::program::{Item, PairMode, TestProgram};
 use pevpm::model::CollOp;
-use pevpm_mpisim::{Rank, ReduceOp, SimError, SrcSel, World, WorldConfig};
+use pevpm_mpisim::{Proc, ReduceOp, SimError, SrcSel, World, WorldConfig};
 
-fn run_items(rank: &mut Rank, items: &[Item], tag_base: u64) {
+async fn run_items(rank: &mut Proc, items: &[Item], tag_base: u64) {
     let me = rank.rank();
     for (i, item) in items.iter().enumerate() {
         let tag = tag_base * 1024 + i as u64 + 1;
         match item {
-            Item::ComputeAll { usecs } => rank.compute_secs(*usecs as f64 / 1e6),
+            Item::ComputeAll { usecs } => rank.compute_secs(*usecs as f64 / 1e6).await,
             Item::Compute { proc, usecs } => {
                 if me == *proc {
-                    rank.compute_secs(*usecs as f64 / 1e6);
+                    rank.compute_secs(*usecs as f64 / 1e6).await;
                 }
             }
             Item::Pair {
@@ -35,18 +35,18 @@ fn run_items(rank: &mut Rank, items: &[Item], tag_base: u64) {
                             // request must still be completed before the
                             // rank exits, and completing it here keeps
                             // requests from accumulating across items.
-                            rank.wait(req);
+                            rank.wait(req).await;
                         }
-                        _ => rank.send_size(*dst, tag, *bytes),
+                        _ => rank.send_size(*dst, tag, *bytes).await,
                     }
                 } else if me == *dst {
                     match mode {
                         PairMode::IrecvWait => {
                             let req = rank.irecv(*src, tag);
-                            rank.wait(req);
+                            rank.wait(req).await;
                         }
                         _ => {
-                            rank.recv(*src, tag);
+                            rank.recv(*src, tag).await;
                         }
                     }
                 }
@@ -58,28 +58,29 @@ fn run_items(rank: &mut Rank, items: &[Item], tag_base: u64) {
             } => {
                 if me == *sink {
                     for _ in senders {
-                        rank.recv(SrcSel::Any, tag);
+                        rank.recv(SrcSel::Any, tag).await;
                     }
                 } else if senders.contains(&me) {
-                    rank.send_size(*sink, tag, *bytes);
+                    rank.send_size(*sink, tag, *bytes).await;
                 }
             }
             Item::Coll { op, bytes } => match op {
-                CollOp::Barrier => rank.barrier(),
-                CollOp::Bcast => rank.bcast_size(0, *bytes),
+                CollOp::Barrier => rank.barrier().await,
+                CollOp::Bcast => rank.bcast_size(0, *bytes).await,
                 CollOp::Reduce => {
                     let words = (*bytes / 8).max(1) as usize;
-                    rank.reduce_f64s(0, &vec![1.0; words], ReduceOp::Sum);
+                    rank.reduce_f64s(0, &vec![1.0; words], ReduceOp::Sum).await;
                 }
                 CollOp::Allreduce => {
                     let words = (*bytes / 8).max(1) as usize;
-                    rank.allreduce_f64s(&vec![1.0; words], ReduceOp::Sum);
+                    rank.allreduce_f64s(&vec![1.0; words], ReduceOp::Sum).await;
                 }
-                CollOp::Alltoall => rank.alltoall_size(*bytes),
+                CollOp::Alltoall => rank.alltoall_size(*bytes).await,
             },
             Item::Loop { count, body } => {
                 for _ in 0..*count {
-                    run_items(rank, body, tag);
+                    // A recursive future needs a box to have a size.
+                    Box::pin(run_items(rank, body, tag)).await;
                 }
             }
             Item::OrphanRecv { .. } => {
@@ -101,10 +102,7 @@ pub fn simulate(prog: &TestProgram, world: WorldConfig) -> Result<f64, SimError>
         !prog.has_orphans(),
         "orphan receives cannot be co-simulated"
     );
-    let items = prog.items.clone();
-    let report = World::run(world, move |rank| {
-        run_items(rank, &items, 0);
-    })?;
+    let report = World::run_async(world, async |rank| run_items(rank, &prog.items, 0).await)?;
     Ok(report.virtual_time.as_secs_f64())
 }
 

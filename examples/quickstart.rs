@@ -58,17 +58,17 @@ fn main() {
     );
 
     // --- 3. Ground truth: run the real program ---------------------------
-    let report = World::run(WorldConfig::perseus(8, 1, 42), |rank| {
+    let report = World::run_async(WorldConfig::perseus(8, 1, 42), async |rank| {
         if rank.rank() > 1 {
             return; // only ranks 0 and 1 participate
         }
         for i in 0..rounds {
             if rank.rank() == 0 {
-                rank.send_size(1, i, 1024);
-                let _ = rank.recv(1, i);
+                rank.send_size(1, i, 1024).await;
+                let _ = rank.recv(1, i).await;
             } else {
-                let _ = rank.recv(0, i);
-                rank.send_size(0, i, 1024);
+                let _ = rank.recv(0, i).await;
+                rank.send_size(0, i, 1024).await;
             }
         }
     })

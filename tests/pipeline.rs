@@ -45,17 +45,17 @@ fn bench_save_load_predict_measure() {
     .makespan;
 
     // 4. Measure.
-    let report = World::run(WorldConfig::perseus(4, 1, 17), |rank| {
+    let report = World::run_async(WorldConfig::perseus(4, 1, 17), async |rank| {
         if rank.rank() > 1 {
             return;
         }
         for i in 0..rounds {
             if rank.rank() == 0 {
-                rank.send_size(1, i, 1024);
-                let _ = rank.recv(1, i);
+                rank.send_size(1, i, 1024).await;
+                let _ = rank.recv(1, i).await;
             } else {
-                let _ = rank.recv(0, i);
-                rank.send_size(0, i, 1024);
+                let _ = rank.recv(0, i).await;
+                rank.send_size(0, i, 1024).await;
             }
         }
     })
