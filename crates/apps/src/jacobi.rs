@@ -454,9 +454,11 @@ pub fn model(cfg: &JacobiConfig) -> Model {
 /// same-sized replicas of one stencil at different inputs — and the
 /// canonical *decomposable* workload for the DAG scheduler: the
 /// dependency analysis condenses it into `numprocs / region_size`
-/// mutually independent components, so `--eval-threads` can evaluate the
-/// regions concurrently (bitwise identically at any worker count),
-/// whereas the plain [`model`] is one strongly-connected halo chain.
+/// mutually independent components, so `EvalConfig::with_eval_threads`
+/// can evaluate the regions concurrently (bitwise identically at any
+/// worker count), whereas the plain [`model`] is one strongly-connected
+/// halo chain. Kept for `perf/`'s `pevpm.dag_speedup` probe; it is in
+/// `pevpm::dag`'s deletion set.
 ///
 /// `region_size` must divide the process count and be ≥ 2 (a region of
 /// one rank has no exchange partner).

@@ -10,10 +10,9 @@
 //! pevpm annotate FILE.c
 //! pevpm predict  --model FILE.c --db DB.dist --procs N
 //!                [--mode dist|avg|min] [--pingpong] [--param k=v ...]
-//!                [--seed S] [--reps R] [--threads T] [--eval-threads E]
+//!                [--seed S] [--reps R] [--threads T]
 //!                [--trace-out TRACE.json] [--metrics-out METRICS.json]
 //! pevpm serve    --db [NAME=]DB.dist ... [--addr HOST:PORT] [--threads T]
-//!                [--eval-threads E]
 //!                [--http HOST:PORT] [--log-out FILE] [--log-slow-ms MS]
 //! pevpm client   (--addr HOST:PORT | --port-file PATH) --model FILE.c --procs N
 //! pevpm trace    --nodes N [--ppn P] [--xsize X] [--iters I]
@@ -201,19 +200,13 @@ USAGE:
 
   pevpm predict  --model FILE.c --db DB.dist --procs N [--mode dist|avg|min]
                  [--pingpong] [--exact-quantiles] [--param k=v ...] [--seed S]
-                 [--reps R] [--threads T] [--eval-threads E] [--quorum K]
+                 [--reps R] [--threads T] [--quorum K]
                  [--precision P] [--min-reps N] [--max-reps N] [--antithetic]
                  [--max-steps N] [--max-virtual-secs S]
                  [--trace-out TRACE.json] [--metrics-out M.json]
       Evaluate the annotated program's PEVPM model against a database.
       --reps R > 1 runs a Monte-Carlo batch of R derived-seed replications
-      (mean +/- stderr); --threads T as for bench. --eval-threads E >= 1
-      parallelises *inside* each evaluation: the model program is
-      SCC-decomposed into independent rank components scheduled
-      concurrently, with bitwise-identical predictions at every E (0, the
-      default, keeps the classic serial engine). --threads and
-      --eval-threads share one core budget, so R x E replica-workers never
-      oversubscribe the host. --quorum K lets the
+      (mean +/- stderr); --threads T as for bench. --quorum K lets the
       batch complete when at least K replications succeed: failed
       replications are listed in the report and counted in the
       mc.replica_failures metric instead of aborting. --precision P
@@ -243,9 +236,8 @@ USAGE:
       prediction's validate/model/compile/eval/render stage windows.
 
   pevpm serve    --db [NAME=]DB.dist ... [--addr HOST:PORT] [--threads T]
-                 [--eval-threads E] [--conns C] [--io-timeout-ms MS]
-                 [--inflight N] [--queue N] [--shed-retry-ms MS]
-                 [--drain-ms MS]
+                 [--conns C] [--io-timeout-ms MS] [--inflight N] [--queue N]
+                 [--shed-retry-ms MS] [--drain-ms MS]
                  [--max-reps N] [--max-steps N] [--max-virtual-secs S]
                  [--port-file PATH] [--metrics-out M.json]
                  [--http HOST:PORT] [--log-out FILE] [--log-slow-ms MS]
@@ -277,8 +269,10 @@ USAGE:
       observational only: responses are byte-identical with it on or off.
       --conns C serves up to C connections concurrently (default 4)
       through a fixed worker pool; responses stay bitwise identical at
-      every C, and conns x reps-pool x eval-threads shares one host core
-      budget. --io-timeout-ms puts read/write deadlines on every
+      every C. --threads T (0 = all cores) is the evaluation budget the
+      C workers share: each fans a batch's items, or a request's
+      replications, over T/C threads, and no request can change that.
+      --io-timeout-ms puts read/write deadlines on every
       protocol socket (default 30000; 0 disables): an idle peer is
       quietly evicted, a peer stalled mid-frame gets a structured
       \"timeout\" error and a closed socket. --inflight N bounds
@@ -298,9 +292,9 @@ USAGE:
       Send requests to a running daemon and print one response JSON line
       each. With --model, sends the same prediction `predict` would run
       and accepts its request flags (--mode --pingpong --exact-quantiles
-      --param --seed --reps --threads --eval-threads --quorum --precision
-      --min-reps --max-reps --antithetic --max-steps --max-virtual-secs),
-      against the daemon's table --table names; --batch K sends it as one
+      --param --seed --reps --quorum --precision --min-reps --max-reps
+      --antithetic --max-steps --max-virtual-secs; how parallel it runs is
+      the daemon's setting), against the daemon's table --table names; --batch K sends it as one
       batch of K identical items. --crn marks the batch for common random
       numbers:
       the daemon evaluates every item of the batch from one shared base
@@ -402,8 +396,8 @@ const GLOBAL_OPTIONS: &[&str] = &["quiet", "verbose", "help"];
 const CLUSTER_OPTIONS: &str = "machine faults";
 
 /// Read by `predict::predict_request` (`predict`, `client`).
-const REQUEST_OPTIONS: &str = "procs mode pingpong exact-quantiles param seed reps threads \
-    eval-threads quorum precision min-reps max-reps antithetic max-steps max-virtual-secs";
+const REQUEST_OPTIONS: &str = "procs mode pingpong exact-quantiles param seed reps quorum \
+    precision min-reps max-reps antithetic max-steps max-virtual-secs";
 
 const COMMANDS: &[Command] = &[
     Command {
@@ -432,13 +426,13 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "predict",
         run: cmd_predict,
-        options: &["model db trace-out metrics-out", REQUEST_OPTIONS],
+        options: &["model db threads trace-out metrics-out", REQUEST_OPTIONS],
     },
     Command {
         name: "serve",
         run: cmd_serve,
         options: &[
-            "db addr threads eval-threads conns io-timeout-ms inflight queue shed-retry-ms",
+            "db addr threads conns io-timeout-ms inflight queue shed-retry-ms",
             "drain-ms max-reps max-steps max-virtual-secs port-file metrics-out http log-out",
             "log-slow-ms span-cap",
         ],

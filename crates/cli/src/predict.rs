@@ -22,8 +22,6 @@ pub(crate) fn predict_request(args: &Args, src: String) -> Result<PredictRequest
     req.exact_quantiles = args.has("exact-quantiles");
     req.seed = args.get_parsed("seed", 1)?;
     req.reps = args.get_parsed("reps", 1)?;
-    req.threads = args.get_parsed("threads", 0)?;
-    req.eval_threads = args.get_parsed("eval-threads", 0)?;
     for kv in args.values("param") {
         let Some((k, v)) = kv.split_once('=') else {
             return err(format!("--param expects k=v, got {kv:?}"));
@@ -48,7 +46,10 @@ pub(crate) fn cmd_predict(args: &Args) -> Result<String, CliError> {
     let table = load_db(args)?;
     let src = std::fs::read_to_string(model_path)
         .map_err(|e| CliError::input(format!("cannot read {model_path}: {e}")))?;
-    let req = predict_request(args, src)?;
+    let mut req = predict_request(args, src)?;
+    // The one-shot run owns its replication pool; a daemon's requests get
+    // the daemon's, which is why `client` has no such flag.
+    req.threads = args.get_parsed("threads", 0)?;
 
     // One-shot service-stage timing: a private telemetry hub — separate
     // from the --metrics-out engine registry, whose bytes must stay

@@ -34,7 +34,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, CliError> {
         addr: args.get("addr").unwrap_or("127.0.0.1:0").to_string(),
         tables: serve_tables(args)?,
         threads: args.get_parsed("threads", 0)?,
-        eval_threads: args.get_parsed("eval-threads", 0)?,
         max_reps: args.get_parsed("max-reps", 0)?,
         max_steps: args.get_opt("max-steps")?,
         max_virtual_secs: args.get_opt("max-virtual-secs")?,

@@ -64,6 +64,24 @@ fn unknown_options_are_usage_errors_naming_option_and_command() {
             "`pevpm client`",
         ),
         ("annotate x.c --nodes=2", "--nodes ", "`pevpm annotate`"),
+        // One thread knob per surface: `--threads` on `predict` and
+        // `serve`, none on `client` (the daemon decides), and the retired
+        // inner knob nowhere.
+        (
+            "predict --eval-threads 1 --model x.c --db x.dist --procs 2",
+            "--eval-threads ",
+            "`pevpm predict`",
+        ),
+        (
+            "serve --db x.dist --eval-threads 1",
+            "--eval-threads ",
+            "`pevpm serve`",
+        ),
+        (
+            "client --addr 127.0.0.1:9 --model x.c --procs 2 --threads 2",
+            "--threads ",
+            "`pevpm client`",
+        ),
     ] {
         let e = run_cmd(line).unwrap_err();
         assert_eq!(e.code, EXIT_USAGE, "{line}: {e}");

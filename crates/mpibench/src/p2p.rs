@@ -335,6 +335,26 @@ pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
     })
 }
 
+/// `run(i)` for `i` in `0..n` on the replication pool: every run's result
+/// in index order, or the failure a serial loop would have met first — the
+/// lowest failing index at any thread count.
+pub(crate) fn replicated(
+    n: usize,
+    threads: usize,
+    run: impl Fn(usize) -> Result<P2pResult, SimError> + Sync,
+) -> Result<Vec<P2pResult>, SimError> {
+    use pevpm::replicate::JobError;
+    let (outcomes, _) = pevpm::replicate::isolated_map(n, threads, run);
+    let first_failure: Result<Vec<_>, _> = outcomes.into_iter().collect();
+    first_failure.map_err(|e| match e {
+        JobError::Err(e) => e,
+        JobError::Panic(p) => SimError::ReplicaPanic {
+            index: p.index,
+            message: p.message,
+        },
+    })
+}
+
 /// Run `reps` independent replications of the benchmark and merge their
 /// samples into one result, fanning replicas across up to `threads`
 /// worker threads (`0` = all cores, `1` = serial).
@@ -346,17 +366,10 @@ pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
 /// run provides without serialising the extra work.
 pub fn run_p2p_reps(cfg: &P2pConfig, reps: usize, threads: usize) -> Result<P2pResult, SimError> {
     let base_seed = cfg.world.seed;
-    let runs: Vec<P2pResult> = pevpm::replicate::try_parallel_map(reps.max(1), threads, |i| {
+    let runs = replicated(reps.max(1), threads, |i| {
         let mut c = cfg.clone();
         c.world.seed = pevpm::replicate::replica_seed(base_seed, i as u64);
         run_p2p(&c)
-    })
-    .map_err(|e| match e {
-        pevpm::replicate::JobError::Err(e) => e,
-        pevpm::replicate::JobError::Panic(p) => SimError::ReplicaPanic {
-            index: p.index,
-            message: p.message,
-        },
     })?;
 
     let mut merged = runs[0].clone();

@@ -103,7 +103,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SimError> {
 /// database in shape order, so the output is bitwise identical at any
 /// thread count.
 pub fn run_sweep_threads(cfg: &SweepConfig, threads: usize) -> Result<SweepResult, SimError> {
-    let runs: Vec<P2pResult> = pevpm::replicate::try_parallel_map(cfg.shapes.len(), threads, |i| {
+    let runs = crate::p2p::replicated(cfg.shapes.len(), threads, |i| {
         let shape = cfg.shapes[i];
         let world = WorldConfig::perseus(
             shape.nodes,
@@ -121,13 +121,6 @@ pub fn run_sweep_threads(cfg: &SweepConfig, threads: usize) -> Result<SweepResul
             clock: None,
         };
         run_p2p(&p2p)
-    })
-    .map_err(|e| match e {
-        pevpm::replicate::JobError::Err(e) => e,
-        pevpm::replicate::JobError::Panic(p) => SimError::ReplicaPanic {
-            index: p.index,
-            message: p.message,
-        },
     })?;
     let mut table = DistTable::new();
     for res in &runs {

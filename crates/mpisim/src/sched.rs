@@ -209,13 +209,7 @@ where
 
 /// The error a panic of rank `rank`'s program becomes.
 pub(crate) fn rank_panic(rank: usize, e: &Box<dyn std::any::Any + Send>) -> SimError {
-    let message = if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    };
+    let message = pevpm_obs::diag::panic_message(&**e);
     pevpm_obs::diag::warn(&format!("mpisim: rank {rank} aborted: {message}"));
     SimError::RankPanic { rank, message }
 }

@@ -58,9 +58,36 @@ pub fn debug(msg: &str) {
     }
 }
 
+/// The message of a caught panic (`catch_unwind`'s or `join`'s `Err`):
+/// `panic!` carries a `&str` or a `String`; anything else came from
+/// `panic_any` and has no text to show.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panic_message_reads_both_string_payloads() {
+        let caught = |f: fn()| panic_message(&*std::panic::catch_unwind(f).unwrap_err());
+        let messages = [
+            caught(|| panic!("literal")),
+            caught(|| panic!("formatted {}", 7)),
+            caught(|| std::panic::panic_any(7u8)),
+        ];
+        assert_eq!(
+            messages,
+            ["literal", "formatted 7", "non-string panic payload"]
+        );
+    }
 
     #[test]
     fn verbosity_round_trips() {

@@ -108,11 +108,17 @@ pub fn num(v: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and its input arrives from sockets, so without a bound a
+/// frame of `[[[[…` overflows the stack — an abort no `catch_unwind`
+/// contains. The serve protocol nests three deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -135,12 +141,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the arrays and objects enclosing this value.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -192,13 +203,23 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // Outside the BMP, JSON spells a character as a
+                        // UTF-16 pair: a high surrogate, then a low one.
+                        if (0xd800..0xdc00).contains(&code)
+                            && b.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                        {
+                            let low = hex4(b, *pos + 3)?;
+                            if (0xdc00..0xe000).contains(&low) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(
+                            char::from_u32(code)
+                                .ok_or_else(|| format!("lone surrogate before byte {}", *pos))?,
+                        );
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
@@ -219,7 +240,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The four hex digits of a `\\u` escape, starting at byte `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    b.get(at..at + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        .and_then(|h| std::str::from_utf8(h).ok())
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+}
+
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -232,7 +262,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -246,7 +276,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -255,7 +285,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -289,6 +319,41 @@ mod tests {
         assert!(parse("[1, ]").is_err());
         assert!(parse(r#"{"a": 1} extra"#).is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nested =
+                |levels: usize| format!("{}1{}", open.repeat(levels), close.repeat(levels));
+            assert!(parse(&nested(MAX_DEPTH)).is_ok(), "{open} x {MAX_DEPTH}");
+            let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.contains("nesting deeper than 128"), "{open}: {e}");
+        }
+        // What used to overflow a 2 MiB thread stack: an error, with or
+        // without the closing brackets.
+        assert!(parse(&"[".repeat(10_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(10_000)).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_rejected() {
+        assert_eq!(
+            parse(r#""a\ud83d\ude00b\u00e9""#).unwrap().as_str(),
+            Some("a\u{1f600}b\u{e9}")
+        );
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+        ] {
+            let e = parse(lone).unwrap_err();
+            assert!(e.contains("lone surrogate"), "{lone}: {e}");
+        }
+        assert!(parse(r#""\u+123""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
     }
 
     #[test]

@@ -1,6 +1,45 @@
 //! Intra-evaluation parallelism: SCC/DAG decomposition of the model
 //! program and concurrent component scheduling.
 //!
+//! **This module is a deletion set.** No user surface reaches it any more
+//! (`--eval-threads`, the daemon's default and the wire field went in
+//! PR 20): the only way in is [`EvalConfig::with_eval_threads`], and the
+//! only non-test caller of that is `perf/src/probes.rs`, for
+//! `pevpm.dag_speedup` — which has read below 1 on every host it ran on,
+//! while every paper application condenses to one component and stands
+//! down, and any `eval_threads >= 1` forfeits the lock-step lanes
+//! (`driver.rs`' `lane_width`). `perf/` changes only in a `benchmark` PR;
+//! once one has dropped that probe (ROADMAP item 3), the PR after it
+//! deletes, and nothing else in the repository notices:
+//!
+//! - this file, `pub mod dag` and `pub use dag::DagPlan` in `lib.rs`, and
+//!   `tests/dag.rs`;
+//! - [`EvalConfig::eval_threads`] and [`EvalConfig::with_eval_threads`],
+//!   and the `eval_threads > 0` branch of [`vm::evaluate`];
+//! - `vm/driver.rs`: `inner_eval` — the `budget.inner(..)` line of
+//!   `monte_carlo`, the parameter of `run_replicas`, `run_group`,
+//!   `replica_cfg` and `lane_width` (a timeline is then the only thing
+//!   that narrows a lane group);
+//! - `vm/engine.rs`: the `active` mask and `injected` messages of
+//!   `run_lowered` / `run_lanes`, `ExternalMsg`, `VmOutcome::external`,
+//!   and their re-exports in `vm/mod.rs`;
+//! - `pevpm_apps::jacobi::ensemble_model` and its test (written to give
+//!   the scheduler independent components; nothing else wants it);
+//! - testkit Oracle 5: `oracle::{check_dag, DAG_THREADS}` and its two
+//!   tests, `campaign::Mode::Dag`, `dag_smoke`, the merge-order drill in
+//!   `tests/divergence.rs` with `maybe_perturb_seeds` and its line in this
+//!   crate's `divergence-injection` feature comment, and `dag` in
+//!   `pevpm fuzz --mode` (`cli/src/fuzz.rs`, USAGE);
+//! - the `dag.*` metric names, DESIGN.md "Intra-evaluation parallelism",
+//!   the DAG bullet of ROADMAP item 3.
+//!
+//! [`crate::replicate::ThreadBudget`] stays: the daemon splits the host
+//! between its connection workers with it. If ROADMAP item 5's static
+//! pre-flight has landed by then, the abstract endpoint walk below
+//! (`analyze` down to `tarjan`) moves to it instead of going.
+//!
+//! Until then, what it does.
+//!
 //! The virtual ranks of a lowered program plus its message endpoints form
 //! a dependency graph: an edge `p → q` means q's progress can wait on p
 //! (an eager send feeds a receive), and a cycle (Jacobi halo-exchange
@@ -512,7 +551,10 @@ pub(crate) fn evaluate_dag(
                 vm::run_lowered(setup, cfg, timing, seeds[c], Some(&masks[c]), &pending[c])
             }
         };
-        let (results, profile) = replicate::try_parallel_map_profiled(wave.len(), workers, run)
+        let (results, profile) = replicate::isolated_map(wave.len(), workers, run);
+        let results = results
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| match e {
                 JobError::Err(e) => e,
                 JobError::Panic(p) => PevpmError::ReplicaPanic {

@@ -10,18 +10,25 @@
 //!   same `base.wrapping_add(i)` scheme the serial loops always used, so a
 //!   replica's draws depend only on `(base_seed, replica_index)`, never on
 //!   which thread ran it;
-//! - results are written back in replica-index order, so aggregation sees
-//!   the exact sequence the serial loop would have produced;
-//! - on error, the error of the **lowest-index** failing replica is
-//!   reported — the one the serial loop would have hit first.
+//! - outcomes come back in replica-index order, so aggregation sees the
+//!   exact sequence the serial loop would have produced;
+//! - every replica runs and every outcome comes back, failures and caught
+//!   panics included, so which jobs execute does not depend on the thread
+//!   count either; a caller that wants *the* error `collect()`s the
+//!   outcomes and gets the **lowest-index** failure — the one a serial
+//!   loop would have hit first.
 //!
-//! Thread counts are expressed as `0 = use all available parallelism`;
-//! `1` forces the serial path.
+//! There is one loop, [`isolated_groups_profiled`]; [`isolated_map`] is its
+//! singleton-group case and [`parallel_map`] that for jobs that cannot
+//! fail. Thread counts are expressed as `0 = use all available
+//! parallelism`; `1` runs the loop on the calling thread.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+
+use pevpm_obs::diag::panic_message;
 
 /// A replication worker panicked. Carried inside [`JobError::Panic`] so a
 /// worker panic reaches the caller as a value instead of unwinding (or
@@ -62,17 +69,6 @@ impl<E: std::fmt::Display> std::fmt::Display for JobError<E> {
             JobError::Err(e) => write!(f, "{e}"),
             JobError::Panic(p) => write!(f, "{p}"),
         }
-    }
-}
-
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic payload of unknown type".to_string()
     }
 }
 
@@ -146,14 +142,14 @@ pub fn replica_seed(base: u64, index: u64) -> u64 {
     base.wrapping_add(index)
 }
 
-/// Shared worker budget for nested parallelism: an outer replication pool
-/// whose jobs each run an inner DAG-scheduled evaluation
-/// (`--threads × --eval-threads`). An explicit outer width is honoured
-/// verbatim and the inner scheduler gets the per-job share of the total,
-/// so the two levels combined never spawn more than
-/// `max(budget, outer)` workers. Capping the inner level is
-/// result-neutral: DAG predictions are bitwise identical at any worker
-/// count `>= 1`.
+/// Shared worker budget for nested parallelism: an outer pool (the
+/// daemon's connection workers, or a replication pool) whose jobs each run
+/// an inner one (a request's replication pool, or a DAG-scheduled
+/// evaluation under [`EvalConfig::eval_threads`](crate::vm::EvalConfig)).
+/// An explicit outer width is honoured verbatim and the inner level gets
+/// the per-job share of the total, so the two levels combined never spawn
+/// more than `max(budget, outer)` workers. Capping the inner level is
+/// result-neutral: predictions are bitwise identical at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadBudget {
     total: usize,
@@ -200,177 +196,110 @@ impl ThreadBudget {
     }
 }
 
-/// Map `f` over `0..n` on up to `threads` worker threads, returning the
-/// results in index order. `f(i)` must depend only on `i` (plus captured
-/// immutable state) — then the output is identical at any thread count.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_parallel_map(n, threads, |i| Ok::<T, std::convert::Infallible>(f(i))) {
-        Ok(v) => v,
-        Err(JobError::Err(e)) => match e {},
-        // Infallible jobs can still panic; re-raise on the caller thread
-        // (a clean unwind, never a cross-thread abort).
-        Err(JobError::Panic(p)) => panic!("{p}"),
-    }
-}
-
-/// [`parallel_map`] for fallible jobs. Returns the first (lowest-index)
-/// failure if any job fails, matching what a serial loop would report; a
-/// panicking job surfaces as [`JobError::Panic`] rather than unwinding
-/// through (or aborting) the harness.
-pub fn try_parallel_map<T, E, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>, JobError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    try_parallel_map_profiled(n, threads, f).map(|(out, _)| out)
-}
-
 /// Run `job` as replica `i` under [`catch_unwind`], mapping both failure
-/// modes into [`JobError`]: the panic-isolation primitive every map in
-/// this module is built on.
+/// modes into [`JobError`]: the per-replica panic isolation of every map
+/// in this module.
 pub fn isolated<T, E>(i: usize, job: impl FnOnce() -> Result<T, E>) -> Result<T, JobError<E>> {
     match catch_unwind(AssertUnwindSafe(job)) {
         Ok(r) => r.map_err(JobError::Err),
         Err(payload) => Err(JobError::Panic(ReplicaPanic {
             index: Some(i),
-            message: panic_message(payload),
+            message: panic_message(&*payload),
         })),
     }
 }
 
-/// [`try_parallel_map`] that additionally reports a [`ReplicateProfile`]:
-/// per-worker replica counts and busy wall time. Profiling costs two
-/// `Instant::now` calls per replica — negligible against any real
-/// evaluation — and does not affect results (replica seeding is
-/// index-derived, never time-derived).
-pub fn try_parallel_map_profiled<T, E, F>(
-    n: usize,
+/// The one replication loop: run `f` over `groups` — consecutive index
+/// ranges that tile `0..n`, in order — on up to `threads` workers and
+/// return **every** index's outcome, flattened in index order, plus the
+/// batch's [`ReplicateProfile`] (which counts replicas, not groups).
+///
+/// `f(group)` returns one outcome per index of the group and isolates each
+/// replica itself with [`isolated`] (a lock-step lane group of
+/// [`crate::vm::monte_carlo`] shares one evaluation, so only it can say
+/// which replica a failure belongs to). Every group runs whatever the
+/// others return, at any thread count, so a caller that wants the first
+/// failure `collect()`s the outcomes — the lowest failing index, the one a
+/// serial loop would have hit first — and a caller with a quorum policy
+/// counts them. A panicking replica is a value in its slot and its worker
+/// moves on; the panic message still prints to stderr, which is the wanted
+/// diagnostic. A failure of the harness itself — `f` unwinding outside
+/// [`isolated`], or returning the wrong number of outcomes — fails every
+/// index with the same unattributed [`ReplicaPanic`] instead of unwinding
+/// into the caller.
+///
+/// Profiling costs two `Instant::now` calls per group and cannot affect a
+/// result: replica seeding is index-derived, never time-derived.
+pub fn isolated_groups_profiled<T, E, F>(
+    groups: &[Range<usize>],
     threads: usize,
     f: F,
-) -> Result<(Vec<T>, ReplicateProfile), JobError<E>>
+) -> (Vec<Result<T, JobError<E>>>, ReplicateProfile)
 where
     T: Send,
     E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
+    F: Fn(Range<usize>) -> Vec<Result<T, JobError<E>>> + Sync,
 {
-    try_parallel_map_weighted(n, threads, |_| 1, f)
-}
-
-/// [`try_parallel_map_profiled`] where job `i` stands for `weight(i)`
-/// replicas: [`WorkerStat::jobs`] counts replicas, so a profile reads the
-/// same whether replicas ran one per job or several.
-fn try_parallel_map_weighted<T, E, F>(
-    n: usize,
-    threads: usize,
-    weight: impl Fn(usize) -> usize + Sync,
-    f: F,
-) -> Result<(Vec<T>, ReplicateProfile), JobError<E>>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let threads = resolve_threads(threads).min(n.max(1));
     let batch_start = Instant::now();
-    if threads <= 1 || n <= 1 {
-        let mut stat = WorkerStat::default();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let t0 = Instant::now();
-            let r = isolated(i, || f(i));
-            stat.busy_secs += t0.elapsed().as_secs_f64();
-            stat.jobs += weight(i);
-            out.push(r?);
-        }
-        let profile = ReplicateProfile {
-            workers: vec![stat],
-            wall_secs: batch_start.elapsed().as_secs_f64(),
-        };
-        return Ok((out, profile));
-    }
-
-    // One worker's output: its stats plus the (index, result) pairs it ran.
-    // Each job runs under `catch_unwind`, so a panicking job is recorded in
-    // its slot as a value and the worker thread itself never unwinds —
-    // `join()` below cannot fail for a job-level panic.
-    type Bucket<T, E> = (WorkerStat, Vec<(usize, Result<T, JobError<E>>)>);
+    let threads = resolve_threads(threads).min(groups.len());
+    // Workers claim group indices from one counter; the serial path is the
+    // same worker run on the calling thread.
     let next = AtomicUsize::new(0);
-    let buckets: Vec<Bucket<T, E>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    let mut stat = WorkerStat::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        local.push((i, isolated(i, || f(i))));
-                        stat.busy_secs += t0.elapsed().as_secs_f64();
-                        stat.jobs += weight(i);
-                    }
-                    (stat, local)
-                })
-            })
-            .collect();
-        let mut buckets = Vec::with_capacity(handles.len());
-        for h in handles {
-            match h.join() {
-                Ok(b) => buckets.push(b),
-                // Unreachable for job panics (caught above); covers panics
-                // in the worker's own bookkeeping or drop glue.
-                Err(payload) => {
-                    return Err(JobError::Panic(ReplicaPanic {
-                        index: None,
-                        message: panic_message(payload),
-                    }))
-                }
-            }
+    let worker = || {
+        let mut stat = WorkerStat::default();
+        let mut done = Vec::new();
+        loop {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            let Some(group) = groups.get(g) else {
+                break (stat, done);
+            };
+            let t0 = Instant::now();
+            let outcomes = f(group.clone());
+            stat.busy_secs += t0.elapsed().as_secs_f64();
+            stat.jobs += group.len();
+            assert_eq!(outcomes.len(), group.len(), "one outcome per replica");
+            done.push((g, outcomes));
         }
-        Ok(buckets)
-    })?;
-
+    };
+    let joined: Vec<std::thread::Result<_>> = if threads <= 1 {
+        vec![catch_unwind(AssertUnwindSafe(worker))]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
     let wall_secs = batch_start.elapsed().as_secs_f64();
-    let mut slots: Vec<Option<Result<T, JobError<E>>>> = (0..n).map(|_| None).collect();
-    let mut workers = Vec::with_capacity(buckets.len());
-    for (stat, bucket) in buckets {
-        workers.push(stat);
-        for (i, r) in bucket {
-            slots[i] = Some(r);
-        }
-    }
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(r) => out.push(r?),
-            // Every index in 0..n is claimed exactly once by the atomic
-            // counter; a hole means the harness itself misbehaved.
-            None => {
-                return Err(JobError::Panic(ReplicaPanic {
-                    index: Some(i),
-                    message: "replication index not produced".to_string(),
-                }))
+
+    let mut workers = Vec::with_capacity(joined.len());
+    let mut done = Vec::with_capacity(groups.len());
+    for bucket in joined {
+        match bucket {
+            Ok((stat, ran)) => {
+                workers.push(stat);
+                done.extend(ran);
+            }
+            Err(payload) => {
+                let panic = ReplicaPanic {
+                    index: None,
+                    message: panic_message(&*payload),
+                };
+                let n = groups.iter().map(Range::len).sum();
+                let failed = (0..n).map(|_| Err(JobError::Panic(panic.clone())));
+                return (failed.collect(), ReplicateProfile::default());
             }
         }
     }
-    Ok((out, ReplicateProfile { workers, wall_secs }))
+    // Every group was claimed exactly once: ordering by group restores
+    // index order.
+    done.sort_unstable_by_key(|(g, _)| *g);
+    let outcomes = done.into_iter().flat_map(|(_, outcomes)| outcomes);
+    (outcomes.collect(), ReplicateProfile { workers, wall_secs })
 }
 
-/// [`try_parallel_map_profiled`] with per-job panic isolation: every job
-/// runs under [`catch_unwind`], so one panicking replication neither
-/// aborts the process nor poisons its worker — the worker moves on to the
-/// next job. Returns **all** per-index outcomes (in index order), letting
-/// the caller apply a quorum policy instead of failing on the first
-/// error. A default-hook suppression is *not* installed: the panic
-/// message still prints to stderr, which is the wanted diagnostic.
-pub fn isolated_map_profiled<T, E, F>(
+/// [`isolated_groups_profiled`] over singleton groups: `f(i)` for every
+/// `i` in `0..n`, each under [`isolated`].
+pub fn isolated_map<T, E, F>(
     n: usize,
     threads: usize,
     f: F,
@@ -386,79 +315,64 @@ where
     })
 }
 
-/// [`isolated_map_profiled`] over jobs that each produce the outcomes of a
-/// *group* of consecutive replica indices (the lock-step lane groups of
-/// [`crate::vm::monte_carlo`]). `groups` must tile `0..n` (or any index
-/// range) in order; `f(group)` returns one outcome per index of the group
-/// and does its own per-replica isolation with [`isolated`]. Outcomes come
-/// back flattened in index order and the profile counts replicas, not
-/// groups.
-pub fn isolated_groups_profiled<T, E, F>(
-    groups: &[Range<usize>],
-    threads: usize,
-    f: F,
-) -> (Vec<Result<T, JobError<E>>>, ReplicateProfile)
+/// [`isolated_map`] for jobs that cannot fail (the figure-row loops of
+/// `pevpm-bench`): results in index order. `f(i)` must depend only on `i`
+/// (plus captured immutable state) — then the output is identical at any
+/// thread count. A panicking job is re-raised on the calling thread, a
+/// clean unwind rather than a cross-thread abort.
+pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Vec<Result<T, JobError<E>>> + Sync,
+    F: Fn(usize) -> T + Sync,
 {
-    let job = |g: usize| Ok::<_, std::convert::Infallible>(f(groups[g].clone()));
-    match try_parallel_map_weighted(groups.len(), threads, |g| groups[g].len(), job) {
-        Ok((outcomes, profile)) => (outcomes.into_iter().flatten().collect(), profile),
-        Err(JobError::Err(e)) => match e {},
-        // Harness-level failure (outside any replica's isolation): report
-        // it for every index so the quorum policy sees a fully-failed
-        // batch instead of the process dying.
-        Err(JobError::Panic(p)) => (
-            groups
-                .iter()
-                .flat_map(|group| group.clone())
-                .map(|_| Err(JobError::Panic(p.clone())))
-                .collect(),
-            ReplicateProfile::default(),
-        ),
-    }
-}
-
-/// [`isolated_map_profiled`] with a per-job observer: after job `i`
-/// finishes — success, error, or caught panic — `observe(i, busy_secs)`
-/// runs on the worker thread that executed it. The observer is a
-/// telemetry hook (per-job latency histograms, span stage callbacks in a
-/// long-lived service) and cannot influence results: it sees only the
-/// index and the job's wall time, after the outcome is already decided.
-pub fn isolated_map_observed<T, E, F, O>(
-    n: usize,
-    threads: usize,
-    f: F,
-    observe: O,
-) -> (Vec<Result<T, JobError<E>>>, ReplicateProfile)
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-    O: Fn(usize, f64) + Sync,
-{
-    isolated_map_profiled(n, threads, move |i| {
-        let t0 = Instant::now();
-        let r = catch_unwind(AssertUnwindSafe(|| f(i)));
-        observe(i, t0.elapsed().as_secs_f64());
-        match r {
+    let (outcomes, _) = isolated_map(n, threads, |i| Ok::<T, std::convert::Infallible>(f(i)));
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
             Ok(v) => v,
-            // Re-raise so the isolation layer classifies the panic with
-            // its index; the observer above has already run.
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
+            Err(JobError::Err(e)) => match e {},
+            Err(JobError::Panic(p)) => panic!("{p}"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Run `body` with the default panic hook silenced: the panics in these
+    /// tests are deliberate and their backtraces would pollute the output.
+    fn quietly<R>(body: impl FnOnce() -> R) -> R {
+        // The hook is process-wide and tests run in parallel: two swaps
+        // interleaved would leave the silent hook installed for good.
+        static HOOK: Mutex<()> = Mutex::new(());
+        let _one_at_a_time = HOOK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = body();
+        std::panic::set_hook(prev);
+        out
+    }
+
+    /// The first failure, the way `mpibench` and `dag.rs` ask for it.
+    fn first_failure<T, E>(outcomes: Vec<Result<T, JobError<E>>>) -> Result<Vec<T>, JobError<E>> {
+        outcomes.into_iter().collect()
+    }
+
+    /// Jobs 2 and 7 panic, 3 and 8 fail, the rest succeed.
+    fn mixed(i: usize) -> Result<usize, String> {
+        match i % 5 {
+            2 => panic!("boom at {i}"),
+            3 => Err(format!("err at {i}")),
+            _ => Ok(i * 10),
+        }
+    }
 
     #[test]
     fn results_arrive_in_index_order_at_any_thread_count() {
         let serial = parallel_map(37, 1, |i| i * i);
+        assert_eq!(serial, (0..37).map(|i| i * i).collect::<Vec<_>>());
         for threads in [2, 3, 4, 8] {
             assert_eq!(parallel_map(37, threads, |i| i * i), serial);
         }
@@ -466,55 +380,52 @@ mod tests {
 
     #[test]
     fn errors_report_the_lowest_failing_index() {
-        for threads in [1, 4] {
-            let r: Result<Vec<usize>, JobError<usize>> =
-                try_parallel_map(100, threads, |i| if i % 7 == 3 { Err(i) } else { Ok(i) });
-            assert_eq!(r.unwrap_err(), JobError::Err(3));
+        // ... and a failure stops neither the serial loop nor a worker: the
+        // same jobs run at every thread count.
+        for threads in [1, 2, 4, 8] {
+            let ran = Mutex::new(Vec::new());
+            let (outcomes, _) = isolated_map(100, threads, |i| {
+                ran.lock().unwrap().push(i);
+                if i % 7 == 3 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(first_failure(outcomes).unwrap_err(), JobError::Err(3));
+            let mut ran = ran.into_inner().unwrap();
+            ran.sort_unstable();
+            assert_eq!(ran, (0..100).collect::<Vec<_>>(), "threads {threads}");
         }
     }
 
     #[test]
     fn panicking_job_surfaces_err_not_abort() {
-        // Silence the default panic hook: the panic is deliberate.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         for threads in [1usize, 4] {
-            let r = try_parallel_map(8, threads, |i| {
-                if i == 5 {
-                    panic!("deliberate panic at {i}");
-                }
-                Ok::<_, String>(i)
-            });
-            match r {
-                Err(JobError::Panic(p)) => {
-                    assert_eq!(p.index, Some(5));
-                    assert!(p.message.contains("deliberate panic at 5"), "{}", p.message);
-                }
-                other => panic!("expected structured panic error, got {other:?}"),
-            }
+            let (outcomes, _) = quietly(|| isolated_map(8, threads, |i| mixed(i + 5)));
+            let expected = ReplicaPanic {
+                index: Some(2),
+                message: "boom at 7".to_string(),
+            };
+            assert_eq!(
+                first_failure(outcomes).unwrap_err(),
+                JobError::Panic(expected.clone())
+            );
+            // The infallible map re-raises it on the calling thread.
+            let rows = quietly(|| catch_unwind(|| parallel_map(8, threads, |i| mixed(i + 5).ok())));
+            assert_eq!(panic_message(&*rows.unwrap_err()), expected.to_string());
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]
     fn panic_beats_error_when_it_has_the_lower_index() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         for threads in [1usize, 4] {
-            let r = try_parallel_map(10, threads, |i| match i {
-                2 => panic!("boom"),
-                4 => Err("late error".to_string()),
-                _ => Ok(i),
-            });
-            assert_eq!(
-                r.unwrap_err(),
-                JobError::Panic(ReplicaPanic {
-                    index: Some(2),
-                    message: "boom".to_string(),
-                })
-            );
+            let (outcomes, _) = quietly(|| isolated_map(10, threads, mixed));
+            match first_failure(outcomes).unwrap_err() {
+                JobError::Panic(p) => assert_eq!(p.index, Some(2)),
+                other => panic!("job 2 panics before job 3 fails, got {other:?}"),
+            }
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]
@@ -540,7 +451,7 @@ mod tests {
     #[test]
     fn profile_accounts_for_every_job() {
         for threads in [1usize, 3] {
-            let (out, profile) = try_parallel_map_profiled(25, threads, Ok::<_, ()>).unwrap();
+            let (out, profile) = isolated_map(25, threads, Ok::<_, ()>);
             assert_eq!(out.len(), 25);
             assert_eq!(profile.total_jobs(), 25);
             assert_eq!(profile.workers.len(), threads.min(25));
@@ -548,33 +459,33 @@ mod tests {
             assert!(profile.busy_secs() >= 0.0);
             let u = profile.utilization();
             assert!((0.0..=1.0).contains(&u), "utilization {u}");
+            // Replicas, not pool jobs: two lane groups of eight and three
+            // stragglers are five jobs and nineteen replicas.
+            let groups = [0..8, 8..16, 16..17, 17..18, 18..19];
+            let (out, profile) = isolated_groups_profiled(&groups, threads, |group| {
+                group.map(|i| isolated(i, || Ok::<_, ()>(i))).collect()
+            });
+            assert_eq!(first_failure(out).unwrap(), (0..19).collect::<Vec<_>>());
+            assert_eq!(profile.total_jobs(), 19);
+            assert_eq!(profile.workers.len(), threads);
         }
     }
 
     #[test]
     fn profile_on_error_still_reports_lowest_index() {
-        let r = try_parallel_map_profiled(10, 4, |i| if i >= 4 { Err(i) } else { Ok(i) });
-        assert_eq!(r.unwrap_err(), JobError::Err(4));
+        let (outcomes, profile) = isolated_map(10, 4, |i| if i >= 4 { Err(i) } else { Ok(i) });
+        assert_eq!(profile.total_jobs(), 10, "failed jobs still counted");
+        assert_eq!(first_failure(outcomes).unwrap_err(), JobError::Err(4));
     }
 
     #[test]
     fn isolated_map_survives_panicking_jobs() {
-        // Silence the default panic hook for this test: the panics are
-        // intentional and the backtraces would pollute test output.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
         for threads in [1usize, 4] {
-            let (out, profile) = isolated_map_profiled(12, threads, |i| {
-                if i % 5 == 2 {
-                    panic!("boom at {i}");
-                }
-                if i % 5 == 3 {
-                    return Err(format!("err at {i}"));
-                }
-                Ok(i * 10)
-            });
+            let (out, profile) = quietly(|| isolated_map(12, threads, mixed));
             assert_eq!(out.len(), 12);
             assert_eq!(profile.total_jobs(), 12, "panicked jobs still counted");
+            // Every worker outlived the panics it caught.
+            assert_eq!(profile.workers.len(), threads);
             for (i, r) in out.iter().enumerate() {
                 match (i % 5, r) {
                     (2, Err(JobError::Panic(p))) => {
@@ -587,43 +498,33 @@ mod tests {
                 }
             }
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]
-    fn observer_sees_every_job_including_panicking_ones() {
-        use std::sync::Mutex;
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        for threads in [1usize, 4] {
-            let seen = Mutex::new(vec![false; 12]);
-            let (out, _) = isolated_map_observed(
-                12,
-                threads,
-                |i| {
-                    if i % 5 == 2 {
-                        panic!("boom at {i}");
+    fn harness_level_failure_fails_every_index() {
+        // A group job that unwinds outside `isolated` is the harness
+        // failing, not a replica: no index can be blamed, so all of them
+        // fail alike and nothing reaches the caller as a panic.
+        let groups = [0..2, 2..4, 4..6];
+        for threads in [1usize, 3] {
+            let (out, profile) = quietly(|| {
+                isolated_groups_profiled(&groups, threads, |group| {
+                    assert!(group.start != 2, "group job fell over");
+                    group.map(Ok::<_, JobError<()>>).collect()
+                })
+            });
+            assert_eq!(out.len(), 6);
+            assert_eq!(profile, ReplicateProfile::default());
+            for r in out {
+                match r {
+                    Err(JobError::Panic(p)) => {
+                        assert_eq!(p.index, None);
+                        assert!(p.message.contains("group job fell over"), "{p}");
                     }
-                    Ok::<_, String>(i * 10)
-                },
-                |i, busy| {
-                    assert!(busy >= 0.0);
-                    seen.lock().unwrap()[i] = true;
-                },
-            );
-            assert!(
-                seen.lock().unwrap().iter().all(|&s| s),
-                "every job observed"
-            );
-            for (i, r) in out.iter().enumerate() {
-                match (i % 5, r) {
-                    (2, Err(JobError::Panic(p))) => assert_eq!(p.index, Some(i)),
-                    (_, Ok(v)) => assert_eq!(*v, i * 10),
-                    other => panic!("index {i}: unexpected outcome {other:?}"),
+                    other => panic!("expected a harness failure, got {other:?}"),
                 }
             }
         }
-        std::panic::set_hook(prev);
     }
 
     #[test]

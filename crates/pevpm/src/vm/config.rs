@@ -40,9 +40,12 @@ pub struct EvalConfig {
     /// SCC components and evaluates independent components concurrently.
     /// Predictions are bitwise identical at every value `>= 1`, and match
     /// the serial engine exactly whenever the program condenses to a
-    /// single component (see DESIGN.md). When nested under [`monte_carlo`]
-    /// the effective value is capped by the shared
-    /// [`crate::replicate::ThreadBudget`].
+    /// single component. When nested under [`monte_carlo`] the effective
+    /// value is capped by the shared [`crate::replicate::ThreadBudget`].
+    /// No CLI flag, daemon setting or wire field sets it: it is kept for
+    /// `perf/`'s `pevpm.dag_speedup` probe and goes with [`crate::dag`]
+    /// (see that module's deletion set). [`EvalConfig::threads`] is the
+    /// thread knob.
     pub eval_threads: usize,
     /// Metrics sink. When installed the VM records sweep/match phase
     /// counts, the contention level at every message injection, scoreboard

@@ -287,7 +287,8 @@ fn parse_overloaded(resp: &str) -> Option<u64> {
 
 /// The JSON body shared by `predict` frames and `batch` items. Optional
 /// fields are emitted only when they differ from the protocol defaults,
-/// keeping frames small and byte-stable.
+/// keeping frames small and byte-stable. [`PredictRequest::threads`] does
+/// not travel: the daemon's `--threads` / `--conns` decide that.
 pub fn predict_body(table: &str, req: &PredictRequest) -> String {
     let mut out = format!(
         "{{\"model\":\"{}\",\"table\":\"{}\",\"procs\":{}",
@@ -319,12 +320,6 @@ pub fn predict_body(table: &str, req: &PredictRequest) -> String {
     }
     if req.reps != 1 {
         out.push_str(&format!(",\"reps\":{}", req.reps));
-    }
-    if req.threads != 0 {
-        out.push_str(&format!(",\"threads\":{}", req.threads));
-    }
-    if req.eval_threads != 0 {
-        out.push_str(&format!(",\"eval_threads\":{}", req.eval_threads));
     }
     if let Some(q) = req.quorum {
         out.push_str(&format!(",\"quorum\":{q}"));
@@ -369,32 +364,63 @@ mod tests {
 
     #[test]
     fn client_frames_parse_back_to_the_same_request() {
-        let mut req = PredictRequest::new("// PEVPM src", 4);
-        req.mode = "avg".to_string();
-        req.params.push(("rounds".to_string(), 20.0));
-        req.seed = 9;
-        req.reps = 8;
-        req.quorum = Some(6);
-        req.max_steps = Some(1000);
-        req.max_virtual_secs = Some(2.5);
-        let frame = predict_frame("r1", "perseus", &req);
-        let parsed = parse_request(&frame).unwrap();
-        let Request::Predict {
-            id,
-            table,
-            req: back,
-        } = parsed
-        else {
-            panic!("expected predict")
-        };
-        assert_eq!(id, "r1");
-        assert_eq!(table, "perseus");
-        assert_eq!(*back, req);
+        // Every wire field set and unset: all defaults, all set, each alone.
+        let set: [fn(&mut PredictRequest); 14] = [
+            |r| r.mode = "min".to_string(),
+            |r| r.pingpong = true,
+            |r| r.exact_quantiles = true,
+            |r| r.params = vec![("a \"b\"".to_string(), -0.5), ("n".to_string(), 3.0)],
+            |r| r.seed = u64::from(u32::MAX) + 7,
+            |r| r.reps = 64,
+            |r| r.quorum = Some(3),
+            |r| r.precision = Some(0.0125),
+            |r| r.min_reps = Some(5),
+            |r| r.max_reps = Some(40),
+            |r| r.antithetic = true,
+            |r| r.max_steps = Some(1 << 40),
+            |r| r.max_virtual_secs = Some(2.5),
+            |r| r.model_src = "// PEVPM \u{1f600}\n\t\"quoted\" \\ back".to_string(),
+        ];
+        let base = PredictRequest::new("// PEVPM src", 4);
+        let mut requests = vec![("default".to_string(), base.clone()); 2];
+        requests[1].0 = "t \"2\"".to_string();
+        for field in set {
+            field(&mut requests[1].1);
+            requests.push(("perseus".to_string(), base.clone()));
+            field(&mut requests.last_mut().unwrap().1);
+        }
+        let mut emitted = std::collections::BTreeSet::new();
+        for (table, req) in &requests {
+            let parsed = parse_request(&predict_frame("r1", table, req)).unwrap();
+            let expected = Request::Predict {
+                id: "r1".to_string(),
+                table: table.clone(),
+                req: Box::new(req.clone()),
+            };
+            assert_eq!(parsed, expected);
+            let body = json::parse(&predict_body(table, req)).unwrap();
+            emitted.extend(body.as_object().unwrap().keys().cloned());
+        }
+        // The same bodies as one batch: same items, same order.
+        let bodies: Vec<String> = requests.iter().map(|(t, r)| predict_body(t, r)).collect();
+        let batch = format!(
+            "{{\"op\":\"batch\",\"id\":\"b\",\"requests\":[{}]}}",
+            bodies.join(",")
+        );
+        let id = "b".to_string();
+        let items = requests;
+        assert_eq!(parse_request(&batch).unwrap(), Request::Batch { id, items });
+        // Encoder and decoder agree on the field set: everything the
+        // decoder accepts, the encoder can emit, and nothing else.
+        let accepted = proto::PREDICT_BODY_KEYS.split_whitespace();
+        assert_eq!(emitted, accepted.map(str::to_string).collect());
     }
 
     #[test]
     fn defaults_are_omitted_from_the_wire() {
-        let req = PredictRequest::new("m", 2);
+        // ... and so is the thread count, which is not the sender's to set.
+        let mut req = PredictRequest::new("m", 2);
+        req.threads = 8;
         let body = predict_body("default", &req);
         assert_eq!(body, "{\"model\":\"m\",\"table\":\"default\",\"procs\":2}");
     }

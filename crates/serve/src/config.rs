@@ -23,16 +23,12 @@ pub struct ServeConfig {
     pub addr: String,
     /// Benchmark tables to preload, as `(name, path)`.
     pub tables: Vec<(String, PathBuf)>,
-    /// Worker threads for batch fan-out and Monte-Carlo replication
-    /// (0 = all cores).
+    /// The daemon's evaluation-thread budget (0 = all cores): each of the
+    /// `conns` workers fans a batch's items, or a request's Monte-Carlo
+    /// replications, over its `threads / conns` share of it, so
+    /// `conns × replication pool` never oversubscribes the host. No
+    /// request can change either factor.
     pub threads: usize,
-    /// Default intra-evaluation DAG worker count applied to requests that
-    /// don't set `eval_threads` themselves (0 = classic serial engine).
-    /// Shares the host core budget with `threads`: batch items and
-    /// replications get the per-job share, so the fan-out × eval product
-    /// never oversubscribes. Predictions are bitwise identical at every
-    /// value >= 1.
-    pub eval_threads: usize,
     /// Admission control: refuse requests asking for more replications
     /// than this (0 = unlimited).
     pub max_reps: usize,
@@ -78,7 +74,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             tables: Vec::new(),
             threads: 0,
-            eval_threads: 0,
             max_reps: 0,
             max_steps: None,
             max_virtual_secs: None,

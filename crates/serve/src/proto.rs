@@ -254,9 +254,44 @@ fn bool_field(v: &Json, key: &str) -> Result<bool, PlanError> {
     }
 }
 
-/// Parse one predict body (the whole frame for `op: "predict"`, or one
-/// element of `requests` for `op: "batch"`) into `(table, request)`.
-pub fn parse_predict_body(v: &Json) -> Result<(String, PredictRequest), PlanError> {
+/// Every key of a predict body: what [`parse_request`] reads and
+/// `client::predict_body` writes, and nothing else. How parallel an
+/// evaluation runs is not among them: that is the daemon's `--threads` /
+/// `--conns`.
+pub const PREDICT_BODY_KEYS: &str = "model table procs mode pingpong exact_quantiles params seed \
+    reps quorum precision min_reps max_reps antithetic max_steps max_virtual_secs";
+
+/// What a `predict` or `batch` frame carries around its body or bodies.
+const ENVELOPE_KEYS: &str = "op id";
+
+/// Refuse a key the decoder would not read: a misspelt `"rep"` must not
+/// quietly run one replication, as a misspelt `--rep` does not.
+fn reject_unknown_keys(v: &Json, what: &str, envelope: &str, keys: &str) -> Result<(), PlanError> {
+    let Some(object) = v.as_object() else {
+        return Ok(());
+    };
+    let accepted: Vec<&str> = [envelope, keys]
+        .iter()
+        .flat_map(|list| list.split_whitespace())
+        .collect();
+    match object.keys().find(|key| !accepted.contains(&key.as_str())) {
+        None => Ok(()),
+        Some(key) => Err(PlanError::usage(format!(
+            "unknown field {key:?} in {what} (accepted: {})",
+            accepted.join(" ")
+        ))),
+    }
+}
+
+/// Parse one predict body into `(table, request)`: a whole `predict` frame
+/// (`envelope` = [`ENVELOPE_KEYS`]) or one element of a batch's `requests`
+/// (a bare body: no envelope).
+fn parse_predict_body(
+    v: &Json,
+    what: &str,
+    envelope: &str,
+) -> Result<(String, PredictRequest), PlanError> {
+    reject_unknown_keys(v, what, envelope, PREDICT_BODY_KEYS)?;
     let model = str_field(v, "model")?;
     let table = match v.get("table") {
         None | Some(Json::Null) => "default".to_string(),
@@ -289,12 +324,6 @@ pub fn parse_predict_body(v: &Json) -> Result<(String, PredictRequest), PlanErro
     }
     if let Some(reps) = usize_field(v, "reps")? {
         req.reps = reps;
-    }
-    if let Some(threads) = usize_field(v, "threads")? {
-        req.threads = threads;
-    }
-    if let Some(eval_threads) = usize_field(v, "eval_threads")? {
-        req.eval_threads = eval_threads;
     }
     req.quorum = usize_field(v, "quorum")?;
     req.precision = match v.get("precision") {
@@ -335,7 +364,8 @@ pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
     let op = str_field(&v, "op").map_err(|e| (id.clone(), e))?;
     match op.as_str() {
         "predict" => {
-            let (table, req) = parse_predict_body(&v).map_err(|e| (id.clone(), e))?;
+            let (table, req) = parse_predict_body(&v, "predict frame", ENVELOPE_KEYS)
+                .map_err(|e| (id.clone(), e))?;
             Ok(Request::Predict {
                 id,
                 table,
@@ -343,6 +373,8 @@ pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
             })
         }
         "batch" => {
+            reject_unknown_keys(&v, "batch frame", ENVELOPE_KEYS, "requests crn seed")
+                .map_err(|e| (id.clone(), e))?;
             let mut items = v
                 .get("requests")
                 .and_then(Json::as_array)
@@ -353,7 +385,7 @@ pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
                     )
                 })?
                 .iter()
-                .map(parse_predict_body)
+                .map(|item| parse_predict_body(item, "batch item", ""))
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| (id.clone(), e))?;
             if items.is_empty() {
@@ -694,6 +726,46 @@ mod tests {
         let (id, e) = parse_request("not json").unwrap_err();
         assert_eq!(id, "");
         assert!(e.message.contains("bad request JSON"), "{e}");
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_by_name_with_the_accepted_list() {
+        let body = "\"model\":\"m\",\"procs\":2";
+        let predict = |extra: &str| format!("{{\"op\":\"predict\",\"id\":\"u\",{body},{extra}}}");
+        let batch = |item: &str, frame: &str| {
+            format!("{{\"op\":\"batch\",\"id\":\"u\",\"requests\":[{{{body}{item}}}]{frame}}}")
+        };
+        for (frame, named) in [
+            // Misspelt: used to run one replication without a word.
+            (predict("\"rep\":64"), "\"rep\" in predict frame"),
+            // Retired: how parallel a request runs is the daemon's call.
+            (
+                predict("\"eval_threads\":2"),
+                "\"eval_threads\" in predict frame",
+            ),
+            (predict("\"threads\":2"), "\"threads\" in predict frame"),
+            (batch(",\"threads\":1", ""), "\"threads\" in batch item"),
+            // An item is a bare body: the envelope belongs to the frame.
+            (batch(",\"id\":\"i\"", ""), "\"id\" in batch item"),
+            (batch("", ",\"crm\":true"), "\"crm\" in batch frame"),
+        ] {
+            let (id, e) = parse_request(&frame).unwrap_err();
+            assert_eq!(id, "u", "{frame}");
+            assert_eq!(e.kind, crate::plan::PlanErrorKind::Usage, "{frame}");
+            let named = format!("unknown field {named} (accepted: ");
+            assert!(e.message.starts_with(&named), "{frame}: {e}");
+            let accepted: Vec<&str> = PREDICT_BODY_KEYS.split_whitespace().collect();
+            let listed = e.message.ends_with(&format!("{})", accepted.join(" ")));
+            assert_eq!(listed, !named.contains("batch frame"), "{frame}: {e}");
+        }
+        // A frame's envelope is accepted on the frame, and only there.
+        let (_, e) = parse_request(&predict("\"rep\":1")).unwrap_err();
+        assert!(e.message.contains("(accepted: op id model table "), "{e}");
+        let (_, e) = parse_request(&batch("", ",\"crm\":true")).unwrap_err();
+        assert!(
+            e.message.ends_with("(accepted: op id requests crn seed)"),
+            "{e}"
+        );
     }
 
     #[test]

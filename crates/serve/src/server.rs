@@ -10,7 +10,8 @@
 //! connections — so concurrency changes wall-clock, not bytes.
 //! Evaluation parallelism composes through [`pevpm::ThreadBudget`]:
 //! each connection's replication pool gets the per-connection share of
-//! the host, so `conns × reps-pool × eval-threads` never oversubscribes.
+//! `--threads`, so `conns × replication pool` never oversubscribes, and
+//! no request can change either factor.
 //!
 //! Degraded operation is deliberate and observable, in four layers:
 //!
@@ -55,7 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pevpm::replicate::isolated_map_observed;
+use pevpm::replicate::isolated_map;
 use pevpm_dist::{io as dist_io, DistTable};
 use pevpm_obs::{diag, Registry};
 
@@ -212,9 +213,8 @@ impl Server {
         };
         // Each concurrently-served request gets the per-connection share
         // of the host budget for its replication pool, so the product
-        // `conns × reps-pool × eval-threads` never oversubscribes. With a
-        // single worker the serial behavior (and `cfg.threads`) is kept
-        // verbatim.
+        // `conns × replication pool` never oversubscribes. With a single
+        // worker the serial behavior (and `cfg.threads`) is kept verbatim.
         let request_threads = if conns <= 1 {
             cfg.threads
         } else {
@@ -475,7 +475,6 @@ impl Server {
                     // second net here keeps even a control-path panic from
                     // taking the worker thread (and its slot) down.
                     let handled = catch_unwind(AssertUnwindSafe(|| self.handle_frame(&frame)));
-                    busy.store(false, Ordering::SeqCst);
                     let (response, shutdown) = handled.unwrap_or_else(|_| {
                         self.registry.counter("serve.panics_isolated").inc();
                         (
@@ -483,7 +482,12 @@ impl Server {
                             false,
                         )
                     });
-                    proto::write_frame(&mut writer, &response)?;
+                    // Still busy while the response is on its way out: a
+                    // drain that saw this connection idle here would close
+                    // the socket under a half-written frame.
+                    let written = proto::write_frame(&mut writer, &response);
+                    busy.store(false, Ordering::SeqCst);
+                    written?;
                     if shutdown {
                         break Ok(true);
                     }
@@ -630,40 +634,26 @@ impl Server {
         // equal the number of predictions served.
         let mut frame_timer = self.telemetry.begin("batch", false);
         let pool_job_ms = self.registry.histogram("serve.pool.job_ms", 0.0, 250.0, 50);
-        // Each concurrent item gets the per-slot share of the host budget
-        // for its DAG scheduler — `pool width × eval-threads` stays within
-        // the budget, and capping cannot change an answer.
-        let budget = pevpm::ThreadBudget::from_host();
-        let pool_width = budget.outer(self.request_threads, items.len());
         let (slots, _profile) = frame_timer.stage("fanout", || {
-            isolated_map_observed(
-                items.len(),
-                self.request_threads,
-                |i| {
-                    let (table, req) = &items[i];
-                    let mut item_timer = self.telemetry.begin("batch-item", true);
-                    let mut req = req.clone();
-                    req.threads = 1;
-                    let requested_eval = if req.eval_threads == 0 {
-                        self.cfg.eval_threads
-                    } else {
-                        req.eval_threads
-                    };
-                    req.eval_threads = budget.inner(pool_width, requested_eval);
-                    match self.predict_guarded(table, &req, 1, &mut item_timer) {
-                        Ok(result) => {
-                            item_timer.finish("ok", result.len());
-                            Ok(result)
-                        }
-                        Err(e) => {
-                            let code = e.kind_code();
-                            item_timer.finish(code, 0);
-                            Err((code.to_string(), e.message()))
-                        }
+            isolated_map(items.len(), self.request_threads, |i| {
+                let _timed = RecordElapsedMs {
+                    into: &pool_job_ms,
+                    since: Instant::now(),
+                };
+                let (table, req) = &items[i];
+                let mut item_timer = self.telemetry.begin("batch-item", true);
+                match self.predict_guarded(table, req, 1, &mut item_timer) {
+                    Ok(result) => {
+                        item_timer.finish("ok", result.len());
+                        Ok(result)
                     }
-                },
-                |_i, secs| pool_job_ms.record(secs * 1e3),
-            )
+                    Err(e) => {
+                        let code = e.kind_code();
+                        item_timer.finish(code, 0);
+                        Err((code.to_string(), e.message()))
+                    }
+                }
+            })
         });
         let (resp, failed) = frame_timer.stage("collect", || {
             let rendered: Vec<Result<String, (String, String)>> = slots
@@ -671,8 +661,8 @@ impl Server {
                 .map(|slot| match slot {
                     Ok(result) => Ok(result),
                     Err(pevpm::replicate::JobError::Err((code, msg))) => Err((code, msg)),
-                    // isolated_map already caught the panic; report it as
-                    // a per-item failure, daemon intact.
+                    // `isolated_map` already caught the panic; report it
+                    // as a per-item failure, daemon intact.
                     Err(pevpm::replicate::JobError::Panic(p)) => {
                         self.registry.counter("serve.panics_isolated").inc();
                         Err(("panic".to_string(), p.to_string()))
@@ -711,11 +701,7 @@ impl Server {
             Err(payload) => {
                 self.registry.counter("serve.panics_isolated").inc();
                 timer.set_panicked();
-                let what = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
+                let what = diag::panic_message(&*payload);
                 Err(RequestError::Panic(format!("request panicked: {what}")))
             }
         }
@@ -781,11 +767,6 @@ impl Server {
             // for; a request axis the server also caps takes the minimum.
             let mut req = req.clone();
             req.threads = threads;
-            // The daemon default applies when the request doesn't choose;
-            // replication nesting is budgeted inside `monte_carlo`.
-            if req.eval_threads == 0 {
-                req.eval_threads = self.cfg.eval_threads;
-            }
             if let Some(cap) = self.cfg.max_steps {
                 req.max_steps = Some(req.max_steps.map_or(cap, |n| n.min(cap)));
             }
@@ -799,8 +780,8 @@ impl Server {
                 let cap = self.cfg.max_reps;
                 req.max_reps = Some(req.max_reps.map_or(cap, |n| n.min(cap)));
             }
-            // Engine and DAG-scheduler metrics (vm.*, dag.*) land in the
-            // daemon registry, surfacing through `stats` and /metrics.
+            // Engine metrics (vm.*) land in the daemon registry,
+            // surfacing through `stats` and /metrics.
             let cfg = req
                 .eval_config()?
                 .with_metrics(Arc::clone(self.telemetry.registry()));
@@ -825,6 +806,20 @@ impl Server {
             }
         }
         Ok(timer.stage("render", || proto::render_outcome(&outcome)))
+    }
+}
+
+/// Records the milliseconds since `since` when dropped: a batch item is
+/// timed into `serve.pool.job_ms` however it leaves its pool job — result,
+/// refusal, or a panic unwinding past the guard.
+struct RecordElapsedMs<'a> {
+    into: &'a pevpm_obs::FixedHistogram,
+    since: Instant,
+}
+
+impl Drop for RecordElapsedMs<'_> {
+    fn drop(&mut self) {
+        self.into.record(self.since.elapsed().as_secs_f64() * 1e3);
     }
 }
 
@@ -999,6 +994,33 @@ mod tests {
             .collect();
         assert_eq!(stage_names, ["fanout", "collect"]);
         assert_eq!(batch_span.replica_failures, 0);
+    }
+
+    #[test]
+    fn every_batch_item_is_timed_however_it_ends() {
+        let s = test_server();
+        let job_ms = s.registry().histogram("serve.pool.job_ms", 0.0, 250.0, 50);
+        let good = format!(
+            "{{\"model\":\"{}\",\"procs\":2,\"params\":{{\"rounds\":20}}}}",
+            pevpm_obs::json::escape(SRC)
+        );
+        let refused = "{\"model\":\"// PEVPM Loop iterations =\",\"procs\":2}";
+        let frame =
+            format!("{{\"op\":\"batch\",\"id\":\"b\",\"requests\":[{good},{refused},{good}]}}");
+        let (resp, _) = s.handle_frame(&frame);
+        assert!(resp.contains("\"code\":\"input\""), "{resp}");
+        assert_eq!(job_ms.count(), 3);
+        // ... including by a panic that unwinds out of the pool job: the
+        // guard records on its way past.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _timed = RecordElapsedMs {
+                into: &job_ms,
+                since: Instant::now(),
+            };
+            std::panic::resume_unwind(Box::new("item fell over"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(job_ms.count(), 4);
     }
 
     #[test]

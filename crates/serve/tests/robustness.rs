@@ -186,7 +186,16 @@ fn chaos_modes_never_kill_the_daemon() {
     assert_eq!(by_mode(ChaosMode::SlowRead), "frame:ok");
 
     let mut client = Client::connect(&addr.to_string()).expect("connect");
+    // A seventh abuse, well-framed: 10 KB of `[`. Before the JSON parser
+    // bounded its recursion this overflowed the connection worker's stack,
+    // an abort no `catch_unwind` contains; now it is a usage error on a
+    // connection that stays open.
+    let deep = client.request(&"[".repeat(10_000)).expect("an error frame");
+    assert!(deep.contains("\"code\":\"usage\""), "{deep}");
+    assert!(deep.contains("nesting deeper than"), "{deep}");
+    assert!(client.ping("alive").expect("ping").contains("\"ok\":true"));
     let counters = counters_of(&client.stats("s").expect("stats"));
+    assert_eq!(counter(&counters, "serve.panics_isolated"), 0.0);
     assert!(counter(&counters, "serve.conn.io_timeouts") >= 1.0);
     assert!(counter(&counters, "serve.conn.bad_frames") >= 2.0);
     assert!(counter(&counters, "serve.conn.truncated") >= 1.0);
