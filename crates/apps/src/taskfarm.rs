@@ -307,6 +307,14 @@ mod tests {
             "makespan {} vs floor {floor}",
             pred.makespan
         );
+        // The dispatch target `i % (numprocs-1) + 1` reads the loop
+        // variable: recorded before the VM began to keep loop-invariant
+        // expressions, and equal without constant folding.
+        assert_eq!(pred.makespan.to_bits(), 0.40216533759999995f64.to_bits());
+        assert_eq!((pred.steps, pred.messages), (144, 54));
+        let unfolded = pevpm::EvalConfig::new(4).without_const_fold();
+        let unfolded = pevpm::evaluate(&m, &unfolded, &timing).unwrap();
+        assert_eq!(unfolded.makespan.to_bits(), pred.makespan.to_bits());
     }
 
     #[test]

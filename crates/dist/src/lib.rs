@@ -21,8 +21,8 @@
 //!   reloading benchmark databases (`.dist` files).
 //! - [`CompiledTable`] — an immutable, allocation-free compilation of a
 //!   [`DistTable`] for the Monte-Carlo hot path: flat sorted axes, exact
-//!   prefix-sum histogram inversion, quantile lookup tables for fits, and a
-//!   memoised neighbour-blend cache.
+//!   prefix-sum histogram inversion, quantile lookup tables for fits, and
+//!   lane-batched inverse CDFs that invert each neighbour cell once per draw.
 //!
 //! All times are `f64` seconds. All sampling is driven by a caller-supplied
 //! [`rand::Rng`], so experiments are reproducible given a seed.
@@ -38,7 +38,9 @@ pub mod sample;
 pub mod summary;
 pub mod table;
 
-pub use compiled::{CompileError, CompileOptions, CompiledDist, CompiledTable, ResolvedCell};
+pub use compiled::{
+    CellParts, CompileError, CompileOptions, CompiledDist, CompiledTable, ResolvedCell,
+};
 pub use ecdf::Ecdf;
 pub use fit::{FitKind, ParametricFit};
 pub use histogram::Histogram;

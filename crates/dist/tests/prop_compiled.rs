@@ -6,8 +6,8 @@
 
 use pevpm_dist::compiled::{GUIDE_CELLS, LUT_REL_ERROR, LUT_TAIL_Q};
 use pevpm_dist::{
-    CommDist, CompileOptions, CompiledDist, CompiledTable, DistKey, DistTable, FitKind, Histogram,
-    Op, ParametricFit,
+    CellParts, CommDist, CompileOptions, CompiledDist, CompiledTable, DistKey, DistTable, FitKind,
+    Histogram, Op, ParametricFit,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -200,6 +200,68 @@ proptest! {
         prop_assert!(c.resolve(Op::Isend, size, f64::NAN).is_none());
         prop_assert!(c.resolve(Op::Isend, f64::NAN, f64::NAN).is_none());
         prop_assert!(c.resolve(Op::Barrier, size, cont).is_none());
+    }
+
+    /// The batched inverse CDF is the scalar one, lane for lane: over
+    /// `Hist`, `Point` and `Fit` cells (LUT and `exact_quantiles`), on
+    /// grid, off grid and out of range — blends of one to four cells,
+    /// clamped axes naming a cell twice — at one lane and at eight,
+    /// `quantiles` carries the bits of `quantile(u[l])`, and of the
+    /// interpreted `quantile_at` wherever the table has no LUT. One
+    /// `CellParts` is carried through every query of the same draws, so
+    /// each answer but the first starts from another cell's parts — some
+    /// to reuse, some to discard, and on the second grid all of them
+    /// stale although the cell indices agree.
+    #[test]
+    fn batched_quantiles_match_scalar_bitwise(
+        seed in 0u64..1_000_000,
+        nsizes in 1usize..5,
+        nconts in 1usize..5,
+        size in 1.0f64..200_000.0,
+        cont in 0.0f64..64.0,
+        fits in 0usize..3,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xba7c);
+        let mut t = random_table(seed, nsizes, nconts);
+        for (key, dist) in random_table(seed + 1, nsizes, nconts).iter() {
+            t.insert(DistKey { op: Op::Send, ..key }, dist.clone());
+        }
+        // fits: 0 = none, 1 = behind the LUT, 2 = exact bisection.
+        if fits > 0 {
+            let keys: Vec<DistKey> = t.iter().map(|(key, _)| key).collect();
+            for key in keys {
+                if rng.gen_bool(0.4) {
+                    t.insert(key, CommDist::Fit(random_fit(rng.gen(), rng.gen_range(0..3))));
+                }
+            }
+        }
+        let c = CompiledTable::compile_with(&t, CompileOptions { exact_quantiles: fits == 2 })
+            .unwrap();
+        let mut u: [f64; 8] = std::array::from_fn(|_| rng.gen());
+        (u[1], u[4], u[6]) = (0.0, 1.0, LUT_TAIL_Q);
+        let mut carried = CellParts::default();
+        for &s in &[size, 16.0, 256.0, 65536.0, 1e9] {
+            for &co in &[cont, 1.0, 2.0, 20.0, 500.0] {
+                for op in [Op::Isend, Op::Send] {
+                    let cell = c.resolve(op, s, co).expect("the grid covers every query");
+                    let cold = cell.quantiles(&u, &mut CellParts::default());
+                    let warm = cell.quantiles(&u, &mut carried);
+                    let settled = cell.quantiles(&u, &mut carried);
+                    for l in 0..8 {
+                        let scalar = cell.quantile(u[l]).to_bits();
+                        let one = cell.quantiles(&[u[l]], &mut CellParts::default())[0];
+                        prop_assert_eq!(
+                            [cold[l], warm[l], settled[l], one].map(f64::to_bits),
+                            [scalar; 4],
+                            "{:?} size={} cont={} lane {} u={}", op, s, co, l, u[l]
+                        );
+                        if fits != 1 {
+                            prop_assert_eq!(t.quantile_at(op, s, co, u[l]).map(f64::to_bits), Some(scalar));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Histogram/point tables: compiled quantiles, means, and minima are

@@ -9,8 +9,9 @@
 //! while every paper application condenses to one component and stands
 //! down, and any `eval_threads >= 1` forfeits the lock-step lanes
 //! (`driver.rs`' `lane_width`). `perf/` changes only in a `benchmark` PR;
-//! once one has dropped that probe (ROADMAP item 3), the PR after it
-//! deletes, and nothing else in the repository notices:
+//! once one has dropped that probe (ROADMAP "The `benchmark` PR", *Release
+//! the pins*), "The deletion PR" after it deletes, and nothing else in the
+//! repository notices:
 //!
 //! - this file, `pub mod dag` and `pub use dag::DagPlan` in `lib.rs`, and
 //!   `tests/dag.rs`;
@@ -31,12 +32,13 @@
 //!   crate's `divergence-injection` feature comment, and `dag` in
 //!   `pevpm fuzz --mode` (`cli/src/fuzz.rs`, USAGE);
 //! - the `dag.*` metric names, DESIGN.md "Intra-evaluation parallelism",
-//!   the DAG bullet of ROADMAP item 3.
+//!   the *DAG evaluation* bullet of ROADMAP "The deletion PR".
 //!
 //! [`crate::replicate::ThreadBudget`] stays: the daemon splits the host
-//! between its connection workers with it. If ROADMAP item 5's static
-//! pre-flight has landed by then, the abstract endpoint walk below
-//! (`analyze` down to `tarjan`) moves to it instead of going.
+//! between its connection workers with it. The abstract endpoint walk
+//! below (`analyze` down to `tarjan`) moves instead of going: it is the
+//! substrate of ROADMAP "Static communication analysis as a pass of its
+//! own".
 //!
 //! Until then, what it does.
 //!
@@ -206,6 +208,7 @@ impl<'a, 'm> Tracer<'a, 'm> {
                 LStmt::Serial { .. } | LStmt::Wait { .. } => {}
                 LStmt::Loop { count, var, body } => {
                     let n = count
+                        .expr
                         .eval_usize(&self.env, names)
                         .map_err(|_| Bail::Decline("abstract evaluation failed"))?
                         as u64;
@@ -235,6 +238,7 @@ impl<'a, 'm> Tracer<'a, 'm> {
                 LStmt::Runon { branches } => {
                     for (cond, body) in branches {
                         if cond
+                            .expr
                             .eval_bool(&self.env, names)
                             .map_err(|_| Bail::Decline("abstract evaluation failed"))?
                         {
@@ -249,7 +253,7 @@ impl<'a, 'm> Tracer<'a, 'm> {
                     from,
                     to,
                     ..
-                } => self.message(*kind, size, from, to)?,
+                } => self.message(*kind, &size.expr, &from.expr, &to.expr)?,
                 LStmt::Collective { .. } => return Err(Bail::Collective),
             }
         }
@@ -323,12 +327,14 @@ fn block_references(stmts: &[LStmt<'_>], slot: u32) -> bool {
     stmts.iter().any(|s| match s {
         LStmt::Serial { .. } | LStmt::Wait { .. } => false,
         LStmt::Collective { .. } => false,
-        LStmt::Loop { count, body, .. } => count.references(slot) || block_references(body, slot),
+        LStmt::Loop { count, body, .. } => {
+            count.expr.references(slot) || block_references(body, slot)
+        }
         LStmt::Runon { branches } => branches
             .iter()
-            .any(|(c, b)| c.references(slot) || block_references(b, slot)),
+            .any(|(c, b)| c.expr.references(slot) || block_references(b, slot)),
         LStmt::Message { size, from, to, .. } => {
-            from.references(slot) || to.references(slot) || size.references(slot)
+            [from, to, size].iter().any(|e| e.expr.references(slot))
         }
     })
 }

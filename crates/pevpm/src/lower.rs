@@ -18,7 +18,12 @@
 //! - builtin calls are arity-checked here and lowered to fixed-arity
 //!   nodes, removing the per-call argument `Vec`;
 //! - `Irecv`/`Wait` request handles are interned the same way, so the
-//!   per-process handle table is a `Vec`, not a string-keyed map.
+//!   per-process handle table is a `Vec`, not a string-keyed map;
+//! - a directive's expression that reads no loop induction variable is
+//!   given a memo *site* ([`StmtExpr`]): a process writes its environment
+//!   only at its loops' induction variables, so such an expression has one
+//!   value per process and the VM evaluates it once per process, not once
+//!   per execution.
 //!
 //! Evaluation semantics ([`LExpr::eval`] vs [`Expr::eval`]) are replicated
 //! exactly — same short-circuiting, same error messages, same rounding —
@@ -213,19 +218,16 @@ impl LExpr {
         slots: &[Option<f64>],
         names: &Names,
     ) -> Result<usize, ExprError> {
-        let v = self.eval(slots, names)?;
-        if !v.is_finite() || v < -0.5 {
-            return err(format!("expected a non-negative integer, got {v}"));
-        }
-        Ok(v.round() as usize)
+        as_index(self.eval(slots, names)?)
     }
 
-    fn has_var(&self) -> bool {
+    /// True when the expression reads a variable slot `pred` holds for.
+    fn reads(&self, pred: &impl Fn(u32) -> bool) -> bool {
         match self {
             LExpr::Num(_) => false,
-            LExpr::Var(_) => true,
-            LExpr::Unary(_, e) | LExpr::Call1(_, e) => e.has_var(),
-            LExpr::Binary(_, a, b) | LExpr::Call2(_, a, b) => a.has_var() || b.has_var(),
+            LExpr::Var(i) => pred(*i),
+            LExpr::Unary(_, e) | LExpr::Call1(_, e) => e.reads(pred),
+            LExpr::Binary(_, a, b) | LExpr::Call2(_, a, b) => a.reads(pred) || b.reads(pred),
         }
     }
 
@@ -233,14 +235,73 @@ impl LExpr {
     /// dependency-graph pass ([`crate::dag`]) uses this to decide whether a
     /// loop body's communication endpoints can vary across iterations.
     pub(crate) fn references(&self, slot: u32) -> bool {
-        match self {
-            LExpr::Num(_) => false,
-            LExpr::Var(i) => *i == slot,
-            LExpr::Unary(_, e) | LExpr::Call1(_, e) => e.references(slot),
-            LExpr::Binary(_, a, b) | LExpr::Call2(_, a, b) => {
-                a.references(slot) || b.references(slot)
-            }
+        self.reads(&|i| i == slot)
+    }
+}
+
+/// Check and round a value used as a count or a process number, mirroring
+/// [`Expr::eval_usize`].
+pub(crate) fn as_index(v: f64) -> Result<usize, ExprError> {
+    if !v.is_finite() || v < -0.5 {
+        return err(format!("expected a non-negative integer, got {v}"));
+    }
+    Ok(v.round() as usize)
+}
+
+/// An expression in statement position, as the VM evaluates it: the
+/// lowered tree and, when its value cannot change within one process, its
+/// site in the per-process memo. It cannot change when it reads no slot
+/// that any loop of the program binds as its induction variable: those are
+/// the only slots a running process writes (a loop also *unbinds* its slot
+/// on exit, so a parameter that shares a loop variable's name is excluded
+/// with it).
+#[derive(Debug)]
+pub(crate) struct StmtExpr {
+    pub(crate) expr: LExpr,
+    site: Option<u32>,
+}
+
+impl StmtExpr {
+    /// [`LExpr::eval`] through `memo`, the executing process's row of
+    /// sites. Only values are kept: an error ends the evaluation.
+    #[inline]
+    pub(crate) fn eval(
+        &self,
+        slots: &[Option<f64>],
+        names: &Names,
+        memo: &mut [Option<f64>],
+    ) -> Result<f64, ExprError> {
+        let Some(site) = self.site else {
+            return self.expr.eval(slots, names);
+        };
+        if let Some(v) = memo[site as usize] {
+            return Ok(v);
         }
+        let v = self.expr.eval(slots, names)?;
+        memo[site as usize] = Some(v);
+        Ok(v)
+    }
+
+    /// Evaluate as a boolean (non-zero = true).
+    #[inline]
+    pub(crate) fn eval_bool(
+        &self,
+        slots: &[Option<f64>],
+        names: &Names,
+        memo: &mut [Option<f64>],
+    ) -> Result<bool, ExprError> {
+        Ok(self.eval(slots, names, memo)? != 0.0)
+    }
+
+    /// Evaluate as a non-negative integer (rounded).
+    #[inline]
+    pub(crate) fn eval_usize(
+        &self,
+        slots: &[Option<f64>],
+        names: &Names,
+        memo: &mut [Option<f64>],
+    ) -> Result<usize, ExprError> {
+        as_index(self.eval(slots, names, memo)?)
     }
 }
 
@@ -258,18 +319,18 @@ pub(crate) struct Label<'m> {
 #[derive(Debug)]
 pub(crate) enum LStmt<'m> {
     Loop {
-        count: LExpr,
+        count: StmtExpr,
         var: Option<u32>,
         body: Vec<LStmt<'m>>,
     },
     Runon {
-        branches: Vec<(LExpr, Vec<LStmt<'m>>)>,
+        branches: Vec<(StmtExpr, Vec<LStmt<'m>>)>,
     },
     Message {
         kind: MsgKind,
-        size: LExpr,
-        from: LExpr,
-        to: LExpr,
+        size: StmtExpr,
+        from: StmtExpr,
+        to: StmtExpr,
         handle: Option<u32>,
         handle_name: Option<&'m str>,
         label: Option<Label<'m>>,
@@ -280,12 +341,12 @@ pub(crate) enum LStmt<'m> {
         label: Option<Label<'m>>,
     },
     Serial {
-        time: LExpr,
+        time: StmtExpr,
         label: Option<Label<'m>>,
     },
     Collective {
         op: CollOp,
-        size: LExpr,
+        size: StmtExpr,
         label: Option<Label<'m>>,
     },
 }
@@ -303,6 +364,9 @@ pub(crate) struct LoweredModel<'m> {
     pub(crate) nhandles: usize,
     /// Interned directive labels, indexed by [`Label::slot`].
     pub(crate) labels: Names,
+    /// Memo sites handed out to [`StmtExpr`]s: the length of one
+    /// process's memo row.
+    pub(crate) sites: usize,
 }
 
 /// Lower `model.stmts`, with constant folding made optional. Errors only
@@ -317,13 +381,18 @@ pub(crate) fn lower_model_with(model: &Model, fold: bool) -> Result<LoweredModel
     let numprocs = names.intern("numprocs");
     let mut handles = Names::default();
     let mut labels = Names::default();
+    let mut induction = Vec::new();
+    induction_vars(&model.stmts, &mut names, &mut induction);
     let mut cx = LowerCx {
         names: &mut names,
         handles: &mut handles,
         labels: &mut labels,
         fold,
+        induction,
+        sites: 0,
     };
     let stmts = lower_block(&model.stmts, &mut cx)?;
+    let sites = cx.sites as usize;
     Ok(LoweredModel {
         stmts,
         names,
@@ -331,15 +400,38 @@ pub(crate) fn lower_model_with(model: &Model, fold: bool) -> Result<LoweredModel
         numprocs,
         nhandles: handles.len(),
         labels,
+        sites,
     })
 }
 
-/// Shared lowering state: the three interners plus the fold switch.
+/// Slots of every loop induction variable in `stmts`, whatever its scope.
+fn induction_vars(stmts: &[Stmt], names: &mut Names, out: &mut Vec<u32>) {
+    for stmt in stmts {
+        match stmt {
+            Stmt::Loop { var, body, .. } => {
+                out.extend(var.as_ref().map(|v| names.intern(v)));
+                induction_vars(body, names, out);
+            }
+            Stmt::Runon { branches } => {
+                for (_, body) in branches {
+                    induction_vars(body, names, out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Shared lowering state: the three interners, the fold switch, and what
+/// [`StmtExpr`] sites need — the program's induction-variable slots and
+/// the next free site.
 struct LowerCx<'a> {
     names: &'a mut Names,
     handles: &'a mut Names,
     labels: &'a mut Names,
     fold: bool,
+    induction: Vec<u32>,
+    sites: u32,
 }
 
 fn lower_label<'m>(label: &'m Option<String>, labels: &mut Names) -> Option<Label<'m>> {
@@ -399,8 +491,16 @@ fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'_>) -> Result<LStmt<'m>, Exp
     })
 }
 
-fn lower_expr_in(e: &Expr, cx: &mut LowerCx<'_>) -> Result<LExpr, ExprError> {
-    lower_expr_opts(e, cx.names, cx.fold)
+fn lower_expr_in(e: &Expr, cx: &mut LowerCx<'_>) -> Result<StmtExpr, ExprError> {
+    let expr = lower_expr_opts(e, cx.names, cx.fold)?;
+    // A literal is its own memo.
+    let invariant =
+        !matches!(expr, LExpr::Num(_)) && !expr.reads(&|slot| cx.induction.contains(&slot));
+    let site = invariant.then(|| {
+        cx.sites += 1;
+        cx.sites - 1
+    });
+    Ok(StmtExpr { expr, site })
 }
 
 #[cfg(test)]
@@ -466,7 +566,7 @@ fn lower_expr_opts(e: &Expr, names: &mut Names, do_fold: bool) -> Result<LExpr, 
 /// (division by zero, log2 domain) are kept symbolic so the error is
 /// raised at execution time, exactly as the interpreter would.
 fn fold(l: LExpr, names: &Names) -> LExpr {
-    if matches!(l, LExpr::Num(_)) || l.has_var() {
+    if matches!(l, LExpr::Num(_)) || l.reads(&|_| true) {
         return l;
     }
     match l.eval(&[], names) {

@@ -158,11 +158,6 @@ impl<T> Slab<T> {
             })
         })
     }
-
-    /// Mutably iterate live entries in slot order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().filter_map(|s| s.val.as_mut())
-    }
 }
 
 /// Per-pair state: monotone sequence counters plus the in-flight queue.
@@ -318,11 +313,6 @@ mod tests {
         s.remove(hs[3]);
         let vals: Vec<u32> = s.iter().map(|(_, &v)| v).collect();
         assert_eq!(vals, vec![0, 2, 4]);
-        for v in s.iter_mut() {
-            *v += 10;
-        }
-        let vals: Vec<u32> = s.iter().map(|(_, &v)| v).collect();
-        assert_eq!(vals, vec![10, 12, 14]);
     }
 
     #[test]

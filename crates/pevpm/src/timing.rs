@@ -14,8 +14,18 @@
 //!
 //! A purely analytic [`TimingModel::hockney`] (`T = l + b/W`) is included
 //! as the classic textbook baseline.
+//!
+//! A query has two halves: [`TimingModel::resolve`] settles everything the
+//! draw does not decide (which table cells, with what weights) and
+//! [`ResolvedTime::quantiles`] inverts every replica lane's draw there.
+//! The VM prices each message twice with one draw, at post and at match:
+//! it keeps its resolutions by contention level (`resolve_p2p_memo`) and
+//! each message keeps its per-cell inversions ([`CellParts`]), so the
+//! second pricing inverts only in cells the first did not touch.
 
-use pevpm_dist::{CompileOptions, CompiledTable, DistTable, Op, PointKind, ResolvedCell};
+use pevpm_dist::{
+    CellParts, CompileOptions, CompiledTable, DistTable, Op, PointKind, ResolvedCell,
+};
 use rand::Rng;
 
 /// How per-message times are drawn from the benchmark data.
@@ -71,9 +81,9 @@ pub enum TimingModel {
 
 /// A `(op, size, contention)` query resolved against a [`TimingModel`]:
 /// everything about a message's time that does not depend on the draw.
-/// The VM resolves once per message and takes one
-/// [`ResolvedTime::quantile`] per replica lane, so the table lookup is
-/// shared by the lanes and only the inverse CDF runs per lane.
+/// The VM resolves once per message and inverts every replica lane's draw
+/// in one [`ResolvedTime::quantiles`] call, so the table lookup and the
+/// dispatch on the cell's kind are shared by the lanes.
 #[derive(Debug, Clone, Copy)]
 pub enum ResolvedTime<'t> {
     /// Full-distribution sampling from the compiled table.
@@ -96,23 +106,34 @@ pub enum ResolvedTime<'t> {
     Fixed(f64),
 }
 
-impl ResolvedTime<'_> {
-    /// The time at probability `u` — what [`TimingModel::quantile_time`]
-    /// answers for the resolved query, bit for bit.
+impl<'t> ResolvedTime<'t> {
+    /// The time at each lane's probability `u[l]` — what
+    /// [`TimingModel::quantile_time`] answers for the resolved query, bit
+    /// for bit. `parts` belongs to this draw vector (start it at
+    /// `CellParts::default()`): the compiled table leaves its per-cell
+    /// inversions there, so resolving the same draws again at another
+    /// contention level inverts only the cells that are new; the
+    /// reference path and the point modes answer lane by lane without it.
     #[inline]
-    pub fn quantile(&self, u: f64) -> f64 {
+    pub fn quantiles<const W: usize>(
+        &self,
+        u: &[f64; W],
+        parts: &mut CellParts<'t, W>,
+    ) -> [f64; W] {
         match self {
-            ResolvedTime::Cell(cell) => cell.quantile(u),
+            ResolvedTime::Cell(cell) => cell.quantiles(u, parts),
             ResolvedTime::Interpreted {
                 table,
                 op,
                 size,
                 contention,
                 ..
-            } => table
-                .quantile_at(*op, *size, *contention, u)
-                .expect("a resolved query has data at every probability"),
-            ResolvedTime::Fixed(t) => *t,
+            } => u.map(|u| {
+                table
+                    .quantile_at(*op, *size, *contention, u)
+                    .expect("a resolved query has data at every probability")
+            }),
+            ResolvedTime::Fixed(t) => [*t; W],
         }
     }
 
@@ -127,6 +148,10 @@ impl ResolvedTime<'_> {
         }
     }
 }
+
+/// One evaluation's memo of point-to-point resolutions, indexed by
+/// contention level: see [`TimingModel::resolve_p2p_memo`].
+pub(crate) type ResolveMemo<'t> = Vec<Option<((Op, u64), ResolvedTime<'t>)>>;
 
 impl TimingModel {
     /// Compile `table` for the sampling fast path.
@@ -263,7 +288,7 @@ impl TimingModel {
     }
 
     /// Resolve `(op, size, contention)` once, for any number of
-    /// [`ResolvedTime::quantile`] draws. `None` exactly where
+    /// [`ResolvedTime::quantiles`] draws. `None` exactly where
     /// [`TimingModel::quantile_time`] is `None` (that depends on the query
     /// alone, never on the probability).
     pub fn resolve(&self, op: Op, size: f64, contention: f64) -> Option<ResolvedTime<'_>> {
@@ -302,6 +327,32 @@ impl TimingModel {
     pub fn resolve_p2p(&self, op: Op, size: f64, contention: f64) -> Option<ResolvedTime<'_>> {
         self.resolve(op, size, contention)
             .or_else(|| self.resolve(op.p2p_sibling(), size, contention))
+    }
+
+    /// [`TimingModel::resolve_p2p`] at an integer contention level through
+    /// the caller's `memo`: the answer is a pure function of the arguments
+    /// and the level is a small integer, so one slot per level, holding
+    /// the last `(op, size)` resolved there, turns a repeat into an index
+    /// and a compare. A query without data is not kept.
+    pub(crate) fn resolve_p2p_memo<'t>(
+        &'t self,
+        memo: &mut ResolveMemo<'t>,
+        op: Op,
+        size: f64,
+        population: usize,
+    ) -> Option<ResolvedTime<'t>> {
+        let key = (op, size.to_bits());
+        if let Some(Some((hit, time))) = memo.get(population) {
+            if *hit == key {
+                return Some(*time);
+            }
+        }
+        let time = self.resolve_p2p(op, size, population as f64)?;
+        if population >= memo.len() {
+            memo.resize(population + 1, None);
+        }
+        memo[population] = Some((key, time));
+        Some(time)
     }
 
     /// The fraction of a message's end-to-end time spent on the sender
@@ -421,13 +472,19 @@ mod tests {
                             .or_else(|| model.quantile_time(Op::Isend, size, c, u))
                             .unwrap()
                     };
-                    for i in 0..=10 {
-                        let u = i as f64 / 10.0;
-                        assert_eq!(
-                            time.quantile(u).to_bits(),
-                            one_shot(u).to_bits(),
-                            "model {m} size={size} c={c} u={u}"
-                        );
+                    // One draw vector, resolved once cold and once with its
+                    // own parts in hand.
+                    let u: [f64; 11] = std::array::from_fn(|i| i as f64 / 10.0);
+                    let mut parts = CellParts::default();
+                    for pass in 0..2 {
+                        let times = time.quantiles(&u, &mut parts);
+                        for (u, t) in u.iter().zip(times) {
+                            assert_eq!(
+                                t.to_bits(),
+                                one_shot(*u).to_bits(),
+                                "model {m} size={size} c={c} u={u} pass {pass}"
+                            );
+                        }
                     }
                     assert_eq!(time.floor().to_bits(), one_shot(0.0).to_bits());
                 }

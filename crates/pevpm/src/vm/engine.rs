@@ -9,11 +9,11 @@ use super::{
     RNDV_THRESHOLD_BYTES,
 };
 use crate::expr::ExprError;
-use crate::lower::{LStmt, Label, Names};
+use crate::lower::{as_index, LStmt, Label, Names};
 use crate::model::{CollOp, Model, MsgKind};
 use crate::scoreboard::{Handle, PairFifo, Slab};
-use crate::timing::TimingModel;
-use pevpm_dist::Op;
+use crate::timing::{ResolveMemo, TimingModel};
+use pevpm_dist::{CellParts, Op};
 use pevpm_obs::{Counter, FixedHistogram, Registry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -65,7 +65,7 @@ impl From<ExprError> for Halt {
 /// lanes. Pair identity and FIFO position live in the [`PairFifo`] index,
 /// not here.
 #[derive(Debug, Clone)]
-struct SbMsg<const W: usize> {
+struct SbMsg<'m, const W: usize> {
     from: usize,
     size: f64,
     kind: MsgKind,
@@ -77,6 +77,9 @@ struct SbMsg<const W: usize> {
     /// the sender-side cost and the transit-time lookup so that both land
     /// on the same mode of a multi-modal distribution.
     u: [f64; W],
+    /// What inverting `u` for the sender-side cost left behind: the match
+    /// phase inverts again only in table cells the post did not touch.
+    parts: CellParts<'m, W>,
     arrival: [f64; W],
 }
 
@@ -267,11 +270,20 @@ struct Vm<'m, const W: usize> {
     /// Variable-name table of the lowered model, for error messages.
     names: &'m Names,
     procs: Vec<Proc<'m, W>>,
+    /// What [`TimingModel::resolve_p2p_memo`] has resolved so far.
+    resolved: ResolveMemo<'m>,
+    /// One row of `sites` [`crate::lower::StmtExpr`] memo slots per
+    /// process, flat.
+    expr_memo: Vec<Option<f64>>,
+    sites: usize,
     /// In-flight messages: a generational slab, so matches remove in O(1)
     /// and rendezvous senders hold stable [`Handle`]s.
-    scoreboard: Slab<SbMsg<W>>,
+    scoreboard: Slab<SbMsg<'m, W>>,
     /// Per (from, to) sequence counters and FIFO queues over the slab.
     fifo: PairFifo,
+    /// Messages posted since the last match phase: the ones whose arrival
+    /// it has yet to sample.
+    fresh: Vec<Handle>,
     rng: [SmallRng; W],
     /// Mirror the lane's draws (`u → 1 - u`, see [`EvalConfig::mirror`]).
     mirror: [bool; W],
@@ -447,8 +459,12 @@ pub(super) fn run_lanes<const W: usize>(
         timing,
         names: &lowered.names,
         procs,
+        resolved: Vec::new(),
+        expr_memo: vec![None; cfg.nprocs * lowered.sites],
+        sites: lowered.sites,
         scoreboard: Slab::new(),
         fifo: PairFifo::new(cfg.nprocs),
+        fresh: Vec::new(),
         rng: lanes.map(|lane| SmallRng::seed_from_u64(lane.seed)),
         mirror: lanes.map(|lane| lane.mirror),
         steps: 0,
@@ -479,6 +495,7 @@ pub(super) fn run_lanes<const W: usize>(
             arrived: true,
             depart: [m.arrival; W],
             u: [0.0; W],
+            parts: CellParts::default(),
             arrival: [m.arrival; W],
         });
         vm.fifo.enqueue(m.from, m.to, seq, h);
@@ -508,8 +525,10 @@ pub(super) fn run_lanes<const W: usize>(
                 let time = timing
                     .resolve_p2p(op, m.size, contention)
                     .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
+                let mut parts = m.parts;
+                let transit = time.quantiles(&m.u, &mut parts);
                 for l in 0..W {
-                    arrival[l] = m.depart[l] + time.quantile(m.u[l]).max(0.0);
+                    arrival[l] = m.depart[l] + transit[l].max(0.0);
                 }
             }
             for (l, out) in external.iter_mut().enumerate() {
@@ -766,6 +785,7 @@ impl<'m, const W: usize> Vm<'m, W> {
         }
 
         let names = self.names;
+        let memo = &mut self.expr_memo[p * self.sites..][..self.sites];
         let frame = self.procs[p].stack.last_mut().unwrap();
         // Copy the `&'m [LStmt]` out of the frame so `stmt` borrows the
         // lowered model, not the frame — labels can then be threaded
@@ -776,7 +796,7 @@ impl<'m, const W: usize> Vm<'m, W> {
 
         match stmt {
             LStmt::Serial { time, label } => {
-                let t = time.eval(&self.procs[p].env, names)?;
+                let t = time.eval(&self.procs[p].env, names, memo)?;
                 if t < 0.0 {
                     let label = label.map(|l| l.text);
                     return Err(PevpmError::BadModel(format!(
@@ -801,7 +821,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
             }
             LStmt::Loop { count, var, body } => {
-                let n = count.eval_usize(&self.procs[p].env, names)? as u64;
+                let n = count.eval_usize(&self.procs[p].env, names, memo)? as u64;
                 if n > 0 && !body.is_empty() {
                     if let Some(slot) = *var {
                         self.procs[p].env[slot as usize] = Some(0.0);
@@ -816,7 +836,7 @@ impl<'m, const W: usize> Vm<'m, W> {
             }
             LStmt::Runon { branches } => {
                 for (cond, body) in branches {
-                    if cond.eval_bool(&self.procs[p].env, names)? {
+                    if cond.eval_bool(&self.procs[p].env, names, memo)? {
                         if !body.is_empty() {
                             self.procs[p].stack.push(Frame {
                                 stmts: body,
@@ -865,22 +885,11 @@ impl<'m, const W: usize> Vm<'m, W> {
                 // optional string the diagnostics print.
                 let ltext = label.map(|l| l.text);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
-                let from_raw = from.eval(&self.procs[p].env, names)?;
+                let from_raw = from.eval(&self.procs[p].env, names, memo)?;
                 let wildcard = from_raw < -0.5 && *kind == MsgKind::Recv;
-                // Reuse the evaluation above rather than walking the
-                // expression again, replicating `eval_usize` validation.
-                let from_v = if wildcard {
-                    0
-                } else if !from_raw.is_finite() || from_raw < -0.5 {
-                    return Err(ExprError {
-                        message: format!("expected a non-negative integer, got {from_raw}"),
-                    }
-                    .into());
-                } else {
-                    from_raw.round() as usize
-                };
-                let to_v = to.eval_usize(&self.procs[p].env, names)?;
-                let size_v = size.eval(&self.procs[p].env, names)?;
+                let from_v = if wildcard { 0 } else { as_index(from_raw)? };
+                let to_v = to.eval_usize(&self.procs[p].env, names, memo)?;
+                let size_v = size.eval(&self.procs[p].env, names, memo)?;
                 if (!wildcard && from_v >= self.cfg.nprocs) || to_v >= self.cfg.nprocs {
                     return Err(bad_model(format!(
                         "message endpoint out of range: from={from_raw} to={to_v} \
@@ -964,7 +973,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
             }
             LStmt::Collective { op, size, label } => {
-                let size_v = size.eval(&self.procs[p].env, names)?;
+                let size_v = size.eval(&self.procs[p].env, names, memo)?;
                 let inst = self.procs[p].coll_count;
                 let clock = self.procs[p].clock;
                 self.procs[p].blocked = Some((
@@ -1040,16 +1049,17 @@ impl<'m, const W: usize> Vm<'m, W> {
         // with the correlated quantile (calibrated weight 0.4). The table
         // lookup is the lanes' common part; a table without data for the
         // message costs the sender nothing here and fails the match phase.
-        let time = self
-            .timing
-            .resolve_p2p(op_for_kind(kind), size, population as f64);
+        let time =
+            self.timing
+                .resolve_p2p_memo(&mut self.resolved, op_for_kind(kind), size, population);
         let u: [f64; W] = std::array::from_fn(|l| self.draw_u(l));
+        let mut parts = CellParts::default();
         let mut local = [0.0; W];
         if let Some(time) = &time {
             let floor = time.floor();
+            let full = time.quantiles(&u, &mut parts);
             for l in 0..W {
-                local[l] =
-                    TimingModel::SENDER_SHARE * (floor + 0.4 * (time.quantile(u[l]) - floor));
+                local[l] = TimingModel::SENDER_SHARE * (floor + 0.4 * (full[l] - floor));
             }
         }
         let depart = self.procs[p].clock;
@@ -1061,9 +1071,11 @@ impl<'m, const W: usize> Vm<'m, W> {
             arrived: false,
             depart,
             u,
+            parts,
             arrival: [0.0; W],
         });
         self.fifo.enqueue(p, to, seq, msg);
+        self.fresh.push(msg);
         self.sb_peak = self.sb_peak.max(self.scoreboard.len());
         if rndv {
             self.procs[p].blocked = Some((Block::SendRndv { msg, label }, depart));
@@ -1101,19 +1113,19 @@ impl<'m, const W: usize> Vm<'m, W> {
             VmMetrics::tally(&mut m.occupancy_at, population);
         }
         // No RNG is consumed here — each message replays its stored draws
-        // `u` — so slab iteration order cannot perturb the draw sequence.
-        let timing = self.timing;
-        for m in self.scoreboard.iter_mut() {
-            if !m.arrived {
-                let op = op_for_kind(m.kind);
-                let time = timing
-                    .resolve_p2p(op, m.size, population as f64)
-                    .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
-                for l in 0..W {
-                    m.arrival[l] = m.depart[l] + time.quantile(m.u[l]).max(0.0);
-                }
-                m.arrived = true;
+        // `u` — so the order of the list cannot perturb the draw sequence.
+        for h in self.fresh.drain(..) {
+            let m = self.scoreboard.get_mut(h).expect("only a match removes");
+            let op = op_for_kind(m.kind);
+            let time = self
+                .timing
+                .resolve_p2p_memo(&mut self.resolved, op, m.size, population)
+                .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
+            let transit = time.quantiles(&m.u, &mut m.parts);
+            for l in 0..W {
+                m.arrival[l] = m.depart[l] + transit[l].max(0.0);
             }
+            m.arrived = true;
         }
 
         let mut woke = false;
@@ -1206,10 +1218,11 @@ impl<'m, const W: usize> Vm<'m, W> {
                     .ok_or(PevpmError::MissingTiming { op: dop, size })?;
                 for p in 0..self.procs.len() {
                     let (block, since) = self.procs[p].blocked.take().unwrap();
+                    let u: [f64; W] = std::array::from_fn(|l| self.draw_u(l));
+                    let took = time.quantiles(&u, &mut CellParts::default());
                     let mut wake = [0.0; W];
                     for l in 0..W {
-                        let u = self.draw_u(l);
-                        wake[l] = enter_max[l] + time.quantile(u).max(0.0);
+                        wake[l] = enter_max[l] + took[l].max(0.0);
                     }
                     self.account_block(p, &block, since, wake);
                     let proc = &mut self.procs[p];

@@ -314,6 +314,202 @@ fn induction_variable_scopes_to_loop() {
     assert!(matches!(err, PevpmError::Expr(_)), "{err}");
 }
 
+/// `Send` histograms at sizes 64 and 256 under 1, 4 and 16 messages in
+/// flight, every cell with a support of its own: a blend changes whenever
+/// its cells or their weights do.
+fn levelled_table() -> DistTable {
+    let mut table = DistTable::new();
+    for (s, &size) in [64u64, 256].iter().enumerate() {
+        for (c, &contention) in [1u32, 4, 16].iter().enumerate() {
+            let base = 1e-3 * (1 + s + 2 * c) as f64;
+            let samples: Vec<f64> = (0..120)
+                .map(|i| base + ((i * 31) % 47) as f64 * 1e-5)
+                .collect();
+            table.insert(
+                DistKey {
+                    op: Op::Send,
+                    size,
+                    contention,
+                },
+                CommDist::Hist(pevpm_dist::Histogram::from_samples(&samples, 3e-5)),
+            );
+        }
+    }
+    table
+}
+
+/// Clocks, time accounts and message count, bit for bit. Not the step
+/// count: a loop takes steps its unrolled twin does not.
+fn assert_same_times(a: &Prediction, b: &Prediction, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.finish_times), bits(&b.finish_times), "{what}");
+    assert_eq!(bits(&a.compute_time), bits(&b.compute_time), "{what}");
+    assert_eq!(bits(&a.send_time), bits(&b.send_time), "{what}");
+    assert_eq!(bits(&a.blocked_time), bits(&b.blocked_time), "{what}");
+    assert_eq!(a.messages, b.messages, "{what}");
+}
+
+/// `looped` against its hand-unrolled `twin`, each with and without
+/// constant folding: four evaluations, one answer.
+fn assert_unrolls_to(looped: &Model, twin: &Model, nprocs: usize) {
+    let timing = TimingModel::distributions(levelled_table());
+    let cfg = EvalConfig::new(nprocs).with_seed(9);
+    let reference = evaluate(twin, &cfg, &timing).unwrap();
+    assert!(reference.makespan > 0.0);
+    for (what, model, cfg) in [
+        ("looped", looped, cfg.clone()),
+        ("looped, unfolded", looped, cfg.clone().without_const_fold()),
+        ("twin, unfolded", twin, cfg.clone().without_const_fold()),
+    ] {
+        assert_same_times(&evaluate(model, &cfg, &timing).unwrap(), &reference, what);
+    }
+}
+
+/// The expression error both lowerings of `model` stop with.
+fn expr_error(model: &Model, nprocs: usize) -> String {
+    let timing = TimingModel::distributions(levelled_table());
+    let cfg = EvalConfig::new(nprocs);
+    let [folded, unfolded] = [cfg.clone(), cfg.without_const_fold()].map(|cfg| {
+        match evaluate(model, &cfg, &timing).unwrap_err() {
+            PevpmError::Expr(e) => e.message,
+            other => panic!("expected an expression error, got {other}"),
+        }
+    });
+    assert_eq!(folded, unfolded);
+    folded
+}
+
+#[test]
+fn loop_variable_endpoints_and_sizes_follow_the_iteration() {
+    // Round-robin: lap `i` sends `64·(i+1)` bytes `i+1` places ahead. An
+    // expression memoised across laps would repeat lap 0's peer and size.
+    let round = |i: &str| {
+        let size = format!("64 * ({i} + 1)");
+        vec![
+            send(&size, "procnum", &format!("(procnum + {i} + 1) % numprocs")),
+            recv(&size, &format!("(procnum - {i} - 1) % numprocs"), "procnum"),
+        ]
+    };
+    let model = Model::new().with_stmt(looped_var("3", "i", round("i")));
+    let twin = ["0", "1", "2"].iter().fold(Model::new(), |m, i| {
+        round(i).into_iter().fold(m, Model::with_stmt)
+    });
+    assert_unrolls_to(&model, &twin, 4);
+}
+
+#[test]
+fn a_parameter_shadowed_by_a_loop_variable_is_not_invariant() {
+    // `i` is a parameter (5) until a loop binds it, and nothing once that
+    // loop has exited.
+    let model = Model::new()
+        .with_param("i", 5.0)
+        .with_stmt(serial("0.1 * i"))
+        .with_stmt(looped_var("3", "i", vec![serial("0.01 * (i + 1)")]));
+    let twin = [
+        "0.1 * 5",
+        "0.01 * (0 + 1)",
+        "0.01 * (1 + 1)",
+        "0.01 * (2 + 1)",
+    ]
+    .iter()
+    .fold(Model::new(), |m, t| m.with_stmt(serial(t)));
+    assert_unrolls_to(&model, &twin, 2);
+
+    // Second lap of the outer loop: the same statement that read 5 finds
+    // `i` unbound. A memo keyed on "parameters never change" answers 0.5.
+    let relooped = Model::new().with_param("i", 5.0).with_stmt(looped(
+        "2",
+        vec![
+            serial("0.1 * i"),
+            looped_var("3", "i", vec![serial("0.01 * i")]),
+        ],
+    ));
+    assert_eq!(expr_error(&relooped, 2), "unbound variable \"i\"");
+}
+
+#[test]
+fn nested_loops_may_reuse_a_variable_name() {
+    // The inner loop unbinds `i` on exit and the outer lap binds it again.
+    let model = Model::new().with_stmt(looped_var(
+        "2",
+        "i",
+        vec![
+            serial("i + 1"),
+            looped_var("3", "i", vec![serial("0.01 * (i + 1)")]),
+        ],
+    ));
+    let inner = ["0.01 * (0 + 1)", "0.01 * (1 + 1)", "0.01 * (2 + 1)"];
+    let twin = ["0 + 1", "1 + 1"].iter().fold(Model::new(), |m, outer| {
+        inner
+            .iter()
+            .fold(m.with_stmt(serial(outer)), |m, t| m.with_stmt(serial(t)))
+    });
+    assert_unrolls_to(&model, &twin, 2);
+
+    // ... so a read between the inner loop's exit and the next lap fails.
+    let read_after = Model::new().with_stmt(looped_var(
+        "2",
+        "i",
+        vec![looped_var("2", "i", vec![serial("i")]), serial("i")],
+    ));
+    assert_eq!(expr_error(&read_after, 1), "unbound variable \"i\"");
+}
+
+#[test]
+fn an_erroring_invariant_fails_only_where_it_executes() {
+    let body = |guard: &str| {
+        Model::new().with_stmt(looped(
+            "3",
+            vec![
+                send("100", "procnum", "(procnum + 1) % numprocs"),
+                runon(guard, vec![serial("1/0")]),
+                recv("100", "(procnum - 1) % numprocs", "procnum"),
+            ],
+        ))
+    };
+    // Never taken: as if it were not there, lap after lap.
+    let twin = (0..3).fold(Model::new(), |m, _| {
+        m.with_stmt(send("100", "procnum", "(procnum + 1) % numprocs"))
+            .with_stmt(recv("100", "(procnum - 1) % numprocs", "procnum"))
+    });
+    assert_unrolls_to(&body("procnum == numprocs"), &twin, 3);
+    // Taken by one process: that process's first execution ends the run.
+    assert_eq!(expr_error(&body("procnum == 1"), 3), "division by zero");
+}
+
+#[test]
+fn cached_inversions_follow_the_cells_not_the_weights() {
+    // Six processes each post one 100-byte send — between the 64 and 256
+    // columns — and then receive: process `p` posts with `p + 1` messages
+    // in flight and every arrival is sampled with six. Against contention
+    // levels 1, 4 and 16 that is, post → match: process 0 clamped to
+    // level 1 → (4, 16), nothing shared; processes 1 and 2 (1, 4) →
+    // (4, 16), level 4 shared; process 3 on level 4 → (4, 16); process 4
+    // (4, 16) → (4, 16) with other weights, everything reused; process 5
+    // the same cells and weights. The reference path inverts every draw
+    // from scratch, and each replica must match it alone and as a lane.
+    let model = Model::new().with_stmt(looped(
+        "5",
+        vec![
+            send("100", "procnum", "(procnum + 1) % numprocs"),
+            recv("100", "(procnum - 1) % numprocs", "procnum"),
+        ],
+    ));
+    let compiled = TimingModel::distributions(levelled_table());
+    let interpreted = TimingModel::interpreted(levelled_table());
+    let cfg = EvalConfig::new(6).with_seed(77).with_threads(1);
+    let batch = monte_carlo(&model, &cfg, &compiled, 8).unwrap();
+    assert_eq!(batch.max_sb_peak(), 6);
+    for (i, lane) in batch.runs.iter().enumerate() {
+        let cfg = replica_cfg(&cfg, i, 0);
+        let reference = evaluate(&model, &cfg, &interpreted).unwrap();
+        let solo = evaluate(&model, &cfg, &compiled).unwrap();
+        assert_same_times(&solo, &reference, &format!("replica {i} alone"));
+        assert_same_times(lane, &reference, &format!("replica {i} as a lane"));
+        assert_eq!((lane.steps, solo.steps), (reference.steps, reference.steps));
+    }
+}
+
 #[test]
 fn wildcard_recv_takes_earliest_arrival() {
     // Procs 1 and 2 send to proc 0 at different times; two wildcard

@@ -9,9 +9,8 @@
 //! Keys are FNV-1a hashes of canonical content: the annotated source text
 //! for models, the `PEVPM-DIST v1` serialization for tables (computed
 //! once at table load, not per request). Both caches are bounded with
-//! the same clear-on-full policy the sampler blend cache uses — an epoch
-//! flush is deterministic, cheap, and cannot leak under adversarial key
-//! streams.
+//! one clear-on-full policy — an epoch flush is deterministic, cheap,
+//! and cannot leak under adversarial key streams.
 //!
 //! Each wipe increments the shared `serve.cache.evictions` counter and
 //! resets the cache's epoch-local hit-rate gauge

@@ -281,7 +281,30 @@ pub fn check_differential(
         compare("interpreted", "compiled", r, &a, &b)?;
         compare("compiled", "unfolded", r, &b, &c)?;
     }
-    check_lanes(prog, table, seed)
+    check_lanes(prog, table, seed)?;
+    check_lane_sampler(prog, table, seed)
+}
+
+/// Oracle 1, sampler half at full lane width — one lock-step group of
+/// eight drawing from the compiled table must equal, replica for replica,
+/// the same group drawing through the interpreted reference path. The
+/// other two halves imply it when both pass; this one compares the lanes'
+/// batched inverse CDF with the reference directly, so a failure names
+/// them and the `divergence-injection` drill can aim at them
+/// ([`check_lanes`] compares the compiled sampler with itself and is
+/// blind to a defect every lane width shares).
+pub fn check_lane_sampler(prog: &TestProgram, table: &DistTable, seed: u64) -> Result<(), Failure> {
+    let (left, right) = ("lanes-interpreted", "lanes");
+    let model = prog.to_model();
+    let cfg = EvalConfig::new(prog.nprocs).with_seed(seed).with_threads(1);
+    let a = monte_carlo(&model, &cfg, &TimingModel::interpreted(table.clone()), 8)
+        .map_err(|e| eval_err(left, &e))?;
+    let b = monte_carlo(&model, &cfg, &TimingModel::distributions(table.clone()), 8)
+        .map_err(|e| eval_err(right, &e))?;
+    for (r, (a, b)) in a.runs.iter().zip(&b.runs).enumerate() {
+        compare(left, right, r, a, b)?;
+    }
+    Ok(())
 }
 
 /// Replication counts the lanes check sweeps: below, at and above one

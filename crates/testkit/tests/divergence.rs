@@ -10,7 +10,8 @@
 //!   a ≤ 10-directive counterexample, and the artifact must round-trip.
 //! - A compiled-sampler drill behind the `divergence-injection` cargo
 //!   feature: `pevpm-dist` flips one ULP on every compiled-path quantile,
-//!   so the whole differential campaign must light up. The same feature
+//!   so the whole differential campaign must light up, and so must a
+//!   reps-8 lane group on a histogram-only table. The same feature
 //!   seeds one defect each in the DAG scheduler, the adaptive stopping
 //!   rule and the lock-step replica lanes, each with its own drill
 //!   against the oracle that owns it. Run explicitly via
@@ -288,6 +289,32 @@ fn injected_lane_crosstalk_is_caught_and_shrunk() {
     assert_eq!(parsed.program, minimised);
     assert_eq!(parsed.seed, seed);
     assert_eq!(parsed.oracle, "differential");
+}
+
+/// The ULP nudge rides the batched inverse CDF: on a table of nothing but
+/// histograms, a group of eight lanes drawing from the compiled table
+/// must come out different from the same group on the interpreted path.
+/// (A lane loop that inverted histograms directly, past the nudge in
+/// `CompiledDist`, leaves this group equal to the reference and fails the
+/// drill; the campaign below would not notice, other cells and its scalar
+/// comparison lighting it up regardless.)
+#[cfg(feature = "divergence-injection")]
+#[test]
+fn injected_ulp_divergence_reaches_every_lane_of_a_group() {
+    use pevpm_testkit::oracle::check_lane_sampler;
+
+    let gen_cfg = GenConfig::metamorphic();
+    let table = synthetic_table(&gen_cfg.sizes, 11);
+    assert!(table.iter().all(|(_, d)| matches!(d, CommDist::Hist(_))));
+    let first = (0..20u64)
+        .find_map(|seed| check_lane_sampler(&generate(&gen_cfg, seed), &table, seed).err())
+        .expect("a 1-ULP nudge on histogram cells must show in a reps-8 group within 20 programs");
+    match &first {
+        Failure::Differential { left, right, .. } => {
+            assert_eq!((*left, *right), ("lanes-interpreted", "lanes"), "{first}");
+        }
+        other => panic!("expected a differential failure, got {other}"),
+    }
 }
 
 /// With the `divergence-injection` feature the compiled sampler's every
