@@ -105,45 +105,86 @@ fn ulp_neighbours(q: f64) -> [f64; 3] {
     ]
 }
 
+/// Two samples `gap` bins apart: all the mass in two bins, and between them
+/// a run of empty bins far longer than the scan's two unrolled steps.
+fn two_spikes(gap: usize) -> Histogram {
+    Histogram::from_samples(&[1e-4, 1e-4 + gap as f64 * 1e-6], 1e-6)
+}
+
+/// The probabilities the inverse CDF is most likely to get wrong on `h`:
+/// the ends, NaN, every guide cut `k/K` and every bin-boundary crossing
+/// `cum_i/total` with their ULP neighbours (one of which usually puts the
+/// target exactly on the cumulative count), and `q` itself.
+fn edge_probabilities(h: &Histogram, q: f64) -> Vec<f64> {
+    let mut qs = vec![q, 0.0, -0.0, 1.0, f64::NAN, f64::MIN_POSITIVE];
+    qs.push(1.0 - f64::EPSILON / 2.0);
+    for k in 0..=GUIDE_CELLS {
+        qs.extend(ulp_neighbours(k as f64 / GUIDE_CELLS as f64));
+    }
+    let mut cum = 0u64;
+    for &count in h.counts() {
+        cum += count;
+        qs.extend(ulp_neighbours(cum as f64 / h.total() as f64));
+    }
+    // A neighbour of 0 or 1 that left the domain.
+    qs.retain(|q| q.is_nan() || (0.0..=1.0).contains(q));
+    qs
+}
+
+/// Every lane of `quantiles::<1>` and of `quantiles::<8>` over `qs`,
+/// shuffled so each batch mixes ends, NaN and interior lanes, carries the
+/// bits of the interpreted [`Histogram::quantile`].
+fn lanes_match_histogram(h: &Histogram, qs: &[f64], seed: u64) {
+    let key = DistKey {
+        op: Op::Send,
+        size: 1,
+        contention: 1,
+    };
+    let c =
+        CompiledDist::compile(key, &CommDist::Hist(h.clone()), &CompileOptions::default()).unwrap();
+    let mut qs = qs.to_vec();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for i in (1..qs.len()).rev() {
+        qs.swap(i, rng.gen_range(0..=i));
+    }
+    let want = |q: f64| h.quantile(q).unwrap().to_bits();
+    for chunk in qs.chunks(8) {
+        let mut lanes = [0.5; 8];
+        lanes[..chunk.len()].copy_from_slice(chunk);
+        for (l, (&q, got)) in lanes.iter().zip(c.quantiles(&lanes)).enumerate() {
+            let info = format!("q = {q:e} ({} bins, total {})", h.counts().len(), h.total());
+            prop_assert_eq!(got.to_bits(), want(q), "lane {} of 8, {}", l, info);
+            prop_assert_eq!(
+                c.quantiles(&[q])[0].to_bits(),
+                want(q),
+                "one lane, {}",
+                info
+            );
+        }
+    }
+    prop_assert_eq!(c.min().to_bits(), want(0.0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The guide-table inverse CDF lands on the interpreted walk's bin —
-    /// and so on its bits — at the ends, at every guide cut `k/K` and at
-    /// every bin-boundary crossing `cum_i/total`, each with its two ULP
-    /// neighbours, on histograms with runs of empty bins and single-bin
-    /// mass.
+    /// and so on its bits — in every lane, at one lane and at eight: at
+    /// the ends and NaN, at every guide cut `k/K` and at every
+    /// bin-boundary crossing `cum_i/total`, each with its two ULP
+    /// neighbours, on histograms with runs of empty bins (some far longer
+    /// than the scan's unrolled steps) and single-bin mass.
     #[test]
     fn guide_table_inverse_cdf_matches_histogram_quantile_bitwise(
         seed in 0u64..1_000_000,
         clusters in 1usize..5,
         single in 0usize..2,
+        gap in 3usize..400,
         q in 0.0f64..1.0,
     ) {
-        let h = gappy_histogram(seed, clusters, single == 1);
-        let key = DistKey { op: Op::Send, size: 1, contention: 1 };
-        let c = CompiledDist::compile(key, &CommDist::Hist(h.clone()), &CompileOptions::default())
-            .unwrap();
-        let mut qs = vec![q, 0.0, 1.0, f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0];
-        for k in 0..=GUIDE_CELLS {
-            qs.extend(ulp_neighbours(k as f64 / GUIDE_CELLS as f64));
+        for h in [gappy_histogram(seed, clusters, single == 1), two_spikes(gap)] {
+            lanes_match_histogram(&h, &edge_probabilities(&h, q), seed);
         }
-        let mut cum = 0u64;
-        for &count in h.counts() {
-            cum += count;
-            qs.extend(ulp_neighbours(cum as f64 / h.total() as f64));
-        }
-        for q in qs {
-            if !(0.0..=1.0).contains(&q) {
-                continue; // a neighbour of 0 or 1 that left the domain
-            }
-            prop_assert_eq!(
-                h.quantile(q).unwrap().to_bits(),
-                c.quantile(q).to_bits(),
-                "q = {:e} ({} bins, total {})", q, h.counts().len(), h.total()
-            );
-        }
-        prop_assert_eq!(c.min().to_bits(), h.quantile(0.0).unwrap().to_bits());
     }
 
     /// Resolve-then-quantile is the one-shot query split in two: on grid,

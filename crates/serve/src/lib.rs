@@ -15,8 +15,8 @@
 //!   and validation/classification mirrors the CLI's exit-code contract.
 //!   Both the one-shot subcommands and the daemon build on it, so a
 //!   daemon answer is bitwise-reproducible by a one-shot run.
-//! * [`cache`] — content-addressed (FNV-1a) caches for parsed models and
-//!   compiled timing models, with hit/miss/compile counters in a
+//! * [`cache`] — content-keyed caches for parsed models (by source text)
+//!   and compiled timing models, with hit/miss/compile counters in a
 //!   [`pevpm_obs::Registry`].
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames over
 //!   TCP, deterministic response payloads.
