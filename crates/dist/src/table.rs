@@ -325,7 +325,7 @@ impl DistTable {
     /// PERF regression note: allocates four `Vec`s per call. This is the
     /// reference implementation that `CompiledTable`'s zero-allocation
     /// blend is property-tested against draw-for-draw; keep them in
-    /// lockstep (both route through [`bracket`] / [`size_weight`]).
+    /// lockstep (both route through [`bracket`] / [`size_weight_log2`]).
     fn neighbours(&self, op: Op, size: f64, contention: f64) -> Option<Vec<(&CommDist, f64)>> {
         let grid = self.entries.get(&op)?;
         if grid.is_empty() {
@@ -497,11 +497,15 @@ pub(crate) fn bracket<T: Copy + PartialOrd + Into<f64>>(axis: &[T], x: f64) -> O
 /// curves on the geometric grid used by MPIBench. Shared by the interpreted
 /// and compiled lookup paths.
 pub(crate) fn size_weight(lo: u64, hi: u64, size: f64) -> f64 {
-    if lo == hi {
+    size_weight_log2(((lo as f64) + 1.0).log2(), ((hi as f64) + 1.0).log2(), size)
+}
+
+/// [`size_weight`] given each axis point's `log2(size + 1)`, which the
+/// compiled lookup keeps per point. Below 2^40 bytes `l == h` is `lo == hi`.
+pub(crate) fn size_weight_log2(l: f64, h: f64, size: f64) -> f64 {
+    if l == h {
         return 0.0;
     }
-    let l = ((lo as f64) + 1.0).log2();
-    let h = ((hi as f64) + 1.0).log2();
     (((size + 1.0).log2() - l) / (h - l)).clamp(0.0, 1.0)
 }
 

@@ -21,14 +21,15 @@
 //! program deadlock" capability. Blocked time is attributed to directive
 //! labels, giving the per-source performance-loss report of §5.
 //!
-//! This file only re-exports. `engine` is that virtual machine, `driver`
-//! the Monte-Carlo loop of §6 around it; `config` says what to run,
-//! `prediction` and `error` what comes back.
+//! This file only re-exports. `engine` is that virtual machine, `msg` what
+//! its scoreboard holds, `driver` the Monte-Carlo loop of §6 around it;
+//! `config` says what to run, `prediction` and `error` what comes back.
 
 mod config;
 mod driver;
 mod engine;
 mod error;
+mod msg;
 mod prediction;
 #[cfg(test)]
 mod tests;
