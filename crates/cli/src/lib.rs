@@ -287,16 +287,15 @@ USAGE:
   pevpm client   (--addr HOST:PORT | --port-file PATH) [--stats] [--ping]
                  [--shutdown] [--batch K] [--crn] [--table NAME]
                  [--connect-timeout-ms MS] [--retries N]
-                 [--retry-backoff-ms MS] [--chaos MODE|all]
-                 [--io-timeout-ms MS] [--model FILE.c --procs N ...]
+                 [--retry-backoff-ms MS] [--model FILE.c --procs N ...]
       Send requests to a running daemon and print one response JSON line
       each. With --model, sends the same prediction `predict` would run
       and accepts its request flags (--mode --pingpong --exact-quantiles
       --param --seed --reps --quorum --precision --min-reps --max-reps
       --antithetic --max-steps --max-virtual-secs; how parallel it runs is
-      the daemon's setting), against the daemon's table --table names; --batch K sends it as one
-      batch of K identical items. --crn marks the batch for common random
-      numbers:
+      the daemon's setting), against the daemon's table --table names;
+      --batch K (K >= 1) sends it as one batch of K identical items.
+      --crn (needs K >= 2) marks the batch for common random numbers:
       the daemon evaluates every item of the batch from one shared base
       seed, so what-if arms differ only by the modelled change, not by
       sampling noise (paired comparison). --stats fetches the server's
@@ -312,11 +311,7 @@ USAGE:
       exponential backoff from --retry-backoff-ms (default 50). Failures
       after a request frame was sent are never retried: the daemon may
       have executed the request, and resending would break exactly-once
-      batch accounting. --chaos runs fault injection against the daemon
-      (modes: truncated-prefix, stalled-write, half-open, oversized,
-      garbage, slow-read, or all), printing one report JSON line per
-      mode and exiting 3 if the daemon stops answering; pass the
-      daemon's --io-timeout-ms so stall modes wait just long enough.
+      batch accounting.
 
   pevpm trace    --nodes N [--ppn P] [--machine perseus|gigabit|lowlatency|ideal]
                  [--xsize X] [--iters I] [--serial-ms MS] [--seed S]
@@ -442,7 +437,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_client,
         options: &[
             "addr port-file stats ping shutdown batch crn table connect-timeout-ms retries",
-            "retry-backoff-ms chaos io-timeout-ms model",
+            "retry-backoff-ms model",
             REQUEST_OPTIONS,
         ],
     },

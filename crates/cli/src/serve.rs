@@ -1,11 +1,11 @@
-//! The daemon commands: `serve`, `client`, and `client --chaos`.
+//! The daemon commands: `serve` and `client`.
 
 use crate::args::Args;
 use crate::predict::predict_request;
 use crate::{err, sigterm, write_text, CliError};
 use pevpm_obs::diag;
 use pevpm_serve::plan::PredictRequest;
-use pevpm_serve::{chaos, Client, ClientConfig, ServeConfig, Server};
+use pevpm_serve::{Client, ClientConfig, ServeConfig, Server};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -55,6 +55,10 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let addr = server
         .local_addr()
         .map_err(|e| CliError::input(format!("cannot resolve bound address: {e}")))?;
+    // SIGTERM lands as a graceful drain, same as a `shutdown` frame. The
+    // handler goes in before readiness is announced: a supervisor may
+    // signal the moment the port file appears.
+    sigterm::install();
     if let Some(path) = args.get("port-file") {
         // Line 1: the frame protocol address (what `client --port-file`
         // reads). Line 2, when the sidecar is up: the HTTP address.
@@ -64,8 +68,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, CliError> {
         }
         write_text(path, &contents)?;
     }
-    // SIGTERM lands as a graceful drain, same as a `shutdown` frame.
-    sigterm::install();
     server
         .run_until(&sigterm::FLAG)
         .map_err(|e| CliError::input(format!("serve loop failed: {e}")))?;
@@ -99,15 +101,20 @@ fn client_addr(args: &Args) -> Result<String, CliError> {
 pub(crate) fn cmd_client(args: &Args) -> Result<String, CliError> {
     let addr = client_addr(args)?;
     if args.get("model").is_none()
-        && args.get("chaos").is_none()
         && !args.has("stats")
         && !args.has("ping")
         && !args.has("shutdown")
     {
         return err(
-            "client needs something to send: --model FILE.c, --chaos MODE, \
-             --stats, --ping or --shutdown",
+            "client needs something to send: --model FILE.c, --stats, --ping or --shutdown",
         );
+    }
+    let batch: usize = args.get_parsed("batch", 1)?;
+    if batch == 0 {
+        return err("--batch expects K >= 1: the protocol has no empty batch");
+    }
+    if args.has("crn") && batch < 2 {
+        return err("--crn pairs the items of one batch: it needs --batch K with K >= 2");
     }
     let client_cfg = ClientConfig {
         connect_timeout: Some(Duration::from_millis(args.get_parsed(
@@ -119,9 +126,6 @@ pub(crate) fn cmd_client(args: &Args) -> Result<String, CliError> {
             .get_parsed("retry-backoff-ms", ClientConfig::default().backoff_base_ms)?,
         ..ClientConfig::default()
     };
-    if let Some(mode_arg) = args.get("chaos") {
-        return run_chaos(&addr, mode_arg, args);
-    }
     let mut client = Client::connect_with(&addr, &client_cfg)
         .map_err(|e| CliError::input(format!("cannot connect {addr}: {e}")))?;
     let io_err = |e: std::io::Error| CliError::input(format!("request to {addr} failed: {e}"));
@@ -135,7 +139,6 @@ pub(crate) fn cmd_client(args: &Args) -> Result<String, CliError> {
             .map_err(|e| CliError::input(format!("cannot read {model_path}: {e}")))?;
         let req = predict_request(args, src)?;
         let table = args.get("table").unwrap_or("default").to_string();
-        let batch: usize = args.get_parsed("batch", 1)?;
         let resp = if batch > 1 {
             let items: Vec<(String, PredictRequest)> =
                 (0..batch).map(|_| (table.clone(), req.clone())).collect();
@@ -159,52 +162,6 @@ pub(crate) fn cmd_client(args: &Args) -> Result<String, CliError> {
         out.push('\n');
     }
     Ok(out)
-}
-
-/// `pevpm client --chaos MODE|all`: run fault-injection modes against a
-/// live daemon and print one report JSON line per mode. Exits non-zero
-/// if any mode kills (or wedges) the daemon.
-fn run_chaos(addr: &str, mode_arg: &str, args: &Args) -> Result<String, CliError> {
-    let hint_ms: u64 =
-        args.get_parsed("io-timeout-ms", pevpm_serve::server::DEFAULT_IO_TIMEOUT_MS)?;
-    let modes: Vec<chaos::ChaosMode> = if mode_arg == "all" {
-        chaos::ChaosMode::ALL.to_vec()
-    } else {
-        let mode = chaos::ChaosMode::parse(mode_arg).ok_or_else(|| {
-            CliError::usage(format!(
-                "--chaos expects all or one of: {}",
-                chaos::ChaosMode::ALL.map(|m| m.name()).join(", ")
-            ))
-        })?;
-        vec![mode]
-    };
-    let mut out = String::new();
-    let mut casualties = Vec::new();
-    for mode in modes {
-        let report = chaos::run_mode(addr, mode, hint_ms).map_err(|e| {
-            CliError::input(format!("chaos mode {} failed to run: {e}", mode.name()))
-        })?;
-        diag::info(&format!(
-            "chaos {}: outcome={} survived={} ({:.1} ms)",
-            report.mode.name(),
-            report.outcome,
-            report.survived,
-            report.elapsed_ms
-        ));
-        if !report.survived {
-            casualties.push(report.mode.name());
-        }
-        out.push_str(&report.to_json());
-        out.push('\n');
-    }
-    if casualties.is_empty() {
-        Ok(out)
-    } else {
-        Err(CliError::input(format!(
-            "daemon did not survive chaos mode(s): {}",
-            casualties.join(", ")
-        )))
-    }
 }
 
 /// Render the span-derived per-stage latency percentiles from a `stats`

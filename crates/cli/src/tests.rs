@@ -617,13 +617,28 @@ fn serve_and_client_flag_validation() {
             .code,
         EXIT_INPUT
     );
-    assert_eq!(
-        run_cmd("client --addr 127.0.0.1:9 --chaos frobnicate")
-            .unwrap_err()
-            .code,
-        EXIT_USAGE,
-        "unknown chaos modes are rejected before connecting"
-    );
+    // Retired options are unknown options, refused before connecting.
+    for retired in ["chaos", "io-timeout-ms"] {
+        let e = run_cmd(&format!("client --addr 127.0.0.1:9 --ping --{retired} 1")).unwrap_err();
+        assert_eq!(e.code, EXIT_USAGE, "{e}");
+        assert!(
+            e.message.contains(&format!("unknown option --{retired} ")),
+            "{e}"
+        );
+    }
+    // So are an empty batch and common random numbers without a batch.
+    for (flags, named) in [
+        ("--batch 0", "--batch"),
+        ("--crn", "--crn"),
+        ("--batch 1 --crn", "--crn"),
+    ] {
+        let e = run_cmd(&format!(
+            "client --addr 127.0.0.1:9 --model m.c --procs 2 {flags}"
+        ))
+        .unwrap_err();
+        assert_eq!(e.code, EXIT_USAGE, "{flags}: {e}");
+        assert!(e.message.contains(named), "{flags}: {e}");
+    }
     assert_eq!(
         run_cmd("serve --db x.dist --queue nope").unwrap_err().code,
         EXIT_USAGE

@@ -1,5 +1,5 @@
 //! A minimal blocking client for the serve protocol, used by the
-//! `pevpm client` subcommand, the test suite, and the CI smoke script.
+//! `pevpm client` subcommand, the test suite, and the benchmark.
 //!
 //! The client is deliberately conservative about retries. Two failure
 //! classes are safe to retry and are retried (bounded, with
@@ -39,8 +39,8 @@ pub struct ClientConfig {
     pub retries: u32,
     /// Base backoff doubled per attempt (jittered, capped at 64× base).
     pub backoff_base_ms: u64,
-    /// Seed for the deterministic backoff jitter, so scripted runs (and
-    /// chaos tests) replay identical schedules.
+    /// Seed for the deterministic backoff jitter, so scripted runs
+    /// replay identical schedules.
     pub jitter_seed: u64,
 }
 

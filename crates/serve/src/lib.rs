@@ -30,20 +30,19 @@
 //!   stage latency histograms, a structured one-line-JSON request log,
 //!   and a dependency-free HTTP sidecar serving Prometheus `/metrics`,
 //!   `/healthz`, and `/spans`.
-//! * [`client`] — a small blocking client for the CLI subcommand, tests,
-//!   and smoke scripts, with connect timeouts and bounded retries on
-//!   the two unambiguous failures (connect-refused and `"overloaded"`).
-//! * [`chaos`] — the fault-injection harness behind `client --chaos`:
-//!   misbehaving peers (truncated prefixes, mid-frame stalls, half-open
-//!   disconnects, oversized frames, garbage bytes, slow readers) that
-//!   verify the daemon survives every mode without a panic.
+//! * [`client`] — a small blocking client for the CLI subcommand, the
+//!   tests and the benchmark, with connect timeouts and bounded retries
+//!   on the two unambiguous failures (connect-refused and `"overloaded"`).
+//!
+//! The misbehaving peers the daemon must survive (truncated prefixes,
+//! mid-frame stalls, half-open disconnects, oversized frames, garbage
+//! bytes, slow readers) are rows of one table in `tests/robustness.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod chaos;
 pub mod client;
 mod config;
 mod conn;
@@ -54,7 +53,6 @@ pub mod server;
 pub mod telemetry;
 
 pub use cache::{fnv1a, ModelCache, TimingCache};
-pub use chaos::{ChaosMode, ChaosReport};
 pub use client::{Client, ClientConfig};
 pub use plan::{EvalOutcome, PlanError, PlanErrorKind, PredictRequest};
 pub use proto::{read_frame, write_frame, Request};

@@ -132,6 +132,11 @@ fn live_sidecar_serves_metrics_health_and_spans() {
         r.seed = 3;
         r
     };
+    // One 2-item batch, then 3 lone predictions: 5 predictions, since
+    // every batch item is metered and the batch frame is not.
+    let items = vec![("default".to_string(), req.clone()); 2];
+    let resp = client.batch("b", &items).unwrap();
+    assert!(resp.contains("\"ok\":true"), "{resp}");
     for _ in 0..3 {
         let resp = client.predict("p", "default", &req).unwrap();
         assert!(resp.contains("\"ok\":true"), "{resp}");
@@ -142,24 +147,24 @@ fn live_sidecar_serves_metrics_health_and_spans() {
     assert_eq!(status, "HTTP/1.1 200 OK");
     assert_eq!(
         prom_value(&body, "serve_requests_total"),
-        Some(3.0),
+        Some(5.0),
         "{body}"
     );
     for stage in pevpm_serve::telemetry::STAGES {
         assert_eq!(
             prom_value(&body, &format!("serve_stage_{stage}_ms_count")),
-            Some(3.0),
+            Some(5.0),
             "stage {stage} count in:\n{body}"
         );
     }
-    assert_eq!(prom_value(&body, "serve_request_ms_count"), Some(3.0));
+    assert_eq!(prom_value(&body, "serve_request_ms_count"), Some(5.0));
 
     // /healthz: liveness with uptime and request totals.
     let (status, body) = http_get(http_addr, "/healthz");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let v = json::parse(&body).unwrap();
     assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
-    assert_eq!(v.get("requests_total").and_then(Json::as_num), Some(3.0));
+    assert_eq!(v.get("requests_total").and_then(Json::as_num), Some(5.0));
 
     // /spans: the most recent spans, oldest first, with stage windows.
     let (status, body) = http_get(http_addr, "/spans?last=2");
