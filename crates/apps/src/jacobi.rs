@@ -581,7 +581,7 @@ mod tests {
         let cfg = JacobiConfig::default();
         let m = model(&cfg);
         assert!(
-            m.check_bindings(&Default::default()).is_ok(),
+            m.free_variables().iter().all(|v| m.params.contains_key(v)),
             "unbound model params"
         );
         // Evaluate with an analytic timing model; must not deadlock for

@@ -295,7 +295,7 @@ mod tests {
         };
         let m = model(&cfg);
         assert!(
-            m.check_bindings(&Default::default()).is_ok(),
+            m.free_variables().iter().all(|v| m.params.contains_key(v)),
             "unbound model params"
         );
         let timing = pevpm::TimingModel::hockney(100e-6, 12.5e6);

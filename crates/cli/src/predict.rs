@@ -109,6 +109,17 @@ pub(crate) fn cmd_predict(args: &Args) -> Result<String, CliError> {
     let outcome = timer.stage("eval", || {
         plan::evaluate_plan(&model, &cfg, &timing, effective_reps)
     })?;
+    // The engine records under fixed names only; the per-directive loss
+    // gauges come from the predictions, summed in replication order.
+    if let Some(reg) = &registry {
+        let runs = match &outcome {
+            EvalOutcome::Single(p) => std::slice::from_ref(&**p),
+            EvalOutcome::Batch(mc) => &mc.runs,
+        };
+        for (label, loss) in runs.iter().flat_map(|p| &p.loss_by_label) {
+            reg.gauge(&format!("vm.loss_secs.{label}")).add(*loss);
+        }
+    }
     match outcome {
         EvalOutcome::Batch(mc) => {
             if let Some(reg) = &registry {

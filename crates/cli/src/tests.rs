@@ -738,3 +738,66 @@ fn faults_flag_loads_validates_and_degrades() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A model that parses but cannot lower, one with an unbound parameter,
+/// and one with both faults: the daemon's response and the one-shot
+/// `predict` error keep their bytes and exit codes whichever stage
+/// lowers the model. The unbound parameter is reported first.
+#[test]
+fn lowering_and_binding_errors_keep_their_bytes() {
+    let dir = tmpdir("lowering_and_binding_errors_keep_their_bytes");
+    let (db, model) = (dir.join("errors_db.dist"), dir.join("errors_model.c"));
+    let samples: Vec<f64> = (0..40).map(|i| 1e-4 + 1e-6 * f64::from(i)).collect();
+    let mut table = DistTable::new();
+    table.insert(
+        pevpm_dist::DistKey {
+            op: Op::Send,
+            size: 1024,
+            contention: 1,
+        },
+        CommDist::Hist(pevpm_dist::Histogram::from_samples(&samples, 1e-6)),
+    );
+    std::fs::write(&db, dist_io::write_table(&table)).unwrap();
+    let server = pevpm_serve::Server::with_tables(
+        pevpm_serve::ServeConfig {
+            threads: 1,
+            conns: 1,
+            ..pevpm_serve::ServeConfig::default()
+        },
+        vec![("default".to_string(), table)],
+    )
+    .unwrap();
+    let lowering = "evaluation failed: expression error: unknown function \\\"frob\\\" with 1 args";
+    let unbound = "evaluation failed: expression error: unbound model parameter \\\"mystery\\\"";
+    let cases = [
+        ("// PEVPM Serial time = frob(1)\n", lowering),
+        ("// PEVPM Serial time = mystery\n", unbound),
+        (
+            "// PEVPM Serial time = frob(1)\n// PEVPM Serial time = mystery\n",
+            unbound,
+        ),
+    ];
+    for (src, escaped) in cases {
+        for reps in [1, 8] {
+            let frame = format!(
+                "{{\"op\":\"predict\",\"id\":\"e\",\"model\":\"{}\",\"procs\":2,\"reps\":{reps}}}",
+                pevpm_obs::json::escape(src)
+            );
+            assert_eq!(
+                server.handle_frame(&frame).0,
+                format!("{{\"id\":\"e\",\"ok\":false,\"code\":\"input\",\"error\":\"{escaped}\"}}"),
+                "{src:?} at reps {reps}"
+            );
+            std::fs::write(&model, src).unwrap();
+            let e = run_cmd(&format!(
+                "predict --model {} --db {} --procs 2 --reps {reps} --threads 1",
+                model.display(),
+                db.display()
+            ))
+            .unwrap_err();
+            assert_eq!(e.code, EXIT_INPUT, "{src:?} at reps {reps}");
+            assert_eq!(e.message, escaped.replace("\\\"", "\""), "{src:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

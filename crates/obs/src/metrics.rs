@@ -7,13 +7,16 @@
 //!    `Option<Arc<Registry>>`; with `None` the per-event cost is one
 //!    branch. With a registry installed, handles ([`Counter`], [`Gauge`],
 //!    [`FixedHistogram`]) are resolved *once* by name and each event is a
-//!    single relaxed atomic RMW — no name lookup on the hot path.
+//!    single relaxed atomic RMW — no name lookup on the hot path
+//!    ([`Registry::handles`]); a lookup of an existing name allocates
+//!    nothing.
 //! 2. **Thread-safe and order-independent.** Parallel Monte-Carlo workers
 //!    record into the same registry; every primitive is an atomic add, so
 //!    totals are identical however the scheduler interleaves replicas.
 //! 3. **Deterministic export.** Snapshots iterate names in sorted order,
 //!    so JSON reports are byte-stable for a given set of recordings.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -201,6 +204,22 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     hists: Mutex<BTreeMap<String, Arc<FixedHistogram>>>,
+    /// Handle sets resolved by [`Registry::handles`], one per type.
+    handle_sets: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
+}
+
+/// The handle `name` in `map`, created by `make` on first use; a name
+/// already there is found without allocating.
+fn get_or_insert<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock().unwrap();
+    match map.get(name) {
+        Some(handle) => Arc::clone(handle),
+        None => Arc::clone(map.entry(name.to_string()).or_insert(Arc::new(make()))),
+    }
 }
 
 impl Registry {
@@ -211,23 +230,33 @@ impl Registry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        get_or_insert(&self.counters, name, Counter::default)
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        get_or_insert(&self.gauges, name, Gauge::default)
     }
 
     /// Get or create the histogram `name` with `nbins` linear bins over
     /// `[lo, hi)`. If the name already exists its existing binning wins.
     pub fn histogram(&self, name: &str, lo: f64, hi: f64, nbins: usize) -> Arc<FixedHistogram> {
-        let mut map = self.hists.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(FixedHistogram::linear(lo, hi, nbins)))
-            .clone()
+        get_or_insert(&self.hists, name, || FixedHistogram::linear(lo, hi, nbins))
+    }
+
+    /// The set of handles of type `T` for this registry, built by
+    /// `resolve` on first use and shared thereafter: a component that
+    /// records under fixed names resolves them once per registry, not once
+    /// per event batch, and every later call is one lock and no lookup by
+    /// name.
+    pub fn handles<T: Any + Send + Sync>(&self, resolve: impl FnOnce(&Registry) -> T) -> Arc<T> {
+        let mut sets = self.handle_sets.lock().unwrap();
+        let found = sets.iter().find_map(|set| Arc::clone(set).downcast().ok());
+        found.unwrap_or_else(|| {
+            let set = Arc::new(resolve(self));
+            sets.push(Arc::clone(&set) as Arc<dyn Any + Send + Sync>);
+            set
+        })
     }
 
     /// Render the registry as a deterministic JSON document:
@@ -386,6 +415,26 @@ mod tests {
         assert!((r.gauge("loss.halo").get() - 0.75).abs() < 1e-15);
         g.set(2.0);
         assert_eq!(g.get(), 2.0);
+    }
+
+    #[test]
+    fn handle_sets_resolve_once_per_registry() {
+        struct Set(Arc<Counter>);
+        let r = Registry::new();
+        let mut resolved = 0;
+        for _ in 0..3 {
+            r.handles(|r| {
+                resolved += 1;
+                Set(r.counter("n"))
+            })
+            .0
+            .inc();
+        }
+        assert_eq!(resolved, 1);
+        assert_eq!(r.counter("n").get(), 3);
+        let other = Registry::new();
+        other.handles(|r| Set(r.counter("n"))).0.inc();
+        assert_eq!(r.counter("n").get(), 3, "each registry has its own set");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! - this file, `pub mod dag` and `pub use dag::DagPlan` in `lib.rs`, and
 //!   `tests/dag.rs`;
 //! - [`EvalConfig::eval_threads`] and [`EvalConfig::with_eval_threads`],
-//!   and the `eval_threads > 0` branch of [`vm::evaluate`];
+//!   and the `eval_threads > 0` branch of [`Program::evaluate`];
 //! - `vm/driver.rs`: `inner_eval` — the `budget.inner(..)` line of
 //!   `monte_carlo`, the parameter of `run_replicas`, `run_group`,
 //!   `replica_cfg` and `lane_width` (a timeline is then the only thing
@@ -72,7 +72,7 @@
 //! expression errors the real run would also hit) falls back to the
 //! serial path rather than guessing.
 
-use crate::lower::{LExpr, LStmt};
+use crate::lower::{LExpr, LStmt, Lowered, Program};
 use crate::model::{Model, MsgKind};
 use crate::replicate::{self, JobError};
 use crate::timing::TimingModel;
@@ -102,7 +102,8 @@ pub struct DagPlan {
 /// decompose it? Used by the serial-vs-DAG oracle to know when bitwise
 /// identity with the serial engine is required.
 pub fn plan(model: &Model, cfg: &EvalConfig) -> Result<DagPlan, PevpmError> {
-    let setup = vm::prepare(model, cfg)?;
+    let program = Program::lower(model, cfg.const_fold);
+    let setup = vm::prepare(&program, cfg)?;
     Ok(match analyze(&setup, cfg) {
         Decision::Fallback(reason) => DagPlan {
             components: 1,
@@ -177,8 +178,8 @@ enum Bail {
 }
 
 /// Abstract walk of one rank's directive chain, collecting message edges.
-struct Tracer<'a, 'm> {
-    lowered: &'a crate::lower::LoweredModel<'m>,
+struct Tracer<'a> {
+    lowered: &'a Lowered,
     env: Vec<Option<f64>>,
     p: usize,
     nprocs: usize,
@@ -191,7 +192,7 @@ struct Tracer<'a, 'm> {
     wildcards: &'a mut BTreeSet<usize>,
 }
 
-impl<'a, 'm> Tracer<'a, 'm> {
+impl Tracer<'_> {
     fn bump(&mut self) -> Result<(), Bail> {
         self.steps += 1;
         if self.steps > ANALYSIS_STEP_CAP {
@@ -200,7 +201,7 @@ impl<'a, 'm> Tracer<'a, 'm> {
         Ok(())
     }
 
-    fn walk(&mut self, stmts: &[LStmt<'_>]) -> Result<(), Bail> {
+    fn walk(&mut self, stmts: &[LStmt]) -> Result<(), Bail> {
         let names = &self.lowered.names;
         for stmt in stmts {
             self.bump()?;
@@ -323,7 +324,7 @@ impl<'a, 'm> Tracer<'a, 'm> {
 /// `slot`? Relevant: message endpoints and sizes (size picks rendezvous
 /// semantics), runon conditions, nested loop counts. Serial times and
 /// wait handles can't change the edge set.
-fn block_references(stmts: &[LStmt<'_>], slot: u32) -> bool {
+fn block_references(stmts: &[LStmt], slot: u32) -> bool {
     stmts.iter().any(|s| match s {
         LStmt::Serial { .. } | LStmt::Wait { .. } => false,
         LStmt::Collective { .. } => false,
@@ -405,7 +406,7 @@ fn analyze(setup: &vm::EvalSetup<'_>, cfg: &EvalConfig) -> Decision {
     if n <= 1 {
         return Decision::Single;
     }
-    let lowered = &setup.lowered;
+    let lowered = setup.lowered;
     let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     let mut senders_to: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     let mut wildcards: BTreeSet<usize> = BTreeSet::new();
@@ -479,13 +480,13 @@ fn analyze(setup: &vm::EvalSetup<'_>, cfg: &EvalConfig) -> Decision {
 }
 
 /// Evaluate via the DAG scheduler. Entry point for
-/// [`crate::vm::evaluate`] when `cfg.eval_threads >= 1`.
+/// [`Program::evaluate`] when `cfg.eval_threads >= 1`.
 pub(crate) fn evaluate_dag(
-    model: &Model,
+    program: &Program,
     cfg: &EvalConfig,
     timing: &TimingModel,
 ) -> Result<Prediction, PevpmError> {
-    let setup = vm::prepare(model, cfg)?;
+    let setup = vm::prepare(program, cfg)?;
     let analysis = match analyze(&setup, cfg) {
         Decision::Dag(a) => a,
         decision => {

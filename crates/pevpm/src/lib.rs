@@ -5,7 +5,8 @@
 //! programs. A parallel program is described by a small directive language
 //! ([`model`]) — extracted automatically from `// PEVPM`-annotated source
 //! ([`annotate`]) or built programmatically — and *evaluated* on a virtual
-//! parallel machine ([`vm`]) that simulates the program's time structure:
+//! parallel machine ([`vm`]) that simulates the program's time structure,
+//! once lowered to a [`Program`]:
 //!
 //! - per-process virtual clocks advance through `Serial` computation
 //!   segments;
@@ -59,6 +60,7 @@ pub mod vm;
 pub use annotate::{parse_annotations, AnnotateError, JACOBI_FIG5};
 pub use dag::DagPlan;
 pub use expr::{parse as parse_expr, Env, Expr, ExprError};
+pub use lower::Program;
 pub use model::{CollOp, Model, MsgKind, Stmt};
 pub use replicate::ThreadBudget;
 pub use scoreboard::{Handle, PairFifo, Slab};

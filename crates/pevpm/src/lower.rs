@@ -1,15 +1,19 @@
 //! Directive-program lowering: compile a [`Model`]'s statement tree into a
-//! slot-indexed form evaluated without string hashing or allocation.
+//! self-contained [`Program`], slot-indexed and evaluated without string
+//! hashing or allocation.
 //!
 //! The VM executes directives millions of times per Monte-Carlo batch, and
 //! profiling shows the symbolic [`Expr`] interpreter — one hash-map lookup
 //! per variable reference, a string match per `sizeof` — dominating the
 //! sweep phase once sampling itself is compiled. This pass runs once per
-//! [`crate::vm::evaluate`] call:
+//! [`crate::vm::evaluate`] or [`crate::vm::monte_carlo`] call on a [`Model`],
+//! and once per model for a caller that keeps its [`Program`] (the daemon):
 //!
 //! - every variable name is interned to a dense slot index, so the runtime
 //!   environment is a `Vec<Option<f64>>` and a variable reference is an
-//!   array read;
+//!   array read; the model's default parameters are bound to their slots
+//!   here, and its free variables listed, so an evaluation's prologue is a
+//!   copy of one slot vector and a lookup per binding it brings;
 //! - `sizeof(<ctype>)` is resolved to its constant;
 //! - constant subtrees are folded (`xsize*sizeof(float)` lowers to one
 //!   multiply against a literal once `sizeof` resolves), except subtrees
@@ -17,8 +21,8 @@
 //!   surfaces if and when the directive actually executes;
 //! - builtin calls are arity-checked here and lowered to fixed-arity
 //!   nodes, removing the per-call argument `Vec`;
-//! - `Irecv`/`Wait` request handles are interned the same way, so the
-//!   per-process handle table is a `Vec`, not a string-keyed map;
+//! - `Irecv`/`Wait` request handles and directive labels are interned the
+//!   same way, into tables the program owns;
 //! - a directive's expression that reads no loop induction variable is
 //!   given a memo *site* ([`StmtExpr`]): a process writes its environment
 //!   only at its loops' induction variables, so such an expression has one
@@ -42,7 +46,7 @@ fn err<T>(message: impl Into<String>) -> Result<T, ExprError> {
 
 /// String-to-slot interner. Kept after lowering only for error messages
 /// (`unbound variable …`) and for binding named parameters to slots.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Names {
     map: HashMap<String, u32>,
     list: Vec<String>,
@@ -72,13 +76,14 @@ impl Names {
         self.list.len()
     }
 
-    pub(crate) fn list(&self) -> &[String] {
-        &self.list
+    /// The names in slot order, once nothing is looked up by name.
+    fn into_list(self) -> Vec<String> {
+        self.list
     }
 }
 
 /// Unary builtins (arity checked at lowering time).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Fn1 {
     Ceil,
     Floor,
@@ -87,7 +92,7 @@ pub(crate) enum Fn1 {
 }
 
 /// Binary builtins.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Fn2 {
     Min,
     Max,
@@ -95,7 +100,7 @@ pub(crate) enum Fn2 {
 
 /// A lowered expression: shape of [`Expr`] with variables as slot indices,
 /// `sizeof` resolved, and builtin calls at fixed arity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum LExpr {
     Num(f64),
     Var(u32),
@@ -271,7 +276,7 @@ pub(crate) type Memo = Option<(f64, Option<usize>)>;
 /// the only slots a running process writes (a loop also *unbinds* its slot
 /// on exit, so a parameter that shares a loop variable's name is excluded
 /// with it).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct StmtExpr {
     pub(crate) expr: LExpr,
     site: Option<u32>,
@@ -335,26 +340,18 @@ impl StmtExpr {
     }
 }
 
-/// An interned directive label: the text (borrowed from the model) plus a
-/// dense slot used for O(1) loss attribution in the VM — accumulating
-/// blocked time under a label is an indexed add, not a string-keyed map
-/// operation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Label<'m> {
-    pub(crate) slot: u32,
-    pub(crate) text: &'m str,
-}
-
-/// A lowered directive. Labels borrow from the model.
-#[derive(Debug)]
-pub(crate) enum LStmt<'m> {
+/// A lowered directive. A label is a slot in [`Lowered::labels`] — loss
+/// attribution under it is an indexed add, not a string-keyed map
+/// operation — and a request handle a slot in [`Lowered::handles`].
+#[derive(Debug, PartialEq)]
+pub(crate) enum LStmt {
     Loop {
         count: StmtExpr,
         var: Option<u32>,
-        body: Vec<LStmt<'m>>,
+        body: Vec<LStmt>,
     },
     Runon {
-        branches: Vec<(StmtExpr, Vec<LStmt<'m>>)>,
+        branches: Vec<(StmtExpr, Vec<LStmt>)>,
     },
     Message {
         kind: MsgKind,
@@ -362,50 +359,116 @@ pub(crate) enum LStmt<'m> {
         from: StmtExpr,
         to: StmtExpr,
         handle: Option<u32>,
-        handle_name: Option<&'m str>,
-        label: Option<Label<'m>>,
+        label: Option<u32>,
     },
     Wait {
         handle: u32,
-        handle_name: &'m str,
-        label: Option<Label<'m>>,
+        label: Option<u32>,
     },
     Serial {
         time: StmtExpr,
-        label: Option<Label<'m>>,
+        label: Option<u32>,
     },
     Collective {
         op: CollOp,
         size: StmtExpr,
-        label: Option<Label<'m>>,
+        label: Option<u32>,
     },
 }
 
 /// A model compiled for slot-indexed execution.
-#[derive(Debug)]
-pub(crate) struct LoweredModel<'m> {
-    pub(crate) stmts: Vec<LStmt<'m>>,
+#[derive(Debug, PartialEq)]
+pub(crate) struct Lowered {
+    pub(crate) stmts: Vec<LStmt>,
     pub(crate) names: Names,
     /// Slot of the standard `procnum` variable.
     pub(crate) procnum: u32,
     /// Slot of the standard `numprocs` variable.
     pub(crate) numprocs: u32,
-    /// Number of distinct `Irecv`/`Wait` handle names.
-    pub(crate) nhandles: usize,
-    /// Interned directive labels, indexed by [`Label::slot`].
-    pub(crate) labels: Names,
+    /// `Irecv`/`Wait` handle names, indexed by handle slot.
+    pub(crate) handles: Vec<String>,
+    /// Directive labels, indexed by label slot.
+    pub(crate) labels: Vec<String>,
     /// Memo sites handed out to [`StmtExpr`]s: the length of one
     /// process's memo row.
     pub(crate) sites: usize,
+    /// The model's default parameters, as `(slot, value)`.
+    pub(crate) defaults: Vec<(u32, f64)>,
 }
 
-/// Lower `model.stmts`, with constant folding made optional. Errors only
-/// on programs that could never evaluate (unknown builtin, bad `sizeof`)
-/// — valid models always lower. Folding is a pure
-/// optimisation — `fold: false` must produce bitwise-identical evaluations
-/// — which is exactly what the differential conformance harness
-/// (`pevpm-testkit`) checks by running both variants over fuzzed programs.
-pub(crate) fn lower_model_with(model: &Model, fold: bool) -> Result<LoweredModel<'_>, ExprError> {
+impl Lowered {
+    /// The text of label slot `label`.
+    pub(crate) fn label(&self, label: Option<u32>) -> Option<&str> {
+        label.map(|l| self.labels[l as usize].as_str())
+    }
+}
+
+/// A model lowered once for any number of evaluations: it owns its slot
+/// tables and keeps nothing of the [`Model`] it came from, so a caller
+/// can drop the model and keep this (see the module doc).
+/// [`Program::evaluate`] and [`Program::monte_carlo`] run it.
+#[derive(Debug, PartialEq)]
+pub struct Program {
+    /// Free variables the model's own parameters leave unbound, sorted:
+    /// each must be bound at evaluation time.
+    pub(crate) unbound: Vec<String>,
+    /// The lowered program, or why the model can never evaluate (an
+    /// unknown builtin, a bad `sizeof`). The error is kept, not raised:
+    /// each evaluation reports it, after any unbound parameter.
+    pub(crate) lowered: Result<Lowered, ExprError>,
+}
+
+impl Program {
+    /// Lower `model`, constant folding included. Never fails: a model
+    /// that cannot lower yields a program whose evaluations fail.
+    pub fn new(model: &Model) -> Program {
+        Program::lower(model, true)
+    }
+
+    /// [`Program::new`] with constant folding made optional (see
+    /// [`crate::vm::EvalConfig::const_fold`]).
+    pub(crate) fn lower(model: &Model, fold: bool) -> Program {
+        let mut unbound = model.free_variables();
+        unbound.retain(|v| !model.params.contains_key(v));
+        Program {
+            unbound,
+            lowered: lower_model_with(model, fold),
+        }
+    }
+
+    /// The lowered program and the slot environment every process starts
+    /// from under `params` on `nprocs` processes: the default slots, each
+    /// binding in `params` over them, `numprocs` over both.
+    pub(crate) fn bind(
+        &self,
+        params: &crate::expr::Env,
+        nprocs: usize,
+    ) -> Result<(&Lowered, Vec<Option<f64>>), ExprError> {
+        if let Some(v) = self.unbound.iter().find(|v| !params.contains_key(*v)) {
+            return err(format!("unbound model parameter {v:?}"));
+        }
+        let lowered = self.lowered.as_ref().map_err(Clone::clone)?;
+        let mut base = vec![None; lowered.names.len()];
+        for &(slot, v) in &lowered.defaults {
+            base[slot as usize] = Some(v);
+        }
+        for (k, v) in params {
+            if let Some(slot) = lowered.names.get(k) {
+                base[slot as usize] = Some(*v);
+            }
+        }
+        base[lowered.numprocs as usize] = Some(nprocs as f64);
+        Ok((lowered, base))
+    }
+}
+
+/// Lower `model`, with constant folding made optional. Errors only on
+/// programs that could never evaluate (unknown builtin, bad `sizeof`) —
+/// valid models always lower. Folding is a pure optimisation — `fold:
+/// false` must produce bitwise-identical evaluations — which is exactly
+/// what the differential conformance harness (`pevpm-testkit`) checks by
+/// running both variants over fuzzed programs.
+fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
     let mut names = Names::default();
     let procnum = names.intern("procnum");
     let numprocs = names.intern("numprocs");
@@ -423,14 +486,20 @@ pub(crate) fn lower_model_with(model: &Model, fold: bool) -> Result<LoweredModel
     };
     let stmts = lower_block(&model.stmts, &mut cx)?;
     let sites = cx.sites as usize;
-    Ok(LoweredModel {
+    let defaults = model
+        .params
+        .iter()
+        .filter_map(|(k, v)| Some((names.get(k)?, *v)))
+        .collect();
+    Ok(Lowered {
         stmts,
         names,
         procnum,
         numprocs,
-        nhandles: handles.len(),
-        labels,
+        handles: handles.into_list(),
+        labels: labels.into_list(),
         sites,
+        defaults,
     })
 }
 
@@ -464,18 +533,20 @@ struct LowerCx<'a> {
     sites: u32,
 }
 
-fn lower_label<'m>(label: &'m Option<String>, labels: &mut Names) -> Option<Label<'m>> {
-    label.as_deref().map(|text| Label {
-        slot: labels.intern(text),
-        text,
-    })
+fn lower_label(label: &Option<String>, labels: &mut Names) -> Option<u32> {
+    label.as_deref().map(|text| labels.intern(text))
 }
 
-fn lower_block<'m>(stmts: &'m [Stmt], cx: &mut LowerCx<'_>) -> Result<Vec<LStmt<'m>>, ExprError> {
-    stmts.iter().map(|s| lower_stmt(s, cx)).collect()
+fn lower_block(stmts: &[Stmt], cx: &mut LowerCx<'_>) -> Result<Vec<LStmt>, ExprError> {
+    // Sized exactly: a program lives as long as a cache keeps it.
+    let mut block = Vec::with_capacity(stmts.len());
+    for stmt in stmts {
+        block.push(lower_stmt(stmt, cx)?);
+    }
+    Ok(block)
 }
 
-fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'_>) -> Result<LStmt<'m>, ExprError> {
+fn lower_stmt(stmt: &Stmt, cx: &mut LowerCx<'_>) -> Result<LStmt, ExprError> {
     Ok(match stmt {
         Stmt::Loop { count, var, body } => LStmt::Loop {
             count: lower_expr_in(count, cx)?,
@@ -501,12 +572,10 @@ fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'_>) -> Result<LStmt<'m>, Exp
             from: lower_expr_in(from, cx)?,
             to: lower_expr_in(to, cx)?,
             handle: handle.as_ref().map(|h| cx.handles.intern(h)),
-            handle_name: handle.as_deref(),
             label: lower_label(label, cx.labels),
         },
         Stmt::Wait { handle, label } => LStmt::Wait {
             handle: cx.handles.intern(handle),
-            handle_name: handle.as_str(),
             label: lower_label(label, cx.labels),
         },
         Stmt::Serial { time, label, .. } => LStmt::Serial {

@@ -15,7 +15,7 @@
 //!   primitives (beyond the paper's Figure 5, used by the FFT and task-farm
 //!   models).
 
-use crate::expr::{Env, Expr, ExprError};
+use crate::expr::{Env, Expr};
 
 /// Message kinds a [`Stmt::Message`] directive can describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,7 +153,8 @@ impl Model {
 
     /// All variables referenced anywhere in the model, minus the standard
     /// `procnum`/`numprocs`. Every returned name must be bound by `params`
-    /// (or at evaluation time) for the model to evaluate.
+    /// (or at evaluation time) for the model to evaluate; an evaluation
+    /// checks that first ([`crate::Program`]).
     pub fn free_variables(&self) -> Vec<String> {
         let mut vars = Vec::new();
         fn walk(stmts: &[Stmt], vars: &mut Vec<String>) {
@@ -192,18 +193,6 @@ impl Model {
         vars.sort();
         vars.dedup();
         vars
-    }
-
-    /// Check that every free variable is bound by `params` plus `extra`.
-    pub fn check_bindings(&self, extra: &Env) -> Result<(), ExprError> {
-        for v in self.free_variables() {
-            if !self.params.contains_key(&v) && !extra.contains_key(&v) {
-                return Err(ExprError {
-                    message: format!("unbound model parameter {v:?}"),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Count the statements in the model (all nesting levels).
@@ -390,11 +379,12 @@ mod tests {
 
     #[test]
     fn check_bindings_finds_missing_params() {
-        let m = jacobi_like();
+        let program = crate::Program::new(&jacobi_like());
         // xsize bound by params; iterations must come from extra.
-        assert!(m.check_bindings(&Env::default()).is_err());
+        let e = program.bind(&Env::default(), 2).unwrap_err();
+        assert_eq!(e.message, "unbound model parameter \"iterations\"");
         let extra: Env = [("iterations".to_string(), 10.0)].into_iter().collect();
-        assert!(m.check_bindings(&extra).is_ok());
+        assert!(program.bind(&extra, 2).is_ok());
     }
 
     #[test]

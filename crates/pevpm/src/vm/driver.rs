@@ -2,8 +2,9 @@
 //! replication pool, full groups of eight as lock-step lanes, fixed or
 //! adaptive (sequential-stopping) batch length.
 
-use super::engine::{evaluate, finish_prediction, prepare, run_lanes, Halt, Lane, LANES};
+use super::engine::{finish_prediction, prepare, run_lanes, Halt, Lane, LANES};
 use super::{EvalConfig, McPrediction, PevpmError, Prediction};
+use crate::lower::Program;
 use crate::model::Model;
 use crate::timing::TimingModel;
 
@@ -28,134 +29,151 @@ use crate::timing::TimingModel;
 /// floor = ceiling = `replications` and no stopping test: its first chunk
 /// is the whole batch. Failed replications contribute no sample but count
 /// toward the ceiling.
+///
+/// Lowers the model once (folding constants unless
+/// [`EvalConfig::const_fold`] is off) and runs [`Program::monte_carlo`].
 pub fn monte_carlo(
     model: &Model,
     cfg: &EvalConfig,
     timing: &TimingModel,
     replications: usize,
 ) -> Result<McPrediction, PevpmError> {
-    let (floor, ceiling) = match &cfg.adaptive {
-        Some(policy) => {
-            policy.validate().map_err(PevpmError::Config)?;
-            (policy.min_reps, policy.max_reps)
-        }
-        None => {
-            assert!(replications > 0, "need at least one replication");
-            (replications, replications)
-        }
-    };
-    let start = std::time::Instant::now();
-    // The outer pool keeps the requested `threads` width and each replica's
-    // DAG scheduler gets the per-job share, so `threads × eval_threads`
-    // never oversubscribes the host. The cap is result-neutral: DAG
-    // predictions are bitwise identical at any eval-thread count >= 1.
-    let budget = crate::replicate::ThreadBudget::from_host();
-    let outer = budget.outer(cfg.threads, ceiling);
-    let inner_eval = budget.inner(outer, cfg.eval_threads);
+    Program::lower(model, cfg.const_fold).monte_carlo(cfg, timing, replications)
+}
 
-    // Replica i is seeded from (cfg.seed, i) alone and outcomes fold in
-    // index order, so neither the thread count, the lane packing nor the
-    // chunk width can change a replica, the stopping index or the
-    // aggregate. Each replication runs panic-isolated: a worker that panics
-    // (bad timing table, hostile model) is a recorded failure, not a
-    // process abort.
-    let mut runs: Vec<Prediction> = Vec::new();
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut first_failure: Option<PevpmError> = None;
-    let mut makespans = pevpm_dist::Summary::new();
-    let mut workers: Vec<crate::replicate::WorkerStat> = Vec::new();
-    let mut attempted = 0usize;
-    let mut reps_run = 0usize;
-    let mut converged = false;
-    while !converged && reps_run < ceiling {
-        // The first chunk covers the floor; later chunks keep the pool full
-        // — one lock-step lane group per worker when the evaluation runs in
-        // lanes.
-        let pool_full = outer.max(1) * lane_width(cfg, inner_eval);
-        let want = if reps_run == 0 {
-            floor.max(pool_full)
-        } else {
-            pool_full
+impl Program {
+    /// [`monte_carlo`] over this program, every replica an
+    /// [`Program::evaluate`] of it. [`EvalConfig::const_fold`] is not
+    /// read: the program is lowered.
+    pub fn monte_carlo(
+        &self,
+        cfg: &EvalConfig,
+        timing: &TimingModel,
+        replications: usize,
+    ) -> Result<McPrediction, PevpmError> {
+        let (floor, ceiling) = match &cfg.adaptive {
+            Some(policy) => {
+                policy.validate().map_err(PevpmError::Config)?;
+                (policy.min_reps, policy.max_reps)
+            }
+            None => {
+                assert!(replications > 0, "need at least one replication");
+                (replications, replications)
+            }
         };
-        let chunk = want.min(ceiling - reps_run);
-        let (outcomes, profile) =
-            run_replicas(model, cfg, timing, reps_run..reps_run + chunk, inner_eval);
-        workers.extend(profile.workers);
-        attempted += chunk;
-        for outcome in outcomes {
-            match outcome {
-                Ok(p) => {
-                    makespans.add(p.makespan);
-                    runs.push(p);
-                }
-                Err(job_err) => {
-                    failures.push((reps_run, job_err.to_string()));
-                    if first_failure.is_none() {
-                        first_failure = Some(job_error_to_pevpm(job_err, reps_run));
+        let start = std::time::Instant::now();
+        // The outer pool keeps the requested `threads` width and each replica's
+        // DAG scheduler gets the per-job share, so `threads × eval_threads`
+        // never oversubscribes the host. The cap is result-neutral: DAG
+        // predictions are bitwise identical at any eval-thread count >= 1.
+        let budget = crate::replicate::ThreadBudget::from_host();
+        let outer = budget.outer(cfg.threads, ceiling);
+        let inner_eval = budget.inner(outer, cfg.eval_threads);
+
+        // Replica i is seeded from (cfg.seed, i) alone and outcomes fold in
+        // index order, so neither the thread count, the lane packing nor the
+        // chunk width can change a replica, the stopping index or the
+        // aggregate. Each replication runs panic-isolated: a worker that panics
+        // (bad timing table, hostile model) is a recorded failure, not a
+        // process abort.
+        let mut runs: Vec<Prediction> = Vec::new();
+        let mut failures: Vec<(usize, String)> = Vec::new();
+        let mut first_failure: Option<PevpmError> = None;
+        let mut makespans = pevpm_dist::Summary::new();
+        let mut workers: Vec<crate::replicate::WorkerStat> = Vec::new();
+        let mut attempted = 0usize;
+        let mut reps_run = 0usize;
+        let mut converged = false;
+        while !converged && reps_run < ceiling {
+            // The first chunk covers the floor; later chunks keep the pool full
+            // — one lock-step lane group per worker when the evaluation runs in
+            // lanes.
+            let pool_full = outer.max(1) * lane_width(cfg, inner_eval);
+            let want = if reps_run == 0 {
+                floor.max(pool_full)
+            } else {
+                pool_full
+            };
+            let chunk = want.min(ceiling - reps_run);
+            let (outcomes, profile) =
+                run_replicas(self, cfg, timing, reps_run..reps_run + chunk, inner_eval);
+            workers.extend(profile.workers);
+            attempted += chunk;
+            for outcome in outcomes {
+                match outcome {
+                    Ok(p) => {
+                        makespans.add(p.makespan);
+                        runs.push(p);
+                    }
+                    Err(job_err) => {
+                        failures.push((reps_run, job_err.to_string()));
+                        if first_failure.is_none() {
+                            first_failure = Some(job_error_to_pevpm(job_err, reps_run));
+                        }
                     }
                 }
-            }
-            reps_run += 1;
-            converged = cfg.adaptive.as_ref().is_some_and(|policy| {
-                reps_run >= policy.min_reps && stopping_satisfied(policy, &makespans)
-            });
-            if converged {
-                break;
+                reps_run += 1;
+                converged = cfg.adaptive.as_ref().is_some_and(|policy| {
+                    reps_run >= policy.min_reps && stopping_satisfied(policy, &makespans)
+                });
+                if converged {
+                    break;
+                }
             }
         }
-    }
-    let wall_secs = start.elapsed().as_secs_f64();
+        let wall_secs = start.elapsed().as_secs_f64();
 
-    // k-of-n quorum over the replications actually run (clamped, so an
-    // early-stopped batch is never unsatisfiable). Without a quorum every
-    // replication must succeed and the lowest-index failure is returned —
-    // the one a serial loop would have hit first.
-    let required = cfg.quorum.unwrap_or(reps_run).clamp(1, reps_run);
-    if let Some(first) = first_failure {
-        if runs.len() < required {
-            if cfg.quorum.is_none() {
-                return Err(first);
+        // k-of-n quorum over the replications actually run (clamped, so an
+        // early-stopped batch is never unsatisfiable). Without a quorum every
+        // replication must succeed and the lowest-index failure is returned —
+        // the one a serial loop would have hit first.
+        let required = cfg.quorum.unwrap_or(reps_run).clamp(1, reps_run);
+        if let Some(first) = first_failure {
+            if runs.len() < required {
+                if cfg.quorum.is_none() {
+                    return Err(first);
+                }
+                return Err(PevpmError::QuorumFailed {
+                    succeeded: runs.len(),
+                    required,
+                    total: reps_run,
+                    first_failure: Box::new(first),
+                });
             }
-            return Err(PevpmError::QuorumFailed {
-                succeeded: runs.len(),
-                required,
-                total: reps_run,
-                first_failure: Box::new(first),
-            });
         }
-    }
 
-    let adaptive = cfg.adaptive.as_ref().map(|policy| {
-        let stream: Vec<f64> = runs.iter().map(|p| p.makespan).collect();
-        crate::stats::AdaptiveReport {
-            precision: policy.precision,
-            confidence: policy.confidence,
-            min_reps: policy.min_reps,
-            max_reps: policy.max_reps,
-            reps: reps_run,
-            rel_half_width: crate::stats::rel_half_width(&makespans, policy.confidence)
-                .unwrap_or(f64::INFINITY),
-            converged,
-            drift: crate::stats::detect_drift(&stream, crate::stats::DRIFT_ALPHA),
-        }
-    });
-    Ok(McPrediction {
-        mean: makespans.mean().unwrap_or(0.0),
-        stderr: makespans.stderr_mean().unwrap_or(0.0),
-        min: makespans.min().unwrap_or(0.0),
-        max: makespans.max().unwrap_or(0.0),
-        makespans,
-        wall_secs,
-        evals_per_sec: if wall_secs > 0.0 {
-            attempted as f64 / wall_secs
-        } else {
-            0.0
-        },
-        profile: crate::replicate::ReplicateProfile { workers, wall_secs },
-        runs,
-        failures,
-        adaptive,
-    })
+        let adaptive = cfg.adaptive.as_ref().map(|policy| {
+            let stream: Vec<f64> = runs.iter().map(|p| p.makespan).collect();
+            crate::stats::AdaptiveReport {
+                precision: policy.precision,
+                confidence: policy.confidence,
+                min_reps: policy.min_reps,
+                max_reps: policy.max_reps,
+                reps: reps_run,
+                rel_half_width: crate::stats::rel_half_width(&makespans, policy.confidence)
+                    .unwrap_or(f64::INFINITY),
+                converged,
+                drift: crate::stats::detect_drift(&stream, crate::stats::DRIFT_ALPHA),
+            }
+        });
+        Ok(McPrediction {
+            mean: makespans.mean().unwrap_or(0.0),
+            stderr: makespans.stderr_mean().unwrap_or(0.0),
+            min: makespans.min().unwrap_or(0.0),
+            max: makespans.max().unwrap_or(0.0),
+            makespans,
+            wall_secs,
+            evals_per_sec: if wall_secs > 0.0 {
+                attempted as f64 / wall_secs
+            } else {
+                0.0
+            },
+            profile: crate::replicate::ReplicateProfile { workers, wall_secs },
+            runs,
+            failures,
+            adaptive,
+        })
+    }
 }
 
 /// Replica `i`'s lane: the derived seed and — under
@@ -205,7 +223,7 @@ type ReplicaResult = Result<Prediction, crate::replicate::JobError<PevpmError>>;
 /// lock step, the remainder one lane at a time. The width never shows in a
 /// result: each lane is bitwise its own `evaluate`.
 fn run_replicas(
-    model: &Model,
+    program: &Program,
     cfg: &EvalConfig,
     timing: &TimingModel,
     range: std::ops::Range<usize>,
@@ -220,7 +238,7 @@ fn run_replicas(
         next += len;
     }
     crate::replicate::isolated_groups_profiled(&groups, cfg.threads, |group| {
-        run_group(model, cfg, timing, group, inner_eval)
+        run_group(program, cfg, timing, group, inner_eval)
     })
 }
 
@@ -230,7 +248,7 @@ fn run_replicas(
 /// under the usual panic isolation, so errors, quorum accounting and
 /// diagnostics are exactly those of separate evaluations.
 fn run_group(
-    model: &Model,
+    program: &Program,
     cfg: &EvalConfig,
     timing: &TimingModel,
     group: std::ops::Range<usize>,
@@ -238,7 +256,7 @@ fn run_group(
 ) -> Vec<ReplicaResult> {
     if group.len() == LANES {
         let lanes =
-            std::panic::AssertUnwindSafe(|| evaluate_lanes(model, cfg, timing, group.start));
+            std::panic::AssertUnwindSafe(|| evaluate_lanes(program, cfg, timing, group.start));
         if let Ok(Some(results)) = std::panic::catch_unwind(lanes) {
             return results
                 .into_iter()
@@ -249,7 +267,7 @@ fn run_group(
     group
         .map(|i| {
             crate::replicate::isolated(i, || {
-                evaluate(model, &replica_cfg(cfg, i, inner_eval), timing)
+                program.evaluate(&replica_cfg(cfg, i, inner_eval), timing)
             })
         })
         .collect()
@@ -258,12 +276,12 @@ fn run_group(
 /// Replicas `first .. first + LANES` in lock step; `None` if the lanes
 /// stood down.
 fn evaluate_lanes(
-    model: &Model,
+    program: &Program,
     cfg: &EvalConfig,
     timing: &TimingModel,
     first: usize,
 ) -> Option<Vec<Result<Prediction, PevpmError>>> {
-    let setup = match prepare(model, cfg) {
+    let setup = match prepare(program, cfg) {
         Ok(setup) => setup,
         Err(e) => return Some(vec![Err(e); LANES]),
     };

@@ -11,7 +11,7 @@ use super::{
     RNDV_THRESHOLD_BYTES,
 };
 use crate::expr::ExprError;
-use crate::lower::{as_index, LStmt, Label, Memo, Names};
+use crate::lower::{as_index, LStmt, Lowered, Memo, Program};
 use crate::model::{CollOp, Model, MsgKind};
 use crate::scoreboard::{Handle, PairFifo, Slab};
 use crate::timing::{ResolveMemo, TimingModel};
@@ -63,59 +63,51 @@ impl From<ExprError> for Halt {
     }
 }
 
-/// Why a process is blocked. Labels borrow from the model (`'m`), so
+/// Why a process is blocked. Labels are slots in [`Lowered::labels`], so
 /// blocking and unblocking a process never copies label strings — part of
 /// the allocation-free hot-path contract.
 #[derive(Debug, Clone, Copy)]
-enum Block<'m> {
+enum Block {
     /// Waiting for message `seq` from `from`; `None` = wildcard source
     /// (`from = -1` in the directive, i.e. MPI_ANY_SOURCE).
     Recv {
         from: Option<usize>,
         seq: u64,
-        label: Option<Label<'m>>,
+        label: Option<u32>,
     },
     /// Blocking rendezvous send: waiting for scoreboard message `msg` to be
     /// consumed by its receiver. The slab handle stays valid however many
     /// other messages are matched and removed in the meantime.
-    SendRndv {
-        msg: Handle,
-        label: Option<Label<'m>>,
-    },
+    SendRndv { msg: Handle, label: Option<u32> },
     /// Waiting at collective instance `instance`.
     Collective {
         op: CollOp,
         size: f64,
         instance: u64,
-        label: Option<Label<'m>>,
+        label: Option<u32>,
     },
 }
 
-impl<'m> Block<'m> {
-    fn describe(&self) -> String {
+impl Block {
+    /// What the process waits for, its label read from `labels`.
+    fn describe(&self, labels: &[String]) -> String {
+        let at = self
+            .label()
+            .map(|l| format!(" at {}", labels[l as usize]))
+            .unwrap_or_default();
         match self {
-            Block::Recv { from, seq, label } => format!(
-                "Recv(from={}, seq={seq}){}",
+            Block::Recv { from, seq, .. } => format!(
+                "Recv(from={}, seq={seq}){at}",
                 from.map(|f| f.to_string()).unwrap_or_else(|| "ANY".into()),
-                label.map(|l| format!(" at {}", l.text)).unwrap_or_default()
             ),
-            Block::SendRndv { msg, label } => format!(
-                "Send[rendezvous](msg={msg}){}",
-                label.map(|l| format!(" at {}", l.text)).unwrap_or_default()
-            ),
-            Block::Collective {
-                op,
-                instance,
-                label,
-                ..
-            } => format!(
-                "Collective({op:?}, instance={instance}){}",
-                label.map(|l| format!(" at {}", l.text)).unwrap_or_default()
-            ),
+            Block::SendRndv { msg, .. } => format!("Send[rendezvous](msg={msg}){at}"),
+            Block::Collective { op, instance, .. } => {
+                format!("Collective({op:?}, instance={instance}){at}")
+            }
         }
     }
 
-    fn label(&self) -> Option<Label<'m>> {
+    fn label(&self) -> Option<u32> {
         match self {
             Block::Recv { label, .. }
             | Block::SendRndv { label, .. }
@@ -126,7 +118,7 @@ impl<'m> Block<'m> {
 
 /// One level of the directive interpreter's control stack.
 struct Frame<'m> {
-    stmts: &'m [LStmt<'m>],
+    stmts: &'m [LStmt],
     idx: usize,
     /// Remaining iterations of this block (loops re-enter; plain blocks
     /// have 1).
@@ -145,7 +137,7 @@ struct Proc<'m, const W: usize> {
     env: Vec<Option<f64>>,
     stack: Vec<Frame<'m>>,
     /// Why the process is blocked, and each lane's clock when it blocked.
-    blocked: Option<(Block<'m>, [f64; W])>,
+    blocked: Option<(Block, [f64; W])>,
     finished: bool,
     coll_count: u64,
     /// Outstanding nonblocking-receive handles, indexed by interned handle
@@ -162,15 +154,43 @@ struct Proc<'m, const W: usize> {
 /// hundred; one bin per level up to 256 (clamped above).
 const CONTENTION_BINS: usize = 256;
 
+/// The engine's metric handles, under fixed names only (`vm.*` in
+/// DESIGN.md), resolved once per registry ([`Registry::handles`]).
+struct VmHandles {
+    sweep_phases: Arc<Counter>,
+    match_phases: Arc<Counter>,
+    contention: Arc<FixedHistogram>,
+    occupancy: Arc<FixedHistogram>,
+    evaluations: Arc<Counter>,
+    steps: Arc<Counter>,
+    messages: Arc<Counter>,
+    races: Arc<Counter>,
+    sb_peak: Arc<FixedHistogram>,
+}
+
+impl VmHandles {
+    fn resolve(registry: &Registry) -> VmHandles {
+        let levels = |name| registry.histogram(name, 0.0, CONTENTION_BINS as f64, CONTENTION_BINS);
+        VmHandles {
+            sweep_phases: registry.counter("vm.sweep_phases"),
+            match_phases: registry.counter("vm.match_phases"),
+            contention: levels("vm.contention_at_injection"),
+            occupancy: levels("vm.scoreboard_occupancy"),
+            evaluations: registry.counter("vm.evaluations"),
+            steps: registry.counter("vm.steps"),
+            messages: registry.counter("vm.messages"),
+            races: registry.counter("vm.races"),
+            sb_peak: levels("vm.sb_peak"),
+        }
+    }
+}
+
 /// Per-event metrics of one lane group, tallied locally and added to the
 /// registry when the group is done: each event then counts once per lane,
 /// exactly what that many separate evaluations would have recorded, and a
 /// group that stands down leaves no trace for its re-run to double.
 struct VmMetrics {
-    sweep_phases: Arc<Counter>,
-    match_phases: Arc<Counter>,
-    contention: Arc<FixedHistogram>,
-    occupancy: Arc<FixedHistogram>,
+    handles: Arc<VmHandles>,
     lanes: u64,
     sweeps: u64,
     matches: u64,
@@ -187,20 +207,7 @@ struct VmMetrics {
 impl VmMetrics {
     fn resolve(registry: &Registry, lanes: usize) -> VmMetrics {
         VmMetrics {
-            sweep_phases: registry.counter("vm.sweep_phases"),
-            match_phases: registry.counter("vm.match_phases"),
-            contention: registry.histogram(
-                "vm.contention_at_injection",
-                0.0,
-                CONTENTION_BINS as f64,
-                CONTENTION_BINS,
-            ),
-            occupancy: registry.histogram(
-                "vm.scoreboard_occupancy",
-                0.0,
-                CONTENTION_BINS as f64,
-                CONTENTION_BINS,
-            ),
+            handles: registry.handles(VmHandles::resolve),
             lanes: lanes as u64,
             sweeps: 0,
             matches: 0,
@@ -223,11 +230,12 @@ impl Drop for VmMetrics {
         if !self.record_on_drop {
             return;
         }
-        self.sweep_phases.add(self.sweeps * self.lanes);
-        self.match_phases.add(self.matches * self.lanes);
+        let handles = &self.handles;
+        handles.sweep_phases.add(self.sweeps * self.lanes);
+        handles.match_phases.add(self.matches * self.lanes);
         for (hist, levels) in [
-            (&self.contention, &self.contention_at),
-            (&self.occupancy, &self.occupancy_at),
+            (&handles.contention, &self.contention_at),
+            (&handles.occupancy, &self.occupancy_at),
         ] {
             for (population, &n) in levels.iter().enumerate() {
                 if n > 0 {
@@ -247,8 +255,8 @@ impl Drop for VmMetrics {
 struct Vm<'m, const W: usize> {
     cfg: &'m EvalConfig,
     timing: &'m TimingModel,
-    /// Variable-name table of the lowered model, for error messages.
-    names: &'m Names,
+    /// The lowered program, for its name, label and handle tables.
+    lowered: &'m Lowered,
     procs: Vec<Proc<'m, W>>,
     /// What [`TimingModel::resolve_p2p_memo`] has resolved so far.
     resolved: ResolveMemo<'m>,
@@ -272,7 +280,7 @@ struct Vm<'m, const W: usize> {
     started: std::time::Instant,
     sb_peak: usize,
     messages: u64,
-    /// Per-label loss accumulators, indexed by [`Label::slot`]; `touched`
+    /// Per-label loss accumulators, indexed by label slot; `touched`
     /// marks labels that saw at least one attributable event (so the
     /// reported map has exactly the keys the string-keyed version had).
     loss: Vec<[f64; W]>,
@@ -286,36 +294,21 @@ struct Vm<'m, const W: usize> {
     timeline: Option<Vec<Vec<TimelineSpan>>>,
 }
 
-/// The shared evaluation prologue: parameters merged and checked, the
-/// directive tree lowered, and the base variable environment built. The
-/// serial engine runs it once per evaluation; the DAG scheduler
-/// ([`crate::dag`]) runs it once and shares it across component runs.
-pub(crate) struct EvalSetup<'m> {
-    pub(crate) lowered: crate::lower::LoweredModel<'m>,
+/// The shared evaluation prologue: parameters checked and bound over the
+/// program's default slots ([`Program::bind`]). The serial engine runs it
+/// once per evaluation; the DAG scheduler ([`crate::dag`]) runs it once
+/// and shares it across component runs.
+pub(crate) struct EvalSetup<'p> {
+    pub(crate) lowered: &'p Lowered,
     pub(crate) base: Vec<Option<f64>>,
 }
 
-pub(crate) fn prepare<'m>(model: &'m Model, cfg: &EvalConfig) -> Result<EvalSetup<'m>, PevpmError> {
+pub(crate) fn prepare<'p>(
+    program: &'p Program,
+    cfg: &EvalConfig,
+) -> Result<EvalSetup<'p>, PevpmError> {
     assert!(cfg.nprocs > 0, "need at least one process");
-    let mut merged = model.params.clone();
-    for (k, v) in &cfg.params {
-        merged.insert(k.clone(), *v);
-    }
-    model.check_bindings(&merged).map_err(PevpmError::from)?;
-
-    // Compile the directive tree to slot-indexed form once; the sweep loop
-    // then resolves variables by array index, not string hash.
-    let lowered =
-        crate::lower::lower_model_with(model, cfg.const_fold).map_err(PevpmError::from)?;
-    let mut base: Vec<Option<f64>> = vec![None; lowered.names.len()];
-    for (k, v) in &merged {
-        if let Some(slot) = lowered.names.get(k) {
-            base[slot as usize] = Some(*v);
-        }
-    }
-    // Standard variables override same-named parameters, as in
-    // `standard_env`.
-    base[lowered.numprocs as usize] = Some(cfg.nprocs as f64);
+    let (lowered, base) = program.bind(&cfg.params, cfg.nprocs)?;
     Ok(EvalSetup { lowered, base })
 }
 
@@ -395,7 +388,7 @@ pub(super) fn run_lanes<const W: usize>(
 ) -> Result<Vec<VmOutcome>, Halt> {
     #[cfg(test)]
     tests::poison::check(&lanes);
-    let lowered = &setup.lowered;
+    let lowered = setup.lowered;
     let procs: Vec<Proc<W>> = (0..cfg.nprocs)
         .map(|p| {
             // Inactive processes never run: no environment clone, no
@@ -424,7 +417,7 @@ pub(super) fn run_lanes<const W: usize>(
                 handles: if idle {
                     Vec::new()
                 } else {
-                    vec![None; lowered.nhandles]
+                    vec![None; lowered.handles.len()]
                 },
                 clock: [0.0; W],
                 compute_time: [0.0; W],
@@ -437,7 +430,7 @@ pub(super) fn run_lanes<const W: usize>(
     let mut vm = Vm {
         cfg,
         timing,
-        names: &lowered.names,
+        lowered,
         procs,
         resolved: Vec::new(),
         expr_memo: vec![None; cfg.nprocs * lowered.sites],
@@ -562,7 +555,7 @@ pub(crate) fn finish_prediction(
 
     // Materialise the label-keyed loss report from the slot accumulators.
     let mut loss_by_label: HashMap<String, f64> = HashMap::new();
-    for (i, name) in setup.lowered.labels.list().iter().enumerate() {
+    for (i, name) in setup.lowered.labels.iter().enumerate() {
         if outcome.loss_touched[i] {
             loss_by_label.insert(name.clone(), outcome.loss[i]);
         }
@@ -570,17 +563,15 @@ pub(crate) fn finish_prediction(
 
     // End-of-run aggregates go to the registry in one pass (cheap, and
     // keeps the per-event hot path down to the phase/histogram hooks).
+    // Labels come from the model, so the loss report stays in the
+    // prediction: a shared registry gains no name per directive.
     if let Some(registry) = &cfg.metrics {
-        registry.counter("vm.evaluations").inc();
-        registry.counter("vm.steps").add(outcome.steps);
-        registry.counter("vm.messages").add(outcome.messages);
-        registry.counter("vm.races").add(outcome.races.len() as u64);
-        registry
-            .histogram("vm.sb_peak", 0.0, CONTENTION_BINS as f64, CONTENTION_BINS)
-            .record(outcome.sb_peak as f64);
-        for (label, loss) in &loss_by_label {
-            registry.gauge(&format!("vm.loss_secs.{label}")).add(*loss);
-        }
+        let handles = registry.handles(VmHandles::resolve);
+        handles.evaluations.inc();
+        handles.steps.add(outcome.steps);
+        handles.messages.add(outcome.messages);
+        handles.races.add(outcome.races.len() as u64);
+        handles.sb_peak.record(outcome.sb_peak as f64);
     }
 
     Prediction {
@@ -599,22 +590,36 @@ pub(crate) fn finish_prediction(
     }
 }
 
-/// Evaluate a model: the public entry point of the PEVPM engine.
-///
-/// With [`EvalConfig::eval_threads`] `== 0` (the default) this is the
-/// classic serial sweep/match evaluation; `>= 1` routes through the
-/// SCC/DAG component scheduler in [`crate::dag`].
+/// Evaluate a model: the public entry point of the PEVPM engine. Lowers
+/// the model (folding constants unless [`EvalConfig::const_fold`] is off)
+/// and runs [`Program::evaluate`].
 pub fn evaluate(
     model: &Model,
     cfg: &EvalConfig,
     timing: &TimingModel,
 ) -> Result<Prediction, PevpmError> {
-    if cfg.eval_threads > 0 {
-        return crate::dag::evaluate_dag(model, cfg, timing);
+    Program::lower(model, cfg.const_fold).evaluate(cfg, timing)
+}
+
+impl Program {
+    /// Evaluate the program once.
+    ///
+    /// With [`EvalConfig::eval_threads`] `== 0` (the default) this is the
+    /// classic serial sweep/match evaluation; `>= 1` routes through the
+    /// SCC/DAG component scheduler in [`crate::dag`].
+    /// [`EvalConfig::const_fold`] is not read: the program is lowered.
+    pub fn evaluate(
+        &self,
+        cfg: &EvalConfig,
+        timing: &TimingModel,
+    ) -> Result<Prediction, PevpmError> {
+        if cfg.eval_threads > 0 {
+            return crate::dag::evaluate_dag(self, cfg, timing);
+        }
+        let setup = prepare(self, cfg)?;
+        let outcome = run_lowered(&setup, cfg, timing, cfg.seed, None, &[])?;
+        Ok(finish_prediction(&setup, cfg, outcome))
     }
-    let setup = prepare(model, cfg)?;
-    let outcome = run_lowered(&setup, cfg, timing, cfg.seed, None, &[])?;
-    Ok(finish_prediction(&setup, cfg, outcome))
 }
 
 // Lane loops walk several `[_; W]` arrays in step; an index says so best.
@@ -646,7 +651,10 @@ impl<'m, const W: usize> Vm<'m, W> {
         self.procs
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| p.blocked.as_ref().map(|(b, _)| (i, b.describe())))
+            .filter_map(|(i, p)| {
+                let (block, _) = p.blocked.as_ref()?;
+                Some((i, block.describe(&self.lowered.labels)))
+            })
             .collect()
     }
 
@@ -764,13 +772,14 @@ impl<'m, const W: usize> Vm<'m, W> {
             }
         }
 
-        let names = self.names;
+        let lowered = self.lowered;
+        let names = &lowered.names;
         let memo = &mut self.expr_memo[p * self.sites..][..self.sites];
         let frame = self.procs[p].stack.last_mut().unwrap();
         // Copy the `&'m [LStmt]` out of the frame so `stmt` borrows the
         // lowered model, not the frame — labels can then be threaded
         // through as `&'m str` while `self` is mutably borrowed.
-        let stmts: &'m [LStmt<'m>] = frame.stmts;
+        let stmts: &'m [LStmt] = frame.stmts;
         let stmt = &stmts[frame.idx];
         frame.idx += 1;
 
@@ -778,7 +787,7 @@ impl<'m, const W: usize> Vm<'m, W> {
             LStmt::Serial { time, label } => {
                 let t = time.eval(&self.procs[p].env, names, memo)?;
                 if t < 0.0 {
-                    let label = label.map(|l| l.text);
+                    let label = self.lowered.label(*label);
                     return Err(PevpmError::BadModel(format!(
                         "negative serial time {t} at {label:?}"
                     ))
@@ -796,7 +805,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                         SpanKind::Compute,
                         start,
                         start + t,
-                        label.map(|l| l.text),
+                        self.lowered.label(*label),
                     );
                 }
             }
@@ -829,13 +838,10 @@ impl<'m, const W: usize> Vm<'m, W> {
                     }
                 }
             }
-            LStmt::Wait {
-                handle,
-                handle_name,
-                label,
-            } => {
+            LStmt::Wait { handle, label } => {
                 let Some((from, seq)) = self.procs[p].handles[*handle as usize].take() else {
-                    let label = label.map(|l| l.text);
+                    let handle_name = &self.lowered.handles[*handle as usize];
+                    let label = self.lowered.label(*label);
                     return Err(PevpmError::BadModel(format!(
                         "proc {p}: Wait on unbound handle {handle_name:?} at {label:?}"
                     ))
@@ -857,13 +863,12 @@ impl<'m, const W: usize> Vm<'m, W> {
                 from,
                 to,
                 handle,
-                handle_name,
                 label,
             } => {
                 // `from = -1` (or any negative value) on a Recv means
                 // MPI_ANY_SOURCE. `ltext` is the label as the plain
                 // optional string the diagnostics print.
-                let ltext = label.map(|l| l.text);
+                let ltext = self.lowered.label(*label);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
                 let (from_raw, from_i) = from.eval_index(&self.procs[p].env, names, memo)?;
                 let wildcard = from_raw < -0.5 && *kind == MsgKind::Recv;
@@ -939,7 +944,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                         };
                         let h = *h as usize;
                         if self.procs[p].handles[h].is_some() {
-                            let h = handle_name.unwrap_or_default();
+                            let h = &self.lowered.handles[h];
                             return Err(bad_model(format!(
                                 "proc {p}: handle {h:?} already outstanding at {ltext:?}"
                             )));
@@ -1006,14 +1011,7 @@ impl<'m, const W: usize> Vm<'m, W> {
         }
     }
 
-    fn post_send(
-        &mut self,
-        p: usize,
-        kind: MsgKind,
-        size: f64,
-        to: usize,
-        label: Option<Label<'m>>,
-    ) {
+    fn post_send(&mut self, p: usize, kind: MsgKind, size: f64, to: usize, label: Option<u32>) {
         let seq = self.fifo.next_send_seq(p, to);
         self.messages += 1;
         let rndv = kind == MsgKind::Send && size >= RNDV_THRESHOLD_BYTES;
@@ -1076,7 +1074,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                     SpanKind::Send,
                     depart[0],
                     depart[0] + local[0],
-                    label.map(|l| l.text),
+                    self.lowered.label(label),
                 );
             }
         }
@@ -1241,11 +1239,9 @@ impl<'m, const W: usize> Vm<'m, W> {
         if candidates > 1 {
             // Multiple in-flight messages could have matched: which one
             // wins depends on timing — a potential race (paper §5).
-            let label = self.procs[p]
-                .blocked
-                .as_ref()
-                .and_then(|(b, _)| b.label())
-                .map(|l| l.text)
+            let label = self
+                .lowered
+                .label(self.procs[p].blocked.as_ref().and_then(|(b, _)| b.label()))
                 .unwrap_or("<unlabelled wildcard recv>")
                 .to_string();
             self.races.push((
@@ -1264,15 +1260,15 @@ impl<'m, const W: usize> Vm<'m, W> {
 
     /// Attribute `dt` seconds of loss per lane to `label`: an indexed add
     /// on the slot accumulator — no hashing, no allocation.
-    fn add_loss(&mut self, label: Label<'m>, dt: [f64; W]) {
-        let i = label.slot as usize;
+    fn add_loss(&mut self, label: u32, dt: [f64; W]) {
+        let i = label as usize;
         for l in 0..W {
             self.loss[i][l] += dt[l];
         }
         self.loss_touched[i] = true;
     }
 
-    fn account_block(&mut self, p: usize, block: &Block<'m>, since: [f64; W], wake: [f64; W]) {
+    fn account_block(&mut self, p: usize, block: &Block, since: [f64; W], wake: [f64; W]) {
         let mut dt = [0.0; W];
         for l in 0..W {
             dt[l] = (wake[l] - since[l]).max(0.0);
@@ -1283,12 +1279,12 @@ impl<'m, const W: usize> Vm<'m, W> {
         }
         if self.timeline.is_some() && dt[0] > 0.0 {
             let (since, dt) = (since[0], dt[0]);
-            match block.label() {
+            match self.lowered.label(block.label()) {
                 Some(label) => {
-                    self.record_span(p, SpanKind::Blocked, since, since + dt, Some(label.text))
+                    self.record_span(p, SpanKind::Blocked, since, since + dt, Some(label))
                 }
                 None => {
-                    let name = block.describe();
+                    let name = block.describe(&self.lowered.labels);
                     self.record_span(p, SpanKind::Blocked, since, since + dt, Some(&name));
                 }
             }

@@ -7,10 +7,14 @@
 //! request from the cache.
 //!
 //! Models are keyed by their source text (a hit compares the bytes, so no
-//! client can collide two sources), tables by the FNV-1a hash of their
-//! `PEVPM-DIST v1` serialization (computed once at table load). Both caches
-//! are bounded with one clear-on-full policy — an epoch flush is
-//! deterministic, cheap, and cannot leak under adversarial key streams.
+//! client can collide two sources, and looks them up without copying
+//! them). An entry is the lowered [`Program`], not the parsed model: the
+//! syntax tree is dropped once lowered, so a hit costs only per-request
+//! work and an entry holds no second copy of the model. Tables are keyed
+//! by the FNV-1a hash of their `PEVPM-DIST v1` serialization (computed
+//! once at table load). Both caches are bounded with one clear-on-full
+//! policy — an epoch flush is deterministic, cheap, and cannot leak under
+//! adversarial key streams.
 //!
 //! Each wipe increments the shared `serve.cache.evictions` counter and
 //! resets the cache's epoch-local hit-rate gauge
@@ -18,6 +22,7 @@
 //! `/metrics` scrape never shows a ratio computed across a flush. The
 //! lifetime hit/miss counters keep accumulating across epochs.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
@@ -25,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pevpm::timing::{PredictionMode, TimingModel};
-use pevpm::Model;
+use pevpm::Program;
 use pevpm_dist::{CompileOptions, DistTable};
 use pevpm_obs::{Counter, Gauge, Registry};
 
@@ -106,15 +111,19 @@ impl<K: Eq + Hash, V, S: BuildHasher> Store<K, V, S> {
         }
     }
 
-    /// The cached value for `key`, built (and cached) on first sight; a
-    /// failed build caches nothing. The second element reports whether the
-    /// lookup was a cache hit.
-    fn get_or_build(
+    /// The cached value for `key`, built (and cached, under an owned copy
+    /// of `key`) on first sight; a failed build caches nothing. The second
+    /// element reports whether the lookup was a cache hit.
+    fn get_or_build<Q>(
         &self,
-        key: K,
+        key: &Q,
         build: impl FnOnce() -> Result<V, PlanError>,
-    ) -> Result<(Arc<V>, bool), PlanError> {
-        let cached = self.map.lock().ok().and_then(|map| map.get(&key).cloned());
+    ) -> Result<(Arc<V>, bool), PlanError>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
+    {
+        let cached = self.map.lock().ok().and_then(|map| map.get(key).cloned());
         self.hit_rate.observe(cached.is_some());
         if let Some(value) = cached {
             self.hits.inc();
@@ -129,14 +138,14 @@ impl<K: Eq + Hash, V, S: BuildHasher> Store<K, V, S> {
                 self.evictions.inc();
                 self.hit_rate.reset();
             }
-            map.insert(key, Arc::clone(&value));
+            map.insert(key.to_owned(), Arc::clone(&value));
         }
         Ok((value, false))
     }
 }
 
-/// Parsed-and-lowered models keyed by their source text.
-pub struct ModelCache<S = RandomState>(Store<Arc<str>, Model, S>);
+/// Lowered models keyed by their source text.
+pub struct ModelCache<S = RandomState>(Store<String, Program, S>);
 
 impl ModelCache {
     /// A cache whose hit/miss/compile counters live in `registry` under
@@ -150,12 +159,11 @@ impl ModelCache {
 }
 
 impl<S: BuildHasher> ModelCache<S> {
-    /// The cached model for `src`, parsing (and caching) it on first
-    /// sight. `origin` labels parse errors. The second element reports
-    /// whether the lookup was a cache hit.
-    pub fn get_or_parse(&self, src: &str, origin: &str) -> Result<(Arc<Model>, bool), PlanError> {
-        self.0
-            .get_or_build(Arc::from(src), || plan::parse_model(src, origin))
+    /// The cached program for `src`, parsing and lowering (and caching)
+    /// it on first sight. `origin` labels parse errors. The second element
+    /// reports whether the lookup was a cache hit.
+    pub fn get_or_parse(&self, src: &str, origin: &str) -> Result<(Arc<Program>, bool), PlanError> {
+        self.0.get_or_build(src, || plan::parse_model(src, origin))
     }
 }
 
@@ -224,7 +232,7 @@ impl TimingCache {
     ) -> Result<(Arc<TimingModel>, bool), PlanError> {
         let key = TimingKey::new(table_hash, mode, pingpong, options);
         self.0
-            .get_or_build(key, || plan::build_timing(table, mode, pingpong, options))
+            .get_or_build(&key, || plan::build_timing(table, mode, pingpong, options))
     }
 }
 
@@ -299,7 +307,7 @@ mod tests {
         let (a, _) = cache.get_or_parse(SRC, "t").unwrap();
         let (b, hit) = cache.get_or_parse(&other, "t").unwrap();
         assert!(!hit, "a colliding source is a miss, not a hit on the other");
-        assert_ne!(*a, *b, "each source gets its own model");
+        assert_ne!(*a, *b, "each source gets its own program");
         assert_eq!(*b, plan::parse_model(&other, "t").unwrap());
         let (again, hit) = cache.get_or_parse(SRC, "t").unwrap();
         assert!(hit && Arc::ptr_eq(&a, &again));

@@ -12,9 +12,8 @@
 
 use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::{PredictionMode, TimingModel};
-use pevpm::vm::{
-    evaluate, monte_carlo, EvalConfig, McPrediction, PevpmError, Prediction, RunBudget,
-};
+use pevpm::vm::{EvalConfig, McPrediction, PevpmError, Prediction, RunBudget};
+use pevpm::Program;
 use pevpm_dist::{CompileOptions, CompiledTable, DistTable};
 
 /// How a plan failure maps onto the CLI's exit-code contract (and the
@@ -285,10 +284,16 @@ pub fn mode_from_name(name: &str) -> Result<PredictionMode, PlanError> {
     }
 }
 
-/// Parse annotated source into a model. `origin` names the source in error
-/// messages (a file path for the CLI, a request id for the server).
-pub fn parse_model(src: &str, origin: &str) -> Result<pevpm::Model, PlanError> {
-    pevpm::parse_annotations(src).map_err(|e| PlanError::input(format!("{origin}: {e}")))
+/// Parse annotated source and lower it into the [`Program`] every
+/// evaluation of it runs; the parsed model is dropped. `origin` names the
+/// source in parse errors (a file path for the CLI, a request id for the
+/// server). A model that parses but cannot lower still yields a program:
+/// its evaluations fail, after the unbound-parameter check, with the
+/// lowering error.
+pub fn parse_model(src: &str, origin: &str) -> Result<Program, PlanError> {
+    let model =
+        pevpm::parse_annotations(src).map_err(|e| PlanError::input(format!("{origin}: {e}")))?;
+    Ok(Program::new(&model))
 }
 
 /// Build the timing model a request asks for from a benchmark table.
@@ -341,20 +346,20 @@ impl EvalOutcome {
     }
 }
 
-/// Evaluate a parsed model under a prepared timing model and config —
+/// Evaluate a lowered model under a prepared timing model and config —
 /// the shared tail of both front-ends. `reps` must already be validated
 /// (≥ 1, see [`PredictRequest::eval_config`]).
 pub fn evaluate_plan(
-    model: &pevpm::Model,
+    program: &Program,
     cfg: &EvalConfig,
     timing: &TimingModel,
     reps: usize,
 ) -> Result<EvalOutcome, PlanError> {
     if reps > 1 {
-        let mc = monte_carlo(model, cfg, timing, reps).map_err(eval_error)?;
+        let mc = program.monte_carlo(cfg, timing, reps).map_err(eval_error)?;
         Ok(EvalOutcome::Batch(Box::new(mc)))
     } else {
-        let p = evaluate(model, cfg, timing).map_err(eval_error)?;
+        let p = program.evaluate(cfg, timing).map_err(eval_error)?;
         Ok(EvalOutcome::Single(Box::new(p)))
     }
 }

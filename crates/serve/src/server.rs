@@ -763,29 +763,39 @@ impl Server {
         })?;
         timer.cache("table", table_hit);
         let outcome = timer.stage("eval", || {
+            // The request's scalar fields, under the server's caps; its
+            // model source and parameters are borrowed, not copied.
+            let mut capped = PredictRequest {
+                model_src: String::new(),
+                mode: String::new(),
+                params: Vec::new(),
+                threads,
+                ..*req
+            };
             // The server's budget caps tighten whatever the request asked
             // for; a request axis the server also caps takes the minimum.
-            let mut req = req.clone();
-            req.threads = threads;
             if let Some(cap) = self.cfg.max_steps {
-                req.max_steps = Some(req.max_steps.map_or(cap, |n| n.min(cap)));
+                capped.max_steps = Some(req.max_steps.map_or(cap, |n| n.min(cap)));
             }
             if let Some(cap) = self.cfg.max_virtual_secs {
-                req.max_virtual_secs = Some(req.max_virtual_secs.map_or(cap, |s| s.min(cap)));
+                capped.max_virtual_secs = Some(req.max_virtual_secs.map_or(cap, |s| s.min(cap)));
             }
             // Adaptive replication ceiling tightens like the budget axes:
             // a precision request may not run more replications than the
             // daemon's `--max-reps` cap, whatever ceiling it asked for.
             if self.cfg.max_reps > 0 && req.precision.is_some() {
                 let cap = self.cfg.max_reps;
-                req.max_reps = Some(req.max_reps.map_or(cap, |n| n.min(cap)));
+                capped.max_reps = Some(req.max_reps.map_or(cap, |n| n.min(cap)));
             }
             // Engine metrics (vm.*) land in the daemon registry,
             // surfacing through `stats` and /metrics.
-            let cfg = req
+            let mut cfg = capped
                 .eval_config()?
                 .with_metrics(Arc::clone(self.telemetry.registry()));
-            plan::evaluate_plan(&model, &cfg, &timing, req.effective_reps())
+            for (k, v) in &req.params {
+                cfg = cfg.with_param(k, *v);
+            }
+            plan::evaluate_plan(&model, &cfg, &timing, capped.effective_reps())
         })?;
         if let EvalOutcome::Batch(mc) = &outcome {
             timer.set_replica_failures(mc.failures.len());
@@ -931,6 +941,29 @@ mod tests {
         assert_eq!(s.registry().counter("serve.table_compiles").get(), 1);
         assert_eq!(s.registry().counter("serve.model_compiles").get(), 1);
         assert_eq!(s.registry().counter("serve.model_cache_hits").get(), 99);
+    }
+
+    #[test]
+    fn client_models_add_no_metric_names() {
+        let s = test_server();
+        let names = || -> Vec<String> {
+            let text = s.registry().render_prometheus();
+            text.lines()
+                .filter(|l| l.starts_with("# TYPE"))
+                .map(String::from)
+                .collect()
+        };
+        s.handle_frame(&predict_frame(1));
+        let before = names();
+        // The same directives three lines further down: every label differs.
+        let shifted = format!(
+            "{{\"op\":\"predict\",\"id\":\"q\",\"model\":\"{}\",\"procs\":2,\
+             \"params\":{{\"rounds\":20}}}}",
+            pevpm_obs::json::escape(&format!("\n\n\n{SRC}"))
+        );
+        let (r, _) = s.handle_frame(&shifted);
+        assert!(r.contains("line 9: Message"), "{r}");
+        assert_eq!(names(), before);
     }
 
     #[test]

@@ -28,13 +28,13 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use pevpm_obs::json::{escape, num};
 use pevpm_obs::span::{percentile, render_spans, rfc3339_utc_us, span_json};
-use pevpm_obs::{diag, Registry, RequestSpan, SpanRing, StageTiming};
+use pevpm_obs::{diag, FixedHistogram, Registry, RequestSpan, SpanRing, StageTiming};
 
 /// The named stages of a prediction request, in execution order. Every
 /// successful prediction records exactly one timing per stage, so each
@@ -62,6 +62,9 @@ enum LogSink {
 /// structured log sink, and the monotonic/wall-clock start anchors.
 pub struct Telemetry {
     registry: Arc<Registry>,
+    /// The [`STAGES`] latency histograms, each resolved at its first
+    /// observation.
+    stage_hists: [OnceLock<Arc<FixedHistogram>>; STAGES.len()],
     ring: SpanRing,
     epoch: Instant,
     started_unix_us: u64,
@@ -88,6 +91,7 @@ impl Telemetry {
         };
         Ok(Telemetry {
             registry,
+            stage_hists: Default::default(),
             ring: SpanRing::new(span_capacity),
             epoch: Instant::now(),
             started_unix_us: SystemTime::now()
@@ -151,9 +155,16 @@ impl Telemetry {
                 .histogram("serve.request_ms", lo, hi, nbins)
                 .record(span.total_us / 1e3);
             for st in &span.stages {
-                self.registry
-                    .histogram(&format!("serve.stage.{}_ms", st.name), lo, hi, nbins)
-                    .record(st.dur_us / 1e3);
+                let hist = || {
+                    let name = format!("serve.stage.{}_ms", st.name);
+                    self.registry.histogram(&name, lo, hi, nbins)
+                };
+                match STAGES.iter().position(|s| *s == st.name) {
+                    Some(i) => self.stage_hists[i]
+                        .get_or_init(hist)
+                        .record(st.dur_us / 1e3),
+                    None => hist().record(st.dur_us / 1e3),
+                }
             }
         }
         self.log_span(&span);
