@@ -319,6 +319,50 @@ fn exit_codes_follow_the_contract() {
     );
 }
 
+/// `.dist` values the histogram constructor rejects are input errors
+/// naming the file and line, for the one-shot commands and the daemon
+/// alike (not a panic, and not a daemon dead at startup).
+#[test]
+fn malformed_dist_values_exit_with_the_input_code() {
+    let dir = tmpdir("malformed_dist_values_exit_with_the_input_code");
+    let model = dir.join("model.c");
+    std::fs::write(&model, PINGPONG).unwrap();
+    for (i, (hist, counts)) in [
+        ("hist origin=0 width=0", "1"),
+        ("hist origin=nan width=1e-6", "1"),
+        ("hist origin=0 width=1e-6", "18446744073709551615x0"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let db = dir.join(format!("bad{i}.dist"));
+        std::fs::write(
+            &db,
+            format!(
+                "PEVPM-DIST v1\nentry op=send size=1024 contention=1\n{hist}\n\
+                 summary count=1 mean=0 m2=0 min=0 max=0 sum=0\ncounts {counts}\n"
+            ),
+        )
+        .unwrap();
+        for cmd in [
+            format!(
+                "predict --model {} --db {} --procs 2",
+                model.display(),
+                db.display()
+            ),
+            format!("serve --db {}", db.display()),
+        ] {
+            let e = run_cmd(&cmd).unwrap_err();
+            assert_eq!(e.code, EXIT_INPUT, "{cmd}: {e}");
+            assert!(
+                e.message.contains(&format!("bad{i}.dist: line ")),
+                "{cmd}: {e}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unknown_machine_lists_valid_machines() {
     let e = run_cmd("bench --nodes 2 --machine warp --out /tmp/x.dist").unwrap_err();

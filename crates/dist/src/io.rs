@@ -19,37 +19,16 @@
 //!
 //! Counts use run-length encoding `NxV` for runs of equal values, because
 //! contention histograms are mostly zeros between the main mass and the RTO
-//! outlier bins (200 ms away at microsecond bin widths).
+//! outlier bins (200 ms away at microsecond bin widths). A `counts` line
+//! decodes to at most [`MAX_BINS`] bins. Lines are read by
+//! [`pevpm_obs::text`], so blank and `#` lines may appear anywhere.
 
 use crate::fit::{FitKind, ParametricFit};
-use crate::histogram::Histogram;
+use crate::histogram::{Histogram, MAX_BINS};
 use crate::summary::Summary;
 use crate::table::{CommDist, DistKey, DistTable, Op};
+use pevpm_obs::text::{self, Line, LineError, Lines, Record};
 use std::fmt::Write as _;
-
-/// Errors arising while parsing a `.dist` file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
-    }
-}
 
 /// Serialise a table to the `.dist` text format.
 pub fn write_table(table: &DistTable) -> String {
@@ -104,126 +83,125 @@ pub fn write_table(table: &DistTable) -> String {
 }
 
 /// Parse a `.dist` text document back into a table.
-pub fn read_table(text: &str) -> Result<DistTable, ParseError> {
-    let mut lines = text.lines().enumerate().peekable();
-    let (_, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
-    if header.trim() != "PEVPM-DIST v1" {
-        return Err(err(1, format!("bad header {header:?}")));
+pub fn read_table(text: &str) -> Result<DistTable, LineError> {
+    let mut lines = text::lines(text);
+    let header = lines
+        .next()
+        .ok_or_else(|| LineError::new(1, "empty document"))?;
+    if header.text != "PEVPM-DIST v1" {
+        return Err(header.err(format!("bad header {:?}", header.text)));
     }
     let mut table = DistTable::new();
-    while let Some((idx0, line)) = lines.next() {
-        let lineno = idx0 + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let tag = fields
-            .next()
-            .ok_or_else(|| err(lineno, "empty entry line"))?;
+    while let Some(line) = lines.next() {
+        let (tag, _) = line.tag();
         if tag != "entry" {
-            return Err(err(lineno, format!("expected 'entry', got {tag:?}")));
+            return Err(line.err(format!("expected 'entry', got {tag:?}")));
         }
-        let kv = parse_kv(fields, lineno)?;
-        let op_name = kv_get(&kv, "op", lineno)?;
+        let entry = line.record()?;
+        let op_name = entry.str("op")?;
         let op =
-            Op::from_name(op_name).ok_or_else(|| err(lineno, format!("unknown op {op_name:?}")))?;
-        let size: u64 = parse_num(kv_get(&kv, "size", lineno)?, lineno)?;
-        let contention: u32 = parse_num(kv_get(&kv, "contention", lineno)?, lineno)?;
+            Op::from_name(op_name).ok_or_else(|| line.err(format!("unknown op {op_name:?}")))?;
         let key = DistKey {
             op,
-            size,
-            contention,
+            size: entry.parse("size")?,
+            contention: entry.parse("contention")?,
         };
-
-        let (idx0, body) = lines
-            .next()
-            .ok_or_else(|| err(lineno, "entry missing body"))?;
-        let lineno = idx0 + 1;
-        let body = body.trim();
-        let mut fields = body.split_whitespace();
-        let tag = fields
-            .next()
-            .ok_or_else(|| err(lineno, "empty body line"))?;
-        let dist = match tag {
-            "point" => {
-                let kv = parse_kv(fields, lineno)?;
-                CommDist::Point(parse_num(kv_get(&kv, "value", lineno)?, lineno)?)
-            }
+        let body = next_line(&mut lines, line, "entry missing body")?.record()?;
+        let dist = match body.tag {
+            "point" => CommDist::Point(body.parse("value")?),
             "fit" => {
-                let kv = parse_kv(fields, lineno)?;
-                let kind = match kv_get(&kv, "kind", lineno)? {
+                let kind = match body.str("kind")? {
                     "exp" => FitKind::ShiftedExponential,
                     "lognormal" => FitKind::ShiftedLogNormal,
                     "gamma" => FitKind::ShiftedGamma,
-                    other => return Err(err(lineno, format!("unknown fit kind {other:?}"))),
+                    other => return Err(body.line.err(format!("unknown fit kind {other:?}"))),
                 };
                 CommDist::Fit(ParametricFit {
                     kind,
-                    shift: parse_num(kv_get(&kv, "shift", lineno)?, lineno)?,
-                    p1: parse_num(kv_get(&kv, "p1", lineno)?, lineno)?,
-                    p2: parse_num(kv_get(&kv, "p2", lineno)?, lineno)?,
+                    shift: body.parse("shift")?,
+                    p1: body.parse("p1")?,
+                    p2: body.parse("p2")?,
                 })
             }
-            "hist" => {
-                let kv = parse_kv(fields, lineno)?;
-                let origin: f64 = parse_num(kv_get(&kv, "origin", lineno)?, lineno)?;
-                let width: f64 = parse_num(kv_get(&kv, "width", lineno)?, lineno)?;
-
-                let (idx0, sline) = lines
-                    .next()
-                    .ok_or_else(|| err(lineno, "hist missing summary line"))?;
-                let slineno = idx0 + 1;
-                let mut sfields = sline.split_whitespace();
-                if sfields.next() != Some("summary") {
-                    return Err(err(slineno, "expected 'summary' line"));
-                }
-                let kv = parse_kv(sfields, slineno)?;
-                let summary = Summary::from_parts(
-                    parse_num(kv_get(&kv, "count", slineno)?, slineno)?,
-                    parse_num(kv_get(&kv, "mean", slineno)?, slineno)?,
-                    parse_num(kv_get(&kv, "m2", slineno)?, slineno)?,
-                    parse_num(kv_get(&kv, "min", slineno)?, slineno)?,
-                    parse_num(kv_get(&kv, "max", slineno)?, slineno)?,
-                    parse_num(kv_get(&kv, "sum", slineno)?, slineno)?,
-                );
-
-                let (idx0, cline) = lines
-                    .next()
-                    .ok_or_else(|| err(slineno, "hist missing counts line"))?;
-                let clineno = idx0 + 1;
-                let mut cfields = cline.split_whitespace();
-                if cfields.next() != Some("counts") {
-                    return Err(err(clineno, "expected 'counts' line"));
-                }
-                let mut counts: Vec<u64> = Vec::new();
-                for tok in cfields {
-                    if let Some((run, value)) = tok.split_once('x') {
-                        let run: usize = parse_num(run, clineno)?;
-                        let value: u64 = parse_num(value, clineno)?;
-                        counts.extend(std::iter::repeat_n(value, run));
-                    } else {
-                        counts.push(parse_num(tok, clineno)?);
-                    }
-                }
-                let h = Histogram::from_parts(origin, width, counts, summary);
-                if h.is_empty() {
-                    return Err(err(
-                        clineno,
-                        format!(
-                            "empty histogram for op={} size={} contention={}: \
-                             nothing to sample from",
-                            key.op, key.size, key.contention
-                        ),
-                    ));
-                }
-                CommDist::Hist(h)
-            }
-            other => return Err(err(lineno, format!("unknown body tag {other:?}"))),
+            "hist" => CommDist::Hist(read_hist(&body, &mut lines, &key)?),
+            other => return Err(body.line.err(format!("unknown body tag {other:?}"))),
         };
         table.insert(key, dist);
     }
     Ok(table)
+}
+
+/// The line after `prev`, which must exist.
+fn next_line<'a>(
+    lines: &mut Lines<'a>,
+    prev: Line<'a>,
+    missing: &str,
+) -> Result<Line<'a>, LineError> {
+    lines.next().ok_or_else(|| prev.err(missing))
+}
+
+/// The `summary` and `counts` lines under a `hist` line. Everything
+/// [`Histogram::from_parts`] would panic on is a line error here, and the
+/// counts decode to at most [`MAX_BINS`] bins, the most a histogram ever
+/// allocates, so a run length cannot exhaust memory.
+fn read_hist<'a>(
+    hist: &Record<'a>,
+    lines: &mut Lines<'a>,
+    key: &DistKey,
+) -> Result<Histogram, LineError> {
+    let origin: f64 = hist.parse("origin")?;
+    let width: f64 = hist.parse("width")?;
+    if !origin.is_finite() {
+        return Err(hist.line.err(format!("origin {origin} is not finite")));
+    }
+    if !(width.is_finite() && width > 0.0) {
+        return Err(hist
+            .line
+            .err(format!("width {width} must be positive and finite")));
+    }
+
+    let sline = next_line(lines, hist.line, "hist missing summary line")?;
+    if sline.tag().0 != "summary" {
+        return Err(sline.err("expected 'summary' line"));
+    }
+    let s = sline.record()?;
+    let summary = Summary::from_parts(
+        s.parse("count")?,
+        s.parse("mean")?,
+        s.parse("m2")?,
+        s.parse("min")?,
+        s.parse("max")?,
+        s.parse("sum")?,
+    );
+
+    let cline = next_line(lines, sline, "hist missing counts line")?;
+    let (tag, tokens) = cline.tag();
+    if tag != "counts" {
+        return Err(cline.err("expected 'counts' line"));
+    }
+    let mut counts: Vec<u64> = Vec::new();
+    let mut total = 0u64;
+    for tok in tokens.split_whitespace() {
+        let (run, value): (usize, u64) = match tok.split_once('x') {
+            Some((run, value)) => (cline.parse("run", run)?, cline.parse("count", value)?),
+            None => (1, cline.parse("count", tok)?),
+        };
+        if run > MAX_BINS - counts.len() {
+            return Err(cline.err(format!("counts decode to more than {MAX_BINS} bins")));
+        }
+        total = value
+            .checked_mul(run as u64)
+            .and_then(|n| total.checked_add(n))
+            .ok_or_else(|| cline.err("counts sum past u64::MAX"))?;
+        counts.extend(std::iter::repeat_n(value, run));
+    }
+    if total == 0 {
+        return Err(cline.err(format!(
+            "empty histogram for op={} size={} contention={}: nothing to sample from",
+            key.op, key.size, key.contention
+        )));
+    }
+    Ok(Histogram::from_parts(origin, width, counts, summary))
 }
 
 /// Error loading a `.dist` file: always names the offending file, so a
@@ -271,30 +249,6 @@ fn run_length(counts: &[u64]) -> Vec<(u64, usize)> {
         }
     }
     out
-}
-
-fn parse_kv<'a>(
-    fields: impl Iterator<Item = &'a str>,
-    lineno: usize,
-) -> Result<Vec<(&'a str, &'a str)>, ParseError> {
-    fields
-        .map(|f| {
-            f.split_once('=')
-                .ok_or_else(|| err(lineno, format!("expected key=value, got {f:?}")))
-        })
-        .collect()
-}
-
-fn kv_get<'a>(kv: &[(&'a str, &'a str)], key: &str, lineno: usize) -> Result<&'a str, ParseError> {
-    kv.iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| *v)
-        .ok_or_else(|| err(lineno, format!("missing field {key:?}")))
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, lineno: usize) -> Result<T, ParseError> {
-    s.parse()
-        .map_err(|_| err(lineno, format!("bad number {s:?}")))
 }
 
 #[cfg(test)]
@@ -398,7 +352,9 @@ mod tests {
 
     #[test]
     fn skips_comments_and_blank_lines() {
-        let doc = "PEVPM-DIST v1\n\n# comment\nentry op=send size=8 contention=1\npoint value=2\n";
+        // Between records and inside one: an entry and its body may be
+        // separated like any other two lines.
+        let doc = "PEVPM-DIST v1\n\n# comment\nentry op=send size=8 contention=1\n\n# body\npoint value=2\n";
         let t = read_table(doc).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(
@@ -409,6 +365,60 @@ mod tests {
             }),
             Some(&CommDist::Point(2.0))
         );
+    }
+
+    /// Values `Histogram::from_parts` would panic on, and counts that
+    /// would exhaust memory, are errors on the line that carries them.
+    #[test]
+    fn malformed_values_are_line_errors() {
+        let hist = |h: &str, counts: &str| {
+            format!(
+                "PEVPM-DIST v1\nentry op=send size=8 contention=1\n{h}\n\
+                 summary count=1 mean=0 m2=0 min=0 max=0 sum=0\ncounts {counts}\n"
+            )
+        };
+        for (doc, line, needle) in [
+            (
+                hist("hist origin=0 width=0", "1"),
+                3,
+                "width 0 must be positive",
+            ),
+            (hist("hist origin=0 width=-1e-6", "1"), 3, "width -0.000001"),
+            (hist("hist origin=0 width=inf", "1"), 3, "width inf"),
+            (
+                hist("hist origin=nan width=1e-6", "1"),
+                3,
+                "origin NaN is not finite",
+            ),
+            (
+                hist("hist origin=0 width=1e-6", "18446744073709551615x0"),
+                5,
+                "more than 4000000 bins",
+            ),
+            (
+                hist("hist origin=0 width=1e-6", "4000000000x0"),
+                5,
+                "more than 4000000 bins",
+            ),
+            (
+                hist("hist origin=0 width=1e-6", "3999999x0 2x1"),
+                5,
+                "more than 4000000 bins",
+            ),
+            (
+                hist("hist origin=0 width=1e-6", "2x9223372036854775808"),
+                5,
+                "past u64::MAX",
+            ),
+            (hist("hist origin=0 width=1e-6", "1x"), 5, "`count` = \"\""),
+        ] {
+            let e = read_table(&doc).unwrap_err();
+            assert_eq!(e.line, line, "{doc}: {e}");
+            assert!(e.message.contains(needle), "{doc}: {e}");
+        }
+        // The cap itself still decodes.
+        let t = read_table(&hist("hist origin=0 width=1e-6", "3999999x0 1x1")).unwrap();
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -456,45 +466,6 @@ mod tests {
         let doc = "PEVPM-DIST v1\nentry op=send size=8 contention=1\npoint value=abc\n";
         let e = read_table(doc).unwrap_err();
         assert_eq!(e.line, 3);
-    }
-
-    /// A file cut off mid-document (interrupted benchmark run, partial
-    /// copy) must point at the line where the document ends, for every
-    /// truncation point of a real serialised table.
-    #[test]
-    fn truncated_files_report_the_final_line() {
-        let full = write_table(&sample_table());
-        let dir = std::env::temp_dir().join("pevpm_dist_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("truncated.dist");
-        let lines: Vec<&str> = full.lines().collect();
-        // Cut after each prefix that ends on an entry or hist line —
-        // those leave a dangling record the parser must flag.
-        for cut in 1..lines.len() {
-            let doc: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
-            std::fs::write(&path, &doc).unwrap();
-            match load_table(&path) {
-                Ok(t) => {
-                    // A cut between complete records parses; it must
-                    // just hold fewer entries.
-                    assert!(t.len() < sample_table().len(), "cut {cut}");
-                }
-                Err(e) => {
-                    let text = e.to_string();
-                    assert!(text.contains("truncated.dist"), "cut {cut}: {text}");
-                    // The reported line must be within the truncated
-                    // document — the parser cannot blame a line that
-                    // does not exist.
-                    let reported: usize = text
-                        .split("line ")
-                        .nth(1)
-                        .and_then(|s| s.split(&[':', ' '][..]).next().and_then(|n| n.parse().ok()))
-                        .unwrap_or_else(|| panic!("cut {cut}: no line in {text:?}"));
-                    assert!(reported <= cut, "cut {cut}: {text}");
-                }
-            }
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     /// A non-UTF8 file (binary garbage handed to `--table`) must fail

@@ -31,36 +31,28 @@
 
 use crate::config::{ClusterConfig, NodeId};
 use crate::time::Time;
+use pevpm_obs::text::{self, LineError};
 use std::fmt;
 
-/// Error raised while parsing or validating a fault scenario.
-///
-/// `line` is the 1-based scenario-file line for parse errors, `None` for
-/// semantic validation errors.
+/// A fault plan that does not fit the cluster it is validated against.
+/// (Syntax errors are [`LineError`]s from [`FaultPlan::parse_toml`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
-    /// 1-based line number in the scenario source, when known.
-    pub line: Option<usize>,
-    /// Human-readable description naming the offending key or section.
+    /// Human-readable description naming the offending section, entry and
+    /// key.
     pub message: String,
 }
 
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.line {
-            Some(n) => write!(f, "line {n}: {}", self.message),
-            None => write!(f, "{}", self.message),
-        }
+        f.write_str(&self.message)
     }
 }
 
 impl std::error::Error for FaultError {}
 
-fn err(line: Option<usize>, message: impl Into<String>) -> FaultError {
-    FaultError {
-        line,
-        message: message.into(),
-    }
+fn invalid(message: String) -> FaultError {
+    FaultError { message }
 }
 
 /// Sentinel for "required key not set" on node indices.
@@ -205,66 +197,50 @@ impl FaultPlan {
         let nodes = cfg.nodes;
         let check_node = |section: &str, i: usize, key: &str, node: usize| {
             if node == NODE_UNSET {
-                Err(err(
-                    None,
-                    format!("[[{section}]] #{i}: missing key `{key}`"),
-                ))
+                Err(invalid(format!("[[{section}]] #{i}: missing key `{key}`")))
             } else if node >= nodes {
-                Err(err(
-                    None,
-                    format!(
-                        "[[{section}]] #{i}: `{key}` = {node} out of range (cluster has {nodes} nodes)"
-                    ),
-                ))
+                Err(invalid(format!(
+                    "[[{section}]] #{i}: `{key}` = {node} out of range (cluster has {nodes} nodes)"
+                )))
             } else {
                 Ok(())
             }
         };
         if !(self.loss_prob >= 0.0 && self.loss_prob < 1.0) {
-            return Err(err(
-                None,
-                format!(
-                    "`loss_prob` = {} must be in [0, 1) (a probability per transmitted frame)",
-                    self.loss_prob
-                ),
-            ));
+            return Err(invalid(format!(
+                "`loss_prob` = {} must be in [0, 1) (a probability per transmitted frame)",
+                self.loss_prob
+            )));
         }
         for (i, d) in self.degrade.iter().enumerate() {
             let i = i + 1;
             check_node("degrade", i, "node", d.node)?;
             if d.rate_factor.is_nan() {
-                return Err(err(
-                    None,
-                    format!("[[degrade]] #{i}: missing key `rate_factor`"),
-                ));
+                return Err(invalid(format!(
+                    "[[degrade]] #{i}: missing key `rate_factor`"
+                )));
             }
             if !(d.rate_factor > 0.0 && d.rate_factor <= 1.0) {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[degrade]] #{i}: `rate_factor` = {} must be in (0, 1]",
-                        d.rate_factor
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[degrade]] #{i}: `rate_factor` = {} must be in (0, 1]",
+                    d.rate_factor
+                )));
             }
         }
         for (i, fl) in self.flaps.iter().enumerate() {
             let i = i + 1;
             check_node("flap", i, "node", fl.node)?;
             if fl.from_secs.is_nan() {
-                return Err(err(None, format!("[[flap]] #{i}: missing key `from`")));
+                return Err(invalid(format!("[[flap]] #{i}: missing key `from`")));
             }
             if fl.to_secs.is_nan() {
-                return Err(err(None, format!("[[flap]] #{i}: missing key `to`")));
+                return Err(invalid(format!("[[flap]] #{i}: missing key `to`")));
             }
             if !(fl.from_secs >= 0.0 && fl.to_secs > fl.from_secs && fl.to_secs.is_finite()) {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[flap]] #{i}: window [{}, {}) must satisfy 0 <= from < to",
-                        fl.from_secs, fl.to_secs
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[flap]] #{i}: window [{}, {}) must satisfy 0 <= from < to",
+                    fl.from_secs, fl.to_secs
+                )));
             }
         }
         for (i, b) in self.background.iter().enumerate() {
@@ -272,77 +248,60 @@ impl FaultPlan {
             check_node("background", i, "src", b.src)?;
             check_node("background", i, "dst", b.dst)?;
             if b.src == b.dst {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[background]] #{i}: `src` and `dst` must differ (node {})",
-                        b.src
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[background]] #{i}: `src` and `dst` must differ (node {})",
+                    b.src
+                )));
             }
             if b.bytes == 0 {
-                return Err(err(
-                    None,
-                    format!("[[background]] #{i}: `bytes` must be >= 1"),
-                ));
+                return Err(invalid(format!(
+                    "[[background]] #{i}: `bytes` must be >= 1"
+                )));
             }
             if b.count == 0 {
-                return Err(err(
-                    None,
-                    format!("[[background]] #{i}: `count` must be >= 1"),
-                ));
+                return Err(invalid(format!(
+                    "[[background]] #{i}: `count` must be >= 1"
+                )));
             }
             if !(b.start_secs >= 0.0 && b.start_secs.is_finite()) {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[background]] #{i}: `start` = {} must be >= 0",
-                        b.start_secs
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[background]] #{i}: `start` = {} must be >= 0",
+                    b.start_secs
+                )));
             }
             if b.count > 1 && !(b.period_secs > 0.0 && b.period_secs.is_finite()) {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[background]] #{i}: `period` = {} must be > 0 when count > 1",
-                        b.period_secs
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[background]] #{i}: `period` = {} must be > 0 when count > 1",
+                    b.period_secs
+                )));
             }
         }
         for (i, p) in self.pauses.iter().enumerate() {
             let i = i + 1;
             check_node("pause", i, "node", p.node)?;
             if p.at_secs.is_nan() {
-                return Err(err(None, format!("[[pause]] #{i}: missing key `at`")));
+                return Err(invalid(format!("[[pause]] #{i}: missing key `at`")));
             }
             if p.duration_secs.is_nan() {
-                return Err(err(None, format!("[[pause]] #{i}: missing key `duration`")));
+                return Err(invalid(format!("[[pause]] #{i}: missing key `duration`")));
             }
             if !(p.at_secs >= 0.0 && p.at_secs.is_finite()) {
-                return Err(err(
-                    None,
-                    format!("[[pause]] #{i}: `at` = {} must be >= 0", p.at_secs),
-                ));
+                return Err(invalid(format!(
+                    "[[pause]] #{i}: `at` = {} must be >= 0",
+                    p.at_secs
+                )));
             }
             if !(p.duration_secs > 0.0 && p.duration_secs.is_finite()) {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[pause]] #{i}: `duration` = {} must be > 0",
-                        p.duration_secs
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[pause]] #{i}: `duration` = {} must be > 0",
+                    p.duration_secs
+                )));
             }
             if !(p.slowdown == 0.0 || p.slowdown >= 1.0) {
-                return Err(err(
-                    None,
-                    format!(
-                        "[[pause]] #{i}: `slowdown` = {} must be 0 (full pause) or >= 1",
-                        p.slowdown
-                    ),
-                ));
+                return Err(invalid(format!(
+                    "[[pause]] #{i}: `slowdown` = {} must be 0 (full pause) or >= 1",
+                    p.slowdown
+                )));
             }
         }
         Ok(())
@@ -356,153 +315,94 @@ impl FaultPlan {
     ///
     /// Parsing checks syntax only; call [`FaultPlan::validate`] against
     /// the target cluster before use.
-    pub fn parse_toml(src: &str) -> Result<FaultPlan, FaultError> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Section {
-            Top,
-            Degrade,
-            Flap,
-            Background,
-            Pause,
-        }
+    pub fn parse_toml(src: &str) -> Result<FaultPlan, LineError> {
         let mut plan = FaultPlan::default();
-        let mut section = Section::Top;
-        for (idx, raw) in src.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = match raw.find('#') {
-                Some(pos) => &raw[..pos],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
+        // The open `[[section]]`, "" before the first.
+        let mut section = "";
+        for line in text::lines(src) {
+            let line = line.before_comment();
+            if let Some(name) = line
+                .text
+                .strip_prefix("[[")
+                .and_then(|s| s.strip_suffix("]]"))
+            {
                 section = match name.trim() {
                     "degrade" => {
                         plan.degrade.push(LinkDegrade::default());
-                        Section::Degrade
+                        "degrade"
                     }
                     "flap" => {
                         plan.flaps.push(LinkFlap::default());
-                        Section::Flap
+                        "flap"
                     }
                     "background" => {
                         plan.background.push(Background::default());
-                        Section::Background
+                        "background"
                     }
                     "pause" => {
                         plan.pauses.push(Pause::default());
-                        Section::Pause
+                        "pause"
                     }
                     other => {
-                        return Err(err(
-                            Some(lineno),
-                            format!(
-                                "unknown section `[[{other}]]` (expected degrade, flap, background or pause)"
-                            ),
-                        ))
+                        return Err(line.err(format!(
+                            "unknown section `[[{other}]]` (expected degrade, flap, background or pause)"
+                        )))
                     }
                 };
                 continue;
             }
-            if line.starts_with('[') {
-                return Err(err(
-                    Some(lineno),
-                    format!("`{line}`: sections must be arrays of tables, e.g. `[[flap]]`"),
-                ));
+            if line.text.starts_with('[') {
+                return Err(line.err(format!(
+                    "`{}`: sections must be arrays of tables, e.g. `[[flap]]`",
+                    line.text
+                )));
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(
-                    Some(lineno),
-                    format!("`{line}`: expected `key = value` or `[[section]]`"),
-                ));
+            let Some((key, value)) = line.binding() else {
+                return Err(line.err(format!(
+                    "`{}`: expected `key = value` or `[[section]]`",
+                    line.text
+                )));
             };
-            let key = key.trim();
-            let value = value.trim();
-            let num = |what: &str| -> Result<f64, FaultError> {
-                value.parse::<f64>().map_err(|_| {
-                    err(
-                        Some(lineno),
-                        format!("key `{key}`: `{value}` is not a valid {what}"),
-                    )
-                })
-            };
-            let index = |what: &str| -> Result<usize, FaultError> {
-                value.parse::<usize>().map_err(|_| {
-                    err(
-                        Some(lineno),
-                        format!("key `{key}`: `{value}` is not a valid {what}"),
-                    )
-                })
-            };
-            let unknown = |section_name: &str| {
-                err(
-                    Some(lineno),
-                    format!("unknown key `{key}` in [[{section_name}]]"),
-                )
-            };
+            let num = || line.parse::<f64>(key, value);
+            let node = || line.parse::<usize>(key, value);
+            let count = || line.parse::<u64>(key, value);
+            let unknown = || line.err(format!("unknown key `{key}` in [[{section}]]"));
             match section {
-                Section::Top => match key {
-                    "loss_prob" => plan.loss_prob = num("probability")?,
+                "degrade" => match (plan.degrade.last_mut(), key) {
+                    (Some(d), "node") => d.node = node()?,
+                    (Some(d), "rate_factor") => d.rate_factor = num()?,
+                    _ => return Err(unknown()),
+                },
+                "flap" => match (plan.flaps.last_mut(), key) {
+                    (Some(fl), "node") => fl.node = node()?,
+                    (Some(fl), "from") => fl.from_secs = num()?,
+                    (Some(fl), "to") => fl.to_secs = num()?,
+                    _ => return Err(unknown()),
+                },
+                "background" => match (plan.background.last_mut(), key) {
+                    (Some(b), "src") => b.src = node()?,
+                    (Some(b), "dst") => b.dst = node()?,
+                    (Some(b), "bytes") => b.bytes = count()?,
+                    (Some(b), "start") => b.start_secs = num()?,
+                    (Some(b), "period") => b.period_secs = num()?,
+                    (Some(b), "count") => b.count = count()?,
+                    _ => return Err(unknown()),
+                },
+                "pause" => match (plan.pauses.last_mut(), key) {
+                    (Some(p), "node") => p.node = node()?,
+                    (Some(p), "at") => p.at_secs = num()?,
+                    (Some(p), "duration") => p.duration_secs = num()?,
+                    (Some(p), "slowdown") => p.slowdown = num()?,
+                    _ => return Err(unknown()),
+                },
+                _ => match key {
+                    "loss_prob" => plan.loss_prob = num()?,
                     _ => {
-                        return Err(err(
-                            Some(lineno),
-                            format!("unknown top-level key `{key}` (expected `loss_prob`)"),
-                        ))
+                        return Err(line.err(format!(
+                            "unknown top-level key `{key}` (expected `loss_prob`)"
+                        )))
                     }
                 },
-                Section::Degrade => {
-                    let d = plan
-                        .degrade
-                        .last_mut()
-                        .ok_or_else(|| err(Some(lineno), "internal: no open section"))?;
-                    match key {
-                        "node" => d.node = index("node index")?,
-                        "rate_factor" => d.rate_factor = num("number")?,
-                        _ => return Err(unknown("degrade")),
-                    }
-                }
-                Section::Flap => {
-                    let fl = plan
-                        .flaps
-                        .last_mut()
-                        .ok_or_else(|| err(Some(lineno), "internal: no open section"))?;
-                    match key {
-                        "node" => fl.node = index("node index")?,
-                        "from" => fl.from_secs = num("time in seconds")?,
-                        "to" => fl.to_secs = num("time in seconds")?,
-                        _ => return Err(unknown("flap")),
-                    }
-                }
-                Section::Background => {
-                    let b = plan
-                        .background
-                        .last_mut()
-                        .ok_or_else(|| err(Some(lineno), "internal: no open section"))?;
-                    match key {
-                        "src" => b.src = index("node index")?,
-                        "dst" => b.dst = index("node index")?,
-                        "bytes" => b.bytes = index("byte count")? as u64,
-                        "start" => b.start_secs = num("time in seconds")?,
-                        "period" => b.period_secs = num("time in seconds")?,
-                        "count" => b.count = index("count")? as u64,
-                        _ => return Err(unknown("background")),
-                    }
-                }
-                Section::Pause => {
-                    let p = plan
-                        .pauses
-                        .last_mut()
-                        .ok_or_else(|| err(Some(lineno), "internal: no open section"))?;
-                    match key {
-                        "node" => p.node = index("node index")?,
-                        "at" => p.at_secs = num("time in seconds")?,
-                        "duration" => p.duration_secs = num("time in seconds")?,
-                        "slowdown" => p.slowdown = num("number")?,
-                        _ => return Err(unknown("pause")),
-                    }
-                }
             }
         }
         Ok(plan)
@@ -612,18 +512,42 @@ duration = 0.02
         assert!(p.validate(&cfg()).is_ok());
     }
 
+    /// DESIGN.md's schema block is a scenario users copy verbatim: it must
+    /// parse and validate, so the document and the parser cannot drift.
+    #[test]
+    fn design_md_scenario_parses_and_validates() {
+        let design = include_str!("../../../DESIGN.md");
+        let block = design
+            .split("```toml\n")
+            .nth(1)
+            .and_then(|rest| rest.split("```").next())
+            .expect("DESIGN.md has a ```toml block");
+        let p = FaultPlan::parse_toml(block).unwrap_or_else(|e| panic!("{e}"));
+        p.validate(&cfg()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            (
+                p.degrade.len(),
+                p.flaps.len(),
+                p.background.len(),
+                p.pauses.len()
+            ),
+            (1, 1, 1, 1),
+            "the block shows every section"
+        );
+    }
+
     #[test]
     fn parse_errors_name_line_and_key() {
         let e = FaultPlan::parse_toml("loss_prob = banana").unwrap_err();
-        assert_eq!(e.line, Some(1));
+        assert_eq!(e.line, 1);
         assert!(e.message.contains("loss_prob"), "{e}");
 
         let e = FaultPlan::parse_toml("\n[[flop]]\n").unwrap_err();
-        assert_eq!(e.line, Some(2));
+        assert_eq!(e.line, 2);
         assert!(e.message.contains("flop"), "{e}");
 
         let e = FaultPlan::parse_toml("[[flap]]\nnoed = 3\n").unwrap_err();
-        assert_eq!(e.line, Some(2));
+        assert_eq!(e.line, 2);
         assert!(e.message.contains("noed"), "{e}");
 
         let e = FaultPlan::parse_toml("[flap]\n").unwrap_err();

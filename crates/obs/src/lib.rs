@@ -23,6 +23,9 @@
 //!   serde).
 //! - [`diag`] — verbosity-gated stderr diagnostics (`-q` / `--verbose`),
 //!   keeping benchmark stdout machine-parseable.
+//! - [`text`] — the line reader under every line-oriented text format
+//!   (`.dist` tables, fault scenarios, `// PEVPM` annotations, the fuzzer's
+//!   artifacts) and their one error type, [`text::LineError`].
 //!
 //! All primitives are thread-safe: replicated Monte-Carlo evaluations
 //! record into one shared registry from many worker threads, and the
@@ -33,6 +36,7 @@ pub mod diag;
 pub mod json;
 pub mod metrics;
 pub mod span;
+pub mod text;
 
 pub use chrome::{ChromeTrace, Span};
 pub use diag::Verbosity;

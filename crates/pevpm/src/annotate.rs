@@ -25,29 +25,10 @@
 
 use crate::expr::{parse as parse_expr, Expr};
 use crate::model::{CollOp, Model, MsgKind, Stmt};
+use pevpm_obs::text::{self, binding, Line, LineError};
 
-/// An annotation-parsing error with its source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnnotateError {
-    /// 1-based source line of the offending directive.
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl std::fmt::Display for AnnotateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for AnnotateError {}
-
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, AnnotateError> {
-    Err(AnnotateError {
-        line,
-        message: message.into(),
-    })
+fn err<T>(line: usize, message: impl Into<String>) -> Result<T, LineError> {
+    Err(LineError::new(line, message))
 }
 
 /// One extracted directive before AST construction.
@@ -82,127 +63,100 @@ enum Directive {
     Close,
 }
 
-/// Split `key = value` at the first *binding* `=` (one that is not part of
-/// `==`, `!=`, `<=`, `>=`).
-fn split_binding(s: &str) -> Option<(&str, &str)> {
-    let b = s.as_bytes();
-    for i in 0..b.len() {
-        if b[i] == b'=' {
-            let prev = if i > 0 { b[i - 1] } else { b' ' };
-            let next = if i + 1 < b.len() { b[i + 1] } else { b' ' };
-            if prev != b'=' && prev != b'!' && prev != b'<' && prev != b'>' && next != b'=' {
-                return Some((s[..i].trim(), s[i + 1..].trim()));
-            }
-        }
-    }
-    None
-}
+/// `key = value` fields of one directive, borrowed from the source.
+type Fields<'a> = Vec<(&'a str, &'a str)>;
 
-/// Extract the raw `// PEVPM` lines: `(source_line, payload)`.
-fn pevpm_lines(src: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (i, line) in src.lines().enumerate() {
-        let t = line.trim_start();
-        if let Some(rest) = t.strip_prefix("// PEVPM") {
-            out.push((i + 1, rest.trim().to_string()));
-        } else if let Some(rest) = t.strip_prefix("//PEVPM") {
-            out.push((i + 1, rest.trim().to_string()));
-        }
-    }
-    out
-}
+/// A directive head (its text after `// PEVPM`) with the fields of its
+/// continuation lines (`& key = value`).
+type DirectiveGroup<'a> = (Line<'a>, Fields<'a>);
 
-/// A grouped directive: `(head_line_no, head_text, key=value fields)`.
-type DirectiveGroup = (usize, String, Vec<(String, String)>);
-
-/// Group continuation lines (`& key = value`) with their head directive.
-/// Returns `(head_line_no, head_text, fields)` where fields are the
-/// `key = value` bindings from the head remainder and all continuations.
-fn group_directives(lines: &[(usize, String)]) -> Result<Vec<DirectiveGroup>, AnnotateError> {
+/// Extract the `// PEVPM` lines and group each continuation with its
+/// head directive.
+fn group_directives(src: &str) -> Result<Vec<DirectiveGroup<'_>>, LineError> {
     let mut out: Vec<DirectiveGroup> = Vec::new();
-    for (lineno, text) in lines {
-        if let Some(cont) = text.strip_prefix('&') {
+    for line in text::lines(src) {
+        let Some(payload) = line
+            .text
+            .strip_prefix("// PEVPM")
+            .or_else(|| line.text.strip_prefix("//PEVPM"))
+            .map(str::trim)
+        else {
+            continue;
+        };
+        if let Some(cont) = payload.strip_prefix('&') {
             let Some(last) = out.last_mut() else {
-                return err(*lineno, "continuation '&' without a preceding directive");
+                return err(line.no, "continuation '&' without a preceding directive");
             };
-            let Some((k, v)) = split_binding(cont.trim()) else {
+            let Some(kv) = binding(cont.trim()) else {
                 return err(
-                    *lineno,
+                    line.no,
                     format!("expected key = value after '&', got {cont:?}"),
                 );
             };
-            last.2.push((k.to_string(), v.to_string()));
+            last.1.push(kv);
         } else {
-            out.push((*lineno, text.clone(), Vec::new()));
+            let head = Line {
+                text: payload,
+                ..line
+            };
+            out.push((head, Vec::new()));
         }
     }
     Ok(out)
 }
 
+fn get<'a>(fields: &Fields<'a>, key: &str) -> Option<&'a str> {
+    fields.iter().find_map(|&(k, v)| (k == key).then_some(v))
+}
+
 fn field<'a>(
-    fields: &'a [(String, String)],
+    fields: &Fields<'a>,
     key: &str,
     lineno: usize,
     what: &str,
-) -> Result<&'a str, AnnotateError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| AnnotateError {
-            line: lineno,
-            message: format!("{what} directive missing field {key:?}"),
-        })
+) -> Result<&'a str, LineError> {
+    get(fields, key)
+        .ok_or_else(|| LineError::new(lineno, format!("{what} directive missing field {key:?}")))
 }
 
-fn expr_field(
-    fields: &[(String, String)],
-    key: &str,
-    lineno: usize,
-    what: &str,
-) -> Result<Expr, AnnotateError> {
+fn expr_field(fields: &Fields, key: &str, lineno: usize, what: &str) -> Result<Expr, LineError> {
     let v = field(fields, key, lineno, what)?;
-    parse_expr(v).map_err(|e| AnnotateError {
-        line: lineno,
-        message: format!("{what} field {key:?}: {e}"),
-    })
+    parse_expr(v).map_err(|e| LineError::new(lineno, format!("{what} field {key:?}: {e}")))
 }
 
-fn parse_directive(
-    lineno: usize,
-    head: &str,
-    mut fields: Vec<(String, String)>,
-) -> Result<Directive, AnnotateError> {
-    if head == "{" {
-        return Ok(Directive::Open);
+fn parse_directive<'a>(head: Line<'a>, mut fields: Fields<'a>) -> Result<Directive, LineError> {
+    let lineno = head.no;
+    match head.text {
+        "{" => return Ok(Directive::Open),
+        "}" => return Ok(Directive::Close),
+        _ => {}
     }
-    if head == "}" {
-        return Ok(Directive::Close);
+    let (keyword, mut rest) = head.tag();
+    // Serial takes an optional `on <machine>` before `time = …`.
+    let mut machine = None;
+    if keyword == "Serial" {
+        if let Some(r) = rest.strip_prefix("on ") {
+            let r = r.trim_start();
+            let end = r.find(char::is_whitespace).unwrap_or(r.len());
+            machine = Some(r[..end].to_string());
+            rest = r[end..].trim();
+        }
     }
-    let (keyword, rest) = match head.find(char::is_whitespace) {
-        Some(pos) => (&head[..pos], head[pos..].trim()),
-        None => (head, ""),
-    };
+    // The head's own binding comes first.
+    if let Some(kv) = binding(rest) {
+        fields.insert(0, kv);
+    }
     match keyword {
         "Loop" => {
-            if let Some((k, v)) = split_binding(rest) {
-                fields.insert(0, (k.to_string(), v.to_string()));
-            }
             let count = expr_field(&fields, "iterations", lineno, "Loop")?;
-            let var = fields
-                .iter()
-                .find(|(k, _)| k == "var")
-                .map(|(_, v)| v.clone());
+            let var = get(&fields, "var").map(str::to_string);
             Ok(Directive::Loop { count, var })
         }
         "Runon" => {
-            if let Some((k, v)) = split_binding(rest) {
-                fields.insert(0, (k.to_string(), v.to_string()));
-            }
             if fields.is_empty() {
                 return err(lineno, "Runon needs at least one condition");
             }
-            let mut conds = Vec::new();
+            let mut conds = Vec::with_capacity(fields.len());
             for (k, v) in &fields {
                 if !k.starts_with('c') {
                     return err(
@@ -210,27 +164,17 @@ fn parse_directive(
                         format!("Runon condition keys must be c1, c2, …; got {k:?}"),
                     );
                 }
-                let e = parse_expr(v).map_err(|e| AnnotateError {
-                    line: lineno,
-                    message: format!("Runon condition {k:?}: {e}"),
-                })?;
+                let e = parse_expr(v)
+                    .map_err(|e| LineError::new(lineno, format!("Runon condition {k:?}: {e}")))?;
                 conds.push(e);
             }
             Ok(Directive::Runon { conds })
         }
         "Message" => {
-            if let Some((k, v)) = split_binding(rest) {
-                fields.insert(0, (k.to_string(), v.to_string()));
-            }
             let ty = field(&fields, "type", lineno, "Message")?;
-            let kind = MsgKind::from_mpi_name(ty).ok_or_else(|| AnnotateError {
-                line: lineno,
-                message: format!("unknown message type {ty:?}"),
-            })?;
-            let handle = fields
-                .iter()
-                .find(|(k, _)| k == "handle")
-                .map(|(_, v)| v.clone());
+            let kind = MsgKind::from_mpi_name(ty)
+                .ok_or_else(|| LineError::new(lineno, format!("unknown message type {ty:?}")))?;
+            let handle = get(&fields, "handle").map(str::to_string);
             if kind == MsgKind::Irecv && handle.is_none() {
                 return err(lineno, "MPI_Irecv message needs a handle = <name> field");
             }
@@ -243,32 +187,14 @@ fn parse_directive(
             })
         }
         "Wait" => {
-            if let Some((k, v)) = split_binding(rest) {
-                fields.insert(0, (k.to_string(), v.to_string()));
-            }
             let handle = field(&fields, "handle", lineno, "Wait")?.to_string();
             Ok(Directive::Wait { handle })
         }
         "Serial" => {
-            // Optional `on <machine>` prefix before `time = …`.
-            let mut rest = rest;
-            let mut machine = None;
-            if let Some(r) = rest.strip_prefix("on ") {
-                let r = r.trim_start();
-                let end = r.find(char::is_whitespace).unwrap_or(r.len());
-                machine = Some(r[..end].to_string());
-                rest = r[end..].trim();
-            }
-            if let Some((k, v)) = split_binding(rest) {
-                fields.insert(0, (k.to_string(), v.to_string()));
-            }
             let time = expr_field(&fields, "time", lineno, "Serial")?;
             Ok(Directive::Serial { machine, time })
         }
         "Collective" => {
-            if let Some((k, v)) = split_binding(rest) {
-                fields.insert(0, (k.to_string(), v.to_string()));
-            }
             let opname = field(&fields, "op", lineno, "Collective")?;
             let op = match opname {
                 "barrier" => CollOp::Barrier,
@@ -278,9 +204,9 @@ fn parse_directive(
                 "alltoall" => CollOp::Alltoall,
                 other => return err(lineno, format!("unknown collective {other:?}")),
             };
-            let size = match field(&fields, "size", lineno, "Collective") {
-                Ok(_) => expr_field(&fields, "size", lineno, "Collective")?,
-                Err(_) => Expr::Num(0.0),
+            let size = match get(&fields, "size") {
+                Some(_) => expr_field(&fields, "size", lineno, "Collective")?,
+                None => Expr::Num(0.0),
             };
             Ok(Directive::Collective { op, size })
         }
@@ -308,13 +234,12 @@ enum Pending {
 }
 
 /// Parse the `// PEVPM` annotations out of `src` and build a [`Model`].
-pub fn parse_annotations(src: &str) -> Result<Model, AnnotateError> {
-    let lines = pevpm_lines(src);
-    let groups = group_directives(&lines)?;
+pub fn parse_annotations(src: &str) -> Result<Model, LineError> {
+    let groups = group_directives(src)?;
 
     let mut stack: Vec<Pending> = vec![Pending::Block(Vec::new())];
 
-    fn append(stack: &mut [Pending], stmt: Stmt, line: usize) -> Result<(), AnnotateError> {
+    fn append(stack: &mut [Pending], stmt: Stmt, line: usize) -> Result<(), LineError> {
         match stack.last_mut() {
             Some(Pending::Block(stmts)) => {
                 stmts.push(stmt);
@@ -324,8 +249,9 @@ pub fn parse_annotations(src: &str) -> Result<Model, AnnotateError> {
         }
     }
 
-    for (lineno, head, fields) in groups {
-        let d = parse_directive(lineno, &head, fields)?;
+    for (head, fields) in groups {
+        let lineno = head.no;
+        let d = parse_directive(head, fields)?;
         match d {
             Directive::Loop { count, var } => stack.push(Pending::Loop {
                 count,
@@ -427,7 +353,7 @@ pub fn parse_annotations(src: &str) -> Result<Model, AnnotateError> {
                 done.len()
             ),
         ),
-        _ => err(0, "unbalanced blocks at end of file"),
+        _ => err(src.lines().count(), "unbalanced blocks at end of file"),
     }
 }
 
@@ -439,21 +365,6 @@ pub const JACOBI_FIG5: &str = include_str!("../assets/jacobi_annotated.c");
 mod tests {
     use super::*;
     use crate::expr::standard_env;
-
-    #[test]
-    fn split_binding_skips_comparison_operators() {
-        assert_eq!(
-            split_binding("c1 = procnum%2 == 0"),
-            Some(("c1", "procnum%2 == 0"))
-        );
-        assert_eq!(
-            split_binding("iterations = 1000"),
-            Some(("iterations", "1000"))
-        );
-        assert_eq!(split_binding("no binding here"), None);
-        assert_eq!(split_binding("x != 3"), None);
-        assert_eq!(split_binding("a <= b"), None);
-    }
 
     #[test]
     fn simple_loop_with_serial() {

@@ -57,7 +57,7 @@ pub mod timing;
 pub mod trace_export;
 pub mod vm;
 
-pub use annotate::{parse_annotations, AnnotateError, JACOBI_FIG5};
+pub use annotate::{parse_annotations, JACOBI_FIG5};
 pub use dag::DagPlan;
 pub use expr::{parse as parse_expr, Env, Expr, ExprError};
 pub use lower::Program;

@@ -1,4 +1,4 @@
-//! Content-addressed caches that make the daemon cheap per-request.
+//! The caches that make the daemon cheap per-request.
 //!
 //! The two expensive request-independent stages of a prediction are
 //! parsing/lowering the annotated model and compiling a benchmark table
@@ -10,9 +10,10 @@
 //! client can collide two sources, and looks them up without copying
 //! them). An entry is the lowered [`Program`], not the parsed model: the
 //! syntax tree is dropped once lowered, so a hit costs only per-request
-//! work and an entry holds no second copy of the model. Tables are keyed
-//! by the FNV-1a hash of their `PEVPM-DIST v1` serialization (computed
-//! once at table load). Both caches are bounded with one clear-on-full
+//! work and an entry holds no second copy of the model. Compiled tables
+//! are keyed by the caller's name for the table — the daemon passes the
+//! table's load position, since its tables never change after startup —
+//! and the request shape. Both caches are bounded with one clear-on-full
 //! policy — an epoch flush is deterministic, cheap, and cannot leak under
 //! adversarial key streams.
 //!
@@ -42,7 +43,7 @@ use crate::plan::{self, PlanError};
 pub const CACHE_CAP: usize = 256;
 
 /// 64-bit FNV-1a over raw bytes — the workspace's standard dependency-free
-/// content hash.
+/// content hash. (No cache keys on it: client input needs a keyed hash.)
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -167,12 +168,12 @@ impl<S: BuildHasher> ModelCache<S> {
     }
 }
 
-/// Cache key for a built timing model: which table content, which
-/// prediction mode, and every compile option.
+/// Cache key for a built timing model: which table, which prediction
+/// mode, and every compile option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimingKey {
-    /// FNV-1a of the table's canonical serialization.
-    pub table_hash: u64,
+    /// The caller's name for the table (see [`TimingCache::get_or_build`]).
+    pub table: u64,
     /// Prediction-mode discriminant.
     pub mode: u8,
     /// Ping-pong-only slice of the database.
@@ -183,12 +184,7 @@ pub struct TimingKey {
 
 impl TimingKey {
     /// The key for a (table, request-shape) pair.
-    pub fn new(
-        table_hash: u64,
-        mode: PredictionMode,
-        pingpong: bool,
-        options: CompileOptions,
-    ) -> Self {
+    pub fn new(table: u64, mode: PredictionMode, pingpong: bool, options: CompileOptions) -> Self {
         let mode = match mode {
             PredictionMode::FullDistribution => 0,
             PredictionMode::Average => 1,
@@ -197,7 +193,7 @@ impl TimingKey {
         // Destructured so a new compile option cannot be left out of the key.
         let CompileOptions { exact_quantiles } = options;
         TimingKey {
-            table_hash,
+            table,
             mode,
             pingpong,
             exact_quantiles,
@@ -205,7 +201,7 @@ impl TimingKey {
     }
 }
 
-/// Compiled timing models keyed by table content and request shape.
+/// Compiled timing models keyed by table and request shape.
 pub struct TimingCache(Store<TimingKey, TimingModel>);
 
 impl TimingCache {
@@ -219,9 +215,10 @@ impl TimingCache {
     }
 
     /// The cached timing model for this (table, shape), building it on
-    /// first sight. `table_hash` must be the hash of `table`'s canonical
-    /// serialization (the daemon computes it once at load). The second
-    /// element reports whether the lookup was a cache hit.
+    /// first sight. `table_hash` names `table`: equal for the same table,
+    /// distinct for different ones, over the cache's lifetime (the daemon
+    /// passes the table's load position). The second element reports
+    /// whether the lookup was a cache hit.
     pub fn get_or_build(
         &self,
         table_hash: u64,
@@ -330,8 +327,7 @@ mod tests {
 
     #[test]
     fn timing_cache_distinguishes_request_shape_not_just_table() {
-        let table = pevpm_bench_table();
-        let hash = fnv1a(pevpm_dist::io::write_table(&table).as_bytes());
+        let (table, hash) = (pevpm_bench_table(), 0);
         let reg = Registry::new();
         let cache = TimingCache::new(&reg);
         let opts = CompileOptions::default();

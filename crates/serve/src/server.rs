@@ -1,7 +1,7 @@
 //! The serve loop: load tables once, compile once, answer forever.
 //!
 //! The daemon binds a TCP listener, loads every `--db` table at startup
-//! (hashing its canonical serialization once for cache keying), and then
+//! (its load position keys the timing cache), and then
 //! answers framed requests from a bounded *concurrent* connection layer:
 //! a non-blocking accept loop hands accepted streams to a fixed pool of
 //! `--conns` worker threads through a bounded queue. Response payloads
@@ -48,7 +48,6 @@
 //! spans. When [`ServeConfig::http_addr`] is set, `run` also starts the
 //! HTTP observability sidecar (`/metrics`, `/healthz`, `/spans`).
 
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,7 +59,7 @@ use pevpm::replicate::isolated_map;
 use pevpm_dist::{io as dist_io, DistTable};
 use pevpm_obs::{diag, Registry};
 
-use crate::cache::{fnv1a, ModelCache, TimingCache};
+use crate::cache::{ModelCache, TimingCache};
 pub use crate::config::{
     ServeConfig, DEFAULT_CONNS, DEFAULT_DRAIN_MS, DEFAULT_IO_TIMEOUT_MS, DEFAULT_SHED_RETRY_MS,
 };
@@ -117,17 +116,14 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-struct LoadedTable {
-    hash: u64,
-    table: Arc<DistTable>,
-}
-
-/// The prediction daemon: preloaded tables, content-addressed caches, a
+/// The prediction daemon: preloaded tables, model and timing caches, a
 /// metrics registry, request telemetry, and a bound listener.
 pub struct Server {
     cfg: ServeConfig,
     listener: TcpListener,
-    tables: HashMap<String, LoadedTable>,
+    // Named tables in load order; a table's position is its timing-cache
+    // key, since the set never changes after startup.
+    tables: Vec<(String, DistTable)>,
     models: ModelCache,
     timings: TimingCache,
     registry: Arc<Registry>,
@@ -188,19 +184,8 @@ impl Server {
         };
         let models = ModelCache::new(&registry);
         let timings = TimingCache::new(&registry);
-        let mut map = HashMap::new();
-        for (name, table) in tables {
-            let hash = fnv1a(dist_io::write_table(&table).as_bytes());
-            if map
-                .insert(
-                    name.clone(),
-                    LoadedTable {
-                        hash,
-                        table: Arc::new(table),
-                    },
-                )
-                .is_some()
-            {
+        for (i, (name, _)) in tables.iter().enumerate() {
+            if tables[..i].iter().any(|(other, _)| other == name) {
                 return Err(ServeError {
                     message: format!("duplicate table name {name:?}"),
                 });
@@ -237,7 +222,7 @@ impl Server {
         Ok(Server {
             cfg,
             listener,
-            tables: map,
+            tables,
             models,
             timings,
             registry,
@@ -731,10 +716,11 @@ impl Server {
     ) -> Result<String, PlanError> {
         timer.set_reps(req.reps);
         timer.set_quorum(req.quorum.is_some());
-        let (loaded, mode) = timer.stage("validate", || {
+        let (pos, mode) = timer.stage("validate", || {
             self.admit(req)?;
-            let loaded = self.tables.get(table_name).ok_or_else(|| {
-                let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
+            let pos = self.tables.iter().position(|(name, _)| name == table_name);
+            let pos = pos.ok_or_else(|| {
+                let mut names: Vec<&str> = self.tables.iter().map(|(n, _)| n.as_str()).collect();
                 names.sort_unstable();
                 PlanError::usage(format!(
                     "unknown table {table_name:?} (loaded: {})",
@@ -746,7 +732,7 @@ impl Server {
                 ))
             })?;
             let mode = req.prediction_mode()?;
-            Ok::<_, PlanError>((loaded, mode))
+            Ok::<_, PlanError>((pos, mode))
         })?;
         let (model, model_hit) = timer.stage("model", || {
             self.models.get_or_parse(&req.model_src, "request model")
@@ -754,8 +740,8 @@ impl Server {
         timer.cache("model", model_hit);
         let (timing, table_hit) = timer.stage("compile", || {
             self.timings.get_or_build(
-                loaded.hash,
-                &loaded.table,
+                pos as u64,
+                &self.tables[pos].1,
                 mode,
                 req.pingpong,
                 req.compile_options(),
@@ -882,10 +868,14 @@ mod tests {
 ";
 
     fn test_table() -> DistTable {
+        table_in_units_of(1e-6)
+    }
+
+    fn table_in_units_of(unit: f64) -> DistTable {
         let mut t = DistTable::new();
-        let mut h = pevpm_dist::Histogram::new(0.0, 1e-6);
+        let mut h = pevpm_dist::Histogram::new(0.0, unit);
         for i in 0..64 {
-            h.add(1e-6 * f64::from(i % 11));
+            h.add(unit * f64::from(i % 11));
         }
         for op in [pevpm_dist::Op::Send, pevpm_dist::Op::Recv] {
             for size in [512u64, 1024, 2048] {
@@ -941,6 +931,43 @@ mod tests {
         assert_eq!(s.registry().counter("serve.table_compiles").get(), 1);
         assert_eq!(s.registry().counter("serve.model_compiles").get(), 1);
         assert_eq!(s.registry().counter("serve.model_cache_hits").get(), 99);
+    }
+
+    /// Tables are told apart by load position: two named tables compile
+    /// once each, and each answers exactly as it does loaded alone.
+    #[test]
+    fn each_named_table_compiles_once_and_answers_from_its_own_data() {
+        let (fast, slow) = (table_in_units_of(1e-6), table_in_units_of(1e-5));
+        let alone = |table: &DistTable| {
+            let s = Server::with_tables(
+                ServeConfig::default(),
+                vec![("default".to_string(), table.clone())],
+            )
+            .unwrap();
+            s.handle_frame(&predict_frame(1)).0
+        };
+        let both = Server::with_tables(
+            ServeConfig::default(),
+            vec![
+                ("fast".to_string(), fast.clone()),
+                ("slow".to_string(), slow.clone()),
+            ],
+        )
+        .unwrap();
+        let on =
+            |name: &str| predict_frame(1).replacen('{', &format!("{{\"table\":\"{name}\","), 1);
+        let (want_fast, want_slow) = (alone(&fast), alone(&slow));
+        assert_ne!(want_fast, want_slow);
+        for _ in 0..2 {
+            assert_eq!(both.handle_frame(&on("fast")).0, want_fast);
+            assert_eq!(both.handle_frame(&on("slow")).0, want_slow);
+        }
+        assert_eq!(both.registry().counter("serve.table_compiles").get(), 2);
+        let dup = vec![("t".to_string(), fast.clone()), ("t".to_string(), slow)];
+        let e = Server::with_tables(ServeConfig::default(), dup)
+            .err()
+            .unwrap();
+        assert!(e.message.contains("duplicate table name"), "{e}");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use pevpm::model::build as b;
 use pevpm::model::{CollOp, Model, MsgKind, Stmt};
+use pevpm_obs::text::{self, Line, LineError};
 
 /// How a matched point-to-point item is expressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,126 +381,96 @@ impl TestProgram {
 
     /// Parse the text form produced by [`TestProgram::to_text`]. Errors
     /// carry the 1-based line number of the offending line.
-    pub fn parse(text: &str) -> Result<TestProgram, ProgramParseError> {
-        let fail = |line: usize, message: String| ProgramParseError { line, message };
-        let mut nprocs: Option<usize> = None;
-        // Stack of open item lists: the root plus one per open loop.
-        let mut stack: Vec<Vec<Item>> = vec![Vec::new()];
-        let mut loop_counts: Vec<u32> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+    pub fn parse(text: &str) -> Result<TestProgram, LineError> {
+        TestProgram::read(text::lines(text), 1)
+    }
+
+    /// Read a program from `lines`: an `nprocs = N` line, then one item
+    /// per line. `start` is the line blamed when there is no line at all.
+    pub(crate) fn read<'a>(
+        mut lines: impl Iterator<Item = Line<'a>>,
+        start: usize,
+    ) -> Result<TestProgram, LineError> {
+        let header = lines
+            .next()
+            .ok_or_else(|| LineError::new(start, "missing 'nprocs = N' header line"))?;
+        let nprocs: usize = match header.binding() {
+            Some(("nprocs", v)) => header.parse("nprocs", v)?,
+            _ => {
+                return Err(header.err(format!(
+                    "expected 'nprocs = N' header line, got {:?}",
+                    header.text
+                )))
             }
-            if let Some(rest) = line.strip_prefix("nprocs") {
-                let v = rest.trim_start_matches(['=', ' ']).trim();
-                nprocs = Some(
-                    v.parse()
-                        .map_err(|_| fail(lineno, format!("bad nprocs {v:?}")))?,
-                );
-                continue;
-            }
-            let mut fields = std::collections::HashMap::new();
-            let mut words = line.split_whitespace();
-            let head = words.next().unwrap_or_default().to_string();
-            for w in words {
-                if let Some((k, v)) = w.split_once('=') {
-                    fields.insert(k.to_string(), v.to_string());
-                }
-            }
-            let get = |k: &str| -> Result<String, ProgramParseError> {
-                fields
-                    .get(k)
-                    .cloned()
-                    .ok_or_else(|| fail(lineno, format!("{head} item missing field {k:?}")))
-            };
-            let get_num = |k: &str| -> Result<u64, ProgramParseError> {
-                let v = get(k)?;
-                v.parse()
-                    .map_err(|_| fail(lineno, format!("bad number for {k}: {v:?}")))
-            };
-            let item = match head.as_str() {
-                "computeall" => Some(Item::ComputeAll {
-                    usecs: get_num("usecs")?,
-                }),
-                "compute" => Some(Item::Compute {
-                    proc: get_num("proc")? as usize,
-                    usecs: get_num("usecs")?,
-                }),
+        };
+        if nprocs == 0 {
+            return Err(header.err("nprocs must be positive"));
+        }
+        let mut items = Vec::new();
+        // Enclosing item lists and counts of the open loops.
+        let mut open: Vec<(u32, Vec<Item>)> = Vec::new();
+        let mut end = header.no;
+        for line in lines {
+            end = line.no;
+            let rec = line.record()?;
+            let item = match rec.tag {
+                "computeall" => Item::ComputeAll {
+                    usecs: rec.parse("usecs")?,
+                },
+                "compute" => Item::Compute {
+                    proc: rec.parse("proc")?,
+                    usecs: rec.parse("usecs")?,
+                },
                 "pair" => {
-                    let mode_s = get("mode")?;
-                    let mode = PairMode::from_name(&mode_s)
-                        .ok_or_else(|| fail(lineno, format!("unknown pair mode {mode_s:?}")))?;
-                    Some(Item::Pair {
-                        src: get_num("src")? as usize,
-                        dst: get_num("dst")? as usize,
-                        bytes: get_num("bytes")?,
-                        mode,
-                    })
+                    let mode = rec.str("mode")?;
+                    Item::Pair {
+                        src: rec.parse("src")?,
+                        dst: rec.parse("dst")?,
+                        bytes: rec.parse("bytes")?,
+                        mode: PairMode::from_name(mode)
+                            .ok_or_else(|| line.err(format!("unknown pair mode {mode:?}")))?,
+                    }
                 }
-                "wildcard" => {
-                    let senders: Result<Vec<usize>, _> = get("senders")?
+                "wildcard" => Item::WildcardSink {
+                    sink: rec.parse("sink")?,
+                    senders: rec
+                        .str("senders")?
                         .split(',')
-                        .map(|s| {
-                            s.parse::<usize>()
-                                .map_err(|_| fail(lineno, format!("bad sender {s:?}")))
-                        })
-                        .collect();
-                    Some(Item::WildcardSink {
-                        sink: get_num("sink")? as usize,
-                        senders: senders?,
-                        bytes: get_num("bytes")?,
-                    })
-                }
+                        .map(|s| line.parse("senders", s))
+                        .collect::<Result<_, _>>()?,
+                    bytes: rec.parse("bytes")?,
+                },
                 "coll" => {
-                    let op_s = get("op")?;
-                    let op = coll_from_name(&op_s)
-                        .ok_or_else(|| fail(lineno, format!("unknown collective {op_s:?}")))?;
-                    Some(Item::Coll {
-                        op,
-                        bytes: get_num("bytes")?,
-                    })
+                    let op = rec.str("op")?;
+                    Item::Coll {
+                        op: coll_from_name(op)
+                            .ok_or_else(|| line.err(format!("unknown collective {op:?}")))?,
+                        bytes: rec.parse("bytes")?,
+                    }
                 }
-                "orphanrecv" => Some(Item::OrphanRecv {
-                    src: get_num("src")? as usize,
-                    dst: get_num("dst")? as usize,
-                    bytes: get_num("bytes")?,
-                }),
+                "orphanrecv" => Item::OrphanRecv {
+                    src: rec.parse("src")?,
+                    dst: rec.parse("dst")?,
+                    bytes: rec.parse("bytes")?,
+                },
                 "loop" => {
-                    loop_counts.push(get_num("count")? as u32);
-                    stack.push(Vec::new());
-                    None
+                    open.push((rec.parse("count")?, std::mem::take(&mut items)));
+                    continue;
                 }
                 "end" => {
-                    let body = stack
+                    let (count, outer) = open
                         .pop()
-                        .filter(|_| !stack.is_empty())
-                        .ok_or_else(|| fail(lineno, "'end' without open loop".into()))?;
-                    let count = loop_counts.pop().unwrap_or(1);
-                    stack
-                        .last_mut()
-                        .ok_or_else(|| fail(lineno, "'end' without open loop".into()))?
-                        .push(Item::Loop { count, body });
-                    None
+                        .ok_or_else(|| line.err("'end' without open loop"))?;
+                    let body = std::mem::replace(&mut items, outer);
+                    Item::Loop { count, body }
                 }
-                other => return Err(fail(lineno, format!("unknown item {other:?}"))),
+                other => return Err(line.err(format!("unknown item {other:?}"))),
             };
-            if let Some(item) = item {
-                stack
-                    .last_mut()
-                    .ok_or_else(|| fail(lineno, "item outside program".into()))?
-                    .push(item);
-            }
+            items.push(item);
         }
-        if stack.len() != 1 {
-            return Err(fail(text.lines().count(), "unclosed loop".into()));
+        if !open.is_empty() {
+            return Err(LineError::new(end, "unclosed loop"));
         }
-        let nprocs = nprocs.ok_or_else(|| fail(1, "missing 'nprocs = N' header line".into()))?;
-        if nprocs == 0 {
-            return Err(fail(1, "nprocs must be positive".into()));
-        }
-        let items = stack.pop().unwrap_or_default();
         Ok(TestProgram { nprocs, items })
     }
 
@@ -571,23 +542,6 @@ impl TestProgram {
     }
 }
 
-/// A line-numbered error from [`TestProgram::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for ProgramParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ProgramParseError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,6 +609,23 @@ mod tests {
         assert!(e.message.contains("unclosed"), "{e}");
         let e = TestProgram::parse("nprocs = 2\npair src=0 dst=1 mode=blocking\n").unwrap_err();
         assert!(e.message.contains("bytes"), "{e}");
+    }
+
+    /// Each field is read as its own type: a loop count past `u32::MAX`
+    /// is an error, not a count truncated to 1.
+    #[test]
+    fn fields_are_read_as_their_own_type() {
+        let e = TestProgram::parse("nprocs = 2\nloop count=4294967297\nend\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("4294967297"), "{e}");
+        let p = TestProgram::parse("nprocs = 2\nloop count=4294967295\nend\n").unwrap();
+        assert_eq!(
+            p.items,
+            [Item::Loop {
+                count: u32::MAX,
+                body: vec![]
+            }]
+        );
     }
 
     #[test]

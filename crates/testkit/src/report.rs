@@ -8,8 +8,8 @@
 //! and the committed-corpus tests both consume this format.
 
 use crate::oracle::Failure;
-use crate::program::{ProgramParseError, TestProgram};
-use std::fmt;
+use crate::program::TestProgram;
+use pevpm_obs::text::{self, LineError};
 
 /// Artifact format version tag (the first line of every artifact).
 pub const HEADER: &str = "PEVPM-FUZZ counterexample v1";
@@ -70,47 +70,47 @@ impl Counterexample {
 
     /// Parse an artifact back. The `--- model ---` section is
     /// informational and ignored; the program section is authoritative.
-    pub fn parse(text: &str) -> Result<Counterexample, ArtifactError> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(HEADER) {
-            return Err(ArtifactError::BadHeader);
-        }
-        let mut oracle = None;
-        let mut seed = None;
-        let mut original = None;
-        let mut failure = None;
+    /// Errors carry the artifact's own line numbers.
+    pub fn parse(text: &str) -> Result<Counterexample, LineError> {
+        let mut lines = text::lines(text);
+        let header = lines.next();
+        let Some(mut end) = header.filter(|l| l.text == HEADER).map(|l| l.no) else {
+            return Err(LineError::new(
+                header.map_or(1, |l| l.no),
+                format!("not a counterexample artifact (missing '{HEADER}')"),
+            ));
+        };
+        let field = |line: usize, name: &str| {
+            LineError::new(line, format!("missing or malformed field '{name}'"))
+        };
+        let (mut oracle, mut seed, mut original, mut failure) = (None, None, None, None);
         for line in lines.by_ref() {
-            let line = line.trim();
-            if line == "--- program ---" {
+            end = line.no;
+            if line.text == "--- program ---" {
                 break;
             }
-            if let Some(v) = line.strip_prefix("oracle: ") {
-                oracle = Some(v.to_string());
-            } else if let Some(v) = line.strip_prefix("seed: ") {
-                seed = Some(v.parse().map_err(|_| ArtifactError::BadField("seed"))?);
-            } else if let Some(v) = line.strip_prefix("directives: ") {
-                // "N (shrunk from M)" — M is the original count.
-                let m = v
-                    .split("shrunk from ")
-                    .nth(1)
-                    .and_then(|s| s.trim_end_matches(')').parse().ok())
-                    .ok_or(ArtifactError::BadField("directives"))?;
-                original = Some(m);
-            } else if let Some(v) = line.strip_prefix("failure: ") {
-                failure = Some(v.to_string());
+            match line.text.split_once(": ") {
+                Some(("oracle", v)) => oracle = Some(v),
+                Some(("seed", v)) => seed = Some(v.parse().map_err(|_| field(line.no, "seed"))?),
+                // "N (shrunk from M)": M is the original count.
+                Some(("directives", v)) => {
+                    let m = v.split("shrunk from ").nth(1);
+                    let m = m.and_then(|s| s.trim_end_matches(')').parse().ok());
+                    original = Some(m.ok_or_else(|| field(line.no, "directives"))?);
+                }
+                Some(("failure", v)) => failure = Some(v),
+                _ => {}
             }
         }
-        let program_text: String = lines
-            .by_ref()
-            .take_while(|l| l.trim() != "--- model ---")
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let program = TestProgram::parse(&program_text).map_err(ArtifactError::Program)?;
+        let program = TestProgram::read(
+            lines.by_ref().take_while(|l| l.text != "--- model ---"),
+            end,
+        )?;
         Ok(Counterexample {
-            oracle: oracle.ok_or(ArtifactError::BadField("oracle"))?,
-            seed: seed.ok_or(ArtifactError::BadField("seed"))?,
-            original_directives: original.ok_or(ArtifactError::BadField("directives"))?,
-            failure: failure.ok_or(ArtifactError::BadField("failure"))?,
+            oracle: oracle.ok_or_else(|| field(end, "oracle"))?.to_string(),
+            seed: seed.ok_or_else(|| field(end, "seed"))?,
+            original_directives: original.ok_or_else(|| field(end, "directives"))?,
+            failure: failure.ok_or_else(|| field(end, "failure"))?.to_string(),
             program,
         })
     }
@@ -120,31 +120,6 @@ impl Counterexample {
         format!("{}-seed{}.model", self.oracle, self.seed)
     }
 }
-
-/// Why an artifact failed to parse.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArtifactError {
-    /// First line is not [`HEADER`].
-    BadHeader,
-    /// A required header field is missing or malformed.
-    BadField(&'static str),
-    /// The program section did not parse.
-    Program(ProgramParseError),
-}
-
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactError::BadHeader => {
-                write!(f, "not a counterexample artifact (missing '{HEADER}')")
-            }
-            ArtifactError::BadField(name) => write!(f, "missing or malformed field '{name}'"),
-            ArtifactError::Program(e) => write!(f, "program section: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {}
 
 #[cfg(test)]
 mod tests {
@@ -180,13 +155,17 @@ mod tests {
     fn parse_rejects_garbage() {
         assert_eq!(
             Counterexample::parse("hello\nworld\n"),
-            Err(ArtifactError::BadHeader)
+            Err(LineError::new(
+                1,
+                format!("not a counterexample artifact (missing '{HEADER}')")
+            ))
         );
         let cx = sample();
+        // Blamed on the line that ends the header fields.
         let no_seed = cx.render().replace("seed: 7\n", "");
         assert_eq!(
             Counterexample::parse(&no_seed),
-            Err(ArtifactError::BadField("seed"))
+            Err(LineError::new(7, "missing or malformed field 'seed'"))
         );
     }
 
