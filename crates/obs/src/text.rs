@@ -116,21 +116,49 @@ impl<'a> Line<'a> {
 
 /// The lines of `text` that are neither blank nor `#` comments, in order.
 pub fn lines(text: &str) -> Lines<'_> {
-    Lines(text.lines().enumerate())
+    Lines { rest: text, no: 0 }
 }
 
 /// Iterator returned by [`lines`].
 #[derive(Debug, Clone)]
-pub struct Lines<'a>(std::iter::Enumerate<std::str::Lines<'a>>);
+pub struct Lines<'a> {
+    rest: &'a str,
+    /// Number of the last line read.
+    no: usize,
+}
 
 impl<'a> Iterator for Lines<'a> {
     type Item = Line<'a>;
 
     fn next(&mut self) -> Option<Line<'a>> {
-        self.0.find_map(|(i, raw)| {
-            let text = raw.trim();
-            (!text.is_empty() && !text.starts_with('#')).then_some(Line { no: i + 1, text })
-        })
+        // Lines end at `\n`; the `\r` of a `\r\n` is trimmed off with the
+        // other surrounding whitespace.
+        while !self.rest.is_empty() {
+            let (raw, rest) = match self.rest.bytes().position(|b| b == b'\n') {
+                Some(at) => (&self.rest[..at], &self.rest[at + 1..]),
+                None => (self.rest, ""),
+            };
+            self.rest = rest;
+            self.no += 1;
+            let text = trim(raw);
+            if !text.is_empty() && !text.starts_with('#') {
+                return Some(Line { no: self.no, text });
+            }
+        }
+        None
+    }
+}
+
+/// [`str::trim`], quicker on the ASCII whitespace the formats use: bytes
+/// are stripped first, and characters only if whitespace remains.
+pub fn trim(s: &str) -> &str {
+    let t = s.trim_ascii();
+    // Left for `trim`: a vertical tab or non-ASCII whitespace at an end.
+    let plain = |b: Option<&u8>| b.is_none_or(|&b| b.is_ascii() && b != 0x0b);
+    if plain(t.as_bytes().first()) && plain(t.as_bytes().last()) {
+        t
+    } else {
+        t.trim()
     }
 }
 
@@ -168,12 +196,17 @@ impl<'a> Record<'a> {
 /// `==`, `!=`, `<=` or `>=`; both halves are trimmed.
 pub fn binding(s: &str) -> Option<(&str, &str)> {
     let b = s.as_bytes();
-    (0..b.len()).find_map(|i| {
+    let mut from = 0;
+    while let Some(at) = b[from..].iter().position(|&c| c == b'=') {
+        let i = from + at;
         let prev = if i > 0 { b[i - 1] } else { b' ' };
         let next = b.get(i + 1).copied().unwrap_or(b' ');
-        let binds = b[i] == b'=' && !matches!(prev, b'=' | b'!' | b'<' | b'>') && next != b'=';
-        binds.then(|| (s[..i].trim(), s[i + 1..].trim()))
-    })
+        if !matches!(prev, b'=' | b'!' | b'<' | b'>') && next != b'=' {
+            return Some((trim(&s[..i]), trim(&s[i + 1..])));
+        }
+        from = i + 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -187,6 +220,25 @@ mod tests {
             .collect();
         assert_eq!(got, [(1, "a"), (4, "b c"), (6, "d")]);
         assert_eq!(lines("").count(), 0);
+        let no = |text| lines(text).map(|l| (l.no, l.text)).collect::<Vec<_>>();
+        assert_eq!(no("x\r\n\ny\rz\n"), [(1, "x"), (3, "y\rz")]);
+    }
+
+    #[test]
+    fn trim_matches_str_trim() {
+        for s in [
+            "",
+            " ",
+            "a",
+            "  a b \t",
+            "\u{b}a\u{b}",
+            " \u{a0}a\u{3000} ",
+            "\u{85}",
+            "é ",
+            "\r\n",
+        ] {
+            assert_eq!(trim(s), s.trim(), "{s:?}");
+        }
     }
 
     #[test]

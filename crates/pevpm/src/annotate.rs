@@ -23,6 +23,8 @@
 //! // PEVPM }   … block close
 //! ```
 
+use std::fmt::Write;
+
 use crate::expr::{parse as parse_expr, Expr};
 use crate::model::{CollOp, Model, MsgKind, Stmt};
 use pevpm_obs::text::{self, binding, Line, LineError};
@@ -31,133 +33,105 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, LineError> {
     Err(LineError::new(line, message))
 }
 
-/// One extracted directive before AST construction.
-#[derive(Debug, Clone)]
-enum Directive {
-    Loop {
-        count: Expr,
-        var: Option<String>,
-    },
-    Runon {
-        conds: Vec<Expr>,
-    },
-    Message {
-        kind: MsgKind,
-        size: Expr,
-        from: Expr,
-        to: Expr,
-        handle: Option<String>,
-    },
-    Wait {
-        handle: String,
-    },
-    Serial {
-        machine: Option<String>,
-        time: Expr,
-    },
-    Collective {
-        op: CollOp,
-        size: Expr,
-    },
-    Open,
-    Close,
+/// A `key = value` field, borrowed from the source.
+type Field<'a> = (&'a str, &'a str);
+
+/// The fields of one directive: the head's own binding first, then its
+/// continuation lines' (`& key = value`).
+struct Fields<'s, 'a> {
+    head: Option<Field<'a>>,
+    rest: &'s [Field<'a>],
 }
 
-/// `key = value` fields of one directive, borrowed from the source.
-type Fields<'a> = Vec<(&'a str, &'a str)>;
+impl<'a> Fields<'_, 'a> {
+    fn iter(&self) -> impl Iterator<Item = Field<'a>> + '_ {
+        self.head.into_iter().chain(self.rest.iter().copied())
+    }
 
-/// A directive head (its text after `// PEVPM`) with the fields of its
-/// continuation lines (`& key = value`).
-type DirectiveGroup<'a> = (Line<'a>, Fields<'a>);
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.iter().find_map(|(k, v)| (k == key).then_some(v))
+    }
 
-/// Extract the `// PEVPM` lines and group each continuation with its
-/// head directive.
-fn group_directives(src: &str) -> Result<Vec<DirectiveGroup<'_>>, LineError> {
-    let mut out: Vec<DirectiveGroup> = Vec::new();
-    for line in text::lines(src) {
-        let Some(payload) = line
+    fn field(&self, key: &str, lineno: usize, what: &str) -> Result<&'a str, LineError> {
+        self.get(key).ok_or_else(|| {
+            LineError::new(lineno, format!("{what} directive missing field {key:?}"))
+        })
+    }
+
+    fn expr(&self, key: &str, lineno: usize, what: &str) -> Result<Expr, LineError> {
+        let v = self.field(key, lineno, what)?;
+        parse_expr(v).map_err(|e| LineError::new(lineno, format!("{what} field {key:?}: {e}")))
+    }
+}
+
+/// The `// PEVPM` lines of `src`, each with its text after the marker.
+fn annotations(src: &str) -> impl Iterator<Item = Line<'_>> {
+    text::lines(src).filter_map(|line| {
+        let payload = line
             .text
             .strip_prefix("// PEVPM")
-            .or_else(|| line.text.strip_prefix("//PEVPM"))
-            .map(str::trim)
-        else {
-            continue;
-        };
-        if let Some(cont) = payload.strip_prefix('&') {
-            let Some(last) = out.last_mut() else {
-                return err(line.no, "continuation '&' without a preceding directive");
-            };
-            let Some(kv) = binding(cont.trim()) else {
-                return err(
-                    line.no,
-                    format!("expected key = value after '&', got {cont:?}"),
-                );
-            };
-            last.1.push(kv);
-        } else {
-            let head = Line {
-                text: payload,
-                ..line
-            };
-            out.push((head, Vec::new()));
-        }
-    }
-    Ok(out)
+            .or_else(|| line.text.strip_prefix("//PEVPM"))?;
+        Some(Line {
+            text: text::trim(payload),
+            ..line
+        })
+    })
 }
 
-fn get<'a>(fields: &Fields<'a>, key: &str) -> Option<&'a str> {
-    fields.iter().find_map(|&(k, v)| (k == key).then_some(v))
+/// The field a continuation line (`& key = value`, `cont` after its `&`)
+/// holds.
+fn continuation<'a>(line: Line<'a>, cont: &'a str) -> Result<Field<'a>, LineError> {
+    binding(text::trim(cont))
+        .ok_or_else(|| line.err(format!("expected key = value after '&', got {cont:?}")))
 }
 
-fn field<'a>(
-    fields: &Fields<'a>,
-    key: &str,
-    lineno: usize,
-    what: &str,
-) -> Result<&'a str, LineError> {
-    get(fields, key)
-        .ok_or_else(|| LineError::new(lineno, format!("{what} directive missing field {key:?}")))
-}
-
-fn expr_field(fields: &Fields, key: &str, lineno: usize, what: &str) -> Result<Expr, LineError> {
-    let v = field(fields, key, lineno, what)?;
-    parse_expr(v).map_err(|e| LineError::new(lineno, format!("{what} field {key:?}: {e}")))
-}
-
-fn parse_directive<'a>(head: Line<'a>, mut fields: Fields<'a>) -> Result<Directive, LineError> {
+/// Parse the directive `head` with the fields of its continuation lines,
+/// `rest`, and add it to `tree`.
+fn parse_directive(head: Line<'_>, rest: &[Field<'_>], tree: &mut Tree) -> Result<(), LineError> {
     let lineno = head.no;
     match head.text {
-        "{" => return Ok(Directive::Open),
-        "}" => return Ok(Directive::Close),
+        "{" => return tree.open(lineno),
+        "}" => return tree.close(lineno),
         _ => {}
     }
-    let (keyword, mut rest) = head.tag();
+    let (keyword, mut tail) = head.tag();
     // Serial takes an optional `on <machine>` before `time = …`.
     let mut machine = None;
     if keyword == "Serial" {
-        if let Some(r) = rest.strip_prefix("on ") {
+        if let Some(r) = tail.strip_prefix("on ") {
             let r = r.trim_start();
             let end = r.find(char::is_whitespace).unwrap_or(r.len());
             machine = Some(r[..end].to_string());
-            rest = r[end..].trim();
+            tail = text::trim(&r[end..]);
         }
     }
-    // The head's own binding comes first.
-    if let Some(kv) = binding(rest) {
-        fields.insert(0, kv);
-    }
-    match keyword {
+    let fields = Fields {
+        head: binding(tail),
+        rest,
+    };
+    let label = |what: &str| {
+        // Room for any line number: `format!` would guess short and grow.
+        let mut label = String::with_capacity(27 + what.len());
+        let _ = write!(label, "line {lineno}: {what}");
+        Some(label)
+    };
+    let stmt = match keyword {
         "Loop" => {
-            let count = expr_field(&fields, "iterations", lineno, "Loop")?;
-            let var = get(&fields, "var").map(str::to_string);
-            Ok(Directive::Loop { count, var })
+            let count = fields.expr("iterations", lineno, "Loop")?;
+            let var = fields.get("var").map(str::to_string);
+            tree.stack.push(Pending::Loop {
+                count,
+                var,
+                line: lineno,
+            });
+            return Ok(());
         }
         "Runon" => {
-            if fields.is_empty() {
+            if fields.head.is_none() && fields.rest.is_empty() {
                 return err(lineno, "Runon needs at least one condition");
             }
-            let mut conds = Vec::with_capacity(fields.len());
-            for (k, v) in &fields {
+            let mut branches = Vec::with_capacity(fields.iter().count());
+            for (k, v) in fields.iter() {
                 if !k.starts_with('c') {
                     return err(
                         lineno,
@@ -166,37 +140,43 @@ fn parse_directive<'a>(head: Line<'a>, mut fields: Fields<'a>) -> Result<Directi
                 }
                 let e = parse_expr(v)
                     .map_err(|e| LineError::new(lineno, format!("Runon condition {k:?}: {e}")))?;
-                conds.push(e);
+                branches.push((e, Vec::new()));
             }
-            Ok(Directive::Runon { conds })
+            tree.stack.push(Pending::Runon {
+                branches,
+                filled: 0,
+                line: lineno,
+            });
+            return Ok(());
         }
         "Message" => {
-            let ty = field(&fields, "type", lineno, "Message")?;
+            let ty = fields.field("type", lineno, "Message")?;
             let kind = MsgKind::from_mpi_name(ty)
                 .ok_or_else(|| LineError::new(lineno, format!("unknown message type {ty:?}")))?;
-            let handle = get(&fields, "handle").map(str::to_string);
+            let handle = fields.get("handle").map(str::to_string);
             if kind == MsgKind::Irecv && handle.is_none() {
                 return err(lineno, "MPI_Irecv message needs a handle = <name> field");
             }
-            Ok(Directive::Message {
+            Stmt::Message {
                 kind,
-                size: expr_field(&fields, "size", lineno, "Message")?,
-                from: expr_field(&fields, "from", lineno, "Message")?,
-                to: expr_field(&fields, "to", lineno, "Message")?,
+                size: fields.expr("size", lineno, "Message")?,
+                from: fields.expr("from", lineno, "Message")?,
+                to: fields.expr("to", lineno, "Message")?,
                 handle,
-            })
+                label: label("Message"),
+            }
         }
-        "Wait" => {
-            let handle = field(&fields, "handle", lineno, "Wait")?.to_string();
-            Ok(Directive::Wait { handle })
-        }
-        "Serial" => {
-            let time = expr_field(&fields, "time", lineno, "Serial")?;
-            Ok(Directive::Serial { machine, time })
-        }
+        "Wait" => Stmt::Wait {
+            handle: fields.field("handle", lineno, "Wait")?.to_string(),
+            label: label("Wait"),
+        },
+        "Serial" => Stmt::Serial {
+            time: fields.expr("time", lineno, "Serial")?,
+            machine,
+            label: label("Serial"),
+        },
         "Collective" => {
-            let opname = field(&fields, "op", lineno, "Collective")?;
-            let op = match opname {
+            let op = match fields.field("op", lineno, "Collective")? {
                 "barrier" => CollOp::Barrier,
                 "bcast" => CollOp::Bcast,
                 "reduce" => CollOp::Reduce,
@@ -204,14 +184,19 @@ fn parse_directive<'a>(head: Line<'a>, mut fields: Fields<'a>) -> Result<Directi
                 "alltoall" => CollOp::Alltoall,
                 other => return err(lineno, format!("unknown collective {other:?}")),
             };
-            let size = match get(&fields, "size") {
-                Some(_) => expr_field(&fields, "size", lineno, "Collective")?,
+            let size = match fields.get("size") {
+                Some(_) => fields.expr("size", lineno, "Collective")?,
                 None => Expr::Num(0.0),
             };
-            Ok(Directive::Collective { op, size })
+            Stmt::Collective {
+                op,
+                size,
+                label: label("Collective"),
+            }
         }
-        other => err(lineno, format!("unknown PEVPM directive {other:?}")),
-    }
+        other => return err(lineno, format!("unknown PEVPM directive {other:?}")),
+    };
+    tree.append(stmt, lineno)
 }
 
 /// What the AST builder is waiting for.
@@ -225,22 +210,62 @@ enum Pending {
         var: Option<String>,
         line: usize,
     },
-    /// A Runon with conditions, collecting one block per condition.
+    /// A Runon with conditions, the first `filled` of which have their
+    /// block.
     Runon {
-        conds: Vec<Expr>,
-        done: Vec<(Expr, Vec<Stmt>)>,
+        branches: Vec<(Expr, Vec<Stmt>)>,
+        filled: usize,
         line: usize,
     },
 }
 
 /// Parse the `// PEVPM` annotations out of `src` and build a [`Model`].
+///
+/// A directive is parsed once the line after its last continuation
+/// arrives; the fields of its continuations gather in one reused buffer.
+/// A malformed continuation line outranks every other error, wherever it
+/// is, so after the first error the rest of the lines are only checked
+/// for one.
 pub fn parse_annotations(src: &str) -> Result<Model, LineError> {
-    let groups = group_directives(src)?;
+    let mut tree = Tree {
+        stack: vec![Pending::Block(Vec::new())],
+    };
+    let mut failed = None;
+    let mut head = None;
+    let mut fields = Vec::new();
+    let mut directive = |head: Line, fields: &[Field], failed: &mut Option<LineError>| {
+        if failed.is_none() {
+            *failed = parse_directive(head, fields, &mut tree).err();
+        }
+    };
+    for line in annotations(src) {
+        if let Some(cont) = line.text.strip_prefix('&') {
+            if head.is_none() {
+                return err(line.no, "continuation '&' without a preceding directive");
+            }
+            fields.push(continuation(line, cont)?);
+        } else if let Some(done) = head.replace(line) {
+            directive(done, &fields, &mut failed);
+            fields.clear();
+        }
+    }
+    if let Some(done) = head {
+        directive(done, &fields, &mut failed);
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => tree.finish(src),
+    }
+}
 
-    let mut stack: Vec<Pending> = vec![Pending::Block(Vec::new())];
+/// The model under construction: the open blocks, innermost last.
+struct Tree {
+    stack: Vec<Pending>,
+}
 
-    fn append(stack: &mut [Pending], stmt: Stmt, line: usize) -> Result<(), LineError> {
-        match stack.last_mut() {
+impl Tree {
+    fn append(&mut self, stmt: Stmt, line: usize) -> Result<(), LineError> {
+        match self.stack.last_mut() {
             Some(Pending::Block(stmts)) => {
                 stmts.push(stmt);
                 Ok(())
@@ -249,111 +274,70 @@ pub fn parse_annotations(src: &str) -> Result<Model, LineError> {
         }
     }
 
-    for (head, fields) in groups {
-        let lineno = head.no;
-        let d = parse_directive(head, fields)?;
-        match d {
-            Directive::Loop { count, var } => stack.push(Pending::Loop {
-                count,
-                var,
-                line: lineno,
-            }),
-            Directive::Runon { conds } => stack.push(Pending::Runon {
-                conds,
-                done: Vec::new(),
-                line: lineno,
-            }),
-            Directive::Message {
-                kind,
-                size,
-                from,
-                to,
-                handle,
-            } => {
-                let label = Some(format!("line {lineno}: Message"));
-                append(
-                    &mut stack,
-                    Stmt::Message {
-                        kind,
-                        size,
-                        from,
-                        to,
-                        handle,
-                        label,
-                    },
-                    lineno,
-                )?;
+    /// Open the block a pending Loop or Runon waits for.
+    fn open(&mut self, lineno: usize) -> Result<(), LineError> {
+        match self.stack.last() {
+            Some(Pending::Loop { .. }) | Some(Pending::Runon { .. }) => {
+                self.stack.push(Pending::Block(Vec::new()));
+                Ok(())
             }
-            Directive::Wait { handle } => {
-                let label = Some(format!("line {lineno}: Wait"));
-                append(&mut stack, Stmt::Wait { handle, label }, lineno)?;
-            }
-            Directive::Serial { machine, time } => {
-                let label = Some(format!("line {lineno}: Serial"));
-                append(
-                    &mut stack,
-                    Stmt::Serial {
-                        time,
-                        machine,
-                        label,
-                    },
-                    lineno,
-                )?;
-            }
-            Directive::Collective { op, size } => {
-                let label = Some(format!("line {lineno}: Collective"));
-                append(&mut stack, Stmt::Collective { op, size, label }, lineno)?;
-            }
-            Directive::Open => match stack.last() {
-                Some(Pending::Loop { .. }) | Some(Pending::Runon { .. }) => {
-                    stack.push(Pending::Block(Vec::new()));
-                }
-                _ => return err(lineno, "unexpected '{' (no Loop or Runon pending)"),
-            },
-            Directive::Close => {
-                let Some(Pending::Block(body)) = stack.pop() else {
-                    return err(lineno, "unexpected '}'");
-                };
-                match stack.pop() {
-                    Some(Pending::Loop { count, var, .. }) => {
-                        append(&mut stack, Stmt::Loop { count, var, body }, lineno)?;
-                    }
-                    Some(Pending::Runon {
-                        conds,
-                        mut done,
-                        line,
-                    }) => {
-                        let idx = done.len();
-                        done.push((conds[idx].clone(), body));
-                        if done.len() == conds.len() {
-                            append(&mut stack, Stmt::Runon { branches: done }, lineno)?;
-                        } else {
-                            stack.push(Pending::Runon { conds, done, line });
-                        }
-                    }
-                    _ => return err(lineno, "'}' does not close a Loop or Runon block"),
-                }
-            }
+            _ => err(lineno, "unexpected '{' (no Loop or Runon pending)"),
         }
     }
 
-    match stack.pop() {
-        Some(Pending::Block(stmts)) if stack.is_empty() => Ok(Model {
-            stmts,
-            params: Default::default(),
-        }),
-        Some(Pending::Loop { line, .. }) => err(line, "Loop directive never got its block"),
-        Some(Pending::Runon {
-            line, conds, done, ..
-        }) => err(
-            line,
-            format!(
-                "Runon has {} condition(s) but only {} block(s)",
-                conds.len(),
-                done.len()
+    /// Close the innermost block, completing the Loop or Runon branch it
+    /// belongs to.
+    fn close(&mut self, lineno: usize) -> Result<(), LineError> {
+        let Some(Pending::Block(body)) = self.stack.pop() else {
+            return err(lineno, "unexpected '}'");
+        };
+        match self.stack.pop() {
+            Some(Pending::Loop { count, var, .. }) => {
+                self.append(Stmt::Loop { count, var, body }, lineno)
+            }
+            Some(Pending::Runon {
+                mut branches,
+                filled,
+                line,
+            }) => {
+                branches[filled].1 = body;
+                let filled = filled + 1;
+                if filled == branches.len() {
+                    return self.append(Stmt::Runon { branches }, lineno);
+                }
+                self.stack.push(Pending::Runon {
+                    branches,
+                    filled,
+                    line,
+                });
+                Ok(())
+            }
+            _ => err(lineno, "'}' does not close a Loop or Runon block"),
+        }
+    }
+
+    /// The model, once every block has closed.
+    fn finish(mut self, src: &str) -> Result<Model, LineError> {
+        match self.stack.pop() {
+            Some(Pending::Block(stmts)) if self.stack.is_empty() => Ok(Model {
+                stmts,
+                params: Default::default(),
+            }),
+            Some(Pending::Loop { line, .. }) => err(line, "Loop directive never got its block"),
+            Some(Pending::Runon {
+                line,
+                branches,
+                filled,
+            }) => err(
+                line,
+                format!(
+                    "Runon has {} condition(s) but only {} block(s)",
+                    branches.len(),
+                    filled
+                ),
             ),
-        ),
-        _ => err(src.lines().count(), "unbalanced blocks at end of file"),
+            _ => err(src.lines().count(), "unbalanced blocks at end of file"),
+        }
     }
 }
 

@@ -120,38 +120,40 @@ pub fn standard_env(procnum: usize, numprocs: usize, params: &Env) -> Env {
 
 // ---------------------------------------------------------------- lexer --
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
+/// A token, borrowed from the expression text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
     Num(f64),
-    Ident(String),
+    Ident(&'a str),
     Op(&'static str),
     LParen,
     RParen,
     Comma,
 }
 
-fn lex(src: &str) -> Result<Vec<Tok>, ExprError> {
-    let mut toks = Vec::new();
-    let b = src.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i] as char;
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
+/// The tokens of an expression, read from its text on demand.
+struct Lexer<'a> {
+    src: &'a str,
+    i: usize,
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Tok<'a>, ExprError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (src, b) = (self.src, self.src.as_bytes());
+        // Every token is ASCII, so `i` stays on a character boundary.
+        let mut i = self.i;
+        while i < b.len() && matches!(b[i], b' ' | b'\t' | b'\r' | b'\n') {
+            i += 1;
+        }
+        let start = i;
+        let c = src[i..].chars().next()?;
+        let tok = match c {
+            '(' => Tok::LParen,
+            ')' => Tok::RParen,
+            ',' => Tok::Comma,
             '0'..='9' | '.' => {
-                let start = i;
                 while i < b.len()
                     && (b[i].is_ascii_digit()
                         || b[i] == b'.'
@@ -164,175 +166,151 @@ fn lex(src: &str) -> Result<Vec<Tok>, ExprError> {
                     i += 1;
                 }
                 let s = &src[start..i];
-                match s.parse::<f64>() {
-                    Ok(v) => toks.push(Tok::Num(v)),
-                    Err(_) => return err(format!("bad number {s:?}")),
+                if s.len() <= 15 && s.bytes().all(|d| d.is_ascii_digit()) {
+                    // Below 2^53: exact, as `parse` would round it.
+                    Tok::Num(s.bytes().fold(0u64, |n, d| 10 * n + u64::from(d - b'0')) as f64)
+                } else {
+                    match s.parse::<f64>() {
+                        Ok(v) => Tok::Num(v),
+                        Err(_) => return Some(err(format!("bad number {s:?}"))),
+                    }
                 }
             }
             'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                toks.push(Tok::Ident(src[start..i].to_string()));
+                Tok::Ident(&src[start..i])
             }
             _ => {
-                // Multi-char operators first.
-                let two = if i + 1 < b.len() { &src[i..i + 2] } else { "" };
-                let op2 = ["==", "!=", "<=", ">=", "&&", "||"]
-                    .iter()
-                    .find(|&&o| o == two);
-                if let Some(&op) = op2 {
-                    toks.push(Tok::Op(op));
-                    i += 2;
-                    continue;
-                }
-                let one = &src[i..i + 1];
-                let op1 = ["+", "-", "*", "/", "%", "<", ">", "!"]
-                    .iter()
-                    .find(|&&o| o == one);
-                match op1 {
-                    Some(&op) => {
-                        toks.push(Tok::Op(op));
-                        i += 1;
-                    }
-                    None => return err(format!("unexpected character {c:?}")),
-                }
+                // Two-character operators first.
+                let op = match (c, b.get(i + 1)) {
+                    ('=', Some(b'=')) => "==",
+                    ('!', Some(b'=')) => "!=",
+                    ('<', Some(b'=')) => "<=",
+                    ('>', Some(b'=')) => ">=",
+                    ('&', Some(b'&')) => "&&",
+                    ('|', Some(b'|')) => "||",
+                    ('+', _) => "+",
+                    ('-', _) => "-",
+                    ('*', _) => "*",
+                    ('/', _) => "/",
+                    ('%', _) => "%",
+                    ('<', _) => "<",
+                    ('>', _) => ">",
+                    ('!', _) => "!",
+                    _ => return Some(err(format!("unexpected character {c:?}"))),
+                };
+                Tok::Op(op)
             }
-        }
+        };
+        self.i = match tok {
+            Tok::Num(_) | Tok::Ident(_) => i,
+            Tok::Op(op) => start + op.len(),
+            Tok::LParen | Tok::RParen | Tok::Comma => start + 1,
+        };
+        Some(Ok(tok))
     }
-    Ok(toks)
 }
 
 // --------------------------------------------------------------- parser --
 
-struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+/// A precedence-climbing parser over a [`Lexer`], one token of lookahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    next: Option<Tok<'a>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+impl<'a> Parser<'a> {
+    /// The whole text as one expression.
+    fn parse_all(&mut self) -> Result<Expr, ExprError> {
+        self.advance()?;
+        if self.next.is_none() {
+            return err("empty expression");
+        }
+        let e = self.parse_expr()?;
+        if self.next.is_some() {
+            let src = self.lexer.src;
+            return err(format!("trailing tokens after expression in {src:?}"));
+        }
+        Ok(e)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn advance(&mut self) -> Result<(), ExprError> {
+        self.next = self.lexer.next().transpose()?;
+        Ok(())
     }
 
-    fn eat_op(&mut self, ops: &[&'static str]) -> Option<&'static str> {
-        if let Some(Tok::Op(o)) = self.peek() {
-            if let Some(&hit) = ops.iter().find(|&&x| x == *o) {
-                self.pos += 1;
-                return Some(hit);
-            }
-        }
-        None
+    fn bump(&mut self) -> Result<Option<Tok<'a>>, ExprError> {
+        let t = self.next;
+        self.advance()?;
+        Ok(t)
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ExprError> {
-        self.parse_or()
+        self.parse_binary(0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.parse_and()?;
-        while self.eat_op(&["||"]).is_some() {
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.parse_cmp()?;
-        while self.eat_op(&["&&"]).is_some() {
-            let rhs = self.parse_cmp()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr, ExprError> {
-        let lhs = self.parse_add()?;
-        if let Some(op) = self.eat_op(&["==", "!=", "<=", ">=", "<", ">"]) {
-            let rhs = self.parse_add()?;
-            let bop = match op {
-                "==" => BinOp::Eq,
-                "!=" => BinOp::Ne,
-                "<=" => BinOp::Le,
-                ">=" => BinOp::Ge,
-                "<" => BinOp::Lt,
-                ">" => BinOp::Gt,
-                _ => unreachable!(),
-            };
-            return Ok(Expr::Binary(bop, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_add(&mut self) -> Result<Expr, ExprError> {
-        let mut lhs = self.parse_mul()?;
-        while let Some(op) = self.eat_op(&["+", "-"]) {
-            let rhs = self.parse_mul()?;
-            let bop = if op == "+" { BinOp::Add } else { BinOp::Sub };
-            lhs = Expr::Binary(bop, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr, ExprError> {
+    /// A chain of unary operands joined by binary operators that bind at
+    /// least as tightly as `min` ([`BinOp::precedence`]), left-associated.
+    /// A comparison takes one operand a side, as in the grammar: once this
+    /// chain has applied a comparison, `&&` or `||`, the next comparison
+    /// operator ends it (`a < b < c` parses `a < b` and stops).
+    fn parse_binary(&mut self, min: u8) -> Result<Expr, ExprError> {
+        let cmp = BinOp::Eq.precedence();
         let mut lhs = self.parse_unary()?;
-        while let Some(op) = self.eat_op(&["*", "/", "%"]) {
-            let rhs = self.parse_unary()?;
-            let bop = match op {
-                "*" => BinOp::Mul,
-                "/" => BinOp::Div,
-                _ => BinOp::Mod,
+        let mut compared = false;
+        while let Some(Tok::Op(symbol)) = self.next {
+            let Some(op) = BinOp::from_symbol(symbol) else {
+                break;
             };
-            lhs = Expr::Binary(bop, Box::new(lhs), Box::new(rhs));
+            let p = op.precedence();
+            if p < min || (p == cmp && compared) {
+                break;
+            }
+            self.advance()?;
+            let rhs = self.parse_binary(p + 1)?;
+            compared |= p <= cmp;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ExprError> {
-        if self.eat_op(&["-"]).is_some() {
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(self.parse_unary()?)));
-        }
-        if self.eat_op(&["!"]).is_some() {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.parse_unary()?)));
-        }
-        self.parse_atom()
+        let op = match self.next {
+            Some(Tok::Op("-")) => UnOp::Neg,
+            Some(Tok::Op("!")) => UnOp::Not,
+            _ => return self.parse_atom(),
+        };
+        self.advance()?;
+        Ok(Expr::Unary(op, Box::new(self.parse_unary()?)))
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ExprError> {
-        match self.bump() {
+        match self.bump()? {
             Some(Tok::Num(v)) => Ok(Expr::Num(v)),
             Some(Tok::Ident(name)) => {
-                if matches!(self.peek(), Some(Tok::LParen)) {
-                    self.pos += 1; // '('
-                    let mut args = Vec::new();
-                    if !matches!(self.peek(), Some(Tok::RParen)) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            match self.bump() {
-                                Some(Tok::Comma) => continue,
-                                Some(Tok::RParen) => return Ok(Expr::Call(name, args)),
-                                _ => return err("expected ',' or ')' in argument list"),
-                            }
+                if self.next != Some(Tok::LParen) {
+                    return Ok(Expr::Var(name.to_string()));
+                }
+                self.advance()?; // '('
+                let mut args = Vec::new();
+                if self.next != Some(Tok::RParen) {
+                    loop {
+                        args.push(self.parse_expr()?);
+                        match self.bump()? {
+                            Some(Tok::Comma) => continue,
+                            Some(Tok::RParen) => return Ok(Expr::Call(name.to_string(), args)),
+                            _ => return err("expected ',' or ')' in argument list"),
                         }
                     }
-                    self.pos += 1; // ')'
-                    return Ok(Expr::Call(name, args));
                 }
-                Ok(Expr::Var(name))
+                self.advance()?; // ')'
+                Ok(Expr::Call(name.to_string(), args))
             }
             Some(Tok::LParen) => {
                 let e = self.parse_expr()?;
-                match self.bump() {
+                match self.bump()? {
                     Some(Tok::RParen) => Ok(e),
                     _ => err("expected ')'"),
                 }
@@ -343,6 +321,26 @@ impl Parser {
 }
 
 impl BinOp {
+    /// The operator `symbol` spells, if it is a binary one.
+    fn from_symbol(symbol: &str) -> Option<BinOp> {
+        Some(match symbol {
+            "+" => BinOp::Add,
+            "-" => BinOp::Sub,
+            "*" => BinOp::Mul,
+            "/" => BinOp::Div,
+            "%" => BinOp::Mod,
+            "==" => BinOp::Eq,
+            "!=" => BinOp::Ne,
+            "<" => BinOp::Lt,
+            "<=" => BinOp::Le,
+            ">" => BinOp::Gt,
+            ">=" => BinOp::Ge,
+            "&&" => BinOp::And,
+            "||" => BinOp::Or,
+            _ => return None,
+        })
+    }
+
     fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",
@@ -361,7 +359,8 @@ impl BinOp {
         }
     }
 
-    /// Binding strength for the pretty-printer (higher binds tighter).
+    /// Binding strength for the parser and the pretty-printer (higher
+    /// binds tighter).
     fn precedence(self) -> u8 {
         match self {
             BinOp::Or => 1,
@@ -422,16 +421,19 @@ impl fmt::Display for Expr {
 
 /// Parse an expression from source text.
 pub fn parse(src: &str) -> Result<Expr, ExprError> {
-    let toks = lex(src)?;
-    if toks.is_empty() {
-        return err("empty expression");
+    let mut parser = Parser {
+        lexer: Lexer { src, i: 0 },
+        next: None,
+    };
+    let parsed = parser.parse_all();
+    // A lexing error anywhere outranks a parse error before it, so a
+    // failed parse reads the rest of the text for one.
+    if parsed.is_err() {
+        if let Some(lexing) = parser.lexer.find_map(Result::err) {
+            return Err(lexing);
+        }
     }
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.parse_expr()?;
-    if p.pos != p.toks.len() {
-        return err(format!("trailing tokens after expression in {src:?}"));
-    }
-    Ok(e)
+    parsed
 }
 
 pub(crate) fn sizeof(arg: &Expr) -> Result<f64, ExprError> {
@@ -564,26 +566,27 @@ impl Expr {
     /// introspection and parameter checking).
     pub fn variables(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_vars(&mut out);
+        self.each_var(&mut |v| out.push(v));
         out.sort();
         out.dedup();
-        out
+        out.into_iter().map(str::to_string).collect()
     }
 
-    fn collect_vars(&self, out: &mut Vec<String>) {
+    /// Call `f` on every variable this expression reads, repeats included.
+    pub(crate) fn each_var<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             Expr::Num(_) => {}
-            Expr::Var(v) => out.push(v.clone()),
-            Expr::Unary(_, e) => e.collect_vars(out),
+            Expr::Var(v) => f(v),
+            Expr::Unary(_, e) => e.each_var(f),
             Expr::Binary(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.each_var(f);
+                b.each_var(f);
             }
             Expr::Call(name, args) => {
                 // sizeof's argument is a type name, not a variable.
                 if name != "sizeof" {
                     for a in args {
-                        a.collect_vars(out);
+                        a.each_var(f);
                     }
                 }
             }
@@ -614,6 +617,20 @@ mod tests {
         assert_eq!(ev("3.24 / 4", &[]), 0.81);
         assert_eq!(ev("1e-3 * 2", &[]), 0.002);
         assert_eq!(ev("2.5e2", &[]), 250.0);
+    }
+
+    #[test]
+    fn integer_literals_read_as_str_parse_reads_them() {
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let digits = (x % 18) as usize;
+            let lit = format!("{x}{x}")[..digits.max(1)].to_string();
+            let want: f64 = lit.parse().unwrap();
+            assert_eq!(ev(&lit, &[]).to_bits(), want.to_bits(), "{lit}");
+        }
     }
 
     #[test]
@@ -676,6 +693,11 @@ mod tests {
         assert!(parse("1 @ 2").is_err());
         assert!(parse("(1").is_err());
         assert!(parse("1 2").is_err(), "trailing tokens must error");
+        // Non-ASCII text is an error naming the character, not a panic.
+        for (src, c) in [("é", 'é'), ("1 + x€", '€'), ("2 ≥ 1", '≥')] {
+            let e = parse(src).unwrap_err();
+            assert_eq!(e.message, format!("unexpected character {c:?}"));
+        }
 
         let env = Env::default();
         assert!(parse("nope").unwrap().eval(&env).is_err());

@@ -44,41 +44,107 @@ fn err<T>(message: impl Into<String>) -> Result<T, ExprError> {
     })
 }
 
-/// String-to-slot interner. Kept after lowering only for error messages
-/// (`unbound variable …`) and for binding named parameters to slots.
+/// Strings stored end to end in one buffer and read back by index: a
+/// lowered program's tables of variable names, request handles and
+/// labels, each one allocation (and its offsets) rather than one per
+/// string.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Strings {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Strings {
+    fn with_capacity(strings: usize, bytes: usize) -> Strings {
+        Strings {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(strings),
+        }
+    }
+
+    fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.ends.push(self.text.len());
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|i| &self[i])
+    }
+}
+
+impl std::ops::Index<usize> for Strings {
+    type Output = str;
+
+    fn index(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+}
+
+/// String-to-slot interner for one lowering pass. Its keys borrow the
+/// model being lowered, so each name is copied once, into the table.
+#[derive(Default)]
+struct Interner<'m> {
+    map: HashMap<&'m str, u32>,
+    table: Strings,
+    /// The last name interned and its slot: a model names one variable
+    /// (`procnum`, mostly) many times in a row, and this skips the hash.
+    last: Option<(&'m str, u32)>,
+}
+
+impl<'m> Interner<'m> {
+    fn intern(&mut self, name: &'m str) -> u32 {
+        if let Some((last, slot)) = self.last {
+            if last == name {
+                return slot;
+            }
+        }
+        let next = self.table.len() as u32;
+        let slot = *self.map.entry(name).or_insert_with(|| {
+            self.table.push(name);
+            next
+        });
+        self.last = Some((name, slot));
+        slot
+    }
+}
+
+/// A lowered program's variable names, by slot. Kept after lowering only
+/// for error messages (`unbound variable …`) and for binding named
+/// parameters to slots.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Names {
-    map: HashMap<String, u32>,
-    list: Vec<String>,
+    table: Strings,
+    /// The slots in name order, for [`Names::get`]'s binary search.
+    by_name: Vec<u32>,
 }
 
 impl Names {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.map.get(name) {
-            return i;
-        }
-        let i = self.list.len() as u32;
-        self.map.insert(name.to_string(), i);
-        self.list.push(name.to_string());
-        i
+    fn new(table: Strings) -> Names {
+        let mut by_name: Vec<u32> = (0..table.len() as u32).collect();
+        by_name.sort_unstable_by_key(|&slot| &table[slot as usize]);
+        Names { table, by_name }
     }
 
     /// Slot of `name`, if the lowered program references it.
     pub(crate) fn get(&self, name: &str) -> Option<u32> {
-        self.map.get(name).copied()
+        let at = self
+            .by_name
+            .binary_search_by(|&slot| self.name(slot).cmp(name))
+            .ok()?;
+        Some(self.by_name[at])
     }
 
     pub(crate) fn name(&self, slot: u32) -> &str {
-        &self.list[slot as usize]
+        &self.table[slot as usize]
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// The names in slot order, once nothing is looked up by name.
-    fn into_list(self) -> Vec<String> {
-        self.list
+        self.table.len()
     }
 }
 
@@ -119,69 +185,24 @@ impl LExpr {
             LExpr::Var(i) => slots[*i as usize].ok_or_else(|| ExprError {
                 message: format!("unbound variable {:?}", names.name(*i)),
             }),
-            LExpr::Unary(op, e) => {
-                let v = e.eval(slots, names)?;
-                Ok(match op {
-                    UnOp::Neg => -v,
-                    UnOp::Not => {
-                        if v == 0.0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                })
-            }
-            LExpr::Binary(op, a, b) => {
-                match op {
-                    BinOp::And => {
-                        return Ok(
-                            if a.eval(slots, names)? != 0.0 && b.eval(slots, names)? != 0.0 {
-                                1.0
-                            } else {
-                                0.0
-                            },
-                        )
-                    }
-                    BinOp::Or => {
-                        return Ok(
-                            if a.eval(slots, names)? != 0.0 || b.eval(slots, names)? != 0.0 {
-                                1.0
-                            } else {
-                                0.0
-                            },
-                        )
-                    }
-                    _ => {}
-                }
-                let x = a.eval(slots, names)?;
-                let y = b.eval(slots, names)?;
-                Ok(match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => {
-                        if y == 0.0 {
-                            return err("division by zero");
-                        }
-                        x / y
-                    }
-                    BinOp::Mod => {
-                        let yi = y.trunc();
-                        if yi == 0.0 {
-                            return err("modulo by zero");
-                        }
-                        (x.trunc() as i64).rem_euclid(yi as i64) as f64
-                    }
-                    BinOp::Eq => (x == y) as u8 as f64,
-                    BinOp::Ne => (x != y) as u8 as f64,
-                    BinOp::Lt => (x < y) as u8 as f64,
-                    BinOp::Le => (x <= y) as u8 as f64,
-                    BinOp::Gt => (x > y) as u8 as f64,
-                    BinOp::Ge => (x >= y) as u8 as f64,
-                    BinOp::And | BinOp::Or => unreachable!(),
-                })
-            }
+            LExpr::Unary(op, e) => Ok(unary(*op, e.eval(slots, names)?)),
+            LExpr::Binary(op, a, b) => match op {
+                BinOp::And => Ok(
+                    if a.eval(slots, names)? != 0.0 && b.eval(slots, names)? != 0.0 {
+                        1.0
+                    } else {
+                        0.0
+                    },
+                ),
+                BinOp::Or => Ok(
+                    if a.eval(slots, names)? != 0.0 || b.eval(slots, names)? != 0.0 {
+                        1.0
+                    } else {
+                        0.0
+                    },
+                ),
+                _ => binary(*op, a.eval(slots, names)?, b.eval(slots, names)?),
+            },
             LExpr::Call1(f, a) => {
                 let a = a.eval(slots, names)?;
                 Ok(match f {
@@ -242,6 +263,53 @@ impl LExpr {
     pub(crate) fn references(&self, slot: u32) -> bool {
         self.reads(&|i| i == slot)
     }
+}
+
+/// `op` applied to a value.
+#[inline]
+fn unary(op: UnOp, v: f64) -> f64 {
+    match op {
+        UnOp::Neg => -v,
+        UnOp::Not => {
+            if v == 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
+/// `op` applied to two values; `&&` and `||` see both, so only a caller
+/// that has evaluated both operands (or a literal pair) may ask for them.
+#[inline]
+fn binary(op: BinOp, x: f64, y: f64) -> Result<f64, ExprError> {
+    Ok(match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => {
+            if y == 0.0 {
+                return err("division by zero");
+            }
+            x / y
+        }
+        BinOp::Mod => {
+            let yi = y.trunc();
+            if yi == 0.0 {
+                return err("modulo by zero");
+            }
+            (x.trunc() as i64).rem_euclid(yi as i64) as f64
+        }
+        BinOp::Eq => (x == y) as u8 as f64,
+        BinOp::Ne => (x != y) as u8 as f64,
+        BinOp::Lt => (x < y) as u8 as f64,
+        BinOp::Le => (x <= y) as u8 as f64,
+        BinOp::Gt => (x > y) as u8 as f64,
+        BinOp::Ge => (x >= y) as u8 as f64,
+        BinOp::And => (x != 0.0 && y != 0.0) as u8 as f64,
+        BinOp::Or => (x != 0.0 || y != 0.0) as u8 as f64,
+    })
 }
 
 /// Check and round a value used as a count or a process number, mirroring
@@ -386,9 +454,9 @@ pub(crate) struct Lowered {
     /// Slot of the standard `numprocs` variable.
     pub(crate) numprocs: u32,
     /// `Irecv`/`Wait` handle names, indexed by handle slot.
-    pub(crate) handles: Vec<String>,
+    pub(crate) handles: Strings,
     /// Directive labels, indexed by label slot.
-    pub(crate) labels: Vec<String>,
+    pub(crate) labels: Strings,
     /// Memo sites handed out to [`StmtExpr`]s: the length of one
     /// process's memo row.
     pub(crate) sites: usize,
@@ -399,7 +467,7 @@ pub(crate) struct Lowered {
 impl Lowered {
     /// The text of label slot `label`.
     pub(crate) fn label(&self, label: Option<u32>) -> Option<&str> {
-        label.map(|l| self.labels[l as usize].as_str())
+        label.map(|l| &self.labels[l as usize])
     }
 }
 
@@ -469,23 +537,23 @@ impl Program {
 /// what the differential conformance harness (`pevpm-testkit`) checks by
 /// running both variants over fuzzed programs.
 fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
-    let mut names = Names::default();
-    let procnum = names.intern("procnum");
-    let numprocs = names.intern("numprocs");
-    let mut handles = Names::default();
-    let mut labels = Names::default();
-    let mut induction = Vec::new();
-    induction_vars(&model.stmts, &mut names, &mut induction);
     let mut cx = LowerCx {
-        names: &mut names,
-        handles: &mut handles,
-        labels: &mut labels,
+        names: Interner::default(),
+        handles: Interner::default(),
+        labels: Interner::default(),
         fold,
-        induction,
+        induction: Vec::new(),
         sites: 0,
     };
+    let procnum = cx.names.intern("procnum");
+    let numprocs = cx.names.intern("numprocs");
+    let (mut labels, mut label_bytes) = (0, 0);
+    survey(&model.stmts, &mut cx, &mut labels, &mut label_bytes);
+    // Sized once: a program lives as long as a cache keeps it.
+    cx.labels.map.reserve(labels);
+    cx.labels.table = Strings::with_capacity(labels, label_bytes);
     let stmts = lower_block(&model.stmts, &mut cx)?;
-    let sites = cx.sites as usize;
+    let names = Names::new(cx.names.table);
     let defaults = model
         .params
         .iter()
@@ -496,27 +564,39 @@ fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
         names,
         procnum,
         numprocs,
-        handles: handles.into_list(),
-        labels: labels.into_list(),
-        sites,
+        handles: cx.handles.table,
+        labels: cx.labels.table,
+        sites: cx.sites as usize,
         defaults,
     })
 }
 
-/// Slots of every loop induction variable in `stmts`, whatever its scope.
-fn induction_vars(stmts: &[Stmt], names: &mut Names, out: &mut Vec<u32>) {
+/// What lowering needs before it starts: the slot of every loop induction
+/// variable in `stmts`, whatever its scope, and how many labels `stmts`
+/// carry in how many bytes, to size the label table once.
+fn survey<'m>(stmts: &'m [Stmt], cx: &mut LowerCx<'m>, labels: &mut usize, bytes: &mut usize) {
     for stmt in stmts {
-        match stmt {
+        let label = match stmt {
             Stmt::Loop { var, body, .. } => {
-                out.extend(var.as_ref().map(|v| names.intern(v)));
-                induction_vars(body, names, out);
+                cx.induction
+                    .extend(var.as_ref().map(|v| cx.names.intern(v)));
+                survey(body, cx, labels, bytes);
+                continue;
             }
             Stmt::Runon { branches } => {
                 for (_, body) in branches {
-                    induction_vars(body, names, out);
+                    survey(body, cx, labels, bytes);
                 }
+                continue;
             }
-            _ => {}
+            Stmt::Message { label, .. }
+            | Stmt::Wait { label, .. }
+            | Stmt::Serial { label, .. }
+            | Stmt::Collective { label, .. } => label,
+        };
+        if let Some(text) = label {
+            *labels += 1;
+            *bytes += text.len();
         }
     }
 }
@@ -524,20 +604,20 @@ fn induction_vars(stmts: &[Stmt], names: &mut Names, out: &mut Vec<u32>) {
 /// Shared lowering state: the three interners, the fold switch, and what
 /// [`StmtExpr`] sites need — the program's induction-variable slots and
 /// the next free site.
-struct LowerCx<'a> {
-    names: &'a mut Names,
-    handles: &'a mut Names,
-    labels: &'a mut Names,
+struct LowerCx<'m> {
+    names: Interner<'m>,
+    handles: Interner<'m>,
+    labels: Interner<'m>,
     fold: bool,
     induction: Vec<u32>,
     sites: u32,
 }
 
-fn lower_label(label: &Option<String>, labels: &mut Names) -> Option<u32> {
+fn lower_label<'m>(label: &'m Option<String>, labels: &mut Interner<'m>) -> Option<u32> {
     label.as_deref().map(|text| labels.intern(text))
 }
 
-fn lower_block(stmts: &[Stmt], cx: &mut LowerCx<'_>) -> Result<Vec<LStmt>, ExprError> {
+fn lower_block<'m>(stmts: &'m [Stmt], cx: &mut LowerCx<'m>) -> Result<Vec<LStmt>, ExprError> {
     // Sized exactly: a program lives as long as a cache keeps it.
     let mut block = Vec::with_capacity(stmts.len());
     for stmt in stmts {
@@ -546,7 +626,7 @@ fn lower_block(stmts: &[Stmt], cx: &mut LowerCx<'_>) -> Result<Vec<LStmt>, ExprE
     Ok(block)
 }
 
-fn lower_stmt(stmt: &Stmt, cx: &mut LowerCx<'_>) -> Result<LStmt, ExprError> {
+fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'m>) -> Result<LStmt, ExprError> {
     Ok(match stmt {
         Stmt::Loop { count, var, body } => LStmt::Loop {
             count: lower_expr_in(count, cx)?,
@@ -572,26 +652,26 @@ fn lower_stmt(stmt: &Stmt, cx: &mut LowerCx<'_>) -> Result<LStmt, ExprError> {
             from: lower_expr_in(from, cx)?,
             to: lower_expr_in(to, cx)?,
             handle: handle.as_ref().map(|h| cx.handles.intern(h)),
-            label: lower_label(label, cx.labels),
+            label: lower_label(label, &mut cx.labels),
         },
         Stmt::Wait { handle, label } => LStmt::Wait {
             handle: cx.handles.intern(handle),
-            label: lower_label(label, cx.labels),
+            label: lower_label(label, &mut cx.labels),
         },
         Stmt::Serial { time, label, .. } => LStmt::Serial {
             time: lower_expr_in(time, cx)?,
-            label: lower_label(label, cx.labels),
+            label: lower_label(label, &mut cx.labels),
         },
         Stmt::Collective { op, size, label } => LStmt::Collective {
             op: *op,
             size: lower_expr_in(size, cx)?,
-            label: lower_label(label, cx.labels),
+            label: lower_label(label, &mut cx.labels),
         },
     })
 }
 
-fn lower_expr_in(e: &Expr, cx: &mut LowerCx<'_>) -> Result<StmtExpr, ExprError> {
-    let expr = lower_expr_opts(e, cx.names, cx.fold)?;
+fn lower_expr_in<'m>(e: &'m Expr, cx: &mut LowerCx<'m>) -> Result<StmtExpr, ExprError> {
+    let expr = lower_expr_opts(e, &mut cx.names, cx.fold)?;
     // A literal is its own memo.
     let invariant =
         !matches!(expr, LExpr::Num(_)) && !expr.reads(&|slot| cx.induction.contains(&slot));
@@ -602,21 +682,29 @@ fn lower_expr_in(e: &Expr, cx: &mut LowerCx<'_>) -> Result<StmtExpr, ExprError> 
     Ok(StmtExpr { expr, site })
 }
 
-#[cfg(test)]
-fn lower_expr(e: &Expr, names: &mut Names) -> Result<LExpr, ExprError> {
-    lower_expr_opts(e, names, true)
-}
-
-fn lower_expr_opts(e: &Expr, names: &mut Names, do_fold: bool) -> Result<LExpr, ExprError> {
+fn lower_expr_opts<'m>(
+    e: &'m Expr,
+    names: &mut Interner<'m>,
+    do_fold: bool,
+) -> Result<LExpr, ExprError> {
     let l = match e {
-        Expr::Num(v) => LExpr::Num(*v),
-        Expr::Var(n) => LExpr::Var(names.intern(n)),
-        Expr::Unary(op, a) => LExpr::Unary(*op, Box::new(lower_expr_opts(a, names, do_fold)?)),
-        Expr::Binary(op, a, b) => LExpr::Binary(
-            *op,
-            Box::new(lower_expr_opts(a, names, do_fold)?),
-            Box::new(lower_expr_opts(b, names, do_fold)?),
-        ),
+        Expr::Num(v) => return Ok(LExpr::Num(*v)),
+        Expr::Var(n) => return Ok(LExpr::Var(names.intern(n))),
+        // Literal operands fold here, before their node is built.
+        Expr::Unary(op, a) => match lower_expr_opts(a, names, do_fold)? {
+            LExpr::Num(v) if do_fold => return Ok(LExpr::Num(unary(*op, v))),
+            a => LExpr::Unary(*op, Box::new(a)),
+        },
+        Expr::Binary(op, a, b) => {
+            let a = lower_expr_opts(a, names, do_fold)?;
+            let b = lower_expr_opts(b, names, do_fold)?;
+            if let (LExpr::Num(x), LExpr::Num(y), true) = (&a, &b, do_fold) {
+                if let Ok(v) = binary(*op, *x, *y) {
+                    return Ok(LExpr::Num(v));
+                }
+            }
+            LExpr::Binary(*op, Box::new(a), Box::new(b))
+        }
         Expr::Call(name, args) => {
             if name == "sizeof" {
                 if args.len() != 1 {
@@ -658,17 +746,17 @@ fn lower_expr_opts(e: &Expr, names: &mut Names, do_fold: bool) -> Result<LExpr, 
             }
         }
     };
-    Ok(if do_fold { fold(l, names) } else { l })
+    Ok(if do_fold { fold(l) } else { l })
 }
 
 /// Constant-fold a variable-free subtree. Subtrees whose evaluation errors
 /// (division by zero, log2 domain) are kept symbolic so the error is
 /// raised at execution time, exactly as the interpreter would.
-fn fold(l: LExpr, names: &Names) -> LExpr {
+fn fold(l: LExpr) -> LExpr {
     if matches!(l, LExpr::Num(_)) || l.reads(&|_| true) {
         return l;
     }
-    match l.eval(&[], names) {
+    match l.eval(&[], &Names::default()) {
         Ok(v) => LExpr::Num(v),
         Err(_) => l,
     }
@@ -679,10 +767,27 @@ mod tests {
     use super::*;
     use crate::expr::{parse, Env};
 
+    /// `e` lowered on its own, with the variable names it interned.
+    fn lower_with(e: &Expr, fold: bool) -> Result<(LExpr, Names), ExprError> {
+        let mut names = Interner::default();
+        let l = lower_expr_opts(e, &mut names, fold)?;
+        Ok((l, Names::new(names.table)))
+    }
+
     fn lower(src: &str) -> (LExpr, Names) {
-        let mut names = Names::default();
-        let l = lower_expr(&parse(src).unwrap(), &mut names).unwrap();
-        (l, names)
+        lower_with(&parse(src).unwrap(), true).unwrap()
+    }
+
+    #[test]
+    fn names_find_every_slot_by_name() {
+        let (_, names) = lower("zeta + alpha*mid - (b2 + alpha) / zeta + a1");
+        assert_eq!(names.len(), 5);
+        for slot in 0..names.len() as u32 {
+            assert_eq!(names.get(names.name(slot)), Some(slot));
+        }
+        for absent in ["", "a", "alph", "alphaa", "zz", "procnum"] {
+            assert_eq!(names.get(absent), None, "{absent:?}");
+        }
     }
 
     #[test]
@@ -716,8 +821,7 @@ mod tests {
             ] {
                 env.insert(k.to_string(), v);
             }
-            let mut names = Names::default();
-            let l = lower_expr(&e, &mut names).unwrap();
+            let (l, names) = lower_with(&e, true).unwrap();
             let mut slots = vec![None; names.len()];
             for (k, v) in [
                 ("xsize", 256.0),
@@ -738,8 +842,7 @@ mod tests {
     #[test]
     fn unbound_variable_message_matches() {
         let e = parse("missing+1").unwrap();
-        let mut names = Names::default();
-        let l = lower_expr(&e, &mut names).unwrap();
+        let (l, names) = lower_with(&e, true).unwrap();
         let slots = vec![None; names.len()];
         assert_eq!(
             l.eval(&slots, &names).unwrap_err(),
@@ -755,10 +858,8 @@ mod tests {
             "1+2*3-4/2",
         ] {
             let e = parse(src).unwrap();
-            let mut names = Names::default();
-            let folded = lower_expr_opts(&e, &mut names, true).unwrap();
-            let mut names2 = Names::default();
-            let plain = lower_expr_opts(&e, &mut names2, false).unwrap();
+            let (folded, names) = lower_with(&e, true).unwrap();
+            let (plain, names2) = lower_with(&e, false).unwrap();
             assert!(matches!(folded, LExpr::Num(_)), "{src} should fold");
             assert!(!matches!(plain, LExpr::Num(_)), "{src} should stay a tree");
             let a = folded.eval(&[], &names).unwrap();
@@ -799,9 +900,8 @@ mod tests {
     #[test]
     fn unknown_function_errors_at_lower_time() {
         let e = parse("frob(1)").unwrap();
-        let mut names = Names::default();
         assert_eq!(
-            lower_expr(&e, &mut names).unwrap_err().message,
+            lower_with(&e, true).unwrap_err().message,
             "unknown function \"frob\" with 1 args"
         );
     }

@@ -156,43 +156,53 @@ impl Model {
     /// (or at evaluation time) for the model to evaluate; an evaluation
     /// checks that first ([`crate::Program`]).
     pub fn free_variables(&self) -> Vec<String> {
-        let mut vars = Vec::new();
-        fn walk(stmts: &[Stmt], vars: &mut Vec<String>) {
+        /// Push the variables `e` reads, bar the two standard ones.
+        fn add<'m>(e: &'m Expr, vars: &mut Vec<&'m str>) {
+            e.each_var(&mut |v| {
+                if v != "procnum" && v != "numprocs" {
+                    vars.push(v);
+                }
+            });
+        }
+        fn walk<'m>(stmts: &'m [Stmt], vars: &mut Vec<&'m str>) {
             for s in stmts {
                 match s {
                     Stmt::Loop { count, var, body } => {
-                        vars.extend(count.variables());
+                        add(count, vars);
                         // The induction variable is bound by the loop, not
                         // a free model parameter.
-                        let mut inner = Vec::new();
-                        walk(body, &mut inner);
+                        let outer = vars.len();
+                        walk(body, vars);
                         if let Some(v) = var {
-                            inner.retain(|x| x != v);
+                            let mut i = 0;
+                            vars.retain(|x| {
+                                i += 1;
+                                i <= outer || x != v
+                            });
                         }
-                        vars.extend(inner);
                     }
                     Stmt::Runon { branches } => {
                         for (c, b) in branches {
-                            vars.extend(c.variables());
+                            add(c, vars);
                             walk(b, vars);
                         }
                     }
                     Stmt::Message { size, from, to, .. } => {
-                        vars.extend(size.variables());
-                        vars.extend(from.variables());
-                        vars.extend(to.variables());
+                        add(size, vars);
+                        add(from, vars);
+                        add(to, vars);
                     }
-                    Stmt::Serial { time, .. } => vars.extend(time.variables()),
-                    Stmt::Collective { size, .. } => vars.extend(size.variables()),
+                    Stmt::Serial { time, .. } => add(time, vars),
+                    Stmt::Collective { size, .. } => add(size, vars),
                     Stmt::Wait { .. } => {}
                 }
             }
         }
+        let mut vars = Vec::new();
         walk(&self.stmts, &mut vars);
-        vars.retain(|v| v != "procnum" && v != "numprocs");
         vars.sort();
         vars.dedup();
-        vars
+        vars.into_iter().map(str::to_string).collect()
     }
 
     /// Count the statements in the model (all nesting levels).

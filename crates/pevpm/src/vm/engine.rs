@@ -11,7 +11,7 @@ use super::{
     RNDV_THRESHOLD_BYTES,
 };
 use crate::expr::ExprError;
-use crate::lower::{as_index, LStmt, Lowered, Memo, Program};
+use crate::lower::{as_index, LStmt, Lowered, Memo, Program, Strings};
 use crate::model::{CollOp, Model, MsgKind};
 use crate::scoreboard::{Handle, PairFifo, Slab};
 use crate::timing::{ResolveMemo, TimingModel};
@@ -90,10 +90,10 @@ enum Block {
 
 impl Block {
     /// What the process waits for, its label read from `labels`.
-    fn describe(&self, labels: &[String]) -> String {
+    fn describe(&self, labels: &Strings) -> String {
         let at = self
             .label()
-            .map(|l| format!(" at {}", labels[l as usize]))
+            .map(|l| format!(" at {}", &labels[l as usize]))
             .unwrap_or_default();
         match self {
             Block::Recv { from, seq, .. } => format!(
@@ -557,7 +557,7 @@ pub(crate) fn finish_prediction(
     let mut loss_by_label: HashMap<String, f64> = HashMap::new();
     for (i, name) in setup.lowered.labels.iter().enumerate() {
         if outcome.loss_touched[i] {
-            loss_by_label.insert(name.clone(), outcome.loss[i]);
+            loss_by_label.insert(name.to_string(), outcome.loss[i]);
         }
     }
 

@@ -5,13 +5,17 @@
 //! with every frame, then replays the frames through the steps
 //! `Server::handle_frame` takes — parse, model and compile cache lookups,
 //! eval, render, telemetry — timing and counting each, and through
-//! `handle_frame` itself. No socket is involved.
+//! `handle_frame` itself. The last row, "miss", is what a model-cache miss
+//! adds: one `plan::parse_model` (parse + lowering) per call, cycling
+//! through the 320 distinct sources of the `serve_churn` working set (the
+//! 192 above and the next 128 the generator yields). No socket is involved.
 //!
 //! ```text
 //! cargo run --release -p pevpm-serve --example profile_serve [-- SEED [REQUESTS]]
 //! ```
 //!
-//! SEED defaults to 11 (the benchmark's), REQUESTS to 200 000.
+//! SEED defaults to 11 (the benchmark's), REQUESTS to 200 000; the miss
+//! row makes as many `parse_model` calls as there are requests.
 
 #[path = "../tests/common/working_set.rs"]
 mod working_set;
@@ -81,7 +85,10 @@ fn main() {
     let requests: usize = args
         .next()
         .map_or(200_000, |s| s.parse().expect("REQUESTS is an integer"));
-    let (table, set) = working_set::working_set(seed, 192);
+    // `serve_churn`'s working set; its first 192 programs are `serve_hot`'s.
+    let (table, mut set) = working_set::working_set(seed, 320);
+    let sources: Vec<String> = set.iter().map(|(req, _)| req.model_src.clone()).collect();
+    set.truncate(192);
     let frames: Vec<String> = set.into_iter().map(|(_, frame)| frame).collect();
 
     // The daemon as the benchmark runs it, and the same pipeline's own
@@ -146,6 +153,13 @@ fn main() {
         });
     }
 
+    let mut miss = Tally::default();
+    for k in 0..requests {
+        let src = &sources[k % sources.len()];
+        miss.time(|| plan::parse_model(src, "request model"))
+            .expect("parses");
+    }
+
     let n = requests as f64;
     println!(
         "{requests} cached predict requests over {} programs (seed {seed})",
@@ -170,4 +184,5 @@ fn main() {
         },
     );
     row("handle_frame", &whole);
+    row("miss", &miss);
 }

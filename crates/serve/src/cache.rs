@@ -3,8 +3,8 @@
 //! The two expensive request-independent stages of a prediction are
 //! parsing/lowering the annotated model and compiling a benchmark table
 //! into sampler form. A one-shot CLI run pays both every time; the daemon
-//! pays each exactly once per distinct content and answers every later
-//! request from the cache.
+//! pays each once per distinct content while it stays cached, and answers
+//! every later request from the cache.
 //!
 //! Models are keyed by their source text (a hit compares the bytes, so no
 //! client can collide two sources, and looks them up without copying
@@ -13,21 +13,32 @@
 //! work and an entry holds no second copy of the model. Compiled tables
 //! are keyed by the caller's name for the table — the daemon passes the
 //! table's load position, since its tables never change after startup —
-//! and the request shape. Both caches are bounded with one clear-on-full
-//! policy — an epoch flush is deterministic, cheap, and cannot leak under
-//! adversarial key streams.
+//! and the request shape.
 //!
-//! Each wipe increments the shared `serve.cache.evictions` counter and
-//! resets the cache's epoch-local hit-rate gauge
-//! (`serve.model_cache_hit_rate` / `serve.table_cache_hit_rate`), so a
-//! `/metrics` scrape never shows a ratio computed across a flush. The
-//! lifetime hit/miss counters keep accumulating across epochs.
+//! Both caches share one policy: least recently used. Every entry carries
+//! the stamp of its last use, drawn from a counter under the store's
+//! mutex; a hit refreshes it, and an insert into a full store first
+//! evicts the entry with the smallest stamp, found by a linear scan of at
+//! most [`CACHE_CAP`] entries — well under a microsecond, next to the
+//! parse and lowering (tens of microseconds) that every insert follows.
+//! The bound holds whatever keys clients send: the store never holds more
+//! than `CACHE_CAP` entries, an insert evicts at most one, and stamps are
+//! 64-bit and never wrap. An adversarial stream can only make every
+//! lookup miss — cycling through more than `CACHE_CAP` sources, say —
+//! which costs it what it would cost a cache that wiped itself when full,
+//! while a working set that fits keeps hitting under any interleaving.
+//! A build that fails caches nothing, and two workers that build the same
+//! key at once keep the first entry and evict nothing for the second.
+//!
+//! Each eviction increments the shared `serve.cache.evictions` counter
+//! once. The hit-rate gauges (`serve.model_cache_hit_rate` /
+//! `serve.table_cache_hit_rate`) read hits ÷ (hits + misses) from the
+//! cache's lifetime counters, so they always lie in [0, 1].
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pevpm::timing::{PredictionMode, TimingModel};
@@ -53,63 +64,82 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Epoch-local hit-rate tracking behind a gauge: lookups and hits since
-/// the last clear-on-full wipe. Reset alongside the map so the exported
-/// ratio always describes the *current* cache contents.
-struct HitRate {
-    gauge: Arc<Gauge>,
-    hits: AtomicU64,
-    lookups: AtomicU64,
+/// One cached value and the stamp of its last use.
+struct Entry<V> {
+    value: Arc<V>,
+    used: u64,
 }
 
-impl HitRate {
-    fn new(gauge: Arc<Gauge>) -> Self {
-        gauge.set(0.0);
-        HitRate {
-            gauge,
-            hits: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-        }
+/// The entries and the clock their stamps come from, under one mutex.
+struct Entries<K, V, S> {
+    map: HashMap<K, Entry<V>, S>,
+    clock: u64,
+}
+
+impl<K: Eq + Hash, V, S: BuildHasher> Entries<K, V, S> {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
 
-    fn observe(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let lookups = self.lookups.fetch_add(1, Ordering::Relaxed) + 1;
-        let hits = self.hits.load(Ordering::Relaxed);
-        self.gauge.set(hits as f64 / lookups as f64);
+    /// The value under `key`, its stamp refreshed.
+    fn touch<Q>(&mut self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let now = self.tick();
+        let entry = self.map.get_mut(key)?;
+        entry.used = now;
+        Some(Arc::clone(&entry.value))
     }
 
-    fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.gauge.set(0.0);
+    /// Drop the least recently used entry.
+    fn evict_oldest(&mut self) {
+        if let Some(oldest) = self.map.values().map(|e| e.used).min() {
+            // Stamps are unique: this removes exactly one entry.
+            self.map.retain(|_, e| e.used != oldest);
+        }
     }
 }
 
 /// The one bounded store both caches are typed fronts over: lookup,
-/// build on miss, clear-on-full insert, and the counters and hit-rate
-/// gauge named on [`ModelCache::new`] / [`TimingCache::new`].
+/// build on miss, least-recently-used eviction on insert, and the
+/// counters and hit-rate gauge named on [`ModelCache::new`] /
+/// [`TimingCache::new`].
 struct Store<K, V, S = RandomState> {
-    map: Mutex<HashMap<K, Arc<V>, S>>,
+    entries: Mutex<Entries<K, V, S>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     compiles: Arc<Counter>,
     evictions: Arc<Counter>,
-    hit_rate: HitRate,
+    hit_rate: Arc<Gauge>,
 }
 
 impl<K: Eq + Hash, V, S: BuildHasher> Store<K, V, S> {
     fn new(registry: &Registry, what: &str, hasher: S) -> Self {
         Store {
-            map: Mutex::new(HashMap::with_hasher(hasher)),
+            entries: Mutex::new(Entries {
+                map: HashMap::with_hasher(hasher),
+                clock: 0,
+            }),
             hits: registry.counter(&format!("serve.{what}_cache_hits")),
             misses: registry.counter(&format!("serve.{what}_cache_misses")),
             compiles: registry.counter(&format!("serve.{what}_compiles")),
             evictions: registry.counter("serve.cache.evictions"),
-            hit_rate: HitRate::new(registry.gauge(&format!("serve.{what}_cache_hit_rate"))),
+            hit_rate: registry.gauge(&format!("serve.{what}_cache_hit_rate")),
         }
+    }
+
+    /// Count one lookup and publish the lifetime hit rate. Each counter
+    /// only grows, so whatever a racing lookup has added by the time it
+    /// is read, hits ÷ (hits + misses) lies in [0, 1].
+    fn observe(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.inc();
+        let hits = self.hits.get() as f64;
+        let misses = self.misses.get() as f64;
+        self.hit_rate.set(hits / (hits + misses));
     }
 
     /// The cached value for `key`, built (and cached, under an owned copy
@@ -124,22 +154,29 @@ impl<K: Eq + Hash, V, S: BuildHasher> Store<K, V, S> {
         K: Borrow<Q>,
         Q: Hash + Eq + ToOwned<Owned = K> + ?Sized,
     {
-        let cached = self.map.lock().ok().and_then(|map| map.get(key).cloned());
-        self.hit_rate.observe(cached.is_some());
+        let cached = self.entries.lock().ok().and_then(|mut e| e.touch(key));
+        self.observe(cached.is_some());
         if let Some(value) = cached {
-            self.hits.inc();
             return Ok((value, true));
         }
-        self.misses.inc();
         let value = Arc::new(build()?);
         self.compiles.inc();
-        if let Ok(mut map) = self.map.lock() {
-            if map.len() >= CACHE_CAP {
-                map.clear();
-                self.evictions.inc();
-                self.hit_rate.reset();
+        if let Ok(mut entries) = self.entries.lock() {
+            // Another worker may have built this key meanwhile: its entry
+            // stays, and nothing is evicted for ours.
+            if let Some(cached) = entries.touch(key) {
+                return Ok((cached, false));
             }
-            map.insert(key.to_owned(), Arc::clone(&value));
+            if entries.map.len() >= CACHE_CAP {
+                entries.evict_oldest();
+                self.evictions.inc();
+            }
+            let used = entries.tick();
+            let entry = Entry {
+                value: Arc::clone(&value),
+                used,
+            };
+            entries.map.insert(key.to_owned(), entry);
         }
         Ok((value, false))
     }
@@ -151,9 +188,8 @@ pub struct ModelCache<S = RandomState>(Store<String, Program, S>);
 impl ModelCache {
     /// A cache whose hit/miss/compile counters live in `registry` under
     /// `serve.model_cache_hits`, `serve.model_cache_misses` and
-    /// `serve.model_compiles`, with an epoch-local
-    /// `serve.model_cache_hit_rate` gauge and the shared
-    /// `serve.cache.evictions` counter.
+    /// `serve.model_compiles`, with a `serve.model_cache_hit_rate` gauge
+    /// and the shared `serve.cache.evictions` counter.
     pub fn new(registry: &Registry) -> Self {
         ModelCache(Store::new(registry, "model", RandomState::new()))
     }
@@ -207,9 +243,8 @@ pub struct TimingCache(Store<TimingKey, TimingModel>);
 impl TimingCache {
     /// A cache whose counters live in `registry` under
     /// `serve.table_cache_hits`, `serve.table_cache_misses` and
-    /// `serve.table_compiles`, with an epoch-local
-    /// `serve.table_cache_hit_rate` gauge and the shared
-    /// `serve.cache.evictions` counter.
+    /// `serve.table_compiles`, with a `serve.table_cache_hit_rate` gauge
+    /// and the shared `serve.cache.evictions` counter.
     pub fn new(registry: &Registry) -> Self {
         TimingCache(Store::new(registry, "table", RandomState::new()))
     }
@@ -348,54 +383,109 @@ mod tests {
         assert_eq!(reg.counter("serve.table_cache_hits").get(), 1);
     }
 
+    /// Distinct sources: vary an annotation constant so every source
+    /// parses but hashes differently.
+    fn src_n(n: usize) -> String {
+        SRC.replace("size = 1024", &format!("size = {}", 1024 + n * 8))
+    }
+
+    fn len<K: Eq + Hash, V, S: BuildHasher>(store: &Store<K, V, S>) -> usize {
+        store.entries.lock().unwrap().map.len()
+    }
+
     #[test]
-    fn clear_on_full_resets_the_hit_rate_epoch() {
+    fn a_full_cache_evicts_the_least_recently_used_entry() {
         let reg = Registry::new();
         let cache = ModelCache::new(&reg);
-        // Distinct sources: vary an annotation constant so every source
-        // parses but hashes differently.
-        let src_n = |n: usize| SRC.replace("size = 1024", &format!("size = {}", 1024 + n * 8));
         for n in 0..CACHE_CAP {
             cache.get_or_parse(&src_n(n), "t").unwrap();
         }
-        // A warm hit inside the first epoch pushes the rate above zero.
-        cache.get_or_parse(&src_n(0), "t").unwrap();
-        assert!(reg.gauge("serve.model_cache_hit_rate").get() > 0.0);
+        // Source 0 is hit after the last insert, so source 1 is now the
+        // least recently used.
+        assert!(cache.get_or_parse(&src_n(0), "t").unwrap().1);
         assert_eq!(reg.counter("serve.cache.evictions").get(), 0);
-        // The CAP+1-th distinct insert wipes the map: the evictions
-        // counter ticks and the epoch hit-rate returns to a fresh state,
-        // not a stale ratio spanning the wipe.
         cache.get_or_parse(&src_n(CACHE_CAP), "t").unwrap();
         assert_eq!(reg.counter("serve.cache.evictions").get(), 1);
-        assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 0.0);
-        // Lifetime counters keep accumulating across the wipe.
-        assert_eq!(
-            reg.counter("serve.model_cache_misses").get(),
-            CACHE_CAP as u64 + 1
+        assert!(
+            cache.get_or_parse(&src_n(0), "t").unwrap().1,
+            "hit survives"
         );
-        // The next lookup starts the new epoch's ratio from scratch.
-        cache.get_or_parse(&src_n(CACHE_CAP), "t").unwrap();
-        assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 1.0);
+        assert!(cache.get_or_parse(&src_n(CACHE_CAP), "t").unwrap().1);
+        assert!(!cache.get_or_parse(&src_n(1), "t").unwrap().1, "LRU went");
+        assert_eq!(len(&cache.0), CACHE_CAP);
+    }
 
-        // The timing cache wipes the same way: the evictions counter is
-        // shared, the hit-rate gauge it resets is its own.
+    #[test]
+    fn evictions_count_entries_and_the_store_stays_bounded() {
+        let reg = Registry::new();
+        let cache = ModelCache::new(&reg);
+        for n in 0..10 * CACHE_CAP {
+            cache.get_or_parse(&src_n(n), "t").unwrap();
+            assert!(len(&cache.0) <= CACHE_CAP);
+        }
+        let evicted = 9 * CACHE_CAP as u64;
+        assert_eq!(reg.counter("serve.cache.evictions").get(), evicted);
+        assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 0.0);
+
+        // The timing cache evicts the same way, into the shared counter.
         let (timings, table) = (TimingCache::new(&reg), pevpm_bench_table());
-        let build = |hash: u64| {
-            let (mode, opts) = (PredictionMode::Average, CompileOptions::default());
+        let (mode, opts) = (PredictionMode::Average, CompileOptions::default());
+        for hash in 0..=CACHE_CAP as u64 {
             timings
                 .get_or_build(hash, &table, mode, false, opts)
-                .unwrap()
-        };
-        for hash in 0..CACHE_CAP as u64 {
-            build(hash);
+                .unwrap();
         }
-        assert!(build(0).1, "a warm hit inside the first epoch");
-        assert!(reg.gauge("serve.table_cache_hit_rate").get() > 0.0);
+        assert_eq!(reg.counter("serve.cache.evictions").get(), evicted + 1);
+        assert_eq!(len(&timings.0), CACHE_CAP);
+    }
+
+    #[test]
+    fn a_key_built_twice_at_once_evicts_nothing() {
+        let reg = Registry::new();
+        let store = Store::new(&reg, "model", RandomState::new());
+        for k in 0..CACHE_CAP as u64 {
+            store.get_or_build(&k, || Ok(k)).unwrap();
+        }
+        // While this build runs, a second worker misses on the same key
+        // and inserts it first, evicting one entry for it.
+        let key = CACHE_CAP as u64;
+        let (first, hit) = store
+            .get_or_build(&key, || {
+                let (second, _) = store.get_or_build(&key, || Ok(key))?;
+                Ok(*second)
+            })
+            .unwrap();
+        assert!(!hit);
         assert_eq!(reg.counter("serve.cache.evictions").get(), 1);
-        build(CACHE_CAP as u64);
-        assert_eq!(reg.counter("serve.cache.evictions").get(), 2);
-        assert_eq!(reg.gauge("serve.table_cache_hit_rate").get(), 0.0);
-        assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 1.0);
+        assert_eq!(
+            reg.counter("serve.model_compiles").get(),
+            CACHE_CAP as u64 + 2
+        );
+        assert_eq!(len(&store), CACHE_CAP);
+        let (cached, hit) = store.get_or_build(&key, || Ok(0)).unwrap();
+        assert!(hit && Arc::ptr_eq(&first, &cached), "the first entry stays");
+    }
+
+    #[test]
+    fn the_hit_rate_stays_in_the_unit_interval_under_racing_lookups() {
+        let reg = Registry::new();
+        let store: Store<u64, u64> = Store::new(&reg, "model", RandomState::new());
+        let gauge = reg.gauge("serve.model_cache_hit_rate");
+        std::thread::scope(|scope| {
+            for worker in 0..2 {
+                let (store, gauge) = (&store, &gauge);
+                scope.spawn(move || {
+                    for i in 0..20_000u64 {
+                        // Mostly one shared hot key, now and then a miss.
+                        let key = if i % 64 == 0 { 1 + 2 * i + worker } else { 0 };
+                        store.get_or_build(&key, || Ok(key)).unwrap();
+                        let rate = gauge.get();
+                        assert!((0.0..=1.0).contains(&rate), "hit rate {rate}");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.hits.get() + store.misses.get(), 40_000);
     }
 
     fn pevpm_bench_table() -> DistTable {
