@@ -93,7 +93,7 @@ fn main() {
         let pred = evaluate(&model, &no_sink, &timing).unwrap();
         let dur_us = t0.elapsed().as_secs_f64() * 1e6;
         span.stages.push(pevpm_obs::StageTiming {
-            name: "eval".to_string(),
+            name: "eval",
             start_us: 0.0,
             dur_us,
         });

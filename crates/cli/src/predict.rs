@@ -78,13 +78,14 @@ pub(crate) fn cmd_predict(args: &Args) -> Result<String, CliError> {
     }
 
     // Write the sinks requested on the command line; returns report lines.
-    let dump_sinks = |pred: Option<&pevpm::Prediction>,
-                      span: &pevpm_obs::RequestSpan|
-     -> Result<String, CliError> {
+    // The request's span is read back from the hub's ring.
+    let dump_sinks = |pred: Option<&pevpm::Prediction>| -> Result<String, CliError> {
         let mut extra = String::new();
         if let (Some(path), Some(p)) = (trace_out, pred) {
             let mut chrome = pevpm::trace_export::chrome_trace(p);
-            chrome.merge(pevpm_obs::span::chrome_service_track(span));
+            for span in telemetry.ring().last(1) {
+                chrome.merge(pevpm_obs::span::chrome_service_track(&span));
+            }
             write_text(path, &chrome.to_json())?;
             extra.push_str(&format!(
                 "predicted timeline ({} spans, incl. service stages) written to {path}\n",
@@ -153,16 +154,16 @@ pub(crate) fn cmd_predict(args: &Args) -> Result<String, CliError> {
                 out.push_str(&plan::render_failures(&mc.failures));
                 out
             });
-            let span = timer.finish("ok", out.len());
+            timer.finish("ok", out.len());
             // The trace sink gets the first replication: its seed is the
             // one a `--reps 1` run with the same --seed would use.
-            out.push_str(&dump_sinks(mc.runs.first(), &span)?);
+            out.push_str(&dump_sinks(mc.runs.first())?);
             Ok(out)
         }
         EvalOutcome::Single(p) => {
             let mut out = timer.stage("render", || plan::render_single_report(&p));
-            let span = timer.finish("ok", out.len());
-            out.push_str(&dump_sinks(Some(&p), &span)?);
+            timer.finish("ok", out.len());
+            out.push_str(&dump_sinks(Some(&p))?);
             Ok(out)
         }
     }

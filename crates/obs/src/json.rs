@@ -1,14 +1,20 @@
 //! Minimal dependency-free JSON support.
 //!
 //! The workspace vendors all external crates as offline stubs, so there is
-//! no serde; the exporters hand-build their JSON strings with [`escape`] /
-//! [`num`], and this module's [`parse`] provides a small recursive-descent
-//! reader used by schema-validation tests and by
-//! [`crate::chrome::validate`]. It accepts standard JSON (objects, arrays,
-//! strings with escapes, numbers, booleans, null) — enough to round-trip
-//! everything this crate emits.
+//! no serde. Writers render straight into any [`fmt::Write`]: [`Escaped`]
+//! escapes whatever passes through it for a string body and [`write_num`]
+//! prints a number, with [`escape`] / [`num`] as their `String`-returning
+//! forms. Reading goes through one [`Scanner`], a small recursive-descent
+//! reader that borrows from the document: [`parse`] builds an owned
+//! [`Json`] tree on it (schema-validation tests, [`crate::chrome::validate`],
+//! the benchmark's record files), and the serve protocol's decoder reads a
+//! frame's members off it without building a tree at all. It accepts
+//! standard JSON (objects, arrays, strings with escapes, numbers, booleans,
+//! null) — enough to round-trip everything this crate emits.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,167 +80,379 @@ impl Json {
     }
 }
 
+/// A JSON value as the [`Scanner`] reads it, borrowing from the document:
+/// a string without escapes is a slice of the source, an escaped one is
+/// decoded once into a `String` of exactly its size, and an object is its
+/// members in document order, duplicates included.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string (escapes resolved).
+    Str(Cow<'a, str>),
+    /// An array.
+    Arr(Vec<Value<'a>>),
+    /// An object's members, in document order.
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
+}
+
+impl Value<'_> {
+    /// The owned tree: an object's later duplicate key wins, as it does
+    /// when members are inserted into a map one by one.
+    pub fn into_json(self) -> Json {
+        match self {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(b),
+            Value::Num(n) => Json::Num(n),
+            Value::Str(s) => Json::Str(s.into_owned()),
+            Value::Arr(items) => Json::Arr(items.into_iter().map(Value::into_json).collect()),
+            Value::Obj(members) => Json::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (k.into_owned(), v.into_json()))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// A writer adapter that escapes everything written through it for the
+/// inside of a JSON string, so a value can be formatted straight into a
+/// document with no escaped copy in between.
+pub struct Escaped<'w, W: fmt::Write + ?Sized>(pub &'w mut W);
+
+impl<W: fmt::Write + ?Sized> fmt::Write for Escaped<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // Runs that need no escape go through whole.
+        let mut run = 0;
+        for (i, c) in s.char_indices() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                c if (c as u32) < 0x20 => None,
+                _ => continue,
+            };
+            self.0.write_str(&s[run..i])?;
+            match short {
+                Some(text) => self.0.write_str(text)?,
+                None => write!(self.0, "\\u{:04x}", c as u32)?,
+            }
+            run = i + c.len_utf8();
+        }
+        self.0.write_str(&s[run..])
+    }
+}
+
 /// Escape a string for embedding between JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let _ = Escaped(&mut out).write_str(s);
     out
 }
 
-/// Format an `f64` as a JSON number. JSON has no Infinity/NaN, so
-/// non-finite values are emitted as `null`-safe sentinels (`0`), which
+/// Write an `f64` as a JSON number. JSON has no Infinity/NaN, so
+/// non-finite values are written as `null`-safe sentinels (`0`), which
 /// callers should avoid producing in the first place.
-pub fn num(v: f64) -> String {
+pub fn write_num<W: fmt::Write + ?Sized>(w: &mut W, v: f64) -> fmt::Result {
     if !v.is_finite() {
-        return "0".to_string();
+        return w.write_str("0");
     }
     if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        write!(w, "{}", v as i64)
     } else {
         // Rust's Display prints the shortest decimal that round-trips the
         // f64 exactly, and never uses exponent notation — always valid
         // JSON, and compact for the common microsecond-scale values.
-        format!("{v}")
+        write!(w, "{v}")
     }
 }
 
-/// Deepest array/object nesting [`parse`] accepts. The parser recurses
-/// once per level and its input arrives from sockets, so without a bound a
+/// Format an `f64` as a JSON number ([`write_num`] into a new `String`).
+pub fn num(v: f64) -> String {
+    let mut out = String::new();
+    let _ = write_num(&mut out, v);
+    out
+}
+
+/// Deepest array/object nesting the [`Scanner`] accepts. It recurses once
+/// per level and its input arrives from sockets, so without a bound a
 /// frame of `[[[[…` overflows the stack — an abort no `catch_unwind`
 /// contains. The serve protocol nests three deep.
 pub const MAX_DEPTH: usize = 128;
 
-/// Parse a JSON document.
+/// Parse a JSON document into an owned tree.
 pub fn parse(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
+    let mut scanner = Scanner::new(src);
+    let value = scanner.value()?;
+    scanner.end()?;
+    Ok(value.into_json())
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// The JSON reader: recursive descent over one document, yielding
+/// [`Value`]s that borrow from it. Every syntax, depth and escape error is
+/// found here, at the byte offset it names, so every reader built on it
+/// words its errors alike.
+#[derive(Clone, Copy)]
+pub struct Scanner<'a> {
+    src: &'a str,
+    pos: usize,
+}
+
+/// Where decoded string text goes: into a `String`, or only counted.
+trait Unescaped {
+    fn push(&mut self, s: &str);
+}
+
+impl Unescaped for String {
+    fn push(&mut self, s: &str) {
+        self.push_str(s);
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
+impl Unescaped for usize {
+    fn push(&mut self, s: &str) {
+        *self += s.len();
+    }
+}
+
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Scanner { src, pos: 0 }
+    }
+
+    /// Read the next value.
+    pub fn value(&mut self) -> Result<Value<'a>, String> {
+        self.value_at(0)
+    }
+
+    /// Read the next value; if it is an object, hand each member to
+    /// `member` as it is read, in document order, instead of collecting
+    /// them. Returns `None` for an object, else the value read.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(Cow<'a, str>, Value<'a>),
+    ) -> Result<Option<Value<'a>>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'{') {
+            self.object(1, &mut member)?;
+            Ok(None)
+        } else {
+            self.value().map(Some)
+        }
+    }
+
+    /// Check that only whitespace is left.
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
         Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
     }
-}
 
-/// `depth` counts the arrays and objects enclosing this value.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} levels at byte {}",
-            *pos
-        )),
-        Some(b'{') => parse_object(b, pos, depth + 1),
-        Some(b'[') => parse_array(b, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", c as char, self.pos))
+        }
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// `depth` counts the arrays and objects enclosing this value.
+    fn value_at(&mut self, depth: usize) -> Result<Value<'a>, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".into()),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(depth + 1, &mut |k, v| members.push((k, v)))?;
+                Ok(Value::Obj(members))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = hex4(b, *pos + 1)?;
-                        *pos += 4;
-                        // Outside the BMP, JSON spells a character as a
-                        // UTF-16 pair: a high surrogate, then a low one.
-                        if (0xd800..0xdc00).contains(&code)
-                            && b.get(*pos + 1..*pos + 3) == Some(b"\\u")
-                        {
-                            let low = hex4(b, *pos + 3)?;
-                            if (0xdc00..0xe000).contains(&low) {
-                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                *pos += 6;
-                            }
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("lone surrogate before byte {}", *pos))?,
-                        );
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
+            Some(b'[') => self.array(depth + 1),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(_) => self.number(),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Value<'a>) -> Result<Value<'a>, String> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Value<'a>, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
+            self.pos += 1;
+        }
+        self.src[start..self.pos]
+            .parse::<f64>()
+            .map(Value::Num)
+            .map_err(|_| format!("bad number at byte {start}"))
+    }
+
+    /// A string: borrowed when it has no escape, else decoded into a
+    /// `String` sized by a first, counting pass.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let end = bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map(|n| start + n);
+        match end {
+            None => Err("unterminated string".into()),
+            Some(end) if bytes[end] == b'"' => {
+                self.pos = end + 1;
+                Ok(Cow::Borrowed(&self.src[start..end]))
             }
             Some(_) => {
-                // Consume the longest run of unescaped content in one
-                // step: validating UTF-8 from `pos` to end-of-input per
-                // character would make string parsing quadratic.
-                let run_start = *pos;
-                while *pos < b.len() && b[*pos] != b'"' && b[*pos] != b'\\' {
-                    *pos += 1;
+                let mut len = 0usize;
+                Scanner { ..*self }.unescape(&mut len)?;
+                let mut out = String::with_capacity(len);
+                self.unescape(&mut out)?;
+                Ok(Cow::Owned(out))
+            }
+        }
+    }
+
+    /// Decode a string's text from the current byte through its closing
+    /// quote into `out`.
+    fn unescape(&mut self, out: &mut impl Unescaped) -> Result<(), String> {
+        let b = self.src.as_bytes();
+        loop {
+            match b.get(self.pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
                 }
-                let run = std::str::from_utf8(&b[run_start..*pos]).map_err(|_| "invalid UTF-8")?;
-                out.push_str(run);
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = match b.get(self.pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let mut code = hex4(b, self.pos + 1)?;
+                            self.pos += 4;
+                            // Outside the BMP, JSON spells a character as a
+                            // UTF-16 pair: a high surrogate, then a low one.
+                            if (0xd800..0xdc00).contains(&code)
+                                && b.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                let low = hex4(b, self.pos + 3)?;
+                                if (0xdc00..0xe000).contains(&low) {
+                                    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                    self.pos += 6;
+                                }
+                            }
+                            char::from_u32(code)
+                                .ok_or_else(|| format!("lone surrogate before byte {}", self.pos))?
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    };
+                    out.push(c.encode_utf8(&mut [0; 4]));
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // The longest run of unescaped content, in one step.
+                    let start = self.pos;
+                    while self.pos < b.len() && b[self.pos] != b'"' && b[self.pos] != b'\\' {
+                        self.pos += 1;
+                    }
+                    out.push(&self.src[start..self.pos]);
+                }
+            }
+        }
+    }
+
+    fn object(
+        &mut self,
+        depth: usize,
+        member: &mut dyn FnMut(Cow<'a, str>, Value<'a>),
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value_at(depth)?;
+            member(key, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Value<'a>, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value_at(depth)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
@@ -247,55 +465,6 @@ fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
         .and_then(|h| std::str::from_utf8(h).ok())
         .and_then(|h| u32::from_str_radix(h, 16).ok())
         .ok_or_else(|| format!("bad \\u escape at byte {at}"))
-}
-
-fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos, depth)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos, depth)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -339,27 +508,28 @@ mod tests {
     #[test]
     fn surrogate_pairs_combine_and_lone_surrogates_are_rejected() {
         assert_eq!(
-            parse(r#""a\ud83d\ude00b\u00e9""#).unwrap().as_str(),
+            parse("\"a\\ud83d\\ude00b\\u00e9\"").unwrap().as_str(),
             Some("a\u{1f600}b\u{e9}")
         );
         for lone in [
-            r#""\ud83d""#,
-            r#""\ud83dx""#,
-            r#""\ude00""#,
-            r#""\ud83d\u0041""#,
-            r#""\ud83d\ud83d""#,
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ude00\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ud83d\"",
         ] {
             let e = parse(lone).unwrap_err();
             assert!(e.contains("lone surrogate"), "{lone}: {e}");
         }
-        assert!(parse(r#""\u+123""#).is_err());
-        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse("\"\\u+123\"").is_err());
+        assert!(parse("\"\\u12\"").is_err());
     }
 
     #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let doc = format!("\"{}\"", escape(nasty));
+        assert_eq!(doc, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
     }
 
@@ -371,5 +541,50 @@ mod tests {
             assert_eq!(back, v, "{s}");
         }
         assert_eq!(num(f64::INFINITY), "0");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped_and_escaped_ones_are_sized_exactly() {
+        let doc = "[\"plain\", \"tab\\there \u{e9}\\ud83d\\ude00\", \"\"]";
+        let Value::Arr(items) = Scanner::new(doc).value().unwrap() else {
+            panic!("an array")
+        };
+        let [Value::Str(plain), Value::Str(escaped), Value::Str(empty)] = &items[..] else {
+            panic!("three strings: {items:?}")
+        };
+        assert!(matches!(plain, Cow::Borrowed("plain")));
+        assert!(matches!(empty, Cow::Borrowed("")));
+        let Cow::Owned(escaped) = escaped else {
+            panic!("an escaped string is decoded")
+        };
+        assert_eq!(escaped, "tab\there \u{e9}\u{1f600}");
+        assert_eq!(escaped.capacity(), escaped.len());
+    }
+
+    #[test]
+    fn members_stream_in_document_order_with_duplicates() {
+        let mut seen = Vec::new();
+        let rest = Scanner::new(r#" {"b": 1, "a": [true], "b": null} "#)
+            .members(|k, v| seen.push((k.into_owned(), v)))
+            .unwrap();
+        assert_eq!(rest, None);
+        assert_eq!(
+            seen,
+            [
+                ("b".to_string(), Value::Num(1.0)),
+                ("a".to_string(), Value::Arr(vec![Value::Bool(true)])),
+                ("b".to_string(), Value::Null),
+            ]
+        );
+        // The tree keeps the last duplicate, as insertion would.
+        assert_eq!(
+            parse(r#"{"b": 1, "b": 2}"#).unwrap().get("b"),
+            Some(&Json::Num(2.0))
+        );
+        // A root that is not an object comes back whole.
+        let root = Scanner::new("[1]")
+            .members(|_, _| panic!("no members"))
+            .unwrap();
+        assert_eq!(root, Some(Value::Arr(vec![Value::Num(1.0)])));
     }
 }

@@ -34,7 +34,7 @@ pub const PID_SERVICE: u32 = 4;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name (`validate`, `model`, `compile`, `eval`, `render`, ...).
-    pub name: String,
+    pub name: &'static str,
     /// Stage start, microseconds after the request started.
     pub start_us: f64,
     /// Stage duration in microseconds.
@@ -48,7 +48,7 @@ pub struct RequestSpan {
     /// Monotonically-assigned request id (1-based, process-wide).
     pub id: u64,
     /// Operation: `predict`, `batch`, `batch-item`, `stats`, `ping`, ...
-    pub op: String,
+    pub op: &'static str,
     /// Wall-clock request start (microseconds since the Unix epoch), for
     /// log correlation only — durations come from the monotonic clock.
     pub start_unix_us: u64,
@@ -61,9 +61,9 @@ pub struct RequestSpan {
     pub stages: Vec<StageTiming>,
     /// How the request ended: `ok`, or an error class
     /// (`usage`/`input`/`budget`/`panic`).
-    pub outcome: String,
+    pub outcome: &'static str,
     /// Per-cache lookup outcomes as `(cache, hit)`, e.g. `("model", true)`.
-    pub caches: Vec<(String, bool)>,
+    pub caches: Vec<(&'static str, bool)>,
     /// Monte-Carlo replications requested (0 when not a prediction).
     pub reps: usize,
     /// Replication failures absorbed by a quorum (or failed batch items
@@ -82,15 +82,15 @@ pub struct RequestSpan {
 
 impl RequestSpan {
     /// An empty span for `op` with identity and start times filled in.
-    pub fn new(id: u64, op: &str, start_unix_us: u64, start_us: f64) -> Self {
+    pub fn new(id: u64, op: &'static str, start_unix_us: u64, start_us: f64) -> Self {
         RequestSpan {
             id,
-            op: op.to_string(),
+            op,
             start_unix_us,
             start_us,
             total_us: 0.0,
             stages: Vec::new(),
-            outcome: "ok".to_string(),
+            outcome: "ok",
             caches: Vec::new(),
             reps: 0,
             replica_failures: 0,
@@ -192,11 +192,11 @@ pub fn span_json(s: &RequestSpan) -> String {
         "{{\"id\":{},\"op\":\"{}\",\"start\":\"{}\",\"start_us\":{},\"total_us\":{},\
          \"outcome\":\"{}\"",
         s.id,
-        escape(&s.op),
+        escape(s.op),
         rfc3339_utc_us(s.start_unix_us),
         num(s.start_us),
         num(s.total_us),
-        escape(&s.outcome),
+        escape(s.outcome),
     );
     out.push_str(",\"stages\":[");
     for (i, st) in s.stages.iter().enumerate() {
@@ -205,7 +205,7 @@ pub fn span_json(s: &RequestSpan) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}}}",
-            escape(&st.name),
+            escape(st.name),
             num(st.start_us),
             num(st.dur_us)
         ));
@@ -253,7 +253,7 @@ pub fn render_spans(spans: &[RequestSpan]) -> String {
 pub fn chrome_service_track(span: &RequestSpan) -> ChromeTrace {
     let mut trace = ChromeTrace::new();
     trace.name_process(PID_SERVICE, "service stages");
-    trace.name_thread(PID_SERVICE, 0, &span.op);
+    trace.name_thread(PID_SERVICE, 0, span.op);
     trace.push(Span {
         pid: PID_SERVICE,
         tid: 0,
@@ -262,8 +262,8 @@ pub fn chrome_service_track(span: &RequestSpan) -> ChromeTrace {
         ts_us: 0.0,
         dur_us: span.total_us,
         args: vec![
-            ("op".to_string(), span.op.clone()),
-            ("outcome".to_string(), span.outcome.clone()),
+            ("op".to_string(), span.op.to_string()),
+            ("outcome".to_string(), span.outcome.to_string()),
             ("reps".to_string(), span.reps.to_string()),
         ],
     });
@@ -271,7 +271,7 @@ pub fn chrome_service_track(span: &RequestSpan) -> ChromeTrace {
         trace.push(Span {
             pid: PID_SERVICE,
             tid: 0,
-            name: st.name.clone(),
+            name: st.name.to_string(),
             cat: "service".to_string(),
             ts_us: st.start_us,
             dur_us: st.dur_us,
@@ -326,16 +326,16 @@ mod tests {
         let mut s = RequestSpan::new(id, "predict", 1_754_569_200_000_000, 10.0);
         s.total_us = 120.0;
         s.stages.push(StageTiming {
-            name: "validate".to_string(),
+            name: "validate",
             start_us: 0.0,
             dur_us: 20.0,
         });
         s.stages.push(StageTiming {
-            name: "eval".to_string(),
+            name: "eval",
             start_us: 20.0,
             dur_us: 90.0,
         });
-        s.caches.push(("model".to_string(), true));
+        s.caches.push(("model", true));
         s.reps = 8;
         s.response_bytes = 512;
         s
@@ -397,6 +397,37 @@ mod tests {
         let arr = render_spans(&[span(1), span(2)]);
         let parsed = crate::json::parse(&arr).expect("span array parses");
         assert_eq!(parsed.as_array().map(<[_]>::len), Some(2));
+    }
+
+    #[test]
+    fn span_json_bytes_are_pinned() {
+        // What the request log writes and `/spans` serves, byte for byte.
+        let plain = "{\"id\":7,\"op\":\"predict\",\"start\":\"2025-08-07T12:20:00Z\",\
+            \"start_us\":10,\"total_us\":120,\"outcome\":\"ok\",\"stages\":[\
+            {\"name\":\"validate\",\"start_us\":0,\"dur_us\":20},\
+            {\"name\":\"eval\",\"start_us\":20,\"dur_us\":90}],\
+            \"caches\":{\"model\":\"hit\"},\"reps\":8,\"replica_failures\":0,\
+            \"quorum\":false,\"panicked\":false,\"response_bytes\":512}";
+        assert_eq!(span_json(&span(7)), plain);
+        let mut odd = RequestSpan::new(9, "batch-item", 1_609_459_199_999_999, 12.25);
+        odd.total_us = 1234.5;
+        odd.outcome = "budget";
+        odd.caches = vec![("model", false), ("table", true)];
+        odd.reps = 16;
+        odd.replica_failures = 2;
+        odd.quorum = true;
+        odd.reps_saved = Some(3);
+        odd.panicked = true;
+        let odd_json = "{\"id\":9,\"op\":\"batch-item\",\"start\":\"2020-12-31T23:59:59Z\",\
+            \"start_us\":12.25,\"total_us\":1234.5,\"outcome\":\"budget\",\"stages\":[],\
+            \"caches\":{\"model\":\"miss\",\"table\":\"hit\"},\"reps\":16,\
+            \"replica_failures\":2,\"quorum\":true,\"panicked\":true,\"reps_saved\":3,\
+            \"response_bytes\":0}";
+        assert_eq!(span_json(&odd), odd_json);
+        assert_eq!(
+            render_spans(&[span(7), odd]),
+            format!("[{plain},{odd_json}]")
+        );
     }
 
     #[test]

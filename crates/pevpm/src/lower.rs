@@ -460,6 +460,9 @@ pub(crate) struct Lowered {
     /// Memo sites handed out to [`StmtExpr`]s: the length of one
     /// process's memo row.
     pub(crate) sites: usize,
+    /// The most frames a process's control stack holds: the program's
+    /// static nesting depth, the top-level block included.
+    pub(crate) depth: usize,
     /// The model's default parameters, as `(slot, value)`.
     pub(crate) defaults: Vec<(u32, f64)>,
 }
@@ -560,6 +563,7 @@ fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
         .filter_map(|(k, v)| Some((names.get(k)?, *v)))
         .collect();
     Ok(Lowered {
+        depth: nesting(&stmts),
         stmts,
         names,
         procnum,
@@ -569,6 +573,20 @@ fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
         sites: cx.sites as usize,
         defaults,
     })
+}
+
+/// How many blocks of `stmts` nest inside one another, `stmts` included.
+fn nesting(stmts: &[LStmt]) -> usize {
+    let inner = stmts.iter().map(|stmt| match stmt {
+        LStmt::Loop { body, .. } => nesting(body),
+        LStmt::Runon { branches } => branches
+            .iter()
+            .map(|(_, body)| nesting(body))
+            .max()
+            .unwrap_or(0),
+        _ => 0,
+    });
+    1 + inner.max().unwrap_or(0)
 }
 
 /// What lowering needs before it starts: the slot of every loop induction

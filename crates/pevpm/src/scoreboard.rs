@@ -196,36 +196,82 @@ struct PairState {
 /// match in send order, while messages of different pairs are unordered.
 #[derive(Debug, Clone)]
 pub struct PairFifo {
-    /// Indexed by destination rank: each sender seen so far, sorted, with
-    /// its pair's state — wildcard enumeration is in ascending sender
-    /// order, whatever the message history, and no tree node per pair.
-    by_dest: Vec<Vec<(usize, PairState)>>,
+    /// Each pair seen so far as `(sender, state)`, in one buffer for the
+    /// whole index rather than one per destination: each destination owns
+    /// a run of it, its senders sorted, so wildcard enumeration is in
+    /// ascending sender order whatever the message history.
+    pairs: Vec<(usize, PairState)>,
+    /// Each destination's run of `pairs`.
+    runs: Vec<Run>,
+}
+
+/// A destination's senders: `len` sorted entries at `start`, with room for
+/// `cap` before the next run. A new sender shifts only its own run; a full
+/// run moves to the end of the buffer with twice the room, leaving empty
+/// entries behind, so a new pair costs O(senders of that destination)
+/// amortised, as a `Vec` per destination did.
+#[derive(Debug, Default, Clone, Copy)]
+struct Run {
+    start: usize,
+    len: usize,
+    cap: usize,
 }
 
 impl PairFifo {
-    /// An empty index for `nprocs` destinations.
+    /// An empty index for `nprocs` destinations, with room for two
+    /// senders each.
     pub fn new(nprocs: usize) -> Self {
         PairFifo {
-            by_dest: vec![Vec::new(); nprocs],
+            pairs: Vec::with_capacity(2 * nprocs),
+            runs: vec![Run::default(); nprocs],
         }
     }
 
+    /// Destination `to`'s senders, sorted, with their pairs' states.
+    fn senders(&self, to: usize) -> &[(usize, PairState)] {
+        let run = self.runs[to];
+        &self.pairs[run.start..run.start + run.len]
+    }
+
     fn pair(&mut self, from: usize, to: usize) -> &mut PairState {
-        let senders = &mut self.by_dest[to];
-        let i = senders.binary_search_by_key(&from, |&(f, _)| f);
-        let i = i.unwrap_or_else(|i| {
-            senders.insert(i, (from, PairState::default()));
-            i
-        });
-        &mut senders[i].1
+        let i = match self.senders(to).binary_search_by_key(&from, |&(f, _)| f) {
+            Ok(i) => i,
+            Err(i) => {
+                self.insert(to, i, from);
+                i
+            }
+        };
+        &mut self.pairs[self.runs[to].start + i].1
+    }
+
+    /// Add sender `from` at position `i` of destination `to`'s run.
+    fn insert(&mut self, to: usize, i: usize, from: usize) {
+        let mut run = self.runs[to];
+        if run.len == run.cap {
+            let start = self.pairs.len();
+            let cap = (2 * run.cap).max(2);
+            self.pairs.resize_with(start + cap, Default::default);
+            for k in 0..run.len {
+                self.pairs.swap(run.start + k, start + k);
+            }
+            run.start = start;
+            run.cap = cap;
+        }
+        // The run's first free entry rotates down to position `i`.
+        self.pairs[run.start + i..=run.start + run.len].rotate_right(1);
+        self.pairs[run.start + i].0 = from;
+        run.len += 1;
+        self.runs[to] = run;
     }
 
     /// The state of a pair already seen; unlike [`PairFifo::pair`], never
     /// creates one.
     fn find(&mut self, from: usize, to: usize) -> Option<&mut PairState> {
-        let senders = &mut self.by_dest[to];
-        let i = senders.binary_search_by_key(&from, |&(f, _)| f).ok()?;
-        Some(&mut senders[i].1)
+        let i = self
+            .senders(to)
+            .binary_search_by_key(&from, |&(f, _)| f)
+            .ok()?;
+        Some(&mut self.pairs[self.runs[to].start + i].1)
     }
 
     /// Allocate the next send sequence number for `from → to`.
@@ -270,7 +316,7 @@ impl PairFifo {
     /// by a directed receive. Yields `(sender, handle)` in ascending sender
     /// order; at most one candidate per sender.
     pub fn heads(&self, to: usize) -> impl Iterator<Item = (usize, Handle)> + '_ {
-        self.by_dest[to].iter().filter_map(|(from, s)| {
+        self.senders(to).iter().filter_map(|(from, s)| {
             let i = s
                 .queue
                 .binary_search_by_key(&s.recv_seq, |&(q, _)| q)
@@ -284,8 +330,8 @@ impl PairFifo {
     /// yielding `(from, to, handle)`. The DAG scheduler uses this to hand
     /// a finished component's unmatched sends to downstream components.
     pub fn in_flight(&self) -> impl Iterator<Item = (usize, usize, Handle)> + '_ {
-        self.by_dest.iter().enumerate().flat_map(|(to, senders)| {
-            senders
+        (0..self.runs.len()).flat_map(move |to| {
+            self.senders(to)
                 .iter()
                 .flat_map(move |(from, s)| s.queue.iter().map(move |&(_, h)| (*from, to, h)))
         })
@@ -436,5 +482,38 @@ mod tests {
         assert_eq!(f.consume_head(1, 0), Some(h1));
         assert_eq!(s.remove(h1), Some(1));
         assert_eq!(f.heads(0).count(), 0);
+    }
+
+    #[test]
+    fn fifo_pairs_keep_their_state_as_runs_grow_and_move() {
+        // Every pair of 9 ranks, in a scrambled order, each with a message
+        // in flight: runs fill, move and grow between the sends.
+        let n = 9;
+        let mut s: Slab<(usize, usize)> = Slab::new();
+        let mut f = PairFifo::new(n);
+        for k in 0..n * n {
+            let (from, to) = (k % n, (4 * (k / n) + 2 * k) % n);
+            let seq = f.next_send_seq(from, to);
+            f.enqueue(from, to, seq, s.insert((from, to)));
+        }
+        let seen: Vec<(usize, usize)> = f
+            .in_flight()
+            .map(|(from, to, h)| {
+                assert_eq!(s.get(h), Some(&(from, to)));
+                (to, from)
+            })
+            .collect();
+        let mut sorted = seen.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(seen, sorted, "ascending destination, then sender");
+        assert_eq!(seen.len(), n * n, "one message per pair");
+        for to in 0..n {
+            let senders: Vec<usize> = f.heads(to).map(|(from, _)| from).collect();
+            let want: Vec<usize> = seen.iter().filter(|p| p.0 == to).map(|p| p.1).collect();
+            assert_eq!(senders, want);
+        }
+        // A run that doubles leaves at most as much behind as it holds.
+        assert!(f.pairs.len() <= 4 * seen.len(), "{} entries", f.pairs.len());
     }
 }

@@ -117,6 +117,7 @@ impl Block {
 }
 
 /// One level of the directive interpreter's control stack.
+#[derive(Clone, Copy)]
 struct Frame<'m> {
     stmts: &'m [LStmt],
     idx: usize,
@@ -128,21 +129,17 @@ struct Frame<'m> {
     var: Option<(u32, u64)>,
 }
 
-/// One virtual process. Control state (environment, frame stack, blocked
-/// reason, handles) is seed-independent and shared by the lanes; clocks and
-/// time accounts are per lane.
-struct Proc<'m, const W: usize> {
-    /// Slot-indexed variable environment (see [`crate::lower`]); `None` =
-    /// unbound.
-    env: Vec<Option<f64>>,
-    stack: Vec<Frame<'m>>,
+/// One virtual process. Control state (its rows of the [`Vm`]'s
+/// environment, frame and handle tables, blocked reason) is
+/// seed-independent and shared by the lanes; clocks and time accounts are
+/// per lane.
+struct Proc<const W: usize> {
+    /// Live frames of its control stack (its row of [`Vm::frames`]).
+    depth: usize,
     /// Why the process is blocked, and each lane's clock when it blocked.
     blocked: Option<(Block, [f64; W])>,
     finished: bool,
     coll_count: u64,
-    /// Outstanding nonblocking-receive handles, indexed by interned handle
-    /// slot: `(source, reserved per-pair sequence number)`.
-    handles: Vec<Option<(usize, u64)>>,
     clock: [f64; W],
     compute_time: [f64; W],
     send_time: [f64; W],
@@ -257,7 +254,17 @@ struct Vm<'m, const W: usize> {
     timing: &'m TimingModel,
     /// The lowered program, for its name, label and handle tables.
     lowered: &'m Lowered,
-    procs: Vec<Proc<'m, W>>,
+    procs: Vec<Proc<W>>,
+    /// The per-process tables, one buffer each for the whole evaluation
+    /// with a fixed stride per process. `env`: slot environments (a row of
+    /// `lowered.names.len()` slots, `None` = unbound; see
+    /// [`crate::lower`]). `frames`: control stacks (a row of the program's
+    /// static nesting depth, [`Lowered::depth`]). `handles`: outstanding
+    /// nonblocking receives (a row of one slot per interned handle:
+    /// `(source, reserved per-pair sequence number)`).
+    env: Vec<Option<f64>>,
+    frames: Vec<Frame<'m>>,
+    handles: Vec<Option<(usize, u64)>>,
     /// What [`TimingModel::resolve_p2p_memo`] has resolved so far.
     resolved: ResolveMemo<'m>,
     /// One row of `sites` [`crate::lower::StmtExpr`] memo slots per
@@ -389,36 +396,37 @@ pub(super) fn run_lanes<const W: usize>(
     #[cfg(test)]
     tests::poison::check(&lanes);
     let lowered = setup.lowered;
+    let slots = lowered.names.len();
+    let mut env = Vec::with_capacity(cfg.nprocs * slots);
+    for p in 0..cfg.nprocs {
+        env.extend_from_slice(&setup.base);
+        env[p * slots + lowered.procnum as usize] = Some(p as f64);
+    }
+    let unused = Frame {
+        stmts: &[],
+        idx: 0,
+        remaining: 0,
+        var: None,
+    };
+    let mut frames = vec![unused; cfg.nprocs * lowered.depth];
     let procs: Vec<Proc<W>> = (0..cfg.nprocs)
         .map(|p| {
-            // Inactive processes never run: no environment clone, no
-            // stack — they just read as finished with zero clocks.
+            // Inactive processes never run: no stack — they just read as
+            // finished with zero clocks.
             let idle = active.is_some_and(|a| !a[p]);
-            let mut env = Vec::new();
             if !idle {
-                env = setup.base.clone();
-                env[lowered.procnum as usize] = Some(p as f64);
+                frames[p * lowered.depth] = Frame {
+                    stmts: &lowered.stmts,
+                    idx: 0,
+                    remaining: 1,
+                    var: None,
+                };
             }
             Proc {
-                env,
-                stack: if idle {
-                    Vec::new()
-                } else {
-                    vec![Frame {
-                        stmts: &lowered.stmts,
-                        idx: 0,
-                        remaining: 1,
-                        var: None,
-                    }]
-                },
+                depth: usize::from(!idle),
                 blocked: None,
                 finished: idle || lowered.stmts.is_empty(),
                 coll_count: 0,
-                handles: if idle {
-                    Vec::new()
-                } else {
-                    vec![None; lowered.handles.len()]
-                },
                 clock: [0.0; W],
                 compute_time: [0.0; W],
                 send_time: [0.0; W],
@@ -432,6 +440,9 @@ pub(super) fn run_lanes<const W: usize>(
         timing,
         lowered,
         procs,
+        env,
+        frames,
+        handles: vec![None; cfg.nprocs * lowered.handles.len()],
         resolved: Vec::new(),
         expr_memo: vec![None; cfg.nprocs * lowered.sites],
         sites: lowered.sites,
@@ -746,12 +757,19 @@ impl<'m, const W: usize> Vm<'m, W> {
     /// Execute one directive (or control-flow transition) on process `p`.
     /// Returns false only when the process just finished.
     fn step(&mut self, p: usize) -> Result<bool, Halt> {
+        let lowered = self.lowered;
+        let slots = lowered.names.len();
+        let row = p * slots;
+        let stack = p * lowered.depth;
+        let held = p * lowered.handles.len();
         // Pop exhausted frames / re-enter loops.
         loop {
-            let Some(frame) = self.procs[p].stack.last_mut() else {
+            let depth = self.procs[p].depth;
+            if depth == 0 {
                 self.procs[p].finished = true;
                 return Ok(false);
-            };
+            }
+            let frame = &mut self.frames[stack + depth - 1];
             if frame.idx < frame.stmts.len() {
                 break;
             }
@@ -762,20 +780,20 @@ impl<'m, const W: usize> Vm<'m, W> {
                     let iter = (total - frame.remaining) as f64;
                     // Laps overwrite the binding in place: a slot store,
                     // no hashing, no allocation.
-                    self.procs[p].env[slot as usize] = Some(iter);
+                    self.env[row + slot as usize] = Some(iter);
                 }
             } else {
-                let popped = self.procs[p].stack.pop().unwrap();
-                if let Some((slot, _)) = popped.var {
-                    self.procs[p].env[slot as usize] = None;
+                self.procs[p].depth -= 1;
+                if let Some((slot, _)) = frame.var {
+                    self.env[row + slot as usize] = None;
                 }
             }
         }
 
-        let lowered = self.lowered;
         let names = &lowered.names;
+        let env = &self.env[row..row + slots];
         let memo = &mut self.expr_memo[p * self.sites..][..self.sites];
-        let frame = self.procs[p].stack.last_mut().unwrap();
+        let frame = &mut self.frames[stack + self.procs[p].depth - 1];
         // Copy the `&'m [LStmt]` out of the frame so `stmt` borrows the
         // lowered model, not the frame — labels can then be threaded
         // through as `&'m str` while `self` is mutably borrowed.
@@ -785,7 +803,7 @@ impl<'m, const W: usize> Vm<'m, W> {
 
         match stmt {
             LStmt::Serial { time, label } => {
-                let t = time.eval(&self.procs[p].env, names, memo)?;
+                let t = time.eval(env, names, memo)?;
                 if t < 0.0 {
                     let label = self.lowered.label(*label);
                     return Err(PevpmError::BadModel(format!(
@@ -810,36 +828,42 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
             }
             LStmt::Loop { count, var, body } => {
-                let n = count.eval_usize(&self.procs[p].env, names, memo)? as u64;
+                let n = count.eval_usize(env, names, memo)? as u64;
                 if n > 0 && !body.is_empty() {
                     if let Some(slot) = *var {
-                        self.procs[p].env[slot as usize] = Some(0.0);
+                        self.env[row + slot as usize] = Some(0.0);
                     }
-                    self.procs[p].stack.push(Frame {
-                        stmts: body,
-                        idx: 0,
-                        remaining: n,
-                        var: var.map(|slot| (slot, n)),
-                    });
+                    self.push_frame(
+                        p,
+                        Frame {
+                            stmts: body,
+                            idx: 0,
+                            remaining: n,
+                            var: var.map(|slot| (slot, n)),
+                        },
+                    );
                 }
             }
             LStmt::Runon { branches } => {
                 for (cond, body) in branches {
-                    if cond.eval_bool(&self.procs[p].env, names, memo)? {
+                    if cond.eval_bool(env, names, memo)? {
                         if !body.is_empty() {
-                            self.procs[p].stack.push(Frame {
-                                stmts: body,
-                                idx: 0,
-                                remaining: 1,
-                                var: None,
-                            });
+                            self.push_frame(
+                                p,
+                                Frame {
+                                    stmts: body,
+                                    idx: 0,
+                                    remaining: 1,
+                                    var: None,
+                                },
+                            );
                         }
                         break;
                     }
                 }
             }
             LStmt::Wait { handle, label } => {
-                let Some((from, seq)) = self.procs[p].handles[*handle as usize].take() else {
+                let Some((from, seq)) = self.handles[held + *handle as usize].take() else {
                     let handle_name = &self.lowered.handles[*handle as usize];
                     let label = self.lowered.label(*label);
                     return Err(PevpmError::BadModel(format!(
@@ -870,12 +894,12 @@ impl<'m, const W: usize> Vm<'m, W> {
                 // optional string the diagnostics print.
                 let ltext = self.lowered.label(*label);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
-                let (from_raw, from_i) = from.eval_index(&self.procs[p].env, names, memo)?;
+                let (from_raw, from_i) = from.eval_index(env, names, memo)?;
                 let wildcard = from_raw < -0.5 && *kind == MsgKind::Recv;
                 let from_i = if wildcard { Some(0) } else { from_i };
                 let from_v = from_i.map_or_else(|| as_index(from_raw), Ok)?;
-                let to_v = to.eval_usize(&self.procs[p].env, names, memo)?;
-                let size_v = size.eval(&self.procs[p].env, names, memo)?;
+                let to_v = to.eval_usize(env, names, memo)?;
+                let size_v = size.eval(env, names, memo)?;
                 if (!wildcard && from_v >= self.cfg.nprocs) || to_v >= self.cfg.nprocs {
                     return Err(bad_model(format!(
                         "message endpoint out of range: from={from_raw} to={to_v} \
@@ -943,7 +967,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                             )));
                         };
                         let h = *h as usize;
-                        if self.procs[p].handles[h].is_some() {
+                        if self.handles[held + h].is_some() {
                             let h = &self.lowered.handles[h];
                             return Err(bad_model(format!(
                                 "proc {p}: handle {h:?} already outstanding at {ltext:?}"
@@ -954,12 +978,12 @@ impl<'m, const W: usize> Vm<'m, W> {
                         // decision point, and anything executed in between
                         // overlaps the transfer.
                         let seq = self.fifo.reserve_recv(from_v, p);
-                        self.procs[p].handles[h] = Some((from_v, seq));
+                        self.handles[held + h] = Some((from_v, seq));
                     }
                 }
             }
             LStmt::Collective { op, size, label } => {
-                let size_v = size.eval(&self.procs[p].env, names, memo)?;
+                let size_v = size.eval(env, names, memo)?;
                 let inst = self.procs[p].coll_count;
                 let clock = self.procs[p].clock;
                 self.procs[p].blocked = Some((
@@ -974,6 +998,14 @@ impl<'m, const W: usize> Vm<'m, W> {
             }
         }
         Ok(true)
+    }
+
+    /// Push a frame onto process `p`'s control stack, which the program's
+    /// static nesting depth bounds.
+    fn push_frame(&mut self, p: usize, frame: Frame<'m>) {
+        let depth = &mut self.procs[p].depth;
+        self.frames[p * self.lowered.depth + *depth] = frame;
+        *depth += 1;
     }
 
     /// The generator lane `l` draws from: its own.

@@ -4,7 +4,8 @@
 //! fixed model allocates a fixed number of times, pinned here: once for
 //! an `evaluate` of the model, which lowers it, and once for an
 //! evaluation of the program already lowered, which is what a cached
-//! daemon request runs.
+//! daemon request runs. The per-process tables are one buffer each per
+//! evaluation, so the count barely grows with the process count.
 
 mod common;
 
@@ -62,15 +63,15 @@ fn w1_evaluation_allocates_no_more_than_its_parent() {
             EvalConfig::new(8)
                 .with_param("xsize", 256.0)
                 .with_param("iterations", 20.0),
-            254,
-            79,
+            133,
+            50,
         ),
         (
             "isend ring, 16 procs, 12 laps",
             ring_model("12", "2048", "1e-4"),
             EvalConfig::new(16),
-            132,
-            103,
+            57,
+            42,
         ),
     ];
     for (what, model, cfg, pinned, program_pinned) in cases {
@@ -103,4 +104,23 @@ fn w1_evaluation_allocates_no_more_than_its_parent() {
             "{what}: {first} allocations per program evaluation, pinned at {program_pinned}"
         );
     }
+}
+
+#[test]
+fn per_process_tables_take_one_allocation_per_evaluation() {
+    let timing = noisy_timing(1.0);
+    let program = Program::new(&ring_model("12", "2048", "1e-4"));
+    let at = |nprocs: usize| {
+        let cfg = EvalConfig::new(nprocs).with_seed(7);
+        allocations(|| program.evaluate(&cfg, &timing).expect("the ring evaluates"))
+    };
+    let (four, sixty_four) = (at(4), at(64));
+    // What is left per process is its pair's message queue; an environment,
+    // a control stack (grown on the first loop) and a pair-index row each
+    // made it 5.3.
+    let per_process = (sixty_four - four) as f64 / 60.0;
+    assert!(
+        per_process <= 1.5,
+        "{per_process} allocations per added process ({four} at 4 procs, {sixty_four} at 64)"
+    );
 }

@@ -3,9 +3,11 @@
 //! Builds the `serve_hot` benchmark's working set in process (192
 //! generated programs against a synthetic table), warms a daemon's caches
 //! with every frame, then replays the frames through the steps
-//! `Server::handle_frame` takes — parse, model and compile cache lookups,
-//! eval, render, telemetry — timing and counting each, and through
-//! `handle_frame` itself. The last row, "miss", is what a model-cache miss
+//! `Server::respond` takes — decode, model and compile cache lookups, eval,
+//! render into a reused response buffer, telemetry — timing and counting
+//! each, and through `respond` itself (a connection worker's path, its
+//! buffer reused) and the `handle_frame` wrapper around it, which returns
+//! a `String` of its own. The last row, "miss", is what a model-cache miss
 //! adds: one `plan::parse_model` (parse + lowering) per call, cycling
 //! through the 320 distinct sources of the `serve_churn` working set (the
 //! 192 above and the next 128 the generator yields). No socket is involved.
@@ -26,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pevpm_obs::Registry;
-use pevpm_serve::proto::{self, Request};
+use pevpm_serve::proto::{self, FrameBuf, Request};
 use pevpm_serve::telemetry::{Telemetry, DEFAULT_SPAN_CAPACITY, STAGES};
 use pevpm_serve::{fnv1a, plan, ModelCache, ServeConfig, Server, TimingCache};
 
@@ -110,14 +112,16 @@ fn main() {
     let table_hash = fnv1a(pevpm_dist::io::write_table(&table).as_bytes());
 
     // One untimed pass over every frame fills both sets of caches.
-    let names = ["parse", "model", "compile", "eval", "render", "telemetry"];
+    let names = ["decode", "model", "compile", "eval", "render", "telemetry"];
     let mut stages: [Tally; 6] = Default::default();
-    let mut whole = Tally::default();
+    let (mut respond, mut whole) = <(Tally, Tally)>::default();
+    let (mut conn, mut out) = (FrameBuf::new(), FrameBuf::new());
     for k in 0..frames.len() + requests {
         if k == frames.len() {
-            (stages, whole) = Default::default();
+            (stages, respond, whole) = Default::default();
         }
         let frame = &frames[k % frames.len()];
+        respond.time(|| server.respond(frame, &mut conn));
         whole.time(|| server.handle_frame(frame));
         let [parse, model, compile, eval, render, telem] = &mut stages;
         let Ok(Request::Predict { id, req, .. }) = parse.time(|| proto::parse_request(frame))
@@ -140,7 +144,12 @@ fn main() {
                 plan::evaluate_plan(&program, &cfg, &timing, req.effective_reps())
             })
             .expect("evaluates");
-        let response = render.time(|| proto::ok_response(&id, &proto::render_outcome(&outcome)));
+        render
+            .time(|| {
+                out.clear();
+                proto::write_ok(&mut out, &id, |out| proto::write_outcome(out, &outcome))
+            })
+            .expect("writes to memory");
         telem.time(|| {
             let mut timer = telemetry.begin("predict", true);
             timer.set_reps(req.reps);
@@ -149,7 +158,7 @@ fn main() {
             }
             timer.cache("model", true);
             timer.cache("table", true);
-            timer.finish("ok", response.len());
+            timer.finish("ok", out.payload_len());
         });
     }
 
@@ -183,6 +192,7 @@ fn main() {
             allocs: stages.iter().map(|t| t.allocs).sum(),
         },
     );
+    row("respond", &respond);
     row("handle_frame", &whole);
     row("miss", &miss);
 }

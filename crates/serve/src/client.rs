@@ -14,14 +14,14 @@
 //! rather than resent, preserving exactly-once semantics for
 //! non-idempotent batch accounting.
 
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use pevpm_obs::json::{self, escape, num, Json};
 
 use crate::plan::PredictRequest;
-use crate::proto;
+use crate::proto::{self, FrameBuf};
 
 /// Default connect timeout: a blackholed address must fail fast instead
 /// of hanging a CLI invocation indefinitely.
@@ -77,7 +77,9 @@ fn backoff_ms(base_ms: u64, attempt: u32, jitter: &mut u64) -> u64 {
 /// A connected client holding one protocol connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// The outgoing frame, reused request after request.
+    out: FrameBuf,
     addr: String,
     cfg: ClientConfig,
     jitter: u64,
@@ -95,10 +97,11 @@ impl Client {
     /// jittered exponential backoff — safe, because nothing was sent.
     pub fn connect_with(addr: &str, cfg: &ClientConfig) -> io::Result<Client> {
         let mut jitter = cfg.jitter_seed;
-        let (reader, writer) = open_connection(addr, cfg, &mut jitter)?;
+        let (reader, stream) = open_connection(addr, cfg, &mut jitter)?;
         Ok(Client {
             reader,
-            writer,
+            stream,
+            out: FrameBuf::new(),
             addr: addr.to_string(),
             cfg: cfg.clone(),
             jitter,
@@ -109,7 +112,7 @@ impl Client {
     /// this layer: an I/O failure after the frame was written is
     /// ambiguous and must surface to the caller.
     pub fn request(&mut self, frame: &str) -> io::Result<String> {
-        proto::write_frame(&mut self.writer, frame)?;
+        send_frame(&mut self.out, &mut self.stream, frame)?;
         proto::read_frame(&mut self.reader, proto::MAX_FRAME)?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -136,10 +139,10 @@ impl Client {
                     let wait = backoff_ms(self.cfg.backoff_base_ms, attempt, &mut self.jitter)
                         .max(hint_ms);
                     std::thread::sleep(Duration::from_millis(wait));
-                    let (reader, writer) =
+                    let (reader, stream) =
                         open_connection(&self.addr, &self.cfg, &mut self.jitter)?;
                     self.reader = reader;
-                    self.writer = writer;
+                    self.stream = stream;
                     attempt += 1;
                 }
                 _ => return Ok(resp),
@@ -199,15 +202,27 @@ impl Client {
     }
 }
 
+/// Send `frame` through the reused buffer `out`, which is left empty
+/// whether or not the write succeeds: a failed frame must not ride along
+/// with the next one.
+fn send_frame<W: Write>(out: &mut FrameBuf, w: &mut W, frame: &str) -> io::Result<()> {
+    out.clear();
+    out.push_str(frame);
+    let sent = out.send(w);
+    out.trim();
+    sent
+}
+
 /// Dial `addr` under `cfg`'s retry policy and arm the socket options
-/// (nodelay, I/O deadlines). Shared by the initial connect and the
+/// (nodelay, I/O deadlines); frames are written to the stream whole, so
+/// it needs no write buffer. Shared by the initial connect and the
 /// reconnect-on-overloaded path, threading one jitter stream through
 /// both so scripted runs replay identical backoff schedules.
 fn open_connection(
     addr: &str,
     cfg: &ClientConfig,
     jitter: &mut u64,
-) -> io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
     let mut attempt = 0u32;
     let stream = loop {
         match connect_once(addr, cfg.connect_timeout) {
@@ -237,8 +252,7 @@ fn open_connection(
     stream.set_read_timeout(cfg.io_timeout)?;
     stream.set_write_timeout(cfg.io_timeout)?;
     let reader = BufReader::new(stream.try_clone()?);
-    let writer = BufWriter::new(stream);
-    Ok((reader, writer))
+    Ok((reader, stream))
 }
 
 /// One connect attempt across every resolved address, with a per-address
@@ -361,6 +375,7 @@ pub fn predict_frame(id: &str, table: &str, req: &PredictRequest) -> String {
 mod tests {
     use super::*;
     use crate::proto::{parse_request, Request};
+    use std::io::BufWriter;
 
     #[test]
     fn client_frames_parse_back_to_the_same_request() {
@@ -423,6 +438,39 @@ mod tests {
         req.threads = 8;
         let body = predict_body("default", &req);
         assert_eq!(body, "{\"model\":\"m\",\"table\":\"default\",\"procs\":2}");
+    }
+
+    /// A writer whose first write fails.
+    #[derive(Default)]
+    struct FailsOnce {
+        failed: bool,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for FailsOnce {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !std::mem::replace(&mut self.failed, true) {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "once"));
+            }
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_send_leaves_nothing_for_the_next_frame() {
+        let mut out = FrameBuf::new();
+        let mut w = FailsOnce::default();
+        assert!(send_frame(&mut out, &mut w, "{\"op\":\"ping\",\"id\":\"1\"}").is_err());
+        send_frame(&mut out, &mut w, "{\"op\":\"ping\",\"id\":\"2\"}").unwrap();
+        let mut wire = &w.bytes[..];
+        let frame = proto::read_frame(&mut wire, proto::MAX_FRAME).unwrap();
+        assert_eq!(frame.as_deref(), Some("{\"op\":\"ping\",\"id\":\"2\"}"));
+        assert!(wire.is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use pevpm_obs::Registry;
+use pevpm_obs::Gauge;
 
 /// Lock a mutex, recovering the data on poisoning (a poisoned guard here
 /// only means another worker panicked mid-update of a counter-like
@@ -34,8 +34,9 @@ pub(crate) struct GateState {
 
 /// Outcome of asking the gate for a permit.
 pub(crate) enum Admission {
-    /// Admitted after waiting this long in the queue.
-    Admitted { waited: Duration },
+    /// Admitted after waiting this long in the queue, leaving this many
+    /// requests in flight.
+    Admitted { waited: Duration, inflight: usize },
     /// Both the in-flight permits and the wait queue are full.
     Shed,
 }
@@ -60,6 +61,7 @@ impl Gate {
             st.inflight += 1;
             return Admission::Admitted {
                 waited: Duration::ZERO,
+                inflight: st.inflight,
             };
         }
         if st.waiting >= self.max_queue {
@@ -77,6 +79,7 @@ impl Gate {
                 st.inflight += 1;
                 return Admission::Admitted {
                     waited: t0.elapsed(),
+                    inflight: st.inflight,
                 };
             }
         }
@@ -98,13 +101,21 @@ impl Gate {
         lock_recover(&self.state).closed = false;
     }
 
-    pub(crate) fn release(&self) {
+    /// Free a permit; returns how many stay in flight. Only a queued
+    /// acquirer is woken: std's `notify_one` makes a futex call even when
+    /// nobody waits, which every admitted request would otherwise pay.
+    pub(crate) fn release(&self) -> usize {
         let mut st = lock_recover(&self.state);
         st.inflight = st.inflight.saturating_sub(1);
+        let (inflight, queued) = (st.inflight, st.waiting > 0);
         drop(st);
-        self.cv.notify_one();
+        if queued {
+            self.cv.notify_one();
+        }
+        inflight
     }
 
+    #[cfg(test)]
     pub(crate) fn inflight(&self) -> usize {
         lock_recover(&self.state).inflight
     }
@@ -114,14 +125,40 @@ impl Gate {
 /// gauge even if the request path unwinds.
 pub(crate) struct GatePermit<'a> {
     pub(crate) gate: &'a Gate,
-    pub(crate) registry: &'a Registry,
+    pub(crate) inflight: &'a Gauge,
 }
 
 impl Drop for GatePermit<'_> {
     fn drop(&mut self) {
-        self.gate.release();
-        self.registry
-            .gauge("serve.inflight")
-            .set(self.gate.inflight() as f64);
+        self.inflight.set(self.gate.release() as f64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// How an acquirer parked behind a full gate is answered once `free`
+    /// runs.
+    fn parked_then(free: impl FnOnce(&Gate)) -> Admission {
+        let gate = Gate::new(1, 1);
+        assert!(matches!(gate.acquire(), Admission::Admitted { .. }));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| gate.acquire());
+            while lock_recover(&gate.state).waiting == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            free(&gate);
+            waiter.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn a_queued_acquirer_is_woken_by_release_and_by_close() {
+        let released = parked_then(|gate| {
+            assert_eq!(gate.release(), 0);
+        });
+        assert!(matches!(released, Admission::Admitted { inflight: 1, .. }));
+        assert!(matches!(parked_then(Gate::close), Admission::Shed));
     }
 }

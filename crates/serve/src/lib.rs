@@ -42,6 +42,10 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+// The shared test fixtures name this crate as their callers outside it do.
+#[cfg(test)]
+extern crate self as pevpm_serve;
+
 pub mod cache;
 pub mod client;
 mod config;

@@ -10,6 +10,8 @@
 //! are one code path. A daemon answer is therefore reproducible by a
 //! one-shot CLI invocation with the same inputs — bitwise.
 
+use std::fmt;
+
 use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{EvalConfig, McPrediction, PevpmError, Prediction, RunBudget};
@@ -364,24 +366,42 @@ pub fn evaluate_plan(
     }
 }
 
-/// The deterministic headline line both front-ends print for a
+/// `write` run into a new `String`.
+fn rendered(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    let _ = write(&mut out);
+    out
+}
+
+/// Write the deterministic headline line both front-ends print for a
 /// Monte-Carlo batch (the CLI appends wall-clock statistics after it).
-pub fn render_mc_headline(mc: &McPrediction, procs: usize) -> String {
-    format!(
-        "predicted makespan: {:.6} s +/- {:.6} (stderr) over {procs} procs\n",
+pub fn write_mc_headline<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    mc: &McPrediction,
+    procs: usize,
+) -> fmt::Result {
+    writeln!(
+        out,
+        "predicted makespan: {:.6} s +/- {:.6} (stderr) over {procs} procs",
         mc.mean, mc.stderr
     )
 }
 
-/// The deterministic adaptive-stopping line both front-ends append after
-/// the headline when the batch ran under a precision target. Empty for
-/// fixed-reps batches, so fixed output stays byte-identical.
-pub fn render_adaptive_line(mc: &McPrediction) -> String {
+/// The headline line (see [`write_mc_headline`]).
+pub fn render_mc_headline(mc: &McPrediction, procs: usize) -> String {
+    rendered(|out| write_mc_headline(out, mc, procs))
+}
+
+/// Write the deterministic adaptive-stopping line both front-ends append
+/// after the headline when the batch ran under a precision target.
+/// Nothing for fixed-reps batches, so fixed output stays byte-identical.
+pub fn write_adaptive_line<W: fmt::Write + ?Sized>(out: &mut W, mc: &McPrediction) -> fmt::Result {
     let Some(a) = &mc.adaptive else {
-        return String::new();
+        return Ok(());
     };
-    let mut out = format!(
-        "adaptive: stopped at {} rep(s) (bounds {}..={}), achieved half-width {:.4} of mean (target {:.4}, {:.0}% CI){}\n",
+    writeln!(
+        out,
+        "adaptive: stopped at {} rep(s) (bounds {}..={}), achieved half-width {:.4} of mean (target {:.4}, {:.0}% CI){}",
         a.reps,
         a.min_reps,
         a.max_reps,
@@ -389,20 +409,26 @@ pub fn render_adaptive_line(mc: &McPrediction) -> String {
         a.precision,
         a.confidence * 100.0,
         if a.converged { "" } else { " [NOT CONVERGED]" },
-    );
+    )?;
     if a.drift {
-        out.push_str("warning: replication stream looks non-stationary (drift detected)\n");
+        out.write_str("warning: replication stream looks non-stationary (drift detected)\n")?;
     }
-    out
+    Ok(())
 }
 
-/// The deterministic report for a single evaluation — byte-identical to
-/// the one-shot `pevpm predict` output for the same request.
-pub fn render_single_report(p: &Prediction) -> String {
-    let mut out = format!(
-        "predicted makespan: {:.6} s over {} procs ({} messages)\n",
+/// The adaptive-stopping line (see [`write_adaptive_line`]).
+pub fn render_adaptive_line(mc: &McPrediction) -> String {
+    rendered(|out| write_adaptive_line(out, mc))
+}
+
+/// Write the deterministic report for a single evaluation — byte-identical
+/// to the one-shot `pevpm predict` output for the same request.
+pub fn write_single_report<W: fmt::Write + ?Sized>(out: &mut W, p: &Prediction) -> fmt::Result {
+    writeln!(
+        out,
+        "predicted makespan: {:.6} s over {} procs ({} messages)",
         p.makespan, p.nprocs, p.messages
-    );
+    )?;
     // Costliest first; equal losses in label order, so the report does not
     // depend on the map's iteration order.
     let mut losses: Vec<(&String, &f64)> = p.loss_by_label.iter().collect();
@@ -412,34 +438,48 @@ pub fn render_single_report(p: &Prediction) -> String {
             .then_with(|| a.0.cmp(b.0))
     });
     if !losses.is_empty() {
-        out.push_str("top blocking sources:\n");
+        out.write_str("top blocking sources:\n")?;
         for (label, loss) in losses.iter().take(5) {
-            out.push_str(&format!("  {label:<24} {:.6} s\n", **loss));
+            writeln!(out, "  {label:<24} {:.6} s", **loss)?;
         }
     }
     if !p.races.is_empty() {
-        out.push_str(&format!("{} potential race(s) detected:\n", p.races.len()));
+        writeln!(out, "{} potential race(s) detected:", p.races.len())?;
         for (proc_, what) in p.races.iter().take(5) {
-            out.push_str(&format!("  proc {proc_}: {what}\n"));
+            writeln!(out, "  proc {proc_}: {what}")?;
         }
     }
-    out
+    Ok(())
 }
 
-/// The deterministic failure lines for a quorum-absorbed batch (shared so
-/// daemon and CLI report partial failures identically).
-pub fn render_failures(failures: &[(usize, String)]) -> String {
+/// The single-evaluation report (see [`write_single_report`]).
+pub fn render_single_report(p: &Prediction) -> String {
+    rendered(|out| write_single_report(out, p))
+}
+
+/// Write the deterministic failure lines for a quorum-absorbed batch
+/// (shared so daemon and CLI report partial failures identically).
+pub fn write_failures<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    failures: &[(usize, String)],
+) -> fmt::Result {
     if failures.is_empty() {
-        return String::new();
+        return Ok(());
     }
-    let mut out = format!(
-        "{} replication(s) failed (quorum met; prediction aggregates the rest):\n",
+    writeln!(
+        out,
+        "{} replication(s) failed (quorum met; prediction aggregates the rest):",
         failures.len()
-    );
+    )?;
     for (idx, what) in failures {
-        out.push_str(&format!("  replication {idx}: {what}\n"));
+        writeln!(out, "  replication {idx}: {what}")?;
     }
-    out
+    Ok(())
+}
+
+/// The failure lines (see [`write_failures`]).
+pub fn render_failures(failures: &[(usize, String)]) -> String {
+    rendered(|out| write_failures(out, failures))
 }
 
 #[cfg(test)]

@@ -21,28 +21,128 @@
 //! Result payloads contain only *deterministic* fields (no wall-clock
 //! timings), so the byte-for-byte response to a request is independent of
 //! cache temperature, batching, and thread count.
+//!
+//! Both ends move frames through buffers they own and reuse. A frame is
+//! read into a `Vec<u8>` that grows as its bytes arrive
+//! ([`read_frame_into`]), never to a declared length up front, and a
+//! response is formatted into a [`FrameBuf`] behind a reserved length
+//! prefix, then leaves in one write. The `String`-returning functions
+//! ([`read_frame`], [`ok_response`], [`render_outcome`], ...) are the same
+//! code with a fresh buffer.
 
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
+use std::str::Utf8Error;
 
-use pevpm_obs::json::{self, escape, num, Json};
+use pevpm_obs::json::{write_num, Escaped};
 
 use crate::plan::{
-    render_adaptive_line, render_failures, render_mc_headline, render_single_report, EvalOutcome,
-    PlanError, PredictRequest,
+    write_adaptive_line, write_failures, write_mc_headline, write_single_report, EvalOutcome,
+    PredictRequest,
 };
+
+mod decode;
+pub use decode::{parse_request, PREDICT_BODY_KEYS};
 
 /// Maximum accepted frame payload (16 MiB). Annotated sources are
 /// kilobytes; this is a protect-the-daemon limit, not a capacity target.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Write one frame: 4-byte big-endian length, then the payload.
+/// Capacity a connection's reused buffers return to after a larger frame.
+pub const KEEP_CAPACITY: usize = 64 * 1024;
+
+/// How far a frame body's buffer grows ahead of the bytes received: a
+/// peer that announces a large frame and stalls holds this much, not what
+/// it announced.
+const GROW_AHEAD: usize = 8 * 1024;
+
+/// Bytes of a frame's length prefix.
+const PREFIX: usize = 4;
+
+/// One outgoing frame, formatted in place: a reserved length prefix, then
+/// the payload written through [`fmt::Write`] (which never fails here).
+/// [`FrameBuf::send`] patches the prefix and writes the frame with one
+/// `write_all`, so no prefix travels in a segment of its own.
+pub struct FrameBuf {
+    bytes: Vec<u8>,
+}
+
+impl Default for FrameBuf {
+    fn default() -> Self {
+        FrameBuf::new()
+    }
+}
+
+impl FrameBuf {
+    /// An empty frame, with room for a typical response.
+    pub fn new() -> FrameBuf {
+        let mut bytes = Vec::with_capacity(1024);
+        bytes.extend_from_slice(&[0; PREFIX]);
+        FrameBuf { bytes }
+    }
+
+    /// Drop the payload, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.bytes.truncate(PREFIX);
+    }
+
+    /// Clear the frame and give back what a payload larger than
+    /// [`KEEP_CAPACITY`] left behind.
+    pub fn trim(&mut self) {
+        self.clear();
+        self.bytes.shrink_to(KEEP_CAPACITY);
+    }
+
+    /// Append payload text.
+    pub fn push_str(&mut self, s: &str) {
+        self.bytes.extend_from_slice(s.as_bytes());
+    }
+
+    /// The payload's length in bytes.
+    pub fn payload_len(&self) -> usize {
+        self.bytes.len() - PREFIX
+    }
+
+    /// The payload so far.
+    pub fn payload(&self) -> &str {
+        // Only `&str`s are ever appended.
+        std::str::from_utf8(&self.bytes[PREFIX..]).unwrap_or_default()
+    }
+
+    /// The payload as a `String` of its own.
+    pub fn into_payload(self) -> String {
+        let mut bytes = self.bytes;
+        bytes.drain(..PREFIX);
+        String::from_utf8(bytes).unwrap_or_default()
+    }
+
+    /// Patch the length prefix and write the whole frame in one
+    /// `write_all`.
+    pub fn send<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
+        let len = u32::try_from(self.payload_len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
+        self.bytes[..PREFIX].copy_from_slice(&len.to_be_bytes());
+        w.write_all(&self.bytes)?;
+        w.flush()
+    }
+}
+
+impl fmt::Write for FrameBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.push_str(s);
+        Ok(())
+    }
+}
+
+/// Write one frame: 4-byte big-endian length, then the payload, in one
+/// write.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+    let mut frame = FrameBuf {
+        bytes: Vec::with_capacity(PREFIX + payload.len()),
+    };
+    frame.bytes.extend_from_slice(&[0; PREFIX]);
+    frame.push_str(payload);
+    frame.send(w)
 }
 
 /// Read one frame. Returns `Ok(None)` on clean EOF at a frame boundary;
@@ -67,9 +167,9 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> io::Result<Option<String>> 
 /// *between* frames is merely idle (evictable without an error), and one
 /// that stalls or disappears *inside* a frame is a protocol failure.
 #[derive(Debug)]
-pub enum FrameRead {
+pub enum FrameRead<T = String> {
     /// One complete frame payload.
-    Frame(String),
+    Frame(T),
     /// The peer closed the stream at a frame boundary.
     CleanEof,
     /// The read deadline expired before any byte of the next frame
@@ -96,7 +196,47 @@ pub fn is_timeout(e: &io::Error) -> bool {
 /// * an oversized declared length or invalid UTF-8 is `InvalidData`,
 ///   refused before the payload is allocated or decoded.
 pub fn read_frame_deadline<R: Read>(r: &mut R, max: usize) -> io::Result<FrameRead> {
-    let mut len_buf = [0u8; 4];
+    let mut buf = Vec::new();
+    Ok(match read_payload(r, max, &mut buf)? {
+        FrameRead::Frame(()) => {
+            FrameRead::Frame(String::from_utf8(buf).map_err(|e| not_utf8(e.utf8_error()))?)
+        }
+        FrameRead::CleanEof => FrameRead::CleanEof,
+        FrameRead::IdleTimeout => FrameRead::IdleTimeout,
+    })
+}
+
+/// [`read_frame_deadline`] into a buffer the caller reuses (cleared
+/// first): the payload is borrowed from it.
+pub fn read_frame_into<'b, R: Read>(
+    r: &mut R,
+    max: usize,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<FrameRead<&'b str>> {
+    Ok(match read_payload(r, max, buf)? {
+        FrameRead::Frame(()) => FrameRead::Frame(std::str::from_utf8(buf).map_err(not_utf8)?),
+        FrameRead::CleanEof => FrameRead::CleanEof,
+        FrameRead::IdleTimeout => FrameRead::IdleTimeout,
+    })
+}
+
+/// Give back what a frame larger than [`KEEP_CAPACITY`] left in a reused
+/// read buffer.
+pub fn trim(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(KEEP_CAPACITY);
+}
+
+fn not_utf8(e: Utf8Error) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("frame is not UTF-8: {e}"),
+    )
+}
+
+/// One frame's payload bytes into `buf`, which grows as they arrive.
+fn read_payload<R: Read>(r: &mut R, max: usize, buf: &mut Vec<u8>) -> io::Result<FrameRead<()>> {
+    let mut len_buf = [0u8; PREFIX];
     let mut filled = 0usize;
     while filled < len_buf.len() {
         match r.read(&mut len_buf[filled..]) {
@@ -128,12 +268,20 @@ pub fn read_frame_deadline<R: Read>(r: &mut R, max: usize) -> io::Result<FrameRe
             format!("frame length {len} exceeds limit {max}"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
+    // `buf[..got]` has arrived; `buf[got..]` is zeroed room, each byte of
+    // it zeroed once, growing by at most what has arrived so far.
+    buf.clear();
+    let mut got = 0;
+    let failed = loop {
+        if got == len {
+            break None;
+        }
+        if got == buf.len() {
+            buf.resize(got + got.max(GROW_AHEAD).min(len - got), 0);
+        }
         match r.read(&mut buf[got..]) {
             Ok(0) => {
-                return Err(io::Error::new(
+                break Some(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     format!("stream ended inside a frame body ({got}/{len} bytes)"),
                 ))
@@ -141,20 +289,19 @@ pub fn read_frame_deadline<R: Read>(r: &mut R, max: usize) -> io::Result<FrameRe
             Ok(n) => got += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => {
-                return Err(io::Error::new(
+                break Some(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!("peer stalled inside a frame body ({got}/{len} bytes)"),
                 ))
             }
-            Err(e) => return Err(e),
+            Err(e) => break Some(e),
         }
+    };
+    buf.truncate(got);
+    match failed {
+        None => Ok(FrameRead::Frame(())),
+        Some(e) => Err(e),
     }
-    String::from_utf8(buf).map(FrameRead::Frame).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame is not UTF-8: {e}"),
-        )
-    })
 }
 
 /// A parsed request frame.
@@ -207,339 +354,182 @@ impl Request {
     }
 }
 
-/// Best-effort id extraction so even a malformed request can be answered
-/// with its own id (missing/unusable ids echo as `""`).
-fn id_of(v: &Json) -> String {
-    match v.get("id") {
-        Some(Json::Str(s)) => s.clone(),
-        Some(Json::Num(n)) => num(*n),
-        _ => String::new(),
-    }
+/// `write` run into a new `String`.
+fn rendered(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    let _ = write(&mut out);
+    out
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, PlanError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| PlanError::usage(format!("request missing string field {key:?}")))
-}
-
-fn usize_field(v: &Json, key: &str) -> Result<Option<usize>, PlanError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 && *n <= u32::MAX as f64 => {
-            Ok(Some(*n as usize))
-        }
-        Some(_) => Err(PlanError::usage(format!(
-            "field {key:?} must be a small non-negative integer"
-        ))),
-    }
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<Option<u64>, PlanError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u64)),
-        Some(_) => Err(PlanError::usage(format!(
-            "field {key:?} must be a non-negative integer"
-        ))),
-    }
-}
-
-fn bool_field(v: &Json, key: &str) -> Result<bool, PlanError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(false),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(PlanError::usage(format!("field {key:?} must be a boolean"))),
-    }
-}
-
-/// Every key of a predict body: what [`parse_request`] reads and
-/// `client::predict_body` writes, and nothing else. How parallel an
-/// evaluation runs is not among them: that is the daemon's `--threads` /
-/// `--conns`.
-pub const PREDICT_BODY_KEYS: &str = "model table procs mode pingpong exact_quantiles params seed \
-    reps quorum precision min_reps max_reps antithetic max_steps max_virtual_secs";
-
-/// What a `predict` or `batch` frame carries around its body or bodies.
-const ENVELOPE_KEYS: &str = "op id";
-
-/// Refuse a key the decoder would not read: a misspelt `"rep"` must not
-/// quietly run one replication, as a misspelt `--rep` does not.
-fn reject_unknown_keys(v: &Json, what: &str, envelope: &str, keys: &str) -> Result<(), PlanError> {
-    let Some(object) = v.as_object() else {
-        return Ok(());
-    };
-    let accepted: Vec<&str> = [envelope, keys]
-        .iter()
-        .flat_map(|list| list.split_whitespace())
-        .collect();
-    match object.keys().find(|key| !accepted.contains(&key.as_str())) {
-        None => Ok(()),
-        Some(key) => Err(PlanError::usage(format!(
-            "unknown field {key:?} in {what} (accepted: {})",
-            accepted.join(" ")
-        ))),
-    }
-}
-
-/// Parse one predict body into `(table, request)`: a whole `predict` frame
-/// (`envelope` = [`ENVELOPE_KEYS`]) or one element of a batch's `requests`
-/// (a bare body: no envelope).
-fn parse_predict_body(
-    v: &Json,
-    what: &str,
-    envelope: &str,
-) -> Result<(String, PredictRequest), PlanError> {
-    reject_unknown_keys(v, what, envelope, PREDICT_BODY_KEYS)?;
-    let model = str_field(v, "model")?;
-    let table = match v.get("table") {
-        None | Some(Json::Null) => "default".to_string(),
-        Some(Json::Str(s)) => s.clone(),
-        Some(_) => return Err(PlanError::usage("field \"table\" must be a string")),
-    };
-    let procs = usize_field(v, "procs")?
-        .ok_or_else(|| PlanError::usage("request missing integer field \"procs\""))?;
-    let mut req = PredictRequest::new(model, procs);
-    if let Some(Json::Str(m)) = v.get("mode") {
-        req.mode = m.clone();
-    } else if matches!(v.get("mode"), Some(j) if !matches!(j, Json::Null)) {
-        return Err(PlanError::usage("field \"mode\" must be a string"));
-    }
-    req.pingpong = bool_field(v, "pingpong")?;
-    req.exact_quantiles = bool_field(v, "exact_quantiles")?;
-    if let Some(params) = v.get("params") {
-        let obj = params
-            .as_object()
-            .ok_or_else(|| PlanError::usage("field \"params\" must be an object of numbers"))?;
-        for (k, pv) in obj {
-            let n = pv
-                .as_num()
-                .ok_or_else(|| PlanError::usage(format!("param {k:?} must be a number")))?;
-            req.params.push((k.clone(), n));
-        }
-    }
-    if let Some(seed) = u64_field(v, "seed")? {
-        req.seed = seed;
-    }
-    if let Some(reps) = usize_field(v, "reps")? {
-        req.reps = reps;
-    }
-    req.quorum = usize_field(v, "quorum")?;
-    req.precision = match v.get("precision") {
-        None | Some(Json::Null) => None,
-        Some(Json::Num(n)) if *n > 0.0 => Some(*n),
-        Some(_) => {
-            return Err(PlanError::usage(
-                "field \"precision\" must be a positive number",
-            ))
-        }
-    };
-    req.min_reps = usize_field(v, "min_reps")?;
-    req.max_reps = usize_field(v, "max_reps")?;
-    req.antithetic = bool_field(v, "antithetic")?;
-    req.max_steps = u64_field(v, "max_steps")?;
-    req.max_virtual_secs = match v.get("max_virtual_secs") {
-        None | Some(Json::Null) => None,
-        Some(Json::Num(n)) if *n >= 0.0 => Some(*n),
-        Some(_) => {
-            return Err(PlanError::usage(
-                "field \"max_virtual_secs\" must be a non-negative number",
-            ))
-        }
-    };
-    Ok((table, req))
-}
-
-/// Parse one request frame. Errors carry the best-effort id so the server
-/// can still address its refusal.
-pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
-    let v = json::parse(text).map_err(|e| {
-        (
-            String::new(),
-            PlanError::usage(format!("bad request JSON: {e}")),
-        )
-    })?;
-    let id = id_of(&v);
-    let op = str_field(&v, "op").map_err(|e| (id.clone(), e))?;
-    match op.as_str() {
-        "predict" => {
-            let (table, req) = parse_predict_body(&v, "predict frame", ENVELOPE_KEYS)
-                .map_err(|e| (id.clone(), e))?;
-            Ok(Request::Predict {
-                id,
-                table,
-                req: Box::new(req),
-            })
-        }
-        "batch" => {
-            reject_unknown_keys(&v, "batch frame", ENVELOPE_KEYS, "requests crn seed")
-                .map_err(|e| (id.clone(), e))?;
-            let mut items = v
-                .get("requests")
-                .and_then(Json::as_array)
-                .ok_or_else(|| {
-                    (
-                        id.clone(),
-                        PlanError::usage("batch request missing array field \"requests\""),
-                    )
-                })?
-                .iter()
-                .map(|item| parse_predict_body(item, "batch item", ""))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| (id.clone(), e))?;
-            if items.is_empty() {
-                return Err((id, PlanError::usage("batch \"requests\" must be non-empty")));
-            }
-            // Common random numbers: `"crn": true` rewrites every item to
-            // one shared base seed (the frame-level `"seed"` if given,
-            // else the first item's), so what-if arms that differ only in
-            // parameters/tables are compared on *paired* noise — the
-            // per-arm Monte-Carlo draws line up one-to-one and the
-            // arm-difference variance collapses to the model difference.
-            let crn = bool_field(&v, "crn").map_err(|e| (id.clone(), e))?;
-            if crn {
-                let base = match u64_field(&v, "seed").map_err(|e| (id.clone(), e))? {
-                    Some(s) => s,
-                    None => items[0].1.seed,
-                };
-                for (_, req) in &mut items {
-                    req.seed = base;
-                }
-            }
-            Ok(Request::Batch { id, items })
-        }
-        "stats" => Ok(Request::Stats { id }),
-        "ping" => Ok(Request::Ping { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
-        other => Err((
-            id,
-            PlanError::usage(format!(
-                "unknown op {other:?} (predict|batch|stats|ping|shutdown)"
-            )),
-        )),
-    }
+/// Write a success response: the envelope around the result value that
+/// `result` writes.
+pub fn write_ok<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    id: &str,
+    result: impl FnOnce(&mut W) -> fmt::Result,
+) -> fmt::Result {
+    out.write_str("{\"id\":\"")?;
+    Escaped(&mut *out).write_str(id)?;
+    out.write_str("\",\"ok\":true,\"result\":")?;
+    result(out)?;
+    out.write_str("}")
 }
 
 /// A success response around an already-rendered result JSON value.
 pub fn ok_response(id: &str, result_json: &str) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"ok\":true,\"result\":{result_json}}}",
-        escape(id)
-    )
+    rendered(|out| write_ok(out, id, |out| out.write_str(result_json)))
 }
 
-/// A failure response: `code` is
+/// Write a failure response: `code` is
 /// `usage`/`input`/`budget`/`panic`/`timeout`.
+pub fn write_err<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    id: &str,
+    code: &str,
+    message: &str,
+) -> fmt::Result {
+    out.write_str("{\"id\":\"")?;
+    Escaped(&mut *out).write_str(id)?;
+    write!(out, "\",\"ok\":false,\"code\":\"{code}\",\"error\":\"")?;
+    Escaped(&mut *out).write_str(message)?;
+    out.write_str("\"}")
+}
+
+/// A failure response (see [`write_err`]).
 pub fn err_response(id: &str, code: &str, message: &str) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"ok\":false,\"code\":\"{code}\",\"error\":\"{}\"}}",
-        escape(id),
-        escape(message)
-    )
+    rendered(|out| write_err(out, id, code, message))
 }
 
-/// A load-shedding refusal: the request was *not* evaluated (no cache,
-/// budget, or replication state was touched), so resending after
+/// Write a load-shedding refusal: the request was *not* evaluated (no
+/// cache, budget, or replication state was touched), so resending after
 /// `retry_after_ms` is always safe — including for `batch` frames.
-pub fn overloaded_response(id: &str, retry_after_ms: u64) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"ok\":false,\"code\":\"overloaded\",\
+pub fn write_overloaded<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    id: &str,
+    retry_after_ms: u64,
+) -> fmt::Result {
+    out.write_str("{\"id\":\"")?;
+    Escaped(&mut *out).write_str(id)?;
+    write!(
+        out,
+        "\",\"ok\":false,\"code\":\"overloaded\",\
          \"error\":\"server at capacity; retry after the hint\",\
-         \"retry_after_ms\":{retry_after_ms}}}",
-        escape(id)
+         \"retry_after_ms\":{retry_after_ms}}}"
     )
 }
 
-/// Render one evaluation outcome as a result JSON value. Deterministic by
-/// construction: numbers go through [`pevpm_obs::json::num`] (shortest
-/// round-trip — bit-exact through parse), the report is the shared
-/// deterministic lines, and no wall-clock field is included.
-pub fn render_outcome(outcome: &EvalOutcome) -> String {
+/// A load-shedding refusal (see [`write_overloaded`]).
+pub fn overloaded_response(id: &str, retry_after_ms: u64) -> String {
+    rendered(|out| write_overloaded(out, id, retry_after_ms))
+}
+
+/// Write one evaluation outcome as a result JSON value. Deterministic by
+/// construction: numbers go through [`pevpm_obs::json::write_num`]
+/// (shortest round-trip — bit-exact through parse), the report is the
+/// shared deterministic lines, and no wall-clock field is included.
+pub fn write_outcome<W: fmt::Write + ?Sized>(out: &mut W, outcome: &EvalOutcome) -> fmt::Result {
     match outcome {
         EvalOutcome::Single(p) => {
-            format!(
-                "{{\"kind\":\"single\",\"makespan\":{},\"procs\":{},\"messages\":{},\"report\":\"{}\"}}",
-                num(p.makespan),
-                p.nprocs,
-                p.messages,
-                escape(&render_single_report(p))
-            )
+            out.write_str("{\"kind\":\"single\",\"makespan\":")?;
+            write_num(out, p.makespan)?;
+            write!(
+                out,
+                ",\"procs\":{},\"messages\":{},\"report\":\"",
+                p.nprocs, p.messages
+            )?;
+            write_single_report(&mut Escaped(&mut *out), p)?;
+            out.write_str("\"}")
         }
         EvalOutcome::Batch(mc) => {
-            let mut failures = String::from("[");
-            for (i, (idx, what)) in mc.failures.iter().enumerate() {
-                if i > 0 {
-                    failures.push(',');
-                }
-                failures.push_str(&format!("[{idx},\"{}\"]", escape(what)));
-            }
-            failures.push(']');
-            let report = format!(
-                "{}{}{}",
-                render_mc_headline(mc, mc.runs.first().map_or(0, |p| p.nprocs)),
-                render_adaptive_line(mc),
-                render_failures(&mc.failures)
-            );
+            out.write_str("{\"kind\":\"mc\",\"mean\":")?;
+            write_num(out, mc.mean)?;
+            out.write_str(",\"stderr\":")?;
+            write_num(out, mc.stderr)?;
+            out.write_str(",\"min\":")?;
+            write_num(out, mc.min)?;
+            out.write_str(",\"max\":")?;
+            write_num(out, mc.max)?;
+            write!(out, ",\"reps\":{}", mc.runs.len() + mc.failures.len())?;
             // Adaptive runs get extra deterministic fields; fixed-reps
             // responses stay byte-identical to the historical frames.
-            let adaptive = mc.adaptive.as_ref().map_or(String::new(), |a| {
-                format!(
-                    ",\"adaptive\":{{\"precision\":{},\"confidence\":{},\"min_reps\":{},\
-                     \"max_reps\":{},\"reps\":{},\"reps_saved\":{},\"rel_half_width\":{},\
-                     \"converged\":{},\"drift\":{}}}",
-                    num(a.precision),
-                    num(a.confidence),
+            if let Some(a) = &mc.adaptive {
+                out.write_str(",\"adaptive\":{\"precision\":")?;
+                write_num(out, a.precision)?;
+                out.write_str(",\"confidence\":")?;
+                write_num(out, a.confidence)?;
+                write!(
+                    out,
+                    ",\"min_reps\":{},\"max_reps\":{},\"reps\":{},\"reps_saved\":{},\
+                     \"rel_half_width\":",
                     a.min_reps,
                     a.max_reps,
                     a.reps,
-                    a.reps_saved(),
-                    if a.rel_half_width.is_finite() {
-                        num(a.rel_half_width)
-                    } else {
-                        "null".to_string()
-                    },
-                    a.converged,
-                    a.drift
-                )
-            });
-            format!(
-                "{{\"kind\":\"mc\",\"mean\":{},\"stderr\":{},\"min\":{},\"max\":{},\"reps\":{}{adaptive},\"failures\":{failures},\"report\":\"{}\"}}",
-                num(mc.mean),
-                num(mc.stderr),
-                num(mc.min),
-                num(mc.max),
-                mc.runs.len() + mc.failures.len(),
-                escape(&report)
-            )
+                    a.reps_saved()
+                )?;
+                if a.rel_half_width.is_finite() {
+                    write_num(out, a.rel_half_width)?;
+                } else {
+                    out.write_str("null")?;
+                }
+                write!(
+                    out,
+                    ",\"converged\":{},\"drift\":{}}}",
+                    a.converged, a.drift
+                )?;
+            }
+            out.write_str(",\"failures\":[")?;
+            for (i, (idx, what)) in mc.failures.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(",")?;
+                }
+                write!(out, "[{idx},\"")?;
+                Escaped(&mut *out).write_str(what)?;
+                out.write_str("\"]")?;
+            }
+            out.write_str("],\"report\":\"")?;
+            let mut report = Escaped(&mut *out);
+            write_mc_headline(&mut report, mc, mc.runs.first().map_or(0, |p| p.nprocs))?;
+            write_adaptive_line(&mut report, mc)?;
+            write_failures(&mut report, &mc.failures)?;
+            out.write_str("\"}")
         }
     }
 }
 
-/// Render a batch response: an array of per-item results in request
-/// order, each `{"ok": true, "result": ...}` or
+/// One evaluation outcome as a result JSON value (see [`write_outcome`]).
+pub fn render_outcome(outcome: &EvalOutcome) -> String {
+    rendered(|out| write_outcome(out, outcome))
+}
+
+/// Write a batch result: an array of per-item results in request order,
+/// each `{"ok": true, "result": ...}` or
 /// `{"ok": false, "code": ..., "error": ...}`.
-pub fn render_batch(items: &[Result<String, (String, String)>]) -> String {
-    let mut out = String::from("[");
+pub fn write_batch<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    items: &[Result<String, (&str, String)>],
+) -> fmt::Result {
+    out.write_str("[")?;
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_str(",")?;
         }
         match item {
-            Ok(result) => out.push_str(&format!("{{\"ok\":true,\"result\":{result}}}")),
-            Err((code, msg)) => out.push_str(&format!(
-                "{{\"ok\":false,\"code\":\"{code}\",\"error\":\"{}\"}}",
-                escape(msg)
-            )),
+            Ok(result) => write!(out, "{{\"ok\":true,\"result\":{result}}}")?,
+            Err((code, msg)) => {
+                write!(out, "{{\"ok\":false,\"code\":\"{code}\",\"error\":\"")?;
+                Escaped(&mut *out).write_str(msg)?;
+                out.write_str("\"}")?;
+            }
         }
     }
-    out.push(']');
-    out
+    out.write_str("]")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pevpm_obs::json::{self, Json};
+    use std::io::BufWriter;
 
     #[test]
     fn frames_round_trip_and_eof_is_clean_only_at_boundaries() {
@@ -560,6 +550,49 @@ mod tests {
         let mut evil = Vec::new();
         evil.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(read_frame(&mut &evil[..], MAX_FRAME).is_err());
+    }
+
+    /// A writer that counts the writes it is asked for.
+    #[derive(Debug, Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write_at_any_size() {
+        for size in [10, 8 * 1024 - 4, 8 * 1024 + 1, 1 << 20] {
+            let payload = "x".repeat(size);
+            let mut bare = Counting::default();
+            write_frame(&mut bare, &payload).unwrap();
+            assert_eq!(bare.writes, 1, "{size} B");
+            // Through the 8 KiB buffer a client or server stream used to
+            // wrap, a larger frame's prefix went out alone.
+            let mut buffered = BufWriter::new(Counting::default());
+            write_frame(&mut buffered, &payload).unwrap();
+            let buffered = buffered.into_inner().unwrap();
+            assert_eq!(buffered.writes, 1, "{size} B through a BufWriter");
+            assert_eq!(buffered.bytes, bare.bytes);
+            let mut out = FrameBuf::new();
+            out.push_str(&payload);
+            let mut sent = Counting::default();
+            out.send(&mut sent).unwrap();
+            assert_eq!((sent.writes, &sent.bytes), (1, &bare.bytes), "{size} B");
+            let back = read_frame(&mut &bare.bytes[..], MAX_FRAME).unwrap();
+            assert_eq!(back.as_deref(), Some(&payload[..]));
+        }
     }
 
     /// A reader that yields its script of chunks, then reports a read
@@ -607,6 +640,85 @@ mod tests {
         let mut idle = StallingReader { chunks: vec![] };
         let e = read_frame(&mut idle, MAX_FRAME).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn buffers_grow_as_bytes_arrive_and_shrink_after_a_large_frame() {
+        // The largest frame announced, three bytes sent, then a stall:
+        // the buffer holds a chunk, not the 16 MiB announced.
+        let announced = u32::try_from(MAX_FRAME).unwrap().to_be_bytes().to_vec();
+        let mut stall = StallingReader {
+            chunks: vec![announced, b"abc".to_vec()],
+        };
+        let mut buf = Vec::new();
+        let e = read_frame_into(&mut stall, MAX_FRAME, &mut buf).unwrap_err();
+        assert!(e.to_string().contains(&format!("3/{MAX_FRAME}")), "{e}");
+        assert!(buf.capacity() <= GROW_AHEAD, "{} B held", buf.capacity());
+        // A frame larger than a connection keeps is read whole, then its
+        // memory is given back; the same for the response buffer.
+        let big = "y".repeat(3 * KEEP_CAPACITY);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        match read_frame_into(&mut &wire[..], MAX_FRAME, &mut buf).unwrap() {
+            FrameRead::Frame(text) => assert_eq!(text, big),
+            other => panic!("expected a frame, got {other:?}"),
+        }
+        trim(&mut buf);
+        assert!(buf.capacity() <= KEEP_CAPACITY, "{} B kept", buf.capacity());
+        let mut out = FrameBuf::new();
+        out.push_str(&big);
+        out.send(&mut io::sink()).unwrap();
+        out.trim();
+        assert!(out.bytes.capacity() <= KEEP_CAPACITY);
+        assert_eq!(out.payload(), "");
+    }
+
+    /// A reader that sends its frame one byte per read and marks every byte
+    /// of room it is handed, counting the bytes it finds zeroed since.
+    struct Trickle {
+        wire: Vec<u8>,
+        at: usize,
+        zeroed: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            // Room is zeroed from some point to its end; mark it back.
+            let fresh = buf.iter().rev().take_while(|&&b| b == 0).count();
+            self.zeroed += fresh;
+            let len = buf.len();
+            buf[len - fresh..].fill(0xff);
+            let Some(&byte) = self.wire.get(self.at) else {
+                return Ok(0);
+            };
+            buf[0] = byte;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_trickled_frame_zeroes_each_byte_of_room_once() {
+        let payload = "z".repeat(300_000);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut trickle = Trickle {
+            wire,
+            at: 0,
+            zeroed: 0,
+        };
+        let mut buf = Vec::new();
+        match read_frame_into(&mut trickle, MAX_FRAME, &mut buf).unwrap() {
+            FrameRead::Frame(text) => assert_eq!(text, payload),
+            other => panic!("expected a frame, got {other:?}"),
+        }
+        // The prefix's zeroed array counts too.
+        assert!(
+            trickle.zeroed <= PREFIX + payload.len(),
+            "{} bytes zeroed for a {} B frame",
+            trickle.zeroed,
+            payload.len()
+        );
     }
 
     #[test]

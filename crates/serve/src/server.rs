@@ -48,7 +48,8 @@
 //! spans. When [`ServeConfig::http_addr`] is set, `run` also starts the
 //! HTTP observability sidecar (`/metrics`, `/healthz`, `/spans`).
 
-use std::io::{self, BufReader, BufWriter};
+use std::fmt::Write as _;
+use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use pevpm::replicate::isolated_map;
 use pevpm_dist::{io as dist_io, DistTable};
-use pevpm_obs::{diag, Registry};
+use pevpm_obs::{diag, Counter, FixedHistogram, Gauge, Registry};
 
 use crate::cache::{ModelCache, TimingCache};
 pub use crate::config::{
@@ -66,7 +67,7 @@ pub use crate::config::{
 use crate::conn::{ConnQueue, ConnTracker, TrackerGuard};
 use crate::gate::{Admission, Gate, GatePermit};
 use crate::plan::{self, EvalOutcome, PlanError, PredictRequest};
-use crate::proto::{self, FrameRead, Request};
+use crate::proto::{self, FrameBuf, FrameRead, Request};
 use crate::telemetry::{HttpServer, RequestTimer, Telemetry};
 
 /// How long the non-blocking accept loop sleeps between polls (also
@@ -127,6 +128,7 @@ pub struct Server {
     models: ModelCache,
     timings: TimingCache,
     registry: Arc<Registry>,
+    handles: Arc<ServeHandles>,
     telemetry: Arc<Telemetry>,
     // Bound at construction (so the sidecar port is known before `run`),
     // taken and spawned by `run`.
@@ -218,7 +220,8 @@ impl Server {
             Some(Duration::from_millis(cfg.io_timeout_ms))
         };
         let gate = Gate::new(max_inflight, max_queue);
-        registry.gauge("serve.inflight").set(0.0);
+        let handles = registry.handles(ServeHandles::resolve);
+        handles.inflight.set(0.0);
         Ok(Server {
             cfg,
             listener,
@@ -226,6 +229,7 @@ impl Server {
             models,
             timings,
             registry,
+            handles,
             telemetry,
             http: Mutex::new(http),
             gate,
@@ -393,15 +397,14 @@ impl Server {
     /// capacity (best effort, short write deadline) and close.
     fn shed_connection(&self, stream: TcpStream) {
         self.registry.counter("serve.conn.shed").inc();
-        self.registry.counter("serve.shed.total").inc();
+        self.handles.shed_total.inc();
         // Accepted sockets can inherit the listener's O_NONBLOCK on
         // BSD-derived platforms; the shed frame needs a blocking write
         // bounded by the short deadline below.
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-        let mut writer = BufWriter::new(stream);
         let _ = proto::write_frame(
-            &mut writer,
+            &mut &stream,
             &proto::overloaded_response("", self.cfg.shed_retry_ms),
         );
     }
@@ -448,34 +451,39 @@ impl Server {
             id: conn_id,
         };
         let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
+        let mut writer = &stream;
+        // The connection's two buffers, reused frame after frame: the
+        // request read into one, the response formatted into the other.
+        let mut frame = Vec::new();
+        let mut out = FrameBuf::new();
         loop {
             if shared.draining.load(Ordering::SeqCst) {
                 break Ok(false);
             }
-            match proto::read_frame_deadline(&mut reader, proto::MAX_FRAME) {
-                Ok(FrameRead::Frame(frame)) => {
+            match proto::read_frame_into(&mut reader, proto::MAX_FRAME, &mut frame) {
+                Ok(FrameRead::Frame(text)) => {
                     busy.store(true, Ordering::SeqCst);
-                    // handle_frame already isolates prediction panics; a
-                    // second net here keeps even a control-path panic from
-                    // taking the worker thread (and its slot) down.
-                    let handled = catch_unwind(AssertUnwindSafe(|| self.handle_frame(&frame)));
-                    let (response, shutdown) = handled.unwrap_or_else(|_| {
-                        self.registry.counter("serve.panics_isolated").inc();
-                        (
-                            proto::err_response("", "panic", "request handler panicked"),
-                            false,
-                        )
+                    // respond already isolates prediction panics; a second
+                    // net here keeps even a control-path panic from taking
+                    // the worker thread (and its slot) down.
+                    let handled = catch_unwind(AssertUnwindSafe(|| self.respond(text, &mut out)));
+                    let shutdown = handled.unwrap_or_else(|_| {
+                        self.handles.panics_isolated.inc();
+                        out.clear();
+                        let _ = proto::write_err(&mut out, "", "panic", "request handler panicked");
+                        false
                     });
                     // Still busy while the response is on its way out: a
                     // drain that saw this connection idle here would close
                     // the socket under a half-written frame.
-                    let written = proto::write_frame(&mut writer, &response);
+                    let written = out.send(&mut writer);
                     busy.store(false, Ordering::SeqCst);
                     written?;
                     if shutdown {
                         break Ok(true);
                     }
+                    proto::trim(&mut frame);
+                    out.trim();
                 }
                 Ok(FrameRead::CleanEof) => {
                     self.registry.counter("serve.conn.clean_eof").inc();
@@ -519,61 +527,81 @@ impl Server {
     /// Answer one request frame. The second element is true when the
     /// daemon should stop accepting after this response.
     pub fn handle_frame(&self, frame: &str) -> (String, bool) {
-        self.registry.counter("serve.requests").inc();
+        let mut out = FrameBuf::new();
+        let stop = self.respond(frame, &mut out);
+        (out.into_payload(), stop)
+    }
+
+    /// Answer one request frame into `out` (cleared first), as a
+    /// connection worker does with its reused buffer. Returns true when
+    /// the daemon should stop accepting after this response.
+    pub fn respond(&self, frame: &str, out: &mut FrameBuf) -> bool {
+        // Writing into a `FrameBuf` cannot fail, so no `fmt::Result` below
+        // is worth looking at.
+        out.clear();
+        self.handles.requests.inc();
         let request = match proto::parse_request(frame) {
             Ok(r) => r,
             Err((id, e)) => {
                 let timer = self.telemetry.begin("invalid", false);
-                let resp = proto::err_response(&id, e.kind.code(), &e.message);
-                timer.finish(e.kind.code(), resp.len());
-                return (resp, false);
+                let _ = proto::write_err(out, &id, e.kind.code(), &e.message);
+                timer.finish(e.kind.code(), out.payload_len());
+                return false;
             }
         };
         match request {
             Request::Ping { id } => {
                 let timer = self.telemetry.begin("ping", false);
-                let resp = proto::ok_response(&id, "{\"kind\":\"pong\"}");
-                timer.finish("ok", resp.len());
-                (resp, false)
+                let _ = proto::write_ok(out, &id, |out| out.write_str("{\"kind\":\"pong\"}"));
+                timer.finish("ok", out.payload_len());
+                false
             }
             Request::Stats { id } => {
                 let timer = self.telemetry.begin("stats", false);
-                let resp = proto::ok_response(&id, &self.telemetry.stats_json());
-                timer.finish("ok", resp.len());
-                (resp, false)
+                let stats = self.telemetry.stats_json();
+                let _ = proto::write_ok(out, &id, |out| out.write_str(&stats));
+                timer.finish("ok", out.payload_len());
+                false
             }
             Request::Shutdown { id } => {
                 let timer = self.telemetry.begin("shutdown", false);
-                let resp = proto::ok_response(&id, "{\"kind\":\"shutdown\"}");
-                timer.finish("ok", resp.len());
-                (resp, true)
+                let _ = proto::write_ok(out, &id, |out| out.write_str("{\"kind\":\"shutdown\"}"));
+                timer.finish("ok", out.payload_len());
+                true
             }
             Request::Predict { id, table, req } => {
-                let permit = match self.admit_inflight(&id) {
-                    Ok(p) => p,
-                    Err(shed) => return (shed, false),
+                let Some(permit) = self.admit_inflight(&id, out) else {
+                    return false;
                 };
                 let mut timer = self.telemetry.begin("predict", true);
-                let (resp, outcome) =
-                    match self.predict_guarded(&table, &req, self.request_threads, &mut timer) {
-                        Ok(result) => (proto::ok_response(&id, &result), "ok"),
-                        Err(e) => (
-                            proto::err_response(&id, e.kind_code(), &e.message()),
-                            e.kind_code(),
-                        ),
-                    };
-                timer.finish(outcome, resp.len());
+                let rendered = self.predict_guarded(
+                    &table,
+                    &req,
+                    self.request_threads,
+                    &mut timer,
+                    |outcome| {
+                        let _ = proto::write_ok(out, &id, |out| proto::write_outcome(out, outcome));
+                    },
+                );
+                let outcome = match rendered {
+                    Ok(()) => "ok",
+                    Err(e) => {
+                        out.clear();
+                        let _ = proto::write_err(out, &id, e.kind_code(), e.message());
+                        e.kind_code()
+                    }
+                };
+                timer.finish(outcome, out.payload_len());
                 drop(permit);
-                (resp, false)
+                false
             }
             Request::Batch { id, items } => {
-                let permit = match self.admit_inflight(&id) {
-                    Ok(p) => p,
-                    Err(shed) => return (shed, false),
+                let Some(permit) = self.admit_inflight(&id, out) else {
+                    return false;
                 };
-                let resp = self.handle_batch(&id, &items);
+                self.handle_batch(&id, &items, out);
                 drop(permit);
-                (resp, false)
+                false
             }
         }
     }
@@ -585,31 +613,29 @@ impl Server {
     /// `serve.inflight` gauge is refreshed; on shed the frame gets an
     /// `"overloaded"` response carrying the `retry_after_ms` hint, which
     /// is always safe for the peer to act on (the request never started).
-    fn admit_inflight(&self, id: &str) -> Result<GatePermit<'_>, String> {
+    fn admit_inflight(&self, id: &str, out: &mut FrameBuf) -> Option<GatePermit<'_>> {
         match self.gate.acquire() {
-            Admission::Admitted { waited } => {
-                self.registry
-                    .histogram("serve.queue_wait_ms", 0.0, 250.0, 50)
+            Admission::Admitted { waited, inflight } => {
+                self.handles
+                    .queue_wait_ms
                     .record(waited.as_secs_f64() * 1e3);
-                self.registry
-                    .gauge("serve.inflight")
-                    .set(self.gate.inflight() as f64);
-                Ok(GatePermit {
+                self.handles.inflight.set(inflight as f64);
+                Some(GatePermit {
                     gate: &self.gate,
-                    registry: &self.registry,
+                    inflight: &self.handles.inflight,
                 })
             }
             Admission::Shed => {
-                self.registry.counter("serve.shed.total").inc();
+                self.handles.shed_total.inc();
                 let timer = self.telemetry.begin("shed", false);
-                let resp = proto::overloaded_response(id, self.cfg.shed_retry_ms);
-                timer.finish("overloaded", resp.len());
-                Err(resp)
+                let _ = proto::write_overloaded(out, id, self.cfg.shed_retry_ms);
+                timer.finish("overloaded", out.payload_len());
+                None
             }
         }
     }
 
-    fn handle_batch(&self, id: &str, items: &[(String, PredictRequest)]) -> String {
+    fn handle_batch(&self, id: &str, items: &[(String, PredictRequest)], out: &mut FrameBuf) {
         // Fan the batch across the replication pool. Each item evaluates
         // single-threaded inside its slot; replication results are
         // bitwise invariant to thread count, so this cannot change any
@@ -618,16 +644,15 @@ impl Server {
         // item gets its own metered span, so stage histogram counts still
         // equal the number of predictions served.
         let mut frame_timer = self.telemetry.begin("batch", false);
-        let pool_job_ms = self.registry.histogram("serve.pool.job_ms", 0.0, 250.0, 50);
         let (slots, _profile) = frame_timer.stage("fanout", || {
             isolated_map(items.len(), self.request_threads, |i| {
                 let _timed = RecordElapsedMs {
-                    into: &pool_job_ms,
+                    into: &self.handles.pool_job_ms,
                     since: Instant::now(),
                 };
                 let (table, req) = &items[i];
                 let mut item_timer = self.telemetry.begin("batch-item", true);
-                match self.predict_guarded(table, req, 1, &mut item_timer) {
+                match self.predict_guarded(table, req, 1, &mut item_timer, proto::render_outcome) {
                     Ok(result) => {
                         item_timer.finish("ok", result.len());
                         Ok(result)
@@ -635,56 +660,57 @@ impl Server {
                     Err(e) => {
                         let code = e.kind_code();
                         item_timer.finish(code, 0);
-                        Err((code.to_string(), e.message()))
+                        Err((code, e.message().to_string()))
                     }
                 }
             })
         });
-        let (resp, failed) = frame_timer.stage("collect", || {
-            let rendered: Vec<Result<String, (String, String)>> = slots
+        let failed = frame_timer.stage("collect", || {
+            let rendered: Vec<Result<String, (&str, String)>> = slots
                 .into_iter()
                 .map(|slot| match slot {
                     Ok(result) => Ok(result),
-                    Err(pevpm::replicate::JobError::Err((code, msg))) => Err((code, msg)),
+                    Err(pevpm::replicate::JobError::Err(failure)) => Err(failure),
                     // `isolated_map` already caught the panic; report it
                     // as a per-item failure, daemon intact.
                     Err(pevpm::replicate::JobError::Panic(p)) => {
-                        self.registry.counter("serve.panics_isolated").inc();
-                        Err(("panic".to_string(), p.to_string()))
+                        self.handles.panics_isolated.inc();
+                        Err(("panic", p.to_string()))
                     }
                 })
                 .collect();
-            let failed = rendered.iter().filter(|r| r.is_err()).count();
-            (
-                proto::ok_response(id, &proto::render_batch(&rendered)),
-                failed,
-            )
+            let _ = proto::write_ok(out, id, |out| proto::write_batch(out, &rendered));
+            rendered.iter().filter(|r| r.is_err()).count()
         });
         frame_timer.set_reps(items.len());
         frame_timer.set_replica_failures(failed);
-        let bytes = resp.len();
-        frame_timer.finish(if failed == 0 { "ok" } else { "partial" }, bytes);
-        resp
+        frame_timer.finish(
+            if failed == 0 { "ok" } else { "partial" },
+            out.payload_len(),
+        );
     }
 
-    /// One prediction with the request boundary hardened: any panic that
-    /// escapes the plan layer and the replication pool becomes a
-    /// `RequestError::Panic`, never a daemon crash. The timer outlives
-    /// the `catch_unwind`, so even a panicking request leaves a span
-    /// (flagged `panicked`, minus the stage that blew up).
-    fn predict_guarded(
+    /// One prediction, rendered by `render` as the `render` stage, with the
+    /// request boundary hardened: any panic that escapes the plan layer
+    /// and the replication pool becomes a `RequestError::Panic`, never a
+    /// daemon crash. The timer outlives the `catch_unwind`, so even a
+    /// panicking request leaves a span (flagged `panicked`, minus the
+    /// stage that blew up).
+    fn predict_guarded<R>(
         &self,
         table: &str,
         req: &PredictRequest,
         threads: usize,
         timer: &mut RequestTimer<'_>,
-    ) -> Result<String, RequestError> {
+        render: impl FnOnce(&EvalOutcome) -> R,
+    ) -> Result<R, RequestError> {
         match catch_unwind(AssertUnwindSafe(|| {
-            self.predict(table, req, threads, timer)
+            let outcome = self.predict(table, req, threads, timer)?;
+            Ok(timer.stage("render", || render(&outcome)))
         })) {
             Ok(r) => r.map_err(RequestError::Plan),
             Err(payload) => {
-                self.registry.counter("serve.panics_isolated").inc();
+                self.handles.panics_isolated.inc();
                 timer.set_panicked();
                 let what = diag::panic_message(&*payload);
                 Err(RequestError::Panic(format!("request panicked: {what}")))
@@ -696,7 +722,7 @@ impl Server {
     /// carry, before any compilation or evaluation happens.
     fn admit(&self, req: &PredictRequest) -> Result<(), PlanError> {
         if self.cfg.max_reps > 0 && req.reps > self.cfg.max_reps {
-            self.registry.counter("serve.rejected_admission").inc();
+            self.handles.rejected_admission.inc();
             return Err(PlanError::budget(format!(
                 "admission: {} replications exceed the server limit of {}",
                 req.reps, self.cfg.max_reps
@@ -713,7 +739,7 @@ impl Server {
         req: &PredictRequest,
         threads: usize,
         timer: &mut RequestTimer<'_>,
-    ) -> Result<String, PlanError> {
+    ) -> Result<EvalOutcome, PlanError> {
         timer.set_reps(req.reps);
         timer.set_quorum(req.quorum.is_some());
         let (pos, mode) = timer.stage("validate", || {
@@ -788,20 +814,42 @@ impl Server {
             if let Some(a) = &mc.adaptive {
                 timer.set_reps(a.reps);
                 timer.set_reps_saved(a.reps_saved());
-                self.registry
-                    .counter("serve.reps.saved")
-                    .add(a.reps_saved() as u64);
-                self.registry
-                    .histogram(
-                        "serve.reps.chosen",
-                        crate::telemetry::REPS_CHOSEN_BINS.0,
-                        crate::telemetry::REPS_CHOSEN_BINS.1,
-                        crate::telemetry::REPS_CHOSEN_BINS.2,
-                    )
-                    .record(a.reps as f64);
+                self.handles.reps_saved.add(a.reps_saved() as u64);
+                self.handles.reps_chosen.record(a.reps as f64);
             }
         }
-        Ok(timer.stage("render", || proto::render_outcome(&outcome)))
+        Ok(outcome)
+    }
+}
+
+/// The daemon's per-request metric handles, under fixed names only,
+/// resolved once per registry ([`Registry::handles`]).
+struct ServeHandles {
+    requests: Arc<Counter>,
+    panics_isolated: Arc<Counter>,
+    queue_wait_ms: Arc<FixedHistogram>,
+    inflight: Arc<Gauge>,
+    shed_total: Arc<Counter>,
+    rejected_admission: Arc<Counter>,
+    reps_saved: Arc<Counter>,
+    reps_chosen: Arc<FixedHistogram>,
+    pool_job_ms: Arc<FixedHistogram>,
+}
+
+impl ServeHandles {
+    fn resolve(registry: &Registry) -> ServeHandles {
+        let (lo, hi, nbins) = crate::telemetry::REPS_CHOSEN_BINS;
+        ServeHandles {
+            requests: registry.counter("serve.requests"),
+            panics_isolated: registry.counter("serve.panics_isolated"),
+            queue_wait_ms: registry.histogram("serve.queue_wait_ms", 0.0, 250.0, 50),
+            inflight: registry.gauge("serve.inflight"),
+            shed_total: registry.counter("serve.shed.total"),
+            rejected_admission: registry.counter("serve.rejected_admission"),
+            reps_saved: registry.counter("serve.reps.saved"),
+            reps_chosen: registry.histogram("serve.reps.chosen", lo, hi, nbins),
+            pool_job_ms: registry.histogram("serve.pool.job_ms", 0.0, 250.0, 50),
+        }
     }
 }
 
@@ -833,10 +881,10 @@ impl RequestError {
         }
     }
 
-    fn message(&self) -> String {
+    fn message(&self) -> &str {
         match self {
-            RequestError::Plan(e) => e.message.clone(),
-            RequestError::Panic(m) => m.clone(),
+            RequestError::Plan(e) => &e.message,
+            RequestError::Panic(m) => m,
         }
     }
 }
@@ -1000,17 +1048,11 @@ mod tests {
         s.handle_frame(&predict_frame(1));
         let spans = s.telemetry().ring().last(10);
         assert_eq!(spans.len(), 2);
-        let names: Vec<&str> = spans[1].stages.iter().map(|st| st.name.as_str()).collect();
+        let names: Vec<&str> = spans[1].stages.iter().map(|st| st.name).collect();
         assert_eq!(names, crate::telemetry::STAGES);
         // First request misses both caches, second hits both.
-        assert_eq!(
-            spans[0].caches,
-            vec![("model".to_string(), false), ("table".to_string(), false)]
-        );
-        assert_eq!(
-            spans[1].caches,
-            vec![("model".to_string(), true), ("table".to_string(), true)]
-        );
+        assert_eq!(spans[0].caches, [("model", false), ("table", false)]);
+        assert_eq!(spans[1].caches, [("model", true), ("table", true)]);
         assert_eq!(spans[1].outcome, "ok");
         assert!(spans[1].response_bytes > 0);
         assert_eq!(s.registry().counter("serve.requests.total").get(), 2);
@@ -1047,11 +1089,7 @@ mod tests {
             .into_iter()
             .find(|sp| sp.op == "batch")
             .expect("batch frame span recorded");
-        let stage_names: Vec<&str> = batch_span
-            .stages
-            .iter()
-            .map(|st| st.name.as_str())
-            .collect();
+        let stage_names: Vec<&str> = batch_span.stages.iter().map(|st| st.name).collect();
         assert_eq!(stage_names, ["fanout", "collect"]);
         assert_eq!(batch_span.replica_failures, 0);
     }
@@ -1110,7 +1148,7 @@ mod tests {
         let (r, _) = s.handle_frame("{\"op\":\"ping\",\"id\":\"alive\"}");
         assert!(json::parse(&r).unwrap().get("ok").and_then(Json::as_bool) == Some(true));
         // Every failure above still left a span with its exit class.
-        let outcomes: Vec<String> = s
+        let outcomes: Vec<&str> = s
             .telemetry()
             .ring()
             .last(10)
@@ -1208,7 +1246,7 @@ mod tests {
         // the queue with a real waiter to prove release wakes it.
         let waited = std::thread::scope(|scope| {
             let waiter = scope.spawn(|| match gate.acquire() {
-                Admission::Admitted { waited } => waited,
+                Admission::Admitted { waited, .. } => waited,
                 Admission::Shed => panic!("queued acquirer was shed"),
             });
             // Wait until the waiter is parked in the queue.

@@ -28,13 +28,13 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use pevpm_obs::json::{escape, num};
 use pevpm_obs::span::{percentile, render_spans, rfc3339_utc_us, span_json};
-use pevpm_obs::{diag, FixedHistogram, Registry, RequestSpan, SpanRing, StageTiming};
+use pevpm_obs::{diag, Counter, FixedHistogram, Registry, RequestSpan, SpanRing, StageTiming};
 
 /// The named stages of a prediction request, in execution order. Every
 /// successful prediction records exactly one timing per stage, so each
@@ -62,9 +62,7 @@ enum LogSink {
 /// structured log sink, and the monotonic/wall-clock start anchors.
 pub struct Telemetry {
     registry: Arc<Registry>,
-    /// The [`STAGES`] latency histograms, each resolved at its first
-    /// observation.
-    stage_hists: [OnceLock<Arc<FixedHistogram>>; STAGES.len()],
+    handles: Arc<TelemetryHandles>,
     ring: SpanRing,
     epoch: Instant,
     started_unix_us: u64,
@@ -90,8 +88,8 @@ impl Telemetry {
             (None, None) => None,
         };
         Ok(Telemetry {
+            handles: registry.handles(TelemetryHandles::resolve),
             registry,
-            stage_hists: Default::default(),
             ring: SpanRing::new(span_capacity),
             epoch: Instant::now(),
             started_unix_us: SystemTime::now()
@@ -135,13 +133,19 @@ impl Telemetry {
     /// stage/total latency histograms and tick `serve.requests.total` at
     /// finish; non-metered ones (stats, ping, frame-level batch spans)
     /// only enter the ring and the log.
-    pub fn begin(&self, op: &str, metered: bool) -> RequestTimer<'_> {
+    pub fn begin(&self, op: &'static str, metered: bool) -> RequestTimer<'_> {
         let start = Instant::now();
         let start_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let unix_us = self.started_unix_us.saturating_add(start_us as u64);
+        let mut span = RequestSpan::new(self.ring.next_id(), op, unix_us, start_us);
+        if metered {
+            // A prediction times every stage and looks up both caches.
+            span.stages.reserve_exact(STAGES.len());
+            span.caches.reserve_exact(2);
+        }
         RequestTimer {
             telemetry: self,
-            span: RequestSpan::new(self.ring.next_id(), op, unix_us, start_us),
+            span,
             t0: start,
             metered,
         }
@@ -149,21 +153,16 @@ impl Telemetry {
 
     fn finish(&self, span: RequestSpan, metered: bool) {
         if metered {
-            self.registry.counter("serve.requests.total").inc();
-            let (lo, hi, nbins) = LATENCY_MS_BINS;
-            self.registry
-                .histogram("serve.request_ms", lo, hi, nbins)
-                .record(span.total_us / 1e3);
+            let handles = &self.handles;
+            handles.requests_total.inc();
+            handles.request_ms.record(span.total_us / 1e3);
             for st in &span.stages {
-                let hist = || {
-                    let name = format!("serve.stage.{}_ms", st.name);
-                    self.registry.histogram(&name, lo, hi, nbins)
-                };
                 match STAGES.iter().position(|s| *s == st.name) {
-                    Some(i) => self.stage_hists[i]
-                        .get_or_init(hist)
-                        .record(st.dur_us / 1e3),
-                    None => hist().record(st.dur_us / 1e3),
+                    Some(i) => handles.stages[i].record(st.dur_us / 1e3),
+                    None => {
+                        latency_histogram(&self.registry, &format!("serve.stage.{}_ms", st.name))
+                            .record(st.dur_us / 1e3)
+                    }
                 }
             }
         }
@@ -209,13 +208,10 @@ impl Telemetry {
     /// the spans currently in the ring, stage names sorted.
     pub fn stage_percentiles_json(&self) -> String {
         let spans = self.ring.last(self.ring.capacity());
-        let mut by_stage: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
+        let mut by_stage: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
         for span in &spans {
             for st in &span.stages {
-                by_stage
-                    .entry(st.name.clone())
-                    .or_default()
-                    .push(st.dur_us / 1e3);
+                by_stage.entry(st.name).or_default().push(st.dur_us / 1e3);
             }
         }
         let mut out = String::from("{");
@@ -261,10 +257,36 @@ impl Telemetry {
              \"requests_total\":{},\"spans_recorded\":{}}}",
             self.started_rfc3339(),
             num(self.uptime_secs()),
-            self.registry.counter("serve.requests.total").get(),
+            self.handles.requests_total.get(),
             self.ring.recorded()
         )
     }
+}
+
+/// The hub's metric handles, under fixed names only, resolved once per
+/// registry ([`Registry::handles`]).
+struct TelemetryHandles {
+    requests_total: Arc<Counter>,
+    request_ms: Arc<FixedHistogram>,
+    /// The [`STAGES`] latency histograms, in order.
+    stages: [Arc<FixedHistogram>; STAGES.len()],
+}
+
+impl TelemetryHandles {
+    fn resolve(registry: &Registry) -> TelemetryHandles {
+        TelemetryHandles {
+            requests_total: registry.counter("serve.requests.total"),
+            request_ms: latency_histogram(registry, "serve.request_ms"),
+            stages: std::array::from_fn(|i| {
+                latency_histogram(registry, &format!("serve.stage.{}_ms", STAGES[i]))
+            }),
+        }
+    }
+}
+
+fn latency_histogram(registry: &Registry, name: &str) -> Arc<FixedHistogram> {
+    let (lo, hi, nbins) = LATENCY_MS_BINS;
+    registry.histogram(name, lo, hi, nbins)
 }
 
 /// An in-flight request timer: accumulates stage timings and span fields,
@@ -285,12 +307,12 @@ impl RequestTimer<'_> {
     /// Run `f` as the named stage, recording its window relative to the
     /// request start. Each stage name should occur at most once per
     /// request so stage histogram counts stay interpretable.
-    pub fn stage<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    pub fn stage<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let start_us = self.t0.elapsed().as_secs_f64() * 1e6;
         let r = f();
         let end_us = self.t0.elapsed().as_secs_f64() * 1e6;
         self.span.stages.push(StageTiming {
-            name: name.to_string(),
+            name,
             start_us,
             dur_us: end_us - start_us,
         });
@@ -298,8 +320,8 @@ impl RequestTimer<'_> {
     }
 
     /// Record a cache lookup outcome (`cache` is e.g. `"model"`).
-    pub fn cache(&mut self, cache: &str, hit: bool) {
-        self.span.caches.push((cache.to_string(), hit));
+    pub fn cache(&mut self, cache: &'static str, hit: bool) {
+        self.span.caches.push((cache, hit));
     }
 
     /// Record the replication count this request asked for.
@@ -329,16 +351,13 @@ impl RequestTimer<'_> {
         self.span.panicked = true;
     }
 
-    /// Close the span with its exit class and response payload size,
-    /// record histograms/ring/log, and return the finished span (the CLI
-    /// turns it into the pid-4 trace track).
-    pub fn finish(mut self, outcome: &str, response_bytes: usize) -> RequestSpan {
+    /// Close the span with its exit class and response payload size, and
+    /// record histograms, ring and log.
+    pub fn finish(mut self, outcome: &'static str, response_bytes: usize) {
         self.span.total_us = self.t0.elapsed().as_secs_f64() * 1e6;
-        self.span.outcome = outcome.to_string();
+        self.span.outcome = outcome;
         self.span.response_bytes = response_bytes;
-        let span = self.span.clone();
         self.telemetry.finish(self.span, self.metered);
-        span
     }
 }
 
@@ -542,7 +561,7 @@ mod tests {
         let spans = t.ring().last(10);
         assert_eq!(spans.len(), 3);
         assert!(spans[0].total_us >= spans[0].stage_sum_us());
-        assert_eq!(spans[0].caches, vec![("model".to_string(), true)]);
+        assert_eq!(spans[0].caches, vec![("model", true)]);
     }
 
     #[test]

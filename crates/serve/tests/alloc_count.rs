@@ -1,4 +1,4 @@
-//! Heap allocations per cached `handle_frame` and per model-cache miss,
+//! Heap allocations per cached request and per model-cache miss,
 //! and the heap a model-cache entry retains, counted by a global allocator
 //! that tallies the calling thread's heap traffic. A cache hit must do
 //! only per-request work, so a fixed working set allocates a fixed number
@@ -11,6 +11,7 @@ mod working_set;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pevpm_serve::proto::FrameBuf;
 use pevpm_serve::{plan, ServeConfig, Server};
 
 struct Counting;
@@ -72,12 +73,14 @@ fn cached_requests_allocate_a_pinned_amount_and_entries_stay_small() {
         vec![(working_set::TABLE.to_string(), table)],
     )
     .unwrap();
-    // The first pass fills the caches; every later one hits.
-    let pass = || {
+    // The path a connection worker runs, its response buffer reused. The
+    // first pass fills the caches; every later one hits.
+    let mut out = FrameBuf::new();
+    let mut pass = || {
         let before = ALLOCS.with(Cell::get);
         for (_, frame) in &set {
-            let (response, _) = server.handle_frame(frame);
-            assert!(response.contains("\"ok\":true"), "{response}");
+            server.respond(frame, &mut out);
+            assert!(out.payload().contains("\"ok\":true"), "{}", out.payload());
         }
         ALLOCS.with(Cell::get) - before
     };
@@ -87,13 +90,14 @@ fn cached_requests_allocate_a_pinned_amount_and_entries_stay_small() {
         first, again,
         "allocations per cached request depend on history"
     );
-    // 6 841 over these 48 requests is 142.5 a request; lowering the
-    // model on every request, as the cache of parsed models did, made
-    // 13 771 (286.9).
+    // 2 656 over these 48 requests is 55.3 a request. A `Json` tree per
+    // frame, a `String` per rendered piece, `String` span names and a
+    // table per process in the engine made 6 841 (142.5); lowering the
+    // model on every request as well made 13 771 (286.9).
     let per_request = first as f64 / set.len() as f64;
     assert!(
-        first <= 6_841,
-        "{per_request} allocations per cached handle_frame ({first} in all), pinned at 6 841"
+        first <= 2_656,
+        "{per_request} allocations per cached request ({first} in all), pinned at 2 656"
     );
 
     // A miss: parse and lower each program, as `ModelCache` does.
