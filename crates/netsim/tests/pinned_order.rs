@@ -84,3 +84,113 @@ fn lossy_closed_loop_reproduces_the_recorded_completions() {
         assert_eq!(got, expected, "seed {seed}");
     }
 }
+
+/// The same closed loop through every other fault path: a full pause,
+/// a slowdown pause, a link flap and background bursts, on top of a
+/// 4-into-1 incast of multi-frame transfers onto a port buffer a few
+/// frames deep. Handled events here schedule no successor (drops, stale
+/// frames, deliveries), one (a hop, a deferred frame, a timer) or several
+/// (a retransmission round), so a queue that reorders any of them, or
+/// misplaces a successor, changes the recorded completions.
+fn run_faulted(seed: u64) -> (u64, NetStats) {
+    use pevpm_netsim::{Background, LinkFlap, Pause};
+
+    let mut cfg = ClusterConfig::perseus(NODES);
+    cfg.switch_ports = 8;
+    cfg.port_buffer_bytes = 6_000; // four full frames
+    cfg.faults = Some(FaultPlan {
+        pauses: vec![
+            Pause {
+                node: 3,
+                at_secs: 0.001,
+                duration_secs: 0.002,
+                slowdown: 0.0,
+            },
+            Pause {
+                node: 5,
+                at_secs: 0.002,
+                duration_secs: 0.005,
+                slowdown: 3.0,
+            },
+        ],
+        flaps: vec![LinkFlap {
+            node: 9,
+            from_secs: 0.004,
+            to_secs: 0.006,
+        }],
+        background: vec![Background {
+            src: 12,
+            dst: 0,
+            bytes: 15_000,
+            start_secs: 0.0005,
+            period_secs: 0.001,
+            count: 10,
+        }],
+        ..Default::default()
+    });
+    let mut net = Network::new(cfg, seed);
+
+    let mut lcg = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move |net: &mut Network, at: Time| {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let src = (lcg >> 33) as usize % NODES;
+        let dst = (lcg >> 41) as usize % NODES;
+        let bytes = [64, 1_024, 6_000, 40_000][(lcg >> 49) as usize % 4];
+        net.start_transfer(at, src, dst, bytes);
+    };
+
+    // The incast: nodes 1..=4 each send 40 000 B (27 frames) to node 0.
+    for src in 1..=4 {
+        net.start_transfer(Time::ZERO, src, 0, 40_000);
+    }
+    let mut started = 4;
+    while started < 24 {
+        next(&mut net, Time::ZERO);
+        started += 1;
+    }
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut completed = 0u64;
+    while let Some(t) = net.next_event_time() {
+        for c in net.advance_until(t) {
+            for w in [c.delivered_at.as_nanos(), c.retransmissions as u64] {
+                for b in w.to_le_bytes() {
+                    digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            completed += 1;
+            if started < TRANSFERS {
+                next(&mut net, c.delivered_at);
+                started += 1;
+            }
+        }
+    }
+    assert_eq!(completed, TRANSFERS);
+    (digest, *net.stats())
+}
+
+#[test]
+fn faulted_closed_loop_reproduces_the_recorded_completions() {
+    /// `(seed, fingerprint)` as recorded before the event queue replaced
+    /// a handled event with its first successor in place.
+    const RECORDED: [(u64, &str); 3] = [
+        (
+            3,
+            "completions=0x82b947506939536a NetStats { frames_sent: 8390, frames_dropped: 1532, retransmissions: 276, transfers_completed: 600, bytes_delivered: 7945936, events_processed: 39409, trunk_bytes: 5645844, trunk_peak_backlog: 6509, faults_injected_losses: 0, faults_flap_drops: 10, faults_paused_frames: 40, faults_background_transfers: 10 }",
+        ),
+        (
+            29,
+            "completions=0x57f8d7e5fdf6bb87 NetStats { frames_sent: 7019, frames_dropped: 896, retransmissions: 155, transfers_completed: 600, bytes_delivered: 7467360, events_processed: 33639, trunk_bytes: 4763148, trunk_peak_backlog: 11056, faults_injected_losses: 0, faults_flap_drops: 28, faults_paused_frames: 12, faults_background_transfers: 10 }",
+        ),
+        (
+            101,
+            "completions=0x22c64fabe69ffc05 NetStats { frames_sent: 6837, frames_dropped: 815, retransmissions: 144, transfers_completed: 600, bytes_delivered: 7194928, events_processed: 33251, trunk_bytes: 5340704, trunk_peak_backlog: 8652, faults_injected_losses: 0, faults_flap_drops: 36, faults_paused_frames: 54, faults_background_transfers: 10 }",
+        ),
+    ];
+    for (seed, expected) in RECORDED {
+        let (digest, stats) = run_faulted(seed);
+        let got = format!("completions={digest:#018x} {stats:?}");
+        assert_eq!(got, expected, "seed {seed}");
+    }
+}
