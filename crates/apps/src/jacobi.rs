@@ -19,7 +19,7 @@
 
 use pevpm::model::build::*;
 use pevpm::Model;
-use pevpm_mpisim::{Proc, ReduceOp, RunReport, SimError, World, WorldConfig};
+use pevpm_mpisim::{Bytes, Proc, ReduceOp, RunReport, SimError, World, WorldConfig};
 use std::cell::Cell;
 
 /// Configuration of a Jacobi run / model.
@@ -72,16 +72,18 @@ pub struct JacobiRun {
 const TAG_UP: u64 = 1; // toward rank-1
 const TAG_DOWN: u64 = 2; // toward rank+1
 
-fn encode_f32s(row: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(row.len() * 4);
-    for v in row {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+/// Pack a halo row as little-endian `f32`s, written straight into the
+/// payload's only allocation.
+pub fn encode_f32s(row: &[f32]) -> Bytes {
+    Bytes::from_fill(row.len() * 4, |buf| {
+        for (c, v) in buf.chunks_exact_mut(4).zip(row) {
+            c.copy_from_slice(&v.to_le_bytes());
+        }
+    })
 }
 
 /// Unpack a halo payload into the ghost row it is for.
-fn decode_f32s_into(bytes: &[u8], row: &mut [f32]) {
+pub fn decode_f32s_into(bytes: &[u8], row: &mut [f32]) {
     assert_eq!(bytes.len(), row.len() * 4, "halo payload is not one row");
     for (v, c) in row.iter_mut().zip(bytes.chunks_exact(4)) {
         *v = f32::from_le_bytes(c.try_into().unwrap());
@@ -533,6 +535,25 @@ mod tests {
     use super::*;
     use pevpm::timing::TimingModel;
     use pevpm::vm::{evaluate, EvalConfig};
+
+    #[test]
+    fn halo_codec_round_trip_is_bit_exact() {
+        let row = [
+            -0.0f32,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x7fc0_1234), // NaN with payload bits
+            f32::from_bits(0xffa5_a5a5), // signalling NaN, sign set
+            1.0,
+        ];
+        let payload = encode_f32s(&row);
+        assert_eq!(payload.len(), row.len() * 4);
+        let mut back = [0.0f32; 7];
+        decode_f32s_into(&payload, &mut back);
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&row));
+    }
 
     #[test]
     fn serial_reference_conserves_boundary() {

@@ -343,11 +343,11 @@ impl Proc {
 
 /// Encode a `f64` slice as little-endian bytes.
 pub fn encode_f64s(data: &[f64]) -> Bytes {
-    let mut buf = Vec::with_capacity(data.len() * 8);
-    for x in data {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(buf)
+    Bytes::from_fill(data.len() * 8, |buf| {
+        for (c, x) in buf.chunks_exact_mut(8).zip(data) {
+            c.copy_from_slice(&x.to_le_bytes());
+        }
+    })
 }
 
 /// Decode bytes produced by [`encode_f64s`].

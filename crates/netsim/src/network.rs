@@ -125,7 +125,11 @@ impl Server {
     /// Try to accept a frame of `wire_bytes` arriving at `now`; returns the
     /// service-completion time, or `None` if the buffer would overflow.
     fn accept(&mut self, now: Time, wire_bytes: u64, jitter: Dur) -> Option<Time> {
-        if self.backlog_bytes(now) + wire_bytes > self.buffer_bytes {
+        // `backlog_bytes(now) + wire_bytes > buffer_bytes` without the
+        // division: `⌊q / d⌋ > room` exactly when `q ≥ (room + 1)·d`.
+        let room = self.buffer_bytes.checked_sub(wire_bytes)?;
+        let queued = self.free_at.since(now).as_nanos() as u128 * self.rate_bps as u128;
+        if queued >= (room as u128 + 1) * (8 * 1_000_000_000) {
             return None;
         }
         let start = self.free_at.max(now) + jitter;
@@ -177,6 +181,9 @@ struct Transfer {
     dst: NodeId,
     bytes: u64,
     nframes: u64,
+    /// Wire bytes of a full frame and of the last frame.
+    wire_full: u64,
+    wire_last: u64,
     /// Receiver's go-back-N cursor: next in-order frame sequence expected.
     next_expected: u64,
     /// Current sender epoch; frames from older epochs are stale.
@@ -196,6 +203,17 @@ struct Transfer {
     background: bool,
 }
 
+impl Transfer {
+    /// Wire bytes of frame `seq`: [`ClusterConfig::frame_wire_bytes`].
+    fn frame_wire_bytes(&self, seq: u64) -> u64 {
+        if seq + 1 < self.nframes {
+            self.wire_full
+        } else {
+            self.wire_last
+        }
+    }
+}
+
 /// The discrete-event network simulator.
 pub struct Network {
     cfg: ClusterConfig,
@@ -209,6 +227,10 @@ pub struct Network {
     transfers: Slots<Transfer>,
     heap: BinaryHeap<Reverse<(Time, u64, HeapEv)>>,
     heap_seq: u64,
+    /// The event being handled still sits at the heap top; the first
+    /// event it schedules takes its place (one sift-down, not a pop and
+    /// a push), and it is popped only if it schedules none.
+    top_handled: bool,
     rng: SmallRng,
     stats: NetStats,
     completions: Vec<Completion>,
@@ -336,6 +358,7 @@ impl Network {
             transfers: Slots::new(),
             heap: BinaryHeap::new(),
             heap_seq: 0,
+            top_handled: false,
             rng: SmallRng::seed_from_u64(seed),
             stats: NetStats::default(),
             completions: Vec::new(),
@@ -413,8 +436,14 @@ impl Network {
 
     fn push(&mut self, at: Time, ev: Ev) {
         self.heap_seq += 1;
-        self.heap
-            .push(Reverse((at, self.heap_seq, HeapEv::pack(ev))));
+        let entry = Reverse((at, self.heap_seq, HeapEv::pack(ev)));
+        if std::mem::take(&mut self.top_handled) {
+            if let Some(mut top) = self.heap.peek_mut() {
+                *top = entry;
+                return;
+            }
+        }
+        self.heap.push(entry);
     }
 
     fn jitter(&mut self) -> Dur {
@@ -433,11 +462,14 @@ impl Network {
         bytes: u64,
         background: bool,
     ) -> TransferId {
+        let nframes = self.cfg.frames_for(bytes);
         TransferId(self.transfers.insert(Transfer {
             src,
             dst,
             bytes,
-            nframes: self.cfg.frames_for(bytes),
+            nframes,
+            wire_full: self.cfg.frame_wire_bytes(bytes, 0),
+            wire_last: self.cfg.frame_wire_bytes(bytes, nframes - 1),
             next_expected: 0,
             epoch: 0,
             retx_armed: false,
@@ -555,16 +587,17 @@ impl Network {
     /// [`Network::advance_until`] appending to a buffer the caller keeps,
     /// for event loops that advance once per event time.
     pub fn advance_into(&mut self, t: Time, out: &mut Vec<Completion>) {
-        while let Some(Reverse((et, _, _))) = self.heap.peek() {
-            if *et > t {
+        while let Some(&Reverse((et, _, hev))) = self.heap.peek() {
+            if et > t {
                 break;
             }
-            let Some(Reverse((et, _, hev))) = self.heap.pop() else {
-                break;
-            };
             self.now = et;
             self.stats.events_processed += 1;
+            self.top_handled = true;
             self.handle(et, hev.unpack());
+            if std::mem::take(&mut self.top_handled) {
+                self.heap.pop();
+            }
         }
         self.now = self.now.max(t);
         out.append(&mut self.completions);
@@ -610,7 +643,7 @@ impl Network {
                 let Some(tr) = live.filter(|tr| tr.epoch == epoch) else {
                     return; // stale frame: superseded epoch or finished transfer
                 };
-                let (src, bytes) = (tr.src, tr.bytes);
+                let src = tr.src;
                 match Self::hop(&self.cfg, tr, hop_idx) {
                     Hop::Deliver => {
                         if seq == tr.next_expected {
@@ -624,7 +657,7 @@ impl Network {
                         // go-back-N will resend them.
                     }
                     hop => {
-                        let mut wire = self.cfg.frame_wire_bytes(bytes, seq);
+                        let mut wire = tr.frame_wire_bytes(seq);
                         // Injected faults: every check below is gated on an
                         // active plan, so the no-fault path is untouched
                         // (same branches, same RNG draws).
@@ -816,6 +849,61 @@ mod tests {
 
     fn ideal(nodes: usize) -> Network {
         Network::new(ClusterConfig::ideal(nodes), 1)
+    }
+
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4_000))]
+
+        /// `accept`'s division-free overflow test is the division one: on
+        /// an idle server (`mode` 0) and a busy one (2), against buffers
+        /// within two bytes of the boundary (`wire > buffer` among them);
+        /// (1) against buffers drawn at random; (3) as (2) with the backlog
+        /// a whole number of bytes, so `backlog_ns × rate` lands exactly on
+        /// a byte boundary.
+        #[test]
+        fn accept_overflows_exactly_when_backlog_plus_wire_exceeds_buffer(
+            backlog_ns in 0u64..10_000_000_000,
+            rate_kbps in 1u64..40_000_000,
+            wire in 0u64..20_000,
+            near in 0u64..5,
+            far in 0u64..200_000,
+            mode in 0u8..4,
+        ) {
+            let rate_bps = rate_kbps * 1_000;
+            let whole_byte_ns = 8_000_000_000 / gcd(rate_bps, 8_000_000_000);
+            let now = Time(1_000);
+            let free_at = match mode {
+                0 => Time::ZERO,
+                3 => now + Dur::from_nanos(backlog_ns / whole_byte_ns * whole_byte_ns),
+                _ => now + Dur::from_nanos(backlog_ns),
+            };
+            let mut server = Server { free_at, rate_bps, buffer_bytes: 0 };
+            let exact = server.backlog_bytes(now) + wire;
+            server.buffer_bytes = if mode == 1 { far } else { (exact + near).saturating_sub(2) };
+            let overflow = server.backlog_bytes(now) + wire > server.buffer_bytes;
+            proptest::prop_assert_eq!(server.accept(now, wire, Dur::ZERO).is_none(), overflow);
+        }
+    }
+
+    #[test]
+    fn stored_frame_wire_bytes_match_the_config() {
+        let mut net = Network::new(ClusterConfig::perseus(2), 1);
+        for bytes in [0, 1, 26, 1_499, 1_500, 1_501, 3_000, 65_536] {
+            let tid = net.new_transfer(0, 1, bytes, false);
+            let tr = net.transfers[tid.0];
+            for seq in 0..tr.nframes {
+                let want = net.cfg.frame_wire_bytes(bytes, seq);
+                assert_eq!(tr.frame_wire_bytes(seq), want, "{bytes} B, frame {seq}");
+            }
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn run_faulted(seed: u64) -> (u64, NetStats) {
 
     let mut cfg = ClusterConfig::perseus(NODES);
     cfg.switch_ports = 8;
-    cfg.port_buffer_bytes = 6_000; // four full frames
+    cfg.port_buffer_bytes = 6_000; // room for three full frames
     cfg.faults = Some(FaultPlan {
         pauses: vec![
             Pause {
