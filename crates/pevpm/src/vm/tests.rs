@@ -1,7 +1,7 @@
 use super::driver::replica_cfg;
 use super::*;
 use crate::model::build::*;
-use crate::model::{CollOp, Model, Stmt};
+use crate::model::{CollOp, Model, MsgKind, Stmt};
 use crate::timing::TimingModel;
 use pevpm_dist::{CommDist, DistKey, DistTable, Op};
 use pevpm_obs::Registry;
@@ -916,4 +916,107 @@ fn timeline_spans_tile_each_process_clock() {
             p.finish_times[proc_]
         );
     }
+}
+
+/// The whole text of the error `model` stops with on `nprocs` processes.
+fn error_text(model: &Model, nprocs: usize, timing: &TimingModel) -> String {
+    evaluate(model, &EvalConfig::new(nprocs), timing)
+        .unwrap_err()
+        .to_string()
+}
+
+#[test]
+fn message_step_errors_keep_their_bytes() {
+    let timing = fixed_timing(0.1);
+    let irecv_without_handle = Stmt::Message {
+        kind: MsgKind::Irecv,
+        size: e("8"),
+        from: e("0"),
+        to: e("procnum"),
+        handle: None,
+        label: Some("post".to_string()),
+    };
+    let cases = [
+        (
+            labelled(send("8", "procnum", "procnum+1"), "ring"),
+            2,
+            "bad model: message endpoint out of range: from=1 to=2 (numprocs=2) \
+             at Some(\"ring\")",
+        ),
+        (
+            labelled(recv("8", "procnum+3", "procnum"), "halo"),
+            2,
+            "bad model: message endpoint out of range: from=3 to=0 (numprocs=2) \
+             at Some(\"halo\")",
+        ),
+        (
+            send("8", "procnum", "5"),
+            2,
+            "bad model: message endpoint out of range: from=0 to=5 (numprocs=2) at None",
+        ),
+        (
+            labelled(send("8", "0", "1"), "s"),
+            2,
+            "bad model: proc 1 executing a send whose from=0 at Some(\"s\")",
+        ),
+        (
+            labelled(recv("8", "0", "1"), "r"),
+            2,
+            "bad model: proc 0 executing a recv whose to=1 at Some(\"r\")",
+        ),
+        (
+            labelled(irecv("8", "0", "1", "h"), "ir"),
+            2,
+            "bad model: proc 0 executing an irecv whose to=1 at Some(\"ir\")",
+        ),
+        // Only a blocking receive reads a negative source as a wildcard:
+        // an irecv's fails as a process number.
+        (
+            labelled(irecv("8", "-1", "procnum", "h"), "any"),
+            2,
+            "expression error: expected a non-negative integer, got -1",
+        ),
+        (
+            irecv_without_handle,
+            1,
+            "bad model: MPI_Irecv without a handle at Some(\"post\")",
+        ),
+    ];
+    for (stmt, nprocs, want) in cases {
+        let model = Model::new().with_stmt(stmt);
+        assert_eq!(error_text(&model, nprocs, &timing), want);
+    }
+    let twice = Model::new().with_stmt(runon2(
+        "procnum == 0",
+        vec![send("8", "0", "1"), send("8", "0", "1")],
+        "procnum == 1",
+        vec![
+            irecv("8", "0", "1", "h"),
+            labelled(irecv("8", "0", "1", "h"), "again"),
+        ],
+    ));
+    assert_eq!(
+        error_text(&twice, 2, &timing),
+        "bad model: proc 1: handle \"h\" already outstanding at Some(\"again\")"
+    );
+}
+
+#[test]
+fn missing_timing_errors_keep_their_bytes() {
+    let empty = TimingModel::distributions(DistTable::new());
+    let p2p = Model::new().with_stmt(runon2(
+        "procnum == 0",
+        vec![labelled(isend("96", "0", "1"), "out")],
+        "procnum == 1",
+        vec![recv("96", "0", "1")],
+    ));
+    assert_eq!(
+        error_text(&p2p, 2, &empty),
+        "timing model has no data for op=isend size=96"
+    );
+    let barrier = Model::new().with_stmt(collective(CollOp::Allreduce, "4 * numprocs"));
+    assert_eq!(
+        error_text(&barrier, 3, &empty),
+        "timing model has no data for op=allreduce size=12"
+    );
 }
