@@ -612,8 +612,7 @@ pub(crate) fn evaluate_dag(
         steps: 0,
         sb_peak: 0,
         races: Vec::new(),
-        loss: vec![0.0; setup.lowered.labels.len()],
-        loss_touched: vec![false; setup.lowered.labels.len()],
+        loss: vec![None; setup.lowered.labels.len()],
         timeline: cfg
             .record_timeline
             .then(|| (0..cfg.nprocs).map(|_| Vec::new()).collect()),
@@ -630,9 +629,10 @@ pub(crate) fn evaluate_dag(
         merged.steps += outcome.steps;
         merged.sb_peak = merged.sb_peak.max(outcome.sb_peak);
         merged.races.extend(outcome.races.iter().cloned());
-        for (slot, loss) in outcome.loss.iter().enumerate() {
-            merged.loss[slot] += loss;
-            merged.loss_touched[slot] |= outcome.loss_touched[slot];
+        for (merged, loss) in merged.loss.iter_mut().zip(&outcome.loss) {
+            if let Some(loss) = loss {
+                *merged = Some(merged.unwrap_or(0.0) + loss);
+            }
         }
     }
     if let Some(timeline) = &mut merged.timeline {

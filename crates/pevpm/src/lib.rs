@@ -63,7 +63,7 @@ pub use expr::{parse as parse_expr, Env, Expr, ExprError};
 pub use lower::Program;
 pub use model::{CollOp, Model, MsgKind, Stmt};
 pub use replicate::ThreadBudget;
-pub use scoreboard::{Handle, PairFifo, Slab};
+pub use scoreboard::{Handle, PairFifo, PairId, Slab};
 pub use stats::{AdaptivePolicy, AdaptiveReport};
 pub use timing::{PredictionMode, TimingModel};
 pub use vm::{

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 
 use crate::expr::{sizeof, BinOp, Expr, ExprError, UnOp};
 use crate::model::{CollOp, Model, MsgKind, Stmt};
+use crate::scoreboard::PairId;
 
 fn err<T>(message: impl Into<String>) -> Result<T, ExprError> {
     Err(ExprError {
@@ -333,9 +334,16 @@ fn index_of(v: f64) -> Option<usize> {
     Some((t + (v - t as f64 >= 0.5) as i64) as usize)
 }
 
-/// One process's memo of one [`StmtExpr`] site, once filled: its value
-/// and, checked as it fills, that value as a count or a process number.
-pub(crate) type Memo = Option<(f64, Option<usize>)>;
+/// One process's memo of one [`StmtExpr`] site. `value`, once filled: the
+/// site's value and, checked as it fills, that value as a count or a
+/// process number. `pair`: for a message endpoint, the scoreboard pair it
+/// names from this process, filled by the VM the first time the message
+/// executes — a pair is found once per process and site.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Memo {
+    value: Option<(f64, Option<usize>)>,
+    pub(crate) pair: Option<PairId>,
+}
 
 /// An expression in statement position, as the VM evaluates it: the
 /// lowered tree and, when its value cannot change within one process, its
@@ -396,15 +404,22 @@ impl StmtExpr {
         memo: &mut [Memo],
     ) -> Result<(f64, Option<usize>), ExprError> {
         let site = self.site.map(|site| site as usize);
-        if let Some(filled) = site.and_then(|site| memo[site]) {
+        if let Some(filled) = site.and_then(|site| memo[site].value) {
             return Ok(filled);
         }
         let v = self.expr.eval(slots, names)?;
         let filled = (v, index_of(v));
         if let Some(site) = site {
-            memo[site] = Some(filled);
+            memo[site].value = Some(filled);
         }
         Ok(filled)
+    }
+
+    /// The executing process's pair memo at this site, if the expression
+    /// has one (reads no loop induction variable).
+    #[inline]
+    pub(crate) fn pair_memo<'a>(&self, memo: &'a mut [Memo]) -> Option<&'a mut Option<PairId>> {
+        self.site.map(move |site| &mut memo[site as usize].pair)
     }
 }
 

@@ -15,14 +15,24 @@
 //! - [`PairFifo`]: the per-(sender → destination) message-sequence index.
 //!   It owns the send/receive sequence counters and, per pair, a queue of
 //!   `(seq, Handle)` in send order, so a directed receive finds its message
-//!   by binary search on its reserved sequence number and a wildcard
-//!   receive enumerates exactly the per-pair FIFO heads — no full-board
-//!   scans anywhere.
+//!   by its reserved sequence number and a wildcard receive enumerates
+//!   exactly the per-pair FIFO heads — no full-board scans anywhere.
+//!
+//! A pair is named by a stable [`PairId`], issued the first time the pair
+//! is seen ([`PairFifo::id`], a binary search of the destination's sorted
+//! senders) and addressing an append-only table of pair states, so it never
+//! moves however many pairs come after it. The VM looks a pair up once per
+//! process and endpoint and keeps the id; sends ([`PairFifo::push`]),
+//! reservations ([`PairFifo::reserve`]) and matches ([`PairFifo::take`],
+//! which looks at the queue front before it searches) then index the table
+//! directly. Each destination's sorted run holds `(sender, id)`, so the
+//! orders the wildcard and DAG paths read are unchanged by ids.
 //!
 //! Both types are deterministic: iteration orders are slot order
-//! ([`Slab::iter`]) and ascending sender rank ([`PairFifo::heads`]), with
-//! no dependence on hashing or insertion history beyond the FIFO semantics
-//! themselves.
+//! ([`Slab::iter`]), ascending sender rank ([`PairFifo::heads`]) and
+//! destination, then sender, then send order ([`PairFifo::in_flight`]),
+//! with no dependence on hashing, on the order pairs were first seen or on
+//! their ids.
 
 use std::collections::VecDeque;
 
@@ -189,6 +199,24 @@ struct PairState {
     queue: VecDeque<(u64, Handle)>,
 }
 
+impl PairState {
+    /// Where message `seq` sits in the queue. It is nearly always the
+    /// front, so that is looked at first; nonblocking-receive reservations
+    /// can leave it mid-queue (O(log queue) search).
+    fn position(&self, seq: u64) -> Option<usize> {
+        match self.queue.front() {
+            Some(&(q, _)) if q == seq => Some(0),
+            _ => self.queue.binary_search_by_key(&seq, |&(q, _)| q).ok(),
+        }
+    }
+}
+
+/// The id of one (sender, destination) pair in a [`PairFifo`]: issued the
+/// first time the pair is named ([`PairFifo::id`]) and never moved, so a
+/// caller that names the same pair again can keep it instead of searching.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PairId(u32);
+
 /// The per-(sender, destination) FIFO index over a message [`Slab`].
 ///
 /// Sequence numbers are per ordered pair, exactly matching MPI's
@@ -196,12 +224,15 @@ struct PairState {
 /// match in send order, while messages of different pairs are unordered.
 #[derive(Debug, Clone)]
 pub struct PairFifo {
-    /// Each pair seen so far as `(sender, state)`, in one buffer for the
-    /// whole index rather than one per destination: each destination owns
-    /// a run of it, its senders sorted, so wildcard enumeration is in
-    /// ascending sender order whatever the message history.
-    pairs: Vec<(usize, PairState)>,
-    /// Each destination's run of `pairs`.
+    /// Every pair seen so far, indexed by its [`PairId`]: append-only, so
+    /// an id stays valid for the life of the index.
+    states: Vec<PairState>,
+    /// Each pair as `(sender, id)`, in one buffer for the whole index
+    /// rather than one per destination: each destination owns a run of it,
+    /// its senders sorted, so wildcard enumeration is in ascending sender
+    /// order whatever the message history.
+    senders: Vec<(usize, PairId)>,
+    /// Each destination's run of `senders`.
     runs: Vec<Run>,
 }
 
@@ -209,7 +240,8 @@ pub struct PairFifo {
 /// `cap` before the next run. A new sender shifts only its own run; a full
 /// run moves to the end of the buffer with twice the room, leaving empty
 /// entries behind, so a new pair costs O(senders of that destination)
-/// amortised, as a `Vec` per destination did.
+/// amortised, as a `Vec` per destination did. Runs hold ids, not states:
+/// relocating one moves no pair's state.
 #[derive(Debug, Default, Clone, Copy)]
 struct Run {
     start: usize,
@@ -222,91 +254,88 @@ impl PairFifo {
     /// senders each.
     pub fn new(nprocs: usize) -> Self {
         PairFifo {
-            pairs: Vec::with_capacity(2 * nprocs),
+            states: Vec::with_capacity(2 * nprocs),
+            senders: Vec::with_capacity(2 * nprocs),
             runs: vec![Run::default(); nprocs],
         }
     }
 
-    /// Destination `to`'s senders, sorted, with their pairs' states.
-    fn senders(&self, to: usize) -> &[(usize, PairState)] {
+    /// Destination `to`'s senders, sorted, with their pairs' ids.
+    fn run(&self, to: usize) -> &[(usize, PairId)] {
         let run = self.runs[to];
-        &self.pairs[run.start..run.start + run.len]
+        &self.senders[run.start..run.start + run.len]
     }
 
-    fn pair(&mut self, from: usize, to: usize) -> &mut PairState {
-        let i = match self.senders(to).binary_search_by_key(&from, |&(f, _)| f) {
-            Ok(i) => i,
+    /// The id of pair `from → to`, issued on first sight. O(log senders of
+    /// `to`) for a pair already seen.
+    pub fn id(&mut self, from: usize, to: usize) -> PairId {
+        match self.run(to).binary_search_by_key(&from, |&(f, _)| f) {
+            Ok(i) => self.run(to)[i].1,
             Err(i) => {
-                self.insert(to, i, from);
-                i
+                let id = PairId(u32::try_from(self.states.len()).expect("pairs exceed u32"));
+                self.states.push(PairState::default());
+                self.insert(to, i, (from, id));
+                id
             }
-        };
-        &mut self.pairs[self.runs[to].start + i].1
+        }
     }
 
-    /// Add sender `from` at position `i` of destination `to`'s run.
-    fn insert(&mut self, to: usize, i: usize, from: usize) {
+    /// The id of a pair already seen; unlike [`PairFifo::id`], never
+    /// issues one.
+    fn find(&self, from: usize, to: usize) -> Option<PairId> {
+        let run = self.run(to);
+        let i = run.binary_search_by_key(&from, |&(f, _)| f).ok()?;
+        Some(run[i].1)
+    }
+
+    /// Add `entry` at position `i` of destination `to`'s run.
+    fn insert(&mut self, to: usize, i: usize, entry: (usize, PairId)) {
         let mut run = self.runs[to];
         if run.len == run.cap {
-            let start = self.pairs.len();
+            let start = self.senders.len();
             let cap = (2 * run.cap).max(2);
-            self.pairs.resize_with(start + cap, Default::default);
-            for k in 0..run.len {
-                self.pairs.swap(run.start + k, start + k);
-            }
+            self.senders.resize(start + cap, (0, PairId(0)));
+            self.senders
+                .copy_within(run.start..run.start + run.len, start);
             run.start = start;
             run.cap = cap;
         }
-        // The run's first free entry rotates down to position `i`.
-        self.pairs[run.start + i..=run.start + run.len].rotate_right(1);
-        self.pairs[run.start + i].0 = from;
+        let at = run.start + i;
+        self.senders.copy_within(at..run.start + run.len, at + 1);
+        self.senders[at] = entry;
         run.len += 1;
         self.runs[to] = run;
     }
 
-    /// The state of a pair already seen; unlike [`PairFifo::pair`], never
-    /// creates one.
-    fn find(&mut self, from: usize, to: usize) -> Option<&mut PairState> {
-        let i = self
-            .senders(to)
-            .binary_search_by_key(&from, |&(f, _)| f)
-            .ok()?;
-        Some(&mut self.pairs[self.runs[to].start + i].1)
+    fn state(&mut self, id: PairId) -> &mut PairState {
+        &mut self.states[id.0 as usize]
     }
 
-    /// Allocate the next send sequence number for `from → to`.
-    pub fn next_send_seq(&mut self, from: usize, to: usize) -> u64 {
-        let s = self.pair(from, to);
-        let v = s.send_seq;
+    /// Record an in-flight message of pair `id`, returning the send
+    /// sequence number it takes.
+    pub fn push(&mut self, id: PairId, h: Handle) -> u64 {
+        let s = self.state(id);
+        let seq = s.send_seq;
         s.send_seq += 1;
-        v
-    }
-
-    /// Reserve the next receive slot for `from → to` (a directed receive or
-    /// a nonblocking-receive post), returning the sequence number the
-    /// matching message will carry.
-    pub fn reserve_recv(&mut self, from: usize, to: usize) -> u64 {
-        let s = self.pair(from, to);
-        let v = s.recv_seq;
-        s.recv_seq += 1;
-        v
-    }
-
-    /// Record an in-flight message. `seq` must come from
-    /// [`PairFifo::next_send_seq`] for the same pair, so queues stay
-    /// strictly ascending.
-    pub fn enqueue(&mut self, from: usize, to: usize, seq: u64, h: Handle) {
-        let s = self.pair(from, to);
-        debug_assert!(s.queue.back().is_none_or(|&(last, _)| last < seq));
         s.queue.push_back((seq, h));
+        seq
     }
 
-    /// Find and remove the in-flight message `from → to` with sequence
-    /// number `seq`. O(log queue) search; the hit is usually the front, but
-    /// nonblocking-receive reservations can leave it mid-queue.
-    pub fn take(&mut self, from: usize, to: usize, seq: u64) -> Option<Handle> {
-        let s = self.find(from, to)?;
-        let i = s.queue.binary_search_by_key(&seq, |&(q, _)| q).ok()?;
+    /// Reserve the next receive slot of pair `id` (a directed receive or a
+    /// nonblocking-receive post), returning the sequence number the
+    /// matching message carries.
+    pub fn reserve(&mut self, id: PairId) -> u64 {
+        let s = self.state(id);
+        let seq = s.recv_seq;
+        s.recv_seq += 1;
+        seq
+    }
+
+    /// Find and remove the in-flight message of pair `id` with sequence
+    /// number `seq`.
+    pub fn take(&mut self, id: PairId, seq: u64) -> Option<Handle> {
+        let s = self.state(id);
+        let i = s.position(seq)?;
         s.queue.remove(i).map(|(_, h)| h)
     }
 
@@ -316,12 +345,9 @@ impl PairFifo {
     /// by a directed receive. Yields `(sender, handle)` in ascending sender
     /// order; at most one candidate per sender.
     pub fn heads(&self, to: usize) -> impl Iterator<Item = (usize, Handle)> + '_ {
-        self.senders(to).iter().filter_map(|(from, s)| {
-            let i = s
-                .queue
-                .binary_search_by_key(&s.recv_seq, |&(q, _)| q)
-                .ok()?;
-            Some((*from, s.queue[i].1))
+        self.run(to).iter().filter_map(|&(from, id)| {
+            let s = &self.states[id.0 as usize];
+            Some((from, s.queue[s.position(s.recv_seq)?].1))
         })
     }
 
@@ -331,9 +357,12 @@ impl PairFifo {
     /// a finished component's unmatched sends to downstream components.
     pub fn in_flight(&self) -> impl Iterator<Item = (usize, usize, Handle)> + '_ {
         (0..self.runs.len()).flat_map(move |to| {
-            self.senders(to)
-                .iter()
-                .flat_map(move |(from, s)| s.queue.iter().map(move |&(_, h)| (*from, to, h)))
+            self.run(to).iter().flat_map(move |&(from, id)| {
+                self.states[id.0 as usize]
+                    .queue
+                    .iter()
+                    .map(move |&(_, h)| (from, to, h))
+            })
         })
     }
 
@@ -342,11 +371,9 @@ impl PairFifo {
     /// handle (`None` if the pair has no head in flight — callers pass a
     /// pair previously yielded by [`PairFifo::heads`]).
     pub fn consume_head(&mut self, from: usize, to: usize) -> Option<Handle> {
-        let s = self.find(from, to)?;
-        let seq = s.recv_seq;
-        s.recv_seq += 1;
-        let i = s.queue.binary_search_by_key(&seq, |&(q, _)| q).ok()?;
-        s.queue.remove(i).map(|(_, h)| h)
+        let id = self.find(from, to)?;
+        let seq = self.reserve(id);
+        self.take(id, seq)
     }
 }
 
@@ -407,20 +434,20 @@ mod tests {
     fn fifo_directed_take_matches_in_order() {
         let mut s: Slab<u32> = Slab::new();
         let mut f = PairFifo::new(2);
+        let id = f.id(0, 1);
         for v in 0..3 {
-            let seq = f.next_send_seq(0, 1);
-            assert_eq!(seq, v as u64);
             let h = s.insert(v);
-            f.enqueue(0, 1, seq, h);
+            assert_eq!(f.push(id, h), v as u64);
         }
         // Receives reserve 0, 1, 2 and match the sends in order.
         for want in 0..3u32 {
-            let seq = f.reserve_recv(0, 1);
-            let h = f.take(0, 1, seq).expect("message in flight");
+            let seq = f.reserve(id);
+            let h = f.take(id, seq).expect("message in flight");
             assert_eq!(s.remove(h), Some(want));
         }
         assert!(s.is_empty());
-        assert_eq!(f.take(0, 1, 99), None);
+        assert_eq!(f.take(id, 99), None);
+        assert_eq!(f.id(0, 1), id, "a pair keeps its id");
     }
 
     #[test]
@@ -429,15 +456,15 @@ mod tests {
         // must find message 1 even though message 0 is still queued.
         let mut s: Slab<u32> = Slab::new();
         let mut f = PairFifo::new(2);
+        let id = f.id(0, 1);
         for v in 0..2 {
-            let seq = f.next_send_seq(0, 1);
-            f.enqueue(0, 1, seq, s.insert(v));
+            f.push(id, s.insert(v));
         }
-        let first = f.reserve_recv(0, 1); // the irecv's slot
-        let second = f.reserve_recv(0, 1);
-        let h = f.take(0, 1, second).expect("mid-queue hit");
+        let first = f.reserve(id); // the irecv's slot
+        let second = f.reserve(id);
+        let h = f.take(id, second).expect("mid-queue hit");
         assert_eq!(s.remove(h), Some(1));
-        let h = f.take(0, 1, first).expect("head still there");
+        let h = f.take(id, first).expect("head still there");
         assert_eq!(s.remove(h), Some(0));
     }
 
@@ -447,9 +474,9 @@ mod tests {
         let mut f = PairFifo::new(4);
         // Senders 2 and 1 each have two messages in flight to 0.
         for from in [2usize, 1] {
+            let id = f.id(from, 0);
             for v in 0..2 {
-                let seq = f.next_send_seq(from, 0);
-                f.enqueue(from, 0, seq, s.insert((from, v)));
+                f.push(id, s.insert((from, v)));
             }
         }
         let heads: Vec<usize> = f.heads(0).map(|(from, _)| from).collect();
@@ -457,11 +484,12 @@ mod tests {
         // Reserving sender 1's head (a directed receive) removes it from
         // the wildcard candidates: the directed receive will consume it, so
         // the wildcard's candidate advances to the *second* message.
-        let seq = f.reserve_recv(1, 0);
+        let id = f.id(1, 0);
+        let seq = f.reserve(id);
         let (_, h) = f.heads(0).find(|&(from, _)| from == 1).unwrap();
         assert_eq!(s.get(h), Some(&(1, 1)), "head advanced past reservation");
         // The reserved message is still in flight for the directed match.
-        assert!(f.take(1, 0, seq).is_some());
+        assert!(f.take(id, seq).is_some());
         // Consuming the advanced head empties sender 1's candidates.
         assert_eq!(f.consume_head(1, 0), Some(h));
         assert_eq!(f.heads(0).map(|(from, _)| from).collect::<Vec<_>>(), [2]);
@@ -471,9 +499,9 @@ mod tests {
     fn fifo_consume_head_advances_fifo() {
         let mut s: Slab<u32> = Slab::new();
         let mut f = PairFifo::new(2);
+        let id = f.id(1, 0);
         for v in 0..2 {
-            let seq = f.next_send_seq(1, 0);
-            f.enqueue(1, 0, seq, s.insert(v));
+            f.push(id, s.insert(v));
         }
         let (_, h0) = f.heads(0).next().unwrap();
         assert_eq!(f.consume_head(1, 0), Some(h0));
@@ -487,14 +515,20 @@ mod tests {
     #[test]
     fn fifo_pairs_keep_their_state_as_runs_grow_and_move() {
         // Every pair of 9 ranks, in a scrambled order, each with a message
-        // in flight: runs fill, move and grow between the sends.
+        // in flight: runs fill, move and grow between the sends, and every
+        // pair keeps the id it was issued.
         let n = 9;
         let mut s: Slab<(usize, usize)> = Slab::new();
         let mut f = PairFifo::new(n);
+        let mut ids = Vec::new();
         for k in 0..n * n {
             let (from, to) = (k % n, (4 * (k / n) + 2 * k) % n);
-            let seq = f.next_send_seq(from, to);
-            f.enqueue(from, to, seq, s.insert((from, to)));
+            let id = f.id(from, to);
+            f.push(id, s.insert((from, to)));
+            ids.push((from, to, id));
+        }
+        for &(from, to, id) in &ids {
+            assert_eq!(f.id(from, to), id, "{from} → {to} moved");
         }
         let seen: Vec<(usize, usize)> = f
             .in_flight()
@@ -514,6 +548,11 @@ mod tests {
             assert_eq!(senders, want);
         }
         // A run that doubles leaves at most as much behind as it holds.
-        assert!(f.pairs.len() <= 4 * seen.len(), "{} entries", f.pairs.len());
+        assert!(
+            f.senders.len() <= 4 * seen.len(),
+            "{} entries",
+            f.senders.len()
+        );
+        assert_eq!(f.states.len(), seen.len(), "one state per pair");
     }
 }

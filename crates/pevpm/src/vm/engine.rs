@@ -13,7 +13,7 @@ use super::{
 use crate::expr::ExprError;
 use crate::lower::{as_index, LStmt, Lowered, Memo, Program, Strings};
 use crate::model::{CollOp, Model, MsgKind};
-use crate::scoreboard::{Handle, PairFifo, Slab};
+use crate::scoreboard::{Handle, PairFifo, PairId, Slab};
 use crate::timing::{ResolveMemo, TimingModel};
 use pevpm_dist::{CellParts, Op};
 use pevpm_obs::{Counter, FixedHistogram, Registry};
@@ -68,10 +68,11 @@ impl From<ExprError> for Halt {
 /// the allocation-free hot-path contract.
 #[derive(Debug, Clone, Copy)]
 enum Block {
-    /// Waiting for message `seq` from `from`; `None` = wildcard source
-    /// (`from = -1` in the directive, i.e. MPI_ANY_SOURCE).
+    /// Waiting for message `seq` from `from`, given with the id of its
+    /// scoreboard pair; `None` = wildcard source (`from = -1` in the
+    /// directive, i.e. MPI_ANY_SOURCE).
     Recv {
-        from: Option<usize>,
+        from: Option<(usize, PairId)>,
         seq: u64,
         label: Option<u32>,
     },
@@ -98,7 +99,8 @@ impl Block {
         match self {
             Block::Recv { from, seq, .. } => format!(
                 "Recv(from={}, seq={seq}){at}",
-                from.map(|f| f.to_string()).unwrap_or_else(|| "ANY".into()),
+                from.map(|(f, _)| f.to_string())
+                    .unwrap_or_else(|| "ANY".into()),
             ),
             Block::SendRndv { msg, .. } => format!("Send[rendezvous](msg={msg}){at}"),
             Block::Collective { op, instance, .. } => {
@@ -261,14 +263,14 @@ struct Vm<'m, const W: usize> {
     /// [`crate::lower`]). `frames`: control stacks (a row of the program's
     /// static nesting depth, [`Lowered::depth`]). `handles`: outstanding
     /// nonblocking receives (a row of one slot per interned handle:
-    /// `(source, reserved per-pair sequence number)`).
+    /// `(source, its pair, reserved per-pair sequence number)`).
     env: Vec<Option<f64>>,
     frames: Vec<Frame<'m>>,
-    handles: Vec<Option<(usize, u64)>>,
+    handles: Vec<Option<(usize, PairId, u64)>>,
     /// What [`TimingModel::resolve_p2p_memo`] has resolved so far.
     resolved: ResolveMemo<'m>,
     /// One row of `sites` [`crate::lower::StmtExpr`] memo slots per
-    /// process, flat.
+    /// process, flat; a message endpoint's slot also keeps its pair id.
     expr_memo: Vec<Memo>,
     sites: usize,
     /// In-flight messages: a generational slab, so matches remove in O(1)
@@ -287,11 +289,10 @@ struct Vm<'m, const W: usize> {
     started: std::time::Instant,
     sb_peak: usize,
     messages: u64,
-    /// Per-label loss accumulators, indexed by label slot; `touched`
-    /// marks labels that saw at least one attributable event (so the
-    /// reported map has exactly the keys the string-keyed version had).
-    loss: Vec<[f64; W]>,
-    loss_touched: Vec<bool>,
+    /// Per-label loss accumulators, indexed by label slot; `None` until
+    /// the label sees an attributable event (so the reported map has
+    /// exactly the keys the string-keyed version had).
+    loss: Vec<Option<[f64; W]>>,
     /// Wildcard-race reports. Wildcards are matched by arrival time, so
     /// they only ever run at `W == 1`.
     races: Vec<(usize, String)>,
@@ -347,8 +348,8 @@ pub(crate) struct VmOutcome {
     pub(crate) steps: u64,
     pub(crate) sb_peak: usize,
     pub(crate) races: Vec<(usize, String)>,
-    pub(crate) loss: Vec<f64>,
-    pub(crate) loss_touched: Vec<bool>,
+    /// Loss per label slot; `None` for a label that saw no event.
+    pub(crate) loss: Vec<Option<f64>>,
     pub(crate) timeline: Option<Vec<Vec<TimelineSpan>>>,
     /// In-flight messages addressed to inactive processes at run end, in
     /// deterministic (dest, sender, FIFO) order. Always empty for
@@ -444,19 +445,18 @@ pub(super) fn run_lanes<const W: usize>(
         frames,
         handles: vec![None; cfg.nprocs * lowered.handles.len()],
         resolved: Vec::new(),
-        expr_memo: vec![None; cfg.nprocs * lowered.sites],
+        expr_memo: vec![Memo::default(); cfg.nprocs * lowered.sites],
         sites: lowered.sites,
         scoreboard: Slab::new(),
         fifo: PairFifo::new(cfg.nprocs),
-        fresh: Vec::new(),
+        fresh: Vec::with_capacity(cfg.nprocs),
         rng: lanes.map(|lane| SmallRng::seed_from_u64(lane.seed)),
         mirror: lanes.map(|lane| lane.mirror),
         steps: 0,
         started: std::time::Instant::now(),
         sb_peak: 0,
         messages: 0,
-        loss: vec![[0.0; W]; lowered.labels.len()],
-        loss_touched: vec![false; lowered.labels.len()],
+        loss: vec![None; lowered.labels.len()],
         races: Vec::new(),
         metrics: cfg
             .metrics
@@ -470,7 +470,6 @@ pub(super) fn run_lanes<const W: usize>(
     // the sender-side counters, which are otherwise unused here: the
     // senders are inactive in this run.
     for m in injected {
-        let seq = vm.fifo.next_send_seq(m.from, m.to);
         let h = vm.scoreboard.insert(SbMsg {
             from: m.from,
             size: m.size,
@@ -480,7 +479,8 @@ pub(super) fn run_lanes<const W: usize>(
         });
         let (_, lanes) = vm.scoreboard.entry_mut(h).expect("just inserted");
         (lanes.depart, lanes.arrival) = ([m.arrival; W], [m.arrival; W]);
-        vm.fifo.enqueue(m.from, m.to, seq, h);
+        let pair = vm.fifo.id(m.from, m.to);
+        vm.fifo.push(pair, h);
     }
     vm.sb_peak = vm.scoreboard.len();
     let ran = vm.run();
@@ -507,9 +507,9 @@ pub(super) fn run_lanes<const W: usize>(
             let mut arrival = lanes.arrival;
             if !m.arrived {
                 let op = op_for_kind(m.kind);
-                let time = timing
-                    .resolve_p2p(op, m.size, contention)
-                    .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
+                let Some(time) = timing.resolve_p2p(op, m.size, contention) else {
+                    return Err(PevpmError::MissingTiming { op, size: m.size }.into());
+                };
                 let transit = time.quantiles(&lanes.u, &mut lanes.parts);
                 for l in 0..W {
                     arrival[l] = lanes.depart[l] + transit[l].max(0.0);
@@ -540,8 +540,11 @@ pub(super) fn run_lanes<const W: usize>(
             steps: vm.steps,
             sb_peak: vm.sb_peak,
             races: vm.races.clone(),
-            loss: vm.loss.iter().map(|lanes| lanes[l]).collect(),
-            loss_touched: vm.loss_touched.clone(),
+            loss: vm
+                .loss
+                .iter()
+                .map(|lanes| lanes.map(|lanes| lanes[l]))
+                .collect(),
             timeline: timeline.take(),
             external,
         })
@@ -566,9 +569,9 @@ pub(crate) fn finish_prediction(
 
     // Materialise the label-keyed loss report from the slot accumulators.
     let mut loss_by_label: HashMap<String, f64> = HashMap::new();
-    for (i, name) in setup.lowered.labels.iter().enumerate() {
-        if outcome.loss_touched[i] {
-            loss_by_label.insert(name.to_string(), outcome.loss[i]);
+    for (name, loss) in setup.lowered.labels.iter().zip(&outcome.loss) {
+        if let Some(loss) = *loss {
+            loss_by_label.insert(name.to_string(), loss);
         }
     }
 
@@ -863,7 +866,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
             }
             LStmt::Wait { handle, label } => {
-                let Some((from, seq)) = self.handles[held + *handle as usize].take() else {
+                let Some((from, pair, seq)) = self.handles[held + *handle as usize].take() else {
                     let handle_name = &self.lowered.handles[*handle as usize];
                     let label = self.lowered.label(*label);
                     return Err(PevpmError::BadModel(format!(
@@ -874,7 +877,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                 let clock = self.procs[p].clock;
                 self.procs[p].blocked = Some((
                     Block::Recv {
-                        from: Some(from),
+                        from: Some((from, pair)),
                         seq,
                         label: *label,
                     },
@@ -891,8 +894,9 @@ impl<'m, const W: usize> Vm<'m, W> {
             } => {
                 // `from = -1` (or any negative value) on a Recv means
                 // MPI_ANY_SOURCE. `ltext` is the label as the plain
-                // optional string the diagnostics print.
-                let ltext = self.lowered.label(*label);
+                // optional string the diagnostics print, read only if one
+                // is printed.
+                let ltext = LabelText(lowered, *label);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
                 let (from_raw, from_i) = from.eval_index(env, names, memo)?;
                 let wildcard = from_raw < -0.5 && *kind == MsgKind::Recv;
@@ -914,7 +918,8 @@ impl<'m, const W: usize> Vm<'m, W> {
                                 "proc {p} executing a send whose from={from_v} at {ltext:?}"
                             )));
                         }
-                        self.post_send(p, *kind, size_v, to_v, *label);
+                        let pair = pair_id(&mut self.fifo, to.pair_memo(memo), p, to_v);
+                        self.post_send(p, *kind, size_v, pair, *label);
                     }
                     MsgKind::Recv => {
                         if to_v != p {
@@ -939,10 +944,11 @@ impl<'m, const W: usize> Vm<'m, W> {
                                 clock,
                             ));
                         } else {
-                            let seq = self.fifo.reserve_recv(from_v, p);
+                            let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
+                            let seq = self.fifo.reserve(pair);
                             self.procs[p].blocked = Some((
                                 Block::Recv {
-                                    from: Some(from_v),
+                                    from: Some((from_v, pair)),
                                     seq,
                                     label: *label,
                                 },
@@ -954,11 +960,6 @@ impl<'m, const W: usize> Vm<'m, W> {
                         if to_v != p {
                             return Err(bad_model(format!(
                                 "proc {p} executing an irecv whose to={to_v} at {ltext:?}"
-                            )));
-                        }
-                        if wildcard {
-                            return Err(bad_model(format!(
-                                "wildcard MPI_Irecv is not supported at {ltext:?}"
                             )));
                         }
                         let Some(h) = handle else {
@@ -977,8 +978,9 @@ impl<'m, const W: usize> Vm<'m, W> {
                         // but don't block: the matching wait is a separate
                         // decision point, and anything executed in between
                         // overlaps the transfer.
-                        let seq = self.fifo.reserve_recv(from_v, p);
-                        self.handles[held + h] = Some((from_v, seq));
+                        let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
+                        let seq = self.fifo.reserve(pair);
+                        self.handles[held + h] = Some((from_v, pair, seq));
                     }
                 }
             }
@@ -1043,8 +1045,7 @@ impl<'m, const W: usize> Vm<'m, W> {
         }
     }
 
-    fn post_send(&mut self, p: usize, kind: MsgKind, size: f64, to: usize, label: Option<u32>) {
-        let seq = self.fifo.next_send_seq(p, to);
+    fn post_send(&mut self, p: usize, kind: MsgKind, size: f64, pair: PairId, label: Option<u32>) {
         self.messages += 1;
         let rndv = kind == MsgKind::Send && size >= RNDV_THRESHOLD_BYTES;
         let population = self.scoreboard.len() + 1;
@@ -1085,7 +1086,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                 local[l] = TimingModel::SENDER_SHARE * (floor + 0.4 * (full[l] - floor));
             }
         }
-        self.fifo.enqueue(p, to, seq, msg);
+        self.fifo.push(pair, msg);
         self.fresh.push(msg);
         self.sb_peak = self.sb_peak.max(self.scoreboard.len());
         if rndv {
@@ -1128,10 +1129,12 @@ impl<'m, const W: usize> Vm<'m, W> {
         for h in self.fresh.drain(..) {
             let (m, lanes) = self.scoreboard.entry_mut(h).expect("only a match removes");
             let op = op_for_kind(m.kind);
-            let time = self
-                .timing
-                .resolve_p2p_memo(&mut self.resolved, op, m.size, population)
-                .ok_or(PevpmError::MissingTiming { op, size: m.size })?;
+            let Some(time) =
+                self.timing
+                    .resolve_p2p_memo(&mut self.resolved, op, m.size, population)
+            else {
+                return Err(PevpmError::MissingTiming { op, size: m.size }.into());
+            };
             let transit = time.quantiles(&lanes.u, &mut lanes.parts);
             for l in 0..W {
                 lanes.arrival[l] = lanes.depart[l] + transit[l].max(0.0);
@@ -1152,7 +1155,7 @@ impl<'m, const W: usize> Vm<'m, W> {
             };
             let (from, seq) = (*from, *seq);
             let handle = match from {
-                Some(from) => self.fifo.take(from, p, seq),
+                Some((_, pair)) => self.fifo.take(pair, seq),
                 None => self.take_wildcard(p),
             };
             let Some(handle) = handle else {
@@ -1224,10 +1227,9 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
                 let (op, size, _) = first;
                 let dop = op_for_coll(op);
-                let time = self
-                    .timing
-                    .resolve(dop, size, self.cfg.nprocs as f64)
-                    .ok_or(PevpmError::MissingTiming { op: dop, size })?;
+                let Some(time) = self.timing.resolve(dop, size, self.cfg.nprocs as f64) else {
+                    return Err(PevpmError::MissingTiming { op: dop, size }.into());
+                };
                 for p in 0..self.procs.len() {
                     let (block, since) = self.procs[p].blocked.take().unwrap();
                     let u: [f64; W] = std::array::from_fn(|l| self.draw_u(l));
@@ -1293,11 +1295,10 @@ impl<'m, const W: usize> Vm<'m, W> {
     /// Attribute `dt` seconds of loss per lane to `label`: an indexed add
     /// on the slot accumulator — no hashing, no allocation.
     fn add_loss(&mut self, label: u32, dt: [f64; W]) {
-        let i = label as usize;
+        let loss = self.loss[label as usize].get_or_insert([0.0; W]);
         for l in 0..W {
-            self.loss[i][l] += dt[l];
+            loss[l] += dt[l];
         }
-        self.loss_touched[i] = true;
     }
 
     fn account_block(&mut self, p: usize, block: &Block, since: [f64; W], wake: [f64; W]) {
@@ -1321,6 +1322,32 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
             }
         }
+    }
+}
+
+/// The id of pair `from → to`: searched for once per process at an
+/// endpoint with a memo site, and kept there; per execution at one that
+/// reads a loop variable.
+fn pair_id(
+    fifo: &mut PairFifo,
+    memo: Option<&mut Option<PairId>>,
+    from: usize,
+    to: usize,
+) -> PairId {
+    match memo {
+        Some(&mut Some(pair)) => pair,
+        Some(slot) => *slot.insert(fifo.id(from, to)),
+        None => fifo.id(from, to),
+    }
+}
+
+/// A directive's label as the diagnostics print it (`Some("halo")` or
+/// `None`), read from the label table only when it is printed.
+struct LabelText<'m>(&'m Lowered, Option<u32>);
+
+impl std::fmt::Debug for LabelText<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.label(self.1).fmt(f)
     }
 }
 

@@ -398,6 +398,46 @@ fn loop_variable_endpoints_and_sizes_follow_the_iteration() {
 }
 
 #[test]
+fn loop_variable_endpoints_find_their_pair_every_lap() {
+    // Lap `k` of the inner loop sends `k + 1` places ahead: the endpoints
+    // read `k`, so their pair is looked up per execution. The twin spells
+    // each lap out with a literal, so its endpoints keep their pair in the
+    // memo, which the outer loop's second lap reads back.
+    let round = |k: &str| {
+        vec![
+            send("64", "procnum", &format!("(procnum + {k} + 1) % numprocs")),
+            recv("64", &format!("(procnum - {k} - 1) % numprocs"), "procnum"),
+        ]
+    };
+    let model = Model::new().with_stmt(looped("2", vec![looped_var("3", "k", round("k"))]));
+    let twin = Model::new().with_stmt(looped(
+        "2",
+        ["0", "1", "2"].iter().flat_map(|k| round(k)).collect(),
+    ));
+    let timing = spread_timing();
+    let cfg = EvalConfig::new(4).with_seed(23).with_threads(1);
+    let reference = evaluate(&twin, &cfg, &timing).unwrap();
+    assert_eq!(reference.messages, 4 * 6);
+    assert_same_times(
+        &evaluate(&model, &cfg, &timing).unwrap(),
+        &reference,
+        "W = 1",
+    );
+    // One lock-step group of eight lanes, against eight evaluations.
+    let [looped_mc, twin_mc] = [&model, &twin].map(|m| monte_carlo(m, &cfg, &timing, 8).unwrap());
+    assert_ne!(
+        looped_mc.min.to_bits(),
+        looped_mc.max.to_bits(),
+        "lanes differ"
+    );
+    for i in 0..8 {
+        let solo = evaluate(&twin, &replica_cfg(&cfg, i, 0), &timing).unwrap();
+        assert_same_times(&looped_mc.runs[i], &solo, &format!("looped, replica {i}"));
+        assert_same_times(&twin_mc.runs[i], &solo, &format!("twin, replica {i}"));
+    }
+}
+
+#[test]
 fn a_parameter_shadowed_by_a_loop_variable_is_not_invariant() {
     // `i` is a parameter (5) until a loop binds it, and nothing once that
     // loop has exited.

@@ -4,14 +4,122 @@
 //! order is preserved under any mix of directed reservations and wildcard
 //! head consumption — the invariants the VM's match phase relies on.
 
-use pevpm::scoreboard::{Handle, PairFifo, Slab};
+use pevpm::scoreboard::{Handle, PairFifo, PairId, Slab};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
+/// The by-pair reference model of one (sender, destination) pair: its
+/// counters and its queue of `(seq, value)` in send order.
+#[derive(Default)]
+struct RefPair {
+    send_seq: u64,
+    recv_seq: u64,
+    queue: VecDeque<(u64, u64)>,
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random interleavings of `push`, `reserve`, `take`, `heads` and
+    /// `consume_head` over every pair of a few processes, against a
+    /// reference `VecDeque` per (sender, destination): pairs appear in any
+    /// order, so senders join a destination mid-stream and its run
+    /// relocates, yet an issued id never changes, a reservation taken out
+    /// of order is found mid-queue, and `heads` and `in_flight` enumerate
+    /// exactly the reference's order.
+    #[test]
+    fn pair_ids_index_like_a_queue_per_pair(
+        seed in 0u64..1_000_000,
+        nprocs in 2usize..7,
+        steps in 1usize..300,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut slab: Slab<u64> = Slab::new();
+        let mut fifo = PairFifo::new(nprocs);
+        // Keyed (to, from): the reference's iteration order is the order
+        // `in_flight` promises.
+        let mut reference: BTreeMap<(usize, usize), RefPair> = BTreeMap::new();
+        let mut ids: HashMap<(usize, usize), PairId> = HashMap::new();
+        let mut reserved: Vec<(usize, usize, u64)> = Vec::new();
+        let mut next_value = 0u64;
+
+        for _ in 0..steps {
+            let (from, to) = (rng.gen_range(0..nprocs), rng.gen_range(0..nprocs));
+            let id = fifo.id(from, to);
+            prop_assert_eq!(*ids.entry((from, to)).or_insert(id), id, "{} → {} moved", from, to);
+            let pair = reference.entry((to, from)).or_default();
+            match rng.gen_range(0..5usize) {
+                0 | 1 => {
+                    let seq = fifo.push(id, slab.insert(next_value));
+                    prop_assert_eq!(seq, pair.send_seq);
+                    pair.queue.push_back((seq, next_value));
+                    pair.send_seq += 1;
+                    next_value += 1;
+                }
+                2 => {
+                    let seq = fifo.reserve(id);
+                    prop_assert_eq!(seq, pair.recv_seq);
+                    pair.recv_seq += 1;
+                    reserved.push((from, to, seq));
+                }
+                3 if !reserved.is_empty() => {
+                    // Any outstanding reservation, not the oldest: takes
+                    // land mid-queue.
+                    let (from, to, seq) = reserved[rng.gen_range(0..reserved.len())];
+                    let pair = reference.get_mut(&(to, from)).expect("reserved pairs exist");
+                    let want = pair
+                        .queue
+                        .iter()
+                        .position(|&(q, _)| q == seq)
+                        .and_then(|i| pair.queue.remove(i))
+                        .map(|(_, value)| value);
+                    let got = fifo
+                        .take(ids[&(from, to)], seq)
+                        .map(|h| slab.remove(h).expect("taken handles are live"));
+                    prop_assert_eq!(got, want, "take({} → {}, {})", from, to, seq);
+                    if got.is_some() {
+                        reserved.retain(|&r| r != (from, to, seq));
+                    }
+                }
+                _ => {
+                    // The wildcard view of `to`, then consume one head.
+                    let want: Vec<(usize, u64)> = reference
+                        .range((to, 0)..(to + 1, 0))
+                        .filter_map(|(&(_, from), pair)| {
+                            let &(_, value) = pair.queue.iter().find(|&&(q, _)| q == pair.recv_seq)?;
+                            Some((from, value))
+                        })
+                        .collect();
+                    let heads: Vec<(usize, Handle)> = fifo.heads(to).collect();
+                    let got: Vec<(usize, u64)> = heads
+                        .iter()
+                        .map(|&(from, h)| (from, *slab.get(h).expect("heads are live")))
+                        .collect();
+                    prop_assert_eq!(&got, &want, "heads({})", to);
+                    if let Some(&(from, h)) = heads.get(rng.gen_range(0..heads.len().max(1))) {
+                        prop_assert_eq!(fifo.consume_head(from, to), Some(h));
+                        slab.remove(h);
+                        let pair = reference.get_mut(&(to, from)).expect("a head's pair exists");
+                        let seq = pair.recv_seq;
+                        pair.queue.retain(|&(q, _)| q != seq);
+                        pair.recv_seq += 1;
+                    }
+                }
+            }
+            let walk: Vec<(usize, usize, u64)> = fifo
+                .in_flight()
+                .map(|(from, to, h)| (to, from, *slab.get(h).expect("in flight is live")))
+                .collect();
+            let want: Vec<(usize, usize, u64)> = reference
+                .iter()
+                .flat_map(|(&(to, from), pair)| pair.queue.iter().map(move |&(_, v)| (to, from, v)))
+                .collect();
+            prop_assert_eq!(walk, want, "in_flight");
+        }
+        prop_assert_eq!(slab.len(), reference.values().map(|p| p.queue.len()).sum::<usize>());
+    }
 
     /// Random insert/remove interleavings against a reference map: live
     /// handles always resolve to their value, removed handles never resolve
@@ -82,19 +190,20 @@ proptest! {
             let can_send = (sent[from] as usize) < nmsgs;
             let can_recv = consumed[from] < sent[from];
             if can_send && (!can_recv || rng.gen_bool(0.5)) {
-                let seq = fifo.next_send_seq(from, recv);
+                let h = slab.insert((from, sent[from]));
+                let id = fifo.id(from, recv);
+                let seq = fifo.push(id, h);
                 prop_assert_eq!(seq, sent[from], "send seqs are dense per pair");
-                let h = slab.insert((from, seq));
-                fifo.enqueue(from, recv, seq, h);
                 sent[from] += 1;
             } else if can_recv {
                 let expect = consumed[from];
                 let h = if rng.gen_bool(0.5) {
                     // Directed receive: reserve the next in-order seq, then
                     // take it (possibly from mid-queue).
-                    let seq = fifo.reserve_recv(from, recv);
+                    let id = fifo.id(from, recv);
+                    let seq = fifo.reserve(id);
                     prop_assert_eq!(seq, expect, "reservation is in send order");
-                    fifo.take(from, recv, seq).expect("reserved message present")
+                    fifo.take(id, seq).expect("reserved message present")
                 } else {
                     // Wildcard: this sender's head must be its oldest
                     // unreserved message.
@@ -142,9 +251,9 @@ proptest! {
         let mut slab: Slab<(usize, u64)> = Slab::new();
         let mut fifo = PairFifo::new(nsenders + 1);
         for (k, &from) in senders.iter().enumerate() {
-            for _ in 0..=k % 3 {
-                let seq = fifo.next_send_seq(from, recv);
-                fifo.enqueue(from, recv, seq, slab.insert((from, seq)));
+            let id = fifo.id(from, recv);
+            for seq in 0..=(k % 3) as u64 {
+                prop_assert_eq!(fifo.push(id, slab.insert((from, seq))), seq);
             }
             let heads: Vec<usize> = fifo.heads(recv).map(|(from, _)| from).collect();
             let mut seen = senders[..=k].to_vec();
@@ -188,17 +297,16 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut slab: Slab<u64> = Slab::new();
         let mut fifo = PairFifo::new(2);
-        let seq0 = fifo.next_send_seq(1, 0);
-        let h0 = slab.insert(seq0);
-        fifo.enqueue(1, 0, seq0, h0);
+        let id = fifo.id(1, 0);
+        let h0 = slab.insert(0);
+        let seq0 = fifo.push(id, h0);
 
-        let r = fifo.reserve_recv(1, 0);
+        let r = fifo.reserve(id);
         prop_assert_eq!(r, seq0);
         // Any number of subsequent sends pile up behind the reservation.
         for _ in 0..later {
-            let seq = fifo.next_send_seq(1, 0);
-            let h = slab.insert(seq);
-            fifo.enqueue(1, 0, seq, h);
+            let h = slab.insert(0);
+            fifo.push(id, h);
             if rng.gen_bool(0.3) {
                 // Wildcard head, if any, is never the reserved message.
                 for (_, h) in fifo.heads(0) {
@@ -206,7 +314,7 @@ proptest! {
                 }
             }
         }
-        let taken = fifo.take(1, 0, r).expect("reservation survives later sends");
+        let taken = fifo.take(id, r).expect("reservation survives later sends");
         prop_assert_eq!(taken, h0);
         prop_assert_eq!(slab.remove(taken), Some(seq0));
     }
