@@ -679,6 +679,69 @@ mod tests {
         }
     }
 
+    /// Frames whose string literals put each escape kind, a two-byte
+    /// character, a surrogate pair, a lone surrogate and each malformed
+    /// escape at every byte alignment, mid-literal and right before the
+    /// closing quote: as a model, as an id and as a key.
+    fn escape_frames() -> Vec<String> {
+        let pieces = [
+            "\\\"",
+            "\\\\",
+            "\\n",
+            "\\/",
+            "\u{e9}",
+            "\\u00e9",
+            "\\ud83d\\ude00",
+            "\\ud800",
+            "\\ud800x",
+            "\\udc00",
+            "\\ud83d\\u0041",
+            "\\x",
+            "\\u12g4",
+            "\\ud83d\\u12",
+            "\\",
+        ];
+        let mut frames = Vec::new();
+        for piece in pieces {
+            for off in 0..8 {
+                for (pre, post) in [(off, 9), (off, 0), (24 + off, 0), (24 + off, 17)] {
+                    let lit = format!("{}{piece}{}", "x".repeat(pre), "y".repeat(post));
+                    frames.push(format!(
+                        "{{\"op\":\"predict\",\"id\":\"e\",\"model\":\"{lit}\",\"procs\":2}}"
+                    ));
+                    frames.push(format!("{{\"op\":\"ping\",\"id\":\"{lit}\"}}"));
+                    frames.push(format!(
+                        "{{\"op\":\"predict\",\"id\":\"k\",\"{lit}\":1,\"model\":\"m\",\"procs\":2}}"
+                    ));
+                }
+            }
+        }
+        // Every truncation of one model literal holding every piece.
+        let all: String = pieces.iter().take(11).copied().collect();
+        let frame = format!("{{\"op\":\"predict\",\"id\":\"t\",\"model\":\"{all}\",\"procs\":2}}");
+        for (end, _) in frame.char_indices() {
+            frames.push(frame[..end].to_string());
+        }
+        frames.push(frame);
+        frames
+    }
+
+    #[test]
+    fn escapes_at_every_alignment_decode_as_pinned() {
+        let mut answers = String::new();
+        for frame in escape_frames() {
+            agree(&frame);
+            answers.push_str(&format!("{:?}\n", parse_request(&frame)));
+        }
+        // The answers as the decoder gave them before literals were
+        // validated in one pass; any change in an answer or an error's
+        // text or byte offset changes the digest.
+        assert_eq!(
+            format!("{:016x}", crate::fnv1a(answers.as_bytes())),
+            "42a95e6cdeb6e04b"
+        );
+    }
+
     #[test]
     fn many_params_in_reverse_order_decode_in_n_log_n() {
         // 200 000 names, each twice, in descending order: a sorted insert
