@@ -117,8 +117,8 @@ pub(crate) fn cmd_predict(args: &Args) -> Result<String, CliError> {
             EvalOutcome::Single(p) => std::slice::from_ref(&**p),
             EvalOutcome::Batch(mc) => &mc.runs,
         };
-        for (label, loss) in runs.iter().flat_map(|p| &p.loss_by_label) {
-            reg.gauge(&format!("vm.loss_secs.{label}")).add(*loss);
+        for (label, loss) in runs.iter().flat_map(|p| p.loss_by_label.iter()) {
+            reg.gauge(&format!("vm.loss_secs.{label}")).add(loss);
         }
     }
     match outcome {

@@ -81,9 +81,8 @@ impl Json {
 }
 
 /// A JSON value as the [`Scanner`] reads it, borrowing from the document:
-/// a string without escapes is a slice of the source, an escaped one is
-/// decoded once into a `String` of exactly its size, and an object is its
-/// members in document order, duplicates included.
+/// a string is its literal, checked but not yet decoded ([`Str`]), and an
+/// object is its members in document order, duplicates included.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value<'a> {
     /// `null`.
@@ -92,8 +91,8 @@ pub enum Value<'a> {
     Bool(bool),
     /// Any JSON number.
     Num(f64),
-    /// A string (escapes resolved).
-    Str(Cow<'a, str>),
+    /// A string literal.
+    Str(Str<'a>),
     /// An array.
     Arr(Vec<Value<'a>>),
     /// An object's members, in document order.
@@ -108,7 +107,7 @@ impl Value<'_> {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(b),
             Value::Num(n) => Json::Num(n),
-            Value::Str(s) => Json::Str(s.into_owned()),
+            Value::Str(s) => Json::Str(s.text().into_owned()),
             Value::Arr(items) => Json::Arr(items.into_iter().map(Value::into_json).collect()),
             Value::Obj(members) => Json::Obj(
                 members
@@ -117,6 +116,40 @@ impl Value<'_> {
                     .collect(),
             ),
         }
+    }
+}
+
+/// A string literal as the [`Scanner`] found it: its body between the
+/// quotes, escapes as spelled, every one of them already checked, and the
+/// length of the text they decode to. Nothing is decoded until
+/// [`Str::text`] is asked for, so a reader that only compares or stores
+/// the literal never pays for it. Equality is equality of spelling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Str<'a> {
+    raw: &'a str,
+    /// Bytes of the decoded text. Every escape decodes to fewer bytes
+    /// than it is spelled with, so this equals `raw.len()` exactly when
+    /// the literal has no escape.
+    len: usize,
+}
+
+impl<'a> Str<'a> {
+    /// The literal's body as the document spells it, escapes included.
+    pub fn raw(&self) -> &'a str {
+        self.raw
+    }
+
+    /// The decoded text: borrowed when the literal has no escape, else
+    /// decoded into a `String` of exactly its size.
+    pub fn text(&self) -> Cow<'a, str> {
+        if self.len == self.raw.len() {
+            return Cow::Borrowed(self.raw);
+        }
+        let mut out = String::with_capacity(self.len);
+        // The body was checked when it was read and has no closing quote,
+        // so the walk decodes all of it and then reports the end of input.
+        let _ = Scanner::new(self.raw).unescape(&mut out);
+        Cow::Owned(out)
     }
 }
 
@@ -292,7 +325,7 @@ impl<'a> Scanner<'a> {
                 Ok(Value::Obj(members))
             }
             Some(b'[') => self.array(depth + 1),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -323,30 +356,17 @@ impl<'a> Scanner<'a> {
             .map_err(|_| format!("bad number at byte {start}"))
     }
 
-    /// A string: borrowed when it has no escape, else decoded into a
-    /// `String` sized by a first, counting pass.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    /// A string literal, read in one pass that finds its closing quote,
+    /// checks every escape in it and counts the bytes it decodes to.
+    fn string(&mut self) -> Result<Str<'a>, String> {
         self.expect(b'"')?;
-        let bytes = self.src.as_bytes();
         let start = self.pos;
-        let end = bytes[start..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .map(|n| start + n);
-        match end {
-            None => Err("unterminated string".into()),
-            Some(end) if bytes[end] == b'"' => {
-                self.pos = end + 1;
-                Ok(Cow::Borrowed(&self.src[start..end]))
-            }
-            Some(_) => {
-                let mut len = 0usize;
-                Scanner { ..*self }.unescape(&mut len)?;
-                let mut out = String::with_capacity(len);
-                self.unescape(&mut out)?;
-                Ok(Cow::Owned(out))
-            }
-        }
+        let mut len = 0usize;
+        self.unescape(&mut len)?;
+        Ok(Str {
+            raw: &self.src[start..self.pos - 1],
+            len,
+        })
     }
 
     /// Decode a string's text from the current byte through its closing
@@ -396,9 +416,7 @@ impl<'a> Scanner<'a> {
                 Some(_) => {
                     // The longest run of unescaped content, in one step.
                     let start = self.pos;
-                    while self.pos < b.len() && b[self.pos] != b'"' && b[self.pos] != b'\\' {
-                        self.pos += 1;
-                    }
+                    self.pos = run_end(b, start);
                     out.push(&self.src[start..self.pos]);
                 }
             }
@@ -418,7 +436,7 @@ impl<'a> Scanner<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.text();
             self.skip_ws();
             self.expect(b':')?;
             let value = self.value_at(depth)?;
@@ -456,6 +474,32 @@ impl<'a> Scanner<'a> {
             }
         }
     }
+}
+
+/// Where the run of string content starting at byte `from` of `b` ends:
+/// the index of the first `"` or `\` at or after it, or `b.len()`.
+/// Eight bytes are looked at a time: a byte equal to the one searched for
+/// is a zero byte of the word XORed with it, and `(x - 0x01…) & !x & 0x80…`
+/// flags the lowest zero byte of `x` exactly (a borrow can flag bytes
+/// above it, never below).
+fn run_end(b: &[u8], from: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let zero_byte = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
+    let mut at = from;
+    for word in b[from..].chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let hits =
+            zero_byte(w ^ (ONES * u64::from(b'"'))) | zero_byte(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    at + b[at..]
+        .iter()
+        .position(|&c| c == b'"' || c == b'\\')
+        .unwrap_or(b.len() - at)
 }
 
 /// The four hex digits of a `\\u` escape, starting at byte `at`.
@@ -552,13 +596,41 @@ mod tests {
         let [Value::Str(plain), Value::Str(escaped), Value::Str(empty)] = &items[..] else {
             panic!("three strings: {items:?}")
         };
-        assert!(matches!(plain, Cow::Borrowed("plain")));
-        assert!(matches!(empty, Cow::Borrowed("")));
-        let Cow::Owned(escaped) = escaped else {
+        assert!(matches!(plain.text(), Cow::Borrowed("plain")));
+        assert!(matches!(empty.text(), Cow::Borrowed("")));
+        // A literal keeps its spelling until it is decoded.
+        assert_eq!(escaped.raw(), "tab\\there \u{e9}\\ud83d\\ude00");
+        let Cow::Owned(escaped) = escaped.text() else {
             panic!("an escaped string is decoded")
         };
         assert_eq!(escaped, "tab\there \u{e9}\u{1f600}");
         assert_eq!(escaped.capacity(), escaped.len());
+    }
+
+    #[test]
+    fn runs_end_at_the_first_quote_or_backslash_at_any_alignment() {
+        for len in 0..40 {
+            for at in 0..=len {
+                for stop in [b'"', b'\\'] {
+                    let mut b = vec![b'x'; len];
+                    // Bytes one bit off either stop byte, and high bytes,
+                    // must not be taken for it.
+                    for (i, c) in b.iter_mut().enumerate() {
+                        *c = [b'x', b'#', b'!', b']', 0xa2, 0xdc, 0][i % 7];
+                    }
+                    if at < len {
+                        b[at] = stop;
+                    }
+                    for from in 0..=at {
+                        assert_eq!(
+                            run_end(&b, from),
+                            at,
+                            "len {len}, stop at {at}, from {from}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! so lowering cannot perturb a prediction, only the wall clock.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::expr::{sizeof, BinOp, Expr, ExprError, UnOp};
 use crate::model::{CollOp, Model, MsgKind, Stmt};
@@ -63,17 +64,13 @@ impl Strings {
         }
     }
 
-    fn push(&mut self, s: &str) {
+    pub(crate) fn push(&mut self, s: &str) {
         self.text.push_str(s);
         self.ends.push(self.text.len());
     }
 
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.len()).map(|i| &self[i])
     }
 }
 
@@ -470,8 +467,9 @@ pub(crate) struct Lowered {
     pub(crate) numprocs: u32,
     /// `Irecv`/`Wait` handle names, indexed by handle slot.
     pub(crate) handles: Strings,
-    /// Directive labels, indexed by label slot.
-    pub(crate) labels: Strings,
+    /// Directive labels, indexed by label slot; shared with the loss
+    /// report of every evaluation ([`crate::vm::LossByLabel`]).
+    pub(crate) labels: Arc<Strings>,
     /// Memo sites handed out to [`StmtExpr`]s: the length of one
     /// process's memo row.
     pub(crate) sites: usize,
@@ -530,11 +528,24 @@ impl Program {
         params: &crate::expr::Env,
         nprocs: usize,
     ) -> Result<(&Lowered, Vec<Option<f64>>), ExprError> {
+        let mut base = Vec::new();
+        let lowered = self.bind_into(params, nprocs, &mut base)?;
+        Ok((lowered, base))
+    }
+
+    /// [`Program::bind`], the environment written into `base`.
+    pub(crate) fn bind_into(
+        &self,
+        params: &crate::expr::Env,
+        nprocs: usize,
+        base: &mut Vec<Option<f64>>,
+    ) -> Result<&Lowered, ExprError> {
         if let Some(v) = self.unbound.iter().find(|v| !params.contains_key(*v)) {
             return err(format!("unbound model parameter {v:?}"));
         }
         let lowered = self.lowered.as_ref().map_err(Clone::clone)?;
-        let mut base = vec![None; lowered.names.len()];
+        base.clear();
+        base.resize(lowered.names.len(), None);
         for &(slot, v) in &lowered.defaults {
             base[slot as usize] = Some(v);
         }
@@ -544,7 +555,7 @@ impl Program {
             }
         }
         base[lowered.numprocs as usize] = Some(nprocs as f64);
-        Ok((lowered, base))
+        Ok(lowered)
     }
 }
 
@@ -563,6 +574,9 @@ fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
         induction: Vec::new(),
         sites: 0,
     };
+    // Every program names the two standard variables, most nothing else:
+    // their text takes one allocation, not a growing one.
+    cx.names.table.text = String::with_capacity("procnumnumprocs".len());
     let procnum = cx.names.intern("procnum");
     let numprocs = cx.names.intern("numprocs");
     let (mut labels, mut label_bytes) = (0, 0);
@@ -584,7 +598,7 @@ fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
         procnum,
         numprocs,
         handles: cx.handles.table,
-        labels: cx.labels.table,
+        labels: Arc::new(cx.labels.table),
         sites: cx.sites as usize,
         defaults,
     })

@@ -36,6 +36,18 @@
 
 use std::collections::VecDeque;
 
+/// `v` emptied, as a vector of another element type that reuses its
+/// buffer: collecting from an emptied vector's own iterator builds the new
+/// vector in place where the element layouts agree — the same type at
+/// another lifetime, say — and allocates nothing. (Elsewhere it allocates
+/// a new one, which is no less correct.)
+pub(crate) fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
 /// A stable reference to one [`Slab`] entry.
 ///
 /// Handles are plain `Copy` data. A handle is invalidated only by removing
@@ -95,6 +107,25 @@ impl<T, S: Default> Slab<T, S> {
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Remove every entry, keeping the allocations: the slab then hands
+    /// out exactly the handles a new one would.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.len = 0;
+    }
+
+    /// The slab emptied, as one of another entry and side type that keeps
+    /// its allocations (where the slot layouts agree, as they do for the
+    /// same types at another lifetime).
+    pub fn recycle<U, R: Default>(self) -> Slab<U, R> {
+        Slab {
+            slots: recycle(self.slots),
+            free: recycle(self.free),
+            len: 0,
+        }
     }
 
     /// True if no entries are live.
@@ -234,6 +265,9 @@ pub struct PairFifo {
     senders: Vec<(usize, PairId)>,
     /// Each destination's run of `senders`.
     runs: Vec<Run>,
+    /// Emptied queues of the pairs a [`PairFifo::clear`] dropped, handed
+    /// to the next pairs issued so that a reused index allocates none.
+    spare: Vec<VecDeque<(u64, Handle)>>,
 }
 
 /// A destination's senders: `len` sorted entries at `start`, with room for
@@ -257,7 +291,24 @@ impl PairFifo {
             states: Vec::with_capacity(2 * nprocs),
             senders: Vec::with_capacity(2 * nprocs),
             runs: vec![Run::default(); nprocs],
+            spare: Vec::new(),
         }
+    }
+
+    /// Empty the index and make it one for `nprocs` destinations, as
+    /// [`PairFifo::new`] would, keeping every allocation, pair queues
+    /// included. Ids are issued from zero again.
+    pub fn clear(&mut self, nprocs: usize) {
+        self.spare.extend(self.states.drain(..).map(|state| {
+            let mut queue = state.queue;
+            queue.clear();
+            queue
+        }));
+        self.states.reserve(2 * nprocs);
+        self.senders.clear();
+        self.senders.reserve(2 * nprocs);
+        self.runs.clear();
+        self.runs.resize(nprocs, Run::default());
     }
 
     /// Destination `to`'s senders, sorted, with their pairs' ids.
@@ -273,7 +324,10 @@ impl PairFifo {
             Ok(i) => self.run(to)[i].1,
             Err(i) => {
                 let id = PairId(u32::try_from(self.states.len()).expect("pairs exceed u32"));
-                self.states.push(PairState::default());
+                self.states.push(PairState {
+                    queue: self.spare.pop().unwrap_or_default(),
+                    ..PairState::default()
+                });
                 self.insert(to, i, (from, id));
                 id
             }

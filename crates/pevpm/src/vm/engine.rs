@@ -1,14 +1,16 @@
 //! The sweep/match virtual machine of §5, generic over `W` replica lanes
 //! (`W == 1` is the scalar engine). The hot loop — `step`, `post_send`,
 //! `match_phase`, `draw_u` — and the types it touches live together here,
-//! but for the scoreboard's entries (`super::msg`).
+//! but for the scoreboard's entries (`super::msg`) and what the machine is
+//! built from and torn down into: its metric tallies and the tables a
+//! [`Scratch`] keeps between evaluations (`tables`).
+
+mod tables;
 
 use super::msg::{MsgLanes, SbMsg};
-#[cfg(test)]
-use super::tests;
 use super::{
-    BudgetAxis, BudgetReport, EvalConfig, PevpmError, Prediction, SpanKind, TimelineSpan,
-    RNDV_THRESHOLD_BYTES,
+    BudgetAxis, BudgetReport, EvalConfig, LossByLabel, PevpmError, Prediction, SpanKind,
+    TimelineSpan, RNDV_THRESHOLD_BYTES,
 };
 use crate::expr::ExprError;
 use crate::lower::{as_index, LStmt, Lowered, Memo, Program, Strings};
@@ -16,11 +18,9 @@ use crate::model::{CollOp, Model, MsgKind};
 use crate::scoreboard::{Handle, PairFifo, PairId, Slab};
 use crate::timing::{ResolveMemo, TimingModel};
 use pevpm_dist::{CellParts, Op};
-use pevpm_obs::{Counter, FixedHistogram, Registry};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
-use std::sync::Arc;
+pub use tables::Scratch;
+use tables::{Race, Tables, VmHandles, VmMetrics};
 
 // ------------------------------------------------------------------ VM --
 
@@ -148,103 +148,6 @@ struct Proc<const W: usize> {
     blocked_time: [f64; W],
 }
 
-/// Bin count / range of the engine's contention histograms: contention
-/// levels are scoreboard populations, integers that rarely exceed a few
-/// hundred; one bin per level up to 256 (clamped above).
-const CONTENTION_BINS: usize = 256;
-
-/// The engine's metric handles, under fixed names only (`vm.*` in
-/// DESIGN.md), resolved once per registry ([`Registry::handles`]).
-struct VmHandles {
-    sweep_phases: Arc<Counter>,
-    match_phases: Arc<Counter>,
-    contention: Arc<FixedHistogram>,
-    occupancy: Arc<FixedHistogram>,
-    evaluations: Arc<Counter>,
-    steps: Arc<Counter>,
-    messages: Arc<Counter>,
-    races: Arc<Counter>,
-    sb_peak: Arc<FixedHistogram>,
-}
-
-impl VmHandles {
-    fn resolve(registry: &Registry) -> VmHandles {
-        let levels = |name| registry.histogram(name, 0.0, CONTENTION_BINS as f64, CONTENTION_BINS);
-        VmHandles {
-            sweep_phases: registry.counter("vm.sweep_phases"),
-            match_phases: registry.counter("vm.match_phases"),
-            contention: levels("vm.contention_at_injection"),
-            occupancy: levels("vm.scoreboard_occupancy"),
-            evaluations: registry.counter("vm.evaluations"),
-            steps: registry.counter("vm.steps"),
-            messages: registry.counter("vm.messages"),
-            races: registry.counter("vm.races"),
-            sb_peak: levels("vm.sb_peak"),
-        }
-    }
-}
-
-/// Per-event metrics of one lane group, tallied locally and added to the
-/// registry when the group is done: each event then counts once per lane,
-/// exactly what that many separate evaluations would have recorded, and a
-/// group that stands down leaves no trace for its re-run to double.
-struct VmMetrics {
-    handles: Arc<VmHandles>,
-    lanes: u64,
-    sweeps: u64,
-    matches: u64,
-    /// Events per integer scoreboard population.
-    contention_at: Vec<u64>,
-    occupancy_at: Vec<u64>,
-    /// Whether dropping the tally records it. A single lane always records
-    /// (even the part-way counts of an evaluation that panics, as before);
-    /// a wider group only once it has run to a result or a failure of its
-    /// own.
-    record_on_drop: bool,
-}
-
-impl VmMetrics {
-    fn resolve(registry: &Registry, lanes: usize) -> VmMetrics {
-        VmMetrics {
-            handles: registry.handles(VmHandles::resolve),
-            lanes: lanes as u64,
-            sweeps: 0,
-            matches: 0,
-            contention_at: Vec::new(),
-            occupancy_at: Vec::new(),
-            record_on_drop: lanes == 1,
-        }
-    }
-
-    fn tally(levels: &mut Vec<u64>, population: usize) {
-        if population >= levels.len() {
-            levels.resize(population + 1, 0);
-        }
-        levels[population] += 1;
-    }
-}
-
-impl Drop for VmMetrics {
-    fn drop(&mut self) {
-        if !self.record_on_drop {
-            return;
-        }
-        let handles = &self.handles;
-        handles.sweep_phases.add(self.sweeps * self.lanes);
-        handles.match_phases.add(self.matches * self.lanes);
-        for (hist, levels) in [
-            (&handles.contention, &self.contention_at),
-            (&handles.occupancy, &self.occupancy_at),
-        ] {
-            for (population, &n) in levels.iter().enumerate() {
-                if n > 0 {
-                    hist.record_n(population as f64, n * self.lanes);
-                }
-            }
-        }
-    }
-}
-
 /// The sweep/match engine over `W` replica lanes. Everything that does not
 /// depend on the seed — statement decode, expression evaluation, endpoint
 /// checks, FIFO matching, blocked/finished state, contention level, step
@@ -293,10 +196,14 @@ struct Vm<'m, const W: usize> {
     /// the label sees an attributable event (so the reported map has
     /// exactly the keys the string-keyed version had).
     loss: Vec<Option<[f64; W]>>,
-    /// Wildcard-race reports. Wildcards are matched by arrival time, so
-    /// they only ever run at `W == 1`.
-    races: Vec<(usize, String)>,
+    /// Wildcard races seen, written out as reports by [`Vm::outcome`].
+    /// Wildcards are matched by arrival time, so they only ever run at
+    /// `W == 1`.
+    races: Vec<Race>,
     metrics: Option<VmMetrics>,
+    /// The tally buffers of [`Tables`], kept for the next evaluation when
+    /// this one records no metrics.
+    idle_tallies: (Vec<u64>, Vec<u64>),
     /// Per-proc predicted timelines, when `cfg.record_timeline` (recorded
     /// from lane 0: timelines are only requested at `W == 1`).
     timeline: Option<Vec<Vec<TimelineSpan>>>,
@@ -377,9 +284,18 @@ pub(crate) fn run_lowered(
     };
     match run_lanes::<1>(setup, cfg, timing, [lane], active, injected) {
         Ok(mut outcomes) => Ok(outcomes.remove(0)),
-        Err(Halt::Uniform(e)) => Err(e),
-        Err(Halt::PerLane(mut errors)) => Err(errors.remove(0)),
-        Err(Halt::StandDown) => unreachable!("a single lane has nothing to diverge from"),
+        Err(halt) => Err(halt.into_single()),
+    }
+}
+
+impl Halt {
+    /// The one lane's error.
+    fn into_single(self) -> PevpmError {
+        match self {
+            Halt::Uniform(e) => e,
+            Halt::PerLane(mut errors) => errors.remove(0),
+            Halt::StandDown => unreachable!("a single lane has nothing to diverge from"),
+        }
     }
 }
 
@@ -394,78 +310,7 @@ pub(super) fn run_lanes<const W: usize>(
     active: Option<&[bool]>,
     injected: &[ExternalMsg],
 ) -> Result<Vec<VmOutcome>, Halt> {
-    #[cfg(test)]
-    tests::poison::check(&lanes);
-    let lowered = setup.lowered;
-    let slots = lowered.names.len();
-    let mut env = Vec::with_capacity(cfg.nprocs * slots);
-    for p in 0..cfg.nprocs {
-        env.extend_from_slice(&setup.base);
-        env[p * slots + lowered.procnum as usize] = Some(p as f64);
-    }
-    let unused = Frame {
-        stmts: &[],
-        idx: 0,
-        remaining: 0,
-        var: None,
-    };
-    let mut frames = vec![unused; cfg.nprocs * lowered.depth];
-    let procs: Vec<Proc<W>> = (0..cfg.nprocs)
-        .map(|p| {
-            // Inactive processes never run: no stack — they just read as
-            // finished with zero clocks.
-            let idle = active.is_some_and(|a| !a[p]);
-            if !idle {
-                frames[p * lowered.depth] = Frame {
-                    stmts: &lowered.stmts,
-                    idx: 0,
-                    remaining: 1,
-                    var: None,
-                };
-            }
-            Proc {
-                depth: usize::from(!idle),
-                blocked: None,
-                finished: idle || lowered.stmts.is_empty(),
-                coll_count: 0,
-                clock: [0.0; W],
-                compute_time: [0.0; W],
-                send_time: [0.0; W],
-                blocked_time: [0.0; W],
-            }
-        })
-        .collect();
-
-    let mut vm = Vm {
-        cfg,
-        timing,
-        lowered,
-        procs,
-        env,
-        frames,
-        handles: vec![None; cfg.nprocs * lowered.handles.len()],
-        resolved: Vec::new(),
-        expr_memo: vec![Memo::default(); cfg.nprocs * lowered.sites],
-        sites: lowered.sites,
-        scoreboard: Slab::new(),
-        fifo: PairFifo::new(cfg.nprocs),
-        fresh: Vec::with_capacity(cfg.nprocs),
-        rng: lanes.map(|lane| SmallRng::seed_from_u64(lane.seed)),
-        mirror: lanes.map(|lane| lane.mirror),
-        steps: 0,
-        started: std::time::Instant::now(),
-        sb_peak: 0,
-        messages: 0,
-        loss: vec![None; lowered.labels.len()],
-        races: Vec::new(),
-        metrics: cfg
-            .metrics
-            .as_deref()
-            .map(|registry| VmMetrics::resolve(registry, W)),
-        timeline: cfg
-            .record_timeline
-            .then(|| (0..cfg.nprocs).map(|_| Vec::new()).collect()),
-    };
+    let mut vm = Vm::new(setup, cfg, timing, lanes, active, Tables::default());
     // Preload cross-component messages. Their sequence numbers come from
     // the sender-side counters, which are otherwise unused here: the
     // senders are inactive in this run.
@@ -527,53 +372,42 @@ pub(super) fn run_lanes<const W: usize>(
         }
     }
 
-    let mut timeline = vm.timeline.take();
     Ok(external
         .into_iter()
         .enumerate()
         .map(|(l, external)| VmOutcome {
-            clocks: vm.procs.iter().map(|p| p.clock[l]).collect(),
-            compute_time: vm.procs.iter().map(|p| p.compute_time[l]).collect(),
-            send_time: vm.procs.iter().map(|p| p.send_time[l]).collect(),
-            blocked_time: vm.procs.iter().map(|p| p.blocked_time[l]).collect(),
-            messages: vm.messages,
-            steps: vm.steps,
-            sb_peak: vm.sb_peak,
-            races: vm.races.clone(),
             loss: vm
                 .loss
                 .iter()
                 .map(|lanes| lanes.map(|lanes| lanes[l]))
                 .collect(),
-            timeline: timeline.take(),
             external,
+            ..vm.outcome(l)
         })
         .collect())
 }
 
-/// The shared evaluation epilogue: stable race reporting, the label-keyed
-/// loss report, end-of-run registry aggregates, and the [`Prediction`].
+/// The shared evaluation epilogue: stable race reporting, the loss report
+/// in label order, end-of-run registry aggregates, and the [`Prediction`].
 pub(crate) fn finish_prediction(
     setup: &EvalSetup<'_>,
     cfg: &EvalConfig,
-    mut outcome: VmOutcome,
+    outcome: VmOutcome,
 ) -> Prediction {
+    let loss = LossByLabel::from_slots(&setup.lowered.labels, |slot| outcome.loss[slot]);
+    finish_with(cfg, outcome, loss)
+}
+
+/// [`finish_prediction`] with the loss report already built.
+fn finish_with(cfg: &EvalConfig, mut outcome: VmOutcome, loss_by_label: LossByLabel) -> Prediction {
     // Stable race reporting: sorted by (proc, description) and
     // deduplicated, so the vector is identical however replications are
     // scheduled and repeated candidates collapse to one report.
-    outcome.races.sort();
+    outcome.races.sort_unstable();
     outcome.races.dedup();
 
     let finish_times = outcome.clocks;
     let makespan = finish_times.iter().cloned().fold(0.0, f64::max);
-
-    // Materialise the label-keyed loss report from the slot accumulators.
-    let mut loss_by_label: HashMap<String, f64> = HashMap::new();
-    for (name, loss) in setup.lowered.labels.iter().zip(&outcome.loss) {
-        if let Some(loss) = *loss {
-            loss_by_label.insert(name.to_string(), loss);
-        }
-    }
 
     // End-of-run aggregates go to the registry in one pass (cheap, and
     // keeps the per-event hot path down to the phase/histogram hooks).
@@ -627,12 +461,7 @@ impl Program {
         cfg: &EvalConfig,
         timing: &TimingModel,
     ) -> Result<Prediction, PevpmError> {
-        if cfg.eval_threads > 0 {
-            return crate::dag::evaluate_dag(self, cfg, timing);
-        }
-        let setup = prepare(self, cfg)?;
-        let outcome = run_lowered(&setup, cfg, timing, cfg.seed, None, &[])?;
-        Ok(finish_prediction(&setup, cfg, outcome))
+        self.evaluate_in(&mut Scratch::default(), cfg, timing)
     }
 }
 
@@ -1273,18 +1102,12 @@ impl<'m, const W: usize> Vm<'m, W> {
         if candidates > 1 {
             // Multiple in-flight messages could have matched: which one
             // wins depends on timing — a potential race (paper §5).
-            let label = self
-                .lowered
-                .label(self.procs[p].blocked.as_ref().and_then(|(b, _)| b.label()))
-                .unwrap_or("<unlabelled wildcard recv>")
-                .to_string();
-            self.races.push((
-                p,
-                format!(
-                    "wildcard receive at {label} had {candidates} candidate \
-                     senders (matched {sender})"
-                ),
-            ));
+            self.races.push(Race {
+                proc: p,
+                label: self.procs[p].blocked.as_ref().and_then(|(b, _)| b.label()),
+                candidates,
+                sender,
+            });
         }
         // Consume this pair's FIFO head.
         let consumed = self.fifo.consume_head(sender, p);

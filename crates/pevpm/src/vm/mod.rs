@@ -36,9 +36,9 @@ mod tests;
 
 pub use config::{EvalConfig, RunBudget, RNDV_THRESHOLD_BYTES};
 pub use driver::monte_carlo;
-pub use engine::evaluate;
+pub use engine::{evaluate, Scratch};
 pub(crate) use engine::{
     finish_prediction, prepare, run_lowered, EvalSetup, ExternalMsg, VmOutcome,
 };
 pub use error::{BudgetAxis, BudgetReport, PevpmError};
-pub use prediction::{McPrediction, Prediction, SpanKind, TimelineSpan};
+pub use prediction::{LossByLabel, McPrediction, Prediction, SpanKind, TimelineSpan};

@@ -255,7 +255,7 @@ fn loss_attribution_by_label() {
         vec![labelled(recv("8", "0", "1"), "halo-recv")],
     ));
     let p = evaluate(&m, &EvalConfig::new(2), &fixed_timing(0.1)).unwrap();
-    let loss = p.loss_by_label.get("halo-recv").copied().unwrap_or(0.0);
+    let loss = p.loss_by_label.get("halo-recv").unwrap_or(0.0);
     assert!((loss - 2.1).abs() < 1e-9, "loss = {loss}");
 }
 

@@ -108,7 +108,7 @@ pub fn assert_identical(a: &Prediction, b: &Prediction, what: &str) {
         b.loss_by_label.len(),
         "{what}: loss labels"
     );
-    for (label, loss) in &a.loss_by_label {
+    for (label, loss) in a.loss_by_label.iter() {
         let other = b
             .loss_by_label
             .get(label)

@@ -23,7 +23,8 @@ use pevpm::model::{Model, Stmt};
 use pevpm::replicate;
 use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::TimingModel;
-use pevpm::vm::{evaluate, monte_carlo, EvalConfig, PevpmError, Prediction, RunBudget};
+use pevpm::vm::{evaluate, monte_carlo, EvalConfig, PevpmError, Prediction, RunBudget, Scratch};
+use pevpm::Program;
 use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
 
 /// A model exercising every observable the engine reports: a ring
@@ -408,5 +409,72 @@ fn lane_uniform_failures_are_reported_per_lane() {
         let shifted = EvalConfig::new(2).with_seed(replicate::replica_seed(3, i as u64));
         let err = monte_carlo(&model, &shifted, &timing, 8).unwrap_err();
         assert_eq!(&err.to_string(), expected, "replica {i}");
+    }
+}
+
+/// Processes 0 and 1 each send the other a rendezvous-size message before
+/// receiving: both block in their sends, and the deadlock report names the
+/// scoreboard handles they wait on.
+fn rendezvous_deadlock_model() -> Model {
+    Model::new().with_stmt(runon2(
+        "procnum == 0",
+        vec![send("100000", "0", "1"), recv("100000", "1", "0")],
+        "procnum == 1",
+        vec![send("100000", "1", "0"), recv("100000", "0", "1")],
+    ))
+}
+
+/// The two answers agree: the same prediction bitwise, or the same
+/// failure (a budget abort's wall-clock seconds aside).
+fn assert_same_answer(
+    fresh: &Result<Prediction, PevpmError>,
+    reused: &Result<Prediction, PevpmError>,
+    what: &str,
+) {
+    match (fresh, reused) {
+        (Ok(a), Ok(b)) => assert_identical(a, b, what),
+        (Err(PevpmError::Budget(a)), Err(PevpmError::Budget(b))) => {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(a.axis, b.axis, "{what}");
+            assert_eq!(a.steps, b.steps, "{what}");
+            assert_eq!(a.virtual_time.to_bits(), b.virtual_time.to_bits(), "{what}");
+            assert_eq!(bits(&a.clocks), bits(&b.clocks), "{what}");
+            assert_eq!(a.finished, b.finished, "{what}");
+            assert_eq!(a.blocked, b.blocked, "{what}");
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+        _ => panic!("{what}: {fresh:?} vs {reused:?}"),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// Whatever a scratch evaluated before — other models, other process
+    /// counts, deadlocks, budget aborts, wildcard races — an evaluation in
+    /// it answers exactly as a fresh `evaluate` does.
+    #[test]
+    fn a_reused_scratch_evaluates_as_a_fresh_evaluate(
+        runs in proptest::collection::vec((0usize..5, 2usize..8, 0u64..1_000), 1..12),
+    ) {
+        let timing = noisy_timing(1.0);
+        let programs = [
+            Program::new(&stress_model()),
+            Program::new(&lane_model()),
+            Program::new(&common::ring_model("7", "4096", "2e-4")),
+            Program::new(&rendezvous_deadlock_model()),
+            Program::new(&lane_model()),
+        ];
+        let mut scratch = Scratch::default();
+        for (i, &(which, nprocs, seed)) in runs.iter().enumerate() {
+            let mut cfg = EvalConfig::new(nprocs).with_seed(seed);
+            if which == 4 {
+                // Aborted part-way, its tables left half full.
+                cfg = cfg.with_budget(RunBudget::default().with_max_steps(seed % 40));
+            }
+            let fresh = programs[which].evaluate(&cfg, &timing);
+            let reused = programs[which].evaluate_in(&mut scratch, &cfg, &timing);
+            assert_same_answer(&fresh, &reused, &format!("run {i}: program {which}, {nprocs} procs, seed {seed}"));
+        }
     }
 }

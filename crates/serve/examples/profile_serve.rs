@@ -3,11 +3,14 @@
 //! Builds the `serve_hot` benchmark's working set in process (192
 //! generated programs against a synthetic table), warms a daemon's caches
 //! with every frame, then replays the frames through the steps
-//! `Server::respond` takes — decode, model and compile cache lookups, eval,
-//! render into a reused response buffer, telemetry — timing and counting
-//! each, and through `respond` itself (a connection worker's path, its
-//! buffer reused) and the `handle_frame` wrapper around it, which returns
-//! a `String` of its own. The last row, "miss", is what a model-cache miss
+//! `Server::respond` takes — decode, model and compile cache lookups, eval
+//! in a reused scratch, render into a reused response buffer, telemetry —
+//! timing and counting each, and through `respond` itself (a connection
+//! worker's path, its buffer and scratch reused) and the `handle_frame`
+//! wrapper around it, which starts both afresh and returns a `String` of
+//! its own. Decode is split in two: "literal" reads the model's string
+//! literal alone, as the decoder's scanner does, and "decode" is the rest
+//! of the frame. The last row, "miss", is what a model-cache miss
 //! adds: one `plan::parse_model` (parse + lowering) per call, cycling
 //! through the 320 distinct sources of the `serve_churn` working set (the
 //! 192 above and the next 128 the generator yields). No socket is involved.
@@ -17,7 +20,9 @@
 //! ```
 //!
 //! SEED defaults to 11 (the benchmark's), REQUESTS to 200 000; the miss
-//! row makes as many `parse_model` calls as there are requests.
+//! row makes as many `parse_model` calls as there are requests. At seed 11
+//! the run fails if `respond` allocates more than [`PINNED_ALLOCS`] times
+//! a request.
 
 #[path = "../tests/common/working_set.rs"]
 mod working_set;
@@ -27,8 +32,10 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
+use pevpm::vm::Scratch;
+use pevpm_obs::json::Scanner;
 use pevpm_obs::Registry;
-use pevpm_serve::proto::{self, FrameBuf, Request};
+use pevpm_serve::proto::{self, Frame, FrameBuf};
 use pevpm_serve::telemetry::{Telemetry, DEFAULT_SPAN_CAPACITY, STAGES};
 use pevpm_serve::{fnv1a, plan, ModelCache, ServeConfig, Server, TimingCache};
 
@@ -61,6 +68,11 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
+
+/// Heap allocations per cached request on a connection worker's path at
+/// seed 11, its buffer and scratch warm: the request's id and mode, the
+/// prediction in its box, and the request's telemetry. (11.7 measured.)
+const PINNED_ALLOCS: f64 = 12.0;
 
 /// Time and allocations accumulated by one stage.
 #[derive(Default)]
@@ -111,25 +123,46 @@ fn main() {
         .expect("no log sink");
     let table_hash = fnv1a(pevpm_dist::io::write_table(&table).as_bytes());
 
+    // Each frame's model literal, quotes included, for the literal row.
+    let literals: Vec<String> = frames
+        .iter()
+        .map(|frame| match proto::parse_frame(frame) {
+            Ok(Frame::Predict { body, .. }) => format!("\"{}\"", body.model.raw()),
+            _ => panic!("a predict frame"),
+        })
+        .collect();
+
     // One untimed pass over every frame fills both sets of caches.
-    let names = ["decode", "model", "compile", "eval", "render", "telemetry"];
-    let mut stages: [Tally; 6] = Default::default();
+    let names = [
+        "literal",
+        "decode",
+        "model",
+        "compile",
+        "eval",
+        "render",
+        "telemetry",
+    ];
+    let mut stages: [Tally; 7] = Default::default();
     let (mut respond, mut whole) = <(Tally, Tally)>::default();
     let (mut conn, mut out) = (FrameBuf::new(), FrameBuf::new());
+    let (mut conn_scratch, mut scratch) = (Scratch::default(), Scratch::default());
     for k in 0..frames.len() + requests {
         if k == frames.len() {
             (stages, respond, whole) = Default::default();
         }
         let frame = &frames[k % frames.len()];
-        respond.time(|| server.respond(frame, &mut conn));
+        respond.time(|| server.respond(frame, &mut conn, &mut conn_scratch));
         whole.time(|| server.handle_frame(frame));
-        let [parse, model, compile, eval, render, telem] = &mut stages;
-        let Ok(Request::Predict { id, req, .. }) = parse.time(|| proto::parse_request(frame))
-        else {
+        let [literal, parse, model, compile, eval, render, telem] = &mut stages;
+        literal
+            .time(|| Scanner::new(&literals[k % frames.len()]).value())
+            .expect("the literal reads");
+        let Ok(Frame::Predict { id, body }) = parse.time(|| proto::parse_frame(frame)) else {
             panic!("frame {k} is not a predict request")
         };
+        let req = &body.req;
         let (program, _) = model
-            .time(|| models.get_or_parse(&req.model_src, "request model"))
+            .time(|| models.get_or_parse_literal(&body.model, "request model"))
             .expect("cached");
         let mode = req.prediction_mode().expect("valid mode");
         let (timing, _) = compile
@@ -141,7 +174,7 @@ fn main() {
         let outcome = eval
             .time(|| {
                 let cfg = req.eval_config()?.with_metrics(Arc::clone(&registry));
-                plan::evaluate_plan(&program, &cfg, &timing, req.effective_reps())
+                plan::evaluate_plan_in(&program, &cfg, &timing, req.effective_reps(), &mut scratch)
             })
             .expect("evaluates");
         render
@@ -169,6 +202,11 @@ fn main() {
             .expect("parses");
     }
 
+    // The literal is read inside the decode: what decode adds is the rest.
+    let [literal, parse, ..] = &mut stages;
+    parse.secs -= literal.secs;
+    parse.allocs -= literal.allocs;
+
     let n = requests as f64;
     println!(
         "{requests} cached predict requests over {} programs (seed {seed})",
@@ -195,4 +233,9 @@ fn main() {
     row("respond", &respond);
     row("handle_frame", &whole);
     row("miss", &miss);
+    let per_request = respond.allocs as f64 / n;
+    assert!(
+        seed != 11 || per_request <= PINNED_ALLOCS,
+        "{per_request} allocations per cached request, pinned at {PINNED_ALLOCS}"
+    );
 }

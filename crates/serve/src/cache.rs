@@ -6,9 +6,11 @@
 //! pays each once per distinct content while it stays cached, and answers
 //! every later request from the cache.
 //!
-//! Models are keyed by their source text (a hit compares the bytes, so no
-//! client can collide two sources, and looks them up without copying
-//! them). An entry is the lowered [`Program`], not the parsed model: the
+//! Models are keyed by their source as a JSON string literal spells it,
+//! the way it arrives in a frame: a hit compares those bytes, so no client
+//! can collide two sources, and neither decodes nor copies them. Equal
+//! sources spelled with different escapes take an entry each, each one
+//! correct. An entry is the lowered [`Program`], not the parsed model: the
 //! syntax tree is dropped once lowered, so a hit costs only per-request
 //! work and an entry holds no second copy of the model. Compiled tables
 //! are keyed by the caller's name for the table — the daemon passes the
@@ -44,6 +46,7 @@ use std::sync::{Arc, Mutex};
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::Program;
 use pevpm_dist::{CompileOptions, DistTable};
+use pevpm_obs::json::{self, Str};
 use pevpm_obs::{Counter, Gauge, Registry};
 
 use crate::plan::{self, PlanError};
@@ -182,7 +185,7 @@ impl<K: Eq + Hash, V, S: BuildHasher> Store<K, V, S> {
     }
 }
 
-/// Lowered models keyed by their source text.
+/// Lowered models keyed by their source's JSON string literal.
 pub struct ModelCache<S = RandomState>(Store<String, Program, S>);
 
 impl ModelCache {
@@ -196,11 +199,25 @@ impl ModelCache {
 }
 
 impl<S: BuildHasher> ModelCache<S> {
-    /// The cached program for `src`, parsing and lowering (and caching)
-    /// it on first sight. `origin` labels parse errors. The second element
-    /// reports whether the lookup was a cache hit.
+    /// The cached program for the source `model` spells, decoding,
+    /// parsing and lowering (and caching) it on first sight. `origin`
+    /// labels parse errors. The second element reports whether the lookup
+    /// was a cache hit.
+    pub fn get_or_parse_literal(
+        &self,
+        model: &Str<'_>,
+        origin: &str,
+    ) -> Result<(Arc<Program>, bool), PlanError> {
+        self.0
+            .get_or_build(model.raw(), || plan::parse_model(&model.text(), origin))
+    }
+
+    /// [`ModelCache::get_or_parse_literal`] for a source given as text: it
+    /// is looked up under the literal a client writes for it.
     pub fn get_or_parse(&self, src: &str, origin: &str) -> Result<(Arc<Program>, bool), PlanError> {
-        self.0.get_or_build(src, || plan::parse_model(src, origin))
+        self.0.get_or_build(json::escape(src).as_str(), || {
+            plan::parse_model(src, origin)
+        })
     }
 }
 
@@ -310,6 +327,30 @@ mod tests {
         assert_eq!(reg.counter("serve.model_cache_hits").get(), 1);
         assert_eq!(reg.counter("serve.model_cache_misses").get(), 1);
         assert_eq!(reg.gauge("serve.model_cache_hit_rate").get(), 0.5);
+    }
+
+    #[test]
+    fn a_literal_and_its_source_share_an_entry_and_other_spellings_get_their_own() {
+        let reg = Registry::new();
+        let cache = ModelCache::new(&reg);
+        let read = |doc: &str| match json::Scanner::new(doc).value() {
+            Ok(json::Value::Str(model)) => cache.get_or_parse_literal(&model, "t").unwrap(),
+            other => panic!("a string literal: {other:?}"),
+        };
+        let spelt = format!("\"{}\"", json::escape(SRC));
+        let (a, hit) = read(&spelt);
+        assert!(!hit);
+        let (b, hit) = cache.get_or_parse(SRC, "t").unwrap();
+        assert!(
+            hit && Arc::ptr_eq(&a, &b),
+            "a source is looked up as a client spells it"
+        );
+        // The same source with its newlines spelt `\u000a`: an entry of its
+        // own, holding the same program.
+        let (c, hit) = read(&spelt.replace("\\n", "\\u000a"));
+        assert!(!hit && !Arc::ptr_eq(&a, &c));
+        assert_eq!(*a, *c);
+        assert_eq!(reg.counter("serve.model_compiles").get(), 2);
     }
 
     /// Every key hashes alike: the map can tell sources apart only by

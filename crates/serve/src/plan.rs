@@ -14,7 +14,7 @@ use std::fmt;
 
 use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::{PredictionMode, TimingModel};
-use pevpm::vm::{EvalConfig, McPrediction, PevpmError, Prediction, RunBudget};
+use pevpm::vm::{EvalConfig, McPrediction, PevpmError, Prediction, RunBudget, Scratch};
 use pevpm::Program;
 use pevpm_dist::{CompileOptions, CompiledTable, DistTable};
 
@@ -357,11 +357,26 @@ pub fn evaluate_plan(
     timing: &TimingModel,
     reps: usize,
 ) -> Result<EvalOutcome, PlanError> {
+    evaluate_plan_in(program, cfg, timing, reps, &mut Scratch::default())
+}
+
+/// [`evaluate_plan`], a single evaluation run in `scratch`'s tables (see
+/// [`Scratch`]; a Monte-Carlo batch does not use them). The answer is the
+/// same, bitwise.
+pub fn evaluate_plan_in(
+    program: &Program,
+    cfg: &EvalConfig,
+    timing: &TimingModel,
+    reps: usize,
+    scratch: &mut Scratch,
+) -> Result<EvalOutcome, PlanError> {
     if reps > 1 {
         let mc = program.monte_carlo(cfg, timing, reps).map_err(eval_error)?;
         Ok(EvalOutcome::Batch(Box::new(mc)))
     } else {
-        let p = program.evaluate(cfg, timing).map_err(eval_error)?;
+        let p = program
+            .evaluate_in(scratch, cfg, timing)
+            .map_err(eval_error)?;
         Ok(EvalOutcome::Single(Box::new(p)))
     }
 }
@@ -429,18 +444,11 @@ pub fn write_single_report<W: fmt::Write + ?Sized>(out: &mut W, p: &Prediction) 
         "predicted makespan: {:.6} s over {} procs ({} messages)",
         p.makespan, p.nprocs, p.messages
     )?;
-    // Costliest first; equal losses in label order, so the report does not
-    // depend on the map's iteration order.
-    let mut losses: Vec<(&String, &f64)> = p.loss_by_label.iter().collect();
-    losses.sort_by(|a, b| {
-        b.1.partial_cmp(a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(b.0))
-    });
-    if !losses.is_empty() {
+    // Costliest first; equal losses in label order.
+    if !p.loss_by_label.is_empty() {
         out.write_str("top blocking sources:\n")?;
-        for (label, loss) in losses.iter().take(5) {
-            writeln!(out, "  {label:<24} {:.6} s", **loss)?;
+        for (label, loss) in p.loss_by_label.costliest().take(5) {
+            writeln!(out, "  {label:<24} {loss:.6} s")?;
         }
     }
     if !p.races.is_empty() {
@@ -485,6 +493,7 @@ pub fn render_failures(failures: &[(usize, String)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pevpm::vm::LossByLabel;
 
     const PINGPONG: &str = "\
 // PEVPM Loop iterations = rounds
@@ -684,11 +693,10 @@ mod tests {
         let reports: Vec<String> = orders
             .iter()
             .map(|order| {
-                let mut loss_by_label = std::collections::HashMap::new();
-                for &i in order {
+                let loss_by_label = LossByLabel::new(order.iter().map(|&i| {
                     let loss = if labels[i] == "slow" { 0.5 } else { 0.25 };
-                    loss_by_label.insert(labels[i].to_string(), loss);
-                }
+                    (labels[i], loss)
+                }));
                 render_single_report(&Prediction {
                     nprocs: 2,
                     finish_times: vec![1.0, 1.0],

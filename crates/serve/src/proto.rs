@@ -42,7 +42,7 @@ use crate::plan::{
 };
 
 mod decode;
-pub use decode::{parse_request, PREDICT_BODY_KEYS};
+pub use decode::{parse_frame, parse_request, Body, Frame, PREDICT_BODY_KEYS};
 
 /// Maximum accepted frame payload (16 MiB). Annotated sources are
 /// kilobytes; this is a protect-the-daemon limit, not a capacity target.

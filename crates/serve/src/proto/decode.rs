@@ -4,12 +4,14 @@
 //! gives: a syntax error anywhere answers with id `""`, a duplicated key's
 //! last value wins, and of several unknown keys the alphabetically first
 //! is named, as a sorted map iterates them. Nothing the request does not
-//! keep is copied: a string without escapes stays borrowed from the frame
-//! until the request takes it.
+//! keep is copied, and the model is not even decoded: the scanner checks
+//! its literal in the pass that finds its end, and the daemon looks its
+//! program up by that literal ([`crate::ModelCache::get_or_parse_literal`]),
+//! decoding it only to parse it on a miss.
 
 use std::borrow::Cow;
 
-use pevpm_obs::json::{num, Scanner, Value};
+use pevpm_obs::json::{num, Scanner, Str, Value};
 
 use super::Request;
 use crate::plan::{PlanError, PredictRequest};
@@ -186,30 +188,82 @@ fn bool_field(v: &Fields, key: Key) -> Result<bool, PlanError> {
     }
 }
 
-/// Decode one predict body into `(table, request)`: a whole `predict`
-/// frame (`envelope` = [`ENVELOPE_KEYS`]) or one element of a batch's
-/// `requests` (a bare body: no envelope).
-fn predict_body(
-    mut v: Fields<'_>,
-    what: &str,
-    envelope: &str,
-) -> Result<(String, PredictRequest), PlanError> {
+/// One predict body as the daemon evaluates it, borrowing from its frame.
+#[derive(Debug)]
+pub struct Body<'a> {
+    /// The name of the table it is evaluated against.
+    pub table: Cow<'a, str>,
+    /// Its model's source, as the frame spells it.
+    pub model: Str<'a>,
+    /// The rest of the request; its `model_src` is left empty.
+    pub req: PredictRequest,
+}
+
+impl Body<'_> {
+    /// `(table, request)`, the model decoded into the request.
+    fn into_owned(self) -> (String, PredictRequest) {
+        let mut req = self.req;
+        req.model_src = self.model.text().into_owned();
+        (self.table.into_owned(), req)
+    }
+}
+
+/// A decoded frame, borrowing from its text: a [`Request`] whose predict
+/// bodies are still [`Body`]s.
+#[derive(Debug)]
+// Each variant is its `Request` namesake. A frame lives for one request;
+// boxing its body, as `Request` does, would cost an allocation each.
+#[allow(missing_docs, clippy::large_enum_variant)]
+pub enum Frame<'a> {
+    Predict { id: String, body: Body<'a> },
+    Batch { id: String, items: Vec<Body<'a>> },
+    Stats { id: String },
+    Ping { id: String },
+    Shutdown { id: String },
+}
+
+impl Frame<'_> {
+    fn into_request(self) -> Request {
+        match self {
+            Frame::Predict { id, body } => {
+                let (table, req) = body.into_owned();
+                Request::Predict {
+                    id,
+                    table,
+                    req: Box::new(req),
+                }
+            }
+            Frame::Batch { id, items } => Request::Batch {
+                id,
+                items: items.into_iter().map(Body::into_owned).collect(),
+            },
+            Frame::Stats { id } => Request::Stats { id },
+            Frame::Ping { id } => Request::Ping { id },
+            Frame::Shutdown { id } => Request::Shutdown { id },
+        }
+    }
+}
+
+/// Decode one predict body: a whole `predict` frame (`envelope` =
+/// [`ENVELOPE_KEYS`]) or one element of a batch's `requests` (a bare body:
+/// no envelope).
+fn predict_body<'a>(mut v: Fields<'a>, what: &str, envelope: &str) -> Result<Body<'a>, PlanError> {
     v.reject_unknown(what, envelope, PREDICT_BODY_KEYS)?;
     let model = match v.take(Key::Model) {
-        Some(Value::Str(model)) => model.into_owned(),
+        Some(Value::Str(model)) => model,
         _ => return Err(missing_string(Key::Model)),
     };
-    let table = match v.get(Key::Table) {
-        None | Some(Value::Null) => "default".to_string(),
-        Some(Value::Str(s)) => s.to_string(),
+    let table = match v.take(Key::Table) {
+        None | Some(Value::Null) => Cow::Borrowed("default"),
+        Some(Value::Str(s)) => s.text(),
         Some(_) => return Err(PlanError::usage("field \"table\" must be a string")),
     };
     let procs = usize_field(&v, Key::Procs)?
         .ok_or_else(|| PlanError::usage("request missing integer field \"procs\""))?;
-    let mut req = PredictRequest::new(model, procs);
+    let mut req = PredictRequest::new(String::new(), procs);
     match v.get(Key::Mode) {
         None | Some(Value::Null) => {}
-        Some(Value::Str(m)) => req.mode = m.to_string(),
+        Some(Value::Str(m)) => req.mode = m.text().into_owned(),
         Some(_) => return Err(PlanError::usage("field \"mode\" must be a string")),
     }
     req.pingpong = bool_field(&v, Key::Pingpong)?;
@@ -264,11 +318,11 @@ fn predict_body(
             ))
         }
     };
-    Ok((table, req))
+    Ok(Body { table, model, req })
 }
 
 /// A `batch` frame's items, common random numbers applied.
-fn batch_items(mut v: Fields<'_>) -> Result<Vec<(String, PredictRequest)>, PlanError> {
+fn batch_items(mut v: Fields<'_>) -> Result<Vec<Body<'_>>, PlanError> {
     v.reject_unknown("batch frame", ENVELOPE_KEYS, BATCH_KEYS)?;
     let Some(Value::Arr(items)) = v.take(Key::Requests) else {
         return Err(PlanError::usage(
@@ -291,10 +345,10 @@ fn batch_items(mut v: Fields<'_>) -> Result<Vec<(String, PredictRequest)>, PlanE
     if bool_field(&v, Key::Crn)? {
         let base = match u64_field(&v, Key::Seed)? {
             Some(seed) => seed,
-            None => items[0].1.seed,
+            None => items[0].req.seed,
         };
-        for (_, req) in &mut items {
-            req.seed = base;
+        for item in &mut items {
+            item.req.seed = base;
         }
     }
     Ok(items)
@@ -303,6 +357,12 @@ fn batch_items(mut v: Fields<'_>) -> Result<Vec<(String, PredictRequest)>, PlanE
 /// Parse one request frame. Errors carry the best-effort id so the server
 /// can still address its refusal.
 pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
+    parse_frame(text).map(Frame::into_request)
+}
+
+/// [`parse_request`], each predict body left a [`Body`]: what the daemon
+/// answers from.
+pub fn parse_frame(text: &str) -> Result<Frame<'_>, (String, PlanError)> {
     let mut frame = Fields::new();
     let mut scanner = Scanner::new(text);
     // A document that is not an object has no members, so no "op".
@@ -318,7 +378,7 @@ pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
     // Even a malformed request is answered with its own id; a missing or
     // unusable one echoes as "".
     let id = match frame.get(Key::Id) {
-        Some(Value::Str(id)) => id.to_string(),
+        Some(Value::Str(id)) => id.text().into_owned(),
         Some(Value::Num(n)) => num(*n),
         _ => String::new(),
     };
@@ -326,22 +386,18 @@ pub fn parse_request(text: &str) -> Result<Request, (String, PlanError)> {
         Some(Value::Str(op)) => op,
         _ => return Err((id, missing_string(Key::Op))),
     };
-    match op.as_ref() {
+    match &*op.text() {
         "predict" => match predict_body(frame, "predict frame", ENVELOPE_KEYS) {
-            Ok((table, req)) => Ok(Request::Predict {
-                id,
-                table,
-                req: Box::new(req),
-            }),
+            Ok(body) => Ok(Frame::Predict { id, body }),
             Err(e) => Err((id, e)),
         },
         "batch" => match batch_items(frame) {
-            Ok(items) => Ok(Request::Batch { id, items }),
+            Ok(items) => Ok(Frame::Batch { id, items }),
             Err(e) => Err((id, e)),
         },
-        "stats" => Ok(Request::Stats { id }),
-        "ping" => Ok(Request::Ping { id }),
-        "shutdown" => Ok(Request::Shutdown { id }),
+        "stats" => Ok(Frame::Stats { id }),
+        "ping" => Ok(Frame::Ping { id }),
+        "shutdown" => Ok(Frame::Shutdown { id }),
         other => Err((
             id,
             PlanError::usage(format!(

@@ -57,6 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pevpm::replicate::isolated_map;
+use pevpm::vm::Scratch;
 use pevpm_dist::{io as dist_io, DistTable};
 use pevpm_obs::{diag, Counter, FixedHistogram, Gauge, Registry};
 
@@ -67,7 +68,7 @@ pub use crate::config::{
 use crate::conn::{ConnQueue, ConnTracker, TrackerGuard};
 use crate::gate::{Admission, Gate, GatePermit};
 use crate::plan::{self, EvalOutcome, PlanError, PredictRequest};
-use crate::proto::{self, FrameBuf, FrameRead, Request};
+use crate::proto::{self, Body, Frame, FrameBuf, FrameRead};
 use crate::telemetry::{HttpServer, RequestTimer, Telemetry};
 
 /// How long the non-blocking accept loop sleeps between polls (also
@@ -452,10 +453,12 @@ impl Server {
         };
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = &stream;
-        // The connection's two buffers, reused frame after frame: the
-        // request read into one, the response formatted into the other.
+        // What the connection reuses frame after frame: the buffer the
+        // request is read into, the one its response is formatted into,
+        // and the tables a prediction is evaluated in.
         let mut frame = Vec::new();
         let mut out = FrameBuf::new();
+        let mut scratch = Scratch::default();
         loop {
             if shared.draining.load(Ordering::SeqCst) {
                 break Ok(false);
@@ -466,7 +469,9 @@ impl Server {
                     // respond already isolates prediction panics; a second
                     // net here keeps even a control-path panic from taking
                     // the worker thread (and its slot) down.
-                    let handled = catch_unwind(AssertUnwindSafe(|| self.respond(text, &mut out)));
+                    let handled = catch_unwind(AssertUnwindSafe(|| {
+                        self.respond(text, &mut out, &mut scratch)
+                    }));
                     let shutdown = handled.unwrap_or_else(|_| {
                         self.handles.panics_isolated.inc();
                         out.clear();
@@ -528,19 +533,22 @@ impl Server {
     /// daemon should stop accepting after this response.
     pub fn handle_frame(&self, frame: &str) -> (String, bool) {
         let mut out = FrameBuf::new();
-        let stop = self.respond(frame, &mut out);
+        let stop = self.respond(frame, &mut out, &mut Scratch::default());
         (out.into_payload(), stop)
     }
 
-    /// Answer one request frame into `out` (cleared first), as a
-    /// connection worker does with its reused buffer. Returns true when
-    /// the daemon should stop accepting after this response.
-    pub fn respond(&self, frame: &str, out: &mut FrameBuf) -> bool {
+    /// Answer one request frame into `out` (cleared first), evaluating a
+    /// `predict` in `scratch`'s tables, as a connection worker does with
+    /// the buffer and scratch it reuses. The answer is the one
+    /// [`Server::handle_frame`] gives, byte for byte, whatever `out` and
+    /// `scratch` were last used for. Returns true when the daemon should
+    /// stop accepting after this response.
+    pub fn respond(&self, frame: &str, out: &mut FrameBuf, scratch: &mut Scratch) -> bool {
         // Writing into a `FrameBuf` cannot fail, so no `fmt::Result` below
         // is worth looking at.
         out.clear();
         self.handles.requests.inc();
-        let request = match proto::parse_request(frame) {
+        let request = match proto::parse_frame(frame) {
             Ok(r) => r,
             Err((id, e)) => {
                 let timer = self.telemetry.begin("invalid", false);
@@ -550,35 +558,35 @@ impl Server {
             }
         };
         match request {
-            Request::Ping { id } => {
+            Frame::Ping { id } => {
                 let timer = self.telemetry.begin("ping", false);
                 let _ = proto::write_ok(out, &id, |out| out.write_str("{\"kind\":\"pong\"}"));
                 timer.finish("ok", out.payload_len());
                 false
             }
-            Request::Stats { id } => {
+            Frame::Stats { id } => {
                 let timer = self.telemetry.begin("stats", false);
                 let stats = self.telemetry.stats_json();
                 let _ = proto::write_ok(out, &id, |out| out.write_str(&stats));
                 timer.finish("ok", out.payload_len());
                 false
             }
-            Request::Shutdown { id } => {
+            Frame::Shutdown { id } => {
                 let timer = self.telemetry.begin("shutdown", false);
                 let _ = proto::write_ok(out, &id, |out| out.write_str("{\"kind\":\"shutdown\"}"));
                 timer.finish("ok", out.payload_len());
                 true
             }
-            Request::Predict { id, table, req } => {
+            Frame::Predict { id, body } => {
                 let Some(permit) = self.admit_inflight(&id, out) else {
                     return false;
                 };
                 let mut timer = self.telemetry.begin("predict", true);
                 let rendered = self.predict_guarded(
-                    &table,
-                    &req,
+                    &body,
                     self.request_threads,
                     &mut timer,
+                    scratch,
                     |outcome| {
                         let _ = proto::write_ok(out, &id, |out| proto::write_outcome(out, outcome));
                     },
@@ -595,7 +603,7 @@ impl Server {
                 drop(permit);
                 false
             }
-            Request::Batch { id, items } => {
+            Frame::Batch { id, items } => {
                 let Some(permit) = self.admit_inflight(&id, out) else {
                     return false;
                 };
@@ -635,7 +643,7 @@ impl Server {
         }
     }
 
-    fn handle_batch(&self, id: &str, items: &[(String, PredictRequest)], out: &mut FrameBuf) {
+    fn handle_batch(&self, id: &str, items: &[Body<'_>], out: &mut FrameBuf) {
         // Fan the batch across the replication pool. Each item evaluates
         // single-threaded inside its slot; replication results are
         // bitwise invariant to thread count, so this cannot change any
@@ -650,9 +658,14 @@ impl Server {
                     into: &self.handles.pool_job_ms,
                     since: Instant::now(),
                 };
-                let (table, req) = &items[i];
                 let mut item_timer = self.telemetry.begin("batch-item", true);
-                match self.predict_guarded(table, req, 1, &mut item_timer, proto::render_outcome) {
+                match self.predict_guarded(
+                    &items[i],
+                    1,
+                    &mut item_timer,
+                    &mut Scratch::default(),
+                    proto::render_outcome,
+                ) {
                     Ok(result) => {
                         item_timer.finish("ok", result.len());
                         Ok(result)
@@ -698,14 +711,14 @@ impl Server {
     /// stage that blew up).
     fn predict_guarded<R>(
         &self,
-        table: &str,
-        req: &PredictRequest,
+        body: &Body<'_>,
         threads: usize,
         timer: &mut RequestTimer<'_>,
+        scratch: &mut Scratch,
         render: impl FnOnce(&EvalOutcome) -> R,
     ) -> Result<R, RequestError> {
         match catch_unwind(AssertUnwindSafe(|| {
-            let outcome = self.predict(table, req, threads, timer)?;
+            let outcome = self.predict(body, threads, timer, scratch)?;
             Ok(timer.stage("render", || render(&outcome)))
         })) {
             Ok(r) => r.map_err(RequestError::Plan),
@@ -732,14 +745,16 @@ impl Server {
     }
 
     /// The cached-plan prediction path shared by `predict` and `batch`.
-    /// Each pipeline step runs as a named timer stage.
+    /// Each pipeline step runs as a named timer stage; a single
+    /// evaluation runs in `scratch`'s tables.
     fn predict(
         &self,
-        table_name: &str,
-        req: &PredictRequest,
+        body: &Body<'_>,
         threads: usize,
         timer: &mut RequestTimer<'_>,
+        scratch: &mut Scratch,
     ) -> Result<EvalOutcome, PlanError> {
+        let (table_name, req) = (&*body.table, &body.req);
         timer.set_reps(req.reps);
         timer.set_quorum(req.quorum.is_some());
         let (pos, mode) = timer.stage("validate", || {
@@ -761,7 +776,8 @@ impl Server {
             Ok::<_, PlanError>((pos, mode))
         })?;
         let (model, model_hit) = timer.stage("model", || {
-            self.models.get_or_parse(&req.model_src, "request model")
+            self.models
+                .get_or_parse_literal(&body.model, "request model")
         })?;
         timer.cache("model", model_hit);
         let (timing, table_hit) = timer.stage("compile", || {
@@ -807,7 +823,7 @@ impl Server {
             for (k, v) in &req.params {
                 cfg = cfg.with_param(k, *v);
             }
-            plan::evaluate_plan(&model, &cfg, &timing, capped.effective_reps())
+            plan::evaluate_plan_in(&model, &cfg, &timing, capped.effective_reps(), scratch)
         })?;
         if let EvalOutcome::Batch(mc) = &outcome {
             timer.set_replica_failures(mc.failures.len());

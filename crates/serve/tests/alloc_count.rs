@@ -2,8 +2,9 @@
 //! and the heap a model-cache entry retains, counted by a global allocator
 //! that tallies the calling thread's heap traffic. A cache hit must do
 //! only per-request work, so a fixed working set allocates a fixed number
-//! of times per request, pinned here at the count this daemon makes; a
-//! miss parses and lowers the model, pinned the same way.
+//! of times per request, pinned here at the count this daemon makes on a
+//! connection worker's path, its response buffer and evaluation scratch
+//! reused; a miss parses and lowers the model, pinned the same way.
 
 #[path = "common/working_set.rs"]
 mod working_set;
@@ -11,6 +12,7 @@ mod working_set;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pevpm::vm::Scratch;
 use pevpm_serve::proto::FrameBuf;
 use pevpm_serve::{plan, ServeConfig, Server};
 
@@ -73,13 +75,14 @@ fn cached_requests_allocate_a_pinned_amount_and_entries_stay_small() {
         vec![(working_set::TABLE.to_string(), table)],
     )
     .unwrap();
-    // The path a connection worker runs, its response buffer reused. The
-    // first pass fills the caches; every later one hits.
-    let mut out = FrameBuf::new();
+    // The path a connection worker runs, its response buffer and
+    // evaluation scratch reused. The first pass fills the caches; every
+    // later one hits.
+    let (mut out, mut scratch) = (FrameBuf::new(), Scratch::default());
     let mut pass = || {
         let before = ALLOCS.with(Cell::get);
         for (_, frame) in &set {
-            server.respond(frame, &mut out);
+            server.respond(frame, &mut out, &mut scratch);
             assert!(out.payload().contains("\"ok\":true"), "{}", out.payload());
         }
         ALLOCS.with(Cell::get) - before
@@ -90,14 +93,18 @@ fn cached_requests_allocate_a_pinned_amount_and_entries_stay_small() {
         first, again,
         "allocations per cached request depend on history"
     );
-    // 2 656 over these 48 requests is 55.3 a request. A `Json` tree per
-    // frame, a `String` per rendered piece, `String` span names and a
-    // table per process in the engine made 6 841 (142.5); lowering the
-    // model on every request as well made 13 771 (286.9).
+    // 576 over these 48 requests is 12.0 a request: the id and mode the
+    // decoder copies, the prediction in its box, and the request's
+    // telemetry. A model literal decoded and copied on every request,
+    // engine tables allocated per evaluation and a `String` per label of
+    // the loss report made 2 656 (55.3); a `Json` tree per frame, a `String` per rendered piece,
+    // `String` span names and a table per process in the engine made 6 841
+    // (142.5); lowering the model on every request as well made 13 771
+    // (286.9).
     let per_request = first as f64 / set.len() as f64;
     assert!(
-        first <= 2_656,
-        "{per_request} allocations per cached request ({first} in all), pinned at 2 656"
+        first <= 576,
+        "{per_request} allocations per cached request ({first} in all), pinned at 576"
     );
 
     // A miss: parse and lower each program, as `ModelCache` does.

@@ -228,12 +228,10 @@ fn compare(
             format!("{:?}", b.races),
         ));
     }
-    // Label sets first (sorted, so the rendering is deterministic), then
-    // each label's loss.
-    fn labels(p: &Prediction) -> Vec<&String> {
-        let mut labels: Vec<&String> = p.loss_by_label.keys().collect();
-        labels.sort();
-        labels
+    // Label sets first (in label order, so the rendering is
+    // deterministic), then each label's loss.
+    fn labels(p: &Prediction) -> Vec<&str> {
+        p.loss_by_label.iter().map(|(label, _)| label).collect()
     }
     if labels(a) != labels(b) {
         return Err(fail(

@@ -58,12 +58,11 @@ fn main() {
         prediction.makespan / cfg.iterations as f64 * 1e6
     );
 
-    // Per-source performance-loss report (§5).
-    let mut losses: Vec<(&String, &f64)> = prediction.loss_by_label.iter().collect();
-    losses.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap());
+    // Per-source performance-loss report (§5): costliest first, equal
+    // losses in label order, as the daemon lists them.
     println!("Top blocking sources (summed over all processes):");
-    for (label, loss) in losses.iter().take(4) {
-        println!("  {label:<18} {:.2} ms", **loss * 1e3);
+    for (label, loss) in prediction.loss_by_label.costliest().take(4) {
+        println!("  {label:<18} {:.2} ms", loss * 1e3);
     }
 
     // --- 4. Measure and compare ------------------------------------------
