@@ -206,3 +206,15 @@ fn dag_metrics_are_recorded() {
     // component's share of the steps.
     assert!(cpf > 0.0 && cpf <= 0.5, "critical-path fraction {cpf}");
 }
+
+#[test]
+fn plans_of_the_contract_models_are_pinned() {
+    let plan = |model: &Model, nprocs| {
+        let p = dag::plan(model, &EvalConfig::new(nprocs)).unwrap();
+        (p.components, p.edges, p.fallback)
+    };
+    assert_eq!(plan(&island_model(), 8), (4, 0, None), "islands");
+    assert_eq!(plan(&pipeline_model(), 4), (4, 3, None), "pipeline");
+    let ring = ring_model("4", "1024", "0.0001");
+    assert_eq!(plan(&ring, 6), (1, 0, None), "ring");
+}
