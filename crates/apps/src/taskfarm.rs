@@ -312,8 +312,9 @@ mod tests {
         // expressions, and equal without constant folding.
         assert_eq!(pred.makespan.to_bits(), 0.40216533759999995f64.to_bits());
         assert_eq!((pred.steps, pred.messages), (144, 54));
-        let unfolded = pevpm::EvalConfig::new(4).without_const_fold();
-        let unfolded = pevpm::evaluate(&m, &unfolded, &timing).unwrap();
+        let unfolded = pevpm::Program::lower(&m, false)
+            .evaluate(&pevpm::EvalConfig::new(4), &timing)
+            .unwrap();
         assert_eq!(unfolded.makespan.to_bits(), pred.makespan.to_bits());
     }
 

@@ -1,5 +1,5 @@
-//! Intra-evaluation parallelism: SCC/DAG decomposition of the model
-//! program and concurrent component scheduling.
+//! Intra-evaluation parallelism: concurrent scheduling of the components
+//! `pevpm::analyze` condenses a program into.
 //!
 //! **This module is a deletion set.** No user surface reaches it any more
 //! (`--eval-threads`, the daemon's default and the wire field went in
@@ -16,7 +16,8 @@
 //! - this file, `pub mod dag` and `pub use dag::DagPlan` in `lib.rs`, and
 //!   `tests/dag.rs`;
 //! - [`EvalConfig::eval_threads`] and [`EvalConfig::with_eval_threads`],
-//!   and the `eval_threads > 0` branch of [`Program::evaluate`];
+//!   and the `eval_threads > 0` branch of [`Program::evaluate_in`]
+//!   (`vm/engine/tables.rs`);
 //! - `vm/driver.rs`: `inner_eval` — the `budget.inner(..)` line of
 //!   `monte_carlo`, the parameter of `run_replicas`, `run_group`,
 //!   `replica_cfg` and `lane_width` (a timeline is then the only thing
@@ -26,6 +27,8 @@
 //!   and their re-exports in `vm/mod.rs`;
 //! - `pevpm_apps::jacobi::ensemble_model` and its test (written to give
 //!   the scheduler independent components; nothing else wants it);
+//! - [`plan`]'s pins: `pevpm-apps`' `tests/dag_plan.rs` and the plan half
+//!   of `tests/endpoints.rs` (the engine's error texts there stay);
 //! - testkit Oracle 5: `oracle::{check_dag, DAG_THREADS}` and its two
 //!   tests, `campaign::Mode::Dag`, `dag_smoke`, the merge-order drill in
 //!   `tests/divergence.rs` with `maybe_perturb_seeds` and its line in this
@@ -34,23 +37,11 @@
 //! - the `dag.*` metric names, DESIGN.md "Intra-evaluation parallelism",
 //!   the *DAG evaluation* bullet of ROADMAP "The deletion PR".
 //!
-//! [`crate::replicate::ThreadBudget`] stays: the daemon splits the host
-//! between its connection workers with it. The abstract endpoint walk
-//! below (`analyze` down to `tarjan`) moves instead of going: it is the
-//! substrate of ROADMAP "Static communication analysis as a pass of its
-//! own".
+//! [`crate::replicate::ThreadBudget`] and `pevpm::analyze` stay.
 //!
-//! Until then, what it does.
-//!
-//! The virtual ranks of a lowered program plus its message endpoints form
-//! a dependency graph: an edge `p → q` means q's progress can wait on p
-//! (an eager send feeds a receive), and a cycle (Jacobi halo-exchange
-//! rings, rendezvous pairs, wildcard races) means the ranks must be
-//! co-scheduled. Tarjan's SCC condenses the cycles into components; the
-//! condensation is a DAG, and each component can be evaluated by the
-//! existing serial sweep/match engine against its own scoreboard
-//! partition. Components with no unfinished predecessors run concurrently
-//! on a scoped pool ([`crate::replicate`]).
+//! Until then: the condensation is a DAG, each component runs on the
+//! serial engine against its own scoreboard partition, and components
+//! with no unfinished predecessors run concurrently ([`crate::replicate`]).
 //!
 //! Determinism contract (the same one PR 1's `base + i` seeding gives
 //! replications): predictions are **bitwise identical at any
@@ -59,30 +50,16 @@
 //! arrival times fixed by the sending component, and merges walk
 //! components in index order — so the thread count can only change wall
 //! time, never a bit of the prediction. Programs that condense to a
-//! single component (and programs the analysis declines, e.g. any
-//! collective) take the unrestricted engine path with `cfg.seed` itself,
-//! which is bit-for-bit the serial evaluation.
-//!
-//! Graph construction runs the directive program *abstractly*: control
-//! flow in the directive language is time-independent (expressions read
-//! parameters and loop variables, never clocks), so endpoints can be
-//! enumerated without evaluating timing. Loop bodies whose
-//! endpoint-relevant expressions don't reference the induction variable
-//! are walked once; anything the analysis cannot bound (step cap,
-//! expression errors the real run would also hit) falls back to the
-//! serial path rather than guessing.
+//! single component (and programs the analysis declines) take the
+//! unrestricted engine path with `cfg.seed` itself, which is bit-for-bit
+//! the serial evaluation.
 
-use crate::lower::{LExpr, LStmt, Lowered, Program};
-use crate::model::{Model, MsgKind};
+use crate::analyze::{condense, Decision};
+use crate::lower::Program;
+use crate::model::Model;
 use crate::replicate::{self, JobError};
 use crate::timing::TimingModel;
 use crate::vm::{self, EvalConfig, PevpmError, Prediction};
-use std::collections::BTreeSet;
-
-/// Per-process directive cap for the abstract graph walk. Expansion of a
-/// variable-endpoint loop costs one unit per iteration; beyond the cap
-/// the analysis falls back to the serial engine instead of spinning.
-const ANALYSIS_STEP_CAP: u64 = 1 << 18;
 
 /// The scheduler's decomposition of one program, as reported to callers
 /// (the conformance oracle keys its expectations on `components`).
@@ -102,24 +79,17 @@ pub struct DagPlan {
 /// decompose it? Used by the serial-vs-DAG oracle to know when bitwise
 /// identity with the serial engine is required.
 pub fn plan(model: &Model, cfg: &EvalConfig) -> Result<DagPlan, PevpmError> {
-    let program = Program::lower(model, cfg.const_fold);
+    let program = Program::new(model);
     let setup = vm::prepare(&program, cfg)?;
-    Ok(match analyze(&setup, cfg) {
-        Decision::Fallback(reason) => DagPlan {
-            components: 1,
-            edges: 0,
-            fallback: Some(reason.to_string()),
-        },
-        Decision::Single => DagPlan {
-            components: 1,
-            edges: 0,
-            fallback: None,
-        },
-        Decision::Dag(a) => DagPlan {
-            components: a.components.len(),
-            edges: a.edges.len(),
-            fallback: None,
-        },
+    let (components, edges, fallback) = match condense(&setup, cfg) {
+        Decision::Fallback(reason) => (1, 0, Some(reason.to_string())),
+        Decision::Single => (1, 0, None),
+        Decision::Dag(a) => (a.components.len(), a.edges.len(), None),
+    };
+    Ok(DagPlan {
+        components,
+        edges,
+        fallback,
     })
 }
 
@@ -148,337 +118,6 @@ fn maybe_perturb_seeds(seeds: &mut [u64], eval_threads: usize) {
 #[cfg(not(feature = "divergence-injection"))]
 fn maybe_perturb_seeds(_seeds: &mut [u64], _eval_threads: usize) {}
 
-enum Decision {
-    /// The analysis declined (collective, step cap, abstract-eval error);
-    /// run the serial engine, which reproduces any real error exactly.
-    Fallback(&'static str),
-    /// Everything condensed into one component: the serial engine *is*
-    /// the component run.
-    Single,
-    /// A genuine multi-component DAG.
-    Dag(Analysis),
-}
-
-struct Analysis {
-    /// Component id of each rank; components are numbered by ascending
-    /// minimum rank.
-    comp_of: Vec<usize>,
-    /// Member ranks per component, ascending.
-    components: Vec<Vec<usize>>,
-    /// Condensed DAG edges `(from component, to component)`, sorted,
-    /// deduplicated.
-    edges: Vec<(usize, usize)>,
-}
-
-enum Bail {
-    /// A collective joins every rank: one component by construction.
-    Collective,
-    /// Step cap or an expression error — decline, don't guess.
-    Decline(&'static str),
-}
-
-/// Abstract walk of one rank's directive chain, collecting message edges.
-struct Tracer<'a> {
-    lowered: &'a Lowered,
-    env: Vec<Option<f64>>,
-    p: usize,
-    nprocs: usize,
-    steps: u64,
-    /// Directed edges out of every rank (dedup via set).
-    adj: &'a mut Vec<BTreeSet<usize>>,
-    /// Static senders per destination rank, for the wildcard pass.
-    senders_to: &'a mut Vec<BTreeSet<usize>>,
-    /// Ranks that execute at least one wildcard receive.
-    wildcards: &'a mut BTreeSet<usize>,
-}
-
-impl Tracer<'_> {
-    fn bump(&mut self) -> Result<(), Bail> {
-        self.steps += 1;
-        if self.steps > ANALYSIS_STEP_CAP {
-            return Err(Bail::Decline("analysis step cap exceeded"));
-        }
-        Ok(())
-    }
-
-    fn walk(&mut self, stmts: &[LStmt]) -> Result<(), Bail> {
-        let names = &self.lowered.names;
-        for stmt in stmts {
-            self.bump()?;
-            match stmt {
-                LStmt::Serial { .. } | LStmt::Wait { .. } => {}
-                LStmt::Loop { count, var, body } => {
-                    let n = count
-                        .expr
-                        .eval_usize(&self.env, names)
-                        .map_err(|_| Bail::Decline("abstract evaluation failed"))?
-                        as u64;
-                    if n == 0 || body.is_empty() {
-                        continue;
-                    }
-                    match var {
-                        Some(slot) if block_references(body, *slot) => {
-                            // Endpoint-relevant expressions read the
-                            // induction variable: expand every iteration.
-                            for i in 0..n {
-                                self.env[*slot as usize] = Some(i as f64);
-                                self.walk(body)?;
-                            }
-                            self.env[*slot as usize] = None;
-                        }
-                        Some(slot) => {
-                            // Iteration-invariant endpoints: one pass
-                            // covers the whole loop.
-                            self.env[*slot as usize] = Some(0.0);
-                            self.walk(body)?;
-                            self.env[*slot as usize] = None;
-                        }
-                        None => self.walk(body)?,
-                    }
-                }
-                LStmt::Runon { branches } => {
-                    for (cond, body) in branches {
-                        if cond
-                            .expr
-                            .eval_bool(&self.env, names)
-                            .map_err(|_| Bail::Decline("abstract evaluation failed"))?
-                        {
-                            self.walk(body)?;
-                            break;
-                        }
-                    }
-                }
-                LStmt::Message {
-                    kind,
-                    size,
-                    from,
-                    to,
-                    ..
-                } => self.message(*kind, &size.expr, &from.expr, &to.expr)?,
-                LStmt::Collective { .. } => return Err(Bail::Collective),
-            }
-        }
-        Ok(())
-    }
-
-    /// Mirror the VM's endpoint evaluation; anything the VM would reject
-    /// as `BadModel` declines the analysis, so the serial path reproduces
-    /// the real error.
-    fn message(
-        &mut self,
-        kind: MsgKind,
-        size: &LExpr,
-        from: &LExpr,
-        to: &LExpr,
-    ) -> Result<(), Bail> {
-        let names = &self.lowered.names;
-        let bad = |_| Bail::Decline("abstract evaluation failed");
-        let from_raw = from.eval(&self.env, names).map_err(bad)?;
-        let wildcard = from_raw < -0.5 && kind == MsgKind::Recv;
-        let from_v = if wildcard {
-            0
-        } else if !from_raw.is_finite() || from_raw < -0.5 {
-            return Err(Bail::Decline("abstract evaluation failed"));
-        } else {
-            from_raw.round() as usize
-        };
-        let to_v = to.eval_usize(&self.env, names).map_err(bad)?;
-        if (!wildcard && from_v >= self.nprocs) || to_v >= self.nprocs {
-            return Err(Bail::Decline("message endpoint out of range"));
-        }
-        match kind {
-            MsgKind::Send | MsgKind::Isend => {
-                if from_v != self.p {
-                    return Err(Bail::Decline("send executed by a foreign rank"));
-                }
-                let size_v = size.eval(&self.env, names).map_err(bad)?;
-                self.adj[self.p].insert(to_v);
-                self.senders_to[to_v].insert(self.p);
-                // A rendezvous send blocks until the receiver matches:
-                // the dependency runs both ways.
-                if kind == MsgKind::Send && size_v >= vm::RNDV_THRESHOLD_BYTES {
-                    self.adj[to_v].insert(self.p);
-                }
-            }
-            MsgKind::Recv | MsgKind::Irecv => {
-                if to_v != self.p {
-                    return Err(Bail::Decline("recv executed by a foreign rank"));
-                }
-                if kind == MsgKind::Irecv && wildcard {
-                    return Err(Bail::Decline("wildcard irecv"));
-                }
-                if wildcard {
-                    self.wildcards.insert(self.p);
-                } else {
-                    // A blocking (or waited-on) receive makes p's clock
-                    // depend on the sender's send times.
-                    self.adj[from_v].insert(self.p);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Does any endpoint-relevant expression in `stmts` read loop-variable
-/// `slot`? Relevant: message endpoints and sizes (size picks rendezvous
-/// semantics), runon conditions, nested loop counts. Serial times and
-/// wait handles can't change the edge set.
-fn block_references(stmts: &[LStmt], slot: u32) -> bool {
-    stmts.iter().any(|s| match s {
-        LStmt::Serial { .. } | LStmt::Wait { .. } => false,
-        LStmt::Collective { .. } => false,
-        LStmt::Loop { count, body, .. } => {
-            count.expr.references(slot) || block_references(body, slot)
-        }
-        LStmt::Runon { branches } => branches
-            .iter()
-            .any(|(c, b)| c.expr.references(slot) || block_references(b, slot)),
-        LStmt::Message { size, from, to, .. } => {
-            [from, to, size].iter().any(|e| e.expr.references(slot))
-        }
-    })
-}
-
-/// Iterative Tarjan SCC over `adj`; returns an arbitrary component id per
-/// node (renumbered by the caller).
-fn tarjan(adj: &[Vec<usize>]) -> Vec<usize> {
-    const UNVISITED: u32 = u32::MAX;
-    let n = adj.len();
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comp_of = vec![usize::MAX; n];
-    let mut next_index = 0u32;
-    let mut ncomp = 0usize;
-    let mut call: Vec<(usize, usize)> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        call.push((root, 0));
-
-        while let Some(&(v, child)) = call.last() {
-            if child < adj[v].len() {
-                call.last_mut().expect("non-empty").1 += 1;
-                let w = adj[v][child];
-                if index[w] == UNVISITED {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(u, _)) = call.last() {
-                    low[u] = low[u].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("SCC stack underflow");
-                        on_stack[w] = false;
-                        comp_of[w] = ncomp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    ncomp += 1;
-                }
-            }
-        }
-    }
-    comp_of
-}
-
-fn analyze(setup: &vm::EvalSetup<'_>, cfg: &EvalConfig) -> Decision {
-    let n = cfg.nprocs;
-    if n <= 1 {
-        return Decision::Single;
-    }
-    let lowered = setup.lowered;
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut senders_to: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    let mut wildcards: BTreeSet<usize> = BTreeSet::new();
-    for p in 0..n {
-        let mut env = setup.base.clone();
-        env[lowered.procnum as usize] = Some(p as f64);
-        let mut tracer = Tracer {
-            lowered,
-            env,
-            p,
-            nprocs: n,
-            steps: 0,
-            adj: &mut adj,
-            senders_to: &mut senders_to,
-            wildcards: &mut wildcards,
-        };
-        match tracer.walk(&lowered.stmts) {
-            Ok(()) => {}
-            Err(Bail::Collective) => return Decision::Single,
-            Err(Bail::Decline(reason)) => return Decision::Fallback(reason),
-        }
-    }
-    // A wildcard receive races every static sender to that rank: the race
-    // must be resolved inside one component, so the edges run both ways.
-    for &r in &wildcards {
-        let senders: Vec<usize> = senders_to[r].iter().copied().collect();
-        for s in senders {
-            adj[s].insert(r);
-            adj[r].insert(s);
-        }
-    }
-
-    let adj_vec: Vec<Vec<usize>> = adj.iter().map(|s| s.iter().copied().collect()).collect();
-    let raw = tarjan(&adj_vec);
-
-    // Renumber components by ascending minimum member rank, so component
-    // indices (and hence seeds and merge order) are canonical.
-    let ncomp = raw.iter().map(|&c| c + 1).max().unwrap_or(0);
-    if ncomp <= 1 {
-        return Decision::Single;
-    }
-    let mut first_rank = vec![usize::MAX; ncomp];
-    for p in 0..n {
-        first_rank[raw[p]] = first_rank[raw[p]].min(p);
-    }
-    let mut order: Vec<usize> = (0..ncomp).collect();
-    order.sort_by_key(|&c| first_rank[c]);
-    let mut renum = vec![0usize; ncomp];
-    for (new_id, &old_id) in order.iter().enumerate() {
-        renum[old_id] = new_id;
-    }
-    let comp_of: Vec<usize> = raw.iter().map(|&c| renum[c]).collect();
-    let mut components: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-    for p in 0..n {
-        components[comp_of[p]].push(p);
-    }
-    let mut edge_set: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for (p, outs) in adj_vec.iter().enumerate() {
-        for &q in outs {
-            let (a, b) = (comp_of[p], comp_of[q]);
-            if a != b {
-                edge_set.insert((a, b));
-            }
-        }
-    }
-    Decision::Dag(Analysis {
-        comp_of,
-        components,
-        edges: edge_set.into_iter().collect(),
-    })
-}
-
 /// Evaluate via the DAG scheduler. Entry point for
 /// [`Program::evaluate`] when `cfg.eval_threads >= 1`.
 pub(crate) fn evaluate_dag(
@@ -487,7 +126,7 @@ pub(crate) fn evaluate_dag(
     timing: &TimingModel,
 ) -> Result<Prediction, PevpmError> {
     let setup = vm::prepare(program, cfg)?;
-    let analysis = match analyze(&setup, cfg) {
+    let analysis = match condense(&setup, cfg) {
         Decision::Dag(a) => a,
         decision => {
             // Single component or declined: the serial engine is the
@@ -749,23 +388,5 @@ mod tests {
         let p = plan(&model, &cfg).expect("plan");
         assert_eq!(p.components, 3);
         assert_eq!(p.edges, 2);
-    }
-
-    #[test]
-    fn tarjan_finds_ring_and_isolated_rank() {
-        let adj = vec![vec![1], vec![2], vec![0], vec![]];
-        let comp = tarjan(&adj);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[1], comp[2]);
-        assert_ne!(comp[0], comp[3]);
-    }
-
-    #[test]
-    fn tarjan_handles_chains_and_self_cycles() {
-        // 0 → 1, 1 → 1 (self loop), 2 isolated.
-        let adj = vec![vec![1], vec![1], vec![]];
-        let comp = tarjan(&adj);
-        assert_ne!(comp[0], comp[1]);
-        assert_ne!(comp[1], comp[2]);
     }
 }

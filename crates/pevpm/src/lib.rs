@@ -45,6 +45,7 @@
 //! assert!(prediction.makespan > 0.0);
 //! ```
 
+pub(crate) mod analyze;
 pub mod annotate;
 pub mod dag;
 pub mod expr;

@@ -255,9 +255,10 @@ impl LExpr {
         }
     }
 
-    /// True when the expression reads variable slot `slot`. The
-    /// dependency-graph pass ([`crate::dag`]) uses this to decide whether a
-    /// loop body's communication endpoints can vary across iterations.
+    /// True when the expression reads variable slot `slot`. The static
+    /// communication analysis ([`crate::analyze`]) uses this to decide
+    /// whether a loop body's communication endpoints can vary across
+    /// iterations.
     pub(crate) fn references(&self, slot: u32) -> bool {
         self.reads(&|i| i == slot)
     }
@@ -509,9 +510,9 @@ impl Program {
         Program::lower(model, true)
     }
 
-    /// [`Program::new`] with constant folding made optional (see
-    /// [`crate::vm::EvalConfig::const_fold`]).
-    pub(crate) fn lower(model: &Model, fold: bool) -> Program {
+    /// Lower `model`, folding constants if `fold`: a pure optimisation,
+    /// which `pevpm-testkit`'s Oracle 1 checks bit for bit.
+    pub fn lower(model: &Model, fold: bool) -> Program {
         let mut unbound = model.free_variables();
         unbound.retain(|v| !model.params.contains_key(v));
         Program {

@@ -57,11 +57,6 @@ pub struct EvalConfig {
     /// Chrome-trace export. Off by default: timelines allocate per
     /// directive executed.
     pub record_timeline: bool,
-    /// Constant-fold expressions during lowering (the default). Folding is
-    /// a pure optimisation, so disabling it must not change any prediction
-    /// bit — the differential conformance harness (`pevpm-testkit`) runs
-    /// fuzzed programs both ways to enforce exactly that.
-    pub const_fold: bool,
     /// Sequential-stopping policy for [`monte_carlo`]. `None` (the
     /// default) runs the fixed replication count passed to `monte_carlo`.
     /// `Some(policy)` runs the same replications in the same seed order —
@@ -99,7 +94,6 @@ impl EvalConfig {
             eval_threads: 0,
             metrics: None,
             record_timeline: false,
-            const_fold: true,
             adaptive: None,
             antithetic: false,
             mirror: false,
@@ -155,13 +149,6 @@ impl EvalConfig {
         self
     }
 
-    /// Builder: disable constant folding in the lowering pass (a
-    /// differential-testing hook; see [`EvalConfig::const_fold`]).
-    pub fn without_const_fold(mut self) -> Self {
-        self.const_fold = false;
-        self
-    }
-
     /// Builder: enable adaptive sequential stopping for [`monte_carlo`]
     /// (see [`EvalConfig::adaptive`]).
     pub fn with_adaptive(mut self, policy: crate::stats::AdaptivePolicy) -> Self {
@@ -180,19 +167,15 @@ impl EvalConfig {
 /// Resource limits for a single evaluation.
 ///
 /// The defaults keep the historical safety valve (500 M directive
-/// executions) and leave the time axes unlimited. Note that a *wall*-time
-/// limit makes failure timing-dependent (results of successful runs stay
-/// bitwise deterministic; whether a borderline run fails may vary) — use
-/// the step or virtual-time axes when reproducible aborts matter.
+/// executions) and leave virtual time unlimited. Both axes count what the
+/// evaluation does, not how long it takes, so whether a run aborts is as
+/// reproducible as its result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunBudget {
     /// Maximum directive executions per evaluation.
     pub max_steps: u64,
     /// Maximum virtual time any process clock may reach, seconds.
     pub max_virtual_secs: f64,
-    /// Maximum wall-clock seconds per evaluation (checked every 64 Ki
-    /// steps).
-    pub max_wall_secs: f64,
 }
 
 impl Default for RunBudget {
@@ -200,7 +183,6 @@ impl Default for RunBudget {
         RunBudget {
             max_steps: 500_000_000,
             max_virtual_secs: f64::INFINITY,
-            max_wall_secs: f64::INFINITY,
         }
     }
 }
@@ -215,12 +197,6 @@ impl RunBudget {
     /// Builder: cap virtual time.
     pub fn with_max_virtual_secs(mut self, secs: f64) -> Self {
         self.max_virtual_secs = secs;
-        self
-    }
-
-    /// Builder: cap wall-clock time.
-    pub fn with_max_wall_secs(mut self, secs: f64) -> Self {
-        self.max_wall_secs = secs;
         self
     }
 }

@@ -30,21 +30,20 @@ use crate::timing::TimingModel;
 /// is the whole batch. Failed replications contribute no sample but count
 /// toward the ceiling.
 ///
-/// Lowers the model once (folding constants unless
-/// [`EvalConfig::const_fold`] is off) and runs [`Program::monte_carlo`].
+/// Lowers the model once ([`Program::new`]) and runs
+/// [`Program::monte_carlo`].
 pub fn monte_carlo(
     model: &Model,
     cfg: &EvalConfig,
     timing: &TimingModel,
     replications: usize,
 ) -> Result<McPrediction, PevpmError> {
-    Program::lower(model, cfg.const_fold).monte_carlo(cfg, timing, replications)
+    Program::new(model).monte_carlo(cfg, timing, replications)
 }
 
 impl Program {
     /// [`monte_carlo`] over this program, every replica an
-    /// [`Program::evaluate`] of it. [`EvalConfig::const_fold`] is not
-    /// read: the program is lowered.
+    /// [`Program::evaluate`] of it.
     pub fn monte_carlo(
         &self,
         cfg: &EvalConfig,

@@ -12,8 +12,9 @@ use super::{
     BudgetAxis, BudgetReport, EvalConfig, LossByLabel, PevpmError, Prediction, SpanKind,
     TimelineSpan, RNDV_THRESHOLD_BYTES,
 };
+use crate::analyze::{endpoints, Misfit};
 use crate::expr::ExprError;
-use crate::lower::{as_index, LStmt, Lowered, Memo, Program, Strings};
+use crate::lower::{LStmt, Lowered, Memo, Program, Strings};
 use crate::model::{CollOp, Model, MsgKind};
 use crate::scoreboard::{Handle, PairFifo, PairId, Slab};
 use crate::timing::{ResolveMemo, TimingModel};
@@ -47,7 +48,7 @@ pub(super) enum Halt {
     /// lane.
     Uniform(PevpmError),
     /// A failure every lane hits at the same step but reports with its own
-    /// clocks (deadlock, step or wall budget): one error per lane.
+    /// clocks (deadlock, step budget): one error per lane.
     PerLane(Vec<PevpmError>),
 }
 
@@ -188,7 +189,8 @@ struct Vm<'m, const W: usize> {
     /// Mirror the lane's draws (`u → 1 - u`, see [`EvalConfig::mirror`]).
     mirror: [bool; W],
     steps: u64,
-    /// Wall-clock start of the evaluation, for the budget's wall axis.
+    /// Wall-clock start of the evaluation, for a budget report's
+    /// `wall_secs`.
     started: std::time::Instant,
     sb_peak: usize,
     messages: u64,
@@ -439,14 +441,13 @@ fn finish_with(cfg: &EvalConfig, mut outcome: VmOutcome, loss_by_label: LossByLa
 }
 
 /// Evaluate a model: the public entry point of the PEVPM engine. Lowers
-/// the model (folding constants unless [`EvalConfig::const_fold`] is off)
-/// and runs [`Program::evaluate`].
+/// the model ([`Program::new`]) and runs [`Program::evaluate`].
 pub fn evaluate(
     model: &Model,
     cfg: &EvalConfig,
     timing: &TimingModel,
 ) -> Result<Prediction, PevpmError> {
-    Program::lower(model, cfg.const_fold).evaluate(cfg, timing)
+    Program::new(model).evaluate(cfg, timing)
 }
 
 impl Program {
@@ -455,7 +456,6 @@ impl Program {
     /// With [`EvalConfig::eval_threads`] `== 0` (the default) this is the
     /// classic serial sweep/match evaluation; `>= 1` routes through the
     /// SCC/DAG component scheduler in [`crate::dag`].
-    /// [`EvalConfig::const_fold`] is not read: the program is lowered.
     pub fn evaluate(
         &self,
         cfg: &EvalConfig,
@@ -573,13 +573,6 @@ impl<'m, const W: usize> Vm<'m, W> {
                         return Err(Halt::StandDown);
                     }
                     return Err(self.budget_error(BudgetAxis::VirtualTime));
-                }
-                // The wall clock is only consulted every 64 Ki steps: an
-                // Instant read per directive would dominate the hot path.
-                if self.steps & 0xFFFF == 0
-                    && self.started.elapsed().as_secs_f64() > budget.max_wall_secs
-                {
-                    return Err(self.budget_error(BudgetAxis::WallTime));
                 }
             }
         }
@@ -721,76 +714,70 @@ impl<'m, const W: usize> Vm<'m, W> {
                 handle,
                 label,
             } => {
-                // `from = -1` (or any negative value) on a Recv means
-                // MPI_ANY_SOURCE. `ltext` is the label as the plain
-                // optional string the diagnostics print, read only if one
-                // is printed.
+                // The endpoints by the one rule (`analyze::endpoints`), the
+                // size evaluated before a broken rule is reported. `ltext` is
+                // the label as the plain optional string the diagnostics
+                // print, read only if one is printed.
                 let ltext = LabelText(lowered, *label);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
                 let (from_raw, from_i) = from.eval_index(env, names, memo)?;
-                let wildcard = from_raw < -0.5 && *kind == MsgKind::Recv;
-                let from_i = if wildcard { Some(0) } else { from_i };
-                let from_v = from_i.map_or_else(|| as_index(from_raw), Ok)?;
-                let to_v = to.eval_usize(env, names, memo)?;
+                let ends = endpoints(*kind, p, self.cfg.nprocs, (from_raw, from_i), || {
+                    to.eval_usize(env, names, memo)
+                })?;
                 let size_v = size.eval(env, names, memo)?;
-                if (!wildcard && from_v >= self.cfg.nprocs) || to_v >= self.cfg.nprocs {
-                    return Err(bad_model(format!(
-                        "message endpoint out of range: from={from_raw} to={to_v} \
-                         (numprocs={}) at {ltext:?}",
-                        self.cfg.nprocs
-                    )));
-                }
-                match kind {
-                    MsgKind::Send | MsgKind::Isend => {
-                        if from_v != p {
-                            return Err(bad_model(format!(
-                                "proc {p} executing a send whose from={from_v} at {ltext:?}"
-                            )));
+                let ends = ends.map_err(|misfit| {
+                    bad_model(match misfit {
+                        Misfit::OutOfRange { to } => format!(
+                            "message endpoint out of range: from={from_raw} to={to} \
+                             (numprocs={}) at {ltext:?}",
+                            self.cfg.nprocs
+                        ),
+                        Misfit::ForeignSend { from } => {
+                            format!("proc {p} executing a send whose from={from} at {ltext:?}")
                         }
-                        let pair = pair_id(&mut self.fifo, to.pair_memo(memo), p, to_v);
+                        Misfit::ForeignRecv { to } if *kind == MsgKind::Irecv => {
+                            format!("proc {p} executing an irecv whose to={to} at {ltext:?}")
+                        }
+                        Misfit::ForeignRecv { to } => {
+                            format!("proc {p} executing a recv whose to={to} at {ltext:?}")
+                        }
+                    })
+                })?;
+                match (kind, ends.from) {
+                    (MsgKind::Send | MsgKind::Isend, _) => {
+                        let pair = pair_id(&mut self.fifo, to.pair_memo(memo), p, ends.to);
                         self.post_send(p, *kind, size_v, pair, *label);
                     }
-                    MsgKind::Recv => {
-                        if to_v != p {
-                            return Err(bad_model(format!(
-                                "proc {p} executing a recv whose to={to_v} at {ltext:?}"
-                            )));
+                    (MsgKind::Recv, None) => {
+                        // A wildcard receive takes whichever candidate
+                        // arrives first — the one thing in a match that
+                        // looks at a lane's times.
+                        if W > 1 {
+                            return Err(Halt::StandDown);
                         }
-                        let clock = self.procs[p].clock;
-                        if wildcard {
-                            // A wildcard receive takes whichever candidate
-                            // arrives first — the one thing in a match that
-                            // looks at a lane's times.
-                            if W > 1 {
-                                return Err(Halt::StandDown);
-                            }
-                            self.procs[p].blocked = Some((
-                                Block::Recv {
-                                    from: None,
-                                    seq: 0,
-                                    label: *label,
-                                },
-                                clock,
-                            ));
-                        } else {
-                            let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
-                            let seq = self.fifo.reserve(pair);
-                            self.procs[p].blocked = Some((
-                                Block::Recv {
-                                    from: Some((from_v, pair)),
-                                    seq,
-                                    label: *label,
-                                },
-                                clock,
-                            ));
-                        }
+                        self.procs[p].blocked = Some((
+                            Block::Recv {
+                                from: None,
+                                seq: 0,
+                                label: *label,
+                            },
+                            self.procs[p].clock,
+                        ));
                     }
-                    MsgKind::Irecv => {
-                        if to_v != p {
-                            return Err(bad_model(format!(
-                                "proc {p} executing an irecv whose to={to_v} at {ltext:?}"
-                            )));
-                        }
+                    (MsgKind::Recv, Some(from_v)) => {
+                        let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
+                        let seq = self.fifo.reserve(pair);
+                        self.procs[p].blocked = Some((
+                            Block::Recv {
+                                from: Some((from_v, pair)),
+                                seq,
+                                label: *label,
+                            },
+                            self.procs[p].clock,
+                        ));
+                    }
+                    (MsgKind::Irecv, from_v) => {
+                        let from_v = from_v.expect("only a Recv takes any source");
                         let Some(h) = handle else {
                             return Err(bad_model(format!(
                                 "MPI_Irecv without a handle at {ltext:?}"

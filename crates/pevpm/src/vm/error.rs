@@ -12,8 +12,6 @@ pub enum BudgetAxis {
     Steps,
     /// `max_virtual_secs`.
     VirtualTime,
-    /// `max_wall_secs`.
-    WallTime,
 }
 
 impl BudgetAxis {
@@ -22,7 +20,6 @@ impl BudgetAxis {
         match self {
             BudgetAxis::Steps => "step limit",
             BudgetAxis::VirtualTime => "virtual-time limit",
-            BudgetAxis::WallTime => "wall-time limit",
         }
     }
 }

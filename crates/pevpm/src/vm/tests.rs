@@ -3,6 +3,7 @@ use super::*;
 use crate::model::build::*;
 use crate::model::{CollOp, Model, MsgKind, Stmt};
 use crate::timing::TimingModel;
+use crate::Program;
 use pevpm_dist::{CommDist, DistKey, DistTable, Op};
 use pevpm_obs::Registry;
 use std::sync::Arc;
@@ -356,12 +357,13 @@ fn assert_unrolls_to(looped: &Model, twin: &Model, nprocs: usize) {
     let cfg = EvalConfig::new(nprocs).with_seed(9);
     let reference = evaluate(twin, &cfg, &timing).unwrap();
     assert!(reference.makespan > 0.0);
-    for (what, model, cfg) in [
-        ("looped", looped, cfg.clone()),
-        ("looped, unfolded", looped, cfg.clone().without_const_fold()),
-        ("twin, unfolded", twin, cfg.clone().without_const_fold()),
+    for (what, model, fold) in [
+        ("looped", looped, true),
+        ("looped, unfolded", looped, false),
+        ("twin, unfolded", twin, false),
     ] {
-        assert_same_times(&evaluate(model, &cfg, &timing).unwrap(), &reference, what);
+        let program = Program::lower(model, fold);
+        assert_same_times(&program.evaluate(&cfg, &timing).unwrap(), &reference, what);
     }
 }
 
@@ -369,8 +371,11 @@ fn assert_unrolls_to(looped: &Model, twin: &Model, nprocs: usize) {
 fn expr_error(model: &Model, nprocs: usize) -> String {
     let timing = TimingModel::distributions(levelled_table());
     let cfg = EvalConfig::new(nprocs);
-    let [folded, unfolded] = [cfg.clone(), cfg.without_const_fold()].map(|cfg| {
-        match evaluate(model, &cfg, &timing).unwrap_err() {
+    let [folded, unfolded] = [true, false].map(|fold| {
+        match Program::lower(model, fold)
+            .evaluate(&cfg, &timing)
+            .unwrap_err()
+        {
             PevpmError::Expr(e) => e.message,
             other => panic!("expected an expression error, got {other}"),
         }

@@ -129,21 +129,6 @@ fn deadlock_still_wins_when_budget_is_roomy() {
 }
 
 #[test]
-fn wall_budget_stops_a_spin() {
-    // 64 Ki-step check cadence: the loop body must be cheap enough to hit
-    // the cadence quickly but the model big enough not to finish first.
-    let cfg = EvalConfig::new(1).with_budget(RunBudget::default().with_max_wall_secs(0.05));
-    let err = evaluate(&livelocked_model(), &cfg, &point_timing(0.1)).unwrap_err();
-    match err {
-        PevpmError::Budget(report) => {
-            assert_eq!(report.axis, BudgetAxis::WallTime);
-            assert!(report.wall_secs >= 0.05);
-        }
-        other => panic!("expected wall budget, got {other}"),
-    }
-}
-
-#[test]
 fn monte_carlo_without_quorum_reports_lowest_index_failure() {
     // All replications deadlock; the error must be the plain Deadlock of
     // replication 0 (what a serial loop would have hit), not a quorum

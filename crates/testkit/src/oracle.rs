@@ -10,6 +10,7 @@ use crate::program::TestProgram;
 use pevpm::replicate::replica_seed;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, monte_carlo, EvalConfig, PevpmError, Prediction};
+use pevpm::Program;
 use pevpm_dist::{DistTable, Ecdf};
 use pevpm_mpibench::MachineShape;
 use pevpm_mpisim::{FaultPlan, WorldConfig};
@@ -257,10 +258,9 @@ fn compare(
 /// paths must agree bitwise on every replication, and so must the
 /// lock-step lanes with the scalar engine ([`check_lanes`]).
 ///
-/// "Unfolded" evaluates through the compiled timing model but with
-/// constant folding disabled ([`EvalConfig::without_const_fold`]), so the
-/// lowering pipeline itself is differentially exercised, not just the
-/// sampler.
+/// "Unfolded" evaluates through the compiled timing model a program
+/// lowered without constant folding ([`Program::lower`]), so the lowering
+/// pipeline itself is differentially exercised, not just the sampler.
 pub fn check_differential(
     prog: &TestProgram,
     table: &DistTable,
@@ -270,11 +270,13 @@ pub fn check_differential(
     let model = prog.to_model();
     let interp = TimingModel::interpreted(table.clone());
     let compiled = TimingModel::distributions(table.clone());
+    let unfolded = Program::lower(&model, false);
     for r in 0..replications {
         let cfg = EvalConfig::new(prog.nprocs).with_seed(replica_seed(seed, r as u64));
         let a = evaluate(&model, &cfg, &interp).map_err(|e| eval_err("interpreted", &e))?;
         let b = evaluate(&model, &cfg, &compiled).map_err(|e| eval_err("compiled", &e))?;
-        let c = evaluate(&model, &cfg.clone().without_const_fold(), &compiled)
+        let c = unfolded
+            .evaluate(&cfg, &compiled)
             .map_err(|e| eval_err("unfolded", &e))?;
         compare("interpreted", "compiled", r, &a, &b)?;
         compare("compiled", "unfolded", r, &b, &c)?;
