@@ -236,8 +236,7 @@ USAGE:
       prediction's validate/model/compile/eval/render stage windows.
 
   pevpm serve    --db [NAME=]DB.dist ... [--addr HOST:PORT] [--threads T]
-                 [--conns C] [--io-timeout-ms MS] [--inflight N] [--queue N]
-                 [--shed-retry-ms MS] [--drain-ms MS]
+                 [--conns C] [--io-timeout-ms MS] [--drain-ms MS]
                  [--max-reps N] [--max-steps N] [--max-virtual-secs S]
                  [--port-file PATH] [--metrics-out M.json]
                  [--http HOST:PORT] [--log-out FILE] [--log-slow-ms MS]
@@ -275,14 +274,14 @@ USAGE:
       --io-timeout-ms puts read/write deadlines on every
       protocol socket (default 30000; 0 disables): an idle peer is
       quietly evicted, a peer stalled mid-frame gets a structured
-      \"timeout\" error and a closed socket. --inflight N bounds
-      concurrently-evaluating predictions (default: the pool width) with
-      a --queue N wait queue (default: same as --inflight); past both
-      the daemon sheds with an \"overloaded\" response carrying a
-      retry_after_ms hint (--shed-retry-ms, default 100) instead of
-      queueing unboundedly. On `shutdown` or SIGTERM the daemon drains
-      gracefully: stops accepting, lets in-flight requests finish for up
-      to --drain-ms (default 2000), flushes telemetry, then exits.
+      \"timeout\" error and a closed socket. Each worker evaluates one
+      request at a time, and up to 8 accepted connections per worker
+      wait for one; past that the daemon answers a new connection with
+      an \"overloaded\" response carrying a retry_after_ms hint (100)
+      and closes it instead of queueing unboundedly. On `shutdown` or
+      SIGTERM the daemon drains gracefully: stops accepting, lets
+      in-flight requests finish for up to --drain-ms (default 2000),
+      flushes telemetry, then exits.
 
   pevpm client   (--addr HOST:PORT | --port-file PATH) [--stats] [--ping]
                  [--shutdown] [--batch K] [--crn] [--table NAME]
@@ -427,7 +426,7 @@ const COMMANDS: &[Command] = &[
         name: "serve",
         run: cmd_serve,
         options: &[
-            "db addr threads conns io-timeout-ms inflight queue shed-retry-ms",
+            "db addr threads conns io-timeout-ms",
             "drain-ms max-reps max-steps max-virtual-secs port-file metrics-out http log-out",
             "log-slow-ms span-cap",
         ],

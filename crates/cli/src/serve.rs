@@ -45,10 +45,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<String, CliError> {
         conns: args.get_parsed("conns", 0)?,
         io_timeout_ms: args
             .get_parsed("io-timeout-ms", pevpm_serve::server::DEFAULT_IO_TIMEOUT_MS)?,
-        inflight: args.get_parsed("inflight", 0)?,
-        queue: args.get_opt("queue")?,
-        shed_retry_ms: args
-            .get_parsed("shed-retry-ms", pevpm_serve::server::DEFAULT_SHED_RETRY_MS)?,
         drain_ms: args.get_parsed("drain-ms", pevpm_serve::server::DEFAULT_DRAIN_MS)?,
     };
     let server = Server::bind(cfg).map_err(|e| CliError::input(e.to_string()))?;

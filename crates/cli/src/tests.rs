@@ -82,6 +82,18 @@ fn unknown_options_are_usage_errors_naming_option_and_command() {
             "--threads ",
             "`pevpm client`",
         ),
+        // The daemon has one overload bound, its accept queue.
+        (
+            "serve --db x.dist --inflight 1",
+            "--inflight ",
+            "`pevpm serve`",
+        ),
+        ("serve --db x.dist --queue 1", "--queue ", "`pevpm serve`"),
+        (
+            "serve --db x.dist --shed-retry-ms 5",
+            "--shed-retry-ms ",
+            "`pevpm serve`",
+        ),
     ] {
         let e = run_cmd(line).unwrap_err();
         assert_eq!(e.code, EXIT_USAGE, "{line}: {e}");
@@ -684,7 +696,9 @@ fn serve_and_client_flag_validation() {
         assert!(e.message.contains(named), "{flags}: {e}");
     }
     assert_eq!(
-        run_cmd("serve --db x.dist --queue nope").unwrap_err().code,
+        run_cmd("serve --db x.dist --drain-ms nope")
+            .unwrap_err()
+            .code,
         EXIT_USAGE
     );
 }

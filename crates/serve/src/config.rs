@@ -13,9 +13,6 @@ pub const DEFAULT_IO_TIMEOUT_MS: u64 = 30_000;
 /// Default graceful-drain deadline in milliseconds.
 pub const DEFAULT_DRAIN_MS: u64 = 2_000;
 
-/// Default `retry_after_ms` hint on `"overloaded"` responses.
-pub const DEFAULT_SHED_RETRY_MS: u64 = 100;
-
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -54,14 +51,6 @@ pub struct ServeConfig {
     /// Per-connection read/write deadline in milliseconds (0 = none).
     /// Bounds both idle occupancy of a worker slot and mid-frame stalls.
     pub io_timeout_ms: u64,
-    /// Maximum in-flight predictions (`predict`/`batch` frames being
-    /// evaluated); 0 = the worker-pool width.
-    pub inflight: usize,
-    /// Bounded wait-queue slots past `inflight` before the server sheds
-    /// with an `"overloaded"` response; `None` = same as `inflight`.
-    pub queue: Option<usize>,
-    /// The `retry_after_ms` hint carried on shed responses.
-    pub shed_retry_ms: u64,
     /// Graceful-drain deadline in milliseconds: how long `shutdown` (or
     /// an external stop) waits for in-flight requests before
     /// force-closing their connections.
@@ -83,9 +72,6 @@ impl Default for ServeConfig {
             span_capacity: DEFAULT_SPAN_CAPACITY,
             conns: 0,
             io_timeout_ms: DEFAULT_IO_TIMEOUT_MS,
-            inflight: 0,
-            queue: None,
-            shed_retry_ms: DEFAULT_SHED_RETRY_MS,
             drain_ms: DEFAULT_DRAIN_MS,
         }
     }

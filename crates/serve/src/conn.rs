@@ -5,9 +5,14 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::gate::lock_recover;
+/// Lock a mutex, recovering the data on poisoning (a poisoned guard here
+/// only means another worker panicked mid-update of a counter-like
+/// state; the daemon must keep serving).
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The bounded queue of accepted-but-unserved connections between the
 /// accept loop and the worker pool.

@@ -22,9 +22,9 @@
 //!   TCP, deterministic response payloads.
 //! * [`server`] — the daemon: a bounded concurrent connection layer
 //!   (accept loop + fixed worker pool) with per-connection I/O
-//!   deadlines, in-flight admission control with load shedding,
-//!   graceful drain, per-request panic isolation, and batch fan-out
-//!   onto the replication pool.
+//!   deadlines, load shedding at the accept queue, graceful drain,
+//!   per-request panic isolation, and batch fan-out onto the replication
+//!   pool.
 //! * [`telemetry`] — service-grade observability: per-request spans
 //!   (validate → model → compile → eval → render) in a bounded ring,
 //!   stage latency histograms, a structured one-line-JSON request log,
@@ -50,7 +50,6 @@ pub mod cache;
 pub mod client;
 mod config;
 mod conn;
-mod gate;
 pub mod plan;
 pub mod proto;
 pub mod server;

@@ -400,27 +400,20 @@ pub fn err_response(id: &str, code: &str, message: &str) -> String {
     rendered(|out| write_err(out, id, code, message))
 }
 
-/// Write a load-shedding refusal: the request was *not* evaluated (no
-/// cache, budget, or replication state was touched), so resending after
+/// A load-shedding refusal: the request was *not* evaluated (no cache,
+/// budget, or replication state was touched), so resending after
 /// `retry_after_ms` is always safe — including for `batch` frames.
-pub fn write_overloaded<W: fmt::Write + ?Sized>(
-    out: &mut W,
-    id: &str,
-    retry_after_ms: u64,
-) -> fmt::Result {
-    out.write_str("{\"id\":\"")?;
-    Escaped(&mut *out).write_str(id)?;
-    write!(
-        out,
-        "\",\"ok\":false,\"code\":\"overloaded\",\
-         \"error\":\"server at capacity; retry after the hint\",\
-         \"retry_after_ms\":{retry_after_ms}}}"
-    )
-}
-
-/// A load-shedding refusal (see [`write_overloaded`]).
 pub fn overloaded_response(id: &str, retry_after_ms: u64) -> String {
-    rendered(|out| write_overloaded(out, id, retry_after_ms))
+    rendered(|out| {
+        out.write_str("{\"id\":\"")?;
+        Escaped(&mut *out).write_str(id)?;
+        write!(
+            out,
+            "\",\"ok\":false,\"code\":\"overloaded\",\
+             \"error\":\"server at capacity; retry after the hint\",\
+             \"retry_after_ms\":{retry_after_ms}}}"
+        )
+    })
 }
 
 /// Write one evaluation outcome as a result JSON value. Deterministic by

@@ -4,7 +4,11 @@
 //! (its load position keys the timing cache), and then
 //! answers framed requests from a bounded *concurrent* connection layer:
 //! a non-blocking accept loop hands accepted streams to a fixed pool of
-//! `--conns` worker threads through a bounded queue. Response payloads
+//! `--conns` worker threads through a bounded queue. A worker answers one
+//! frame at a time, so the pool is also the bound on in-flight
+//! predictions; a connection arriving to a full queue is shed with an
+//! `"overloaded"` frame carrying a `retry_after_ms` hint
+//! (`serve.conn.shed`, `serve.shed.total`). Response payloads
 //! stay deterministic anyway — every answer depends only on the request
 //! (plus the preloaded tables), never on arrival order or neighbouring
 //! connections — so concurrency changes wall-clock, not bytes.
@@ -13,7 +17,7 @@
 //! `--threads`, so `conns × replication pool` never oversubscribes, and
 //! no request can change either factor.
 //!
-//! Degraded operation is deliberate and observable, in four layers:
+//! Degraded operation is deliberate and observable, in three layers:
 //!
 //! * **deadlines** — every protocol socket carries `--io-timeout-ms`
 //!   read/write deadlines. A peer that stalls *between* frames is idle
@@ -22,12 +26,6 @@
 //!   and a closed socket (`serve.conn.io_timeouts`), distinguished from
 //!   clean EOF (`serve.conn.clean_eof`) and truncated frames
 //!   (`serve.conn.truncated`);
-//! * **admission control** — a semaphore bounds in-flight predictions
-//!   (`--inflight`) with a bounded wait queue (`--queue`); past the
-//!   high-water mark the server sheds with an `"overloaded"` response
-//!   carrying a `retry_after_ms` hint instead of queueing unboundedly
-//!   (`serve.inflight` gauge, `serve.shed.total` counter,
-//!   `serve.queue_wait_ms` histogram);
 //! * **graceful drain** — a `shutdown` request (or an external stop flag,
 //!   e.g. SIGTERM via [`Server::run_until`]) stops accepting, lets
 //!   in-flight requests finish under the `--drain-ms` deadline, then
@@ -62,11 +60,8 @@ use pevpm_dist::{io as dist_io, DistTable};
 use pevpm_obs::{diag, Counter, FixedHistogram, Gauge, Registry};
 
 use crate::cache::{ModelCache, TimingCache};
-pub use crate::config::{
-    ServeConfig, DEFAULT_CONNS, DEFAULT_DRAIN_MS, DEFAULT_IO_TIMEOUT_MS, DEFAULT_SHED_RETRY_MS,
-};
+pub use crate::config::{ServeConfig, DEFAULT_CONNS, DEFAULT_DRAIN_MS, DEFAULT_IO_TIMEOUT_MS};
 use crate::conn::{ConnQueue, ConnTracker, TrackerGuard};
-use crate::gate::{Admission, Gate, GatePermit};
 use crate::plan::{self, EvalOutcome, PlanError, PredictRequest};
 use crate::proto::{self, Body, Frame, FrameBuf, FrameRead};
 use crate::telemetry::{HttpServer, RequestTimer, Telemetry};
@@ -82,7 +77,10 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Pending-connection queue slots per worker; past this the accept loop
 /// sheds fresh connections with an unsolicited `"overloaded"` frame.
-const PENDING_PER_WORKER: usize = 8;
+pub const PENDING_PER_WORKER: usize = 8;
+
+/// The `retry_after_ms` hint on a shed connection's `"overloaded"` frame.
+const SHED_RETRY_MS: u64 = 100;
 
 /// Per-`run` shared state between the accept loop and the worker pool.
 struct RunShared {
@@ -134,7 +132,6 @@ pub struct Server {
     // Bound at construction (so the sidecar port is known before `run`),
     // taken and spawned by `run`.
     http: Mutex<Option<HttpServer>>,
-    gate: Gate,
     // Resolved worker-pool width and the per-request replication-pool
     // share of the host budget (`conns × request_threads` ≤ host cores).
     conns: usize,
@@ -209,20 +206,12 @@ impl Server {
             let budget = pevpm::ThreadBudget::new(cfg.threads);
             budget.inner(conns, budget.total()).max(1)
         };
-        let max_inflight = if cfg.inflight == 0 {
-            conns
-        } else {
-            cfg.inflight
-        };
-        let max_queue = cfg.queue.unwrap_or(max_inflight);
         let io_timeout = if cfg.io_timeout_ms == 0 {
             None
         } else {
             Some(Duration::from_millis(cfg.io_timeout_ms))
         };
-        let gate = Gate::new(max_inflight, max_queue);
         let handles = registry.handles(ServeHandles::resolve);
-        handles.inflight.set(0.0);
         Ok(Server {
             cfg,
             listener,
@@ -233,7 +222,6 @@ impl Server {
             handles,
             telemetry,
             http: Mutex::new(http),
-            gate,
             conns,
             request_threads,
             io_timeout,
@@ -312,8 +300,6 @@ impl Server {
         // pressure, shutdown frames, and the external stop flag within
         // ACCEPT_POLL without platform-specific readiness APIs.
         self.listener.set_nonblocking(true)?;
-        // A previous run's drain closed the gate; re-arm it.
-        self.gate.open();
         let shared = RunShared::new(self.conns * PENDING_PER_WORKER);
         std::thread::scope(|scope| {
             for i in 0..self.conns {
@@ -371,10 +357,6 @@ impl Server {
         let timer = self.telemetry.begin("drain", false);
         shared.draining.store(true, Ordering::SeqCst);
         shared.queue.close();
-        // Requests parked in the admission queue are not in flight —
-        // shed them now so their workers exit under the deadline instead
-        // of evaluating into force-closed sockets long past it.
-        self.gate.close();
         shared.tracker.shutdown_conns(false);
         let deadline = Instant::now() + Duration::from_millis(self.cfg.drain_ms);
         while shared.tracker.any_busy() && Instant::now() < deadline {
@@ -404,10 +386,7 @@ impl Server {
         // bounded by the short deadline below.
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-        let _ = proto::write_frame(
-            &mut &stream,
-            &proto::overloaded_response("", self.cfg.shed_retry_ms),
-        );
+        let _ = proto::write_frame(&mut &stream, &proto::overloaded_response("", SHED_RETRY_MS));
     }
 
     /// One worker: pop accepted streams and serve each until it closes.
@@ -578,9 +557,7 @@ impl Server {
                 true
             }
             Frame::Predict { id, body } => {
-                let Some(permit) = self.admit_inflight(&id, out) else {
-                    return false;
-                };
+                let _inflight = InFlight::enter(&self.handles.inflight);
                 let mut timer = self.telemetry.begin("predict", true);
                 let rendered = self.predict_guarded(
                     &body,
@@ -600,45 +577,12 @@ impl Server {
                     }
                 };
                 timer.finish(outcome, out.payload_len());
-                drop(permit);
                 false
             }
             Frame::Batch { id, items } => {
-                let Some(permit) = self.admit_inflight(&id, out) else {
-                    return false;
-                };
+                let _inflight = InFlight::enter(&self.handles.inflight);
                 self.handle_batch(&id, &items, out);
-                drop(permit);
                 false
-            }
-        }
-    }
-
-    /// Take an in-flight permit for a prediction-carrying frame, or shed.
-    /// Control ops (`ping`, `stats`, `shutdown`) bypass the gate — they
-    /// must stay answerable while the daemon is saturated. On admission
-    /// the queue wait lands in `serve.queue_wait_ms` and the
-    /// `serve.inflight` gauge is refreshed; on shed the frame gets an
-    /// `"overloaded"` response carrying the `retry_after_ms` hint, which
-    /// is always safe for the peer to act on (the request never started).
-    fn admit_inflight(&self, id: &str, out: &mut FrameBuf) -> Option<GatePermit<'_>> {
-        match self.gate.acquire() {
-            Admission::Admitted { waited, inflight } => {
-                self.handles
-                    .queue_wait_ms
-                    .record(waited.as_secs_f64() * 1e3);
-                self.handles.inflight.set(inflight as f64);
-                Some(GatePermit {
-                    gate: &self.gate,
-                    inflight: &self.handles.inflight,
-                })
-            }
-            Admission::Shed => {
-                self.handles.shed_total.inc();
-                let timer = self.telemetry.begin("shed", false);
-                let _ = proto::write_overloaded(out, id, self.cfg.shed_retry_ms);
-                timer.finish("overloaded", out.payload_len());
-                None
             }
         }
     }
@@ -843,7 +787,6 @@ impl Server {
 struct ServeHandles {
     requests: Arc<Counter>,
     panics_isolated: Arc<Counter>,
-    queue_wait_ms: Arc<FixedHistogram>,
     inflight: Arc<Gauge>,
     shed_total: Arc<Counter>,
     rejected_admission: Arc<Counter>,
@@ -858,7 +801,6 @@ impl ServeHandles {
         ServeHandles {
             requests: registry.counter("serve.requests"),
             panics_isolated: registry.counter("serve.panics_isolated"),
-            queue_wait_ms: registry.histogram("serve.queue_wait_ms", 0.0, 250.0, 50),
             inflight: registry.gauge("serve.inflight"),
             shed_total: registry.counter("serve.shed.total"),
             rejected_admission: registry.counter("serve.rejected_admission"),
@@ -880,6 +822,23 @@ struct RecordElapsedMs<'a> {
 impl Drop for RecordElapsedMs<'_> {
     fn drop(&mut self) {
         self.into.record(self.since.elapsed().as_secs_f64() * 1e3);
+    }
+}
+
+/// Counts a `predict` or `batch` frame in `serve.inflight` while it is
+/// answered, and uncounts it however the frame ends, unwinding included.
+struct InFlight<'a>(&'a Gauge);
+
+impl<'a> InFlight<'a> {
+    fn enter(gauge: &'a Gauge) -> InFlight<'a> {
+        gauge.add(1.0);
+        InFlight(gauge)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.add(-1.0);
     }
 }
 
@@ -908,7 +867,6 @@ impl RequestError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::lock_recover;
     use pevpm_obs::json::{self, Json};
 
     const SRC: &str = "\
@@ -1155,11 +1113,25 @@ mod tests {
             json::parse(&r).unwrap().get("code").and_then(Json::as_str),
             Some("input")
         );
+        let inflight = || s.registry().gauge("serve.inflight").get();
+        assert_eq!(inflight(), 0.0, "an erroring prediction stays counted");
         // Garbage frame: usage, id preserved where possible.
         let (r, _) = s.handle_frame("{\"op\":\"predict\",\"id\":\"q\"}");
         let v = json::parse(&r).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_str), Some("q"));
         assert_eq!(v.get("code").and_then(Json::as_str), Some("usage"));
+        // A prediction that panics in the engine (no processes).
+        let (r, _) = s.handle_frame(&predict_frame(1).replacen("\"procs\":2", "\"procs\":0", 1));
+        assert!(r.contains("\"code\":\"panic\""), "{r}");
+        assert_eq!(inflight(), 0.0, "a panicking prediction stays counted");
+        // A panic unwinding past the guard uncounts its frame too.
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _inflight = InFlight::enter(&s.handles.inflight);
+            assert_eq!(inflight(), 1.0);
+            std::panic::resume_unwind(Box::new("frame fell over"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(inflight(), 0.0);
         // The daemon still answers afterwards.
         let (r, _) = s.handle_frame("{\"op\":\"ping\",\"id\":\"alive\"}");
         assert!(json::parse(&r).unwrap().get("ok").and_then(Json::as_bool) == Some(true));
@@ -1171,7 +1143,7 @@ mod tests {
             .into_iter()
             .map(|sp| sp.outcome)
             .collect();
-        assert_eq!(outcomes, ["usage", "input", "usage", "ok"]);
+        assert_eq!(outcomes, ["usage", "input", "usage", "panic", "ok"]);
     }
 
     #[test]
@@ -1251,89 +1223,6 @@ mod tests {
         let (r, stop) = s.handle_frame("{\"op\":\"shutdown\",\"id\":\"z\"}");
         assert!(stop);
         assert!(r.contains("\"ok\":true"));
-    }
-
-    #[test]
-    fn gate_admits_queues_and_sheds_in_order() {
-        let gate = Gate::new(1, 1);
-        assert!(matches!(gate.acquire(), Admission::Admitted { .. }));
-        assert_eq!(gate.inflight(), 1);
-        // Second acquirer queues; third (queue full) would shed. Exercise
-        // the queue with a real waiter to prove release wakes it.
-        let waited = std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| match gate.acquire() {
-                Admission::Admitted { waited, .. } => waited,
-                Admission::Shed => panic!("queued acquirer was shed"),
-            });
-            // Wait until the waiter is parked in the queue.
-            while lock_recover(&gate.state).waiting == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            assert!(matches!(gate.acquire(), Admission::Shed));
-            gate.release();
-            waiter.join().unwrap()
-        });
-        assert!(waited >= Duration::ZERO);
-        assert_eq!(gate.inflight(), 1);
-        gate.release();
-        assert_eq!(gate.inflight(), 0);
-    }
-
-    #[test]
-    fn drained_gate_sheds_queued_waiters_immediately() {
-        let gate = Gate::new(1, 4);
-        assert!(matches!(gate.acquire(), Admission::Admitted { .. }));
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| gate.acquire());
-            while lock_recover(&gate.state).waiting == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Drain: the parked waiter wakes and sheds without waiting
-            // for the permit to free; later arrivals shed up front.
-            gate.close();
-            assert!(matches!(waiter.join().unwrap(), Admission::Shed));
-            assert!(matches!(gate.acquire(), Admission::Shed));
-        });
-        assert_eq!(lock_recover(&gate.state).waiting, 0);
-        // Re-arming restores admission for the next run.
-        gate.release();
-        gate.open();
-        assert!(matches!(gate.acquire(), Admission::Admitted { .. }));
-    }
-
-    #[test]
-    fn saturated_gate_sheds_predictions_with_a_retry_hint() {
-        let cfg = ServeConfig {
-            inflight: 1,
-            queue: Some(0),
-            shed_retry_ms: 70,
-            ..ServeConfig::default()
-        };
-        let s = Server::with_tables(cfg, vec![("default".to_string(), test_table())]).unwrap();
-        // Occupy the single permit directly; with zero queue slots the
-        // next prediction frame must shed rather than wait.
-        assert!(matches!(s.gate.acquire(), Admission::Admitted { .. }));
-        let (r, stop) = s.handle_frame(&predict_frame(1));
-        assert!(!stop);
-        let v = json::parse(&r).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false), "{r}");
-        assert_eq!(v.get("code").and_then(Json::as_str), Some("overloaded"));
-        assert_eq!(v.get("retry_after_ms").and_then(Json::as_num), Some(70.0));
-        assert_eq!(s.registry().counter("serve.shed.total").get(), 1);
-        // Control ops bypass the gate even while saturated.
-        let (r, _) = s.handle_frame("{\"op\":\"ping\",\"id\":\"alive\"}");
-        assert!(r.contains("\"ok\":true"));
-        // Releasing the permit restores service.
-        s.gate.release();
-        let (r, _) = s.handle_frame(&predict_frame(1));
-        assert!(r.contains("\"ok\":true"), "{r}");
-        // The shed left an "overloaded" span in the ring.
-        assert!(s
-            .telemetry()
-            .ring()
-            .last(10)
-            .iter()
-            .any(|sp| sp.op == "shed" && sp.outcome == "overloaded"));
     }
 
     #[test]

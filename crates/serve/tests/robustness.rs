@@ -8,6 +8,7 @@ mod common;
 use common::{start_daemon, test_table, SRC};
 use pevpm_obs::json::{self, Json};
 use pevpm_serve::plan::PredictRequest;
+use pevpm_serve::server::PENDING_PER_WORKER;
 use pevpm_serve::{proto, Client, ServeConfig, Server};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -312,107 +313,107 @@ fn chaos_modes_never_kill_the_daemon() {
     handle.join().expect("daemon thread");
 }
 
-/// With one in-flight permit and zero queue slots, a second concurrent
-/// prediction is shed with the documented `"overloaded"` response while
-/// the first runs to completion — and the shed is observable in the
-/// `serve.shed.total` counter and the `serve.inflight` gauge.
+/// With the only worker busy on a heavy batch, new connections fill the
+/// pending queue until the accept loop sheds one with the documented
+/// `"overloaded"` frame, and every queued connection is answered once
+/// the batch completes. The counters are read in process: a `stats`
+/// connection would itself queue behind the busy worker.
 #[test]
 fn saturation_sheds_instead_of_queueing() {
-    let (addr, handle) = start_daemon(
-        ServeConfig {
-            conns: 4,
-            inflight: 1,
-            queue: Some(0),
-            shed_retry_ms: 42,
-            drain_ms: 30_000,
-            ..ServeConfig::default()
-        },
-        test_table(),
+    let server = Arc::new(
+        Server::with_tables(
+            ServeConfig {
+                conns: 1,
+                drain_ms: 30_000,
+                ..ServeConfig::default()
+            },
+            vec![("default".to_string(), test_table())],
+        )
+        .expect("bind"),
     );
+    let addr = server.local_addr().expect("local addr");
+    let daemon = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run().expect("daemon run"))
+    };
+    let registry = server.registry();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
 
-    // A batch big enough to hold the single permit while the probe runs;
-    // the permit spans the whole frame.
-    let heavy_items: Vec<(String, PredictRequest)> = (0..256)
+    // The worker serves a connection until its peer closes it, so the
+    // heavy batch's connection holds it however soon the batch is done.
+    let items: Vec<(String, PredictRequest)> = (0..64)
         .map(|i| ("default".to_string(), request(400.0, 7 + i)))
         .collect();
-    let addr_str = addr.to_string();
     let heavy = std::thread::spawn(move || {
-        let mut c = Client::connect(&addr_str).expect("connect heavy");
-        // Plain request (no overload retry): this frame must be admitted.
-        c.request(&format!(
-            "{{\"op\":\"batch\",\"id\":\"heavy\",\"requests\":[{}]}}",
-            heavy_items
-                .iter()
-                .map(|(t, r)| pevpm_serve::client::predict_body(t, r))
-                .collect::<Vec<_>>()
-                .join(",")
-        ))
-        .expect("heavy batch")
+        let mut c = Client::connect(&addr.to_string()).expect("connect heavy");
+        let resp = c.batch("heavy", &items).expect("heavy batch");
+        (c, resp)
+    });
+    wait_for("the worker never took the heavy batch", &|| {
+        registry.counter("serve.requests").get() == 1
     });
 
-    // Wait until the daemon reports the permit taken.
-    let mut stats_client = Client::connect(&addr.to_string()).expect("connect stats");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let resp = stats_client.stats("s").expect("stats");
-        let v = json::parse(&resp).expect("parse");
-        let inflight = v
-            .get("result")
-            .and_then(|r| r.get("gauges"))
-            .and_then(|g| g.get("serve.inflight"))
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        if inflight >= 1.0 {
-            break;
-        }
+    // The accept loop handles connections one at a time, in order: once
+    // the newest one is accepted, every earlier one is queued or shed.
+    let accepted = || registry.counter("serve.conn.accepted").get() as usize;
+    let shed = || registry.counter("serve.conn.shed").get() as usize;
+    let mut conns = Vec::new();
+    while shed() == 0 {
         assert!(
-            Instant::now() < deadline,
-            "heavy batch never took the permit"
+            conns.len() < PENDING_PER_WORKER + 2,
+            "no connection shed within {} connects",
+            conns.len()
         );
-        std::thread::sleep(Duration::from_millis(5));
+        conns.push(TcpStream::connect(addr).expect("connect"));
+        wait_for("connection never accepted", &|| {
+            accepted() == 1 + conns.len()
+        });
+    }
+    // Past the queue's capacity, every connection is shed.
+    assert!(
+        conns.len() > PENDING_PER_WORKER,
+        "shed before the queue was full"
+    );
+    wait_for("shed count never settled", &|| {
+        shed() == conns.len() - PENDING_PER_WORKER
+    });
+    assert_eq!(registry.counter("serve.shed.total").get() as usize, shed());
+    let queued: Vec<TcpStream> = conns.drain(..PENDING_PER_WORKER).collect();
+    for c in conns {
+        c.set_read_timeout(Some(REACTION_WAIT))
+            .expect("read deadline");
+        let frame = proto::read_frame(&mut BufReader::new(c), proto::MAX_FRAME)
+            .expect("shed frame")
+            .expect("a frame before EOF");
+        let v = json::parse(&frame).expect("frame parses");
+        assert_eq!(v.get("id").and_then(Json::as_str), Some(""), "{frame}");
+        assert_eq!(v.get("code").and_then(Json::as_str), Some("overloaded"));
+        assert_eq!(v.get("retry_after_ms").and_then(Json::as_num), Some(100.0));
     }
 
-    // The probe prediction must shed, not wait.
-    let mut probe = Client::connect(&addr.to_string()).expect("connect probe");
-    let resp = probe
-        .request(&format!(
-            "{{\"op\":\"predict\",\"id\":\"probe\",\"model\":\"{}\",\"procs\":2,\
-         \"params\":{{\"rounds\":20}},\"seed\":3}}",
-            pevpm_obs::json::escape(SRC)
-        ))
-        .expect("probe");
-    let v = json::parse(&resp).expect("parse");
-    assert_eq!(
-        v.get("code").and_then(Json::as_str),
-        Some("overloaded"),
-        "{resp}"
-    );
-    assert_eq!(v.get("retry_after_ms").and_then(Json::as_num), Some(42.0));
-
-    // The heavy batch still completes successfully.
-    let heavy_resp = heavy.join().expect("heavy thread");
+    // Once the batch completes and its peer leaves, the worker takes the
+    // queued connections in order.
+    let (heavy_conn, heavy_resp) = heavy.join().expect("heavy thread");
     assert!(heavy_resp.contains("\"ok\":true"), "heavy batch failed");
-
-    // The permit is free again: a fresh prediction is admitted at once
-    // (a plain request, so a shed would show instead of being retried).
-    let frame = pevpm_serve::client::predict_frame("after", "default", &request(20.0, 3));
-    let mut fresh = Client::connect(&addr.to_string()).expect("connect fresh");
-    let resp = fresh.request(&frame).expect("post-saturation predict");
-    assert!(resp.contains("\"ok\":true"), "{resp}");
-
-    let stats = json::parse(&stats_client.stats("s").expect("stats")).expect("parse");
-    let result = stats.get("result").expect("result");
-    let counters = result.get("counters").expect("counters");
-    assert!(counter(counters, "serve.shed.total") >= 1.0);
-    // Both admissions (the heavy batch, the fresh predict) timed their wait.
-    let waits = result
-        .get("histograms")
-        .and_then(|h| h.get("serve.queue_wait_ms"))
-        .and_then(|h| h.get("count"))
-        .and_then(Json::as_num);
-    assert_eq!(waits, Some(2.0), "{stats:?}");
-    stats_client.shutdown("bye").expect("shutdown");
-    handle.join().expect("daemon thread");
+    drop(heavy_conn);
+    for mut c in queued {
+        proto::write_frame(&mut c, PING).expect("ping");
+        c.set_read_timeout(Some(REACTION_WAIT))
+            .expect("read deadline");
+        assert_eq!(reaction(c), "ok");
+    }
+    Client::connect(&addr.to_string())
+        .expect("connect")
+        .shutdown("bye")
+        .expect("shutdown");
+    daemon.join().expect("daemon thread");
+    assert_eq!(registry.gauge("serve.inflight").get(), 0.0);
 }
 
 /// Responses from an 8-worker daemon, answered concurrently, are bitwise
