@@ -7,31 +7,26 @@
 //! Run with `cargo bench -p pevpm-bench --bench coll_survey`.
 
 use pevpm_bench::report;
-use pevpm_mpibench::{run_collective, CollConfig, CollKind};
+use pevpm_dist::CollOp;
+use pevpm_mpibench::{run_collective, CollConfig};
 use pevpm_mpisim::WorldConfig;
 
 fn main() {
     let shapes = [(4usize, 1usize), (16, 1), (32, 1), (16, 2)];
-    let kinds = [
-        (CollKind::Barrier, 0u64),
-        (CollKind::Bcast, 1024),
-        (CollKind::Reduce, 1024),
-        (CollKind::Allreduce, 1024),
-        (CollKind::Alltoall, 1024),
-    ];
     eprintln!(
         "[coll] surveying {} collectives over {} shapes...",
-        kinds.len(),
+        CollOp::ALL.len(),
         shapes.len()
     );
 
     let mut rows = Vec::new();
-    for &(kind, size) in &kinds {
-        let mut row = vec![format!("{kind:?}({size}B)")];
+    for op in CollOp::ALL {
+        let size = if op == CollOp::Barrier { 0u64 } else { 1024 };
+        let mut row = vec![format!("{op:?}({size}B)")];
         for &(nodes, ppn) in &shapes {
             let res = run_collective(&CollConfig {
                 world: WorldConfig::perseus(nodes, ppn, 7),
-                kind,
+                op,
                 sizes: vec![size],
                 repetitions: 25,
                 warmup: 3,

@@ -6,8 +6,8 @@ use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::fft::{self, FftConfig};
 use pevpm_apps::taskfarm::{self, FarmConfig};
-use pevpm_dist::{CommDist, DistKey, DistTable, Op};
-use pevpm_mpibench::{run_collective, CollConfig, CollKind};
+use pevpm_dist::{CollOp, CommDist, DistKey, DistTable, Op};
+use pevpm_mpibench::{run_collective, CollConfig};
 use pevpm_mpisim::WorldConfig;
 
 /// A measured-vs-predicted comparison row.
@@ -44,7 +44,7 @@ pub fn run_fft(
         let block = cfg.alltoall_block_bytes(n).max(1);
         let coll = run_collective(&CollConfig {
             world: WorldConfig::perseus(n, 1, seed),
-            kind: CollKind::Alltoall,
+            op: CollOp::Alltoall,
             sizes: vec![(block / 2).max(1), block, block * 2],
             repetitions: bench_reps,
             warmup: 2,

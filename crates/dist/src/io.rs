@@ -17,6 +17,9 @@
 //! fit kind=gamma shift=0.005 p1=2.0 p2=0.001
 //! ```
 //!
+//! An entry's `op` is one of the eight [`Op`] names: `send`, `isend`,
+//! `recv`, `barrier`, `bcast`, `reduce`, `allreduce` and `alltoall`.
+//!
 //! Counts use run-length encoding `NxV` for runs of equal values, because
 //! contention histograms are mostly zeros between the main mass and the RTO
 //! outlier bins (200 ms away at microsecond bin widths). A `counts` line
@@ -332,9 +335,14 @@ mod tests {
 
     #[test]
     fn rejects_unknown_op() {
-        let doc = "PEVPM-DIST v1\nentry op=warp size=1 contention=1\npoint value=1\n";
-        let e = read_table(doc).unwrap_err();
-        assert!(e.message.contains("unknown op"), "{e}");
+        // Nothing measures gather, scatter or allgather, so no table may
+        // name them.
+        for op in ["warp", "gather", "scatter", "allgather"] {
+            let doc = format!("PEVPM-DIST v1\nentry op={op} size=1 contention=1\npoint value=1\n");
+            let e = read_table(&doc).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert_eq!(e.message, format!("unknown op {op:?}"));
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   Kolmogorov–Smirnov distance used in tests.
 //! - [`fit`] — parametric fits (shifted exponential, log-normal, gamma) to a
 //!   histogram, the "parametrised functions to model the PDFs" of §2.
+//! - [`Op`] / [`CollOp`] — the operations a table is keyed by, and the
+//!   collectives among them: the one list of operation names that MPIBench,
+//!   PEVPM and the co-simulator share.
 //! - [`CommDist`] / [`DistTable`] — a communication-time distribution and a
 //!   table of them keyed by (operation, message size, contention level), with
 //!   bilinear quantile interpolation between grid points. PEVPM queries this
@@ -44,6 +47,6 @@ pub use compiled::{
 pub use ecdf::Ecdf;
 pub use fit::{FitKind, ParametricFit};
 pub use histogram::Histogram;
-pub use sample::{PointKind, Sampler};
+pub use sample::PointKind;
 pub use summary::Summary;
-pub use table::{CommDist, DistKey, DistTable, Op};
+pub use table::{CollOp, CommDist, DistKey, DistTable, Op};

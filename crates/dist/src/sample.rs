@@ -1,22 +1,10 @@
-//! The sampling abstraction PEVPM evaluates against.
+//! Single-point prediction inputs.
 //!
 //! PEVPM's key idea is that the time of each communication event is obtained
 //! by Monte-Carlo sampling. The *baseline* prediction modes the paper
 //! compares against (minimum or average single-point values, §6) are modelled
-//! here as degenerate point distributions, so the virtual machine is
-//! completely agnostic to which prediction mode is in force.
-
-use rand::Rng;
-
-/// Something communication times can be drawn from.
-pub trait Sampler {
-    /// Draw one value (seconds).
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
-    /// The mean of the underlying distribution.
-    fn mean(&self) -> f64;
-    /// Inverse CDF at probability `q` (clamped to `[0, 1]`).
-    fn quantile(&self, q: f64) -> f64;
-}
+//! as degenerate point distributions, so the virtual machine is completely
+//! agnostic to which prediction mode is in force.
 
 /// Which single-point statistic a degenerate distribution reports.
 ///

@@ -18,7 +18,9 @@ use crate::sample::PointKind;
 use rand::Rng;
 use std::collections::BTreeMap;
 
-/// MPI operations MPIBench can characterise.
+/// MPI operations MPIBench can characterise: the operations a `.dist` cell
+/// may be recorded under. This enum and [`CollOp`] are the only list of
+/// them; every other crate reads its names from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Op {
     /// Blocking standard-mode send (matching receive included).
@@ -35,19 +37,13 @@ pub enum Op {
     Reduce,
     /// Allreduce.
     Allreduce,
-    /// Gather to a root.
-    Gather,
-    /// Scatter from a root.
-    Scatter,
-    /// Allgather.
-    Allgather,
     /// All-to-all personalised exchange.
     Alltoall,
 }
 
 impl Op {
-    /// All operations, for iteration in benchmarks.
-    pub const ALL: [Op; 11] = [
+    /// All operations, in declaration order.
+    pub const ALL: [Op; 8] = [
         Op::Send,
         Op::Isend,
         Op::Recv,
@@ -55,9 +51,6 @@ impl Op {
         Op::Bcast,
         Op::Reduce,
         Op::Allreduce,
-        Op::Gather,
-        Op::Scatter,
-        Op::Allgather,
         Op::Alltoall,
     ];
 
@@ -71,9 +64,6 @@ impl Op {
             Op::Bcast => "bcast",
             Op::Reduce => "reduce",
             Op::Allreduce => "allreduce",
-            Op::Gather => "gather",
-            Op::Scatter => "scatter",
-            Op::Allgather => "allgather",
             Op::Alltoall => "alltoall",
         }
     }
@@ -98,19 +88,57 @@ impl Op {
     /// Position of this operation in [`Op::ALL`]: a dense index used for
     /// flat per-op storage (e.g. [`crate::compiled::CompiledTable`]).
     pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// The collectives: the operations every process takes part in, which
+/// MPIBench times at every process (`pevpm_mpibench::collective`), PEVPM
+/// models as a `Collective` directive and the co-simulator runs on mpisim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CollOp {
+    /// Barrier synchronisation.
+    Barrier,
+    /// Broadcast from a root.
+    Bcast,
+    /// Reduction to a root.
+    Reduce,
+    /// Reduction + broadcast.
+    Allreduce,
+    /// Personalised all-to-all exchange.
+    Alltoall,
+}
+
+impl CollOp {
+    /// All collectives, in [`Op::ALL`]'s order.
+    pub const ALL: [CollOp; 5] = [
+        CollOp::Barrier,
+        CollOp::Bcast,
+        CollOp::Reduce,
+        CollOp::Allreduce,
+        CollOp::Alltoall,
+    ];
+
+    /// The table operation this collective is recorded and sampled under.
+    pub fn op(self) -> Op {
         match self {
-            Op::Send => 0,
-            Op::Isend => 1,
-            Op::Recv => 2,
-            Op::Barrier => 3,
-            Op::Bcast => 4,
-            Op::Reduce => 5,
-            Op::Allreduce => 6,
-            Op::Gather => 7,
-            Op::Scatter => 8,
-            Op::Allgather => 9,
-            Op::Alltoall => 10,
+            CollOp::Barrier => Op::Barrier,
+            CollOp::Bcast => Op::Bcast,
+            CollOp::Reduce => Op::Reduce,
+            CollOp::Allreduce => Op::Allreduce,
+            CollOp::Alltoall => Op::Alltoall,
         }
+    }
+
+    /// The name of [`CollOp::op`]: what a `.dist` entry and a
+    /// `Collective` directive call this collective.
+    pub fn name(self) -> &'static str {
+        self.op().name()
+    }
+
+    /// Parse from [`CollOp::name`].
+    pub fn from_name(s: &str) -> Option<CollOp> {
+        CollOp::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
@@ -728,9 +756,17 @@ mod tests {
 
     #[test]
     fn op_names_roundtrip() {
-        for op in Op::ALL {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
             assert_eq!(Op::from_name(op.name()), Some(op));
+            assert_eq!(op.index(), i);
         }
         assert_eq!(Op::from_name("nonsense"), None);
+        for c in CollOp::ALL {
+            assert_eq!(CollOp::from_name(c.name()), Some(c));
+            assert_eq!(Op::from_name(c.name()), Some(c.op()));
+        }
+        for p2p in ["send", "isend", "recv", "nonsense"] {
+            assert_eq!(CollOp::from_name(p2p), None);
+        }
     }
 }

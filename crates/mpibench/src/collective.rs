@@ -8,54 +8,28 @@
 
 use crate::clock::ClockModel;
 use crate::p2p::histogram_from_samples;
-use pevpm_dist::{CommDist, DistKey, DistTable, Op, Summary};
+use pevpm_dist::{CollOp, CommDist, DistKey, DistTable, Summary};
 use pevpm_mpisim::{Proc, ReduceOp, SimError, World, WorldConfig};
 use std::cell::RefCell;
 
-/// Which collective to benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollKind {
-    /// Barrier (size ignored).
-    Barrier,
-    /// Broadcast from rank 0.
-    Bcast,
-    /// Reduce (sum) to rank 0.
-    Reduce,
-    /// Allreduce (sum).
-    Allreduce,
-    /// All-to-all personalised exchange.
-    Alltoall,
-}
-
-impl CollKind {
-    /// The benchmark-database operation this collective is recorded under.
-    pub fn op(self) -> Op {
-        match self {
-            CollKind::Barrier => Op::Barrier,
-            CollKind::Bcast => Op::Bcast,
-            CollKind::Reduce => Op::Reduce,
-            CollKind::Allreduce => Op::Allreduce,
-            CollKind::Alltoall => Op::Alltoall,
+/// Run one `op` of `bytes` bytes on `rank`: the one mapping from a
+/// collective to mpisim calls, shared by the benchmark and the
+/// co-simulator. Bcast and reduce are rooted at rank 0; reduce and
+/// allreduce sum a real payload of `bytes / 8` (at least one) `f64`s; a
+/// barrier ignores `bytes`.
+pub async fn perform(rank: &mut Proc, op: CollOp, bytes: u64) {
+    match op {
+        CollOp::Barrier => rank.barrier().await,
+        CollOp::Bcast => rank.bcast_size(0, bytes).await,
+        CollOp::Reduce => {
+            let data = vec![1.0f64; (bytes as usize / 8).max(1)];
+            let _ = rank.reduce_f64s(0, &data, ReduceOp::Sum).await;
         }
-    }
-
-    async fn run(self, rank: &mut Proc, bytes: u64) {
-        match self {
-            CollKind::Barrier => rank.barrier().await,
-            CollKind::Bcast => rank.bcast_size(0, bytes).await,
-            CollKind::Reduce => {
-                // Use a real payload sized to `bytes` (f64 elements).
-                let n = (bytes as usize / 8).max(1);
-                let data = vec![1.0f64; n];
-                let _ = rank.reduce_f64s(0, &data, ReduceOp::Sum).await;
-            }
-            CollKind::Allreduce => {
-                let n = (bytes as usize / 8).max(1);
-                let data = vec![1.0f64; n];
-                let _ = rank.allreduce_f64s(&data, ReduceOp::Sum).await;
-            }
-            CollKind::Alltoall => rank.alltoall_size(bytes).await,
+        CollOp::Allreduce => {
+            let data = vec![1.0f64; (bytes as usize / 8).max(1)];
+            let _ = rank.allreduce_f64s(&data, ReduceOp::Sum).await;
         }
+        CollOp::Alltoall => rank.alltoall_size(bytes).await,
     }
 }
 
@@ -65,7 +39,7 @@ pub struct CollConfig {
     /// World under test.
     pub world: WorldConfig,
     /// Collective to benchmark.
-    pub kind: CollKind,
+    pub op: CollOp,
     /// Message sizes to sweep (a single `0` for barrier).
     pub sizes: Vec<u64>,
     /// Timed repetitions per size.
@@ -91,7 +65,7 @@ pub struct CollSizeResult {
 #[derive(Debug, Clone)]
 pub struct CollResult {
     /// The collective that was measured.
-    pub kind: CollKind,
+    pub op: CollOp,
     /// Ranks in the world.
     pub nranks: usize,
     /// Per-size results.
@@ -113,7 +87,7 @@ impl CollResult {
         for r in &self.by_size {
             table.insert(
                 DistKey {
-                    op: self.kind.op(),
+                    op: self.op.op(),
                     size: r.size,
                     contention: self.nranks as u32,
                 },
@@ -131,19 +105,19 @@ pub fn run_collective(cfg: &CollConfig) -> Result<CollResult, SimError> {
     let clock = cfg.clock.clone().unwrap_or_else(|| ClockModel::perfect(n));
 
     let stamps = RefCell::new(vec![vec![Vec::new(); nsizes]; n]);
-    let (kind, reps, warmup) = (cfg.kind, cfg.repetitions, cfg.warmup);
+    let (op, reps, warmup) = (cfg.op, cfg.repetitions, cfg.warmup);
 
     World::run_async(cfg.world.clone(), async |rank| {
         let r = rank.rank();
         for (si, &size) in cfg.sizes.iter().enumerate() {
             for _ in 0..warmup {
-                kind.run(rank, size).await;
+                perform(rank, op, size).await;
             }
             let mut local = Vec::with_capacity(reps);
             for _ in 0..reps {
                 rank.barrier().await;
                 let t0 = clock.read(r, rank.now());
-                kind.run(rank, size).await;
+                perform(rank, op, size).await;
                 let t1 = clock.read(r, rank.now());
                 local.push((t1 - t0).max(0.0));
             }
@@ -166,7 +140,7 @@ pub fn run_collective(cfg: &CollConfig) -> Result<CollResult, SimError> {
         });
     }
     Ok(CollResult {
-        kind: cfg.kind,
+        op: cfg.op,
         nranks: n,
         by_size,
     })
@@ -175,11 +149,12 @@ pub fn run_collective(cfg: &CollConfig) -> Result<CollResult, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pevpm_dist::Op;
 
-    fn quick(kind: CollKind, nodes: usize, sizes: Vec<u64>) -> CollResult {
+    fn quick(op: CollOp, nodes: usize, sizes: Vec<u64>) -> CollResult {
         run_collective(&CollConfig {
             world: WorldConfig::perseus(nodes, 1, 1),
-            kind,
+            op,
             sizes,
             repetitions: 10,
             warmup: 2,
@@ -190,8 +165,8 @@ mod tests {
 
     #[test]
     fn barrier_scales_with_rank_count() {
-        let small = quick(CollKind::Barrier, 2, vec![0]);
-        let large = quick(CollKind::Barrier, 16, vec![0]);
+        let small = quick(CollOp::Barrier, 2, vec![0]);
+        let large = quick(CollOp::Barrier, 16, vec![0]);
         let m_small = small.by_size[0].summary.mean().unwrap();
         let m_large = large.by_size[0].summary.mean().unwrap();
         assert!(
@@ -202,7 +177,7 @@ mod tests {
 
     #[test]
     fn bcast_collects_samples_from_every_rank() {
-        let res = quick(CollKind::Bcast, 4, vec![256, 1024]);
+        let res = quick(CollOp::Bcast, 4, vec![256, 1024]);
         assert_eq!(res.by_size.len(), 2);
         // 4 ranks × 10 reps.
         assert_eq!(res.by_size[0].samples.len(), 40);
@@ -212,23 +187,23 @@ mod tests {
 
     #[test]
     fn reduce_and_allreduce_run() {
-        let r = quick(CollKind::Reduce, 4, vec![64]);
+        let r = quick(CollOp::Reduce, 4, vec![64]);
         assert!(r.by_size[0].summary.mean().unwrap() > 0.0);
-        let a = quick(CollKind::Allreduce, 4, vec![64]);
+        let a = quick(CollOp::Allreduce, 4, vec![64]);
         // Allreduce = reduce + bcast, so it must cost more than reduce.
         assert!(a.by_size[0].summary.mean().unwrap() > r.by_size[0].summary.mean().unwrap());
     }
 
     #[test]
     fn alltoall_is_the_most_expensive() {
-        let b = quick(CollKind::Bcast, 4, vec![1024]);
-        let a = quick(CollKind::Alltoall, 4, vec![1024]);
+        let b = quick(CollOp::Bcast, 4, vec![1024]);
+        let a = quick(CollOp::Alltoall, 4, vec![1024]);
         assert!(a.by_size[0].summary.mean().unwrap() > b.by_size[0].summary.mean().unwrap());
     }
 
     #[test]
     fn table_insertion_records_contention_as_nranks() {
-        let res = quick(CollKind::Bcast, 4, vec![256]);
+        let res = quick(CollOp::Bcast, 4, vec![256]);
         let mut t = DistTable::new();
         res.add_to_table(&mut t, 32);
         assert!(t

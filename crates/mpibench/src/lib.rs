@@ -26,7 +26,7 @@ pub mod p2p;
 pub mod sweep;
 
 pub use clock::ClockModel;
-pub use collective::{run_collective, CollConfig, CollKind, CollResult};
+pub use collective::{run_collective, CollConfig, CollResult};
 pub use conventional::{compare as compare_conventional, run_pingpong, Comparison, PingPongResult};
 pub use p2p::{
     histogram_from_samples, run_p2p, run_p2p_reps, Direction, P2pConfig, P2pResult, PairPattern,

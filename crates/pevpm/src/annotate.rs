@@ -176,13 +176,9 @@ fn parse_directive(head: Line<'_>, rest: &[Field<'_>], tree: &mut Tree) -> Resul
             label: label("Serial"),
         },
         "Collective" => {
-            let op = match fields.field("op", lineno, "Collective")? {
-                "barrier" => CollOp::Barrier,
-                "bcast" => CollOp::Bcast,
-                "reduce" => CollOp::Reduce,
-                "allreduce" => CollOp::Allreduce,
-                "alltoall" => CollOp::Alltoall,
-                other => return err(lineno, format!("unknown collective {other:?}")),
+            let name = fields.field("op", lineno, "Collective")?;
+            let Some(op) = CollOp::from_name(name) else {
+                return err(lineno, format!("unknown collective {name:?}"));
             };
             let size = match fields.get("size") {
                 Some(_) => fields.expr("size", lineno, "Collective")?,

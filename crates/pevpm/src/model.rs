@@ -45,20 +45,10 @@ impl MsgKind {
     }
 }
 
-/// Collective operations available as model extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CollOp {
-    /// Barrier synchronisation.
-    Barrier,
-    /// Broadcast from a root.
-    Bcast,
-    /// Reduction to a root.
-    Reduce,
-    /// Reduction + broadcast.
-    Allreduce,
-    /// Personalised all-to-all exchange.
-    Alltoall,
-}
+/// Collective operations available as model extensions: the benchmark
+/// database's own list, so a directive samples the cell MPIBench recorded
+/// for it under [`CollOp::op`].
+pub use pevpm_dist::CollOp;
 
 /// One PEVPM directive.
 #[derive(Debug, Clone, PartialEq)]

@@ -1042,7 +1042,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                     }
                 }
                 let (op, size, _) = first;
-                let dop = op_for_coll(op);
+                let dop = op.op();
                 let Some(time) = self.timing.resolve(dop, size, self.cfg.nprocs as f64) else {
                     return Err(PevpmError::MissingTiming { op: dop, size }.into());
                 };
@@ -1166,15 +1166,5 @@ fn op_for_kind(kind: MsgKind) -> Op {
         MsgKind::Send => Op::Send,
         MsgKind::Isend => Op::Isend,
         MsgKind::Recv | MsgKind::Irecv => Op::Recv,
-    }
-}
-
-fn op_for_coll(op: CollOp) -> Op {
-    match op {
-        CollOp::Barrier => Op::Barrier,
-        CollOp::Bcast => Op::Bcast,
-        CollOp::Reduce => Op::Reduce,
-        CollOp::Allreduce => Op::Allreduce,
-        CollOp::Alltoall => Op::Alltoall,
     }
 }

@@ -7,8 +7,8 @@
 //! matching stays FIFO per (source, tag), exactly like the model.
 
 use crate::program::{Item, PairMode, TestProgram};
-use pevpm::model::CollOp;
-use pevpm_mpisim::{Proc, ReduceOp, SimError, SrcSel, World, WorldConfig};
+use pevpm_mpibench::collective::perform;
+use pevpm_mpisim::{Proc, SimError, SrcSel, World, WorldConfig};
 
 async fn run_items(rank: &mut Proc, items: &[Item], tag_base: u64) {
     let me = rank.rank();
@@ -64,19 +64,7 @@ async fn run_items(rank: &mut Proc, items: &[Item], tag_base: u64) {
                     rank.send_size(*sink, tag, *bytes).await;
                 }
             }
-            Item::Coll { op, bytes } => match op {
-                CollOp::Barrier => rank.barrier().await,
-                CollOp::Bcast => rank.bcast_size(0, *bytes).await,
-                CollOp::Reduce => {
-                    let words = (*bytes / 8).max(1) as usize;
-                    rank.reduce_f64s(0, &vec![1.0; words], ReduceOp::Sum).await;
-                }
-                CollOp::Allreduce => {
-                    let words = (*bytes / 8).max(1) as usize;
-                    rank.allreduce_f64s(&vec![1.0; words], ReduceOp::Sum).await;
-                }
-                CollOp::Alltoall => rank.alltoall_size(*bytes).await,
-            },
+            Item::Coll { op, bytes } => perform(rank, *op, *bytes).await,
             Item::Loop { count, body } => {
                 for _ in 0..*count {
                     // A recursive future needs a box to have a size.

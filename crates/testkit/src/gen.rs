@@ -190,16 +190,7 @@ fn gen_item(rng: &mut SmallRng, cfg: &GenConfig, nprocs: usize, depth: usize) ->
             }
         }
         4 => Item::Coll {
-            op: *pick(
-                rng,
-                &[
-                    CollOp::Barrier,
-                    CollOp::Bcast,
-                    CollOp::Reduce,
-                    CollOp::Allreduce,
-                    CollOp::Alltoall,
-                ],
-            ),
+            op: *pick(rng, &CollOp::ALL),
             bytes: if rng.gen_bool(0.2) {
                 0
             } else {

@@ -216,27 +216,6 @@ fn items_to_stmts(items: &[Item], path: &mut Vec<usize>, out: &mut Vec<Stmt>) {
     }
 }
 
-fn coll_name(op: CollOp) -> &'static str {
-    match op {
-        CollOp::Barrier => "barrier",
-        CollOp::Bcast => "bcast",
-        CollOp::Reduce => "reduce",
-        CollOp::Allreduce => "allreduce",
-        CollOp::Alltoall => "alltoall",
-    }
-}
-
-fn coll_from_name(s: &str) -> Option<CollOp> {
-    Some(match s {
-        "barrier" => CollOp::Barrier,
-        "bcast" => CollOp::Bcast,
-        "reduce" => CollOp::Reduce,
-        "allreduce" => CollOp::Allreduce,
-        "alltoall" => CollOp::Alltoall,
-        _ => return None,
-    })
-}
-
 impl TestProgram {
     /// Lower to a PEVPM directive [`Model`].
     pub fn to_model(&self) -> Model {
@@ -359,7 +338,7 @@ impl TestProgram {
                         ));
                     }
                     Item::Coll { op, bytes } => {
-                        out.push_str(&format!("{pad}coll op={} bytes={bytes}\n", coll_name(*op)));
+                        out.push_str(&format!("{pad}coll op={} bytes={bytes}\n", op.name()));
                     }
                     Item::Loop { count, body } => {
                         out.push_str(&format!("{pad}loop count={count}\n"));
@@ -443,7 +422,7 @@ impl TestProgram {
                 "coll" => {
                     let op = rec.str("op")?;
                     Item::Coll {
-                        op: coll_from_name(op)
+                        op: CollOp::from_name(op)
                             .ok_or_else(|| line.err(format!("unknown collective {op:?}")))?,
                         bytes: rec.parse("bytes")?,
                     }
@@ -530,7 +509,7 @@ impl TestProgram {
                         out.push_str(&format!("// PEVPM Serial time = {time}\n"));
                     }
                     Stmt::Collective { op, size, .. } => {
-                        out.push_str(&format!("// PEVPM Collective op = {}\n", coll_name(*op)));
+                        out.push_str(&format!("// PEVPM Collective op = {}\n", op.name()));
                         out.push_str(&format!("// PEVPM &          size = {size}\n"));
                     }
                 }
@@ -634,6 +613,25 @@ mod tests {
         let model = p.to_model();
         let parsed = pevpm::parse_annotations(&p.to_annotated()).unwrap();
         assert_eq!(parsed.num_stmts(), model.num_stmts());
+    }
+
+    /// Every collective crosses both text forms by name: this crate writes
+    /// the names and pevpm's annotation parser reads them back.
+    #[test]
+    fn every_collective_survives_both_text_forms() {
+        for op in CollOp::ALL {
+            let p = TestProgram {
+                nprocs: 2,
+                items: vec![Item::Coll { op, bytes: 64 }],
+            };
+            assert_eq!(TestProgram::parse(&p.to_text()).unwrap(), p);
+            let parsed = pevpm::parse_annotations(&p.to_annotated()).unwrap();
+            assert!(
+                matches!(parsed.stmts[..], [Stmt::Collective { op: o, .. }] if o == op),
+                "{op:?}: {:?}",
+                parsed.stmts
+            );
+        }
     }
 
     #[test]

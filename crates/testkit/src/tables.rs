@@ -15,18 +15,6 @@ use pevpm_dist::{CommDist, DistKey, DistTable, Histogram, Op};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Ops every generated program may touch.
-pub const ALL_OPS: [Op; 8] = [
-    Op::Send,
-    Op::Isend,
-    Op::Recv,
-    Op::Barrier,
-    Op::Bcast,
-    Op::Reduce,
-    Op::Allreduce,
-    Op::Alltoall,
-];
-
 /// The synthetic table's contention levels.
 pub const CONTENTIONS: [u32; 3] = [1, 8, 100];
 
@@ -55,7 +43,7 @@ fn support(size: u64, contention: u32) -> (f64, f64) {
 }
 
 /// Build the deterministic synthetic table over `sizes` (plus size 0 for
-/// collectives) for every op in [`ALL_OPS`].
+/// collectives) for every op in [`Op::ALL`].
 pub fn synthetic_table(sizes: &[u64], seed: u64) -> DistTable {
     let mut table = DistTable::new();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x7ab1e);
@@ -63,7 +51,7 @@ pub fn synthetic_table(sizes: &[u64], seed: u64) -> DistTable {
     all_sizes.push(0);
     all_sizes.sort_unstable();
     all_sizes.dedup();
-    for op in ALL_OPS {
+    for op in Op::ALL {
         for &size in &all_sizes {
             for &contention in &CONTENTIONS {
                 let (lo, hi) = support(size, contention);
@@ -124,7 +112,7 @@ mod tests {
         let a = synthetic_table(&sizes, 7);
         let b = synthetic_table(&sizes, 7);
         assert_eq!(a, b);
-        for op in ALL_OPS {
+        for op in Op::ALL {
             for size in [0u64, 64, 256, 1024] {
                 for c in CONTENTIONS {
                     assert!(

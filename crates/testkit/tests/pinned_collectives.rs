@@ -12,7 +12,7 @@ use pevpm::annotate::parse_annotations;
 use pevpm::model::CollOp;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{monte_carlo, EvalConfig};
-use pevpm_mpibench::{run_collective, CollConfig, CollKind};
+use pevpm_mpibench::{run_collective, CollConfig};
 use pevpm_mpisim::WorldConfig;
 use pevpm_testkit::tables::synthetic_table;
 use pevpm_testkit::{corun, Item, TestProgram};
@@ -20,10 +20,10 @@ use pevpm_testkit::{corun, Item, TestProgram};
 const SIZES: [u64; 3] = [256, 8192, 65536];
 
 /// Every size's sample mean for one collective, as `f64` bits.
-fn bench_means(kind: CollKind) -> Vec<String> {
+fn bench_means(op: CollOp) -> Vec<String> {
     let res = run_collective(&CollConfig {
         world: WorldConfig::perseus(4, 1, 11),
-        kind,
+        op,
         sizes: SIZES.to_vec(),
         repetitions: 8,
         warmup: 2,
@@ -38,19 +38,9 @@ fn bench_means(kind: CollKind) -> Vec<String> {
 
 #[test]
 fn mpibench_collective_means() {
-    let got: Vec<(CollKind, Vec<String>)> = [
-        CollKind::Barrier,
-        CollKind::Bcast,
-        CollKind::Reduce,
-        CollKind::Allreduce,
-        CollKind::Alltoall,
-    ]
-    .into_iter()
-    .map(|k| (k, bench_means(k)))
-    .collect();
-    let text: Vec<String> = got
-        .iter()
-        .map(|(k, means)| format!("{k:?} {}", means.join(" ")))
+    let text: Vec<String> = CollOp::ALL
+        .into_iter()
+        .map(|op| format!("{op:?} {}", bench_means(op).join(" ")))
         .collect();
     assert_eq!(
         text,
