@@ -383,6 +383,32 @@ fn unknown_machine_lists_valid_machines() {
     }
 }
 
+/// The `.dist` bytes `bench` writes, pinned through the command line under
+/// both pattern families. Recorded before the benchmark recipe moved
+/// behind `P2pConfig::new`; do not re-record them to make a change pass.
+#[test]
+fn bench_database_bytes_are_pinned() {
+    let dir = tmpdir("bench_database_bytes_are_pinned");
+    let mut hashes = Vec::new();
+    for pattern in ["ring", "halfsplit"] {
+        let db = dir.join(format!("{pattern}.dist"));
+        run_cmd(&format!(
+            "bench --nodes 4 --sizes 512,1024 --reps 10 --seed 3 --pattern {pattern} -q --out {}",
+            db.display()
+        ))
+        .unwrap();
+        let bytes = std::fs::read(&db).unwrap();
+        hashes.push(format!("{pattern} {:016x}", pevpm_serve::fnv1a(&bytes)));
+    }
+    assert_eq!(
+        hashes,
+        ["ring 43f2060d0583f206", "halfsplit ea4e3a17a748c9c5"],
+        "{}",
+        hashes.join("\n")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn deadlocked_model_exits_with_budget_code() {
     let dir = tmpdir("deadlocked_model_exits_with_budget_code");
