@@ -11,7 +11,8 @@
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
-use pevpm_bench::{fig6::shape_table, report};
+use pevpm_bench::fig6::{jacobi_sizes, shape_table};
+use pevpm_bench::report;
 use pevpm_mpibench::MachineShape;
 use pevpm_mpisim::WorldConfig;
 
@@ -21,13 +22,12 @@ fn main() {
         iterations: 200,
         serial_secs: 3.24e-3,
     };
-    let halo = cfg.halo_bytes();
     eprintln!("[overlap] phased vs overlapped Jacobi, predicted and measured...");
 
     let mut rows = Vec::new();
     for nodes in [4usize, 8, 16, 32, 64] {
         let shape = MachineShape { nodes, ppn: 1 };
-        let table = shape_table(shape, &[halo / 2, halo, halo * 2], 40, 13);
+        let table = shape_table(shape, &jacobi_sizes(&cfg), 40, 13);
         let timing = TimingModel::distributions(table);
 
         let pred_phased = evaluate(&jacobi::model(&cfg), &EvalConfig::new(nodes), &timing)

@@ -41,16 +41,7 @@ fn main() {
         serial_secs: 3.24e-3,
     };
     let shape = MachineShape { nodes: 64, ppn: 2 };
-    let table = fig6::shape_table(
-        shape,
-        &[
-            jacobi_cfg.halo_bytes() / 2,
-            jacobi_cfg.halo_bytes(),
-            jacobi_cfg.halo_bytes() * 2,
-        ],
-        30,
-        SEED,
-    );
+    let table = fig6::shape_table(shape, &fig6::jacobi_sizes(&jacobi_cfg), 30, SEED);
     let model = jacobi::model(&jacobi_cfg);
     let nprocs = 128;
     let variants: Vec<(&str, TimingModel)> = vec![

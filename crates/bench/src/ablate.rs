@@ -9,12 +9,12 @@
 //!   clock. We inject clock-synchronisation error into the benchmark and
 //!   quantify the distortion of the measured distributions.
 
+use crate::fig6;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
 use pevpm_dist::{CommDist, DistTable, Ecdf};
-use pevpm_mpibench::{run_p2p, ClockModel, Direction, P2pConfig, PairPattern};
-use pevpm_mpisim::WorldConfig;
+use pevpm_mpibench::{run_p2p, ClockModel, P2pConfig};
 
 /// Coarsen every histogram in a table by `factor`.
 pub fn coarsen_table(table: &DistTable, factor: usize) -> DistTable {
@@ -48,8 +48,7 @@ pub fn run_bins(
     bench_reps: usize,
     seed: u64,
 ) -> Vec<BinRow> {
-    let halo = jacobi_cfg.halo_bytes();
-    let table = crate::fig6::shape_table(shape, &[halo / 2, halo, halo * 2], bench_reps, seed);
+    let table = fig6::shape_table(shape, &fig6::jacobi_sizes(jacobi_cfg), bench_reps, seed);
     let model = jacobi::model(jacobi_cfg);
     let nprocs = shape.nodes * shape.ppn;
 
@@ -118,8 +117,7 @@ pub fn run_fits(
 ) -> FitResult {
     use pevpm_dist::{CommDist, ParametricFit};
 
-    let halo = jacobi_cfg.halo_bytes();
-    let table = crate::fig6::shape_table(shape, &[halo / 2, halo, halo * 2], bench_reps, seed);
+    let table = fig6::shape_table(shape, &fig6::jacobi_sizes(jacobi_cfg), bench_reps, seed);
     let fitted = table.fitted();
     let worst_ks = table
         .iter()
@@ -170,14 +168,8 @@ pub fn run_clock(
     seed: u64,
 ) -> Vec<ClockRow> {
     let base_cfg = P2pConfig {
-        world: WorldConfig::perseus(nodes, 1, seed),
-        sizes: vec![size],
-        repetitions: reps,
         warmup: 4,
-        sync_every: 1,
-        pattern: PairPattern::HalfSplit,
-        direction: Direction::Exchange,
-        clock: None,
+        ..P2pConfig::perseus(nodes, 1, vec![size], reps, seed)
     };
     let clean = run_p2p(&base_cfg).expect("clean benchmark failed");
     let clean_ecdf = Ecdf::new(&clean.by_size[0].samples);

@@ -7,7 +7,7 @@ use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::fft::{self, FftConfig};
 use pevpm_apps::taskfarm::{self, FarmConfig};
 use pevpm_dist::{CollOp, CommDist, DistKey, DistTable, Op};
-use pevpm_mpibench::{run_collective, CollConfig};
+use pevpm_mpibench::{run_collective, CollConfig, HIST_BINS};
 use pevpm_mpisim::WorldConfig;
 
 /// A measured-vs-predicted comparison row.
@@ -52,7 +52,7 @@ pub fn run_fft(
         })
         .expect("alltoall benchmark failed");
         let mut table = DistTable::new();
-        coll.add_to_table(&mut table, 100);
+        coll.add_to_table(&mut table, HIST_BINS);
         // A nominal p2p entry so eager sends in other models don't starve
         // (not used by the FFT model but keeps the table well-formed).
         table.insert(

@@ -17,7 +17,7 @@ use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
 use pevpm_dist::{DistTable, Op, PointKind};
-use pevpm_mpibench::{run_p2p, Direction, MachineShape, P2pConfig, PairPattern};
+use pevpm_mpibench::{run_p2p, Direction, MachineShape, P2pConfig, PairPattern, HIST_BINS};
 use pevpm_mpisim::WorldConfig;
 
 /// The prediction-mode keys, in the order they are reported.
@@ -93,61 +93,52 @@ pub struct Fig6Result {
 /// the benchmark pattern matches the application's locality class
 /// (regular-local halo exchange ⇒ ring).
 pub fn shape_table(shape: MachineShape, sizes: &[u64], reps: usize, seed: u64) -> DistTable {
-    shape_table_ops(shape, sizes, reps, seed, &[Op::Send])
+    ring_table(
+        WorldConfig::perseus(shape.nodes, shape.ppn, seed),
+        sizes,
+        reps,
+    )
 }
 
-/// [`shape_table`] recording the measured distributions under several MPI
-/// operations at once. The ring-exchange timings stand in for every
-/// point-to-point flavour (the engine's Send↔Isend fallback covers the
-/// gap when only one is recorded); recording both explicitly gives
-/// fuzzed programs (`pevpm-testkit`) exact-key lookups.
-pub fn shape_table_ops(
-    shape: MachineShape,
-    sizes: &[u64],
-    reps: usize,
-    seed: u64,
-    ops: &[Op],
-) -> DistTable {
-    let p2p = P2pConfig {
-        world: WorldConfig::perseus(shape.nodes, shape.ppn, seed),
-        sizes: sizes.to_vec(),
-        repetitions: reps,
-        warmup: (reps / 10).max(2),
-        sync_every: 1,
-        pattern: PairPattern::Ring,
-        direction: Direction::Exchange,
-        clock: None,
-    };
-    let res = run_p2p(&p2p).expect("MPIBench ring benchmark failed");
-    let mut table = DistTable::new();
-    for &op in ops {
-        res.add_to_table(&mut table, op, 100);
-    }
-    table
+/// The message sizes a Jacobi database is benchmarked at: half, one and
+/// two halos, so the halo size is interpolated from both sides.
+pub fn jacobi_sizes(jacobi: &JacobiConfig) -> [u64; 3] {
+    let halo = jacobi.halo_bytes();
+    [halo / 2, halo, halo * 2]
 }
 
 /// Measure the *uncontended* one-way transit distribution: a single
 /// HalfSplit pair on a `2×1` world, barrier-resynchronised before every
-/// message, recorded at contention 1. This is the distribution a program
-/// with at most one message in flight at a time samples from — the
-/// `pevpm-testkit` statistical oracle pairs it with token-relay programs,
-/// where the ring-exchange table's contention level would systematically
-/// overcharge every hop.
+/// message, recorded at contention 1 under each of `ops`. This is the
+/// distribution a program with at most one message in flight at a time
+/// samples from — the `pevpm-testkit` statistical oracle pairs it with
+/// token-relay programs, where the ring-exchange table's contention level
+/// would systematically overcharge every hop. Recording both Send and
+/// Isend gives fuzzed programs exact-key lookups.
 pub fn oneway_table_ops(sizes: &[u64], reps: usize, seed: u64, ops: &[Op]) -> DistTable {
     let p2p = P2pConfig {
-        world: WorldConfig::perseus(2, 1, seed),
-        sizes: sizes.to_vec(),
-        repetitions: reps,
-        warmup: (reps / 10).max(2),
-        sync_every: 1,
-        pattern: PairPattern::HalfSplit,
         direction: Direction::OneWay,
-        clock: None,
+        ..P2pConfig::perseus(2, 1, sizes.to_vec(), reps, seed)
     };
-    let res = run_p2p(&p2p).expect("MPIBench one-way benchmark failed");
+    tabulate(&p2p, ops)
+}
+
+/// [`shape_table`] on any world, such as one carrying a fault plan.
+pub(crate) fn ring_table(world: WorldConfig, sizes: &[u64], reps: usize) -> DistTable {
+    let p2p = P2pConfig {
+        pattern: PairPattern::Ring,
+        ..P2pConfig::new(world, sizes.to_vec(), reps)
+    };
+    tabulate(&p2p, &[Op::Send])
+}
+
+/// Run one MPIBench benchmark and record its histograms under each of
+/// `ops`: the one builder behind every Figure 6 database.
+fn tabulate(p2p: &P2pConfig, ops: &[Op]) -> DistTable {
+    let res = run_p2p(p2p).expect("MPIBench benchmark failed");
     let mut table = DistTable::new();
     for &op in ops {
-        res.add_to_table(&mut table, op, 100);
+        res.add_to_table(&mut table, op, HIST_BINS);
     }
     table
 }
@@ -179,8 +170,7 @@ pub fn timing_models(matched: &DistTable, pingpong: &DistTable) -> Vec<(String, 
 
 /// Run the Figure 6 experiment.
 pub fn run(cfg: &Fig6Config) -> Fig6Result {
-    let halo = cfg.jacobi.halo_bytes();
-    let sizes = vec![halo / 2, halo, halo * 2];
+    let sizes = jacobi_sizes(&cfg.jacobi);
 
     // The 2×1 ping-pong database backing the "simplistic" baselines.
     let pingpong_table = shape_table(
@@ -328,16 +318,7 @@ mod tests {
             iterations: 40,
             serial_secs: 3.24e-3,
         };
-        let table = shape_table(
-            shape,
-            &[
-                jcfg.halo_bytes() / 2,
-                jcfg.halo_bytes(),
-                jcfg.halo_bytes() * 2,
-            ],
-            20,
-            5,
-        );
+        let table = shape_table(shape, &jacobi_sizes(&jcfg), 20, 5);
         let timing = TimingModel::distributions(table);
         let reg = Arc::new(pevpm_obs::Registry::new());
         let cfg = pevpm::vm::EvalConfig::new(8)

@@ -47,7 +47,7 @@ pub fn run(cfg: &FigsConfig) -> SweepResult {
         sizes: cfg.sizes.clone(),
         repetitions: cfg.repetitions,
         seed: cfg.seed,
-        bins: 100,
+        bins: pevpm_mpibench::HIST_BINS,
     })
     .expect("sweep failed")
 }

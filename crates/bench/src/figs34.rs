@@ -9,8 +9,7 @@
 //!   related to the network's retransmission timeout parameters".
 
 use pevpm_dist::{Ecdf, Histogram};
-use pevpm_mpibench::{run_p2p, Direction, P2pConfig, PairPattern};
-use pevpm_mpisim::WorldConfig;
+use pevpm_mpibench::{run_p2p, P2pConfig};
 
 /// Configuration of a PDF experiment.
 #[derive(Debug, Clone)]
@@ -68,16 +67,13 @@ pub struct PdfSeries {
 
 /// Run the experiment: per-size PDFs of individual message times.
 pub fn run(cfg: &PdfConfig) -> Vec<PdfSeries> {
-    let p2p = P2pConfig {
-        world: WorldConfig::perseus(cfg.nodes, cfg.ppn, cfg.seed),
-        sizes: cfg.sizes.clone(),
-        repetitions: cfg.repetitions,
-        warmup: (cfg.repetitions / 10).max(2),
-        sync_every: 1,
-        pattern: PairPattern::HalfSplit,
-        direction: Direction::Exchange,
-        clock: None,
-    };
+    let p2p = P2pConfig::perseus(
+        cfg.nodes,
+        cfg.ppn,
+        cfg.sizes.clone(),
+        cfg.repetitions,
+        cfg.seed,
+    );
     let res = run_p2p(&p2p).expect("PDF benchmark failed");
     res.by_size
         .iter()

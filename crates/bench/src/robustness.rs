@@ -23,11 +23,11 @@
 //! clean baseline (same tables, same RNG streams — the fault layer is
 //! pay-for-what-you-use).
 
+use crate::fig6;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{monte_carlo, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
-use pevpm_dist::{DistTable, Op};
-use pevpm_mpibench::{run_p2p, Direction, MachineShape, P2pConfig, PairPattern};
+use pevpm_mpibench::MachineShape;
 use pevpm_mpisim::WorldConfig;
 use pevpm_netsim::{FaultPlan, LinkDegrade, NetStats};
 
@@ -160,44 +160,15 @@ pub fn plan_for(shape: MachineShape, point: GridPoint) -> Option<FaultPlan> {
     (!plan.is_empty()).then_some(plan)
 }
 
-/// [`crate::fig6::shape_table`] with an optional fault plan applied to
-/// the benchmarked cluster: the MPIBench sweep re-run on the degraded
-/// machine. `faults: None` is byte-identical to the fig6 pipeline.
-pub fn shape_table_with_faults(
-    shape: MachineShape,
-    sizes: &[u64],
-    reps: usize,
-    seed: u64,
-    faults: Option<FaultPlan>,
-) -> DistTable {
-    let mut world = WorldConfig::perseus(shape.nodes, shape.ppn, seed);
-    world.cluster.faults = faults;
-    let p2p = P2pConfig {
-        world,
-        sizes: sizes.to_vec(),
-        repetitions: reps,
-        warmup: (reps / 10).max(2),
-        sync_every: 1,
-        pattern: PairPattern::Ring,
-        direction: Direction::Exchange,
-        clock: None,
-    };
-    let res = run_p2p(&p2p).expect("MPIBench ring benchmark failed");
-    let mut table = DistTable::new();
-    res.add_to_table(&mut table, Op::Send, 100);
-    table
-}
-
 /// Run the robustness experiment.
 pub fn run(cfg: &RobustnessConfig) -> RobustnessResult {
-    let halo = cfg.jacobi.halo_bytes();
-    let sizes = [halo / 2, halo, halo * 2];
+    let sizes = fig6::jacobi_sizes(&cfg.jacobi);
     let model = jacobi::model(&cfg.jacobi);
     let nprocs = cfg.shape.nodes * cfg.shape.ppn;
 
     // Healthy machine: database, prediction (the regression anchor — this
     // pipeline is exactly the tcost/fig6 one) and measurement.
-    let clean_table = shape_table_with_faults(cfg.shape, &sizes, cfg.bench_reps, cfg.seed, None);
+    let clean_table = fig6::shape_table(cfg.shape, &sizes, cfg.bench_reps, cfg.seed);
     let clean_timing = TimingModel::distributions(clean_table);
     let eval_cfg = EvalConfig::new(nprocs).with_seed(cfg.seed);
     let baseline_mean = monte_carlo(&model, &eval_cfg, &clean_timing, cfg.mc_reps)
@@ -214,18 +185,16 @@ pub fn run(cfg: &RobustnessConfig) -> RobustnessResult {
     // to a serial loop (each row's work is seeded by cfg.seed alone).
     let rows: Vec<RobustnessRow> = pevpm::replicate::parallel_map(cfg.grid.len(), 0, |i| {
         let point = cfg.grid[i];
-        let plan = plan_for(cfg.shape, point);
 
         // Degraded measurement: the same program, seed and machine, with
         // only the fault plan changed.
         let mut world = WorldConfig::perseus(cfg.shape.nodes, cfg.shape.ppn, cfg.seed);
-        world.cluster.faults = plan.clone();
+        world.cluster.faults = plan_for(cfg.shape, point);
         let measured =
-            jacobi::run_measured(world, &cfg.jacobi).expect("degraded measured run failed");
+            jacobi::run_measured(world.clone(), &cfg.jacobi).expect("degraded measured run failed");
 
         // Degraded-table prediction: re-benchmark the degraded machine.
-        let degraded_table =
-            shape_table_with_faults(cfg.shape, &sizes, cfg.bench_reps, cfg.seed, plan);
+        let degraded_table = fig6::ring_table(world, &sizes, cfg.bench_reps);
         let degraded_pred = monte_carlo(
             &model,
             &eval_cfg,

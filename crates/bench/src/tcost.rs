@@ -91,16 +91,8 @@ pub fn run(
     mc_reps: usize,
     seed: u64,
 ) -> CostResult {
-    let table = crate::fig6::shape_table(
-        shape,
-        &[
-            jacobi_cfg.halo_bytes() / 2,
-            jacobi_cfg.halo_bytes(),
-            jacobi_cfg.halo_bytes() * 2,
-        ],
-        bench_reps,
-        seed,
-    );
+    let sizes = crate::fig6::jacobi_sizes(jacobi_cfg);
+    let table = crate::fig6::shape_table(shape, &sizes, bench_reps, seed);
     let timing = TimingModel::distributions(table);
     let model = jacobi::model(jacobi_cfg);
     let nprocs = shape.nodes * shape.ppn;

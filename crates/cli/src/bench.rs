@@ -4,7 +4,7 @@
 use crate::args::Args;
 use crate::{err, write_text, CliError};
 use pevpm_dist::{io as dist_io, DistTable, Op};
-use pevpm_mpibench::{run_p2p_reps, Direction, P2pConfig, PairPattern};
+use pevpm_mpibench::{run_p2p_reps, P2pConfig, PairPattern, HIST_BINS};
 use pevpm_mpisim::{ClusterConfig, FaultPlan, Placement, ProtocolConfig, WorldConfig};
 use pevpm_obs::{diag, Registry};
 use std::path::Path;
@@ -90,28 +90,26 @@ pub(crate) fn cmd_bench(args: &Args) -> Result<String, CliError> {
     let trace_out = args.get("trace-out");
     let metrics_out = args.get("metrics-out");
 
+    let cfg = P2pConfig {
+        pattern,
+        ..P2pConfig::new(
+            world_for(args, nodes, ppn, seed, trace_out.is_some())?,
+            sizes,
+            reps,
+        )
+    };
+    cfg.check()
+        .map_err(|e| CliError::usage(format!("cannot benchmark {nodes}x{ppn}: {e}")))?;
+
     diag::info(&format!(
         "benchmarking {nodes}x{ppn} on {machine} ({} sizes, {reps} reps, {replicas} replica(s))",
-        sizes.len()
+        cfg.sizes.len()
     ));
-    let res = run_p2p_reps(
-        &P2pConfig {
-            world: world_for(args, nodes, ppn, seed, trace_out.is_some())?,
-            sizes: sizes.clone(),
-            repetitions: reps,
-            warmup: (reps / 10).max(2),
-            sync_every: 1,
-            pattern,
-            direction: Direction::Exchange,
-            clock: None,
-        },
-        replicas,
-        threads,
-    )
-    .map_err(|e| CliError::input(format!("benchmark failed: {e}")))?;
+    let res = run_p2p_reps(&cfg, replicas, threads)
+        .map_err(|e| CliError::input(format!("benchmark failed: {e}")))?;
 
     let mut table = DistTable::new();
-    res.add_to_table(&mut table, Op::Send, 100);
+    res.add_to_table(&mut table, Op::Send, HIST_BINS);
     dist_io::save_table(&table, Path::new(out))
         .map_err(|e| CliError::input(format!("cannot write {out}: {e}")))?;
 

@@ -318,6 +318,25 @@ fn exit_codes_follow_the_contract() {
             .code,
         EXIT_USAGE
     );
+    // usage: a benchmark that cannot run is refused before it starts,
+    // in one line, and leaves no database behind.
+    let dir = tmpdir("exit_codes_follow_the_contract");
+    let out = dir.join("refused.dist");
+    for flags in [
+        "--nodes 1",
+        "--nodes 1 --ppn 1 --pattern ring",
+        "--nodes 3 --pattern halfsplit",
+        "--nodes 3 --pattern adjacent",
+        "--nodes 4 --reps 0",
+    ] {
+        let line = format!("bench {flags} --sizes 512 --out {}", out.display());
+        let e = run_cmd(&line).unwrap_err();
+        assert_eq!(e.code, EXIT_USAGE, "{line}: {e}");
+        assert!(!e.message.contains("panic"), "{line}: {e}");
+        assert!(!e.message.contains('\n'), "{line}: {e}");
+        assert!(!out.exists(), "{line} wrote {}", out.display());
+    }
+    std::fs::remove_dir_all(&dir).ok();
     // input: unreadable files.
     assert_eq!(
         run_cmd("inspect --db /no/such.dist").unwrap_err().code,

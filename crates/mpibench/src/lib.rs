@@ -30,6 +30,7 @@ pub use collective::{run_collective, CollConfig, CollResult};
 pub use conventional::{compare as compare_conventional, run_pingpong, Comparison, PingPongResult};
 pub use p2p::{
     histogram_from_samples, run_p2p, run_p2p_reps, Direction, P2pConfig, P2pResult, PairPattern,
+    HIST_BINS,
 };
 pub use sweep::{
     paper_shapes, run_sweep, run_sweep_threads, size_grid, MachineShape, SweepConfig, SweepResult,

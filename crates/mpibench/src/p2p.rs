@@ -39,12 +39,9 @@ pub enum PairPattern {
 impl PairPattern {
     /// The peer of `rank` in a world of `n` ranks, plus whether this rank
     /// is the pair's *primary* (the only sender in one-way mode; the
-    /// even-phase sender in exchange mode). Not meaningful for `Ring`.
+    /// even-phase sender in exchange mode). Not meaningful for `Ring`, nor
+    /// for a rank count [`P2pConfig::check`] refuses.
     pub fn peer(self, rank: usize, n: usize) -> (usize, bool) {
-        assert!(
-            n >= 2 && n.is_multiple_of(2),
-            "p2p benchmark needs an even rank count"
-        );
         match self {
             PairPattern::HalfSplit => {
                 if rank < n / 2 {
@@ -65,13 +62,11 @@ impl PairPattern {
     }
 
     /// `(send_to, recv_from, sends_here, recvs_here)` for a rank under
-    /// this pattern and traffic direction.
+    /// this pattern and traffic direction, in a world of `n` ranks that
+    /// [`P2pConfig::check`] accepts.
     pub fn role(self, rank: usize, n: usize, direction: Direction) -> (usize, usize, bool, bool) {
         match self {
-            PairPattern::Ring => {
-                assert!(n >= 2, "ring needs at least two ranks");
-                ((rank + 1) % n, (rank + n - 1) % n, true, true)
-            }
+            PairPattern::Ring => ((rank + 1) % n, (rank + n - 1) % n, true, true),
             _ => {
                 let (peer, primary) = self.peer(rank, n);
                 let exchange = direction == Direction::Exchange;
@@ -102,7 +97,12 @@ pub enum Direction {
     Exchange,
 }
 
-/// Configuration of one point-to-point benchmark run.
+/// Equal-width bins in every histogram a benchmark database records.
+pub const HIST_BINS: usize = 100;
+
+/// Configuration of one point-to-point benchmark run. Build it with
+/// [`P2pConfig::new`], which holds MPIBench's recipe, and override only
+/// what a run changes.
 #[derive(Debug, Clone)]
 pub struct P2pConfig {
     /// World (cluster + placement) under test.
@@ -127,16 +127,13 @@ pub struct P2pConfig {
 }
 
 impl P2pConfig {
-    /// MPIBench-like defaults for an `nodes × ppn` Perseus configuration.
-    pub fn perseus(
-        nodes: usize,
-        ppn: usize,
-        sizes: Vec<u64>,
-        repetitions: usize,
-        seed: u64,
-    ) -> Self {
+    /// MPIBench's recipe for `repetitions` timed messages per size on
+    /// `world`: a tenth as many untimed warmups (at least two), a barrier
+    /// before every timed message, the perfect global clock, and
+    /// `HalfSplit` pairs exchanging both ways.
+    pub fn new(world: WorldConfig, sizes: Vec<u64>, repetitions: usize) -> Self {
         P2pConfig {
-            world: WorldConfig::perseus(nodes, ppn, seed),
+            world,
             sizes,
             repetitions,
             warmup: (repetitions / 10).max(2),
@@ -145,6 +142,37 @@ impl P2pConfig {
             direction: Direction::Exchange,
             clock: None,
         }
+    }
+
+    /// [`P2pConfig::new`] on an `nodes × ppn` Perseus configuration.
+    pub fn perseus(
+        nodes: usize,
+        ppn: usize,
+        sizes: Vec<u64>,
+        repetitions: usize,
+        seed: u64,
+    ) -> Self {
+        Self::new(WorldConfig::perseus(nodes, ppn, seed), sizes, repetitions)
+    }
+
+    /// Why this run cannot produce a database, if it cannot: fewer than
+    /// two ranks, an odd rank count under a pattern that pairs ranks, or
+    /// no timed repetition to fill a histogram with.
+    pub fn check(&self) -> Result<(), String> {
+        let n = self.world.nranks();
+        if n < 2 {
+            return Err(format!("a p2p benchmark needs at least two ranks, not {n}"));
+        }
+        if self.pattern != PairPattern::Ring && !n.is_multiple_of(2) {
+            return Err(format!(
+                "the {:?} pattern pairs ranks and needs an even rank count, not {n}",
+                self.pattern
+            ));
+        }
+        if self.repetitions == 0 {
+            return Err("a p2p benchmark needs at least one timed repetition".into());
+        }
+        Ok(())
     }
 }
 
@@ -238,14 +266,11 @@ struct Stamps {
 /// Run the point-to-point benchmark. Every timed message contributes one
 /// sample: receive-completion time at the destination minus send-start time
 /// at the source, both read from the global clock (possibly skewed by the
-/// configured [`ClockModel`]).
+/// configured [`ClockModel`]). Panics on a configuration
+/// [`P2pConfig::check`] refuses.
 pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
+    cfg.check().unwrap_or_else(|e| panic!("{e}"));
     let n = cfg.world.nranks();
-    assert!(n >= 2, "p2p benchmark needs at least two ranks");
-    assert!(
-        cfg.pattern == PairPattern::Ring || n.is_multiple_of(2),
-        "paired patterns need an even rank count"
-    );
     let nsizes = cfg.sizes.len();
     let clock = cfg.clock.clone().unwrap_or_else(|| ClockModel::perfect(n));
 

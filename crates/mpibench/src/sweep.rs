@@ -3,9 +3,9 @@
 //! figure-ready series (average/min lines per configuration) and the
 //! benchmark database ([`DistTable`]) that PEVPM samples from.
 
-use crate::p2p::{run_p2p, Direction, P2pConfig, P2pResult, PairPattern};
+use crate::p2p::{run_p2p, P2pConfig, P2pResult, HIST_BINS};
 use pevpm_dist::{DistTable, Op};
-use pevpm_mpisim::{SimError, WorldConfig};
+use pevpm_mpisim::SimError;
 
 /// A machine configuration in the paper's `n×p` notation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +67,7 @@ impl Default for SweepConfig {
             sizes: size_grid(64, 4096),
             repetitions: 100,
             seed: 20040101,
-            bins: 100,
+            bins: HIST_BINS,
         }
     }
 }
@@ -105,22 +105,13 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SimError> {
 pub fn run_sweep_threads(cfg: &SweepConfig, threads: usize) -> Result<SweepResult, SimError> {
     let runs = crate::p2p::replicated(cfg.shapes.len(), threads, |i| {
         let shape = cfg.shapes[i];
-        let world = WorldConfig::perseus(
+        run_p2p(&P2pConfig::perseus(
             shape.nodes,
             shape.ppn,
+            cfg.sizes.clone(),
+            cfg.repetitions,
             pevpm::replicate::replica_seed(cfg.seed, i as u64),
-        );
-        let p2p = P2pConfig {
-            world,
-            sizes: cfg.sizes.clone(),
-            repetitions: cfg.repetitions,
-            warmup: (cfg.repetitions / 10).max(2),
-            sync_every: 1,
-            pattern: PairPattern::HalfSplit,
-            direction: Direction::Exchange,
-            clock: None,
-        };
-        run_p2p(&p2p)
+        ))
     })?;
     let mut table = DistTable::new();
     for res in &runs {

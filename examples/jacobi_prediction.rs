@@ -13,7 +13,7 @@
 use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
-use pevpm_bench::fig6::shape_table;
+use pevpm_bench::fig6::{jacobi_sizes, shape_table};
 use pevpm_mpibench::MachineShape;
 use pevpm_mpisim::WorldConfig;
 
@@ -40,7 +40,7 @@ fn main() {
     let halo = cfg.halo_bytes();
     let shape = MachineShape { nodes, ppn };
     println!("Benchmarking {shape} with MPIBench (halo size {halo} B)...");
-    let table = shape_table(shape, &[halo / 2, halo, halo * 2], 60, 42);
+    let table = shape_table(shape, &jacobi_sizes(&cfg), 60, 42);
 
     // --- 3. Predict -------------------------------------------------------
     // The Figure 5 listing's serial constant is in the paper's own unit

@@ -15,7 +15,7 @@ use pevpm::timing::TimingModel;
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm::Model;
 use pevpm_dist::{DistTable, Op};
-use pevpm_mpibench::{run_p2p, P2pConfig};
+use pevpm_mpibench::{run_p2p, P2pConfig, HIST_BINS};
 use pevpm_mpisim::{World, WorldConfig};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     let bench = P2pConfig::perseus(8, 1, vec![512, 1024, 2048], 80, 42);
     let res = run_p2p(&bench).expect("benchmark failed");
     let mut table = DistTable::new();
-    res.add_to_table(&mut table, Op::Send, 100);
+    res.add_to_table(&mut table, Op::Send, HIST_BINS);
     let s = &res.by_size[1]; // 1024 B
     println!(
         "MPIBench @ 8x1, 1 KiB: min {:.1}us avg {:.1}us max {:.1}us over {} messages",

@@ -23,8 +23,9 @@ use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::TimingModel;
 use pevpm::vm::{monte_carlo, EvalConfig, McPrediction};
 use pevpm_apps::jacobi::{self, JacobiConfig};
+use pevpm_bench::fig6::jacobi_sizes;
 use pevpm_dist::{DistTable, Op, Summary};
-use pevpm_mpibench::{run_p2p, Direction, P2pConfig, PairPattern};
+use pevpm_mpibench::{run_p2p, P2pConfig, PairPattern, HIST_BINS};
 use pevpm_mpisim::{ClusterConfig, Placement, ProtocolConfig, WorldConfig};
 
 fn bench_machine(cluster: ClusterConfig, nodes: usize, sizes: &[u64], seed: u64) -> DistTable {
@@ -39,18 +40,13 @@ fn bench_machine(cluster: ClusterConfig, nodes: usize, sizes: &[u64], seed: u64)
     };
     let _ = nodes;
     let res = run_p2p(&P2pConfig {
-        world,
-        sizes: sizes.to_vec(),
-        repetitions: 50,
         warmup: 5,
-        sync_every: 1,
         pattern: PairPattern::Ring,
-        direction: Direction::Exchange,
-        clock: None,
+        ..P2pConfig::new(world, sizes.to_vec(), 50)
     })
     .expect("benchmark failed");
     let mut table = DistTable::new();
-    res.add_to_table(&mut table, Op::Send, 100);
+    res.add_to_table(&mut table, Op::Send, HIST_BINS);
     table
 }
 
@@ -81,7 +77,7 @@ fn main() {
         iterations: 200,
         serial_secs: 3.24e-3,
     };
-    let sizes = [cfg.halo_bytes() / 2, cfg.halo_bytes(), cfg.halo_bytes() * 2];
+    let sizes = jacobi_sizes(&cfg);
     let model = jacobi::model(&cfg);
     let t_serial = cfg.iterations as f64 * cfg.serial_secs;
 
