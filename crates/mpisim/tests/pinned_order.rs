@@ -6,7 +6,8 @@
 //! in the ready heap; the trace digest does.
 
 use pevpm_mpisim::{
-    Dur, FaultPlan, Proc, RunReport, SrcSel, TagSel, TraceEvent, TraceKind, World, WorldConfig,
+    Dur, FaultPlan, Proc, RunReport, SimError, SrcSel, TagSel, Time, TraceEvent, TraceKind, World,
+    WorldConfig,
 };
 
 /// FNV-1a over 64-bit words.
@@ -176,4 +177,172 @@ fn mixed_program_reproduces_the_recorded_schedule() {
         let got = fingerprint(&run_mixed(seed, loss));
         assert_eq!(got, expected, "seed {seed}, loss {loss}");
     }
+}
+
+/// Absolute virtual time `at` as a compute from `rank`'s clock.
+fn until(rank: &Proc, at: Time) -> Dur {
+    at.since(rank.now())
+}
+
+/// Aimed at the ready heap's and the network's tie rules: ranks that
+/// compute to the same nanosecond as other ready ranks, zero-length
+/// computes, waits on eager sends that completed before the wait, and
+/// compute resumes that land exactly on a frame's delivery event.
+/// A blocked receive completes `mc` (the match cost) after its message
+/// completes, and that is `back - mc` (the receive overhead) after the
+/// message's last frame reached the destination host.
+async fn ties(rank: &mut Proc, mc: Dur, back: Dur) {
+    let (r, n) = (rank.rank(), rank.nranks());
+    let (left, right) = ((r + n - 1) % n, (r + 1) % n);
+    // Staggered starts meeting on one instant. Rank 0 computes for
+    // nothing while every other rank is ready at the same time; the last
+    // rank to reach 100 µs finds all the others already waiting there.
+    rank.compute(Dur::from_micros(3 * r as u64)).await;
+    rank.compute(until(rank, Time(100_000))).await;
+    rank.compute(Dur::ZERO).await;
+    // Incast in the order the ready heap releases the senders.
+    if r == 0 {
+        for _ in 1..n {
+            rank.recv(SrcSel::Any, 10).await;
+        }
+    } else {
+        rank.send_size(0, 10, 200 + 16 * r as u64).await;
+    }
+
+    // A wait on an eager send that completed long before it, and one on a
+    // send that completes after it is posted.
+    let sq = rank.isend_size(right, 11, 512);
+    rank.compute(Dur::from_micros(500)).await;
+    assert!(rank.wait(sq).await.is_none());
+    let sq = rank.isend_size(right, 12, 512);
+    assert!(rank.wait(sq).await.is_none());
+    rank.recv(left, 11).await;
+    rank.recv(left, 12).await;
+
+    // Resumes landing on a delivery. Rank 0 sends to rank n - 1, which
+    // waits in `recv`. Round 0 learns how long after the send that
+    // receive completes, and the receiver tells rank 0. In every later
+    // round rank 0 computes to that instant less one offset (exactly on
+    // the frame's delivery event, on its completion, on its match, and one
+    // nanosecond either side of each), then on to the instant the
+    // receiver wakes. Both then send to rank n / 2, whose any-source
+    // receives record which of the two ran first.
+    let offsets = [
+        Dur::ZERO,
+        Dur::from_nanos(1),
+        Dur::from_nanos(mc.as_nanos() - 1),
+        mc,
+        mc + Dur::from_nanos(1),
+        Dur::from_nanos(back.as_nanos() - 1),
+        back,
+        back + Dur::from_nanos(1),
+    ];
+    let (lander, receiver, collector) = (0, n - 1, n / 2);
+    let mut delay = Dur::ZERO;
+    for (round, offset) in std::iter::once(Dur::ZERO).chain(offsets).enumerate() {
+        let start = Time(2_000_000 + 1_000_000 * round as u64);
+        let tag = 20 + round as u64;
+        if r == lander {
+            rank.compute(until(rank, start)).await;
+            rank.send_size(receiver, tag, 100).await;
+            if round == 0 {
+                let (_, payload) = rank.recv(receiver, tag).await;
+                let nanos = u64::from_le_bytes(payload[..].try_into().expect("8 bytes"));
+                delay = Dur::from_nanos(nanos);
+                continue;
+            }
+            let woken = start + delay;
+            // A microsecond short first, so that the compute onto `land`
+            // starts with nothing but the delivery ahead of it.
+            let land = Time(woken.as_nanos() - offset.as_nanos());
+            rank.compute(until(rank, Time(land.as_nanos() - 1_000)))
+                .await;
+            rank.compute(until(rank, land)).await;
+            rank.compute(until(rank, woken)).await;
+            rank.send_size(collector, tag, 64).await;
+        } else if r == receiver {
+            rank.recv(lander, tag).await;
+            if round == 0 {
+                delay = rank.now().since(start);
+                rank.send(lander, tag, delay.as_nanos().to_le_bytes().to_vec())
+                    .await;
+                continue;
+            }
+            rank.send_size(collector, tag, 64).await;
+        } else if r == collector && round > 0 {
+            for _ in 0..2 {
+                rank.recv(SrcSel::Any, tag).await;
+            }
+        }
+    }
+    rank.barrier().await;
+}
+
+fn run_ties(seed: u64, jitter: bool, deadline: Option<Dur>) -> Result<RunReport, SimError> {
+    let mut cfg = WorldConfig::perseus(4, 2, seed);
+    cfg.record_trace = true;
+    cfg.virtual_deadline = deadline;
+    if !jitter {
+        cfg.cluster.jitter_mean = Dur::ZERO;
+    }
+    let mc = cfg.protocol.match_cost;
+    let back = cfg.cluster.recv_overhead + mc;
+    World::run_async(cfg, async |rank: &mut Proc| ties(rank, mc, back).await)
+}
+
+/// `(seed, jitter, fingerprint)` of the tie program, recorded before the
+/// engine resumed a rank inside its own call.
+const TIES: [(u64, bool, &str); 2] = [(3, false, "virtual_ns=10453627 clocks=0x688877486cd2b688 messages=73 trace_events=251 traces=0x703ae072629ed5dd net=NetStats { frames_sent: 60, frames_dropped: 0, retransmissions: 0, transfers_completed: 73, bytes_delivered: 11972, events_processed: 253, trunk_bytes: 0, trunk_peak_backlog: 0, faults_injected_losses: 0, faults_flap_drops: 0, faults_paused_frames: 0, faults_background_transfers: 0 }"), (3, true, "virtual_ns=10494029 clocks=0x952c248bc81b8849 messages=73 trace_events=251 traces=0x0ccc3ec966afa490 net=NetStats { frames_sent: 60, frames_dropped: 0, retransmissions: 0, transfers_completed: 73, bytes_delivered: 11972, events_processed: 253, trunk_bytes: 0, trunk_peak_backlog: 0, faults_injected_losses: 0, faults_flap_drops: 0, faults_paused_frames: 0, faults_background_transfers: 0 }")];
+
+#[test]
+fn tie_program_reproduces_the_recorded_schedule() {
+    for (seed, jitter, expected) in TIES {
+        let got = fingerprint(&run_ties(seed, jitter, None).expect("tie program runs"));
+        assert_eq!(got, expected, "seed {seed}, jitter {jitter}");
+    }
+}
+
+#[test]
+fn deadline_and_deadlock_errors_are_pinned() {
+    let mut cfg = WorldConfig::perseus(16, 2, 5);
+    cfg.virtual_deadline = Some(Dur::from_millis(30));
+    match World::run_async(cfg, mixed) {
+        Err(SimError::DeadlineExceeded { time }) => assert_eq!(time, Time(30000002)),
+        other => panic!("expected a missed deadline, got {other:?}"),
+    }
+    match run_ties(3, true, Some(Dur::from_nanos(3_050_000))) {
+        Err(SimError::DeadlineExceeded { time }) => assert_eq!(time, Time(3055428)),
+        other => panic!("expected a missed deadline, got {other:?}"),
+    }
+
+    // A rank that computes past the deadline with nothing else pending.
+    let mut cfg = WorldConfig::ideal(2, 1);
+    cfg.virtual_deadline = Some(Dur::from_millis(5));
+    let lone = World::run_async(cfg, async |rank: &mut Proc| {
+        if rank.rank() == 1 {
+            rank.compute(Dur::from_millis(10)).await;
+        }
+    });
+    match lone {
+        Err(SimError::DeadlineExceeded { time }) => assert_eq!(time, Time(10000000)),
+        other => panic!("expected a missed deadline, got {other:?}"),
+    }
+
+    // A two-rank receive cycle behind one completed exchange.
+    let err = World::run_async(WorldConfig::perseus(2, 1, 9), async |rank: &mut Proc| {
+        let peer = 1 - rank.rank();
+        rank.sendrecv_size(peer, 1, 3_000, peer, 1).await;
+        rank.compute(Dur::from_micros(10 * rank.rank() as u64))
+            .await;
+        rank.recv(peer, 2).await;
+    })
+    .expect_err("a receive cycle deadlocks");
+    let SimError::Deadlock { time, .. } = err else {
+        panic!("expected a deadlock, got {err}")
+    };
+    assert_eq!(time, Time(446372));
+    assert_eq!(
+        err.to_string(),
+        "deadlock at 0.000446s: rank 0 blocked in Recv(src=Rank(1), tag=Tag(2)), rank 1 blocked in Recv(src=Rank(0), tag=Tag(2))"
+    );
 }
