@@ -212,6 +212,9 @@ pub struct P2pResult {
     /// multi-replica results ([`run_p2p_reps`]) this is the first
     /// replica's trace.
     pub traces: Option<Vec<Vec<TraceEvent>>>,
+    /// Network events the benchmark execution took (summed over the
+    /// replicas of a merged result): what its simulation cost.
+    pub net_events: u64,
 }
 
 impl P2pResult {
@@ -357,6 +360,7 @@ pub fn run_p2p(cfg: &P2pConfig) -> Result<P2pResult, SimError> {
         pairs: cfg.pattern.concurrency(n, cfg.direction),
         by_size,
         traces: report.traces,
+        net_events: report.net_stats.events_processed,
     })
 }
 
@@ -399,6 +403,7 @@ pub fn run_p2p_reps(cfg: &P2pConfig, reps: usize, threads: usize) -> Result<P2pR
 
     let mut merged = runs[0].clone();
     for run in &runs[1..] {
+        merged.net_events += run.net_events;
         for (acc, r) in merged.by_size.iter_mut().zip(&run.by_size) {
             debug_assert_eq!(acc.size, r.size);
             acc.samples.extend_from_slice(&r.samples);

@@ -2,18 +2,28 @@
 //!
 //! A rank program is an `async` state machine, and [`World::run_async`]
 //! runs all of them on the calling thread: it boxes one future per rank
-//! and loops `Engine::dispatch` — advance the network, pop the next ready
-//! rank in `(time, seq, rank)` order — then polls that rank's future once.
-//! There is no waker and no run queue besides the engine's ready heap: a
-//! future is polled exactly when virtual time says its rank runs next.
-//! Every MPI call on a [`Proc`] runs the engine's handler (`Engine::call`)
-//! inside that poll:
+//! and loops `Engine::dispatch` — advance the network up to the ready
+//! heap's head (one [`Network::advance`] per completing event time,
+//! reacting to each batch of completions before the next), pop the next
+//! ready rank in `(time, seq, rank)` order — then polls that rank's
+//! future once. There is no waker and no run queue besides the engine's
+//! ready heap: a future is polled exactly when virtual time says its rank
+//! runs next. Every MPI call on a [`Proc`] runs the engine's handler
+//! (`Engine::call`) inside that poll:
 //!
 //! - a call that completes at once (eager `send`, `isend`, `irecv`,
 //!   `test`) returns without leaving the poll;
 //! - a call that blocks or yields (`recv`, `wait`, rendezvous `send`,
 //!   `compute`) returns `Pending`; when `dispatch` next returns the rank,
 //!   its future is polled again and takes the reply the engine left it.
+//!
+//! One exception keeps the rule: a `compute`, or a `wait` on a request
+//! that has already completed, resumes inside the same poll when its
+//! resume time is strictly before the ready heap's head, strictly before
+//! the next network event, and within `virtual_deadline`. In exactly that
+//! case `dispatch` would pop the same rank next with nothing in between,
+//! so the hand-off is skipped; the ready sequence still advances, so later
+//! wake-ups are numbered as a yield would have numbered them.
 //!
 //! Execution therefore interleaves with network events in strict
 //! virtual-time order, deterministically per seed, and futures being lazy
@@ -360,6 +370,8 @@ impl std::fmt::Display for Blocked {
 
 pub(crate) struct Engine {
     cfg: WorldConfig,
+    /// `cfg.virtual_deadline` as a time; `Time::MAX` without one.
+    deadline: Time,
     net: Network,
     /// Completions of the event time being processed, as the network
     /// reports them and as (purpose, delivery time); kept for their
@@ -402,6 +414,7 @@ impl Engine {
             ready.push(Reverse((Time::ZERO, r as u64, r)));
         }
         Engine {
+            deadline: cfg.virtual_deadline.map_or(Time::MAX, |d| Time::ZERO + d),
             net,
             completions: Vec::new(),
             arrived: Vec::new(),
@@ -451,6 +464,24 @@ impl Engine {
         self.cfg.node_of(rank)
     }
 
+    /// The running rank `r` resumes at `at` with `reply`. If `at` is
+    /// strictly before every other ready rank and every network event, and
+    /// within the deadline, [`Engine::dispatch`] would return `r` next with
+    /// nothing in between: `r` keeps running and gets `reply` at once
+    /// (`ready_seq` still advances, numbering later wake-ups as a yield
+    /// would have).
+    /// Otherwise `r` yields until then.
+    fn resume(&mut self, r: usize, at: Time, reply: Reply) -> Option<Reply> {
+        let next_rank = self.ready.peek().map_or(Time::MAX, |Reverse((t, _, _))| *t);
+        let next_net = self.net.next_event_time().unwrap_or(Time::MAX);
+        if at < next_rank && at < next_net && at <= self.deadline {
+            self.ready_seq += 1;
+            return Some(reply);
+        }
+        self.schedule_wake(r, at, reply);
+        None
+    }
+
     fn schedule_wake(&mut self, rank: usize, at: Time, reply: Reply) {
         debug_assert!(
             self.pending_reply[rank].is_none(),
@@ -474,34 +505,34 @@ impl Engine {
         self.purpose[slot] = Some(purpose);
     }
 
-    /// Process all network events strictly up to time `t`, reacting to each
-    /// completion at its own timestamp so protocol responses (CTS, data)
-    /// are injected causally.
-    fn advance_net(&mut self, t: Time) {
-        while let Some(tn) = self.net.next_event_time() {
-            if tn > t {
-                break;
-            }
-            let mut done = std::mem::take(&mut self.completions);
-            self.net.advance_into(tn, &mut done);
-            // Look every purpose up before reacting to any: the network has
-            // already freed these transfers' slots, and a reaction that
-            // starts a transfer may be given the slot of a completion
-            // further down the batch.
-            let mut arrived = std::mem::take(&mut self.arrived);
-            arrived.extend(done.drain(..).map(|c| {
-                let purpose = self.purpose[c.id.slot()].take();
-                (
-                    purpose.expect("completion for unknown transfer"),
-                    c.delivered_at,
-                )
-            }));
-            for (purpose, at) in arrived.drain(..) {
-                self.handle_completion(purpose, at);
-            }
+    /// Advance the network up to `limit`, to the first event time that
+    /// completes a transfer, and react to those completions at their own
+    /// timestamps so protocol responses (CTS, data) are injected
+    /// causally. `false`: no event up to `limit` completed anything.
+    fn advance_net(&mut self, limit: Time) -> bool {
+        let mut done = std::mem::take(&mut self.completions);
+        if !self.net.advance(limit, &mut done) {
             self.completions = done;
-            self.arrived = arrived;
+            return false;
         }
+        // Look every purpose up before reacting to any: the network has
+        // already freed these transfers' slots, and a reaction that starts
+        // a transfer may be given the slot of a completion further down
+        // the batch.
+        let mut arrived = std::mem::take(&mut self.arrived);
+        arrived.extend(done.drain(..).map(|c| {
+            let purpose = self.purpose[c.id.slot()].take();
+            (
+                purpose.expect("completion for unknown transfer"),
+                c.delivered_at,
+            )
+        }));
+        for (purpose, at) in arrived.drain(..) {
+            self.handle_completion(purpose, at);
+        }
+        self.completions = done;
+        self.arrived = arrived;
+        true
     }
 
     /// The event loop: advance the network until a rank is due, and return
@@ -509,12 +540,18 @@ impl Engine {
     /// finished.
     pub(crate) fn dispatch(&mut self) -> Result<Option<usize>, SimError> {
         let nranks = self.cfg.nranks();
-        let deadline = self.cfg.virtual_deadline.map(|d| Time::ZERO + d);
         loop {
             if self.nfinished == nranks {
                 return Ok(None);
             }
             let t_rank = self.ready.peek().map(|Reverse((t, _, _))| *t);
+            // Network first at equal times: completions at t may wake ranks
+            // that then run at t. A completion may also wake a rank before
+            // the ready heap's head, so the head is read again after each.
+            let limit = t_rank.unwrap_or(Time::MAX).min(self.deadline);
+            if self.advance_net(limit) {
+                continue;
+            }
             let t_net = self.net.next_event_time();
             let t_next = match (t_rank, t_net) {
                 (None, None) => {
@@ -537,22 +574,12 @@ impl Engine {
                 (Some(tr), None) => tr,
                 (None, Some(tn)) => tn,
             };
-            if let Some(dl) = deadline {
-                if t_next > dl {
-                    pevpm_obs::diag::debug(&format!(
-                        "mpisim: virtual deadline exceeded at {t_next}"
-                    ));
-                    return Err(SimError::DeadlineExceeded { time: t_next });
-                }
+            if t_next > self.deadline {
+                pevpm_obs::diag::debug(&format!("mpisim: virtual deadline exceeded at {t_next}"));
+                return Err(SimError::DeadlineExceeded { time: t_next });
             }
-            // Network strictly first at equal times: completions at t may
-            // wake ranks that then run at t.
-            if t_rank.is_none() || t_net.is_some_and(|tn| tn < t_rank.unwrap()) {
-                self.advance_net(t_net.unwrap());
-                continue;
-            }
-            let Reverse((t, _, r)) = self.ready.pop().unwrap();
-            self.advance_net(t);
+            // Every network event up to the head's time is handled.
+            let Reverse((t, _, r)) = self.ready.pop().expect("a rank is due");
             self.clocks[r] = self.clocks[r].max(t);
             return Ok(Some(r));
         }
@@ -575,8 +602,7 @@ impl Engine {
             Call::Compute(d) => {
                 let wake = self.clocks[r] + d;
                 self.clocks[r] = wake;
-                self.schedule_wake(r, wake, Reply::Ok { clock: wake });
-                None
+                self.resume(r, wake, Reply::Ok { clock: wake })
             }
             Call::Send {
                 dst,
@@ -656,15 +682,15 @@ impl Engine {
                     None => {
                         entry.waiter = Some(r);
                         self.blocked[r] = Some(Blocked::Wait(req));
+                        None
                     }
                     Some(t) => {
                         let done = self.reqs.remove(req.0).expect("request is live");
                         let wake = self.clocks[r].max(t);
                         self.clocks[r] = wake;
-                        self.schedule_wake(r, wake, Reply::done(wake, done.state.into_msg()));
+                        self.resume(r, wake, Reply::done(wake, done.state.into_msg()))
                     }
                 }
-                None
             }
             Call::Test { req } => {
                 let clock = self.clocks[r];

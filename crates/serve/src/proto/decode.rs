@@ -84,6 +84,76 @@ impl Key {
     }
 }
 
+/// The keys one kind of object may carry: an envelope list and a body
+/// list, spelled out for the error that names them and as a mask over
+/// [`KEYS`] (bit `i` for `KEYS[i]`) for the check every frame takes.
+struct Accepted {
+    envelope: &'static str,
+    keys: &'static str,
+    mask: u32,
+}
+
+impl Accepted {
+    const fn new(envelope: &'static str, keys: &'static str) -> Self {
+        Accepted {
+            envelope,
+            keys,
+            mask: key_mask(envelope) | key_mask(keys),
+        }
+    }
+
+    /// The accepted keys, in list order.
+    fn names(&self) -> impl Iterator<Item = &'static str> {
+        self.envelope
+            .split_whitespace()
+            .chain(self.keys.split_whitespace())
+    }
+}
+
+/// A whole `predict` frame.
+const PREDICT_FRAME: Accepted = Accepted::new(ENVELOPE_KEYS, PREDICT_BODY_KEYS);
+/// One element of a batch's `requests`: a bare body, no envelope.
+const BATCH_ITEM: Accepted = Accepted::new("", PREDICT_BODY_KEYS);
+/// A `batch` frame around its items.
+const BATCH_FRAME: Accepted = Accepted::new(ENVELOPE_KEYS, BATCH_KEYS);
+
+const _: () = assert!(KEYS.len() <= u32::BITS as usize, "a key mask is a u32");
+
+/// The bits of the [`KEYS`] that the whitespace-separated `list` names.
+const fn key_mask(list: &str) -> u32 {
+    let mut mask = 0;
+    let mut k = 0;
+    while k < KEYS.len() {
+        if lists_word(list.as_bytes(), KEYS[k].as_bytes()) {
+            mask |= 1 << k;
+        }
+        k += 1;
+    }
+    mask
+}
+
+/// Whether `word` is one of the whitespace-separated words of `list`.
+const fn lists_word(list: &[u8], word: &[u8]) -> bool {
+    let mut start = 0;
+    while start < list.len() {
+        let mut end = start;
+        while end < list.len() && !list[end].is_ascii_whitespace() {
+            end += 1;
+        }
+        if end - start == word.len() {
+            let mut i = 0;
+            while i < word.len() && list[start + i] == word[i] {
+                i += 1;
+            }
+            if i == word.len() {
+                return true;
+            }
+        }
+        start = end + 1;
+    }
+    false
+}
+
 /// One object's members by key: the last of a duplicated key wins, as in
 /// a map, and of the keys outside [`KEYS`] only the alphabetically first
 /// is kept, the one an error names.
@@ -131,11 +201,10 @@ impl<'a> Fields<'a> {
 
     /// Refuse a key the decoder would not read: a misspelt `"rep"` must not
     /// quietly run one replication, as a misspelt `--rep` does not.
-    fn reject_unknown(&self, what: &str, envelope: &str, keys: &str) -> Result<(), PlanError> {
-        let accepted = || envelope.split_whitespace().chain(keys.split_whitespace());
+    fn reject_unknown(&self, what: &str, accepted: &Accepted) -> Result<(), PlanError> {
         let mut first = self.unknown.as_deref();
-        for (key, value) in KEYS.iter().zip(&self.slots) {
-            if value.is_some() && !accepted().any(|a| a == *key) && first.is_none_or(|f| *key < f) {
+        for (i, (key, value)) in KEYS.iter().zip(&self.slots).enumerate() {
+            if value.is_some() && accepted.mask & (1 << i) == 0 && first.is_none_or(|f| *key < f) {
                 first = Some(*key);
             }
         }
@@ -143,7 +212,7 @@ impl<'a> Fields<'a> {
             None => Ok(()),
             Some(key) => Err(PlanError::usage(format!(
                 "unknown field {key:?} in {what} (accepted: {})",
-                accepted().collect::<Vec<_>>().join(" ")
+                accepted.names().collect::<Vec<_>>().join(" ")
             ))),
         }
     }
@@ -244,11 +313,14 @@ impl Frame<'_> {
     }
 }
 
-/// Decode one predict body: a whole `predict` frame (`envelope` =
-/// [`ENVELOPE_KEYS`]) or one element of a batch's `requests` (a bare body:
-/// no envelope).
-fn predict_body<'a>(mut v: Fields<'a>, what: &str, envelope: &str) -> Result<Body<'a>, PlanError> {
-    v.reject_unknown(what, envelope, PREDICT_BODY_KEYS)?;
+/// Decode one predict body: a whole `predict` frame ([`PREDICT_FRAME`])
+/// or one element of a batch's `requests` ([`BATCH_ITEM`]).
+fn predict_body<'a>(
+    mut v: Fields<'a>,
+    what: &str,
+    accepted: &Accepted,
+) -> Result<Body<'a>, PlanError> {
+    v.reject_unknown(what, accepted)?;
     let model = match v.take(Key::Model) {
         Some(Value::Str(model)) => model,
         _ => return Err(missing_string(Key::Model)),
@@ -323,7 +395,7 @@ fn predict_body<'a>(mut v: Fields<'a>, what: &str, envelope: &str) -> Result<Bod
 
 /// A `batch` frame's items, common random numbers applied.
 fn batch_items(mut v: Fields<'_>) -> Result<Vec<Body<'_>>, PlanError> {
-    v.reject_unknown("batch frame", ENVELOPE_KEYS, BATCH_KEYS)?;
+    v.reject_unknown("batch frame", &BATCH_FRAME)?;
     let Some(Value::Arr(items)) = v.take(Key::Requests) else {
         return Err(PlanError::usage(
             "batch request missing array field \"requests\"",
@@ -331,7 +403,7 @@ fn batch_items(mut v: Fields<'_>) -> Result<Vec<Body<'_>>, PlanError> {
     };
     let mut items = items
         .into_iter()
-        .map(|item| predict_body(Fields::of(item), "batch item", ""))
+        .map(|item| predict_body(Fields::of(item), "batch item", &BATCH_ITEM))
         .collect::<Result<Vec<_>, _>>()?;
     if items.is_empty() {
         return Err(PlanError::usage("batch \"requests\" must be non-empty"));
@@ -387,7 +459,7 @@ pub fn parse_frame(text: &str) -> Result<Frame<'_>, (String, PlanError)> {
         _ => return Err((id, missing_string(Key::Op))),
     };
     match &*op.text() {
-        "predict" => match predict_body(frame, "predict frame", ENVELOPE_KEYS) {
+        "predict" => match predict_body(frame, "predict frame", &PREDICT_FRAME) {
             Ok(body) => Ok(Frame::Predict { id, body }),
             Err(e) => Err((id, e)),
         },
@@ -641,6 +713,24 @@ mod tests {
         let mut keys = KEYS.to_vec();
         keys.sort_unstable();
         assert_eq!(keys, listed);
+    }
+
+    #[test]
+    fn each_accepted_mask_is_its_lists() {
+        for accepted in [&PREDICT_FRAME, &BATCH_ITEM, &BATCH_FRAME] {
+            let names: Vec<&str> = accepted.names().collect();
+            let from_names = KEYS
+                .iter()
+                .enumerate()
+                .filter(|(_, key)| names.contains(key))
+                .fold(0, |mask, (i, _)| mask | 1 << i);
+            assert_eq!(accepted.mask, from_names, "{names:?}");
+            assert_eq!(
+                accepted.mask.count_ones() as usize,
+                names.len(),
+                "{names:?}"
+            );
+        }
     }
 
     #[test]
