@@ -403,25 +403,59 @@ fn unknown_machine_lists_valid_machines() {
 }
 
 /// The `.dist` bytes `bench` writes, pinned through the command line under
-/// both pattern families. Recorded before the benchmark recipe moved
-/// behind `P2pConfig::new`; do not re-record them to make a change pass.
+/// both pattern families, on every `--machine` with two processes a node
+/// and a rendezvous size (20 000 B), and under a lossy `--faults` plan.
+/// The pattern rows were recorded before the benchmark recipe moved behind
+/// `P2pConfig::new`, the others while every machine was still a full
+/// `ClusterConfig` literal; do not re-record them to make a change pass.
 #[test]
 fn bench_database_bytes_are_pinned() {
     let dir = tmpdir("bench_database_bytes_are_pinned");
+    let plan = dir.join("lossy.toml");
+    std::fs::write(&plan, "loss_prob = 0.05\n").unwrap();
+    let mut runs: Vec<(String, String)> = ["ring", "halfsplit"]
+        .map(|p| {
+            (
+                p.to_string(),
+                format!("--nodes 4 --sizes 512,1024 --pattern {p}"),
+            )
+        })
+        .into();
+    for machine in ["perseus", "gigabit", "lowlatency", "ideal"] {
+        runs.push((
+            format!("{machine}x2"),
+            format!("--machine {machine} --nodes 4 --ppn 2 --sizes 512,20000"),
+        ));
+    }
+    runs.push((
+        "lossy".into(),
+        format!(
+            "--nodes 4 --ppn 1 --sizes 512,20000 --faults {}",
+            plan.display()
+        ),
+    ));
     let mut hashes = Vec::new();
-    for pattern in ["ring", "halfsplit"] {
-        let db = dir.join(format!("{pattern}.dist"));
+    for (name, flags) in runs {
+        let db = dir.join(format!("{name}.dist"));
         run_cmd(&format!(
-            "bench --nodes 4 --sizes 512,1024 --reps 10 --seed 3 --pattern {pattern} -q --out {}",
+            "bench {flags} --reps 10 --seed 3 -q --out {}",
             db.display()
         ))
         .unwrap();
         let bytes = std::fs::read(&db).unwrap();
-        hashes.push(format!("{pattern} {:016x}", pevpm_serve::fnv1a(&bytes)));
+        hashes.push(format!("{name} {:016x}", pevpm_serve::fnv1a(&bytes)));
     }
     assert_eq!(
         hashes,
-        ["ring 43f2060d0583f206", "halfsplit ea4e3a17a748c9c5"],
+        [
+            "ring 43f2060d0583f206",
+            "halfsplit ea4e3a17a748c9c5",
+            "perseusx2 f0483d64ae0651e8",
+            "gigabitx2 3f8ba4e074731daa",
+            "lowlatencyx2 47c4ed8c13d8658e",
+            "idealx2 7c913658d1edbb4e",
+            "lossy ca7fd5c8d2dcdc7e",
+        ],
         "{}",
         hashes.join("\n")
     );

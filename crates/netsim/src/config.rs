@@ -332,6 +332,91 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// Every field but `faults`, named. The destructuring is exhaustive,
+    /// so a new field does not compile until it is printed here too.
+    fn machine_fingerprint(c: &ClusterConfig) -> String {
+        let ClusterConfig {
+            nodes,
+            switch_ports,
+            link_bw_bps,
+            trunk_bw_bps,
+            fabric_bw_bps,
+            fabric_buffer_bytes,
+            mtu,
+            frame_overhead,
+            hop_latency,
+            port_buffer_bytes,
+            trunk_buffer_bytes,
+            jitter_mean,
+            rto_base,
+            rto_max,
+            rto_jitter,
+            retx_pace_factor,
+            fast_retx_delay,
+            send_overhead,
+            recv_overhead,
+            per_frame_overhead,
+            local_bw_bps,
+            local_latency,
+            faults: _,
+        } = c;
+        format!(
+            "nodes={nodes} switch_ports={switch_ports} link_bw_bps={link_bw_bps} \
+             trunk_bw_bps={trunk_bw_bps} fabric_bw_bps={fabric_bw_bps} \
+             fabric_buffer_bytes={fabric_buffer_bytes} mtu={mtu} frame_overhead={frame_overhead} \
+             hop_latency={} port_buffer_bytes={port_buffer_bytes} \
+             trunk_buffer_bytes={trunk_buffer_bytes} jitter_mean={} rto_base={} rto_max={} \
+             rto_jitter={rto_jitter} retx_pace_factor={retx_pace_factor} fast_retx_delay={} \
+             send_overhead={} recv_overhead={} per_frame_overhead={} \
+             local_bw_bps={local_bw_bps} local_latency={}",
+            hop_latency.as_nanos(),
+            jitter_mean.as_nanos(),
+            rto_base.as_nanos(),
+            rto_max.as_nanos(),
+            fast_retx_delay.as_nanos(),
+            send_overhead.as_nanos(),
+            recv_overhead.as_nanos(),
+            per_frame_overhead.as_nanos(),
+            local_latency.as_nanos(),
+        )
+    }
+
+    /// The four machines, field by field (durations in ns), recorded while
+    /// each preset was still a full literal; do not re-record them to make
+    /// a change pass.
+    #[test]
+    fn presets_are_pinned() {
+        type Preset = fn(usize) -> ClusterConfig;
+        let presets: [(&str, Preset); 4] = [
+            ("perseus", ClusterConfig::perseus),
+            ("gigabit", ClusterConfig::gigabit),
+            ("lowlatency", ClusterConfig::lowlatency),
+            ("ideal", ClusterConfig::ideal),
+        ];
+        let mut got = Vec::new();
+        for (name, preset) in presets {
+            for nodes in [1, 24, 64] {
+                got.push(format!("{name} {}", machine_fingerprint(&preset(nodes))));
+            }
+        }
+        assert_eq!(got, PRESETS, "{}", got.join("\n"));
+    }
+
+    const PRESETS: [&str; 12] = [
+        "perseus nodes=1 switch_ports=24 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=5000000000 fabric_buffer_bytes=1048576 mtu=1500 frame_overhead=38 hop_latency=5000 port_buffer_bytes=98304 trunk_buffer_bytes=524288 jitter_mean=3000 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=28000 recv_overhead=25000 per_frame_overhead=9000 local_bw_bps=1200000000 local_latency=15000",
+        "perseus nodes=24 switch_ports=24 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=5000000000 fabric_buffer_bytes=1048576 mtu=1500 frame_overhead=38 hop_latency=5000 port_buffer_bytes=98304 trunk_buffer_bytes=524288 jitter_mean=3000 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=28000 recv_overhead=25000 per_frame_overhead=9000 local_bw_bps=1200000000 local_latency=15000",
+        "perseus nodes=64 switch_ports=24 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=5000000000 fabric_buffer_bytes=1048576 mtu=1500 frame_overhead=38 hop_latency=5000 port_buffer_bytes=98304 trunk_buffer_bytes=524288 jitter_mean=3000 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=28000 recv_overhead=25000 per_frame_overhead=9000 local_bw_bps=1200000000 local_latency=15000",
+        "gigabit nodes=1 switch_ports=24 link_bw_bps=1000000000 trunk_bw_bps=21000000000 fabric_bw_bps=50000000000 fabric_buffer_bytes=4194304 mtu=1500 frame_overhead=38 hop_latency=2000 port_buffer_bytes=524288 trunk_buffer_bytes=4194304 jitter_mean=2000 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=500000 send_overhead=15000 recv_overhead=12000 per_frame_overhead=2000 local_bw_bps=1200000000 local_latency=15000",
+        "gigabit nodes=24 switch_ports=24 link_bw_bps=1000000000 trunk_bw_bps=21000000000 fabric_bw_bps=50000000000 fabric_buffer_bytes=4194304 mtu=1500 frame_overhead=38 hop_latency=2000 port_buffer_bytes=524288 trunk_buffer_bytes=4194304 jitter_mean=2000 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=500000 send_overhead=15000 recv_overhead=12000 per_frame_overhead=2000 local_bw_bps=1200000000 local_latency=15000",
+        "gigabit nodes=64 switch_ports=24 link_bw_bps=1000000000 trunk_bw_bps=21000000000 fabric_bw_bps=50000000000 fabric_buffer_bytes=4194304 mtu=1500 frame_overhead=38 hop_latency=2000 port_buffer_bytes=524288 trunk_buffer_bytes=4194304 jitter_mean=2000 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=500000 send_overhead=15000 recv_overhead=12000 per_frame_overhead=2000 local_bw_bps=1200000000 local_latency=15000",
+        "lowlatency nodes=1 switch_ports=24 link_bw_bps=1280000000 trunk_bw_bps=10000000000 fabric_bw_bps=20000000000 fabric_buffer_bytes=4611686018427387903 mtu=4096 frame_overhead=8 hop_latency=500 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=300 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=500000 send_overhead=3000 recv_overhead=3000 per_frame_overhead=800 local_bw_bps=1200000000 local_latency=10000",
+        "lowlatency nodes=24 switch_ports=24 link_bw_bps=1280000000 trunk_bw_bps=10000000000 fabric_bw_bps=20000000000 fabric_buffer_bytes=4611686018427387903 mtu=4096 frame_overhead=8 hop_latency=500 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=300 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=500000 send_overhead=3000 recv_overhead=3000 per_frame_overhead=800 local_bw_bps=1200000000 local_latency=10000",
+        "lowlatency nodes=64 switch_ports=24 link_bw_bps=1280000000 trunk_bw_bps=10000000000 fabric_bw_bps=20000000000 fabric_buffer_bytes=4611686018427387903 mtu=4096 frame_overhead=8 hop_latency=500 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=300 rto_base=200000000 rto_max=1600000000 rto_jitter=0.5 retx_pace_factor=2 fast_retx_delay=500000 send_overhead=3000 recv_overhead=3000 per_frame_overhead=800 local_bw_bps=1200000000 local_latency=10000",
+        "ideal nodes=1 switch_ports=1 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=2100000000 fabric_buffer_bytes=4611686018427387903 mtu=1500 frame_overhead=38 hop_latency=0 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=0 rto_base=200000000 rto_max=1600000000 rto_jitter=0 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=0 recv_overhead=0 per_frame_overhead=0 local_bw_bps=1200000000 local_latency=0",
+        "ideal nodes=24 switch_ports=24 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=2100000000 fabric_buffer_bytes=4611686018427387903 mtu=1500 frame_overhead=38 hop_latency=0 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=0 rto_base=200000000 rto_max=1600000000 rto_jitter=0 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=0 recv_overhead=0 per_frame_overhead=0 local_bw_bps=1200000000 local_latency=0",
+        "ideal nodes=64 switch_ports=64 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=2100000000 fabric_buffer_bytes=4611686018427387903 mtu=1500 frame_overhead=38 hop_latency=0 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=0 rto_base=200000000 rto_max=1600000000 rto_jitter=0 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=0 recv_overhead=0 per_frame_overhead=0 local_bw_bps=1200000000 local_latency=0",
+    ];
+
     #[test]
     fn ideal_network_is_deterministic_config() {
         let c = ClusterConfig::ideal(8);
