@@ -142,9 +142,9 @@ pub struct RobustnessResult {
 
 /// Build the uniform fault plan for one grid point: `loss_prob`
 /// everywhere plus, when `rate_factor < 1`, every node's link degraded by
-/// it. The healthy point maps to `None` — exercising the faults-disabled
-/// code path the bitwise baseline depends on.
-pub fn plan_for(shape: MachineShape, point: GridPoint) -> Option<FaultPlan> {
+/// it. The healthy point maps to the empty plan — the healthy machine the
+/// bitwise baseline depends on.
+pub fn plan_for(shape: MachineShape, point: GridPoint) -> FaultPlan {
     let mut plan = FaultPlan {
         loss_prob: point.loss_prob,
         ..FaultPlan::default()
@@ -157,7 +157,7 @@ pub fn plan_for(shape: MachineShape, point: GridPoint) -> Option<FaultPlan> {
             })
             .collect();
     }
-    (!plan.is_empty()).then_some(plan)
+    plan
 }
 
 /// Run the robustness experiment.

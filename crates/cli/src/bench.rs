@@ -5,57 +5,48 @@ use crate::args::Args;
 use crate::{err, write_text, CliError};
 use pevpm_dist::{io as dist_io, DistTable, Op};
 use pevpm_mpibench::{run_p2p_reps, P2pConfig, PairPattern, HIST_BINS};
-use pevpm_mpisim::{ClusterConfig, FaultPlan, Placement, ProtocolConfig, WorldConfig};
+use pevpm_mpisim::{ClusterConfig, FaultPlan, WorldConfig};
 use pevpm_obs::{diag, Registry};
 use std::path::Path;
 
-/// Machines selectable with `--machine`, in the order shown to the user.
-pub const MACHINES: &[&str] = &["perseus", "gigabit", "lowlatency", "ideal"];
-
-/// Resolve `--machine` (default `perseus`). An unknown machine is a hard
-/// usage error listing the valid names — never a silent fallback.
-pub(crate) fn resolve_machine(args: &Args) -> Result<&'static str, CliError> {
-    let m = args.get("machine").unwrap_or("perseus");
-    MACHINES.iter().copied().find(|k| *k == m).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown machine {m:?}; valid machines: {}",
-            MACHINES.join(", ")
-        ))
-    })
-}
-
-/// The simulated world `bench` and `trace` run on: the `--machine` cluster
-/// with any `--faults` plan, block placement, default protocol.
-pub(crate) fn world_for(
+/// Resolve `--machine` (default `perseus`) to its name and its cluster of
+/// `nodes` nodes. An unknown machine is a hard usage error listing the
+/// valid names — never a silent fallback.
+pub(crate) fn resolve_machine(
     args: &Args,
     nodes: usize,
+) -> Result<(&str, ClusterConfig), CliError> {
+    let m = args.get("machine").unwrap_or("perseus");
+    let cluster = ClusterConfig::named(m, nodes).ok_or_else(|| {
+        CliError::usage(format!(
+            "unknown machine {m:?}; valid machines: {}",
+            ClusterConfig::MACHINES.join(", ")
+        ))
+    })?;
+    Ok((m, cluster))
+}
+
+/// The simulated world `bench` and `trace` run on: `cluster` with the
+/// `--faults` plan, if one is given.
+pub(crate) fn world_for(
+    args: &Args,
+    cluster: ClusterConfig,
     procs_per_node: usize,
     seed: u64,
     record_trace: bool,
 ) -> Result<WorldConfig, CliError> {
-    let mut cluster = match resolve_machine(args)? {
-        "gigabit" => ClusterConfig::gigabit(nodes),
-        "lowlatency" => ClusterConfig::lowlatency(nodes),
-        "ideal" => ClusterConfig::ideal(nodes),
-        _ => ClusterConfig::perseus(nodes),
-    };
-    cluster.faults = load_faults(args, &cluster)?;
-    Ok(WorldConfig {
-        cluster,
-        procs_per_node,
-        placement: Placement::Block,
-        protocol: ProtocolConfig::default(),
-        seed,
-        virtual_deadline: None,
-        record_trace,
-    })
+    let faults = load_faults(args, &cluster)?;
+    let mut world = WorldConfig::new(ClusterConfig { faults, ..cluster }, procs_per_node, seed);
+    world.record_trace = record_trace;
+    Ok(world)
 }
 
-/// Load and validate a `--faults PLAN.toml` fault scenario. Errors name
-/// the file (and line, for parse failures) and exit with code 3.
-fn load_faults(args: &Args, cluster: &ClusterConfig) -> Result<Option<FaultPlan>, CliError> {
+/// Load and validate a `--faults PLAN.toml` fault scenario; without one,
+/// the empty plan. Errors name the file (and line, for parse failures) and
+/// exit with code 3.
+fn load_faults(args: &Args, cluster: &ClusterConfig) -> Result<FaultPlan, CliError> {
     let Some(path) = args.get("faults") else {
-        return Ok(None);
+        return Ok(FaultPlan::default());
     };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::input(format!("cannot read {path}: {e}")))?;
@@ -65,7 +56,7 @@ fn load_faults(args: &Args, cluster: &ClusterConfig) -> Result<Option<FaultPlan>
     if plan.is_empty() {
         diag::info(&format!("fault plan {path} is empty (no-op)"));
     }
-    Ok(Some(plan))
+    Ok(plan)
 }
 
 pub(crate) fn cmd_bench(args: &Args) -> Result<String, CliError> {
@@ -79,7 +70,7 @@ pub(crate) fn cmd_bench(args: &Args) -> Result<String, CliError> {
     let threads: usize = args.get_parsed("threads", 0)?;
     let seed: u64 = args.get_parsed("seed", 42)?;
     let sizes: Vec<u64> = args.get_list("sizes", vec![256, 512, 1024, 2048, 4096])?;
-    let machine = resolve_machine(args)?;
+    let (machine, cluster) = resolve_machine(args, nodes)?;
     let pattern = match args.get("pattern").unwrap_or("ring") {
         "ring" => PairPattern::Ring,
         "halfsplit" => PairPattern::HalfSplit,
@@ -93,7 +84,7 @@ pub(crate) fn cmd_bench(args: &Args) -> Result<String, CliError> {
     let cfg = P2pConfig {
         pattern,
         ..P2pConfig::new(
-            world_for(args, nodes, ppn, seed, trace_out.is_some())?,
+            world_for(args, cluster, ppn, seed, trace_out.is_some())?,
             sizes,
             reps,
         )

@@ -38,7 +38,6 @@ mod trace;
 
 use args::{ArgError, Args};
 use bench::cmd_bench;
-pub use bench::MACHINES;
 use db::{cmd_annotate, cmd_fit, cmd_inspect};
 use fuzz::cmd_fuzz;
 use pevpm_obs::{diag, Verbosity};

@@ -397,7 +397,7 @@ fn malformed_dist_values_exit_with_the_input_code() {
 #[test]
 fn unknown_machine_lists_valid_machines() {
     let e = run_cmd("bench --nodes 2 --machine warp --out /tmp/x.dist").unwrap_err();
-    for m in MACHINES {
+    for m in pevpm_mpisim::ClusterConfig::MACHINES {
         assert!(e.message.contains(m), "{} missing from: {e}", m);
     }
 }

@@ -22,7 +22,7 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .map_err(|_| CliError::usage("--nodes must be an integer"))?;
     let ppn: usize = args.get_parsed("ppn", 1)?;
     let seed: u64 = args.get_parsed("seed", 1)?;
-    let machine = resolve_machine(args)?;
+    let (machine, cluster) = resolve_machine(args, nodes)?;
     let xsize: usize = args.get_parsed("xsize", 256)?;
     let iters: usize = args.get_parsed("iters", 50)?;
     let serial_ms: f64 = args.get_parsed("serial-ms", 3.24)?;
@@ -43,7 +43,7 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
     diag::info(&format!(
         "tracing {iters}-iteration Jacobi ({xsize}x{xsize}) on {nodes}x{ppn} {machine}"
     ));
-    let measured = jacobi::run_measured(world_for(args, nodes, ppn, seed, true)?, &jcfg)
+    let measured = jacobi::run_measured(world_for(args, cluster, ppn, seed, true)?, &jcfg)
         .map_err(|e| CliError::input(format!("measured run failed: {e}")))?;
     let traces = measured.report.traces.as_deref().unwrap_or(&[]);
     let breakdown = pevpm_mpisim::breakdown(traces);

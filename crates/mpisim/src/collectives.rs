@@ -1,6 +1,6 @@
 //! Collective operations, implemented with the same algorithms MPICH 1.2
 //! used, on top of the point-to-point layer — so their cost structure
-//! (trees, rings, pairwise exchanges) and network footprint are emergent,
+//! (trees, pairwise exchanges) and network footprint are emergent,
 //! exactly as on the paper's cluster.
 //!
 //! Tag space: every collective type owns a distinct tag above
@@ -17,8 +17,6 @@ const TAG_BARRIER: u64 = COLLECTIVE_TAG_BASE;
 const TAG_BCAST: u64 = COLLECTIVE_TAG_BASE + 1;
 const TAG_REDUCE: u64 = COLLECTIVE_TAG_BASE + 2;
 const TAG_GATHER: u64 = COLLECTIVE_TAG_BASE + 3;
-const TAG_SCATTER: u64 = COLLECTIVE_TAG_BASE + 4;
-const TAG_ALLGATHER: u64 = COLLECTIVE_TAG_BASE + 5;
 const TAG_ALLTOALL: u64 = COLLECTIVE_TAG_BASE + 6;
 
 /// Reduction operators for [`Proc::reduce_f64s`] / [`Proc::allreduce_f64s`].
@@ -209,54 +207,6 @@ impl Proc {
             self.send(root, TAG_GATHER, payload).await;
             None
         }
-    }
-
-    /// Linear scatter of per-rank payloads from `root`; returns this
-    /// rank's chunk.
-    pub async fn scatter(&mut self, root: usize, chunks: Option<Vec<Bytes>>) -> Bytes {
-        let _in = self.collective();
-        let n = self.nranks();
-        let r = self.rank();
-        if r == root {
-            let chunks = chunks.expect("root must supply scatter chunks");
-            assert_eq!(chunks.len(), n, "scatter needs one chunk per rank");
-            let mut reqs = Vec::new();
-            for (dst, chunk) in chunks.iter().enumerate() {
-                if dst != root {
-                    reqs.push(self.isend(dst, TAG_SCATTER, chunk.clone()));
-                }
-            }
-            let mine = chunks[root].clone();
-            self.waitall(reqs).await;
-            mine
-        } else {
-            let (_, p) = self.recv(root, TAG_SCATTER).await;
-            p
-        }
-    }
-
-    /// Ring allgather: n−1 steps, each rank forwarding the newest block to
-    /// its right neighbour. Returns all ranks' payloads in rank order.
-    pub async fn allgather(&mut self, payload: Bytes) -> Vec<Bytes> {
-        let _in = self.collective();
-        let n = self.nranks();
-        let r = self.rank();
-        let mut out: Vec<Bytes> = vec![Bytes::new(); n];
-        out[r] = payload;
-        if n == 1 {
-            return out;
-        }
-        let right = (r + 1) % n;
-        let left = (r + n - 1) % n;
-        let mut have = r; // index of the newest block we hold
-        for _ in 0..n - 1 {
-            let sreq = self.isend(right, TAG_ALLGATHER, out[have].clone());
-            let (_, p) = self.recv(left, TAG_ALLGATHER).await;
-            have = (have + n - 1) % n;
-            out[have] = p;
-            self.wait(sreq).await;
-        }
-        out
     }
 
     /// Pairwise-exchange all-to-all of synthetic `bytes`-per-peer messages.

@@ -1,39 +1,20 @@
 //! Configuration of a simulated MPI world.
+//!
+//! Ranks are laid out in blocks, as MPICH does by default and as the
+//! paper's `n×p` notation assumes: consecutive ranks share a node. The
+//! point-to-point protocol is MPICH 1.2's, fixed by the three constants
+//! below.
 
 use pevpm_netsim::{ClusterConfig, Dur};
 
-/// How MPI ranks are laid out over physical nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Consecutive ranks share a node (MPICH default): rank r is on node
-    /// `r / procs_per_node`. The paper's `n×p` notation assumes this.
-    Block,
-    /// Ranks cycle over nodes: rank r is on node `r % nodes`.
-    RoundRobin,
-}
-
-/// MPI-library-level protocol parameters (MPICH-1.2-like).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtocolConfig {
-    /// Messages strictly smaller than this are sent eagerly; larger ones use
-    /// the rendezvous (RTS/CTS) protocol. MPICH 1.2's 16 KB threshold is the
-    /// cause of the knee in the paper's Figure 2.
-    pub eager_threshold: u64,
-    /// Size of RTS/CTS control messages on the wire.
-    pub ctrl_bytes: u64,
-    /// CPU cost of matching an envelope against the receive queue.
-    pub match_cost: Dur,
-}
-
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        ProtocolConfig {
-            eager_threshold: 16 * 1024,
-            ctrl_bytes: 64,
-            match_cost: Dur::from_micros(2),
-        }
-    }
-}
+/// Messages strictly smaller than this are sent eagerly; larger ones use
+/// the rendezvous (RTS/CTS) protocol. MPICH 1.2's 16 KB threshold is the
+/// cause of the knee in the paper's Figure 2.
+pub const EAGER_THRESHOLD: u64 = 16 * 1024;
+/// Size of RTS/CTS control messages on the wire.
+pub const CTRL_BYTES: u64 = 64;
+/// CPU cost of matching an envelope against the receive queue.
+pub const MATCH_COST: Dur = Dur::from_micros(2);
 
 /// Complete description of a simulated MPI world.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,10 +23,6 @@ pub struct WorldConfig {
     pub cluster: ClusterConfig,
     /// MPI processes per node (`p` in the paper's `n×p` notation).
     pub procs_per_node: usize,
-    /// Rank→node layout.
-    pub placement: Placement,
-    /// MPI protocol parameters.
-    pub protocol: ProtocolConfig,
     /// RNG seed for the network's stochastic elements.
     pub seed: u64,
     /// Abort if virtual time exceeds this bound (guards against runaway
@@ -56,30 +33,26 @@ pub struct WorldConfig {
 }
 
 impl WorldConfig {
-    /// A Perseus-like world of `nodes × procs_per_node` ranks.
-    pub fn perseus(nodes: usize, procs_per_node: usize, seed: u64) -> Self {
+    /// A world of `cluster.nodes × procs_per_node` ranks, with no deadline
+    /// and no trace.
+    pub fn new(cluster: ClusterConfig, procs_per_node: usize, seed: u64) -> Self {
         WorldConfig {
-            cluster: ClusterConfig::perseus(nodes),
+            cluster,
             procs_per_node,
-            placement: Placement::Block,
-            protocol: ProtocolConfig::default(),
             seed,
             virtual_deadline: None,
             record_trace: false,
         }
     }
 
+    /// A Perseus-like world of `nodes × procs_per_node` ranks.
+    pub fn perseus(nodes: usize, procs_per_node: usize, seed: u64) -> Self {
+        WorldConfig::new(ClusterConfig::perseus(nodes), procs_per_node, seed)
+    }
+
     /// An idealised (deterministic, lossless) world for unit tests.
     pub fn ideal(nodes: usize, procs_per_node: usize) -> Self {
-        WorldConfig {
-            cluster: ClusterConfig::ideal(nodes),
-            procs_per_node,
-            placement: Placement::Block,
-            protocol: ProtocolConfig::default(),
-            seed: 0,
-            virtual_deadline: None,
-            record_trace: false,
-        }
+        WorldConfig::new(ClusterConfig::ideal(nodes), procs_per_node, 0)
     }
 
     /// Total number of MPI ranks.
@@ -87,12 +60,9 @@ impl WorldConfig {
         self.cluster.nodes * self.procs_per_node
     }
 
-    /// Physical node hosting `rank`.
+    /// Physical node hosting `rank`: block placement.
     pub fn node_of(&self, rank: usize) -> usize {
-        match self.placement {
-            Placement::Block => rank / self.procs_per_node,
-            Placement::RoundRobin => rank % self.cluster.nodes,
-        }
+        rank / self.procs_per_node
     }
 }
 
@@ -111,18 +81,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_placement_cycles() {
-        let mut cfg = WorldConfig::perseus(4, 2, 0);
-        cfg.placement = Placement::RoundRobin;
-        assert_eq!(cfg.node_of(0), 0);
-        assert_eq!(cfg.node_of(1), 1);
-        assert_eq!(cfg.node_of(4), 0);
-        assert_eq!(cfg.node_of(5), 1);
-    }
-
-    #[test]
     fn default_protocol_matches_mpich() {
-        let p = ProtocolConfig::default();
-        assert_eq!(p.eager_threshold, 16 * 1024);
+        assert_eq!(EAGER_THRESHOLD, 16 * 1024);
     }
 }

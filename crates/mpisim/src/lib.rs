@@ -44,7 +44,7 @@ pub mod threads;
 pub mod trace;
 
 pub use collectives::ReduceOp;
-pub use config::{Placement, ProtocolConfig, WorldConfig};
+pub use config::{WorldConfig, CTRL_BYTES, EAGER_THRESHOLD, MATCH_COST};
 pub use msg::{MsgMeta, Request, SrcSel, TagSel, COLLECTIVE_TAG_BASE};
 pub use rank::{decode_f64s, encode_f64s, Proc};
 pub use sched::{RunReport, SimError, World};

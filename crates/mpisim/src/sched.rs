@@ -58,7 +58,7 @@
 //! only inside MPI calls. This is the right model for PEVPM comparison and
 //! is documented in DESIGN.md.
 
-use crate::config::WorldConfig;
+use crate::config::{WorldConfig, CTRL_BYTES, EAGER_THRESHOLD, MATCH_COST};
 use crate::msg::{Call, MsgMeta, Reply, Request, SrcSel, Tag, TagSel};
 use crate::rank::{Link, Proc};
 use crate::trace::TraceEvent;
@@ -99,7 +99,8 @@ pub struct RunReport {
 pub enum SimError {
     /// No rank can make progress and no network event is pending.
     Deadlock {
-        /// Virtual time of the deadlock.
+        /// Virtual time of the deadlock: the latest of the network's
+        /// clock and every rank's.
         time: Time,
         /// The blocked ranks and the operations they are stuck in.
         blocked: Vec<(usize, String)>,
@@ -563,8 +564,10 @@ impl Engine {
                             (r, desc)
                         })
                         .collect();
+                    // The cycle closed when its last rank blocked, which
+                    // may be after the network last moved.
                     let err = SimError::Deadlock {
-                        time: self.net.now(),
+                        time: self.clocks.iter().copied().fold(self.net.now(), Time::max),
                         blocked,
                     };
                     pevpm_obs::diag::debug(&format!("mpisim: {err}"));
@@ -611,7 +614,7 @@ impl Engine {
                 payload,
             } => {
                 let local = self.node(r) == self.node(dst);
-                let eager = local || bytes < self.cfg.protocol.eager_threshold;
+                let eager = local || bytes < EAGER_THRESHOLD;
                 let mid = self.new_msg(r, dst, tag, bytes, payload, eager);
                 if eager {
                     let t0 = self.clocks[r];
@@ -634,7 +637,7 @@ impl Engine {
                 payload,
             } => {
                 let local = self.node(r) == self.node(dst);
-                let eager = local || bytes < self.cfg.protocol.eager_threshold;
+                let eager = local || bytes < EAGER_THRESHOLD;
                 let mid = self.new_msg(r, dst, tag, bytes, payload, eager);
                 let state = if eager {
                     let t0 = self.clocks[r];
@@ -749,8 +752,7 @@ impl Engine {
     /// Send the rendezvous request-to-send control message.
     fn post_rts(&mut self, mid: MsgId) {
         let (src, dst) = (self.msgs[mid].src, self.msgs[mid].dst);
-        let ctrl = self.cfg.protocol.ctrl_bytes;
-        self.start_transfer(self.clocks[src], src, dst, ctrl, Purpose::Rts(mid));
+        self.start_transfer(self.clocks[src], src, dst, CTRL_BYTES, Purpose::Rts(mid));
     }
 
     fn matches(m: &Msg, src: SrcSel, tag: TagSel) -> bool {
@@ -802,7 +804,7 @@ impl Engine {
                     .matched
                     .take()
                     .expect("rendezvous data without a matched receive");
-                let wake = at.max(target.post_time()) + self.cfg.protocol.match_cost;
+                let wake = at.max(target.post_time()) + MATCH_COST;
                 self.deliver(mid, target, wake);
             }
         }
@@ -853,14 +855,13 @@ impl Engine {
         let visible = m
             .visible_at
             .expect("matching an envelope that is not visible");
-        let tm = visible.max(target.post_time()) + self.cfg.protocol.match_cost;
+        let tm = visible.max(target.post_time()) + MATCH_COST;
         if m.eager {
             self.deliver(mid, target, tm);
         } else {
             m.matched = Some(target);
             let (src, dst) = (m.src, m.dst);
-            let ctrl = self.cfg.protocol.ctrl_bytes;
-            self.start_transfer(tm, dst, src, ctrl, Purpose::Cts(mid));
+            self.start_transfer(tm, dst, src, CTRL_BYTES, Purpose::Cts(mid));
         }
     }
 

@@ -137,10 +137,10 @@ fn run_mixed(seed: u64, loss_prob: f64) -> RunReport {
     let mut cfg = WorldConfig::perseus(16, 2, seed);
     cfg.record_trace = true;
     if loss_prob > 0.0 {
-        cfg.cluster.faults = Some(FaultPlan {
+        cfg.cluster.faults = FaultPlan {
             loss_prob,
             ..Default::default()
-        });
+        };
     }
     World::run_async(cfg, mixed).expect("mixed program runs")
 }
@@ -285,7 +285,7 @@ fn run_ties(seed: u64, jitter: bool, deadline: Option<Dur>) -> Result<RunReport,
     if !jitter {
         cfg.cluster.jitter_mean = Dur::ZERO;
     }
-    let mc = cfg.protocol.match_cost;
+    let mc = Dur::from_micros(2); // the envelope match cost, MATCH_COST
     let back = cfg.cluster.recv_overhead + mc;
     World::run_async(cfg, async |rank: &mut Proc| ties(rank, mc, back).await)
 }
@@ -340,9 +340,21 @@ fn deadline_and_deadlock_errors_are_pinned() {
     let SimError::Deadlock { time, .. } = err else {
         panic!("expected a deadlock, got {err}")
     };
-    assert_eq!(time, Time(446372));
+    assert_eq!(time, Time(473918));
     assert_eq!(
         err.to_string(),
-        "deadlock at 0.000446s: rank 0 blocked in Recv(src=Rank(1), tag=Tag(2)), rank 1 blocked in Recv(src=Rank(0), tag=Tag(2))"
+        "deadlock at 0.000474s: rank 0 blocked in Recv(src=Rank(1), tag=Tag(2)), rank 1 blocked in Recv(src=Rank(0), tag=Tag(2))"
     );
+
+    // A cycle the network never sees: the deadlock is when the ranks
+    // block, not when the network last moved (time zero).
+    let err = World::run_async(WorldConfig::ideal(2, 1), async |rank: &mut Proc| {
+        rank.compute(Dur::from_micros(5)).await;
+        rank.recv(1 - rank.rank(), 0).await;
+    })
+    .expect_err("a receive cycle deadlocks");
+    let SimError::Deadlock { time, .. } = err else {
+        panic!("expected a deadlock, got {err}")
+    };
+    assert_eq!(time, Time(5000));
 }

@@ -2,7 +2,7 @@
 //! correctness, protocol behaviour, determinism and failure modes.
 
 use bytes::Bytes;
-use pevpm_mpisim::{Placement, ReduceOp, SimError, SrcSel, TagSel, Time, World, WorldConfig};
+use pevpm_mpisim::{ReduceOp, SimError, SrcSel, TagSel, Time, World, WorldConfig};
 use std::cell::RefCell;
 
 fn ideal(nodes: usize, ppn: usize) -> WorldConfig {
@@ -371,32 +371,6 @@ fn gather_collects_in_rank_order() {
 }
 
 #[test]
-fn scatter_distributes_chunks() {
-    World::run_async(ideal(3, 1), async |rank| {
-        let chunks = (rank.rank() == 0).then(|| {
-            (0..3)
-                .map(|i| Bytes::from(vec![i as u8 * 10; 2]))
-                .collect::<Vec<_>>()
-        });
-        let mine = rank.scatter(0, chunks).await;
-        assert_eq!(mine.as_ref(), &[rank.rank() as u8 * 10; 2]);
-    })
-    .unwrap();
-}
-
-#[test]
-fn allgather_returns_everything_everywhere() {
-    World::run_async(ideal(5, 1), async |rank| {
-        let mine = Bytes::from(vec![rank.rank() as u8 + 1]);
-        let all = rank.allgather(mine).await;
-        for (i, b) in all.iter().enumerate() {
-            assert_eq!(b.as_ref(), &[i as u8 + 1]);
-        }
-    })
-    .unwrap();
-}
-
-#[test]
 fn alltoall_exchanges_personalised_chunks() {
     World::run_async(ideal(4, 1), async |rank| {
         let r = rank.rank();
@@ -471,25 +445,6 @@ fn nic_contention_slows_two_procs_per_node() {
         t2 > t1,
         "NIC sharing should slow the exchange: 4x1={t1}, 2x2={t2}"
     );
-}
-
-#[test]
-fn round_robin_placement_is_supported() {
-    let mut cfg = ideal(2, 2);
-    cfg.placement = Placement::RoundRobin;
-    World::run_async(cfg, async |rank| {
-        // With round-robin, ranks 0 and 2 share node 0.
-        if rank.rank() == 0 {
-            assert_eq!(rank.node(), 0);
-        }
-        if rank.rank() == 2 {
-            assert_eq!(rank.node(), 0);
-        }
-        if rank.rank() == 1 {
-            assert_eq!(rank.node(), 1);
-        }
-    })
-    .unwrap();
 }
 
 #[test]

@@ -88,10 +88,10 @@ pub struct ClusterConfig {
     pub local_bw_bps: u64,
     /// Fixed latency for intra-node transfers.
     pub local_latency: Dur,
-    /// Optional fault-injection scenario (degraded-machine operation).
-    /// `None` — and, bitwise-identically, an empty plan — leaves the
-    /// emergent model untouched.
-    pub faults: Option<FaultPlan>,
+    /// Fault-injection scenario (degraded-machine operation). The default,
+    /// empty plan is the healthy machine: it leaves the emergent model
+    /// untouched.
+    pub faults: FaultPlan,
 }
 
 impl ClusterConfig {
@@ -120,7 +120,7 @@ impl ClusterConfig {
             per_frame_overhead: Dur::from_micros(9),
             local_bw_bps: 1_200_000_000, // ~150 MB/s memcpy on a 500 MHz P-III
             local_latency: Dur::from_micros(15),
-            faults: None,
+            faults: FaultPlan::default(),
         }
     }
 
@@ -132,29 +132,19 @@ impl ClusterConfig {
     /// environmental conditions").
     pub fn gigabit(nodes: usize) -> Self {
         ClusterConfig {
-            nodes,
-            switch_ports: 24,
             link_bw_bps: 1_000_000_000,
             trunk_bw_bps: 21_000_000_000,
             fabric_bw_bps: 50_000_000_000,
             fabric_buffer_bytes: 4 * 1024 * 1024,
-            mtu: 1_500,
-            frame_overhead: 38,
             hop_latency: Dur::from_micros(2),
             port_buffer_bytes: 512 * 1024,
             trunk_buffer_bytes: 4 * 1024 * 1024,
             jitter_mean: Dur::from_micros(2),
-            rto_base: Dur::from_millis(200),
-            rto_max: Dur::from_millis(1600),
-            rto_jitter: 0.5,
-            retx_pace_factor: 2,
             fast_retx_delay: Dur::from_micros(500),
             send_overhead: Dur::from_micros(15),
             recv_overhead: Dur::from_micros(12),
             per_frame_overhead: Dur::from_micros(2),
-            local_bw_bps: 1_200_000_000,
-            local_latency: Dur::from_micros(15),
-            faults: None,
+            ..ClusterConfig::perseus(nodes)
         }
     }
 
@@ -163,8 +153,6 @@ impl ClusterConfig {
     /// software overheads and latency, lossless (no drops).
     pub fn lowlatency(nodes: usize) -> Self {
         ClusterConfig {
-            nodes,
-            switch_ports: 24,
             link_bw_bps: 1_280_000_000, // 160 MB/s Myrinet-era
             trunk_bw_bps: 10_000_000_000,
             fabric_bw_bps: 20_000_000_000,
@@ -175,50 +163,50 @@ impl ClusterConfig {
             port_buffer_bytes: u64::MAX / 4, // credit-based flow control: lossless
             trunk_buffer_bytes: u64::MAX / 4,
             jitter_mean: Dur::from_nanos(300),
-            rto_base: Dur::from_millis(200),
-            rto_max: Dur::from_millis(1600),
-            rto_jitter: 0.5,
-            retx_pace_factor: 2,
             fast_retx_delay: Dur::from_micros(500),
             send_overhead: Dur::from_micros(3),
             recv_overhead: Dur::from_micros(3),
             per_frame_overhead: Dur::from_nanos(800),
-            local_bw_bps: 1_200_000_000,
             local_latency: Dur::from_micros(10),
-            faults: None,
+            ..ClusterConfig::perseus(nodes)
         }
     }
 
     /// A small idealised network for unit tests: one switch, no jitter,
-    /// generous buffers (no drops), zero software overheads.
+    /// generous buffers (no drops, so the RTO fields are inert), zero
+    /// software overheads.
     pub fn ideal(nodes: usize) -> Self {
         ClusterConfig {
-            nodes,
             switch_ports: nodes.max(1),
-            link_bw_bps: 100_000_000,
-            trunk_bw_bps: 2_100_000_000,
             fabric_bw_bps: 2_100_000_000,
             fabric_buffer_bytes: u64::MAX / 4,
-            mtu: 1_500,
-            // (RTO shaping fields are set below; drops cannot occur with
-            // unbounded buffers, so they are inert in the ideal preset.)
-            frame_overhead: 38,
             hop_latency: Dur::ZERO,
             port_buffer_bytes: u64::MAX / 4,
             trunk_buffer_bytes: u64::MAX / 4,
             jitter_mean: Dur::ZERO,
-            rto_base: Dur::from_millis(200),
-            rto_max: Dur::from_millis(1600),
             rto_jitter: 0.0,
-            retx_pace_factor: 2,
-            fast_retx_delay: Dur::from_millis(2),
             send_overhead: Dur::ZERO,
             recv_overhead: Dur::ZERO,
             per_frame_overhead: Dur::ZERO,
-            local_bw_bps: 1_200_000_000,
             local_latency: Dur::ZERO,
-            faults: None,
+            ..ClusterConfig::perseus(nodes)
         }
+    }
+
+    /// The presets by name, in the order shown to users.
+    pub const MACHINES: [&'static str; 4] = ["perseus", "gigabit", "lowlatency", "ideal"];
+
+    /// The preset one of [`ClusterConfig::MACHINES`] names, at `nodes`
+    /// nodes; `None` for any other name.
+    pub fn named(name: &str, nodes: usize) -> Option<Self> {
+        let preset = match name {
+            "perseus" => Self::perseus,
+            "gigabit" => Self::gigabit,
+            "lowlatency" => Self::lowlatency,
+            "ideal" => Self::ideal,
+            _ => return None,
+        };
+        Some(preset(nodes))
     }
 
     /// Which switch a node's port belongs to.
@@ -271,11 +259,9 @@ impl ClusterConfig {
         if self.mtu == 0 {
             return Err("mtu must be positive".into());
         }
-        if let Some(plan) = &self.faults {
-            plan.validate(self)
-                .map_err(|e| format!("fault plan: {e}"))?;
-        }
-        Ok(())
+        self.faults
+            .validate(self)
+            .map_err(|e| format!("fault plan: {e}"))
     }
 }
 
@@ -416,6 +402,18 @@ mod tests {
         "ideal nodes=24 switch_ports=24 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=2100000000 fabric_buffer_bytes=4611686018427387903 mtu=1500 frame_overhead=38 hop_latency=0 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=0 rto_base=200000000 rto_max=1600000000 rto_jitter=0 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=0 recv_overhead=0 per_frame_overhead=0 local_bw_bps=1200000000 local_latency=0",
         "ideal nodes=64 switch_ports=64 link_bw_bps=100000000 trunk_bw_bps=2100000000 fabric_bw_bps=2100000000 fabric_buffer_bytes=4611686018427387903 mtu=1500 frame_overhead=38 hop_latency=0 port_buffer_bytes=4611686018427387903 trunk_buffer_bytes=4611686018427387903 jitter_mean=0 rto_base=200000000 rto_max=1600000000 rto_jitter=0 retx_pace_factor=2 fast_retx_delay=2000000 send_overhead=0 recv_overhead=0 per_frame_overhead=0 local_bw_bps=1200000000 local_latency=0",
     ];
+
+    #[test]
+    fn machines_resolve_by_name() {
+        for name in ClusterConfig::MACHINES {
+            assert!(ClusterConfig::named(name, 4).is_some(), "{name}");
+        }
+        assert_eq!(
+            ClusterConfig::named("lowlatency", 4),
+            Some(ClusterConfig::lowlatency(4))
+        );
+        assert_eq!(ClusterConfig::named("warp", 4), None);
+    }
 
     #[test]
     fn ideal_network_is_deterministic_config() {

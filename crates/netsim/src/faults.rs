@@ -19,10 +19,9 @@
 //!
 //! All injected randomness is drawn from the engine's existing RNG stream,
 //! so a faulted run is bitwise reproducible from `(config, seed)`. The
-//! layer is strictly pay-for-what-you-use: a plan with zero loss
-//! probability and no events leaves the event and RNG sequences *bitwise
-//! identical* to having no plan at all (property-tested in
-//! `tests/prop_faults.rs`).
+//! layer is strictly pay-for-what-you-use: a plan whose faults never fire
+//! leaves the event and RNG sequences *bitwise identical* to the healthy
+//! machine's empty plan (property-tested in `tests/prop_faults.rs`).
 //!
 //! Plans are embedded in [`ClusterConfig::faults`](crate::ClusterConfig)
 //! and can be loaded from a small TOML-subset scenario file via
@@ -162,8 +161,8 @@ impl Default for Pause {
 
 /// A deterministic, seedable fault-injection scenario.
 ///
-/// An empty (default) plan injects nothing and — by the pay-for-what-you-
-/// use contract — is bitwise indistinguishable from `faults: None`.
+/// The empty (default) plan is the healthy machine: it injects nothing,
+/// and nothing on the network's path consults it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability that any individual transmitted frame is lost on the

@@ -266,7 +266,7 @@ pub struct Network {
     stats: NetStats,
     completions: Vec<Completion>,
     /// Runtime form of the fault plan; `None` when the plan needs no
-    /// per-event checks (no plan, or degrade/background only).
+    /// per-event checks (an empty plan, or degrade/background only).
     faults: Option<ActiveFaults>,
     /// Injected-fault occurrences, for trace marks. Empty unless a fault
     /// plan is active.
@@ -342,9 +342,8 @@ impl Network {
             cfg,
             now: Time::ZERO,
         };
-        if let Some(plan) = net.cfg.faults.clone() {
-            net.apply_fault_plan(&plan);
-        }
+        let plan = net.cfg.faults.clone();
+        net.apply_fault_plan(&plan);
         net
     }
 
@@ -733,10 +732,15 @@ impl Network {
                                     // Injected per-frame loss: the frame
                                     // occupied the NIC (it was transmitted)
                                     // but never reaches the next hop. The
-                                    // RNG is only consulted when the plan
-                                    // sets a positive probability.
-                                    let loss = self.faults.as_ref().map_or(0.0, |f| f.loss_prob);
-                                    if loss > 0.0 && self.rng.gen::<f64>() < loss {
+                                    // RNG is only consulted when an active
+                                    // plan sets a positive probability.
+                                    let lost = match &self.faults {
+                                        Some(f) => {
+                                            f.loss_prob > 0.0 && self.rng.gen::<f64>() < f.loss_prob
+                                        }
+                                        None => false,
+                                    };
+                                    if lost {
                                         self.stats.faults_injected_losses += 1;
                                         self.fault_events.push(FaultEvent {
                                             at: now,

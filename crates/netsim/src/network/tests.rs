@@ -67,13 +67,13 @@ fn stored_frame_wire_bytes_match_the_config() {
 #[test]
 fn remembered_wire_time_is_the_division() {
     let mut cfg = ClusterConfig::perseus(30);
-    cfg.faults = Some(crate::faults::FaultPlan {
+    cfg.faults = crate::faults::FaultPlan {
         degrade: vec![crate::faults::LinkDegrade {
             node: 1,
             rate_factor: 0.37,
         }],
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, 1);
     assert_ne!(net.nic[1].rate_bps, net.nic[0].rate_bps, "degraded");
     let sizes = [0, 1, 1_499, 1_500, 1_501, 65_536];
@@ -417,10 +417,10 @@ fn trunk_stats_track_backplane_traffic() {
 #[test]
 fn injected_loss_drops_frames_but_transfers_recover() {
     let mut cfg = ClusterConfig::ideal(4);
-    cfg.faults = Some(crate::faults::FaultPlan {
+    cfg.faults = crate::faults::FaultPlan {
         loss_prob: 0.2,
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, 3);
     for i in 0..3usize {
         net.start_transfer(Time::ZERO, i, 3, 15_000);
@@ -445,13 +445,13 @@ fn degraded_link_slows_delivery_proportionally() {
         net.run_to_completion()[0].delivered_at.as_nanos()
     };
     let mut cfg = ClusterConfig::ideal(2);
-    cfg.faults = Some(crate::faults::FaultPlan {
+    cfg.faults = crate::faults::FaultPlan {
         degrade: vec![crate::faults::LinkDegrade {
             node: 0,
             rate_factor: 0.5,
         }],
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, 1);
     net.start_transfer(Time::ZERO, 0, 1, 15_000);
     let slow = net.run_to_completion()[0].delivered_at.as_nanos();
@@ -466,14 +466,14 @@ fn degraded_link_slows_delivery_proportionally() {
 #[test]
 fn link_flap_window_loses_frames_then_recovers() {
     let mut cfg = ClusterConfig::ideal(2);
-    cfg.faults = Some(crate::faults::FaultPlan {
+    cfg.faults = crate::faults::FaultPlan {
         flaps: vec![crate::faults::LinkFlap {
             node: 0,
             from_secs: 0.0,
             to_secs: 0.005,
         }],
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, 1);
     net.start_transfer(Time::ZERO, 0, 1, 1_000);
     let done = net.run_to_completion();
@@ -491,7 +491,7 @@ fn background_traffic_contends_but_is_invisible() {
         net.run_to_completion()[0].delivered_at.as_nanos()
     };
     let mut cfg = ClusterConfig::ideal(3);
-    cfg.faults = Some(crate::faults::FaultPlan {
+    cfg.faults = crate::faults::FaultPlan {
         background: vec![crate::faults::Background {
             src: 2,
             dst: 0,
@@ -501,7 +501,7 @@ fn background_traffic_contends_but_is_invisible() {
             count: 4,
         }],
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, 1);
     let tid = net.start_transfer(Time::ZERO, 1, 0, 15_000);
     let done = net.run_to_completion();
@@ -525,7 +525,7 @@ fn pause_defers_and_slowdown_stretches() {
     };
     let paused = {
         let mut cfg = ClusterConfig::ideal(2);
-        cfg.faults = Some(crate::faults::FaultPlan {
+        cfg.faults = crate::faults::FaultPlan {
             pauses: vec![crate::faults::Pause {
                 node: 0,
                 at_secs: 0.0,
@@ -533,7 +533,7 @@ fn pause_defers_and_slowdown_stretches() {
                 slowdown: 0.0,
             }],
             ..Default::default()
-        });
+        };
         let mut net = Network::new(cfg, 1);
         net.start_transfer(Time::ZERO, 0, 1, 1_000);
         let done = net.run_to_completion();
@@ -543,7 +543,7 @@ fn pause_defers_and_slowdown_stretches() {
     assert!(paused >= Time::from_secs_f64(0.01));
     let slowed = {
         let mut cfg = ClusterConfig::ideal(2);
-        cfg.faults = Some(crate::faults::FaultPlan {
+        cfg.faults = crate::faults::FaultPlan {
             pauses: vec![crate::faults::Pause {
                 node: 0,
                 at_secs: 0.0,
@@ -551,7 +551,7 @@ fn pause_defers_and_slowdown_stretches() {
                 slowdown: 4.0,
             }],
             ..Default::default()
-        });
+        };
         let mut net = Network::new(cfg, 1);
         net.start_transfer(Time::ZERO, 0, 1, 1_000);
         net.run_to_completion()[0].delivered_at
@@ -563,10 +563,10 @@ fn pause_defers_and_slowdown_stretches() {
 fn faulted_runs_are_deterministic_given_seed() {
     let run = |seed: u64| {
         let mut cfg = ClusterConfig::perseus(8);
-        cfg.faults = Some(crate::faults::FaultPlan {
+        cfg.faults = crate::faults::FaultPlan {
             loss_prob: 0.05,
             ..Default::default()
-        });
+        };
         let mut net = Network::new(cfg, seed);
         for i in 0..4usize {
             net.start_transfer(Time::ZERO, i, i + 4, 16_384);

@@ -65,7 +65,7 @@ impl Dur {
     }
 
     /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Dur {
+    pub const fn from_micros(us: u64) -> Dur {
         Dur(us * 1_000)
     }
 

@@ -15,10 +15,10 @@ const TRANSFERS: u64 = 600;
 fn run(seed: u64) -> (u64, NetStats) {
     let mut cfg = ClusterConfig::perseus(NODES);
     cfg.switch_ports = 8; // two switches: half the pairs cross the trunk
-    cfg.faults = Some(FaultPlan {
+    cfg.faults = FaultPlan {
         loss_prob: 0.05,
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, seed);
 
     // A private LCG picks endpoints and sizes, so the workload depends on
@@ -98,7 +98,7 @@ fn run_faulted(seed: u64) -> (u64, NetStats) {
     let mut cfg = ClusterConfig::perseus(NODES);
     cfg.switch_ports = 8;
     cfg.port_buffer_bytes = 6_000; // room for three full frames
-    cfg.faults = Some(FaultPlan {
+    cfg.faults = FaultPlan {
         pauses: vec![
             Pause {
                 node: 3,
@@ -127,7 +127,7 @@ fn run_faulted(seed: u64) -> (u64, NetStats) {
             count: 10,
         }],
         ..Default::default()
-    });
+    };
     let mut net = Network::new(cfg, seed);
 
     let mut lcg = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;

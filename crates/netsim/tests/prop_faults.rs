@@ -1,12 +1,11 @@
-//! The fault layer's pay-for-what-you-use contract: a [`FaultPlan`] with
-//! zero loss probability and no events must leave a run **bitwise
-//! identical** to having no plan at all — same completions (times,
-//! retransmission counts, order), same statistics, same RNG consumption.
-//! Any per-event cost or stray RNG draw added by an inert plan would break
-//! the PR 3 acceptance baseline, so this is property-tested over random
-//! workloads, seeds and presets.
+//! The fault layer's pay-for-what-you-use contract: a [`FaultPlan`] whose
+//! faults never fire must leave a run **bitwise identical** to the healthy
+//! machine — same completions (times, retransmission counts, order), same
+//! statistics, same RNG consumption. Any stray RNG draw or changed event
+//! would break the acceptance baseline, so this is property-tested over
+//! random workloads, seeds and presets.
 
-use pevpm_netsim::{ClusterConfig, Completion, FaultPlan, NetStats, Network, Time};
+use pevpm_netsim::{ClusterConfig, Completion, FaultPlan, LinkFlap, NetStats, Network, Time};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +32,10 @@ fn run_workload(cfg: ClusterConfig, net_seed: u64, wl_seed: u64) -> (Vec<Complet
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `faults: None` vs `faults: Some(empty plan)` — bitwise identical.
+    /// The healthy machine vs an inert plan: one link flap on node 0 whose
+    /// window opens at 10⁶ s, long after every workload ends. The plan
+    /// turns on the per-frame fault checks, which must draw no random
+    /// number and change no event.
     #[test]
     fn empty_plan_is_bitwise_identical_to_no_plan(
         net_seed in 0u64..1_000_000,
@@ -53,8 +55,15 @@ proptest! {
             }
         };
         let mut with_plan = base.clone();
-        with_plan.faults = Some(FaultPlan::default());
-        prop_assert!(with_plan.faults.as_ref().is_some_and(|p| p.is_empty()));
+        with_plan.faults = FaultPlan {
+            flaps: vec![LinkFlap {
+                node: 0,
+                from_secs: 1e6,
+                to_secs: 1e6 + 1.0,
+            }],
+            ..FaultPlan::default()
+        };
+        prop_assert!(base.faults.is_empty() && !with_plan.faults.is_empty());
 
         let (done_a, stats_a) = run_workload(base, net_seed, wl_seed);
         let (done_b, stats_b) = run_workload(with_plan, net_seed, wl_seed);
@@ -73,10 +82,10 @@ proptest! {
         loss_millis in 1u32..200,
     ) {
         let mut cfg = ClusterConfig::perseus(8);
-        cfg.faults = Some(FaultPlan {
+        cfg.faults = FaultPlan {
             loss_prob: loss_millis as f64 / 1000.0,
             ..FaultPlan::default()
-        });
+        };
         let a = run_workload(cfg.clone(), net_seed, wl_seed);
         let b = run_workload(cfg, net_seed, wl_seed);
         prop_assert_eq!(a.0, b.0);

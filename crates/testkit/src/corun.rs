@@ -103,6 +103,19 @@ mod tests {
         WorldConfig::perseus(nprocs, 1, seed)
     }
 
+    /// The model switches a blocking `Send` to rendezvous at the size
+    /// where the simulator does. Not covered: mpisim sends an intra-node
+    /// message eagerly at any size (`local || bytes < EAGER_THRESHOLD` in
+    /// `mpisim::sched`), while PEVPM treats every blocking `Send` of
+    /// 16 KiB or more as rendezvous (`post_send` in `pevpm::vm::engine`).
+    #[test]
+    fn model_and_simulator_switch_protocol_at_one_size() {
+        assert_eq!(
+            pevpm::vm::RNDV_THRESHOLD_BYTES,
+            pevpm_mpisim::EAGER_THRESHOLD as f64
+        );
+    }
+
     #[test]
     fn simulation_is_deterministic_per_seed() {
         let cfg = GenConfig {

@@ -18,7 +18,8 @@
 //!    [`oracle::check_fault_identity`]) — relations that must hold
 //!    between *pairs* of runs: doubling every message size never shrinks
 //!    a replication's predicted makespan (exact, via dominance tables),
-//!    and an empty fault plan is bitwise identical to no plan.
+//!    and a fault plan whose faults never fire is bitwise identical to
+//!    the healthy machine.
 //! 4. **Diagnostics** ([`oracle::check_diagnostics`]) — opt-in
 //!    maybe-deadlocking programs must produce exactly the deadlock/budget
 //!    diagnostics their shape implies, never a crash or a silent

@@ -14,6 +14,7 @@ use pevpm::Program;
 use pevpm_dist::{DistTable, Ecdf};
 use pevpm_mpibench::MachineShape;
 use pevpm_mpisim::{FaultPlan, WorldConfig};
+use pevpm_netsim::LinkFlap;
 use std::fmt;
 
 /// A confirmed oracle violation. `Display` is deterministic — it appears
@@ -57,11 +58,12 @@ pub enum Failure {
         /// Scaled-program makespan.
         scaled: f64,
     },
-    /// An empty fault plan changed the co-simulated makespan.
+    /// A fault plan whose faults never fire changed the co-simulated
+    /// makespan.
     FaultIdentity {
-        /// Makespan with `faults: None`.
+        /// Makespan on the healthy machine.
         without: f64,
-        /// Makespan with `faults: Some(FaultPlan::default())`.
+        /// Makespan under the inert plan.
         with_plan: f64,
     },
     /// A diagnostics-mode program produced the wrong outcome class.
@@ -140,8 +142,8 @@ impl fmt::Display for Failure {
             ),
             Failure::FaultIdentity { without, with_plan } => write!(
                 f,
-                "empty FaultPlan changed the makespan: {without:.9e} \
-                 (no plan) vs {with_plan:.9e} (empty plan)"
+                "inert FaultPlan changed the makespan: {without:.9e} \
+                 (healthy) vs {with_plan:.9e} (inert plan)"
             ),
             Failure::Diagnostics { outcome } => write!(f, "{outcome}"),
             Failure::Adaptive { check, detail } => {
@@ -595,8 +597,10 @@ pub fn check_scaling(
     Ok(())
 }
 
-/// Oracle 3b — co-simulating under `faults: Some(FaultPlan::default())`
-/// must be bitwise identical to `faults: None`.
+/// Oracle 3b — co-simulating under an inert fault plan (one link flap on
+/// node 0 whose window opens at 10⁶ s) must be bitwise identical to the
+/// healthy machine: the plan turns on the network's per-frame fault
+/// checks, which must draw no random number and change no event.
 pub fn check_fault_identity(
     prog: &TestProgram,
     shape: MachineShape,
@@ -604,7 +608,14 @@ pub fn check_fault_identity(
 ) -> Result<(), Failure> {
     let world = WorldConfig::perseus(shape.nodes, shape.ppn, seed);
     let mut faulted = world.clone();
-    faulted.cluster.faults = Some(FaultPlan::default());
+    faulted.cluster.faults = FaultPlan {
+        flaps: vec![LinkFlap {
+            node: 0,
+            from_secs: 1e6,
+            to_secs: 1e6 + 1.0,
+        }],
+        ..FaultPlan::default()
+    };
     let sim = |w: WorldConfig, what: &str| {
         corun::simulate(prog, w).map_err(|e| Failure::Error {
             context: what.to_string(),
@@ -612,7 +623,7 @@ pub fn check_fault_identity(
         })
     };
     let without = sim(world, "co-simulation without plan")?;
-    let with_plan = sim(faulted, "co-simulation with empty plan")?;
+    let with_plan = sim(faulted, "co-simulation with inert plan")?;
     if without.to_bits() != with_plan.to_bits() {
         return Err(Failure::FaultIdentity { without, with_plan });
     }

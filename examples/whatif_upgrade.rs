@@ -26,19 +26,13 @@ use pevpm_apps::jacobi::{self, JacobiConfig};
 use pevpm_bench::fig6::jacobi_sizes;
 use pevpm_dist::{DistTable, Op, Summary};
 use pevpm_mpibench::{run_p2p, P2pConfig, PairPattern, HIST_BINS};
-use pevpm_mpisim::{ClusterConfig, Placement, ProtocolConfig, WorldConfig};
+use pevpm_mpisim::{ClusterConfig, WorldConfig};
 
-fn bench_machine(cluster: ClusterConfig, nodes: usize, sizes: &[u64], seed: u64) -> DistTable {
-    let world = WorldConfig {
-        cluster,
-        procs_per_node: 1,
-        placement: Placement::Block,
-        protocol: ProtocolConfig::default(),
-        seed,
-        virtual_deadline: None,
-        record_trace: false,
-    };
-    let _ = nodes;
+/// A 50-repetition MPIBench ring database of `machine` (one of
+/// `ClusterConfig::MACHINES`) at `nodes × 1`.
+fn machine_table(machine: &str, nodes: usize, sizes: &[u64]) -> DistTable {
+    let cluster = ClusterConfig::named(machine, nodes).expect("a known machine");
+    let world = WorldConfig::new(cluster, 1, 42 + nodes as u64);
     let res = run_p2p(&P2pConfig {
         warmup: 5,
         pattern: PairPattern::Ring,
@@ -48,15 +42,6 @@ fn bench_machine(cluster: ClusterConfig, nodes: usize, sizes: &[u64], seed: u64)
     let mut table = DistTable::new();
     res.add_to_table(&mut table, Op::Send, HIST_BINS);
     table
-}
-
-fn machine_table(machine: &str, nodes: usize, sizes: &[u64]) -> DistTable {
-    let cluster = match machine {
-        "fe" => ClusterConfig::perseus(nodes),
-        "ge" => ClusterConfig::gigabit(nodes),
-        _ => ClusterConfig::lowlatency(nodes),
-    };
-    bench_machine(cluster, nodes, sizes, 42 + nodes as u64)
 }
 
 /// One arm of the what-if comparison: adaptive antithetic Monte-Carlo at
@@ -93,7 +78,7 @@ fn main() {
     for nodes in [2usize, 4, 8, 16, 32, 64] {
         let mut row = format!("{nodes:<7}");
         let mut reps = Vec::new();
-        for machine in ["fe", "ge", "ll"] {
+        for machine in ["perseus", "gigabit", "lowlatency"] {
             let table = machine_table(machine, nodes, &sizes);
             // Same base seed for every machine: the arms draw paired
             // noise, so their speedup gap is a paired comparison.
@@ -113,8 +98,8 @@ fn main() {
     // far less spread — the reason the serve daemon's batch op exposes
     // `crn: true`.
     let nodes = 16usize;
-    let fe = machine_table("fe", nodes, &sizes);
-    let ge = machine_table("ge", nodes, &sizes);
+    let fe = machine_table("perseus", nodes, &sizes);
+    let ge = machine_table("gigabit", nodes, &sizes);
     let mut paired = Summary::new();
     let mut independent = Summary::new();
     for s in 0..12u64 {
