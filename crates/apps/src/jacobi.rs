@@ -16,6 +16,12 @@
 //! The communication structure is the paper's even/odd phased halo
 //! exchange: even ranks send both halo rows first and then receive; odd
 //! ranks receive first and then send.
+//!
+//! Halos are sent from persistent buffers, as the MPI program sends from
+//! its grid rows: a rank keeps the payload it last received from each
+//! neighbour and packs its next halo for that neighbour into it in place
+//! ([`encode_f32s`]), so after the first iteration an exchange allocates
+//! nothing.
 
 use pevpm::model::build::*;
 use pevpm::Model;
@@ -72,10 +78,11 @@ pub struct JacobiRun {
 const TAG_UP: u64 = 1; // toward rank-1
 const TAG_DOWN: u64 = 2; // toward rank+1
 
-/// Pack a halo row as little-endian `f32`s, written straight into the
-/// payload's only allocation.
-pub fn encode_f32s(row: &[f32]) -> Bytes {
-    Bytes::from_fill(row.len() * 4, |buf| {
+/// Pack a halo row as little-endian `f32`s into `buf`'s allocation,
+/// rewritten in place when `buf` is its only handle and one row long, and
+/// into a fresh one otherwise ([`Bytes::refill`]).
+pub fn encode_f32s(row: &[f32], buf: Bytes) -> Bytes {
+    buf.refill(row.len() * 4, |buf| {
         for (c, v) in buf.chunks_exact_mut(4).zip(row) {
             c.copy_from_slice(&v.to_le_bytes());
         }
@@ -155,13 +162,18 @@ fn measure(
     })
 }
 
-/// One rank's slab of the grid, and the rows of the next iteration.
+/// One rank's slab of the grid, the rows of the next iteration, and the
+/// halo buffers it exchanges with its neighbours.
 struct Slab {
     /// Rows `1..=rows` are this rank's; 0 and `rows + 1` are ghost rows.
     grid: Vec<Vec<f32>>,
     next: Vec<Vec<f32>>,
     rows: usize,
     first_global: usize,
+    /// The payloads last received from the ranks above and below, each
+    /// reused for the next halo sent back to its sender.
+    from_up: Bytes,
+    from_down: Bytes,
 }
 
 impl Slab {
@@ -177,7 +189,33 @@ impl Slab {
             grid,
             rows,
             first_global,
+            from_up: Bytes::new(),
+            from_down: Bytes::new(),
         }
+    }
+
+    /// The halo for the rank above (own first row).
+    fn halo_up(&mut self) -> Bytes {
+        encode_f32s(&self.grid[1], std::mem::take(&mut self.from_up))
+    }
+
+    /// The halo for the rank below (own last row).
+    fn halo_down(&mut self) -> Bytes {
+        encode_f32s(&self.grid[self.rows], std::mem::take(&mut self.from_down))
+    }
+
+    /// Unpack the halo from the rank above into ghost row 0, keeping its
+    /// buffer for the next halo up.
+    fn land_up(&mut self, payload: Bytes) {
+        decode_f32s_into(&payload, &mut self.grid[0]);
+        self.from_up = payload;
+    }
+
+    /// Unpack the halo from the rank below into the bottom ghost row,
+    /// keeping its buffer for the next halo down.
+    fn land_down(&mut self, payload: Bytes) {
+        decode_f32s_into(&payload, &mut self.grid[self.rows + 1]);
+        self.from_down = payload;
     }
 
     /// Stencil update of local row `j` (global boundary rows are fixed).
@@ -218,30 +256,25 @@ pub async fn run_rank(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f64>)
 
     for _ in 0..cfg.iterations {
         // Halo exchange with the paper's even/odd phasing.
-        let grid = &mut slab.grid;
         if even {
             if r != 0 {
-                rank.send(r - 1, TAG_UP, encode_f32s(&grid[1])).await;
+                rank.send(r - 1, TAG_UP, slab.halo_up()).await;
             }
             if r != n - 1 {
-                rank.send(r + 1, TAG_DOWN, encode_f32s(&grid[rows])).await;
-                let (_, p) = rank.recv(r + 1, TAG_UP).await;
-                decode_f32s_into(&p, &mut grid[rows + 1]);
+                rank.send(r + 1, TAG_DOWN, slab.halo_down()).await;
+                slab.land_down(rank.recv(r + 1, TAG_UP).await.1);
             }
             if r != 0 {
-                let (_, p) = rank.recv(r - 1, TAG_DOWN).await;
-                decode_f32s_into(&p, &mut grid[0]);
+                slab.land_up(rank.recv(r - 1, TAG_DOWN).await.1);
             }
         } else {
             if r != n - 1 {
-                let (_, p) = rank.recv(r + 1, TAG_UP).await;
-                decode_f32s_into(&p, &mut grid[rows + 1]);
+                slab.land_down(rank.recv(r + 1, TAG_UP).await.1);
             }
-            let (_, p) = rank.recv(r - 1, TAG_DOWN).await;
-            decode_f32s_into(&p, &mut grid[0]);
-            rank.send(r - 1, TAG_UP, encode_f32s(&grid[1])).await;
+            slab.land_up(rank.recv(r - 1, TAG_DOWN).await.1);
+            rank.send(r - 1, TAG_UP, slab.halo_up()).await;
             if r != n - 1 {
-                rank.send(r + 1, TAG_DOWN, encode_f32s(&grid[rows])).await;
+                rank.send(r + 1, TAG_DOWN, slab.halo_down()).await;
             }
         }
 
@@ -284,11 +317,10 @@ async fn run_rank_overlap(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f
 
     for _ in 0..cfg.iterations {
         // Post all nonblocking halo traffic up front.
-        let grid = &slab.grid;
         let rx_up = (r != 0).then(|| rank.irecv(r - 1, TAG_DOWN));
         let rx_down = (r != n - 1).then(|| rank.irecv(r + 1, TAG_UP));
-        let tx_up = (r != 0).then(|| rank.isend(r - 1, TAG_UP, encode_f32s(&grid[1])));
-        let tx_down = (r != n - 1).then(|| rank.isend(r + 1, TAG_DOWN, encode_f32s(&grid[rows])));
+        let tx_up = (r != 0).then(|| rank.isend(r - 1, TAG_UP, slab.halo_up()));
+        let tx_down = (r != n - 1).then(|| rank.isend(r + 1, TAG_DOWN, slab.halo_down()));
 
         // Interior rows overlap the transfers.
         for j in 2..rows {
@@ -298,12 +330,10 @@ async fn run_rank_overlap(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f
 
         // Complete the halos, then the boundary rows.
         if let Some(req) = rx_up {
-            let (_, p) = rank.wait(req).await.expect("halo receive");
-            decode_f32s_into(&p, &mut slab.grid[0]);
+            slab.land_up(rank.wait(req).await.expect("halo receive").1);
         }
         if let Some(req) = rx_down {
-            let (_, p) = rank.wait(req).await.expect("halo receive");
-            decode_f32s_into(&p, &mut slab.grid[rows + 1]);
+            slab.land_down(rank.wait(req).await.expect("halo receive").1);
         }
         slab.update_row(1);
         if rows >= 2 {
@@ -547,12 +577,18 @@ mod tests {
             f32::from_bits(0xffa5_a5a5), // signalling NaN, sign set
             1.0,
         ];
-        let payload = encode_f32s(&row);
-        assert_eq!(payload.len(), row.len() * 4);
-        let mut back = [0.0f32; 7];
-        decode_f32s_into(&payload, &mut back);
         let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&row));
+        let mut payload = Bytes::new();
+        let mut first = None;
+        for row in [row, [2.5; 7]] {
+            payload = encode_f32s(&row, payload);
+            // The second row is packed into the first one's allocation.
+            assert_eq!(*first.get_or_insert(payload.as_ptr()), payload.as_ptr());
+            assert_eq!(payload.len(), row.len() * 4);
+            let mut back = [0.0f32; 7];
+            decode_f32s_into(&payload, &mut back);
+            assert_eq!(bits(&back), bits(&row));
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! wall milliseconds per execution, then two layer rates measured on
 //! their own: events/s of a bare `Network` (a 64-node ring of 1 KiB
 //! transfers, 100 rounds) and nanoseconds per halo message through the
-//! Jacobi codec (encode plus decode of one 256-float row). Seed 11 must
-//! exchange 63 627 messages in 160 322 network events.
+//! Jacobi codec as a rank runs it (encode of one 256-float row into the
+//! reused buffer, which must be rewritten in place, then decode). Seed 11
+//! must exchange 63 627 messages in 160 322 network events.
 //!
 //! Then N runs of the `mpibench_sweep` benchmark op's sweep (shapes 2x1,
 //! 8x1, 32x1; sizes 1–64 KiB; 20 repetitions; seed 20 040 101; one
@@ -22,7 +23,7 @@
 use pevpm_apps::jacobi::{self, JacobiConfig};
 use pevpm_dist::io::write_table;
 use pevpm_mpibench::{run_sweep_threads, size_grid, MachineShape, SweepConfig, HIST_BINS};
-use pevpm_mpisim::WorldConfig;
+use pevpm_mpisim::{Bytes, WorldConfig};
 use pevpm_netsim::{ClusterConfig, Network};
 use std::hint::black_box;
 use std::time::Instant;
@@ -126,13 +127,16 @@ fn main() {
     const HALOS: u32 = 200_000;
     let row: Vec<f32> = (0..cfg.xsize).map(|i| i as f32 * 0.5).collect();
     let mut ghost = vec![0.0f32; cfg.xsize];
+    let mut payload = jacobi::encode_f32s(&row, Bytes::new());
+    let buffer = payload.as_ptr();
     let t = Instant::now();
     for _ in 0..HALOS {
-        let payload = jacobi::encode_f32s(black_box(&row));
+        payload = jacobi::encode_f32s(black_box(&row), payload);
         jacobi::decode_f32s_into(&payload, &mut ghost);
         black_box(&mut ghost);
     }
     assert_eq!(ghost, row);
+    assert_eq!(payload.as_ptr(), buffer, "the halo buffer was reallocated");
     println!(
         "halo codec: {:.1} ns/message ({} B rows)",
         t.elapsed().as_nanos() as f64 / f64::from(HALOS),
