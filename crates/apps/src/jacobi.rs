@@ -357,8 +357,6 @@ async fn run_rank_overlap(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f
 pub fn model_overlap(cfg: &JacobiConfig) -> Model {
     use pevpm::model::Stmt;
     let halo = "xsize*sizeof(float)";
-    let rows_per_proc = cfg.xsize; // per proc: xsize/numprocs, symbolic below
-    let _ = rows_per_proc;
     Model::new()
         .with_param("xsize", cfg.xsize as f64)
         .with_param("iterations", cfg.iterations as f64)

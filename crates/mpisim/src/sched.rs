@@ -225,28 +225,6 @@ pub(crate) fn rank_panic(rank: usize, e: &Box<dyn std::any::Any + Send>) -> SimE
     SimError::RankPanic { rank, message }
 }
 
-/// Bits of a ready-heap key that name the rank; the wake-up sequence
-/// number sits above them, so ranks never decide the order.
-const RANK_BITS: u32 = 20;
-
-/// A ready rank's heap key: the time in the high half, `seq << RANK_BITS
-/// | rank` in the low one, so a single `u128` compare orders keys as the
-/// tuple `(time, seq, rank)` would. `rank < 2^20` (`Engine::new` asserts
-/// it) and `seq < 2^44` (`Engine::schedule_wake` does).
-fn ready_key(at: Time, seq: u64, rank: usize) -> u128 {
-    u128::from(at.as_nanos()) << 64 | u128::from(seq << RANK_BITS | rank as u64)
-}
-
-/// The time of a [`ready_key`].
-fn key_time(key: u128) -> Time {
-    Time((key >> 64) as u64)
-}
-
-/// The rank of a [`ready_key`].
-fn key_rank(key: u128) -> usize {
-    (key as u64 & ((1 << RANK_BITS) - 1)) as usize
-}
-
 /// Key of a message in `Engine::msgs`.
 type MsgId = u64;
 /// Key of a request in `Engine::reqs`; a [`Request`] carries it verbatim.
@@ -370,16 +348,6 @@ struct Pair {
     env_visible: Time,
 }
 
-impl Pair {
-    /// Envelope `env_next`, which arrived at `arrived`, becomes visible:
-    /// no earlier than the envelope before it. Returns when.
-    fn show_next(&mut self, arrived: Time) -> Time {
-        self.env_next += 1;
-        self.env_visible = arrived.max(self.env_visible);
-        self.env_visible
-    }
-}
-
 /// What a rank that cannot run is blocked in; text only when a deadlock
 /// report needs it.
 #[derive(Debug, Clone, Copy)]
@@ -412,9 +380,7 @@ pub(crate) struct Engine {
     completions: Vec<Completion>,
     arrived: Vec<(Purpose, Time)>,
     clocks: Vec<Time>,
-    /// Ranks due to run, as [`ready_key`]s: ordered by `(time, seq)`
-    /// (`seq` is unique) in one compare.
-    ready: BinaryHeap<Reverse<u128>>,
+    ready: BinaryHeap<Reverse<(Time, u64, usize)>>,
     ready_seq: u64,
     /// The reply a rank in the ready heap resumes with (none at its first
     /// start).
@@ -443,14 +409,11 @@ pub(crate) struct Engine {
 impl Engine {
     pub(crate) fn new(cfg: WorldConfig) -> Self {
         let nranks = cfg.nranks();
-        assert!(
-            nranks <= 1 << RANK_BITS,
-            "{nranks} ranks overflow the ready key"
-        );
         let net = Network::new(cfg.cluster.clone(), cfg.seed);
-        let ready = (0..nranks)
-            .map(|r| Reverse(ready_key(Time::ZERO, r as u64, r)))
-            .collect();
+        let mut ready = BinaryHeap::new();
+        for r in 0..nranks {
+            ready.push(Reverse((Time::ZERO, r as u64, r)));
+        }
         Engine {
             deadline: cfg.virtual_deadline.map_or(Time::MAX, |d| Time::ZERO + d),
             net,
@@ -510,7 +473,7 @@ impl Engine {
     /// would have).
     /// Otherwise `r` yields until then.
     fn resume(&mut self, r: usize, at: Time, reply: Reply) -> Option<Reply> {
-        let next_rank = self.next_ready().unwrap_or(Time::MAX);
+        let next_rank = self.ready.peek().map_or(Time::MAX, |Reverse((t, _, _))| *t);
         let next_net = self.net.next_event_time().unwrap_or(Time::MAX);
         if at < next_rank && at < next_net && at <= self.deadline {
             self.ready_seq += 1;
@@ -518,11 +481,6 @@ impl Engine {
         }
         self.schedule_wake(r, at, reply);
         None
-    }
-
-    /// When the ready heap's head is due.
-    fn next_ready(&self) -> Option<Time> {
-        self.ready.peek().map(|&Reverse(key)| key_time(key))
     }
 
     fn schedule_wake(&mut self, rank: usize, at: Time, reply: Reply) {
@@ -533,12 +491,7 @@ impl Engine {
         self.pending_reply[rank] = Some(reply);
         self.blocked[rank] = None;
         self.ready_seq += 1;
-        assert!(
-            self.ready_seq >> (64 - RANK_BITS) == 0,
-            "ready sequence overflow"
-        );
-        self.ready
-            .push(Reverse(ready_key(at, self.ready_seq, rank)));
+        self.ready.push(Reverse((at, self.ready_seq, rank)));
     }
 
     /// Start a network transfer and note what it carries.
@@ -592,7 +545,7 @@ impl Engine {
             if self.nfinished == nranks {
                 return Ok(None);
             }
-            let t_rank = self.next_ready();
+            let t_rank = self.ready.peek().map(|Reverse((t, _, _))| *t);
             // Network first at equal times: completions at t may wake ranks
             // that then run at t. A completion may also wake a rank before
             // the ready heap's head, so the head is read again after each.
@@ -629,8 +582,7 @@ impl Engine {
                 return Err(SimError::DeadlineExceeded { time: t_next });
             }
             // Every network event up to the head's time is handled.
-            let Reverse(key) = self.ready.pop().expect("a rank is due");
-            let (t, r) = (key_time(key), key_rank(key));
+            let Reverse((t, _, r)) = self.ready.pop().expect("a rank is due");
             self.clocks[r] = self.clocks[r].max(t);
             return Ok(Some(r));
         }
@@ -864,12 +816,6 @@ impl Engine {
         let m = &self.msgs[mid];
         let (pair, seq) = (m.pair as usize, m.seq);
         let p = &mut self.pairs[pair];
-        if seq == p.env_next && p.env_buf.is_empty() {
-            // In order with nothing held back: visible at once.
-            let vis = p.show_next(at);
-            self.on_envelope_visible(mid, vis);
-            return;
-        }
         let ahead = (seq - p.env_next) as usize;
         if ahead >= p.env_buf.len() {
             p.env_buf.resize(ahead + 1, None);
@@ -878,7 +824,9 @@ impl Engine {
         while let Some(&Some((m2, a2))) = self.pairs[pair].env_buf.front() {
             let p = &mut self.pairs[pair];
             p.env_buf.pop_front();
-            let vis = p.show_next(a2);
+            p.env_next += 1;
+            let vis = a2.max(p.env_visible);
+            p.env_visible = vis;
             self.on_envelope_visible(m2, vis);
         }
     }
@@ -958,35 +906,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ready_keys_order_as_their_tuples_and_unpack_at_the_budget_edges() {
-        let seq_max = (1u64 << (64 - RANK_BITS)) - 1;
-        let rank_max = (1usize << RANK_BITS) - 1;
-        let mut parts = Vec::new();
-        for t in [0, 1, u64::MAX - 1, u64::MAX] {
-            for seq in [0, 1, seq_max - 1, seq_max] {
-                for rank in [0, 1, rank_max - 1, rank_max] {
-                    parts.push((Time(t), seq, rank));
-                }
-            }
-        }
-        let key = |&(t, seq, rank): &(Time, u64, usize)| ready_key(t, seq, rank);
-        for p in &parts {
-            let k = key(p);
-            let seq = (k as u64) >> RANK_BITS;
-            assert_eq!(
-                (key_time(k), seq, key_rank(k)),
-                *p,
-                "{p:?} does not round-trip"
-            );
-        }
-        for a in &parts {
-            for b in &parts {
-                assert_eq!(key(a).cmp(&key(b)), a.cmp(b), "{a:?} vs {b:?}");
-            }
-        }
-    }
 
     #[test]
     fn stores_are_bounded_by_what_is_in_flight() {

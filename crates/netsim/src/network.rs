@@ -251,9 +251,9 @@ pub struct Network {
     /// Transfers in flight: a transfer leaves the table when it completes,
     /// so the table grows to the peak number in flight and no further.
     transfers: Slots<Transfer>,
-    /// Pending events as [`event_key`]s: ordered by `(time, seq)` (`seq`
-    /// is unique) in one compare, with the payload in `events[slot]`.
-    heap: BinaryHeap<Reverse<u128>>,
+    /// Pending events as `(time, seq << SLOT_BITS | slot)`: ordered by
+    /// `(time, seq)` (`seq` is unique), with the payload in `events[slot]`.
+    heap: BinaryHeap<Reverse<(Time, u64)>>,
     heap_seq: u64,
     /// Payloads of the events in `heap`, and the vacant slots among them.
     events: Vec<Ev>,
@@ -308,26 +308,6 @@ impl ActiveFaults {
 /// the order.
 const SLOT_BITS: u32 = 24;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-
-/// A pending event's heap key: the time in the high half, `seq <<
-/// SLOT_BITS | slot` in the low one, so a single `u128` compare orders
-/// keys as the tuple `(time, seq, slot)` would. `seq < 2^40` and
-/// `slot < 2^24` (`Network::push` asserts both).
-fn event_key(at: Time, seq: u64, slot: u32) -> u128 {
-    u128::from(at.0) << 64 | u128::from(seq << SLOT_BITS | u64::from(slot))
-}
-
-/// The time of an [`event_key`].
-fn key_time(key: u128) -> Time {
-    Time((key >> 64) as u64)
-}
-
-/// The `(time, seq, slot)` an [`event_key`] was packed from.
-#[cfg(test)]
-fn split_event_key(key: u128) -> (Time, u64, u32) {
-    let low = key as u64;
-    (key_time(key), low >> SLOT_BITS, (low & SLOT_MASK) as u32)
-}
 
 impl Network {
     /// Create a network for the given cluster with a deterministic RNG seed.
@@ -436,15 +416,15 @@ impl Network {
         let slot = match self.free_events.pop() {
             Some(slot) => {
                 self.events[slot as usize] = ev;
-                slot
+                slot as u64
             }
             None => {
                 assert!(self.events.len() < 1 << SLOT_BITS, "event slab full");
                 self.events.push(ev);
-                self.events.len() as u32 - 1
+                self.events.len() as u64 - 1
             }
         };
-        let entry = Reverse(event_key(at, self.heap_seq, slot));
+        let entry = Reverse((at, self.heap_seq << SLOT_BITS | slot));
         if std::mem::take(&mut self.top_handled) {
             if let Some(mut top) = self.heap.peek_mut() {
                 *top = entry;
@@ -582,7 +562,7 @@ impl Network {
 
     /// Earliest pending event time, if any work remains.
     pub fn next_event_time(&self) -> Option<Time> {
-        self.heap.peek().map(|&Reverse(key)| key_time(key))
+        self.heap.peek().map(|Reverse((t, _))| *t)
     }
 
     /// The event loop: handle events in `(time, seq)` order, none later
@@ -597,17 +577,16 @@ impl Network {
     /// delivery times, say) calls it again after each `true`: nothing it
     /// reacts to has been overtaken by a later event.
     pub fn advance(&mut self, limit: Time, out: &mut Vec<Completion>) -> bool {
-        while let Some(&Reverse(key)) = self.heap.peek() {
-            let at = key_time(key);
+        while let Some(&Reverse((at, key))) = self.heap.peek() {
             if at > limit || (at > self.now && !self.completions.is_empty()) {
                 break;
             }
             self.now = at;
             self.stats.events_processed += 1;
-            let slot = (key as u64 & SLOT_MASK) as u32;
-            self.free_events.push(slot);
+            let slot = (key & SLOT_MASK) as usize;
+            self.free_events.push(slot as u32);
             self.top_handled = true;
-            self.handle(at, self.events[slot as usize]);
+            self.handle(at, self.events[slot]);
             if std::mem::take(&mut self.top_handled) {
                 self.heap.pop();
             }
