@@ -16,7 +16,7 @@
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
-use pevpm_dist::{DistTable, Op, PointKind};
+use pevpm_dist::{CompileOptions, DistTable, Op};
 use pevpm_mpibench::{run_p2p, Direction, MachineShape, P2pConfig, PairPattern, HIST_BINS};
 use pevpm_mpisim::WorldConfig;
 
@@ -148,24 +148,19 @@ fn tabulate(p2p: &P2pConfig, ops: &[Op]) -> DistTable {
 /// distributions or averages) and the `2×1` ping-pong slice (averages or
 /// minima).
 pub fn timing_models(matched: &DistTable, pingpong: &DistTable) -> Vec<(String, TimingModel)> {
-    vec![
-        (
-            "dist-nxp".into(),
-            TimingModel::distributions(matched.clone()),
-        ),
-        (
-            "avg-nxp".into(),
-            TimingModel::point(matched.clone(), PointKind::Average),
-        ),
-        (
-            "avg-2x1".into(),
-            TimingModel::pingpong_only(pingpong, PredictionMode::Average),
-        ),
-        (
-            "min-2x1".into(),
-            TimingModel::pingpong_only(pingpong, PredictionMode::Minimum),
-        ),
+    [
+        ("dist-nxp", matched, PredictionMode::FullDistribution, false),
+        ("avg-nxp", matched, PredictionMode::Average, false),
+        ("avg-2x1", pingpong, PredictionMode::Average, true),
+        ("min-2x1", pingpong, PredictionMode::Minimum, true),
     ]
+    .into_iter()
+    .map(|(name, table, mode, slice)| {
+        let timing = TimingModel::empirical(table.clone(), mode, slice, CompileOptions::default())
+            .unwrap_or_else(|e| panic!("invalid benchmark table: {e}"));
+        (name.to_string(), timing)
+    })
+    .collect()
 }
 
 /// Run the Figure 6 experiment.

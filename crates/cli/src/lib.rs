@@ -1,26 +1,9 @@
 //! `pevpm` — command-line interface to the MPIBench/PEVPM reproduction.
 //!
-//! ```text
-//! pevpm bench    --nodes N [--ppn P] [--machine perseus|gigabit|lowlatency]
-//!                [--pattern ring|halfsplit|adjacent] [--sizes 512,1024,...]
-//!                [--reps R] [--replicas K] [--threads T] [--seed S]
-//!                --out DB.dist
-//! pevpm inspect  --db DB.dist
-//! pevpm fit      --db DB.dist --out FITTED.dist
-//! pevpm annotate FILE.c
-//! pevpm predict  --model FILE.c --db DB.dist --procs N
-//!                [--mode dist|avg|min] [--pingpong] [--param k=v ...]
-//!                [--seed S] [--reps R] [--threads T]
-//!                [--trace-out TRACE.json] [--metrics-out METRICS.json]
-//! pevpm serve    --db [NAME=]DB.dist ... [--addr HOST:PORT] [--threads T]
-//!                [--http HOST:PORT] [--log-out FILE] [--log-slow-ms MS]
-//! pevpm client   (--addr HOST:PORT | --port-file PATH) --model FILE.c --procs N
-//! pevpm trace    --nodes N [--ppn P] [--xsize X] [--iters I]
-//!                [--db DB.dist] [--trace-out TRACE.json]
-//! ```
-//!
-//! Command implementations return their printable output so they are unit
-//! testable; `main.rs` is a thin shell.
+//! The commands and their options are listed once, in [`USAGE`] (what
+//! `pevpm help` prints); the `COMMANDS` table is held equal to it by a
+//! test. Command implementations return their printable output so they are
+//! unit testable; `main.rs` is a thin shell.
 
 // The CLI fronts untrusted input (files, flags): every failure must map
 // to a structured CliError with an exit code, never a panic.

@@ -4,7 +4,7 @@ use crate::args::Args;
 use crate::bench::{resolve_machine, world_for};
 use crate::db::load_db;
 use crate::{err, write_text, CliError};
-use pevpm::timing::TimingModel;
+use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_dist::CompileOptions;
 use pevpm_obs::diag;
@@ -54,7 +54,13 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
         let options = CompileOptions {
             exact_quantiles: args.has("exact-quantiles"),
         };
-        TimingModel::distributions_with(load_db(args)?, options)
+        TimingModel::empirical(
+            load_db(args)?,
+            PredictionMode::FullDistribution,
+            false,
+            options,
+        )
+        .map_err(|e| CliError::input(format!("invalid benchmark table: {e}")))?
     } else {
         TimingModel::hockney(100e-6, 12.5e6)
     };

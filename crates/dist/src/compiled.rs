@@ -168,11 +168,10 @@ pub struct CompiledHist {
     total: f64,
     min: f64,
     max: f64,
-    mean: f64,
 }
 
 impl CompiledHist {
-    fn new(h: &crate::Histogram, min: f64, max: f64, mean: f64) -> Self {
+    fn new(h: &crate::Histogram, min: f64, max: f64) -> Self {
         let mut bins = Vec::with_capacity(h.counts().len() + 1);
         let mut running: u64 = 0;
         for (i, &c) in h.counts().iter().enumerate() {
@@ -211,7 +210,6 @@ impl CompiledHist {
             total,
             min,
             max,
-            mean,
         }
     }
 
@@ -261,8 +259,6 @@ pub struct CompiledFit {
     /// Quantile knots at `q = k * LUT_TAIL_Q / (len - 1)`; empty in
     /// exact-quantiles mode.
     lut: Vec<f64>,
-    mean: f64,
-    min: f64,
 }
 
 impl CompiledFit {
@@ -326,12 +322,11 @@ impl CompiledDist {
                 }
                 finite(h.origin(), "histogram origin")?;
                 finite(h.bin_width(), "histogram bin width")?;
-                CompiledDist::Hist(CompiledHist::new(
-                    h,
-                    finite(h.summary().min().unwrap_or(0.0), "histogram min")?,
-                    finite(h.summary().max().unwrap_or(0.0), "histogram max")?,
-                    finite(h.summary().mean().unwrap_or(0.0), "histogram mean")?,
-                ))
+                let min = finite(h.summary().min().unwrap_or(0.0), "histogram min")?;
+                let max = finite(h.summary().max().unwrap_or(0.0), "histogram max")?;
+                // The average baseline samples the mean of this cell.
+                finite(h.summary().mean().unwrap_or(0.0), "histogram mean")?;
+                CompiledDist::Hist(CompiledHist::new(h, min, max))
             }
             CommDist::Fit(f) => {
                 finite(f.shift, "fit shift")?;
@@ -349,9 +344,8 @@ impl CompiledDist {
                         })
                         .collect::<Result<Vec<f64>, CompileError>>()?
                 };
+                finite(f.mean(), "fit mean")?;
                 CompiledDist::Fit(CompiledFit {
-                    mean: finite(f.mean(), "fit mean")?,
-                    min: f.shift,
                     fit: f.clone(),
                     lut,
                 })
@@ -382,21 +376,11 @@ impl CompiledDist {
         v
     }
 
-    /// Mean of the distribution (precomputed at compile time; bitwise
-    /// identical to [`CommDist::mean`]).
-    pub fn mean(&self) -> f64 {
-        match self {
-            CompiledDist::Hist(h) => h.mean,
-            CompiledDist::Fit(f) => f.mean,
-            CompiledDist::Point(v) => *v,
-        }
-    }
-
     /// Minimum (0-quantile; bitwise identical to [`CommDist::min`]).
     pub fn min(&self) -> f64 {
         match self {
             CompiledDist::Hist(h) => h.min,
-            CompiledDist::Fit(f) => f.min,
+            CompiledDist::Fit(f) => f.fit.shift,
             CompiledDist::Point(v) => *v,
         }
     }
@@ -641,11 +625,6 @@ impl<'t> ResolvedCell<'t> {
     pub fn min(&self) -> f64 {
         self.blend.min
     }
-
-    /// Interpolated mean (bitwise identical to [`DistTable::mean_at`]).
-    pub fn mean(&self) -> f64 {
-        self.grid.reduce(&self.blend, CompiledDist::mean)
-    }
 }
 
 // --------------------------------------------------------------- table --
@@ -801,18 +780,6 @@ impl CompiledTable {
         let u = rng.gen::<f64>();
         self.quantile_at(op, size, contention, u)
     }
-
-    /// Interpolated mean at the query point (bitwise identical to
-    /// [`DistTable::mean_at`]).
-    pub fn mean_at(&self, op: Op, size: f64, contention: f64) -> Option<f64> {
-        Some(self.resolve(op, size, contention)?.mean())
-    }
-
-    /// Interpolated minimum at the query point (bitwise identical to
-    /// [`DistTable::min_at`]).
-    pub fn min_at(&self, op: Op, size: f64, contention: f64) -> Option<f64> {
-        Some(self.resolve(op, size, contention)?.min())
-    }
 }
 
 #[cfg(test)]
@@ -854,8 +821,13 @@ mod tests {
 
     #[test]
     fn compiled_matches_interpreted_on_and_off_grid() {
+        // The compiled quantiles of the table and of its collapsed forms:
+        // a collapsed table answers the interpreted mean or minimum at
+        // every probability, which is what the baseline modes sample.
         let t = grid_table();
         let c = CompiledTable::compile(&t).unwrap();
+        let avg = CompiledTable::compile(&t.collapsed(PointKind::Average)).unwrap();
+        let min = CompiledTable::compile(&t.collapsed(PointKind::Minimum)).unwrap();
         assert_eq!(c.len(), t.len());
         for &size in &[1.0, 64.0, 300.0, 1024.0, 5000.0, 16384.0, 1e9] {
             for &cont in &[0.0, 1.0, 2.5, 4.0, 17.0, 32.0, 64.0, 500.0] {
@@ -867,15 +839,15 @@ mod tests {
                         b.map(f64::to_bits),
                         "quantile mismatch at size={size} cont={cont} q={q}: {a:?} vs {b:?}"
                     );
+                    assert_eq!(
+                        t.mean_at(Op::Isend, size, cont).map(f64::to_bits),
+                        avg.quantile_at(Op::Isend, size, cont, q).map(f64::to_bits)
+                    );
+                    assert_eq!(
+                        t.min_at(Op::Isend, size, cont).map(f64::to_bits),
+                        min.quantile_at(Op::Isend, size, cont, q).map(f64::to_bits)
+                    );
                 }
-                assert_eq!(
-                    t.mean_at(Op::Isend, size, cont).map(f64::to_bits),
-                    c.mean_at(Op::Isend, size, cont).map(f64::to_bits)
-                );
-                assert_eq!(
-                    t.min_at(Op::Isend, size, cont).map(f64::to_bits),
-                    c.min_at(Op::Isend, size, cont).map(f64::to_bits)
-                );
             }
         }
     }
@@ -1008,8 +980,7 @@ mod tests {
         let c = CompiledTable::compile(&t).unwrap();
         assert_eq!(c.quantile_at(Op::Isend, f64::NAN, 1.0, 0.5), None);
         assert_eq!(c.quantile_at(Op::Isend, 1024.0, f64::NAN, 0.5), None);
-        assert_eq!(c.mean_at(Op::Isend, f64::NAN, f64::NAN), None);
-        assert_eq!(c.min_at(Op::Isend, f64::NAN, 1.0), None);
+        assert_eq!(c.quantile_at(Op::Isend, f64::NAN, f64::NAN, 0.5), None);
         // The interpreted path agrees (no panic, no value).
         assert_eq!(t.quantile_at(Op::Isend, f64::NAN, 1.0, 0.5), None);
     }

@@ -469,7 +469,7 @@ mod tests {
         let mut table = DistTable::new();
         res.add_to_table(&mut table, Op::Isend, 64);
         assert_eq!(table.len(), 2);
-        assert!(table.mean_at(Op::Isend, 64.0, 2.0).is_some());
+        assert!(table.quantile_at(Op::Isend, 64.0, 2.0, 0.5).is_some());
     }
 
     #[test]

@@ -283,18 +283,6 @@ impl Proc {
         out
     }
 
-    /// Wait for every request in order.
-    pub async fn waitall(
-        &mut self,
-        reqs: impl IntoIterator<Item = Request>,
-    ) -> Vec<Option<(MsgMeta, Bytes)>> {
-        let mut out = Vec::new();
-        for r in reqs {
-            out.push(self.wait(r).await);
-        }
-        out
-    }
-
     /// Nonblocking completion test. `Some(None)` = send request completed;
     /// `Some(Some(msg))` = receive completed; `None` = still pending.
     pub fn test(&mut self, req: Request) -> Option<Option<(MsgMeta, Bytes)>> {

@@ -2,15 +2,15 @@
 //!
 //! The paper's central claim is that *how* you turn benchmark data into
 //! per-message times decides prediction quality. The options compared in
-//! Figure 6 are all expressible here:
+//! Figure 6 are all built by [`TimingModel::empirical`]:
 //!
 //! - [`PredictionMode::FullDistribution`] over the full `n×p` benchmark
 //!   database — the PEVPM method (Monte-Carlo sampling, contention-aware);
-//! - [`PredictionMode::Average`] / [`PredictionMode::Minimum`] — collapse
-//!   each distribution to a single point (what conventional benchmarks
-//!   report);
-//! - combined with either the full contention-indexed database or a
-//!   ping-pong-only (`2×1`) slice via [`TimingModel::pingpong_only`].
+//! - [`PredictionMode::Average`] / [`PredictionMode::Minimum`] — each
+//!   distribution collapsed to a single point (what conventional
+//!   benchmarks report), sampled like any other table;
+//! - combined with either the full contention-indexed database or its
+//!   ping-pong-only (`2×1`) slice, the lowest measured contention level.
 //!
 //! A purely analytic [`TimingModel::hockney`] (`T = l + b/W`) is included
 //! as the classic textbook baseline.
@@ -24,7 +24,7 @@
 //! second pricing inverts only in cells the first did not touch.
 
 use pevpm_dist::{
-    CellParts, CompileOptions, CompiledTable, DistTable, Op, PointKind, ResolvedCell,
+    CellParts, CompileError, CompileOptions, CompiledTable, DistTable, Op, PointKind, ResolvedCell,
 };
 use rand::Rng;
 
@@ -49,12 +49,26 @@ impl std::fmt::Display for PredictionMode {
     }
 }
 
+impl std::str::FromStr for PredictionMode {
+    type Err = String;
+
+    /// The inverse of `Display`; the error names the accepted spellings.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "dist" => Ok(PredictionMode::FullDistribution),
+            "avg" => Ok(PredictionMode::Average),
+            "min" => Ok(PredictionMode::Minimum),
+            other => Err(format!("unknown mode {other:?} (dist|avg|min)")),
+        }
+    }
+}
+
 /// A source of communication times for the PEVPM virtual machine.
 #[derive(Debug, Clone)]
 pub enum TimingModel {
     /// Empirical: backed by an MPIBench database.
     Empirical {
-        /// The benchmark database (possibly pre-collapsed or sliced).
+        /// The benchmark database (possibly collapsed to points or sliced).
         table: DistTable,
         /// The table compiled for the allocation-free sampling fast path
         /// ([`pevpm_dist::compiled`]). `None` only for models built with
@@ -63,8 +77,6 @@ pub enum TimingModel {
         /// compiles. Queries answer bitwise identically either way for
         /// histogram/point tables.
         compiled: Option<CompiledTable>,
-        /// Sampling mode.
-        mode: PredictionMode,
         /// If set, every query uses this fixed contention level instead of
         /// the scoreboard's (the "2×1 ping-pong data" baselines).
         fixed_contention: Option<f64>,
@@ -102,7 +114,7 @@ pub enum ResolvedTime<'t> {
         /// The 0-quantile, from the query that established there is data.
         floor: f64,
     },
-    /// Point modes and the analytic model: one time whatever the draw.
+    /// The analytic model: one time whatever the draw.
     Fixed(f64),
 }
 
@@ -113,7 +125,7 @@ impl<'t> ResolvedTime<'t> {
     /// `CellParts::default()`): the compiled table leaves its per-cell
     /// inversions there, so resolving the same draws again at another
     /// contention level inverts only the cells that are new; the
-    /// reference path and the point modes answer lane by lane without it.
+    /// reference path and the analytic model answer lane by lane without it.
     #[inline]
     pub fn quantiles<const W: usize>(
         &self,
@@ -137,8 +149,8 @@ impl<'t> ResolvedTime<'t> {
         }
     }
 
-    /// `quantile(0.0)` without the lookup: the distribution's minimum in
-    /// full-distribution mode, the point statistic in the point modes.
+    /// `quantile(0.0)` without the lookup: the distribution's minimum (the
+    /// point statistic itself in a collapsed table).
     #[inline]
     pub fn floor(&self) -> f64 {
         match self {
@@ -154,39 +166,66 @@ impl<'t> ResolvedTime<'t> {
 pub(crate) type ResolveMemo<'t> = Vec<Option<((Op, u64), ResolvedTime<'t>)>>;
 
 impl TimingModel {
-    /// Compile `table` for the sampling fast path.
+    /// An empirical model over `table`: sampled as measured in
+    /// [`PredictionMode::FullDistribution`], or collapsed to each cell's
+    /// mean or minimum in the point modes (the sampler then answers that
+    /// point whatever the draw); with `pingpong`, restricted to the lowest
+    /// measured contention level (the `2×1` ping-pong slice), which then
+    /// answers every query — what a conventional benchmark provides.
     ///
-    /// # Panics
-    /// Panics when the table fails validation (an empty histogram —
-    /// nothing to sample from). The `.dist` loader rejects such tables at
-    /// parse time, so this fires only on malformed programmatic tables.
-    fn compile(table: &DistTable, options: CompileOptions) -> CompiledTable {
-        CompiledTable::compile_with(table, options)
-            .unwrap_or_else(|e| panic!("invalid benchmark table: {e}"))
+    /// The whole of `table` is compiled with `options` first, so a table
+    /// that fails validation is an error in every mode, and what is kept
+    /// is compiled with the same `options`.
+    pub fn empirical(
+        table: DistTable,
+        mode: PredictionMode,
+        pingpong: bool,
+        options: CompileOptions,
+    ) -> Result<Self, CompileError> {
+        let compiled = CompiledTable::compile_with(&table, options)?;
+        if mode == PredictionMode::FullDistribution && !pingpong {
+            return Ok(TimingModel::Empirical {
+                table,
+                compiled: Some(compiled),
+                fixed_contention: None,
+            });
+        }
+        let level = pingpong.then(|| {
+            table
+                .ops()
+                .flat_map(|op| table.contentions(op))
+                .min()
+                .unwrap_or(1)
+        });
+        let table = match level {
+            Some(level) => table.at_contention(level),
+            None => table,
+        };
+        let table = match mode {
+            PredictionMode::FullDistribution => table,
+            PredictionMode::Average => table.collapsed(PointKind::Average),
+            PredictionMode::Minimum => table.collapsed(PointKind::Minimum),
+        };
+        Ok(TimingModel::Empirical {
+            compiled: Some(CompiledTable::compile_with(&table, options)?),
+            table,
+            fixed_contention: level.map(f64::from),
+        })
     }
 
     /// The PEVPM method: full distributions, contention-indexed.
     ///
     /// # Panics
-    /// Panics on a table with an empty histogram (see
-    /// [`DistTable::validate`]).
+    /// Panics on a table that fails compilation, such as one with an empty
+    /// histogram (see [`DistTable::validate`]).
     pub fn distributions(table: DistTable) -> Self {
-        Self::distributions_with(table, CompileOptions::default())
-    }
-
-    /// [`TimingModel::distributions`] with explicit compile options — e.g.
-    /// `exact_quantiles` to answer `Fit` quantiles by the exact bisection
-    /// instead of the lookup table (the CLI's `--exact-quantiles`).
-    ///
-    /// # Panics
-    /// Panics on a table with an empty histogram.
-    pub fn distributions_with(table: DistTable, options: CompileOptions) -> Self {
-        TimingModel::Empirical {
-            compiled: Some(Self::compile(&table, options)),
+        Self::empirical(
             table,
-            mode: PredictionMode::FullDistribution,
-            fixed_contention: None,
-        }
+            PredictionMode::FullDistribution,
+            false,
+            CompileOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("invalid benchmark table: {e}"))
     }
 
     /// The PEVPM method *without* the compiled fast path: every query runs
@@ -197,47 +236,7 @@ impl TimingModel {
         TimingModel::Empirical {
             table,
             compiled: None,
-            mode: PredictionMode::FullDistribution,
             fixed_contention: None,
-        }
-    }
-
-    /// Point-statistic mode over the full contention-indexed database
-    /// ("averages from MPIBench n×p process benchmarks" in §6).
-    ///
-    /// # Panics
-    /// Panics on a table with an empty histogram.
-    pub fn point(table: DistTable, kind: PointKind) -> Self {
-        let mode = match kind {
-            PointKind::Average => PredictionMode::Average,
-            PointKind::Minimum => PredictionMode::Minimum,
-        };
-        TimingModel::Empirical {
-            compiled: Some(Self::compile(&table, CompileOptions::default())),
-            table,
-            mode,
-            fixed_contention: None,
-        }
-    }
-
-    /// Restrict the database to its lowest measured contention level (the
-    /// 2×1 ping-pong slice) and answer every query from it — what a
-    /// conventional benchmark provides.
-    ///
-    /// # Panics
-    /// Panics on a table with an empty histogram.
-    pub fn pingpong_only(table: &DistTable, mode: PredictionMode) -> Self {
-        let level = table
-            .ops()
-            .flat_map(|op| table.contentions(op))
-            .min()
-            .unwrap_or(1);
-        let table = table.at_contention(level);
-        TimingModel::Empirical {
-            compiled: Some(Self::compile(&table, CompileOptions::default())),
-            table,
-            mode,
-            fixed_contention: Some(level as f64),
         }
     }
 
@@ -260,8 +259,9 @@ impl TimingModel {
     }
 
     /// The end-to-end time at a given probability `u` of the distribution
-    /// for `(op, size, contention)`. In the point modes the result is the
-    /// mean/minimum regardless of `u`. The PEVPM virtual machine draws one
+    /// for `(op, size, contention)`. In the point modes every distribution
+    /// is a single point, so the result is the mean/minimum regardless of
+    /// `u`. The PEVPM virtual machine draws one
     /// `u` per message and reuses it for both the sender-side cost and the
     /// transit time, so correlated effects (e.g. the intra-node vs
     /// inter-node modes of a bimodal SMP distribution) stay correlated.
@@ -270,17 +270,12 @@ impl TimingModel {
             TimingModel::Empirical {
                 table,
                 compiled,
-                mode,
                 fixed_contention,
             } => {
                 let c = fixed_contention.unwrap_or(contention);
-                match (mode, compiled) {
-                    (PredictionMode::FullDistribution, Some(ct)) => ct.quantile_at(op, size, c, u),
-                    (PredictionMode::FullDistribution, None) => table.quantile_at(op, size, c, u),
-                    (PredictionMode::Average, Some(ct)) => ct.mean_at(op, size, c),
-                    (PredictionMode::Average, None) => table.mean_at(op, size, c),
-                    (PredictionMode::Minimum, Some(ct)) => ct.min_at(op, size, c),
-                    (PredictionMode::Minimum, None) => table.min_at(op, size, c),
+                match compiled {
+                    Some(ct) => ct.quantile_at(op, size, c, u),
+                    None => table.quantile_at(op, size, c, u),
                 }
             }
             TimingModel::Hockney { latency, bandwidth } => Some(latency + size / bandwidth),
@@ -292,33 +287,33 @@ impl TimingModel {
     /// [`TimingModel::quantile_time`] is `None` (that depends on the query
     /// alone, never on the probability).
     pub fn resolve(&self, op: Op, size: f64, contention: f64) -> Option<ResolvedTime<'_>> {
-        if let TimingModel::Empirical {
-            table,
-            compiled,
-            mode: PredictionMode::FullDistribution,
-            fixed_contention,
-        } = self
-        {
-            let c = fixed_contention.unwrap_or(contention);
-            return match compiled {
-                Some(ct) => ct.resolve(op, size, c).map(ResolvedTime::Cell),
-                None => {
-                    table
-                        .quantile_at(op, size, c, 0.0)
-                        .map(|floor| ResolvedTime::Interpreted {
-                            table,
-                            op,
-                            size,
-                            contention: c,
-                            floor,
-                        })
+        match self {
+            TimingModel::Empirical {
+                table,
+                compiled,
+                fixed_contention,
+            } => {
+                let c = fixed_contention.unwrap_or(contention);
+                match compiled {
+                    Some(ct) => ct.resolve(op, size, c).map(ResolvedTime::Cell),
+                    None => {
+                        table
+                            .quantile_at(op, size, c, 0.0)
+                            .map(|floor| ResolvedTime::Interpreted {
+                                table,
+                                op,
+                                size,
+                                contention: c,
+                                floor,
+                            })
+                    }
                 }
-            };
+            }
+            // The analytic model answers the same whatever the probability.
+            TimingModel::Hockney { .. } => self
+                .quantile_time(op, size, contention, 0.0)
+                .map(ResolvedTime::Fixed),
         }
-        // Point modes and the analytic model answer the same whatever the
-        // probability.
-        self.quantile_time(op, size, contention, 0.0)
-            .map(ResolvedTime::Fixed)
     }
 
     /// [`TimingModel::resolve`] with the Send↔Isend fallback (benchmark
@@ -385,6 +380,11 @@ mod tests {
         t
     }
 
+    /// [`table`] in `mode`, on the ping-pong slice or not.
+    fn empirical(mode: PredictionMode, pingpong: bool) -> TimingModel {
+        TimingModel::empirical(table(), mode, pingpong, CompileOptions::default()).unwrap()
+    }
+
     #[test]
     fn distribution_mode_is_contention_aware() {
         let m = TimingModel::distributions(table());
@@ -397,8 +397,8 @@ mod tests {
 
     #[test]
     fn average_and_minimum_modes_are_points() {
-        let avg = TimingModel::point(table(), PointKind::Average);
-        let min = TimingModel::point(table(), PointKind::Minimum);
+        let avg = empirical(PredictionMode::Average, false);
+        let min = empirical(PredictionMode::Minimum, false);
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..5 {
             assert_eq!(avg.comm_time(Op::Send, 1024.0, 1.0, &mut rng), Some(110.0));
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn pingpong_slice_ignores_contention() {
-        let m = TimingModel::pingpong_only(&table(), PredictionMode::Average);
+        let m = empirical(PredictionMode::Average, true);
         let mut rng = SmallRng::seed_from_u64(1);
         // Queries at high contention still answer from the 2×1 slice.
         assert_eq!(m.comm_time(Op::Send, 1024.0, 64.0, &mut rng), Some(110.0));
@@ -454,8 +454,8 @@ mod tests {
         let models = [
             TimingModel::distributions(table()),
             TimingModel::interpreted(table()),
-            TimingModel::point(table(), PointKind::Average),
-            TimingModel::pingpong_only(&table(), PredictionMode::Minimum),
+            empirical(PredictionMode::Average, false),
+            empirical(PredictionMode::Minimum, true),
             TimingModel::hockney(1e-4, 12.5e6),
             TimingModel::distributions(isend_only.clone()),
             TimingModel::interpreted(isend_only),
@@ -512,6 +512,35 @@ mod tests {
             CommDist::Hist(Histogram::new(0.0, 1.0)),
         );
         let _ = TimingModel::distributions(t);
+    }
+
+    #[test]
+    fn every_mode_validates_the_whole_table() {
+        // Collapsing an empty histogram would give a point at 0, and the
+        // ping-pong slice need not contain it: both are still refused.
+        let mut t = table();
+        t.insert(
+            DistKey {
+                op: Op::Send,
+                size: 8,
+                contention: 8,
+            },
+            CommDist::Hist(Histogram::new(0.0, 1.0)),
+        );
+        for mode in [
+            PredictionMode::FullDistribution,
+            PredictionMode::Average,
+            PredictionMode::Minimum,
+        ] {
+            for pingpong in [false, true] {
+                let e =
+                    TimingModel::empirical(t.clone(), mode, pingpong, CompileOptions::default());
+                assert!(
+                    matches!(e, Err(CompileError::EmptyHistogram { .. })),
+                    "{mode} pingpong={pingpong}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@ use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{EvalConfig, McPrediction, PevpmError, Prediction, RunBudget, Scratch};
 use pevpm::Program;
-use pevpm_dist::{CompileOptions, CompiledTable, DistTable};
+use pevpm_dist::{CompileOptions, DistTable};
+
+use crate::proto::rendered;
 
 /// How a plan failure maps onto the CLI's exit-code contract (and the
 /// server's protocol error codes): `Usage` ↔ exit 2 / `"usage"`, `Input`
@@ -172,7 +174,7 @@ impl PredictRequest {
 
     /// Resolve the mode name (`dist`/`avg`/`min`).
     pub fn prediction_mode(&self) -> Result<PredictionMode, PlanError> {
-        mode_from_name(&self.mode)
+        self.mode.parse().map_err(PlanError::usage)
     }
 
     /// Sampler-compilation options implied by the request.
@@ -274,18 +276,6 @@ impl PredictRequest {
     }
 }
 
-/// Resolve a prediction-mode name.
-pub fn mode_from_name(name: &str) -> Result<PredictionMode, PlanError> {
-    match name {
-        "dist" => Ok(PredictionMode::FullDistribution),
-        "avg" => Ok(PredictionMode::Average),
-        "min" => Ok(PredictionMode::Minimum),
-        other => Err(PlanError::usage(format!(
-            "unknown mode {other:?} (dist|avg|min)"
-        ))),
-    }
-}
-
 /// Parse annotated source and lower it into the [`Program`] every
 /// evaluation of it runs; the parsed model is dropped. `origin` names the
 /// source in parse errors (a file path for the CLI, a request id for the
@@ -298,34 +288,17 @@ pub fn parse_model(src: &str, origin: &str) -> Result<Program, PlanError> {
     Ok(Program::new(&model))
 }
 
-/// Build the timing model a request asks for from a benchmark table.
-///
-/// Pre-validates the table compilation so invalid tables surface as
-/// structured [`PlanError`]s instead of the panics the [`TimingModel`]
-/// constructors document — a daemon cannot afford those.
+/// Build the timing model a request asks for from a benchmark table
+/// ([`TimingModel::empirical`]); a table that fails compilation is an
+/// input error.
 pub fn build_timing(
     table: &DistTable,
     mode: PredictionMode,
     pingpong: bool,
     options: CompileOptions,
 ) -> Result<TimingModel, PlanError> {
-    CompiledTable::compile_with(table, options)
-        .map_err(|e| PlanError::input(format!("invalid benchmark table: {e}")))?;
-    Ok(if pingpong {
-        TimingModel::pingpong_only(table, mode)
-    } else {
-        match mode {
-            PredictionMode::FullDistribution => {
-                TimingModel::distributions_with(table.clone(), options)
-            }
-            PredictionMode::Average => {
-                TimingModel::point(table.clone(), pevpm_dist::PointKind::Average)
-            }
-            PredictionMode::Minimum => {
-                TimingModel::point(table.clone(), pevpm_dist::PointKind::Minimum)
-            }
-        }
-    })
+    TimingModel::empirical(table.clone(), mode, pingpong, options)
+        .map_err(|e| PlanError::input(format!("invalid benchmark table: {e}")))
 }
 
 /// Outcome of one evaluated plan: a single prediction or a Monte-Carlo
@@ -379,13 +352,6 @@ pub fn evaluate_plan_in(
             .map_err(eval_error)?;
         Ok(EvalOutcome::Single(Box::new(p)))
     }
-}
-
-/// `write` run into a new `String`.
-fn rendered(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
-    let mut out = String::new();
-    let _ = write(&mut out);
-    out
 }
 
 /// Write the deterministic headline line both front-ends print for a
@@ -525,11 +491,18 @@ mod tests {
         assert_eq!(req.eval_config().unwrap_err().kind, PlanErrorKind::Usage);
         req.quorum = Some(2);
         assert!(req.eval_config().is_ok());
-        assert!(mode_from_name("warp").is_err());
-        assert!(matches!(
-            mode_from_name("dist"),
-            Ok(PredictionMode::FullDistribution)
-        ));
+        req.mode = "warp".to_string();
+        let e = req.prediction_mode().unwrap_err();
+        assert_eq!(e.kind, PlanErrorKind::Usage);
+        assert_eq!(e.message, "unknown mode \"warp\" (dist|avg|min)");
+        for mode in [
+            PredictionMode::FullDistribution,
+            PredictionMode::Average,
+            PredictionMode::Minimum,
+        ] {
+            req.mode = mode.to_string();
+            assert_eq!(req.prediction_mode().unwrap(), mode);
+        }
     }
 
     #[test]
@@ -636,6 +609,50 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.kind, PlanErrorKind::Input);
         assert!(e.message.contains("empty histogram"), "{e}");
+    }
+
+    #[test]
+    fn pingpong_requests_honour_exact_quantiles() {
+        // A fitted cell answers from its quantile lookup table unless the
+        // table is compiled with `exact_quantiles`; the ping-pong slice
+        // must be compiled with the request's options like the full table.
+        use pevpm_dist::{CommDist, CompiledTable, DistKey, Histogram, Op};
+        let mut t = DistTable::new();
+        for (contention, lo) in [(1u32, 1e-4), (8, 3e-4)] {
+            let samples: Vec<f64> = (0..64)
+                .map(|i| lo * (1.0 + f64::from(i % 13 * i % 7) / 20.0))
+                .collect();
+            let key = DistKey {
+                op: Op::Send,
+                size: 1024,
+                contention,
+            };
+            t.insert(
+                key,
+                CommDist::Hist(Histogram::from_samples(&samples, lo / 50.0)),
+            );
+        }
+        let fitted = t.fitted();
+        assert!(fitted.iter().all(|(_, d)| matches!(d, CommDist::Fit(_))));
+        let exact = CompileOptions {
+            exact_quantiles: true,
+        };
+        let timing = build_timing(&fitted, PredictionMode::FullDistribution, true, exact).unwrap();
+        let slice = fitted.at_contention(1);
+        let want = CompiledTable::compile_with(&slice, exact).unwrap();
+        let lut = CompiledTable::compile(&slice).unwrap();
+        let mut lut_differs = false;
+        for i in 1..100 {
+            let u = f64::from(i) / 100.0;
+            let exact_q = want.quantile_at(Op::Send, 1024.0, 1.0, u).unwrap();
+            let got = timing.quantile_time(Op::Send, 1024.0, 8.0, u).unwrap();
+            assert_eq!(got.to_bits(), exact_q.to_bits(), "u={u}");
+            lut_differs |= lut.quantile_at(Op::Send, 1024.0, 1.0, u).unwrap() != exact_q;
+        }
+        assert!(
+            lut_differs,
+            "the lookup table is exact here: nothing is tested"
+        );
     }
 
     #[test]

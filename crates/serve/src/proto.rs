@@ -355,7 +355,7 @@ impl Request {
 }
 
 /// `write` run into a new `String`.
-fn rendered(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+pub(crate) fn rendered(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
     let mut out = String::new();
     let _ = write(&mut out);
     out
