@@ -14,11 +14,13 @@
 //!   sorted slices, so neighbour selection is pure `partition_point` with
 //!   zero allocation;
 //! - each [`crate::CommDist`] becomes a [`CompiledDist`]: histograms carry
-//!   inclusive cumulative counts plus a [`GUIDE_CELLS`]-entry guide table
-//!   (cut-point method), turning the inverse CDF into an `O(1)` start index
-//!   and a short forward scan that lands on the same bin as the interpreted
-//!   linear walk, so the result is **bitwise identical** to it (cumulative
-//!   counts are integers below 2^53, so the float prefix is exact). It is
+//!   inclusive cumulative counts plus a guide table of up to
+//!   [`GUIDE_CELLS`] cells (cut-point method), turning the inverse CDF into
+//!   an `O(1)` start index and a short forward scan that lands on the same
+//!   bin as the interpreted linear walk, so the result is **bitwise
+//!   identical** to it (cumulative counts are integers below 2^53, so the
+//!   float prefix is exact); a guide cell that lies inside one bin names
+//!   that bin outright and skips the scan (one probe). It is
 //!   lane-batched (`W = 1` is one lane): one pass scans every lane up to a
 //!   `+∞` sentinel bin, a second interpolates them all; parametric fits
 //!   carry a monotone quantile lookup table with linear interpolation,
@@ -129,10 +131,22 @@ pub struct CompileOptions {
 
 // -------------------------------------------------------------- dists --
 
-/// Cells of the inverse-CDF guide table: cell `j` covers the quantiles
-/// `[j/K, (j+1)/K)`. A power of two, so `q * K` is exact and the cell of
-/// `q` is decided without rounding.
-pub const GUIDE_CELLS: usize = 256;
+/// The most cells an inverse-CDF guide table has. A histogram's guide has
+/// `K` cells, cell `j` covering the quantiles `[j/K, (j+1)/K)`: a power of
+/// two, so `q * K` is exact and the cell of `q` is decided without
+/// rounding. `K` is [`CELLS_PER_BIN`] per bin rounded up, at most this
+/// (a 100-bin benchmark histogram gets all 1024), so that most cells lie
+/// inside one bin ([`CompiledHist`]) while a table of small histograms
+/// keeps small guides.
+pub const GUIDE_CELLS: usize = 1024;
+
+/// Guide cells per histogram bin: below the cap, at most one cell in this
+/// many holds a bin boundary, so at least 7 in 8 lie inside one bin.
+const CELLS_PER_BIN: usize = 8;
+
+/// Set on a guide entry whose cell lies inside one bin: that bin is the
+/// answer for every `q` of the cell, with no scan.
+const SINGLE_BIN: u32 = 1 << 31;
 
 /// One histogram bin, laid out for the inverse CDF: everything the
 /// interpolation reads sits next to the cumulative count the scan compares.
@@ -160,11 +174,21 @@ struct Bin {
 /// of `guide[j]`, and a forward scan from there stops on exactly the bin a
 /// binary search — or the interpreted walk — would have found. `bins` ends
 /// in a sentinel whose count is `+∞`, so no scan runs off the end.
+///
+/// The same argument bounds the bin from above: `q < (j+1)/K`, so
+/// `q * total <= ((j+1)/K) * total` as computed, and the bin of `q` is
+/// never right of `guide[j+1]`. Where `guide[j] == guide[j+1]` the cell
+/// lies inside that one bin, and its entry carries [`SINGLE_BIN`]: the
+/// lane reads its bin off the guide and does not scan. The cell of `q = 1`
+/// is a single point and always carries it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledHist {
     bins: Vec<Bin>,
-    /// `GUIDE_CELLS + 1` entries: `q = 1` has a cell of its own.
+    /// `K + 1` entries, each a bin index, with [`SINGLE_BIN`] set where the
+    /// cell lies inside that bin: `q = 1` has a cell of its own.
     guide: Vec<u32>,
+    /// `K`, the guide's cell count.
+    cells: f64,
     total: f64,
     min: f64,
     max: f64,
@@ -195,18 +219,27 @@ impl CompiledHist {
             lo: max,
             span: 0.0,
         });
-        let mut guide = Vec::with_capacity(GUIDE_CELLS + 1);
+        let cells = (h.counts().len().saturating_mul(CELLS_PER_BIN))
+            .min(GUIDE_CELLS)
+            .next_power_of_two();
+        let mut guide = Vec::with_capacity(cells + 1);
         let mut i = 0usize;
-        for j in 0..=GUIDE_CELLS {
-            let cut = (j as f64 / GUIDE_CELLS as f64) * total;
+        for j in 0..=cells {
+            let cut = (j as f64 / cells as f64) * total;
             while bins[i].cum < cut {
                 i += 1;
             }
             guide.push(i as u32);
         }
+        for j in 0..=cells {
+            if j == cells || guide[j] == guide[j + 1] {
+                guide[j] |= SINGLE_BIN;
+            }
+        }
         CompiledHist {
             bins,
             guide,
+            cells: cells as f64,
             total,
             min,
             max,
@@ -228,11 +261,14 @@ impl CompiledHist {
             // a zero-count bin (it shares its predecessor's count), as in the
             // interpreted walk. `as i32` is one instruction where `as usize`
             // branches on baseline x86-64; a NaN lane lands in cell 0.
-            let mut i = self.guide[(q * GUIDE_CELLS as f64) as i32 as usize] as usize;
-            i += (self.bins[i].cum < t) as usize;
-            i += (self.bins[i].cum < t) as usize;
-            while self.bins[i].cum < t {
-                i += 1;
+            let entry = self.guide[(q * self.cells) as i32 as usize];
+            let mut i = (entry & !SINGLE_BIN) as usize;
+            if entry & SINGLE_BIN == 0 {
+                i += (self.bins[i].cum < t) as usize;
+                i += (self.bins[i].cum < t) as usize;
+                while self.bins[i].cum < t {
+                    i += 1;
+                }
             }
             (bin[l], target[l]) = (i, t);
         }
@@ -249,6 +285,16 @@ impl CompiledHist {
             };
         }
         out
+    }
+
+    /// The share of the guide's cells below `q = 1` that lie inside one
+    /// bin, so that a lane landing there inverts with one probe.
+    pub fn single_bin_share(&self) -> f64 {
+        let single = self.guide[..self.guide.len() - 1]
+            .iter()
+            .filter(|&&entry| entry & SINGLE_BIN != 0)
+            .count();
+        single as f64 / self.cells
     }
 }
 
@@ -443,7 +489,7 @@ fn bracket_idx(axis: &[f64], x: f64) -> Option<(usize, usize, f64)> {
 /// All distributions of one operation, flattened: `sizes` is the sorted
 /// size axis; column `s` spans `dists[col_start[s]..col_start[s + 1]]`,
 /// sorted by contention.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct OpGrid {
     op: Op,
     sizes: Vec<u64>,
@@ -470,6 +516,33 @@ impl std::fmt::Debug for OpGrid {
 }
 
 impl OpGrid {
+    /// The grid of `op` from its size axis, each column's start in `conts`
+    /// and `dists` (without the closing end), and its cells in
+    /// (size, contention) order.
+    fn new(
+        op: Op,
+        sizes: Vec<u64>,
+        mut col_start: Vec<u32>,
+        conts: Vec<u32>,
+        dists: Vec<CompiledDist>,
+    ) -> OpGrid {
+        col_start.push(conts.len() as u32);
+        let mut all_conts = conts.clone();
+        all_conts.sort_unstable();
+        all_conts.dedup();
+        OpGrid {
+            op,
+            sizes_f: sizes.iter().map(|&s| s as f64).collect(),
+            sizes_log2: sizes.iter().map(|&s| (s as f64 + 1.0).log2()).collect(),
+            sizes,
+            col_start,
+            conts_f: conts.iter().map(|&c| c as f64).collect(),
+            conts,
+            dists,
+            all_conts,
+        }
+    }
+
     /// The up-to-four neighbours of `(size, contention)` with bilinear
     /// weights — the allocation-free mirror of `DistTable::neighbours`,
     /// replicating its iteration order and skip rules exactly (including
@@ -634,7 +707,7 @@ impl<'t> ResolvedCell<'t> {
 /// Produced once by [`CompiledTable::compile`]; shared immutably (plain
 /// data with no interior mutability, so parallel Monte-Carlo replication
 /// workers query one `&CompiledTable` without synchronising).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTable {
     /// Indexed by [`Op::index`]; `None` where the op has no data.
     grids: Vec<Option<OpGrid>>,
@@ -677,32 +750,56 @@ impl CompiledTable {
             b.conts.push(key.contention);
             b.dists.push(CompiledDist::compile(key, dist, &options)?);
         }
-        let mut len = 0usize;
-        let mut grids: Vec<Option<OpGrid>> = (0..Op::ALL.len()).map(|_| None).collect();
-        for (slot, b) in grids.iter_mut().zip(builders) {
-            let Some(mut b) = b else { continue };
-            b.col_start.push(b.conts.len() as u32);
-            let mut all_conts = b.conts.clone();
-            all_conts.sort_unstable();
-            all_conts.dedup();
-            len += b.dists.len();
-            *slot = Some(OpGrid {
-                op: b.op,
-                sizes_f: b.sizes.iter().map(|&s| s as f64).collect(),
-                sizes_log2: b.sizes.iter().map(|&s| (s as f64 + 1.0).log2()).collect(),
-                sizes: b.sizes,
-                col_start: b.col_start,
-                conts_f: b.conts.iter().map(|&c| c as f64).collect(),
-                conts: b.conts,
-                dists: b.dists,
-                all_conts,
-            });
-        }
-        Ok(CompiledTable {
+        let grids = builders
+            .into_iter()
+            .map(|b| b.map(|b| OpGrid::new(b.op, b.sizes, b.col_start, b.conts, b.dists)))
+            .collect();
+        Ok(CompiledTable::from_grids(grids, options))
+    }
+
+    fn from_grids(grids: Vec<Option<OpGrid>>, options: CompileOptions) -> CompiledTable {
+        let len = grids.iter().flatten().map(|g| g.dists.len()).sum();
+        CompiledTable {
             grids,
             options,
             len,
-        })
+        }
+    }
+
+    /// The cells at contention level `level` alone: what compiling
+    /// [`DistTable::at_contention`] of the source table gives, cut from
+    /// this compilation instead of compiling the slice again.
+    pub fn at_contention(&self, level: u32) -> CompiledTable {
+        let grids = self
+            .grids
+            .iter()
+            .map(|grid| {
+                let g = grid.as_ref()?;
+                let (mut sizes, mut col_start, mut dists) = (Vec::new(), Vec::new(), Vec::new());
+                for (s, &size) in g.sizes.iter().enumerate() {
+                    let column = g.col_start[s] as usize..g.col_start[s + 1] as usize;
+                    if let Ok(j) = g.conts[column.clone()].binary_search(&level) {
+                        col_start.push(dists.len() as u32);
+                        sizes.push(size);
+                        dists.push(g.dists[column.start + j].clone());
+                    }
+                }
+                let conts = vec![level; dists.len()];
+                (!dists.is_empty()).then(|| OpGrid::new(g.op, sizes, col_start, conts, dists))
+            })
+            .collect();
+        CompiledTable::from_grids(grids, self.options)
+    }
+
+    /// The compiled cell at `key`, if the table has one there.
+    pub fn cell(&self, key: DistKey) -> Option<&CompiledDist> {
+        let g = self.grid(key.op)?;
+        let s = g.sizes.binary_search(&key.size).ok()?;
+        let column = g.col_start[s] as usize..g.col_start[s + 1] as usize;
+        let j = g.conts[column.clone()]
+            .binary_search(&key.contention)
+            .ok()?;
+        Some(&g.dists[column.start + j])
     }
 
     /// The options this table was compiled with.
@@ -1021,6 +1118,69 @@ mod tests {
             CompiledTable::compile(&t).unwrap_err(),
             CompileError::NonFinite { .. }
         ));
+    }
+
+    #[test]
+    fn a_contention_slice_cut_from_a_compilation_is_the_slice_compiled() {
+        // Level 64 is measured at one size only, and 7 at none.
+        let t = grid_table();
+        let c = CompiledTable::compile(&t).unwrap();
+        for level in [1, 4, 32, 64, 7] {
+            let sliced = CompiledTable::compile(&t.at_contention(level)).unwrap();
+            assert_eq!(c.at_contention(level), sliced, "level {level}");
+        }
+    }
+
+    fn compiled_hist(h: Histogram) -> CompiledHist {
+        let key = DistKey {
+            op: Op::Send,
+            size: 1,
+            contention: 1,
+        };
+        match CompiledDist::compile(key, &CommDist::Hist(h), &CompileOptions::default()) {
+            Ok(CompiledDist::Hist(c)) => c,
+            other => panic!("a histogram compiles to a histogram: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_guide_has_eight_cells_per_bin_up_to_its_cap() {
+        for (samples, bins, cells) in [
+            (vec![1.5], 1, 8),
+            ((0..16).map(|i| i as f64 + 0.5).collect::<Vec<_>>(), 16, 128),
+            ((0..100).map(|i| i as f64 + 0.5).collect(), 100, GUIDE_CELLS),
+            (
+                (0..3000).map(|i| i as f64 + 0.5).collect(),
+                3000,
+                GUIDE_CELLS,
+            ),
+        ] {
+            let h = Histogram::from_samples(&samples, 1.0);
+            assert_eq!(h.counts().len(), bins);
+            let c = compiled_hist(h);
+            assert_eq!(
+                (c.guide.len(), c.cells),
+                (cells + 1, cells as f64),
+                "{bins} bins"
+            );
+        }
+    }
+
+    #[test]
+    fn a_guide_cell_straddling_two_bins_is_never_flagged() {
+        // Bin masses 1, 2, 1 of 4: the cuts at 1/4 and 3/4 fall on bin
+        // boundaries, so the cells just below them straddle two bins.
+        let c = compiled_hist(Histogram::from_samples(&[0.5, 1.5, 1.5, 2.5], 1.0));
+        let cells = c.guide.len() - 1;
+        let mut straddling = 0;
+        for j in 0..cells {
+            let (lo, hi) = (c.guide[j] & !SINGLE_BIN, c.guide[j + 1] & !SINGLE_BIN);
+            assert_eq!(c.guide[j] & SINGLE_BIN != 0, lo == hi, "cell {j}");
+            straddling += usize::from(lo != hi);
+        }
+        assert_eq!(straddling, 2, "the cells below the cuts at 1/4 and 3/4");
+        assert_ne!(c.guide[cells] & SINGLE_BIN, 0, "q = 1 is one point");
+        assert_eq!(c.single_bin_share(), (cells - 2) as f64 / cells as f64);
     }
 
     #[test]

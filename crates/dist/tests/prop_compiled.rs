@@ -165,6 +165,77 @@ fn lanes_match_histogram(h: &Histogram, qs: &[f64], seed: u64) {
     prop_assert_eq!(c.min().to_bits(), want(0.0));
 }
 
+/// The share of `h`'s guide cells that lie inside one bin once compiled.
+fn single_bin_share(h: &Histogram) -> f64 {
+    let key = DistKey {
+        op: Op::Send,
+        size: 1,
+        contention: 1,
+    };
+    match CompiledDist::compile(key, &CommDist::Hist(h.clone()), &CompileOptions::default()) {
+        Ok(CompiledDist::Hist(c)) => c.single_bin_share(),
+        other => panic!("a histogram compiles to a histogram: {other:?}"),
+    }
+}
+
+/// The one-probe inversion (a guide cell inside one bin answers without a
+/// scan) carries the interpreted walk's bits at every guide boundary `j/K`
+/// and its ULP neighbours, on histograms chosen for the share of such
+/// cells: all of them, none of them, runs of empty bins, one bin, and all
+/// the mass in the last of several bins.
+#[test]
+fn one_probe_inversion_matches_histogram_quantile_at_every_guide_boundary() {
+    let last_bin_only = {
+        let mut h = Histogram::new(0.0, 1e-6);
+        for _ in 0..5 {
+            h.add(3.5e-6);
+        }
+        h
+    };
+    let cases = [
+        // Every sample in one bin: every cell lies inside it.
+        (
+            "all single-bin",
+            Histogram::from_samples(&[2e-4; 40], 1e-6),
+            Some(1.0),
+        ),
+        // Four bins per cell, each holding one sample: every cell
+        // straddles.
+        (
+            "none single-bin",
+            Histogram::from_samples(
+                &(0..4 * GUIDE_CELLS)
+                    .map(|i| (i as f64 + 0.5) * 1e-6)
+                    .collect::<Vec<_>>(),
+                1e-6,
+            ),
+            Some(0.0),
+        ),
+        ("zero-count runs", two_spikes(300), None),
+        ("zero-count clusters", gappy_histogram(7, 4, false), None),
+        (
+            "single bin",
+            Histogram::from_samples(&[5e-5], 1e-6),
+            Some(1.0),
+        ),
+        ("last bin", last_bin_only, None),
+    ];
+    for (name, h, share) in cases {
+        if name == "last bin" {
+            assert_eq!(h.counts(), [0, 0, 0, 5], "{name}");
+        }
+        if let Some(share) = share {
+            assert_eq!(single_bin_share(&h), share, "{name}");
+        }
+        let mut qs: Vec<f64> = (0..=GUIDE_CELLS)
+            .flat_map(|j| ulp_neighbours(j as f64 / GUIDE_CELLS as f64))
+            .filter(|q| (0.0..=1.0).contains(q))
+            .collect();
+        qs.push(f64::NAN);
+        lanes_match_histogram(&h, &qs, 1);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

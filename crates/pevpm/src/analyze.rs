@@ -160,7 +160,7 @@ impl Tracer<'_> {
                         None => self.walk(body)?,
                     }
                 }
-                LStmt::Runon { branches } => {
+                LStmt::Runon { branches, .. } => {
                     for (cond, body) in branches {
                         if cond
                             .expr
@@ -243,7 +243,7 @@ fn block_references(stmts: &[LStmt], slot: u32) -> bool {
         LStmt::Loop { count, body, .. } => {
             count.expr.references(slot) || block_references(body, slot)
         }
-        LStmt::Runon { branches } => branches
+        LStmt::Runon { branches, .. } => branches
             .iter()
             .any(|(c, b)| c.expr.references(slot) || block_references(b, slot)),
         LStmt::Message { size, from, to, .. } => {

@@ -27,7 +27,12 @@
 //!   given a memo *site* ([`StmtExpr`]): a process writes its environment
 //!   only at its loops' induction variables, so such an expression has one
 //!   value per process and the VM evaluates it once per process, not once
-//!   per execution, and checks it as an index once ([`Memo`]).
+//!   per execution, and checks it as an index once ([`Memo`]);
+//! - a statement all of whose operands are such expressions — a `Runon`, or
+//!   a message other than an `Irecv` — is *decided*: it does the same thing
+//!   every time a process runs it, so the statement, not its operands, gets
+//!   the site, and the VM keeps there what the first execution decided
+//!   (the branch taken; the validated peer, pair and size).
 //!
 //! Evaluation semantics ([`LExpr::eval`] vs [`Expr::eval`]) are replicated
 //! exactly — same short-circuiting, same error messages, same rounding —
@@ -332,16 +337,38 @@ fn index_of(v: f64) -> Option<usize> {
     Some((t + (v - t as f64 >= 0.5) as i64) as usize)
 }
 
-/// One process's memo of one [`StmtExpr`] site. `value`, once filled: the
-/// site's value and, checked as it fills, that value as a count or a
-/// process number. `pair`: for a message endpoint, the scoreboard pair it
-/// names from this process, filled by the VM the first time the message
-/// executes — a pair is found once per process and site.
+/// One process's memo of one site, filled the first time the process runs
+/// the site's expression or statement, and only if that run succeeds.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Memo {
-    value: Option<(f64, Option<usize>)>,
-    pub(crate) pair: Option<PairId>,
+pub(crate) enum Memo {
+    /// Not run yet.
+    #[default]
+    Unset,
+    /// A [`StmtExpr`] site: the value and, checked as it fills, that value
+    /// as a count or a process number. `pair`: for an endpoint of a message
+    /// that is not decided, the scoreboard pair it names from this process,
+    /// filled by the VM the first time the message executes.
+    Value {
+        value: f64,
+        index: Option<usize>,
+        pair: Option<PairId>,
+    },
+    /// A decided message: its size, its validated peer (a send's
+    /// destination, a receive's source) and the pair between the two.
+    Message {
+        size: f64,
+        peer: usize,
+        pair: PairId,
+    },
+    /// A decided receive from any source.
+    AnySource,
+    /// A decided `Runon`: the branch it takes, or the branch count when no
+    /// condition holds.
+    Branch(usize),
 }
+
+// A process's row is one cache line for every two sites.
+const _: () = assert!(std::mem::size_of::<Memo>() <= 32);
 
 /// An expression in statement position, as the VM evaluates it: the
 /// lowered tree and, when its value cannot change within one process, its
@@ -402,22 +429,31 @@ impl StmtExpr {
         memo: &mut [Memo],
     ) -> Result<(f64, Option<usize>), ExprError> {
         let site = self.site.map(|site| site as usize);
-        if let Some(filled) = site.and_then(|site| memo[site].value) {
-            return Ok(filled);
-        }
-        let v = self.expr.eval(slots, names)?;
-        let filled = (v, index_of(v));
         if let Some(site) = site {
-            memo[site].value = Some(filled);
+            if let Memo::Value { value, index, .. } = memo[site] {
+                return Ok((value, index));
+            }
         }
-        Ok(filled)
+        let value = self.expr.eval(slots, names)?;
+        let index = index_of(value);
+        if let Some(site) = site {
+            memo[site] = Memo::Value {
+                value,
+                index,
+                pair: None,
+            };
+        }
+        Ok((value, index))
     }
 
     /// The executing process's pair memo at this site, if the expression
-    /// has one (reads no loop induction variable).
+    /// has one (reads no loop induction variable) and has been evaluated.
     #[inline]
     pub(crate) fn pair_memo<'a>(&self, memo: &'a mut [Memo]) -> Option<&'a mut Option<PairId>> {
-        self.site.map(move |site| &mut memo[site as usize].pair)
+        match &mut memo[self.site? as usize] {
+            Memo::Value { pair, .. } => Some(pair),
+            _ => None,
+        }
     }
 }
 
@@ -431,9 +467,15 @@ pub(crate) enum LStmt {
         var: Option<u32>,
         body: Vec<LStmt>,
     },
+    /// `decided`: the statement's site when every condition reads no loop
+    /// induction variable (the conditions then have none of their own).
     Runon {
         branches: Vec<(StmtExpr, Vec<LStmt>)>,
+        decided: Option<u32>,
     },
+    /// `decided`: the statement's site when it is not an `Irecv` (whose
+    /// outstanding-handle check reads state) and no operand reads a loop
+    /// induction variable (the operands then have none of their own).
     Message {
         kind: MsgKind,
         size: StmtExpr,
@@ -441,6 +483,7 @@ pub(crate) enum LStmt {
         to: StmtExpr,
         handle: Option<u32>,
         label: Option<u32>,
+        decided: Option<u32>,
     },
     Wait {
         handle: u32,
@@ -471,8 +514,8 @@ pub(crate) struct Lowered {
     /// Directive labels, indexed by label slot; shared with the loss
     /// report of every evaluation ([`crate::vm::LossByLabel`]).
     pub(crate) labels: Arc<Strings>,
-    /// Memo sites handed out to [`StmtExpr`]s: the length of one
-    /// process's memo row.
+    /// Memo sites handed out to [`StmtExpr`]s and decided statements: the
+    /// length of one process's memo row.
     pub(crate) sites: usize,
     /// The most frames a process's control stack holds: the program's
     /// static nesting depth, the top-level block included.
@@ -609,7 +652,7 @@ fn lower_model_with(model: &Model, fold: bool) -> Result<Lowered, ExprError> {
 fn nesting(stmts: &[LStmt]) -> usize {
     let inner = stmts.iter().map(|stmt| match stmt {
         LStmt::Loop { body, .. } => nesting(body),
-        LStmt::Runon { branches } => branches
+        LStmt::Runon { branches, .. } => branches
             .iter()
             .map(|(_, body)| nesting(body))
             .max()
@@ -650,8 +693,8 @@ fn survey<'m>(stmts: &'m [Stmt], cx: &mut LowerCx<'m>, labels: &mut usize, bytes
 }
 
 /// Shared lowering state: the three interners, the fold switch, and what
-/// [`StmtExpr`] sites need — the program's induction-variable slots and
-/// the next free site.
+/// memo sites need — the program's induction-variable slots and the next
+/// free site.
 struct LowerCx<'m> {
     names: Interner<'m>,
     handles: Interner<'m>,
@@ -659,6 +702,28 @@ struct LowerCx<'m> {
     fold: bool,
     induction: Vec<u32>,
     sites: u32,
+}
+
+impl LowerCx<'_> {
+    /// The next free memo site.
+    fn site(&mut self) -> u32 {
+        self.sites += 1;
+        self.sites - 1
+    }
+
+    /// Whether `expr` has one value per process: it reads no loop
+    /// induction variable.
+    fn invariant(&self, expr: &LExpr) -> bool {
+        !expr.reads(&|slot| self.induction.contains(&slot))
+    }
+
+    /// Give `e` a site of its own if it has one value per process (a
+    /// literal is its own memo).
+    fn memoise(&mut self, e: &mut StmtExpr) {
+        if !matches!(e.expr, LExpr::Num(_)) && self.invariant(&e.expr) {
+            e.site = Some(self.site());
+        }
+    }
 }
 
 fn lower_label<'m>(label: &'m Option<String>, labels: &mut Interner<'m>) -> Option<u32> {
@@ -681,12 +746,25 @@ fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'m>) -> Result<LStmt, ExprErr
             var: var.as_ref().map(|v| cx.names.intern(v)),
             body: lower_block(body, cx)?,
         },
-        Stmt::Runon { branches } => LStmt::Runon {
-            branches: branches
-                .iter()
-                .map(|(cond, body)| Ok((lower_expr_in(cond, cx)?, lower_block(body, cx)?)))
-                .collect::<Result<_, ExprError>>()?,
-        },
+        Stmt::Runon { branches } => {
+            // Lowered in source order, so the first error is the same; the
+            // conditions get their sites once the statement is known not
+            // to be decided.
+            let mut lowered = Vec::with_capacity(branches.len());
+            for (cond, body) in branches {
+                lowered.push((lower_expr_plain(cond, cx)?, lower_block(body, cx)?));
+            }
+            let decided = lowered.iter().all(|(cond, _)| cx.invariant(&cond.expr));
+            if !decided {
+                for (cond, _) in &mut lowered {
+                    cx.memoise(cond);
+                }
+            }
+            LStmt::Runon {
+                branches: lowered,
+                decided: decided.then(|| cx.site()),
+            }
+        }
         Stmt::Message {
             kind,
             size,
@@ -694,14 +772,29 @@ fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'m>) -> Result<LStmt, ExprErr
             to,
             handle,
             label,
-        } => LStmt::Message {
-            kind: *kind,
-            size: lower_expr_in(size, cx)?,
-            from: lower_expr_in(from, cx)?,
-            to: lower_expr_in(to, cx)?,
-            handle: handle.as_ref().map(|h| cx.handles.intern(h)),
-            label: lower_label(label, &mut cx.labels),
-        },
+        } => {
+            let mut operands = [
+                lower_expr_plain(size, cx)?,
+                lower_expr_plain(from, cx)?,
+                lower_expr_plain(to, cx)?,
+            ];
+            let decided = *kind != MsgKind::Irecv && operands.iter().all(|e| cx.invariant(&e.expr));
+            if !decided {
+                for e in &mut operands {
+                    cx.memoise(e);
+                }
+            }
+            let [size, from, to] = operands;
+            LStmt::Message {
+                kind: *kind,
+                size,
+                from,
+                to,
+                handle: handle.as_ref().map(|h| cx.handles.intern(h)),
+                label: lower_label(label, &mut cx.labels),
+                decided: decided.then(|| cx.site()),
+            }
+        }
         Stmt::Wait { handle, label } => LStmt::Wait {
             handle: cx.handles.intern(handle),
             label: lower_label(label, &mut cx.labels),
@@ -718,16 +811,20 @@ fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'m>) -> Result<LStmt, ExprErr
     })
 }
 
+/// `e` in statement position, with a memo site if it has one value per
+/// process.
 fn lower_expr_in<'m>(e: &'m Expr, cx: &mut LowerCx<'m>) -> Result<StmtExpr, ExprError> {
-    let expr = lower_expr_opts(e, &mut cx.names, cx.fold)?;
-    // A literal is its own memo.
-    let invariant =
-        !matches!(expr, LExpr::Num(_)) && !expr.reads(&|slot| cx.induction.contains(&slot));
-    let site = invariant.then(|| {
-        cx.sites += 1;
-        cx.sites - 1
-    });
-    Ok(StmtExpr { expr, site })
+    let mut e = lower_expr_plain(e, cx)?;
+    cx.memoise(&mut e);
+    Ok(e)
+}
+
+/// `e` in statement position, without a memo site.
+fn lower_expr_plain<'m>(e: &'m Expr, cx: &mut LowerCx<'m>) -> Result<StmtExpr, ExprError> {
+    Ok(StmtExpr {
+        expr: lower_expr_opts(e, &mut cx.names, cx.fold)?,
+        site: None,
+    })
 }
 
 fn lower_expr_opts<'m>(
@@ -943,6 +1040,54 @@ mod tests {
         for v in [-0.5000000000000001, -1.0, f64::NAN, f64::INFINITY] {
             assert!(as_index(v).is_err(), "v = {v:e}");
         }
+    }
+
+    /// Each top-level statement's `decided` site, `None` for statements
+    /// that cannot be decided, and the sites of the whole program.
+    fn decided_sites(model: &Model) -> (Vec<Option<u32>>, usize) {
+        let lowered = Program::new(model).lowered.unwrap();
+        let LStmt::Loop { body, .. } = &lowered.stmts[0] else {
+            panic!("the model is one loop");
+        };
+        let decided = body
+            .iter()
+            .map(|stmt| match stmt {
+                LStmt::Runon { decided, .. } | LStmt::Message { decided, .. } => *decided,
+                _ => None,
+            })
+            .collect();
+        (decided, lowered.sites)
+    }
+
+    #[test]
+    fn a_statement_whose_operands_read_no_loop_variable_takes_one_site() {
+        use crate::model::build::*;
+        let model = Model::new().with_stmt(looped_var(
+            "laps",
+            "k",
+            vec![
+                // Decided: one site for the statement, none for its operands.
+                send("size", "procnum", "procnum+1"),
+                recv("size", "procnum-1", "procnum"),
+                runon2("procnum == 0", vec![], "procnum > 0", vec![]),
+                // An operand reads `k`: the others keep sites of their own.
+                send("size", "procnum", "(procnum+k) % numprocs"),
+                runon2("k == 0", vec![], "procnum > 0", vec![]),
+                // An outstanding handle is state: never decided.
+                irecv("size", "procnum-1", "procnum", "h"),
+                // Literal operands are decided too.
+                send("8", "0", "1"),
+            ],
+        ));
+        let (decided, sites) = decided_sites(&model);
+        assert_eq!(
+            decided,
+            [Some(1), Some(2), Some(3), None, None, None, Some(10)],
+            "the loop count takes site 0"
+        );
+        // 1 loop count + 3 decided + 2 (size, from) + 1 (procnum > 0) + 3
+        // (the irecv's operands) + 1 decided.
+        assert_eq!(sites, 11);
     }
 
     #[test]

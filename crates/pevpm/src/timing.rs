@@ -174,8 +174,10 @@ impl TimingModel {
     /// answers every query — what a conventional benchmark provides.
     ///
     /// The whole of `table` is compiled with `options` first, so a table
-    /// that fails validation is an error in every mode, and what is kept
-    /// is compiled with the same `options`.
+    /// that fails validation is an error in every mode (building a fitted
+    /// cell's lookup table is what checks its knots are finite). The
+    /// ping-pong slice is cut from that compilation; a collapsed table is
+    /// compiled with the same `options`.
     pub fn empirical(
         table: DistTable,
         mode: PredictionMode,
@@ -183,13 +185,6 @@ impl TimingModel {
         options: CompileOptions,
     ) -> Result<Self, CompileError> {
         let compiled = CompiledTable::compile_with(&table, options)?;
-        if mode == PredictionMode::FullDistribution && !pingpong {
-            return Ok(TimingModel::Empirical {
-                table,
-                compiled: Some(compiled),
-                fixed_contention: None,
-            });
-        }
         let level = pingpong.then(|| {
             table
                 .ops()
@@ -197,18 +192,26 @@ impl TimingModel {
                 .min()
                 .unwrap_or(1)
         });
-        let table = match level {
-            Some(level) => table.at_contention(level),
-            None => table,
+        let (table, compiled) = match level {
+            Some(level) => (table.at_contention(level), compiled.at_contention(level)),
+            None => (table, compiled),
         };
-        let table = match mode {
-            PredictionMode::FullDistribution => table,
-            PredictionMode::Average => table.collapsed(PointKind::Average),
-            PredictionMode::Minimum => table.collapsed(PointKind::Minimum),
+        let point = match mode {
+            PredictionMode::FullDistribution => None,
+            PredictionMode::Average => Some(PointKind::Average),
+            PredictionMode::Minimum => Some(PointKind::Minimum),
+        };
+        let (table, compiled) = match point {
+            Some(kind) => {
+                let table = table.collapsed(kind);
+                let compiled = CompiledTable::compile_with(&table, options)?;
+                (table, compiled)
+            }
+            None => (table, compiled),
         };
         Ok(TimingModel::Empirical {
-            compiled: Some(CompiledTable::compile_with(&table, options)?),
             table,
+            compiled: Some(compiled),
             fixed_contention: level.map(f64::from),
         })
     }

@@ -144,9 +144,21 @@ struct Proc<const W: usize> {
     finished: bool,
     coll_count: u64,
     clock: [f64; W],
+    /// Whether `clock` may have moved since it last passed the sweep's
+    /// virtual-time check: set wherever a clock is written (a serial step,
+    /// an eager send, a wake-up by the match phase or a collective), so a
+    /// clock that has not moved is not checked again.
+    moved: bool,
     compute_time: [f64; W],
     send_time: [f64; W],
     blocked_time: [f64; W],
+}
+
+impl<const W: usize> Proc<W> {
+    /// Set the clock to `wake`, when the match phase unblocks the process.
+    fn wake_at(&mut self, wake: [f64; W]) {
+        (self.clock, self.moved) = (wake, true);
+    }
 }
 
 /// The sweep/match engine over `W` replica lanes. Everything that does not
@@ -563,11 +575,14 @@ impl<'m, const W: usize> Vm<'m, W> {
                 // A livelocked model (e.g. an unbounded loop of serial
                 // work) never deadlocks — the clock axis is what stops it.
                 // Lanes cross it at different steps, so a group that sees
-                // one do so stands down.
-                if self.procs[p]
-                    .clock
-                    .iter()
-                    .any(|&clock| clock > budget.max_virtual_secs)
+                // one do so stands down. A clock that has not moved since
+                // it passed passes again.
+                let proc = &mut self.procs[p];
+                if std::mem::take(&mut proc.moved)
+                    && proc
+                        .clock
+                        .iter()
+                        .any(|&clock| clock > budget.max_virtual_secs)
                 {
                     if W > 1 {
                         return Err(Halt::StandDown);
@@ -642,6 +657,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                     proc.clock[l] += t;
                     proc.compute_time[l] += t;
                 }
+                proc.moved = true;
                 if self.timeline.is_some() {
                     self.record_span(
                         p,
@@ -669,22 +685,36 @@ impl<'m, const W: usize> Vm<'m, W> {
                     );
                 }
             }
-            LStmt::Runon { branches } => {
-                for (cond, body) in branches {
-                    if cond.eval_bool(env, names, memo)? {
-                        if !body.is_empty() {
-                            self.push_frame(
-                                p,
-                                Frame {
-                                    stmts: body,
-                                    idx: 0,
-                                    remaining: 1,
-                                    var: None,
-                                },
-                            );
+            LStmt::Runon { branches, decided } => {
+                // A decided `Runon` takes the branch its first execution
+                // took (the branch count when no condition held).
+                let site = decided.map(|site| site as usize);
+                let taken = match site.map(|site| memo[site]) {
+                    Some(Memo::Branch(taken)) => taken,
+                    _ => {
+                        let mut taken = branches.len();
+                        for (i, (cond, _)) in branches.iter().enumerate() {
+                            if cond.eval_bool(env, names, memo)? {
+                                taken = i;
+                                break;
+                            }
                         }
-                        break;
+                        if let Some(site) = site {
+                            memo[site] = Memo::Branch(taken);
+                        }
+                        taken
                     }
+                };
+                if let Some((_, body)) = branches.get(taken).filter(|(_, body)| !body.is_empty()) {
+                    self.push_frame(
+                        p,
+                        Frame {
+                            stmts: body,
+                            idx: 0,
+                            remaining: 1,
+                            var: None,
+                        },
+                    );
                 }
             }
             LStmt::Wait { handle, label } => {
@@ -713,11 +743,33 @@ impl<'m, const W: usize> Vm<'m, W> {
                 to,
                 handle,
                 label,
+                decided,
             } => {
+                // A decided message does what its first execution decided.
+                let site = decided.map(|site| site as usize);
+                match site.map(|site| memo[site]) {
+                    Some(Memo::Message { size, peer, pair }) => {
+                        if *kind == MsgKind::Recv {
+                            self.block_recv(p, Some((peer, pair)), *label);
+                        } else {
+                            self.post_send(p, *kind, size, pair, *label);
+                        }
+                        return Ok(true);
+                    }
+                    Some(Memo::AnySource) => {
+                        if W > 1 {
+                            return Err(Halt::StandDown);
+                        }
+                        self.block_recv(p, None, *label);
+                        return Ok(true);
+                    }
+                    _ => {}
+                }
                 // The endpoints by the one rule (`analyze::endpoints`), the
                 // size evaluated before a broken rule is reported. `ltext` is
                 // the label as the plain optional string the diagnostics
-                // print, read only if one is printed.
+                // print, read only if one is printed. What passes is kept at
+                // a decided message's site.
                 let ltext = LabelText(lowered, *label);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
                 let (from_raw, from_i) = from.eval_index(env, names, memo)?;
@@ -746,6 +798,13 @@ impl<'m, const W: usize> Vm<'m, W> {
                 match (kind, ends.from) {
                     (MsgKind::Send | MsgKind::Isend, _) => {
                         let pair = pair_id(&mut self.fifo, to.pair_memo(memo), p, ends.to);
+                        if let Some(site) = site {
+                            memo[site] = Memo::Message {
+                                size: size_v,
+                                peer: ends.to,
+                                pair,
+                            };
+                        }
                         self.post_send(p, *kind, size_v, pair, *label);
                     }
                     (MsgKind::Recv, None) => {
@@ -755,26 +814,21 @@ impl<'m, const W: usize> Vm<'m, W> {
                         if W > 1 {
                             return Err(Halt::StandDown);
                         }
-                        self.procs[p].blocked = Some((
-                            Block::Recv {
-                                from: None,
-                                seq: 0,
-                                label: *label,
-                            },
-                            self.procs[p].clock,
-                        ));
+                        if let Some(site) = site {
+                            memo[site] = Memo::AnySource;
+                        }
+                        self.block_recv(p, None, *label);
                     }
                     (MsgKind::Recv, Some(from_v)) => {
                         let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
-                        let seq = self.fifo.reserve(pair);
-                        self.procs[p].blocked = Some((
-                            Block::Recv {
-                                from: Some((from_v, pair)),
-                                seq,
-                                label: *label,
-                            },
-                            self.procs[p].clock,
-                        ));
+                        if let Some(site) = site {
+                            memo[site] = Memo::Message {
+                                size: size_v,
+                                peer: from_v,
+                                pair,
+                            };
+                        }
+                        self.block_recv(p, Some((from_v, pair)), *label);
                     }
                     (MsgKind::Irecv, from_v) => {
                         let from_v = from_v.expect("only a Recv takes any source");
@@ -816,6 +870,13 @@ impl<'m, const W: usize> Vm<'m, W> {
             }
         }
         Ok(true)
+    }
+
+    /// Block process `p` in a receive from `from` (the source and its
+    /// pair; `None`: any source), reserving the pair's next sequence number.
+    fn block_recv(&mut self, p: usize, from: Option<(usize, PairId)>, label: Option<u32>) {
+        let seq = from.map_or(0, |(_, pair)| self.fifo.reserve(pair));
+        self.procs[p].blocked = Some((Block::Recv { from, seq, label }, self.procs[p].clock));
     }
 
     /// Push a frame onto process `p`'s control stack, which the program's
@@ -913,6 +974,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                 proc.clock[l] += local[l];
                 proc.send_time[l] += local[l];
             }
+            proc.moved = true;
             // Send-side costs are part of the loss report too.
             if let Some(l) = label {
                 self.add_loss(l, local);
@@ -991,7 +1053,7 @@ impl<'m, const W: usize> Vm<'m, W> {
 
             let (block, since) = self.procs[p].blocked.take().unwrap();
             self.account_block(p, &block, since, wake);
-            self.procs[p].clock = wake;
+            self.procs[p].wake_at(wake);
             woke = true;
 
             if msg.sender_blocked {
@@ -1003,7 +1065,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                         swake[l] = swake[l].max(wake[l]);
                     }
                     self.account_block(sender, &sblock, s_since, swake);
-                    self.procs[sender].clock = swake;
+                    self.procs[sender].wake_at(swake);
                 }
             }
         }
@@ -1059,6 +1121,7 @@ impl<'m, const W: usize> Vm<'m, W> {
                     for l in 0..W {
                         proc.clock[l] = proc.clock[l].max(wake[l]);
                     }
+                    proc.moved = true;
                     proc.coll_count += 1;
                 }
                 woke = true;

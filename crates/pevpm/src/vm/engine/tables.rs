@@ -348,6 +348,8 @@ impl<'m, const W: usize> Vm<'m, W> {
                 finished: idle || lowered.stmts.is_empty(),
                 coll_count: 0,
                 clock: [0.0; W],
+                // Checked after the first step, whatever the budget.
+                moved: true,
                 compute_time: [0.0; W],
                 send_time: [0.0; W],
                 blocked_time: [0.0; W],
