@@ -219,7 +219,10 @@ impl CompiledHist {
             lo: max,
             span: 0.0,
         });
-        let cells = (h.counts().len().saturating_mul(CELLS_PER_BIN))
+        let cells = h
+            .counts()
+            .len()
+            .saturating_mul(CELLS_PER_BIN)
             .min(GUIDE_CELLS)
             .next_power_of_two();
         let mut guide = Vec::with_capacity(cells + 1);
