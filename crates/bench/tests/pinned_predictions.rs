@@ -1,13 +1,17 @@
 //! Pins of every field the engine returns, not just a batch mean: a 64-bit
 //! FNV-1a over each `Prediction` of the seed-11 64x2 Jacobi batch (the
 //! `predict_64x2` workload, whose gate sees only the mean, steps and
-//! sb_peak), of three single-lane programs that exercise what a lane group
-//! cannot share (endpoints that read a loop variable, a wildcard receive,
-//! `Irecv`/`Wait`), and the exact budget reports of three aborted runs.
+//! sb_peak), of four single-lane programs that exercise what a lane group
+//! cannot share or a memo could keep (endpoints that read a loop variable,
+//! a wildcard receive, `Irecv`/`Wait`, statements only some of whose
+//! operands read a loop variable), the exact budget reports of three
+//! aborted runs and the error of an `Irecv` posted twice.
 //!
 //! The values were recorded before the engine stopped re-deciding
-//! per-process statements and before the sampler's one-probe inversion; do
-//! not re-record them to make a change pass. Inputs are literal on
+//! per-process statements and before the sampler's one-probe inversion, the
+//! partial-operand and posted-twice pins before every statement that reads
+//! no loop variable took one memo site; do not re-record them to make a
+//! change pass. Inputs are literal on
 //! purpose: a pin must not read them from the code it pins.
 
 use pevpm::model::build::*;
@@ -225,6 +229,37 @@ fn irecv_wait_ring() -> Model {
     ))
 }
 
+/// Each lap sends to the right and receives from the left a message whose
+/// size reads the loop variable while its endpoints do not, then takes a
+/// `Runon` whose first condition reads the loop variable and whose second
+/// does not.
+fn partial_operands() -> Model {
+    Model::new().with_stmt(looped_var(
+        "4",
+        "k",
+        vec![
+            labelled(
+                isend("512*(k+1)", "procnum", "(procnum + 1) % numprocs"),
+                "grow",
+            ),
+            labelled(
+                recv(
+                    "512*(k+1)",
+                    "(procnum + numprocs - 1) % numprocs",
+                    "procnum",
+                ),
+                "grow",
+            ),
+            runon2(
+                "k % 2 == procnum % 2",
+                vec![serial("0.0001*(k+1)")],
+                "procnum < 3",
+                vec![serial("0.00005*(procnum+1)")],
+            ),
+        ],
+    ))
+}
+
 /// `(one evaluation, every replication of an 8-batch)` digests of `model`.
 fn program_digests(model: &Model) -> (String, Vec<String>) {
     let timing = spread_timing();
@@ -285,6 +320,23 @@ fn single_lane_programs_every_field() {
                     "b9462ee1377c3915",
                     "03498301b75e4cc5",
                     "f2ab3f14aea08303",
+                ],
+            ),
+        ),
+        (
+            "partial operands",
+            partial_operands(),
+            (
+                "ef21ed017d365b5c",
+                [
+                    "ef21ed017d365b5c",
+                    "f302ccc84c481632",
+                    "cfd2ccf1a236ae66",
+                    "9366d1d5c21da06f",
+                    "df33e1423cabbcf2",
+                    "172010cfea24c1c0",
+                    "47bd93e1acc54739",
+                    "956227dbc3e6fd7d",
                 ],
             ),
         ),
@@ -377,4 +429,22 @@ fn budget_reports_are_exact() {
          finished=[false, false] blocked=[(0, \"Recv(from=1, seq=0)\"), \
          (1, \"Recv(from=0, seq=1)\")]"
     );
+}
+
+#[test]
+fn one_irecv_run_twice_without_a_wait_fails_on_its_second_lap() {
+    let model = Model::new().with_stmt(looped(
+        "2",
+        vec![labelled(
+            irecv("64", "(procnum + numprocs - 1) % numprocs", "procnum", "h"),
+            "post",
+        )],
+    ));
+    let want = "bad model: proc 0: handle \"h\" already outstanding at Some(\"post\")";
+    let cfg = EvalConfig::new(2).with_seed(5).with_threads(1);
+    let timing = spread_timing();
+    let single = evaluate(&model, &cfg, &timing).unwrap_err();
+    assert_eq!(single.to_string(), want);
+    let batch = monte_carlo(&model, &cfg, &timing, 8).unwrap_err();
+    assert_eq!(batch.to_string(), want);
 }
