@@ -355,7 +355,6 @@ async fn run_rank_overlap(rank: &mut Proc, cfg: &JacobiConfig, checksum: &Cell<f
 /// nonblocking sends, nonblocking halo receives waited *after* the interior
 /// compute.
 pub fn model_overlap(cfg: &JacobiConfig) -> Model {
-    use pevpm::model::Stmt;
     let halo = "xsize*sizeof(float)";
     Model::new()
         .with_param("xsize", cfg.xsize as f64)
@@ -367,25 +366,17 @@ pub fn model_overlap(cfg: &JacobiConfig) -> Model {
                 // Post receives (handles) and sends.
                 runon(
                     "procnum != 0",
-                    vec![Stmt::Message {
-                        kind: pevpm::MsgKind::Irecv,
-                        size: e(halo),
-                        from: e("procnum-1"),
-                        to: e("procnum"),
-                        handle: Some("up".into()),
-                        label: Some("halo-irecv-up".into()),
-                    }],
+                    vec![labelled(
+                        irecv(halo, "procnum-1", "procnum", "up"),
+                        "halo-irecv-up",
+                    )],
                 ),
                 runon(
                     "procnum != numprocs-1",
-                    vec![Stmt::Message {
-                        kind: pevpm::MsgKind::Irecv,
-                        size: e(halo),
-                        from: e("procnum+1"),
-                        to: e("procnum"),
-                        handle: Some("down".into()),
-                        label: Some("halo-irecv-down".into()),
-                    }],
+                    vec![labelled(
+                        irecv(halo, "procnum+1", "procnum", "down"),
+                        "halo-irecv-down",
+                    )],
                 ),
                 runon(
                     "procnum != 0",
@@ -563,6 +554,83 @@ mod tests {
     use super::*;
     use pevpm::timing::TimingModel;
     use pevpm::vm::{evaluate, EvalConfig};
+
+    /// `model_overlap` spelled with literal `Irecv` messages.
+    fn parent_literal(cfg: &JacobiConfig) -> Model {
+        use pevpm::model::Stmt;
+        let halo = "xsize*sizeof(float)";
+        Model::new()
+            .with_param("xsize", cfg.xsize as f64)
+            .with_param("iterations", cfg.iterations as f64)
+            .with_param("tserial", cfg.serial_secs)
+            .with_stmt(looped(
+                "iterations",
+                vec![
+                    // Post receives (handles) and sends.
+                    runon(
+                        "procnum != 0",
+                        vec![Stmt::Message {
+                            kind: pevpm::MsgKind::Irecv,
+                            size: e(halo),
+                            from: e("procnum-1"),
+                            to: e("procnum"),
+                            handle: Some("up".into()),
+                            label: Some("halo-irecv-up".into()),
+                        }],
+                    ),
+                    runon(
+                        "procnum != numprocs-1",
+                        vec![Stmt::Message {
+                            kind: pevpm::MsgKind::Irecv,
+                            size: e(halo),
+                            from: e("procnum+1"),
+                            to: e("procnum"),
+                            handle: Some("down".into()),
+                            label: Some("halo-irecv-down".into()),
+                        }],
+                    ),
+                    runon(
+                        "procnum != 0",
+                        vec![labelled(
+                            isend(halo, "procnum", "procnum-1"),
+                            "halo-isend-up",
+                        )],
+                    ),
+                    runon(
+                        "procnum != numprocs-1",
+                        vec![labelled(
+                            isend(halo, "procnum", "procnum+1"),
+                            "halo-isend-down",
+                        )],
+                    ),
+                    // Interior compute overlaps the transfers.
+                    labelled(
+                        serial("tserial/numprocs * (1 - min(2*numprocs/(xsize), 1))"),
+                        "stencil-interior",
+                    ),
+                    // Boundary rows need the halos.
+                    runon("procnum != 0", vec![labelled(wait("up"), "halo-wait-up")]),
+                    runon(
+                        "procnum != numprocs-1",
+                        vec![labelled(wait("down"), "halo-wait-down")],
+                    ),
+                    labelled(
+                        serial("tserial/numprocs * min(2*numprocs/(xsize), 1)"),
+                        "stencil-boundary",
+                    ),
+                ],
+            ))
+    }
+
+    #[test]
+    fn overlap_model_equals_its_literal_spelling() {
+        let cfg = JacobiConfig {
+            xsize: 256,
+            iterations: 20,
+            serial_secs: 3.24e-3,
+        };
+        assert_eq!(model_overlap(&cfg), parent_literal(&cfg));
+    }
 
     #[test]
     fn halo_codec_round_trip_is_bit_exact() {

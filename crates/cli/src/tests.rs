@@ -782,20 +782,22 @@ fn serve_and_client_flag_validation() {
     );
 }
 
-/// Satellite: a blackholed (or refused) address must fail fast with
-/// the exit-code contract's input error, not hang the CLI.
+/// A dial that cannot connect must fail fast with the exit-code
+/// contract's input error, not hang the CLI.
 #[test]
 fn client_connect_timeout_fails_fast() {
+    // A loopback port nothing listens on: bound, read and released.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .unwrap();
     let t0 = std::time::Instant::now();
-    // TEST-NET-1 (RFC 5737): never routable. Depending on the
-    // sandbox this is a fast unreachable error or a timeout; both
-    // must surface as EXIT_INPUT well inside the flag's budget.
-    let e = run_cmd("client --addr 192.0.2.1:9 --ping --connect-timeout-ms 300 --retries 0")
-        .unwrap_err();
+    let e = run_cmd(&format!(
+        "client --addr {addr} --ping --connect-timeout-ms 300 --retries 0"
+    ))
+    .unwrap_err();
     assert_eq!(e.code, EXIT_INPUT, "{e}");
-    // Whether the environment refuses, blackholes, or proxies the
-    // address, the failure names it and maps to the input class.
-    assert!(e.message.contains("192.0.2.1"), "{e}");
+    // The failure names the address and maps to the input class.
+    assert!(e.message.contains(&addr.to_string()), "{e}");
     assert!(
         t0.elapsed() < std::time::Duration::from_secs(10),
         "connect took {:?} despite a 300 ms budget",

@@ -201,25 +201,6 @@ impl CommDist {
         }
     }
 
-    /// Draw one sample.
-    ///
-    /// # Panics
-    /// Panics on an empty histogram: an empty distribution has no samples
-    /// to draw, and silently returning a 0.0 communication time would
-    /// corrupt predictions. Empty histograms are rejected up front by
-    /// [`DistTable::validate`], which both the `.dist` loader and
-    /// [`crate::compiled::CompiledTable::compile`] run, so this panic is
-    /// unreachable for tables that came through either path.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match self {
-            CommDist::Hist(h) => h
-                .sample(rng)
-                .expect("empty histogram in CommDist::sample (run DistTable::validate)"),
-            CommDist::Fit(f) => f.sample(rng),
-            CommDist::Point(v) => *v,
-        }
-    }
-
     /// True for a histogram with no observations — a distribution nothing
     /// can be drawn from. See [`DistTable::validate`].
     pub fn is_vacuous(&self) -> bool {

@@ -45,23 +45,21 @@ pub(crate) enum Misfit {
 /// like `round() as usize`); both ends lie below `nprocs`; a send runs on
 /// its sender and a receive on its receiver.
 ///
-/// `from` is the source's value and, if the caller holds it, that value
-/// as a process number; `to` evaluates the destination once the source
-/// has passed. The outer error is the first expression error in that
-/// order, the inner one a rule the values break.
+/// `from` is the source's value; `to` evaluates the destination once the
+/// source has passed. The outer error is the first expression error in
+/// that order, the inner one a rule the values break.
 #[inline]
 pub(crate) fn endpoints(
     kind: MsgKind,
     p: usize,
     nprocs: usize,
-    from: (f64, Option<usize>),
+    from: f64,
     to: impl FnOnce() -> Result<usize, ExprError>,
 ) -> Result<Result<Ends, Misfit>, ExprError> {
-    let (raw, index) = from;
-    let from = if raw < -0.5 && kind == MsgKind::Recv {
+    let from = if from < -0.5 && kind == MsgKind::Recv {
         None
     } else {
-        Some(index.map_or_else(|| as_index(raw), Ok)?)
+        Some(as_index(from)?)
     };
     let to = to()?;
     if from.is_some_and(|from| from >= nprocs) || to >= nprocs {
@@ -136,9 +134,10 @@ impl Tracer<'_> {
             self.bump()?;
             match stmt {
                 LStmt::Serial { .. } | LStmt::Wait { .. } => {}
-                LStmt::Loop { count, var, body } => {
+                LStmt::Loop {
+                    count, var, body, ..
+                } => {
                     let n = count
-                        .expr
                         .eval_usize(&self.env, names)
                         .map_err(|_| Decision::Fallback("abstract evaluation failed"))?
                         as u64;
@@ -163,7 +162,6 @@ impl Tracer<'_> {
                 LStmt::Runon { branches, .. } => {
                     for (cond, body) in branches {
                         if cond
-                            .expr
                             .eval_bool(&self.env, names)
                             .map_err(|_| Decision::Fallback("abstract evaluation failed"))?
                         {
@@ -178,7 +176,7 @@ impl Tracer<'_> {
                     from,
                     to,
                     ..
-                } => self.message(*kind, &size.expr, &from.expr, &to.expr)?,
+                } => self.message(*kind, size, from, to)?,
                 LStmt::Collective { .. } => return Err(Decision::Single),
             }
         }
@@ -197,7 +195,7 @@ impl Tracer<'_> {
         let names = &self.lowered.names;
         let bad = |_| Decision::Fallback("abstract evaluation failed");
         let from = from.eval(&self.env, names).map_err(bad)?;
-        let Ends { from, to } = endpoints(kind, self.p, self.nprocs, (from, None), || {
+        let Ends { from, to } = endpoints(kind, self.p, self.nprocs, from, || {
             to.eval_usize(&self.env, names)
         })
         .map_err(bad)?
@@ -240,14 +238,12 @@ fn block_references(stmts: &[LStmt], slot: u32) -> bool {
     stmts.iter().any(|s| match s {
         LStmt::Serial { .. } | LStmt::Wait { .. } => false,
         LStmt::Collective { .. } => false,
-        LStmt::Loop { count, body, .. } => {
-            count.expr.references(slot) || block_references(body, slot)
-        }
+        LStmt::Loop { count, body, .. } => count.references(slot) || block_references(body, slot),
         LStmt::Runon { branches, .. } => branches
             .iter()
-            .any(|(c, b)| c.expr.references(slot) || block_references(b, slot)),
+            .any(|(c, b)| c.references(slot) || block_references(b, slot)),
         LStmt::Message { size, from, to, .. } => {
-            [from, to, size].iter().any(|e| e.expr.references(slot))
+            [from, to, size].iter().any(|e| e.references(slot))
         }
     })
 }
@@ -396,7 +392,7 @@ mod tests {
         from: f64,
         to: usize,
     ) -> Result<Result<Ends, Misfit>, String> {
-        endpoints(kind, p, 2, (from, None), || Ok(to)).map_err(|e| e.message)
+        endpoints(kind, p, 2, from, || Ok(to)).map_err(|e| e.message)
     }
 
     #[test]
@@ -428,18 +424,10 @@ mod tests {
         );
         // Only a `Recv` takes any source; the source is converted before
         // the destination is evaluated.
-        let err = endpoints(Irecv, 0, 2, (-1.0, None), || panic!("evaluated `to`"));
+        let err = endpoints(Irecv, 0, 2, -1.0, || panic!("evaluated `to`"));
         assert_eq!(
             err.unwrap_err().message,
             "expected a non-negative integer, got -1"
-        );
-        // A process number the caller already holds is taken as given.
-        assert_eq!(
-            endpoints(Send, 1, 2, (0.0, Some(1)), || Ok(0)),
-            Ok(Ok(Ends {
-                from: Some(1),
-                to: 0
-            }))
         );
     }
 

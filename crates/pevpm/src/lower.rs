@@ -23,16 +23,16 @@
 //!   nodes, removing the per-call argument `Vec`;
 //! - `Irecv`/`Wait` request handles and directive labels are interned the
 //!   same way, into tables the program owns;
-//! - a directive's expression that reads no loop induction variable is
-//!   given a memo *site* ([`StmtExpr`]): a process writes its environment
-//!   only at its loops' induction variables, so such an expression has one
-//!   value per process and the VM evaluates it once per process, not once
-//!   per execution, and checks it as an index once ([`Memo`]);
-//! - a statement all of whose operands are such expressions — a `Runon`, or
-//!   a message other than an `Irecv` — is *decided*: it does the same thing
-//!   every time a process runs it, so the statement, not its operands, gets
-//!   the site, and the VM keeps there what the first execution decided
-//!   (the branch taken; the validated peer, pair and size).
+//! - one memo rule: a statement none of whose operands reads a loop
+//!   induction variable is *decided* and gets one memo *site*. A process
+//!   writes its environment only at its loops' induction variables, so
+//!   such a statement does the same thing every time the process runs it,
+//!   and the VM keeps at its site what the first successful execution
+//!   decided ([`Memo`]: the serial time, the iteration count, the branch
+//!   taken, the collective's size; a message's size, validated peer and
+//!   pair). Any other statement evaluates every operand on every
+//!   execution. What reads state — an `Irecv`'s outstanding handle, a
+//!   pair's sequence numbers — is still done on every execution.
 //!
 //! Evaluation semantics ([`LExpr::eval`] vs [`Expr::eval`]) are replicated
 //! exactly — same short-circuiting, same error messages, same rounding —
@@ -320,139 +320,56 @@ fn binary(op: BinOp, x: f64, y: f64) -> Result<f64, ExprError> {
 /// [`Expr::eval_usize`]: `v.round() as usize` without libm's `round` (below
 /// 2^63 the `i64` truncation and its fraction are exact; above, `v` is whole).
 pub(crate) fn as_index(v: f64) -> Result<usize, ExprError> {
-    index_of(v).ok_or_else(|| ExprError {
-        message: format!("expected a non-negative integer, got {v}"),
-    })
-}
-
-/// [`as_index`] without the error.
-fn index_of(v: f64) -> Option<usize> {
     if !v.is_finite() || v < -0.5 {
-        return None;
+        return err(format!("expected a non-negative integer, got {v}"));
     }
     if v >= 9_223_372_036_854_775_808.0 {
-        return Some(v as usize);
+        return Ok(v as usize);
     }
     let t = v as i64;
-    Some((t + (v - t as f64 >= 0.5) as i64) as usize)
+    Ok((t + (v - t as f64 >= 0.5) as i64) as usize)
 }
 
-/// One process's memo of one site, filled the first time the process runs
-/// the site's expression or statement, and only if that run succeeds.
+/// What a decided statement did the first time a process ran it without
+/// error, kept at the statement's site in that process's memo row.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) enum Memo {
-    /// Not run yet.
+    /// Not run yet, or not decided.
     #[default]
     Unset,
-    /// A [`StmtExpr`] site: the value and, checked as it fills, that value
-    /// as a count or a process number. `pair`: for an endpoint of a message
-    /// that is not decided, the scoreboard pair it names from this process,
-    /// filled by the VM the first time the message executes.
-    Value {
-        value: f64,
-        index: Option<usize>,
-        pair: Option<PairId>,
-    },
-    /// A decided message: its size, its validated peer (a send's
-    /// destination, a receive's source) and the pair between the two.
+    /// A `Serial`'s time or a `Collective`'s size.
+    Value(f64),
+    /// A `Loop`'s iteration count.
+    Count(u64),
+    /// A `Runon`'s branch, or the branch count when no condition holds.
+    Branch(usize),
+    /// A message's size, its validated peer (a send's destination, a
+    /// receive's source) and the pair between the two.
     Message {
         size: f64,
         peer: usize,
         pair: PairId,
     },
-    /// A decided receive from any source.
+    /// A receive from any source.
     AnySource,
-    /// A decided `Runon`: the branch it takes, or the branch count when no
-    /// condition holds.
-    Branch(usize),
 }
 
 // A process's row is one cache line for every two sites.
 const _: () = assert!(std::mem::size_of::<Memo>() <= 32);
 
-/// An expression in statement position, as the VM evaluates it: the
-/// lowered tree and, when its value cannot change within one process, its
-/// site in the per-process memo. It cannot change when it reads no slot
-/// that any loop of the program binds as its induction variable: those are
-/// the only slots a running process writes (a loop also *unbinds* its slot
-/// on exit, so a parameter that shares a loop variable's name is excluded
-/// with it).
-#[derive(Debug, PartialEq)]
-pub(crate) struct StmtExpr {
-    pub(crate) expr: LExpr,
-    site: Option<u32>,
-}
-
-impl StmtExpr {
-    /// [`LExpr::eval`] through `memo`, the executing process's row of
-    /// sites. Only values are kept: an error ends the evaluation.
+impl Memo {
+    /// The entry at `site` of a process's memo `row`; `Unset` for a
+    /// statement that is not decided (`site` is `None`).
     #[inline]
-    pub(crate) fn eval(
-        &self,
-        slots: &[Option<f64>],
-        names: &Names,
-        memo: &mut [Memo],
-    ) -> Result<f64, ExprError> {
-        Ok(self.eval_index(slots, names, memo)?.0)
+    pub(crate) fn read(row: &[Memo], site: Option<u32>) -> Memo {
+        site.map_or(Memo::Unset, |site| row[site as usize])
     }
 
-    /// Evaluate as a boolean (non-zero = true).
+    /// Keep `entry` at `site` of `row`, if the statement is decided.
     #[inline]
-    pub(crate) fn eval_bool(
-        &self,
-        slots: &[Option<f64>],
-        names: &Names,
-        memo: &mut [Memo],
-    ) -> Result<bool, ExprError> {
-        Ok(self.eval(slots, names, memo)? != 0.0)
-    }
-
-    /// Evaluate as a non-negative integer (rounded).
-    #[inline]
-    pub(crate) fn eval_usize(
-        &self,
-        slots: &[Option<f64>],
-        names: &Names,
-        memo: &mut [Memo],
-    ) -> Result<usize, ExprError> {
-        let (v, index) = self.eval_index(slots, names, memo)?;
-        index.map_or_else(|| as_index(v), Ok)
-    }
-
-    /// The value and, if it is one, the value as a count or a process
-    /// number (`None` for a wildcard source, say).
-    #[inline]
-    pub(crate) fn eval_index(
-        &self,
-        slots: &[Option<f64>],
-        names: &Names,
-        memo: &mut [Memo],
-    ) -> Result<(f64, Option<usize>), ExprError> {
-        let site = self.site.map(|site| site as usize);
+    pub(crate) fn keep(row: &mut [Memo], site: Option<u32>, entry: Memo) {
         if let Some(site) = site {
-            if let Memo::Value { value, index, .. } = memo[site] {
-                return Ok((value, index));
-            }
-        }
-        let value = self.expr.eval(slots, names)?;
-        let index = index_of(value);
-        if let Some(site) = site {
-            memo[site] = Memo::Value {
-                value,
-                index,
-                pair: None,
-            };
-        }
-        Ok((value, index))
-    }
-
-    /// The executing process's pair memo at this site, if the expression
-    /// has one (reads no loop induction variable) and has been evaluated.
-    #[inline]
-    pub(crate) fn pair_memo<'a>(&self, memo: &'a mut [Memo]) -> Option<&'a mut Option<PairId>> {
-        match &mut memo[self.site? as usize] {
-            Memo::Value { pair, .. } => Some(pair),
-            _ => None,
+            row[site as usize] = entry;
         }
     }
 }
@@ -460,43 +377,43 @@ impl StmtExpr {
 /// A lowered directive. A label is a slot in [`Lowered::labels`] — loss
 /// attribution under it is an indexed add, not a string-keyed map
 /// operation — and a request handle a slot in [`Lowered::handles`].
+/// `site`: the statement's memo site when it is decided (no operand reads
+/// a loop induction variable; see the module doc).
 #[derive(Debug, PartialEq)]
 pub(crate) enum LStmt {
     Loop {
-        count: StmtExpr,
+        count: LExpr,
         var: Option<u32>,
         body: Vec<LStmt>,
+        site: Option<u32>,
     },
-    /// `decided`: the statement's site when every condition reads no loop
-    /// induction variable (the conditions then have none of their own).
     Runon {
-        branches: Vec<(StmtExpr, Vec<LStmt>)>,
-        decided: Option<u32>,
+        branches: Vec<(LExpr, Vec<LStmt>)>,
+        site: Option<u32>,
     },
-    /// `decided`: the statement's site when it is not an `Irecv` (whose
-    /// outstanding-handle check reads state) and no operand reads a loop
-    /// induction variable (the operands then have none of their own).
     Message {
         kind: MsgKind,
-        size: StmtExpr,
-        from: StmtExpr,
-        to: StmtExpr,
+        size: LExpr,
+        from: LExpr,
+        to: LExpr,
         handle: Option<u32>,
         label: Option<u32>,
-        decided: Option<u32>,
+        site: Option<u32>,
     },
     Wait {
         handle: u32,
         label: Option<u32>,
     },
     Serial {
-        time: StmtExpr,
+        time: LExpr,
         label: Option<u32>,
+        site: Option<u32>,
     },
     Collective {
         op: CollOp,
-        size: StmtExpr,
+        size: LExpr,
         label: Option<u32>,
+        site: Option<u32>,
     },
 }
 
@@ -514,8 +431,8 @@ pub(crate) struct Lowered {
     /// Directive labels, indexed by label slot; shared with the loss
     /// report of every evaluation ([`crate::vm::LossByLabel`]).
     pub(crate) labels: Arc<Strings>,
-    /// Memo sites handed out to [`StmtExpr`]s and decided statements: the
-    /// length of one process's memo row.
+    /// Memo sites handed out to decided statements: the length of one
+    /// process's memo row.
     pub(crate) sites: usize,
     /// The most frames a process's control stack holds: the program's
     /// static nesting depth, the top-level block included.
@@ -694,7 +611,10 @@ fn survey<'m>(stmts: &'m [Stmt], cx: &mut LowerCx<'m>, labels: &mut usize, bytes
 
 /// Shared lowering state: the three interners, the fold switch, and what
 /// memo sites need — the program's induction-variable slots and the next
-/// free site.
+/// free site. A statement is decided when it reads no slot that any loop
+/// of the program binds as its induction variable: those are the only
+/// slots a running process writes (a loop also *unbinds* its slot on exit,
+/// so a parameter that shares a loop variable's name is excluded with it).
 struct LowerCx<'m> {
     names: Interner<'m>,
     handles: Interner<'m>,
@@ -704,25 +624,22 @@ struct LowerCx<'m> {
     sites: u32,
 }
 
-impl LowerCx<'_> {
-    /// The next free memo site.
-    fn site(&mut self) -> u32 {
-        self.sites += 1;
-        self.sites - 1
-    }
-
-    /// Whether `expr` has one value per process: it reads no loop
+impl<'m> LowerCx<'m> {
+    /// The next free memo site if no expression in `operands` reads a loop
     /// induction variable.
-    fn invariant(&self, expr: &LExpr) -> bool {
-        !expr.reads(&|slot| self.induction.contains(&slot))
+    fn site<'e>(&mut self, operands: impl IntoIterator<Item = &'e LExpr>) -> Option<u32> {
+        let decided = !operands
+            .into_iter()
+            .any(|e| e.reads(&|slot| self.induction.contains(&slot)));
+        decided.then(|| {
+            self.sites += 1;
+            self.sites - 1
+        })
     }
 
-    /// Give `e` a site of its own if it has one value per process (a
-    /// literal is its own memo).
-    fn memoise(&mut self, e: &mut StmtExpr) {
-        if !matches!(e.expr, LExpr::Num(_)) && self.invariant(&e.expr) {
-            e.site = Some(self.site());
-        }
+    /// `e` lowered through this pass's name interner and fold switch.
+    fn expr(&mut self, e: &'m Expr) -> Result<LExpr, ExprError> {
+        lower_expr_opts(e, &mut self.names, self.fold)
     }
 }
 
@@ -741,28 +658,24 @@ fn lower_block<'m>(stmts: &'m [Stmt], cx: &mut LowerCx<'m>) -> Result<Vec<LStmt>
 
 fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'m>) -> Result<LStmt, ExprError> {
     Ok(match stmt {
-        Stmt::Loop { count, var, body } => LStmt::Loop {
-            count: lower_expr_in(count, cx)?,
-            var: var.as_ref().map(|v| cx.names.intern(v)),
-            body: lower_block(body, cx)?,
-        },
+        Stmt::Loop { count, var, body } => {
+            let count = cx.expr(count)?;
+            LStmt::Loop {
+                site: cx.site([&count]),
+                count,
+                var: var.as_ref().map(|v| cx.names.intern(v)),
+                body: lower_block(body, cx)?,
+            }
+        }
         Stmt::Runon { branches } => {
-            // Lowered in source order, so the first error is the same; the
-            // conditions get their sites once the statement is known not
-            // to be decided.
+            // Lowered in source order, so the first error is the same.
             let mut lowered = Vec::with_capacity(branches.len());
             for (cond, body) in branches {
-                lowered.push((lower_expr_plain(cond, cx)?, lower_block(body, cx)?));
-            }
-            let decided = lowered.iter().all(|(cond, _)| cx.invariant(&cond.expr));
-            if !decided {
-                for (cond, _) in &mut lowered {
-                    cx.memoise(cond);
-                }
+                lowered.push((cx.expr(cond)?, lower_block(body, cx)?));
             }
             LStmt::Runon {
+                site: cx.site(lowered.iter().map(|(cond, _)| cond)),
                 branches: lowered,
-                decided: decided.then(|| cx.site()),
             }
         }
         Stmt::Message {
@@ -773,57 +686,38 @@ fn lower_stmt<'m>(stmt: &'m Stmt, cx: &mut LowerCx<'m>) -> Result<LStmt, ExprErr
             handle,
             label,
         } => {
-            let mut operands = [
-                lower_expr_plain(size, cx)?,
-                lower_expr_plain(from, cx)?,
-                lower_expr_plain(to, cx)?,
-            ];
-            let decided = *kind != MsgKind::Irecv && operands.iter().all(|e| cx.invariant(&e.expr));
-            if !decided {
-                for e in &mut operands {
-                    cx.memoise(e);
-                }
-            }
-            let [size, from, to] = operands;
+            let (size, from, to) = (cx.expr(size)?, cx.expr(from)?, cx.expr(to)?);
             LStmt::Message {
                 kind: *kind,
+                site: cx.site([&size, &from, &to]),
                 size,
                 from,
                 to,
                 handle: handle.as_ref().map(|h| cx.handles.intern(h)),
                 label: lower_label(label, &mut cx.labels),
-                decided: decided.then(|| cx.site()),
             }
         }
         Stmt::Wait { handle, label } => LStmt::Wait {
             handle: cx.handles.intern(handle),
             label: lower_label(label, &mut cx.labels),
         },
-        Stmt::Serial { time, label, .. } => LStmt::Serial {
-            time: lower_expr_in(time, cx)?,
-            label: lower_label(label, &mut cx.labels),
-        },
-        Stmt::Collective { op, size, label } => LStmt::Collective {
-            op: *op,
-            size: lower_expr_in(size, cx)?,
-            label: lower_label(label, &mut cx.labels),
-        },
-    })
-}
-
-/// `e` in statement position, with a memo site if it has one value per
-/// process.
-fn lower_expr_in<'m>(e: &'m Expr, cx: &mut LowerCx<'m>) -> Result<StmtExpr, ExprError> {
-    let mut e = lower_expr_plain(e, cx)?;
-    cx.memoise(&mut e);
-    Ok(e)
-}
-
-/// `e` in statement position, without a memo site.
-fn lower_expr_plain<'m>(e: &'m Expr, cx: &mut LowerCx<'m>) -> Result<StmtExpr, ExprError> {
-    Ok(StmtExpr {
-        expr: lower_expr_opts(e, &mut cx.names, cx.fold)?,
-        site: None,
+        Stmt::Serial { time, label, .. } => {
+            let time = cx.expr(time)?;
+            LStmt::Serial {
+                site: cx.site([&time]),
+                time,
+                label: lower_label(label, &mut cx.labels),
+            }
+        }
+        Stmt::Collective { op, size, label } => {
+            let size = cx.expr(size)?;
+            LStmt::Collective {
+                op: *op,
+                site: cx.site([&size]),
+                size,
+                label: lower_label(label, &mut cx.labels),
+            }
+        }
     })
 }
 
@@ -1042,8 +936,8 @@ mod tests {
         }
     }
 
-    /// Each top-level statement's `decided` site, `None` for statements
-    /// that cannot be decided, and the sites of the whole program.
+    /// The site of each statement in the model's one loop, `None` for a
+    /// statement that is not decided, and the sites of the whole program.
     fn decided_sites(model: &Model) -> (Vec<Option<u32>>, usize) {
         let lowered = Program::new(model).lowered.unwrap();
         let LStmt::Loop { body, .. } = &lowered.stmts[0] else {
@@ -1052,8 +946,12 @@ mod tests {
         let decided = body
             .iter()
             .map(|stmt| match stmt {
-                LStmt::Runon { decided, .. } | LStmt::Message { decided, .. } => *decided,
-                _ => None,
+                LStmt::Loop { site, .. }
+                | LStmt::Runon { site, .. }
+                | LStmt::Message { site, .. }
+                | LStmt::Serial { site, .. }
+                | LStmt::Collective { site, .. } => *site,
+                LStmt::Wait { .. } => None,
             })
             .collect();
         (decided, lowered.sites)
@@ -1066,28 +964,41 @@ mod tests {
             "laps",
             "k",
             vec![
-                // Decided: one site for the statement, none for its operands.
+                // Decided: one site for the statement.
                 send("size", "procnum", "procnum+1"),
                 recv("size", "procnum-1", "procnum"),
                 runon2("procnum == 0", vec![], "procnum > 0", vec![]),
-                // An operand reads `k`: the others keep sites of their own.
+                // An operand reads `k`: no site at all.
                 send("size", "procnum", "(procnum+k) % numprocs"),
                 runon2("k == 0", vec![], "procnum > 0", vec![]),
-                // An outstanding handle is state: never decided.
+                serial("0.001*k"),
+                // An `Irecv` is decided too; its handle is checked on every
+                // execution.
                 irecv("size", "procnum-1", "procnum", "h"),
+                wait("h"),
                 // Literal operands are decided too.
                 send("8", "0", "1"),
+                serial("0.001"),
             ],
         ));
         let (decided, sites) = decided_sites(&model);
         assert_eq!(
             decided,
-            [Some(1), Some(2), Some(3), None, None, None, Some(10)],
-            "the loop count takes site 0"
+            [
+                Some(1),
+                Some(2),
+                Some(3),
+                None,
+                None,
+                None,
+                Some(4),
+                None,
+                Some(5),
+                Some(6)
+            ],
+            "the loop takes site 0"
         );
-        // 1 loop count + 3 decided + 2 (size, from) + 1 (procnum > 0) + 3
-        // (the irecv's operands) + 1 decided.
-        assert_eq!(sites, 11);
+        assert_eq!(sites, 7);
     }
 
     #[test]

@@ -185,9 +185,9 @@ struct Vm<'m, const W: usize> {
     handles: Vec<Option<(usize, PairId, u64)>>,
     /// What [`TimingModel::resolve_p2p_memo`] has resolved so far.
     resolved: ResolveMemo<'m>,
-    /// One row of `sites` [`crate::lower::StmtExpr`] memo slots per
-    /// process, flat; a message endpoint's slot also keeps its pair id.
-    expr_memo: Vec<Memo>,
+    /// One row of `sites` [`Memo`] entries per process, flat: what each
+    /// decided statement did the first time the process ran it.
+    memo: Vec<Memo>,
     sites: usize,
     /// In-flight messages: a generational slab, so matches remove in O(1)
     /// and rendezvous senders hold stable [`Handle`]s.
@@ -632,7 +632,7 @@ impl<'m, const W: usize> Vm<'m, W> {
 
         let names = &lowered.names;
         let env = &self.env[row..row + slots];
-        let memo = &mut self.expr_memo[p * self.sites..][..self.sites];
+        let memo = &mut self.memo[p * self.sites..][..self.sites];
         let frame = &mut self.frames[stack + self.procs[p].depth - 1];
         // Copy the `&'m [LStmt]` out of the frame so `stmt` borrows the
         // lowered model, not the frame — labels can then be threaded
@@ -642,15 +642,22 @@ impl<'m, const W: usize> Vm<'m, W> {
         frame.idx += 1;
 
         match stmt {
-            LStmt::Serial { time, label } => {
-                let t = time.eval(env, names, memo)?;
-                if t < 0.0 {
-                    let label = self.lowered.label(*label);
-                    return Err(PevpmError::BadModel(format!(
-                        "negative serial time {t} at {label:?}"
-                    ))
-                    .into());
-                }
+            LStmt::Serial { time, label, site } => {
+                let t = match Memo::read(memo, *site) {
+                    Memo::Value(t) => t,
+                    _ => {
+                        let t = time.eval(env, names)?;
+                        if t < 0.0 {
+                            let label = self.lowered.label(*label);
+                            return Err(PevpmError::BadModel(format!(
+                                "negative serial time {t} at {label:?}"
+                            ))
+                            .into());
+                        }
+                        Memo::keep(memo, *site, Memo::Value(t));
+                        t
+                    }
+                };
                 let proc = &mut self.procs[p];
                 let start = proc.clock[0];
                 for l in 0..W {
@@ -668,8 +675,20 @@ impl<'m, const W: usize> Vm<'m, W> {
                     );
                 }
             }
-            LStmt::Loop { count, var, body } => {
-                let n = count.eval_usize(env, names, memo)? as u64;
+            LStmt::Loop {
+                count,
+                var,
+                body,
+                site,
+            } => {
+                let n = match Memo::read(memo, *site) {
+                    Memo::Count(n) => n,
+                    _ => {
+                        let n = count.eval_usize(env, names)? as u64;
+                        Memo::keep(memo, *site, Memo::Count(n));
+                        n
+                    }
+                };
                 if n > 0 && !body.is_empty() {
                     if let Some(slot) = *var {
                         self.env[row + slot as usize] = Some(0.0);
@@ -685,23 +704,18 @@ impl<'m, const W: usize> Vm<'m, W> {
                     );
                 }
             }
-            LStmt::Runon { branches, decided } => {
-                // A decided `Runon` takes the branch its first execution
-                // took (the branch count when no condition held).
-                let site = decided.map(|site| site as usize);
-                let taken = match site.map(|site| memo[site]) {
-                    Some(Memo::Branch(taken)) => taken,
+            LStmt::Runon { branches, site } => {
+                let taken = match Memo::read(memo, *site) {
+                    Memo::Branch(taken) => taken,
                     _ => {
                         let mut taken = branches.len();
                         for (i, (cond, _)) in branches.iter().enumerate() {
-                            if cond.eval_bool(env, names, memo)? {
+                            if cond.eval_bool(env, names)? {
                                 taken = i;
                                 break;
                             }
                         }
-                        if let Some(site) = site {
-                            memo[site] = Memo::Branch(taken);
-                        }
+                        Memo::keep(memo, *site, Memo::Branch(taken));
                         taken
                     }
                 };
@@ -743,95 +757,75 @@ impl<'m, const W: usize> Vm<'m, W> {
                 to,
                 handle,
                 label,
-                decided,
+                site,
             } => {
-                // A decided message does what its first execution decided.
-                let site = decided.map(|site| site as usize);
-                match site.map(|site| memo[site]) {
-                    Some(Memo::Message { size, peer, pair }) => {
-                        if *kind == MsgKind::Recv {
-                            self.block_recv(p, Some((peer, pair)), *label);
-                        } else {
-                            self.post_send(p, *kind, size, pair, *label);
-                        }
-                        return Ok(true);
-                    }
-                    Some(Memo::AnySource) => {
-                        if W > 1 {
-                            return Err(Halt::StandDown);
-                        }
-                        self.block_recv(p, None, *label);
-                        return Ok(true);
-                    }
-                    _ => {}
-                }
-                // The endpoints by the one rule (`analyze::endpoints`), the
-                // size evaluated before a broken rule is reported. `ltext` is
-                // the label as the plain optional string the diagnostics
-                // print, read only if one is printed. What passes is kept at
-                // a decided message's site.
+                // `ltext` is the label as the plain optional string the
+                // diagnostics print, read only if one is printed.
                 let ltext = LabelText(lowered, *label);
                 let bad_model = |message: String| Halt::from(PevpmError::BadModel(message));
-                let (from_raw, from_i) = from.eval_index(env, names, memo)?;
-                let ends = endpoints(*kind, p, self.cfg.nprocs, (from_raw, from_i), || {
-                    to.eval_usize(env, names, memo)
-                })?;
-                let size_v = size.eval(env, names, memo)?;
-                let ends = ends.map_err(|misfit| {
-                    bad_model(match misfit {
-                        Misfit::OutOfRange { to } => format!(
-                            "message endpoint out of range: from={from_raw} to={to} \
-                             (numprocs={}) at {ltext:?}",
-                            self.cfg.nprocs
-                        ),
-                        Misfit::ForeignSend { from } => {
-                            format!("proc {p} executing a send whose from={from} at {ltext:?}")
-                        }
-                        Misfit::ForeignRecv { to } if *kind == MsgKind::Irecv => {
-                            format!("proc {p} executing an irecv whose to={to} at {ltext:?}")
-                        }
-                        Misfit::ForeignRecv { to } => {
-                            format!("proc {p} executing a recv whose to={to} at {ltext:?}")
-                        }
-                    })
-                })?;
-                match (kind, ends.from) {
-                    (MsgKind::Send | MsgKind::Isend, _) => {
-                        let pair = pair_id(&mut self.fifo, to.pair_memo(memo), p, ends.to);
-                        if let Some(site) = site {
-                            memo[site] = Memo::Message {
+                // The size, and the peer and the pair between them
+                // (`None`: any source).
+                let (size_v, peer) = match Memo::read(memo, *site) {
+                    Memo::Message { size, peer, pair } => (size, Some((peer, pair))),
+                    Memo::AnySource => (0.0, None),
+                    _ => {
+                        // The endpoints by the one rule (`analyze::endpoints`),
+                        // the size evaluated before a broken rule is reported.
+                        let from_raw = from.eval(env, names)?;
+                        let ends = endpoints(*kind, p, self.cfg.nprocs, from_raw, || {
+                            to.eval_usize(env, names)
+                        })?;
+                        let size_v = size.eval(env, names)?;
+                        let ends = ends.map_err(|misfit| {
+                            bad_model(match misfit {
+                                Misfit::OutOfRange { to } => format!(
+                                    "message endpoint out of range: from={from_raw} to={to} \
+                                     (numprocs={}) at {ltext:?}",
+                                    self.cfg.nprocs
+                                ),
+                                Misfit::ForeignSend { from } => format!(
+                                    "proc {p} executing a send whose from={from} at {ltext:?}"
+                                ),
+                                Misfit::ForeignRecv { to } if *kind == MsgKind::Irecv => format!(
+                                    "proc {p} executing an irecv whose to={to} at {ltext:?}"
+                                ),
+                                Misfit::ForeignRecv { to } => {
+                                    format!("proc {p} executing a recv whose to={to} at {ltext:?}")
+                                }
+                            })
+                        })?;
+                        let peer = match (kind, ends.from) {
+                            (MsgKind::Send | MsgKind::Isend, _) => {
+                                Some((ends.to, self.fifo.id(p, ends.to)))
+                            }
+                            (_, from_v) => from_v.map(|from_v| (from_v, self.fifo.id(from_v, p))),
+                        };
+                        let entry = match peer {
+                            Some((peer, pair)) => Memo::Message {
                                 size: size_v,
-                                peer: ends.to,
+                                peer,
                                 pair,
-                            };
-                        }
+                            },
+                            None => Memo::AnySource,
+                        };
+                        Memo::keep(memo, *site, entry);
+                        (size_v, peer)
+                    }
+                };
+                match (kind, peer) {
+                    (MsgKind::Send | MsgKind::Isend, Some((_, pair))) => {
                         self.post_send(p, *kind, size_v, pair, *label);
                     }
-                    (MsgKind::Recv, None) => {
+                    (MsgKind::Recv, peer) => {
                         // A wildcard receive takes whichever candidate
                         // arrives first — the one thing in a match that
                         // looks at a lane's times.
-                        if W > 1 {
+                        if peer.is_none() && W > 1 {
                             return Err(Halt::StandDown);
                         }
-                        if let Some(site) = site {
-                            memo[site] = Memo::AnySource;
-                        }
-                        self.block_recv(p, None, *label);
+                        self.block_recv(p, peer, *label);
                     }
-                    (MsgKind::Recv, Some(from_v)) => {
-                        let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
-                        if let Some(site) = site {
-                            memo[site] = Memo::Message {
-                                size: size_v,
-                                peer: from_v,
-                                pair,
-                            };
-                        }
-                        self.block_recv(p, Some((from_v, pair)), *label);
-                    }
-                    (MsgKind::Irecv, from_v) => {
-                        let from_v = from_v.expect("only a Recv takes any source");
+                    (MsgKind::Irecv, Some((from_v, pair))) => {
                         let Some(h) = handle else {
                             return Err(bad_model(format!(
                                 "MPI_Irecv without a handle at {ltext:?}"
@@ -848,14 +842,26 @@ impl<'m, const W: usize> Vm<'m, W> {
                         // but don't block: the matching wait is a separate
                         // decision point, and anything executed in between
                         // overlaps the transfer.
-                        let pair = pair_id(&mut self.fifo, from.pair_memo(memo), from_v, p);
                         let seq = self.fifo.reserve(pair);
                         self.handles[held + h] = Some((from_v, pair, seq));
                     }
+                    _ => unreachable!("only a Recv takes any source"),
                 }
             }
-            LStmt::Collective { op, size, label } => {
-                let size_v = size.eval(env, names, memo)?;
+            LStmt::Collective {
+                op,
+                size,
+                label,
+                site,
+            } => {
+                let size_v = match Memo::read(memo, *site) {
+                    Memo::Value(size_v) => size_v,
+                    _ => {
+                        let size_v = size.eval(env, names)?;
+                        Memo::keep(memo, *site, Memo::Value(size_v));
+                        size_v
+                    }
+                };
                 let inst = self.procs[p].coll_count;
                 let clock = self.procs[p].clock;
                 self.procs[p].blocked = Some((
@@ -1195,22 +1201,6 @@ impl<'m, const W: usize> Vm<'m, W> {
                 }
             }
         }
-    }
-}
-
-/// The id of pair `from → to`: searched for once per process at an
-/// endpoint with a memo site, and kept there; per execution at one that
-/// reads a loop variable.
-fn pair_id(
-    fifo: &mut PairFifo,
-    memo: Option<&mut Option<PairId>>,
-    from: usize,
-    to: usize,
-) -> PairId {
-    match memo {
-        Some(&mut Some(pair)) => pair,
-        Some(slot) => *slot.insert(fifo.id(from, to)),
-        None => fifo.id(from, to),
     }
 }
 

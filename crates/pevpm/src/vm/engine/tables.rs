@@ -148,7 +148,7 @@ pub(super) struct Tables<'m, const W: usize> {
     frames: Vec<Frame<'m>>,
     handles: Vec<Option<(usize, PairId, u64)>>,
     resolved: ResolveMemo<'m>,
-    expr_memo: Vec<Memo>,
+    memo: Vec<Memo>,
     scoreboard: Slab<SbMsg, MsgLanes<'m, W>>,
     fifo: PairFifo,
     fresh: Vec<Handle>,
@@ -166,7 +166,7 @@ impl<const W: usize> Default for Tables<'_, W> {
             frames: Vec::new(),
             handles: Vec::new(),
             resolved: Vec::new(),
-            expr_memo: Vec::new(),
+            memo: Vec::new(),
             scoreboard: Slab::new(),
             fifo: PairFifo::new(0),
             fresh: Vec::new(),
@@ -189,7 +189,7 @@ impl<const W: usize> Tables<'_, W> {
             procs: self.procs,
             env: self.env,
             handles: self.handles,
-            expr_memo: self.expr_memo,
+            memo: self.memo,
             fifo: self.fifo,
             fresh: self.fresh,
             loss: self.loss,
@@ -303,7 +303,7 @@ impl<'m, const W: usize> Vm<'m, W> {
             mut frames,
             mut handles,
             mut resolved,
-            mut expr_memo,
+            mut memo,
             mut scoreboard,
             mut fifo,
             mut fresh,
@@ -358,8 +358,8 @@ impl<'m, const W: usize> Vm<'m, W> {
         handles.clear();
         handles.resize(nprocs * lowered.handles.len(), None);
         resolved.clear();
-        expr_memo.clear();
-        expr_memo.resize(nprocs * lowered.sites, Memo::default());
+        memo.clear();
+        memo.resize(nprocs * lowered.sites, Memo::default());
         scoreboard.clear();
         fifo.clear(nprocs);
         fresh.clear();
@@ -383,7 +383,7 @@ impl<'m, const W: usize> Vm<'m, W> {
             frames,
             handles,
             resolved,
-            expr_memo,
+            memo,
             sites: lowered.sites,
             scoreboard,
             fifo,
@@ -446,7 +446,7 @@ impl<'m, const W: usize> Vm<'m, W> {
             frames: self.frames,
             handles: self.handles,
             resolved: self.resolved,
-            expr_memo: self.expr_memo,
+            memo: self.memo,
             scoreboard: self.scoreboard,
             fifo: self.fifo,
             fresh: self.fresh,
