@@ -16,7 +16,7 @@
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{evaluate, EvalConfig};
 use pevpm_apps::jacobi::{self, JacobiConfig};
-use pevpm_dist::{CompileOptions, DistTable, Op};
+use pevpm_dist::{DistTable, Op};
 use pevpm_mpibench::{run_p2p, Direction, MachineShape, P2pConfig, PairPattern, HIST_BINS};
 use pevpm_mpisim::WorldConfig;
 
@@ -156,7 +156,7 @@ pub fn timing_models(matched: &DistTable, pingpong: &DistTable) -> Vec<(String, 
     ]
     .into_iter()
     .map(|(name, table, mode, slice)| {
-        let timing = TimingModel::empirical(table.clone(), mode, slice, CompileOptions::default())
+        let timing = TimingModel::empirical(table.clone(), mode, slice)
             .unwrap_or_else(|e| panic!("invalid benchmark table: {e}"));
         (name.to_string(), timing)
     })

@@ -181,7 +181,7 @@ USAGE:
       Parse `// PEVPM` annotations and print the extracted model.
 
   pevpm predict  --model FILE.c --db DB.dist --procs N [--mode dist|avg|min]
-                 [--pingpong] [--exact-quantiles] [--param k=v ...] [--seed S]
+                 [--pingpong] [--param k=v ...] [--seed S]
                  [--reps R] [--threads T] [--quorum K]
                  [--precision P] [--min-reps N] [--max-reps N] [--antithetic]
                  [--max-steps N] [--max-virtual-secs S]
@@ -211,9 +211,6 @@ USAGE:
       chrome://tracing or https://ui.perfetto.dev); --metrics-out dumps the
       engine's metrics registry (sweep/match counts, contention and
       scoreboard-occupancy histograms, per-directive losses) as JSON.
-      --exact-quantiles answers fitted-distribution inverse-CDF queries by
-      exact bisection instead of the compiled quantile lookup table
-      (slower; bounds the LUT's <=0.1% relative interpolation error).
       --trace-out also carries a pid-4 service-stages track with the
       prediction's validate/model/compile/eval/render stage windows.
 
@@ -271,10 +268,10 @@ USAGE:
                  [--retry-backoff-ms MS] [--model FILE.c --procs N ...]
       Send requests to a running daemon and print one response JSON line
       each. With --model, sends the same prediction `predict` would run
-      and accepts its request flags (--mode --pingpong --exact-quantiles
-      --param --seed --reps --quorum --precision --min-reps --max-reps
-      --antithetic --max-steps --max-virtual-secs; how parallel it runs is
-      the daemon's setting), against the daemon's table --table names;
+      and accepts its request flags (--mode --pingpong --param --seed
+      --reps --quorum --precision --min-reps --max-reps --antithetic
+      --max-steps --max-virtual-secs; how parallel it runs is the
+      daemon's setting), against the daemon's table --table names;
       --batch K (K >= 1) sends it as one batch of K identical items.
       --crn (needs K >= 2) marks the batch for common random numbers:
       the daemon evaluates every item of the batch from one shared base
@@ -296,8 +293,7 @@ USAGE:
 
   pevpm trace    --nodes N [--ppn P] [--machine perseus|gigabit|lowlatency|ideal]
                  [--xsize X] [--iters I] [--serial-ms MS] [--seed S]
-                 [--db DB.dist] [--faults PLAN.toml] [--exact-quantiles]
-                 [--trace-out TRACE.json]
+                 [--db DB.dist] [--faults PLAN.toml] [--trace-out TRACE.json]
       Run the Jacobi example on the simulated cluster with tracing enabled
       and print the per-rank compute/send/blocked breakdown. --trace-out
       writes a merged Chrome trace with the PEVPM *predicted* timeline
@@ -335,7 +331,6 @@ EXIT CODES:
 /// Boolean flags that never consume a following token.
 const BOOL_FLAGS: &[&str] = &[
     "pingpong",
-    "exact-quantiles",
     "verbose",
     "quiet",
     "help",
@@ -372,8 +367,8 @@ const GLOBAL_OPTIONS: &[&str] = &["quiet", "verbose", "help"];
 const CLUSTER_OPTIONS: &str = "machine faults";
 
 /// Read by `predict::predict_request` (`predict`, `client`).
-const REQUEST_OPTIONS: &str = "procs mode pingpong exact-quantiles param seed reps quorum \
-    precision min-reps max-reps antithetic max-steps max-virtual-secs";
+const REQUEST_OPTIONS: &str = "procs mode pingpong param seed reps quorum precision min-reps \
+    max-reps antithetic max-steps max-virtual-secs";
 
 const COMMANDS: &[Command] = &[
     Command {
@@ -426,7 +421,7 @@ const COMMANDS: &[Command] = &[
         name: "trace",
         run: cmd_trace,
         options: &[
-            "nodes ppn xsize iters serial-ms seed db exact-quantiles trace-out",
+            "nodes ppn xsize iters serial-ms seed db trace-out",
             CLUSTER_OPTIONS,
         ],
     },

@@ -19,7 +19,6 @@ pub(crate) fn predict_request(args: &Args, src: String) -> Result<PredictRequest
     let mut req = PredictRequest::new(src, procs);
     req.mode = args.get("mode").unwrap_or("dist").to_string();
     req.pingpong = args.has("pingpong");
-    req.exact_quantiles = args.has("exact-quantiles");
     req.seed = args.get_parsed("seed", 1)?;
     req.reps = args.get_parsed("reps", 1)?;
     for kv in args.values("param") {

@@ -6,7 +6,6 @@ use crate::db::load_db;
 use crate::{err, write_text, CliError};
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{evaluate, EvalConfig};
-use pevpm_dist::CompileOptions;
 use pevpm_obs::diag;
 use pevpm_serve::plan;
 
@@ -51,16 +50,8 @@ pub(crate) fn cmd_trace(args: &Args) -> Result<String, CliError> {
     // Predicted counterpart: sample --db when given, else fall back to an
     // analytic Hockney model (Fast-Ethernet-era constants).
     let timing = if args.has("db") {
-        let options = CompileOptions {
-            exact_quantiles: args.has("exact-quantiles"),
-        };
-        TimingModel::empirical(
-            load_db(args)?,
-            PredictionMode::FullDistribution,
-            false,
-            options,
-        )
-        .map_err(|e| CliError::input(format!("invalid benchmark table: {e}")))?
+        TimingModel::empirical(load_db(args)?, PredictionMode::FullDistribution, false)
+            .map_err(|e| CliError::input(format!("invalid benchmark table: {e}")))?
     } else {
         TimingModel::hockney(100e-6, 12.5e6)
     };

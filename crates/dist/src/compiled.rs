@@ -22,11 +22,9 @@
 //!   float prefix is exact); a guide cell that lies inside one bin names
 //!   that bin outright and skips the scan (one probe). It is
 //!   lane-batched (`W = 1` is one lane): one pass scans every lane up to a
-//!   `+∞` sentinel bin, a second interpolates them all; parametric fits
-//!   carry a monotone quantile lookup table with linear interpolation,
-//!   replacing the 80-iteration CDF bisection per draw (the exact bisection
-//!   is retained for the tail beyond [`LUT_TAIL_Q`] and, with
-//!   [`CompileOptions::exact_quantiles`], for every draw);
+//!   `+∞` sentinel bin, a second interpolates them all. A parametric fit
+//!   is rendered into a histogram first ([`crate::ParametricFit::histogram`])
+//!   and compiled like any other, so every cell is drawn by this one rule;
 //! - a query splits into *resolve* ([`CompiledTable::resolve`]: bracket
 //!   the up-to-4 neighbour cells and weigh them, once per `(op, size,
 //!   contention)`) and *quantile* (the inverse CDF, once per draw), so a
@@ -46,36 +44,18 @@
 //!   bracket it. Unit weights (an on-grid cell) skip the divide exactly.
 //!
 //! Compilation also *validates* the table: an empty histogram (nothing to
-//! sample) is a hard [`CompileError`] instead of a silent 0.0 draw.
+//! sample) is a hard [`CompileError`] instead of a silent 0.0 draw, and so
+//! is a fit whose render is not finite.
 //!
 //! The contract, enforced by property tests (`tests/prop_compiled.rs`):
 //! for histogram and point distributions, `CompiledTable::sample_at`
 //! matches `DistTable::sample_at` **draw-for-draw on the same RNG stream**
-//! (bitwise). For `Fit` distributions the LUT introduces a bounded
-//! interpolation error: relative error ≤ [`LUT_REL_ERROR`] against the
-//! exact bisection for quantiles in `[0, LUT_TAIL_Q]` at [`LUT_POINTS`]
-//! knots (tail quantiles always use the exact bisection).
+//! (bitwise). A `Fit` cell answers as its rendered histogram does, within
+//! [`crate::fit::RENDER_ERROR`] of the fit's own bisected quantile; the
+//! interpreted [`CommDist::quantile`] still bisects.
 
-use crate::fit::ParametricFit;
 use crate::table::{size_weight_log2, CommDist, DistKey, DistTable, Op};
 use rand::Rng;
-
-/// Quantile beyond which compiled `Fit` distributions fall back to the
-/// exact bisection instead of the lookup table: the extreme right tail of
-/// shifted-exponential/log-normal/gamma fits is too curved for uniform-grid
-/// linear interpolation. 127/128 — exactly representable, so the LUT region
-/// boundary is stable.
-pub const LUT_TAIL_Q: f64 = 0.992_187_5;
-
-/// Documented relative-error bound of the `Fit` quantile LUT against the
-/// exact bisection over `q ∈ [0, LUT_TAIL_Q]` at [`LUT_POINTS`] knots.
-/// Asserted by `tests/prop_compiled.rs`.
-pub const LUT_REL_ERROR: f64 = 1e-3;
-
-/// Knots in each `Fit` quantile lookup table (uniform in `q` over
-/// `[0, LUT_TAIL_Q]`): enough to keep the relative interpolation error
-/// under [`LUT_REL_ERROR`].
-pub const LUT_POINTS: usize = 1025;
 
 /// Errors raised while compiling a [`DistTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,8 +68,9 @@ pub enum CompileError {
         key: DistKey,
     },
     /// A grid cell carries a NaN or infinite quantity (histogram geometry,
-    /// fit parameter, point mass, or a quantile-LUT knot). Sampling it
-    /// would propagate the poison into every blended prediction.
+    /// fit parameter, the top edge of a rendered fit, or a point mass).
+    /// Sampling it would propagate the poison into every blended
+    /// prediction.
     NonFinite {
         /// The offending grid coordinate.
         key: DistKey,
@@ -119,22 +100,12 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Options controlling table compilation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CompileOptions {
-    /// Answer every `Fit` quantile with the exact 80-iteration bisection
-    /// instead of the lookup table (the CLI's `--exact-quantiles`). Slow;
-    /// used to bound LUT error and for bit-exact reproduction of pre-LUT
-    /// results.
-    pub exact_quantiles: bool,
-}
-
 // -------------------------------------------------------------- dists --
 
 /// The most cells an inverse-CDF guide table has. A histogram's guide has
 /// `K` cells, cell `j` covering the quantiles `[j/K, (j+1)/K)`: a power of
 /// two, so `q * K` is exact and the cell of `q` is decided without
-/// rounding. `K` is [`CELLS_PER_BIN`] per bin rounded up, at most this
+/// rounding. `K` is `CELLS_PER_BIN` (8) per bin rounded up, at most this
 /// (a 100-bin benchmark histogram gets all 1024), so that most cells lie
 /// inside one bin ([`CompiledHist`]) while a table of small histograms
 /// keeps small guides.
@@ -178,7 +149,7 @@ struct Bin {
 /// The same argument bounds the bin from above: `q < (j+1)/K`, so
 /// `q * total <= ((j+1)/K) * total` as computed, and the bin of `q` is
 /// never right of `guide[j+1]`. Where `guide[j] == guide[j+1]` the cell
-/// lies inside that one bin, and its entry carries [`SINGLE_BIN`]: the
+/// lies inside that one bin, and its entry carries `SINGLE_BIN`: the
 /// lane reads its bin off the guide and does not scan. The cell of `q = 1`
 /// is a single point and always carries it.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,39 +272,12 @@ impl CompiledHist {
     }
 }
 
-/// A parametric fit compiled to a monotone quantile lookup table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledFit {
-    fit: ParametricFit,
-    /// Quantile knots at `q = k * LUT_TAIL_Q / (len - 1)`; empty in
-    /// exact-quantiles mode.
-    lut: Vec<f64>,
-}
-
-impl CompiledFit {
-    #[inline]
-    fn quantile(&self, q: f64) -> f64 {
-        let q = q.clamp(0.0, 1.0);
-        if q <= 0.0 {
-            return self.fit.shift;
-        }
-        if self.lut.is_empty() || q > LUT_TAIL_Q {
-            return self.fit.quantile(q);
-        }
-        let t = q * (self.lut.len() - 1) as f64 / LUT_TAIL_Q;
-        let i = (t as usize).min(self.lut.len() - 2);
-        let frac = t - i as f64;
-        self.lut[i] + frac * (self.lut[i + 1] - self.lut[i])
-    }
-}
-
 /// One grid distribution compiled for fast repeated evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledDist {
-    /// Empirical histogram with a cumulative-count prefix array.
+    /// Empirical histogram, or a rendered fit, with a cumulative-count
+    /// prefix array.
     Hist(CompiledHist),
-    /// Parametric fit with a quantile lookup table.
-    Fit(CompiledFit),
     /// Degenerate point mass.
     Point(f64),
 }
@@ -351,12 +295,9 @@ fn divergence_nudge(v: f64) -> f64 {
 }
 
 impl CompiledDist {
-    /// Compile one distribution; `key` names the cell in errors.
-    pub fn compile(
-        key: DistKey,
-        dist: &CommDist,
-        opts: &CompileOptions,
-    ) -> Result<Self, CompileError> {
+    /// Compile one distribution; `key` names the cell in errors. A fit is
+    /// compiled as its [`crate::ParametricFit::histogram`].
+    pub fn compile(key: DistKey, dist: &CommDist) -> Result<Self, CompileError> {
         let finite = |v: f64, what: &'static str| {
             if v.is_finite() {
                 Ok(v)
@@ -379,33 +320,25 @@ impl CompiledDist {
             }
             CommDist::Fit(f) => {
                 finite(f.shift, "fit shift")?;
-                finite(f.p1, "fit parameter p1")?;
+                // `+∞` is the point mass a zero-variance gamma fit encodes.
+                if f.p1 != f64::INFINITY {
+                    finite(f.p1, "fit parameter p1")?;
+                }
                 finite(f.p2, "fit parameter p2")?;
-                let lut = if opts.exact_quantiles {
-                    Vec::new()
-                } else {
-                    (0..LUT_POINTS)
-                        .map(|k| {
-                            finite(
-                                f.quantile(k as f64 * LUT_TAIL_Q / (LUT_POINTS - 1) as f64),
-                                "fit quantile-LUT knot",
-                            )
-                        })
-                        .collect::<Result<Vec<f64>, CompileError>>()?
-                };
                 finite(f.mean(), "fit mean")?;
-                CompiledDist::Fit(CompiledFit {
-                    fit: f.clone(),
-                    lut,
-                })
+                let h = f.histogram().ok_or(CompileError::NonFinite {
+                    key,
+                    what: "fit top quantile",
+                })?;
+                return Self::compile(key, &CommDist::Hist(h));
             }
             CommDist::Point(v) => CompiledDist::Point(finite(*v, "point mass")?),
         })
     }
 
     /// Inverse CDF at `q` (clamped to `[0, 1]`). Bitwise identical to
-    /// [`CommDist::quantile`] for `Hist`/`Point`; LUT-approximate for
-    /// `Fit` unless compiled with `exact_quantiles`.
+    /// [`CommDist::quantile`] for `Hist`/`Point`; a `Fit` answers as its
+    /// rendered histogram.
     pub fn quantile(&self, q: f64) -> f64 {
         self.quantiles(&[q])[0]
     }
@@ -417,7 +350,6 @@ impl CompiledDist {
     pub fn quantiles<const W: usize>(&self, q: &[f64; W]) -> [f64; W] {
         let v = match self {
             CompiledDist::Hist(h) => h.quantiles(q),
-            CompiledDist::Fit(f) => q.map(|q| f.quantile(q)),
             CompiledDist::Point(v) => [*v; W],
         };
         #[cfg(feature = "divergence-injection")]
@@ -429,7 +361,6 @@ impl CompiledDist {
     pub fn min(&self) -> f64 {
         match self {
             CompiledDist::Hist(h) => h.min,
-            CompiledDist::Fit(f) => f.fit.shift,
             CompiledDist::Point(v) => *v,
         }
     }
@@ -714,19 +645,13 @@ impl<'t> ResolvedCell<'t> {
 pub struct CompiledTable {
     /// Indexed by [`Op::index`]; `None` where the op has no data.
     grids: Vec<Option<OpGrid>>,
-    options: CompileOptions,
     len: usize,
 }
 
 impl CompiledTable {
-    /// Compile with default [`CompileOptions`].
+    /// Compile every cell. Validates the table: an empty histogram or a
+    /// non-finite quantity is a hard error.
     pub fn compile(table: &DistTable) -> Result<Self, CompileError> {
-        Self::compile_with(table, CompileOptions::default())
-    }
-
-    /// Compile with explicit options. Validates the table: empty
-    /// histograms are a hard error.
-    pub fn compile_with(table: &DistTable, options: CompileOptions) -> Result<Self, CompileError> {
         // `DistTable::iter` yields keys in (op, size, contention) order, so
         // each op's grid streams out as complete size columns with sorted
         // contention levels — exactly the flat layout OpGrid wants.
@@ -751,22 +676,18 @@ impl CompiledTable {
                 b.sizes.push(key.size);
             }
             b.conts.push(key.contention);
-            b.dists.push(CompiledDist::compile(key, dist, &options)?);
+            b.dists.push(CompiledDist::compile(key, dist)?);
         }
         let grids = builders
             .into_iter()
             .map(|b| b.map(|b| OpGrid::new(b.op, b.sizes, b.col_start, b.conts, b.dists)))
             .collect();
-        Ok(CompiledTable::from_grids(grids, options))
+        Ok(CompiledTable::from_grids(grids))
     }
 
-    fn from_grids(grids: Vec<Option<OpGrid>>, options: CompileOptions) -> CompiledTable {
+    fn from_grids(grids: Vec<Option<OpGrid>>) -> CompiledTable {
         let len = grids.iter().flatten().map(|g| g.dists.len()).sum();
-        CompiledTable {
-            grids,
-            options,
-            len,
-        }
+        CompiledTable { grids, len }
     }
 
     /// The cells at contention level `level` alone: what compiling
@@ -791,7 +712,7 @@ impl CompiledTable {
                 (!dists.is_empty()).then(|| OpGrid::new(g.op, sizes, col_start, conts, dists))
             })
             .collect();
-        CompiledTable::from_grids(grids, self.options)
+        CompiledTable::from_grids(grids)
     }
 
     /// The compiled cell at `key`, if the table has one there.
@@ -803,11 +724,6 @@ impl CompiledTable {
             .binary_search(&key.contention)
             .ok()?;
         Some(&g.dists[column.start + j])
-    }
-
-    /// The options this table was compiled with.
-    pub fn options(&self) -> &CompileOptions {
-        &self.options
     }
 
     /// Number of compiled grid cells across all operations.
@@ -885,8 +801,10 @@ impl CompiledTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::{ParametricFit, RENDER_ERROR};
     use crate::histogram::Histogram;
     use crate::sample::PointKind;
+    use crate::FitKind;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1004,56 +922,68 @@ mod tests {
         assert!(grid_table().validate().is_ok());
     }
 
-    #[test]
-    fn fit_lut_tracks_exact_bisection() {
+    fn fit_cell(kind: FitKind, shift: f64, p1: f64, p2: f64) -> (ParametricFit, CompiledDist) {
         let fit = ParametricFit {
-            kind: crate::FitKind::ShiftedLogNormal,
-            shift: 2.5e-4,
-            p1: -8.0,
-            p2: 0.6,
+            kind,
+            shift,
+            p1,
+            p2,
         };
-        let mut t = DistTable::new();
-        t.insert(
-            DistKey {
-                op: Op::Send,
-                size: 1024,
-                contention: 1,
-            },
-            CommDist::Fit(fit.clone()),
-        );
-        let lut = CompiledTable::compile(&t).unwrap();
-        let exact = CompiledTable::compile_with(
-            &t,
-            CompileOptions {
-                exact_quantiles: true,
-            },
-        )
-        .unwrap();
-        for i in 0..=1000 {
-            let q = i as f64 / 1000.0 * LUT_TAIL_Q;
-            let a = lut.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-            let e = exact.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-            let rel = (a - e).abs() / e.abs().max(1e-300);
-            assert!(
-                rel <= LUT_REL_ERROR,
-                "q={q}: lut {a} vs exact {e} ({rel:e})"
-            );
-        }
-        // Tail quantiles fall back to the exact bisection in both modes.
-        for &q in &[LUT_TAIL_Q + 1e-6, 0.999, 0.99999, 1.0] {
-            let a = lut.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-            let e = exact.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-            assert_eq!(a.to_bits(), e.to_bits(), "tail q={q}");
-        }
-        // Exact mode matches the interpreted table bitwise everywhere.
-        for i in 0..=100 {
-            let q = i as f64 / 100.0;
+        let key = DistKey {
+            op: Op::Send,
+            size: 1024,
+            contention: 1,
+        };
+        let cell = CompiledDist::compile(key, &CommDist::Fit(fit.clone())).unwrap();
+        (fit, cell)
+    }
+
+    #[test]
+    fn a_rendered_fit_tracks_the_bisected_quantile() {
+        for (kind, p1, p2) in [
+            (FitKind::ShiftedExponential, 4e3, 0.0),
+            (FitKind::ShiftedLogNormal, -8.0, 0.6),
+            (FitKind::ShiftedGamma, 2.5, 4e-5),
+        ] {
+            let (fit, cell) = fit_cell(kind, 2.5e-4, p1, p2);
+            assert!(matches!(cell, CompiledDist::Hist(_)), "{kind:?}");
+            let range = fit.quantile(1.0 - 1.0 / (1u64 << 30) as f64) - fit.shift;
+            for i in 0..=999 {
+                let q = i as f64 / 1000.0;
+                let (got, want) = (cell.quantile(q), fit.quantile(q));
+                let err = (got - want).abs() / range;
+                assert!(
+                    err <= RENDER_ERROR,
+                    "{kind:?} q={q}: render {got} vs bisection {want} ({err:e} of the range)"
+                );
+            }
+            assert_eq!(cell.min().to_bits(), fit.shift.to_bits(), "{kind:?}");
             assert_eq!(
-                exact
-                    .quantile_at(Op::Send, 1024.0, 1.0, q)
-                    .map(f64::to_bits),
-                t.quantile_at(Op::Send, 1024.0, 1.0, q).map(f64::to_bits)
+                cell.quantile(0.0).to_bits(),
+                fit.shift.to_bits(),
+                "{kind:?}"
             );
+        }
+    }
+
+    #[test]
+    fn degenerate_fits_compile_to_finite_draws_from_their_shift() {
+        // What `ParametricFit::fit_summary` writes for a zero-variance
+        // cell: a gamma's infinite shape, a log-normal's zero sigma, and
+        // an exponential whose rate is the reciprocal of a 1e-300 excess.
+        let shift = 3e-4;
+        for (kind, p1, p2) in [
+            (FitKind::ShiftedGamma, f64::INFINITY, 0.0),
+            (FitKind::ShiftedLogNormal, (2e-5f64).ln(), 0.0),
+            (FitKind::ShiftedExponential, 1e300, 0.0),
+        ] {
+            let (fit, cell) = fit_cell(kind, shift, p1, p2);
+            assert_eq!(cell.min().to_bits(), shift.to_bits(), "{kind:?}");
+            for i in 0..=100 {
+                let v = cell.quantile(i as f64 / 100.0);
+                assert!(v.is_finite() && v >= shift, "{kind:?}: {v}");
+                assert!(v <= fit.quantile(1.0) * (1.0 + 1e-12), "{kind:?}: {v}");
+            }
         }
     }
 
@@ -1111,7 +1041,7 @@ mod tests {
                 contention: 1,
             },
             CommDist::Fit(ParametricFit {
-                kind: crate::FitKind::ShiftedExponential,
+                kind: FitKind::ShiftedExponential,
                 shift: 1e-4,
                 p1: f64::NAN,
                 p2: 0.0,
@@ -1140,7 +1070,7 @@ mod tests {
             size: 1,
             contention: 1,
         };
-        match CompiledDist::compile(key, &CommDist::Hist(h), &CompileOptions::default()) {
+        match CompiledDist::compile(key, &CommDist::Hist(h)) {
             Ok(CompiledDist::Hist(c)) => c,
             other => panic!("a histogram compiles to a histogram: {other:?}"),
         }

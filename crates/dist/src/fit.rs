@@ -19,6 +19,25 @@ use crate::histogram::Histogram;
 use crate::summary::Summary;
 use rand::Rng;
 
+/// Uniform bins in a fit rendered by [`ParametricFit::histogram`].
+const RENDER_BINS: usize = 512;
+
+/// The quantile at a rendered fit's top edge, `1 - 2^-30`.
+const RENDER_TOP_Q: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+
+/// The observations a rendered fit counts, `2^40`: enough that rounding a
+/// bin's mass to a whole count moves it by far less than the render error.
+const RENDER_MASS: u64 = 1 << 40;
+
+/// Documented bound on a rendered fit's inverse CDF against
+/// [`ParametricFit::quantile`] over `q ≤ 0.999`, as a share of the
+/// rendered range `quantile(1 - 2^-30) - shift`: one bin, since both
+/// answers lie in the bin whose cumulative mass brackets `q`. Asserted by
+/// `tests/prop_compiled.rs`. Relative to the quantile itself the error is
+/// far smaller where the shift dominates, as in benchmark data, and far
+/// larger on a heavy tail, where the range dwarfs the bulk.
+pub const RENDER_ERROR: f64 = 1.0 / RENDER_BINS as f64;
+
 /// Families of parametric distribution used to model communication times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FitKind {
@@ -180,10 +199,9 @@ impl ParametricFit {
     ///
     /// This is the *exact* (to f64 bisection convergence) quantile: 80
     /// halvings of a bracket that starts at `mean + 20σ` and doubles until
-    /// it covers `q`. It is the reference that
-    /// [`crate::compiled::CompiledDist`]'s quantile lookup table is built
-    /// from and validated against, and the path used when a table is
-    /// compiled with `exact_quantiles`.
+    /// it covers `q`. It places the top edge of
+    /// [`ParametricFit::histogram`], and it is the reference a rendered fit
+    /// is checked against.
     pub fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
         if q <= 0.0 {
@@ -203,6 +221,45 @@ impl ParametricFit {
             }
         }
         0.5 * (lo + hi)
+    }
+
+    /// This fit rendered as a histogram: the form a fitted cell is compiled
+    /// and sampled in, by the one inverse CDF every cell shares.
+    ///
+    /// The bins are 512 uniform ones over `[shift, quantile(1 - 2^-30)]`.
+    /// Bin `i` counts the difference of `round(cdf(edge) · 2^40)` at its
+    /// two edges, and the last bin the rest of the mass. The summary has
+    /// min `shift`, max the top edge and mean [`ParametricFit::mean`]. Up
+    /// to `q = 0.999` the render's quantiles stay within [`RENDER_ERROR`]
+    /// of the range from [`ParametricFit::quantile`]. `None` where the
+    /// shift or the top edge is not finite.
+    pub fn histogram(&self) -> Option<Histogram> {
+        let top = self.quantile(RENDER_TOP_Q);
+        if !(self.shift.is_finite() && top.is_finite()) {
+            return None;
+        }
+        // A point mass has no range; a histogram needs a positive width.
+        let width = ((top - self.shift) / RENDER_BINS as f64).max(f64::MIN_POSITIVE);
+        let mut counts = Vec::with_capacity(RENDER_BINS);
+        let mut below = 0;
+        for i in 1..RENDER_BINS {
+            let cdf = self.cdf(self.shift + i as f64 * width).clamp(0.0, 1.0);
+            // A CDF approximation that dips by a rounding step counts 0.
+            let cum = ((cdf * RENDER_MASS as f64).round() as u64).max(below);
+            counts.push(cum - below);
+            below = cum;
+        }
+        counts.push(RENDER_MASS - below);
+        let (n, mean) = (RENDER_MASS as f64, self.mean());
+        let summary = Summary::from_parts(
+            RENDER_MASS,
+            mean,
+            self.variance() * n,
+            self.shift,
+            top,
+            mean * n,
+        );
+        Some(Histogram::from_parts(self.shift, width, counts, summary))
     }
 
     /// Draw one sample from the fitted distribution.

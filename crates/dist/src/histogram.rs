@@ -9,7 +9,6 @@
 //! timeout outliers the paper highlights — is always retained exactly.
 
 use crate::summary::Summary;
-use rand::Rng;
 
 /// Maximum number of bins a histogram will allocate. Guards against
 /// degenerate bin widths blowing up memory; outliers beyond this range are
@@ -223,15 +222,6 @@ impl Histogram {
         self.summary.max()
     }
 
-    /// Draw a random value distributed according to the histogram
-    /// (inverse-CDF a.k.a. Smirnov transform with intra-bin interpolation).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        self.quantile(rng.gen::<f64>())
-    }
-
     /// Fraction of mass at or beyond `x` — used to quantify outlier tails
     /// (e.g. retransmission-timeout events).
     pub fn tail_mass(&self, x: f64) -> f64 {
@@ -275,7 +265,7 @@ impl Histogram {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn add_places_values_in_correct_bins() {
@@ -331,12 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn sampling_reproduces_mean() {
+    fn quantiles_of_uniform_draws_reproduce_mean() {
         let samples: Vec<f64> = (0..2000).map(|i| 100.0 + (i % 50) as f64).collect();
         let h = Histogram::from_samples(&samples, 1.0);
         let mut rng = SmallRng::seed_from_u64(42);
         let n = 20000;
-        let mean: f64 = (0..n).map(|_| h.sample(&mut rng).unwrap()).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| h.quantile(rng.gen()).unwrap()).sum::<f64>() / n as f64;
         let true_mean = h.summary().mean().unwrap();
         assert!(
             (mean - true_mean).abs() / true_mean < 0.01,
@@ -421,7 +411,5 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mode(), None);
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(h.sample(&mut rng), None);
     }
 }

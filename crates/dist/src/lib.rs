@@ -7,7 +7,7 @@
 //!
 //! - [`Summary`] — streaming summary statistics (count/min/max/mean/stddev).
 //! - [`Histogram`] — fixed-bin-width histogram with probability/cumulative
-//!   views, inverse-CDF sampling and quantile interpolation. This is the
+//!   views and quantile interpolation (the inverse CDF every draw takes). This is the
 //!   representation the paper calls a "performance distribution" or PDF.
 //! - [`Ecdf`] — exact empirical CDF over a retained sample set, including the
 //!   Kolmogorov–Smirnov distance used in tests.
@@ -24,8 +24,9 @@
 //!   reloading benchmark databases (`.dist` files).
 //! - [`CompiledTable`] — an immutable, allocation-free compilation of a
 //!   [`DistTable`] for the Monte-Carlo hot path: flat sorted axes, exact
-//!   prefix-sum histogram inversion, quantile lookup tables for fits, and
-//!   lane-batched inverse CDFs that invert each neighbour cell once per draw.
+//!   prefix-sum histogram inversion (a fit is rendered into a histogram
+//!   first), and lane-batched inverse CDFs that invert each neighbour cell
+//!   once per draw.
 //!
 //! All times are `f64` seconds. All sampling is driven by a caller-supplied
 //! [`rand::Rng`], so experiments are reproducible given a seed.
@@ -41,9 +42,7 @@ pub mod sample;
 pub mod summary;
 pub mod table;
 
-pub use compiled::{
-    CellParts, CompileError, CompileOptions, CompiledDist, CompiledTable, ResolvedCell,
-};
+pub use compiled::{CellParts, CompileError, CompiledDist, CompiledTable, ResolvedCell};
 pub use ecdf::Ecdf;
 pub use fit::{FitKind, ParametricFit};
 pub use histogram::Histogram;

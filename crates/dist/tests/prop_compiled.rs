@@ -1,13 +1,14 @@
 //! Property tests for the compiled sampling layer: on randomly generated
 //! distribution tables, [`CompiledTable`] must be observationally identical
 //! to the interpreted [`DistTable`] — draw-for-draw and bitwise for
-//! histogram/point tables, and within the documented LUT error bound
-//! ([`LUT_REL_ERROR`]) for fitted tables.
+//! histogram/point tables, and for fitted tables within the documented
+//! render error ([`RENDER_ERROR`]) of the fit's bisected quantile.
 
-use pevpm_dist::compiled::{GUIDE_CELLS, LUT_REL_ERROR, LUT_TAIL_Q};
+use pevpm_dist::compiled::GUIDE_CELLS;
+use pevpm_dist::fit::RENDER_ERROR;
 use pevpm_dist::{
-    CellParts, CommDist, CompileOptions, CompiledDist, CompiledTable, DistKey, DistTable, FitKind,
-    Histogram, Op, ParametricFit, PointKind,
+    CellParts, CommDist, CompiledDist, CompiledTable, DistKey, DistTable, FitKind, Histogram, Op,
+    ParametricFit, PointKind,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -140,8 +141,7 @@ fn lanes_match_histogram(h: &Histogram, qs: &[f64], seed: u64) {
         size: 1,
         contention: 1,
     };
-    let c =
-        CompiledDist::compile(key, &CommDist::Hist(h.clone()), &CompileOptions::default()).unwrap();
+    let c = CompiledDist::compile(key, &CommDist::Hist(h.clone())).unwrap();
     let mut qs = qs.to_vec();
     let mut rng = SmallRng::seed_from_u64(seed);
     for i in (1..qs.len()).rev() {
@@ -172,7 +172,7 @@ fn single_bin_share(h: &Histogram) -> f64 {
         size: 1,
         contention: 1,
     };
-    match CompiledDist::compile(key, &CommDist::Hist(h.clone()), &CompileOptions::default()) {
+    match CompiledDist::compile(key, &CommDist::Hist(h.clone())) {
         Ok(CompiledDist::Hist(c)) => c.single_bin_share(),
         other => panic!("a histogram compiles to a histogram: {other:?}"),
     }
@@ -311,11 +311,11 @@ proptest! {
     }
 
     /// The batched inverse CDF is the scalar one, lane for lane: over
-    /// `Hist`, `Point` and `Fit` cells (LUT and `exact_quantiles`), on
-    /// grid, off grid and out of range — blends of one to four cells,
-    /// clamped axes naming a cell twice — at one lane and at eight,
-    /// `quantiles` carries the bits of `quantile(u[l])`, and of the
-    /// interpreted `quantile_at` wherever the table has no LUT. One
+    /// `Hist`, `Point` and rendered `Fit` cells, on grid, off grid and out
+    /// of range — blends of one to four cells, clamped axes naming a cell
+    /// twice — at one lane and at eight, `quantiles` carries the bits of
+    /// `quantile(u[l])`, and of the interpreted `quantile_at` wherever the
+    /// table has no fit. One
     /// `CellParts` is carried through every query of the same draws, so
     /// each answer but the first starts from another cell's parts — some
     /// to reuse, some to discard, and on the second grid all of them
@@ -327,15 +327,15 @@ proptest! {
         nconts in 1usize..5,
         size in 1.0f64..200_000.0,
         cont in 0.0f64..64.0,
-        fits in 0usize..3,
+        fits in 0usize..2,
     ) {
+        let fits = fits == 1;
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xba7c);
         let mut t = random_table(seed, nsizes, nconts);
         for (key, dist) in random_table(seed + 1, nsizes, nconts).iter() {
             t.insert(DistKey { op: Op::Send, ..key }, dist.clone());
         }
-        // fits: 0 = none, 1 = behind the LUT, 2 = exact bisection.
-        if fits > 0 {
+        if fits {
             let keys: Vec<DistKey> = t.iter().map(|(key, _)| key).collect();
             for key in keys {
                 if rng.gen_bool(0.4) {
@@ -343,10 +343,9 @@ proptest! {
                 }
             }
         }
-        let c = CompiledTable::compile_with(&t, CompileOptions { exact_quantiles: fits == 2 })
-            .unwrap();
+        let c = CompiledTable::compile(&t).unwrap();
         let mut u: [f64; 8] = std::array::from_fn(|_| rng.gen());
-        (u[1], u[4], u[6]) = (0.0, 1.0, LUT_TAIL_Q);
+        (u[1], u[4], u[6]) = (0.0, 1.0, 0.999);
         let mut carried = CellParts::default();
         for &s in &[size, 16.0, 256.0, 65536.0, 1e9] {
             for &co in &[cont, 1.0, 2.0, 20.0, 500.0] {
@@ -363,7 +362,7 @@ proptest! {
                             [scalar; 4],
                             "{:?} size={} cont={} lane {} u={}", op, s, co, l, u[l]
                         );
-                        if fits != 1 {
+                        if !fits {
                             prop_assert_eq!(t.quantile_at(op, s, co, u[l]).map(f64::to_bits), Some(scalar));
                         }
                     }
@@ -439,45 +438,36 @@ proptest! {
         }
     }
 
-    /// Fitted tables: the quantile LUT stays within the documented relative
-    /// error of exact bisection on [0, LUT_TAIL_Q]; tail quantiles and
-    /// `--exact-quantiles` mode are bitwise identical to the interpreted
-    /// table.
+    /// Fitted tables, each family: the compiled cell is the fit rendered
+    /// into a histogram, whose quantiles up to 0.999 stay within the
+    /// documented render error (a share of the rendered range) of the
+    /// fit's bisected quantile, which the interpreted table still answers.
+    /// Its minimum is the fit's shift, bit for bit.
     #[test]
-    fn fit_lut_respects_documented_error_bound(
+    fn rendered_fit_respects_documented_error_bound(
         seed in 0u64..1_000_000,
         kindsel in 0usize..3,
-        q in 0.0f64..1.0,
+        q in 0.0f64..0.999,
     ) {
         let fit = random_fit(seed, kindsel);
         let mut t = DistTable::new();
         t.insert(
             DistKey { op: Op::Send, size: 1024, contention: 1 },
-            CommDist::Fit(fit),
+            CommDist::Fit(fit.clone()),
         );
-        let lut = CompiledTable::compile(&t).unwrap();
-        let exact = CompiledTable::compile_with(
-            &t,
-            CompileOptions { exact_quantiles: true },
-        )
-        .unwrap();
-
-        let a = lut.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-        let e = exact.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-        if q <= LUT_TAIL_Q {
-            let rel = (a - e).abs() / e.abs().max(1e-300);
-            prop_assert!(
-                rel <= LUT_REL_ERROR,
-                "q={}: lut {} vs exact {} (rel {:e})", q, a, e, rel
-            );
-        } else {
-            // Past the LUT tail both modes bisect exactly.
-            prop_assert_eq!(a.to_bits(), e.to_bits(), "tail q={}", q);
-        }
-        // Exact mode always matches the interpreted table bitwise.
+        let c = CompiledTable::compile(&t).unwrap();
+        let range = fit.quantile(1.0 - 1.0 / (1u64 << 30) as f64) - fit.shift;
+        let got = c.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
+        let want = fit.quantile(q);
+        prop_assert!(
+            (got - want).abs() <= RENDER_ERROR * range,
+            "{:?} q={}: render {} vs bisection {} (range {})", fit, q, got, want, range
+        );
         prop_assert_eq!(
-            e.to_bits(),
+            want.to_bits(),
             t.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap().to_bits()
         );
+        let cell = c.resolve(Op::Send, 1024.0, 1.0).unwrap();
+        prop_assert_eq!(cell.min().to_bits(), fit.shift.to_bits());
     }
 }

@@ -23,9 +23,7 @@
 //! each message keeps its per-cell inversions ([`CellParts`]), so the
 //! second pricing inverts only in cells the first did not touch.
 
-use pevpm_dist::{
-    CellParts, CompileError, CompileOptions, CompiledTable, DistTable, Op, PointKind, ResolvedCell,
-};
+use pevpm_dist::{CellParts, CompileError, CompiledTable, DistTable, Op, PointKind, ResolvedCell};
 use rand::Rng;
 
 /// How per-message times are drawn from the benchmark data.
@@ -173,18 +171,17 @@ impl TimingModel {
     /// measured contention level (the `2×1` ping-pong slice), which then
     /// answers every query — what a conventional benchmark provides.
     ///
-    /// The whole of `table` is compiled with `options` first, so a table
-    /// that fails validation is an error in every mode (building a fitted
-    /// cell's lookup table is what checks its knots are finite). The
-    /// ping-pong slice is cut from that compilation; a collapsed table is
-    /// compiled with the same `options`.
+    /// The whole of `table` is compiled first, so a table that fails
+    /// validation is an error in every mode (rendering a fitted cell into
+    /// a histogram is what checks its range is finite). The ping-pong
+    /// slice is cut from that compilation; a collapsed table is compiled
+    /// on its own.
     pub fn empirical(
         table: DistTable,
         mode: PredictionMode,
         pingpong: bool,
-        options: CompileOptions,
     ) -> Result<Self, CompileError> {
-        let compiled = CompiledTable::compile_with(&table, options)?;
+        let compiled = CompiledTable::compile(&table)?;
         let level = pingpong.then(|| {
             table
                 .ops()
@@ -204,7 +201,7 @@ impl TimingModel {
         let (table, compiled) = match point {
             Some(kind) => {
                 let table = table.collapsed(kind);
-                let compiled = CompiledTable::compile_with(&table, options)?;
+                let compiled = CompiledTable::compile(&table)?;
                 (table, compiled)
             }
             None => (table, compiled),
@@ -222,13 +219,8 @@ impl TimingModel {
     /// Panics on a table that fails compilation, such as one with an empty
     /// histogram (see [`DistTable::validate`]).
     pub fn distributions(table: DistTable) -> Self {
-        Self::empirical(
-            table,
-            PredictionMode::FullDistribution,
-            false,
-            CompileOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("invalid benchmark table: {e}"))
+        Self::empirical(table, PredictionMode::FullDistribution, false)
+            .unwrap_or_else(|e| panic!("invalid benchmark table: {e}"))
     }
 
     /// The PEVPM method *without* the compiled fast path: every query runs
@@ -385,7 +377,7 @@ mod tests {
 
     /// [`table`] in `mode`, on the ping-pong slice or not.
     fn empirical(mode: PredictionMode, pingpong: bool) -> TimingModel {
-        TimingModel::empirical(table(), mode, pingpong, CompileOptions::default()).unwrap()
+        TimingModel::empirical(table(), mode, pingpong).unwrap()
     }
 
     #[test]
@@ -536,8 +528,7 @@ mod tests {
             PredictionMode::Minimum,
         ] {
             for pingpong in [false, true] {
-                let e =
-                    TimingModel::empirical(t.clone(), mode, pingpong, CompileOptions::default());
+                let e = TimingModel::empirical(t.clone(), mode, pingpong);
                 assert!(
                     matches!(e, Err(CompileError::EmptyHistogram { .. })),
                     "{mode} pingpong={pingpong}"

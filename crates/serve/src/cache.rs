@@ -45,11 +45,11 @@ use std::sync::{Arc, Mutex};
 
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::Program;
-use pevpm_dist::{CompileOptions, DistTable};
+use pevpm_dist::DistTable;
 use pevpm_obs::json::{self, Str};
 use pevpm_obs::{Counter, Gauge, Registry};
 
-use crate::plan::{self, PlanError};
+use crate::plan::{self, CompileOptions, PlanError};
 
 /// Upper bound on distinct cached models / timing models. Small because
 /// entries are whole lowered models; a serve deployment rarely cycles
@@ -221,8 +221,8 @@ impl<S: BuildHasher> ModelCache<S> {
     }
 }
 
-/// Cache key for a built timing model: which table, which prediction
-/// mode, and every compile option.
+/// Cache key for a built timing model: which table and which prediction
+/// mode, on the whole database or its ping-pong slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimingKey {
     /// The caller's name for the table (see [`TimingCache::get_or_build`]).
@@ -231,25 +231,20 @@ pub struct TimingKey {
     pub mode: u8,
     /// Ping-pong-only slice of the database.
     pub pingpong: bool,
-    /// Exact-bisection quantiles instead of the LUT.
-    pub exact_quantiles: bool,
 }
 
 impl TimingKey {
     /// The key for a (table, request-shape) pair.
-    pub fn new(table: u64, mode: PredictionMode, pingpong: bool, options: CompileOptions) -> Self {
+    pub fn new(table: u64, mode: PredictionMode, pingpong: bool) -> Self {
         let mode = match mode {
             PredictionMode::FullDistribution => 0,
             PredictionMode::Average => 1,
             PredictionMode::Minimum => 2,
         };
-        // Destructured so a new compile option cannot be left out of the key.
-        let CompileOptions { exact_quantiles } = options;
         TimingKey {
             table,
             mode,
             pingpong,
-            exact_quantiles,
         }
     }
 }
@@ -279,7 +274,7 @@ impl TimingCache {
         pingpong: bool,
         options: CompileOptions,
     ) -> Result<(Arc<TimingModel>, bool), PlanError> {
-        let key = TimingKey::new(table_hash, mode, pingpong, options);
+        let key = TimingKey::new(table_hash, mode, pingpong);
         self.0
             .get_or_build(&key, || plan::build_timing(table, mode, pingpong, options))
     }
@@ -406,7 +401,7 @@ mod tests {
         let (table, hash) = (pevpm_bench_table(), 0);
         let reg = Registry::new();
         let cache = TimingCache::new(&reg);
-        let opts = CompileOptions::default();
+        let opts = CompileOptions;
         let (a, _) = cache
             .get_or_build(hash, &table, PredictionMode::FullDistribution, false, opts)
             .unwrap();
@@ -470,7 +465,7 @@ mod tests {
 
         // The timing cache evicts the same way, into the shared counter.
         let (timings, table) = (TimingCache::new(&reg), pevpm_bench_table());
-        let (mode, opts) = (PredictionMode::Average, CompileOptions::default());
+        let (mode, opts) = (PredictionMode::Average, CompileOptions);
         for hash in 0..=CACHE_CAP as u64 {
             timings
                 .get_or_build(hash, &table, mode, false, opts)

@@ -316,9 +316,6 @@ pub fn predict_body(table: &str, req: &PredictRequest) -> String {
     if req.pingpong {
         out.push_str(",\"pingpong\":true");
     }
-    if req.exact_quantiles {
-        out.push_str(",\"exact_quantiles\":true");
-    }
     if !req.params.is_empty() {
         out.push_str(",\"params\":{");
         for (i, (k, v)) in req.params.iter().enumerate() {
@@ -380,10 +377,9 @@ mod tests {
     #[test]
     fn client_frames_parse_back_to_the_same_request() {
         // Every wire field set and unset: all defaults, all set, each alone.
-        let set: [fn(&mut PredictRequest); 14] = [
+        let set: [fn(&mut PredictRequest); 13] = [
             |r| r.mode = "min".to_string(),
             |r| r.pingpong = true,
-            |r| r.exact_quantiles = true,
             |r| r.params = vec![("a \"b\"".to_string(), -0.5), ("n".to_string(), 3.0)],
             |r| r.seed = u64::from(u32::MAX) + 7,
             |r| r.reps = 64,

@@ -16,7 +16,7 @@ use pevpm::stats::AdaptivePolicy;
 use pevpm::timing::{PredictionMode, TimingModel};
 use pevpm::vm::{EvalConfig, McPrediction, PevpmError, Prediction, RunBudget, Scratch};
 use pevpm::Program;
-use pevpm_dist::{CompileOptions, DistTable};
+use pevpm_dist::DistTable;
 
 use crate::proto::rendered;
 
@@ -114,8 +114,6 @@ pub struct PredictRequest {
     pub mode: String,
     /// Restrict the database to its ping-pong (lowest-contention) slice.
     pub pingpong: bool,
-    /// Answer `Fit` quantiles by exact bisection instead of the LUT.
-    pub exact_quantiles: bool,
     /// Free-parameter bindings, in application order.
     pub params: Vec<(String, f64)>,
     /// Base RNG seed.
@@ -157,7 +155,6 @@ impl PredictRequest {
             procs,
             mode: "dist".to_string(),
             pingpong: false,
-            exact_quantiles: false,
             params: Vec::new(),
             seed: 1,
             reps: 1,
@@ -177,11 +174,10 @@ impl PredictRequest {
         self.mode.parse().map_err(PlanError::usage)
     }
 
-    /// Sampler-compilation options implied by the request.
+    /// The sampler-compilation options of the request: there are none
+    /// (see [`CompileOptions`]).
     pub fn compile_options(&self) -> CompileOptions {
-        CompileOptions {
-            exact_quantiles: self.exact_quantiles,
-        }
+        CompileOptions
     }
 
     /// Assemble the [`EvalConfig`] for this request: process count, seed,
@@ -288,6 +284,14 @@ pub fn parse_model(src: &str, origin: &str) -> Result<Program, PlanError> {
     Ok(Program::new(&model))
 }
 
+/// No option changes how a table compiles: every cell is drawn by the one
+/// inverse CDF of `pevpm_dist::compiled`. This empty struct survives only
+/// because `perf/` passes [`PredictRequest::compile_options`] to
+/// [`build_timing`] and [`crate::TimingCache::get_or_build`]; ROADMAP "The
+/// `benchmark` PR", part (a), stops that and deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompileOptions;
+
 /// Build the timing model a request asks for from a benchmark table
 /// ([`TimingModel::empirical`]); a table that fails compilation is an
 /// input error.
@@ -295,9 +299,9 @@ pub fn build_timing(
     table: &DistTable,
     mode: PredictionMode,
     pingpong: bool,
-    options: CompileOptions,
+    _options: CompileOptions,
 ) -> Result<TimingModel, PlanError> {
-    TimingModel::empirical(table.clone(), mode, pingpong, options)
+    TimingModel::empirical(table.clone(), mode, pingpong)
         .map_err(|e| PlanError::input(format!("invalid benchmark table: {e}")))
 }
 
@@ -600,59 +604,10 @@ mod tests {
             },
             pevpm_dist::CommDist::Hist(pevpm_dist::Histogram::new(0.0, 1.0)),
         );
-        let e = build_timing(
-            &t,
-            PredictionMode::FullDistribution,
-            false,
-            CompileOptions::default(),
-        )
-        .unwrap_err();
+        let e =
+            build_timing(&t, PredictionMode::FullDistribution, false, CompileOptions).unwrap_err();
         assert_eq!(e.kind, PlanErrorKind::Input);
         assert!(e.message.contains("empty histogram"), "{e}");
-    }
-
-    #[test]
-    fn pingpong_requests_honour_exact_quantiles() {
-        // A fitted cell answers from its quantile lookup table unless the
-        // table is compiled with `exact_quantiles`; the ping-pong slice
-        // must be compiled with the request's options like the full table.
-        use pevpm_dist::{CommDist, CompiledTable, DistKey, Histogram, Op};
-        let mut t = DistTable::new();
-        for (contention, lo) in [(1u32, 1e-4), (8, 3e-4)] {
-            let samples: Vec<f64> = (0..64)
-                .map(|i| lo * (1.0 + f64::from(i % 13 * i % 7) / 20.0))
-                .collect();
-            let key = DistKey {
-                op: Op::Send,
-                size: 1024,
-                contention,
-            };
-            t.insert(
-                key,
-                CommDist::Hist(Histogram::from_samples(&samples, lo / 50.0)),
-            );
-        }
-        let fitted = t.fitted();
-        assert!(fitted.iter().all(|(_, d)| matches!(d, CommDist::Fit(_))));
-        let exact = CompileOptions {
-            exact_quantiles: true,
-        };
-        let timing = build_timing(&fitted, PredictionMode::FullDistribution, true, exact).unwrap();
-        let slice = fitted.at_contention(1);
-        let want = CompiledTable::compile_with(&slice, exact).unwrap();
-        let lut = CompiledTable::compile(&slice).unwrap();
-        let mut lut_differs = false;
-        for i in 1..100 {
-            let u = f64::from(i) / 100.0;
-            let exact_q = want.quantile_at(Op::Send, 1024.0, 1.0, u).unwrap();
-            let got = timing.quantile_time(Op::Send, 1024.0, 8.0, u).unwrap();
-            assert_eq!(got.to_bits(), exact_q.to_bits(), "u={u}");
-            lut_differs |= lut.quantile_at(Op::Send, 1024.0, 1.0, u).unwrap() != exact_q;
-        }
-        assert!(
-            lut_differs,
-            "the lookup table is exact here: nothing is tested"
-        );
     }
 
     #[test]

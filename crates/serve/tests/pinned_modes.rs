@@ -70,10 +70,12 @@ fn histogram_table_responses_are_pinned() {
     assert_eq!(got, expected);
 }
 
-/// A parametric cell compiles to a 1025-knot quantile table, each knot a
-/// CDF bisection, which is slow in a debug build: the fitted table keeps
-/// the point-to-point cells of two sizes, and its programs send messages
-/// of those sizes and the one between them, without collectives.
+/// The fitted table keeps the point-to-point cells of two sizes, and its
+/// programs send messages of those sizes and the one between them,
+/// without collectives: the inputs these values were first recorded on,
+/// kept so that the `avg`/`min` rows still compare against that record.
+/// The two `dist` rows were re-recorded once, by design, when a fitted
+/// cell began to compile to its rendered histogram.
 #[test]
 fn fitted_table_responses_are_pinned() {
     let mut p2p = DistTable::new();
