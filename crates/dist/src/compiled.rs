@@ -801,7 +801,7 @@ impl CompiledTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit::{ParametricFit, RENDER_ERROR};
+    use crate::fit::{ParametricFit, RENDER_ERROR, RENDER_TOP_Q};
     use crate::histogram::Histogram;
     use crate::sample::PointKind;
     use crate::FitKind;
@@ -947,7 +947,7 @@ mod tests {
         ] {
             let (fit, cell) = fit_cell(kind, 2.5e-4, p1, p2);
             assert!(matches!(cell, CompiledDist::Hist(_)), "{kind:?}");
-            let range = fit.quantile(1.0 - 1.0 / (1u64 << 30) as f64) - fit.shift;
+            let range = fit.quantile(RENDER_TOP_Q) - fit.shift;
             for i in 0..=999 {
                 let q = i as f64 / 1000.0;
                 let (got, want) = (cell.quantile(q), fit.quantile(q));

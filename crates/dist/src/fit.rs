@@ -23,7 +23,7 @@ use rand::Rng;
 const RENDER_BINS: usize = 512;
 
 /// The quantile at a rendered fit's top edge, `1 - 2^-30`.
-const RENDER_TOP_Q: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+pub const RENDER_TOP_Q: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
 
 /// The observations a rendered fit counts, `2^40`: enough that rounding a
 /// bin's mass to a whole count moves it by far less than the render error.

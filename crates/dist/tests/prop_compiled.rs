@@ -5,7 +5,7 @@
 //! render error ([`RENDER_ERROR`]) of the fit's bisected quantile.
 
 use pevpm_dist::compiled::GUIDE_CELLS;
-use pevpm_dist::fit::RENDER_ERROR;
+use pevpm_dist::fit::{RENDER_ERROR, RENDER_TOP_Q};
 use pevpm_dist::{
     CellParts, CommDist, CompiledDist, CompiledTable, DistKey, DistTable, FitKind, Histogram, Op,
     ParametricFit, PointKind,
@@ -456,7 +456,7 @@ proptest! {
             CommDist::Fit(fit.clone()),
         );
         let c = CompiledTable::compile(&t).unwrap();
-        let range = fit.quantile(1.0 - 1.0 / (1u64 << 30) as f64) - fit.shift;
+        let range = fit.quantile(RENDER_TOP_Q) - fit.shift;
         let got = c.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
         let want = fit.quantile(q);
         prop_assert!(
