@@ -330,7 +330,7 @@ impl CompiledDist {
                     key,
                     what: "fit top quantile",
                 })?;
-                return Self::compile(key, &CommDist::Hist(h));
+                Self::compile(key, &CommDist::Hist(h))?
             }
             CommDist::Point(v) => CompiledDist::Point(finite(*v, "point mass")?),
         })
