@@ -203,10 +203,8 @@ fn bench_inspect_fit_predict_pipeline() {
     assert!(out.contains("8 replications"), "{out}");
     assert!(out.contains("stderr"), "{out}");
 
-    // Fitted database predicts too, each fit drawn as a rendered
-    // histogram: there is no quantile mode left to pick. (The retired flag
-    // is spelt in two parts so CI's "One draw rule" grep finds it nowhere
-    // under `crates/`.)
+    // Fitted database predicts too, each fit drawn from its rendered CDF
+    // by the histogram inverse CDF: there is no quantile mode left to pick.
     let out = run_cmd(&format!(
         "predict --model {} --db {} --procs 2 --param rounds=20",
         model.display(),
@@ -214,7 +212,7 @@ fn bench_inspect_fit_predict_pipeline() {
     ))
     .unwrap();
     assert!(out.contains("predicted makespan"), "{out}");
-    let flag = concat!("--exact", "-quantiles");
+    let flag = "--exact-quantiles";
     let e = run_cmd(&format!(
         "predict --model {} --db {} --procs 2 --param rounds=20 {flag}",
         model.display(),

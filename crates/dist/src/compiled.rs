@@ -23,8 +23,9 @@
 //!   that bin outright and skips the scan (one probe). It is
 //!   lane-batched (`W = 1` is one lane): one pass scans every lane up to a
 //!   `+∞` sentinel bin, a second interpolates them all. A parametric fit
-//!   is rendered into a histogram first ([`crate::ParametricFit::histogram`])
-//!   and compiled like any other, so every cell is drawn by this one rule;
+//!   is rendered into histogram bins first, one between each two knots of
+//!   its piecewise-linear CDF ([`crate::ParametricFit::cdf_knots`]), and
+//!   compiled like any histogram, so every cell is drawn by this one rule;
 //! - a query splits into *resolve* ([`CompiledTable::resolve`]: bracket
 //!   the up-to-4 neighbour cells and weigh them, once per `(op, size,
 //!   contention)`) and *quantile* (the inverse CDF, once per draw), so a
@@ -50,9 +51,9 @@
 //! The contract, enforced by property tests (`tests/prop_compiled.rs`):
 //! for histogram and point distributions, `CompiledTable::sample_at`
 //! matches `DistTable::sample_at` **draw-for-draw on the same RNG stream**
-//! (bitwise). A `Fit` cell answers as its rendered histogram does, within
-//! [`crate::fit::RENDER_ERROR`] of the fit's own bisected quantile; the
-//! interpreted [`CommDist::quantile`] still bisects.
+//! (bitwise). A `Fit` cell answers as its rendered CDF does, within
+//! [`crate::fit::RENDER_REL_ERROR`] of the fit's own bisected quantile
+//! relative to it; the interpreted [`CommDist::quantile`] still bisects.
 
 use crate::table::{size_weight_log2, CommDist, DistKey, DistTable, Op};
 use rand::Rng;
@@ -166,15 +167,35 @@ pub struct CompiledHist {
 }
 
 impl CompiledHist {
+    /// A histogram's bins, each clamped to the observed `[min, max]`.
     fn new(h: &crate::Histogram, min: f64, max: f64) -> Self {
-        let mut bins = Vec::with_capacity(h.counts().len() + 1);
-        let mut running: u64 = 0;
-        for (i, &c) in h.counts().iter().enumerate() {
-            let prev = running as f64;
-            running += c;
+        let bins = h.counts().iter().enumerate().map(|(i, &c)| {
             let left = h.origin() + i as f64 * h.bin_width();
             let lo = left.max(min);
-            let hi = (left + h.bin_width()).min(max).max(lo);
+            (lo, (left + h.bin_width()).min(max).max(lo), c)
+        });
+        Self::from_bins(bins, min, max)
+    }
+
+    /// A fit's rendered CDF ([`crate::ParametricFit::cdf_knots`]): one bin
+    /// between each two knots.
+    fn from_knots(knots: &[(f64, u64)]) -> Self {
+        let bins = knots.windows(2).map(|k| (k[0].0, k[1].0, k[1].1 - k[0].1));
+        Self::from_bins(bins, knots[0].0, knots[knots.len() - 1].0)
+    }
+
+    /// Bins `(lo, hi, count)` in order, each `hi >= lo`.
+    fn from_bins(
+        parts: impl ExactSizeIterator<Item = (f64, f64, u64)>,
+        min: f64,
+        max: f64,
+    ) -> Self {
+        let nbins = parts.len();
+        let mut running: u64 = 0;
+        let mut bins = Vec::with_capacity(nbins + 1);
+        for (lo, hi, c) in parts {
+            let prev = running as f64;
+            running += c;
             bins.push(Bin {
                 prev,
                 cum: running as f64,
@@ -182,7 +203,7 @@ impl CompiledHist {
                 span: hi - lo,
             });
         }
-        let total = h.total() as f64;
+        let total = running as f64;
         // Past every real bin: interpolates to `max` at any finite target.
         bins.push(Bin {
             prev: running as f64,
@@ -190,9 +211,7 @@ impl CompiledHist {
             lo: max,
             span: 0.0,
         });
-        let cells = h
-            .counts()
-            .len()
+        let cells = nbins
             .saturating_mul(CELLS_PER_BIN)
             .min(GUIDE_CELLS)
             .next_power_of_two();
@@ -296,7 +315,7 @@ fn divergence_nudge(v: f64) -> f64 {
 
 impl CompiledDist {
     /// Compile one distribution; `key` names the cell in errors. A fit is
-    /// compiled as its [`crate::ParametricFit::histogram`].
+    /// compiled as the bins of its [`crate::ParametricFit::cdf_knots`].
     pub fn compile(key: DistKey, dist: &CommDist) -> Result<Self, CompileError> {
         let finite = |v: f64, what: &'static str| {
             if v.is_finite() {
@@ -326,11 +345,11 @@ impl CompiledDist {
                 }
                 finite(f.p2, "fit parameter p2")?;
                 finite(f.mean(), "fit mean")?;
-                let h = f.histogram().ok_or(CompileError::NonFinite {
+                let knots = f.cdf_knots().ok_or(CompileError::NonFinite {
                     key,
                     what: "fit top quantile",
                 })?;
-                Self::compile(key, &CommDist::Hist(h))?
+                CompiledDist::Hist(CompiledHist::from_knots(&knots))
             }
             CommDist::Point(v) => CompiledDist::Point(finite(*v, "point mass")?),
         })
@@ -338,7 +357,7 @@ impl CompiledDist {
 
     /// Inverse CDF at `q` (clamped to `[0, 1]`). Bitwise identical to
     /// [`CommDist::quantile`] for `Hist`/`Point`; a `Fit` answers as its
-    /// rendered histogram.
+    /// rendered CDF.
     pub fn quantile(&self, q: f64) -> f64 {
         self.quantiles(&[q])[0]
     }
@@ -801,7 +820,7 @@ impl CompiledTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fit::{ParametricFit, RENDER_ERROR, RENDER_TOP_Q};
+    use crate::fit::{ParametricFit, RENDER_REL_ERROR};
     use crate::histogram::Histogram;
     use crate::sample::PointKind;
     use crate::FitKind;
@@ -940,23 +959,40 @@ mod tests {
 
     #[test]
     fn a_rendered_fit_tracks_the_bisected_quantile() {
+        // Benchmark-like fits of each family, a log-normal whose tail runs
+        // thousands of medians out, and the tiny gamma shape that a cell
+        // with timeout outliers fits to.
         for (kind, p1, p2) in [
             (FitKind::ShiftedExponential, 4e3, 0.0),
             (FitKind::ShiftedLogNormal, -8.0, 0.6),
             (FitKind::ShiftedGamma, 2.5, 4e-5),
+            (FitKind::ShiftedLogNormal, -8.0, 1.5),
+            (FitKind::ShiftedGamma, 0.01, 0.02),
         ] {
             let (fit, cell) = fit_cell(kind, 2.5e-4, p1, p2);
             assert!(matches!(cell, CompiledDist::Hist(_)), "{kind:?}");
-            let range = fit.quantile(RENDER_TOP_Q) - fit.shift;
-            for i in 0..=999 {
-                let q = i as f64 / 1000.0;
+            let near_shift = (1..=30).map(|e| 0.5f64.powi(e));
+            for q in (0..=999).map(|i| i as f64 / 1000.0).chain(near_shift) {
                 let (got, want) = (cell.quantile(q), fit.quantile(q));
-                let err = (got - want).abs() / range;
+                let rel = (got - want).abs() / want;
                 assert!(
-                    err <= RENDER_ERROR,
-                    "{kind:?} q={q}: render {got} vs bisection {want} ({err:e} of the range)"
+                    rel <= RENDER_REL_ERROR,
+                    "{fit:?} q={q}: render {got} vs bisection {want} ({rel:e})"
                 );
             }
+            // The rendered CDF's own mean, bin by bin, is the fit's.
+            let knots = fit.cdf_knots().unwrap();
+            let mass = knots[knots.len() - 1].1 as f64;
+            let mean = knots
+                .windows(2)
+                .map(|k| (k[1].1 - k[0].1) as f64 * 0.5 * (k[0].0 + k[1].0))
+                .sum::<f64>()
+                / mass;
+            assert!(
+                (mean - fit.mean()).abs() <= RENDER_REL_ERROR * fit.mean(),
+                "{fit:?}: rendered mean {mean} vs {}",
+                fit.mean()
+            );
             assert_eq!(cell.min().to_bits(), fit.shift.to_bits(), "{kind:?}");
             assert_eq!(
                 cell.quantile(0.0).to_bits(),

@@ -19,24 +19,22 @@ use crate::histogram::Histogram;
 use crate::summary::Summary;
 use rand::Rng;
 
-/// Uniform bins in a fit rendered by [`ParametricFit::histogram`].
-const RENDER_BINS: usize = 512;
-
 /// The quantile at a rendered fit's top edge, `1 - 2^-30`.
-pub const RENDER_TOP_Q: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
+const RENDER_TOP_Q: f64 = 1.0 - 1.0 / (1u64 << 30) as f64;
 
-/// The observations a rendered fit counts, `2^40`: enough that rounding a
-/// bin's mass to a whole count moves it by far less than the render error.
+/// The mass a rendered fit counts, `2^40`: enough that rounding a knot's
+/// cumulative mass to a whole count moves it by far less than the render
+/// error.
 const RENDER_MASS: u64 = 1 << 40;
 
-/// Documented bound on a rendered fit's inverse CDF against
-/// [`ParametricFit::quantile`] over `q ≤ 0.999`, as a share of the
-/// rendered range `quantile(1 - 2^-30) - shift`: one bin, since both
-/// answers lie in the bin whose cumulative mass brackets `q`. Asserted by
-/// `tests/prop_compiled.rs`. Relative to the quantile itself the error is
-/// far smaller where the shift dominates, as in benchmark data, and far
-/// larger on a heavy tail, where the range dwarfs the bulk.
-pub const RENDER_ERROR: f64 = 1.0 / RENDER_BINS as f64;
+/// Documented bound on a rendered fit's inverse CDF relative to
+/// [`ParametricFit::quantile`] over `q ≤ 0.999`. Asserted by
+/// `tests/prop_compiled.rs`.
+pub const RENDER_REL_ERROR: f64 = 1e-3;
+
+/// The most times [`ParametricFit::cdf_knots`] halves its range: a bin
+/// this deep is kept whatever its error, so the render always ends.
+const RENDER_DEPTH: u32 = 64;
 
 /// Families of parametric distribution used to model communication times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,8 +197,8 @@ impl ParametricFit {
     ///
     /// This is the *exact* (to f64 bisection convergence) quantile: 80
     /// halvings of a bracket that starts at `mean + 20σ` and doubles until
-    /// it covers `q`. It places the top edge of
-    /// [`ParametricFit::histogram`], and it is the reference a rendered fit
+    /// it covers `q`. It places the top knot of
+    /// [`ParametricFit::cdf_knots`], and it is the reference a rendered fit
     /// is checked against.
     pub fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
@@ -223,43 +221,64 @@ impl ParametricFit {
         0.5 * (lo + hi)
     }
 
-    /// This fit rendered as a histogram: the form a fitted cell is compiled
-    /// and sampled in, by the one inverse CDF every cell shares.
+    /// This fit rendered as a piecewise-linear CDF, the form a fitted cell
+    /// is compiled and drawn in by the one inverse CDF every cell shares.
+    /// Knots `(x, count)` run from `(shift, 0)` to `(quantile(1 - 2^-30),
+    /// 2^40)`; each count is `round(cdf(x) · 2^40)`, and the top knot takes
+    /// the rest of the mass. The bin between two knots is drawn as a
+    /// histogram bin is, by linear interpolation.
     ///
-    /// The bins are 512 uniform ones over `[shift, quantile(1 - 2^-30)]`.
-    /// Bin `i` counts the difference of `round(cdf(edge) · 2^40)` at its
-    /// two edges, and the last bin the rest of the mass. The summary has
-    /// min `shift`, max the top edge and mean [`ParametricFit::mean`]. Up
-    /// to `q = 0.999` the render's quantiles stay within [`RENDER_ERROR`]
-    /// of the range from [`ParametricFit::quantile`]. `None` where the
-    /// shift or the top edge is not finite.
-    pub fn histogram(&self) -> Option<Histogram> {
+    /// Knots are placed by halving `[shift, top]`. A bin is kept once, at
+    /// its quarter points and midpoint, interpolating its CDF puts each
+    /// point within a quarter of [`RENDER_REL_ERROR`] times the bin's left
+    /// edge of where the fit's CDF does, or once the whole bin is that
+    /// narrow. Bins so fall dense where the density bends, as near the
+    /// shift of a heavy tail, and sparse where it is nearly straight. For
+    /// a positive shift, the render's quantiles up to `q = 0.999` stay
+    /// within [`RENDER_REL_ERROR`] of [`ParametricFit::quantile`], relative
+    /// to it. `None` where the shift or the top edge is not finite.
+    pub fn cdf_knots(&self) -> Option<Vec<(f64, u64)>> {
         let top = self.quantile(RENDER_TOP_Q);
         if !(self.shift.is_finite() && top.is_finite()) {
             return None;
         }
-        // A point mass has no range; a histogram needs a positive width.
-        let width = ((top - self.shift) / RENDER_BINS as f64).max(f64::MIN_POSITIVE);
-        let mut counts = Vec::with_capacity(RENDER_BINS);
-        let mut below = 0;
-        for i in 1..RENDER_BINS {
-            let cdf = self.cdf(self.shift + i as f64 * width).clamp(0.0, 1.0);
-            // A CDF approximation that dips by a rounding step counts 0.
-            let cum = ((cdf * RENDER_MASS as f64).round() as u64).max(below);
-            counts.push(cum - below);
-            below = cum;
+        let tol = RENDER_REL_ERROR / 4.0;
+        let mid = 0.5 * (self.shift + top);
+        let mut knots = vec![(self.shift, 0.0)];
+        // Bins to decide, leftmost last, each starting at the last knot
+        // kept: its midpoint and right edge, each with its CDF, and depth.
+        let mut todo = vec![((mid, self.cdf(mid)), (top, self.cdf(top)), 0)];
+        while let Some(((m, fm), (b, fb), depth)) = todo.pop() {
+            let (a, fa) = knots[knots.len() - 1];
+            let (l, r) = (0.5 * (a + m), 0.5 * (m + b));
+            let (fl, fr) = (self.cdf(l), self.cdf(r));
+            // At a point `t` of the way across, the interpolated quantile
+            // of the CDF there lies `width · miss / mass` from the point.
+            let miss = |t: f64, f: f64| (fa + t * (fb - fa) - f).abs();
+            let miss = miss(0.25, fl).max(miss(0.5, fm)).max(miss(0.75, fr));
+            let (width, room) = (b - a, tol * a.abs());
+            if depth == RENDER_DEPTH || width <= room || width * miss <= room * (fb - fa) {
+                knots.push((b, fb));
+            } else {
+                todo.push(((r, fr), (b, fb), depth + 1));
+                todo.push(((l, fl), (m, fm), depth + 1));
+            }
         }
-        counts.push(RENDER_MASS - below);
-        let (n, mean) = (RENDER_MASS as f64, self.mean());
-        let summary = Summary::from_parts(
-            RENDER_MASS,
-            mean,
-            self.variance() * n,
-            self.shift,
-            top,
-            mean * n,
-        );
-        Some(Histogram::from_parts(self.shift, width, counts, summary))
+        let mut below = 0;
+        let mut knots: Vec<(f64, u64)> = knots
+            .into_iter()
+            .map(|(x, cdf)| {
+                // A CDF approximation that dips by a rounding step counts
+                // 0 more.
+                let count = (cdf.clamp(0.0, 1.0) * RENDER_MASS as f64).round() as u64;
+                below = count.max(below);
+                (x, below)
+            })
+            .collect();
+        if let Some(top) = knots.last_mut() {
+            top.1 = RENDER_MASS;
+        }
+        Some(knots)
     }
 
     /// Draw one sample from the fitted distribution.

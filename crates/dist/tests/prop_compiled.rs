@@ -2,10 +2,10 @@
 //! distribution tables, [`CompiledTable`] must be observationally identical
 //! to the interpreted [`DistTable`] — draw-for-draw and bitwise for
 //! histogram/point tables, and for fitted tables within the documented
-//! render error ([`RENDER_ERROR`]) of the fit's bisected quantile.
+//! render error ([`RENDER_REL_ERROR`]) of the fit's bisected quantile.
 
 use pevpm_dist::compiled::GUIDE_CELLS;
-use pevpm_dist::fit::{RENDER_ERROR, RENDER_TOP_Q};
+use pevpm_dist::fit::RENDER_REL_ERROR;
 use pevpm_dist::{
     CellParts, CommDist, CompiledDist, CompiledTable, DistKey, DistTable, FitKind, Histogram, Op,
     ParametricFit, PointKind,
@@ -438,11 +438,12 @@ proptest! {
         }
     }
 
-    /// Fitted tables, each family: the compiled cell is the fit rendered
-    /// into a histogram, whose quantiles up to 0.999 stay within the
-    /// documented render error (a share of the rendered range) of the
-    /// fit's bisected quantile, which the interpreted table still answers.
-    /// Its minimum is the fit's shift, bit for bit.
+    /// Fitted tables, each family: the compiled cell is the fit's rendered
+    /// CDF, whose quantiles up to 0.999, and a 1024th of them near the
+    /// shift, stay within the documented render error of the fit's
+    /// bisected quantile, relative to it ([`RENDER_REL_ERROR`]). The
+    /// interpreted table still answers the bisection, and the cell's
+    /// minimum is the fit's shift, bit for bit.
     #[test]
     fn rendered_fit_respects_documented_error_bound(
         seed in 0u64..1_000_000,
@@ -456,17 +457,19 @@ proptest! {
             CommDist::Fit(fit.clone()),
         );
         let c = CompiledTable::compile(&t).unwrap();
-        let range = fit.quantile(RENDER_TOP_Q) - fit.shift;
-        let got = c.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
-        let want = fit.quantile(q);
-        prop_assert!(
-            (got - want).abs() <= RENDER_ERROR * range,
-            "{:?} q={}: render {} vs bisection {} (range {})", fit, q, got, want, range
-        );
-        prop_assert_eq!(
-            want.to_bits(),
-            t.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap().to_bits()
-        );
+        for q in [q, q / 1024.0] {
+            let got = c.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap();
+            let want = fit.quantile(q);
+            let rel = (got - want).abs() / want;
+            prop_assert!(
+                rel <= RENDER_REL_ERROR,
+                "{:?} q={}: render {} vs bisection {} (rel {:e})", fit, q, got, want, rel
+            );
+            prop_assert_eq!(
+                want.to_bits(),
+                t.quantile_at(Op::Send, 1024.0, 1.0, q).unwrap().to_bits()
+            );
+        }
         let cell = c.resolve(Op::Send, 1024.0, 1.0).unwrap();
         prop_assert_eq!(cell.min().to_bits(), fit.shift.to_bits());
     }

@@ -74,8 +74,9 @@ fn histogram_table_responses_are_pinned() {
 /// programs send messages of those sizes and the one between them,
 /// without collectives: the inputs these values were first recorded on,
 /// kept so that the `avg`/`min` rows still compare against that record.
-/// The two `dist` rows were re-recorded once, by design, when a fitted
-/// cell began to compile to its rendered histogram.
+/// The two `dist` rows move by design whenever the render a fitted cell
+/// compiles to (`ParametricFit::cdf_knots`) changes; they were last
+/// re-recorded when its knots began to be placed by halving.
 #[test]
 fn fitted_table_responses_are_pinned() {
     let mut p2p = DistTable::new();
