@@ -94,8 +94,8 @@ fn fitted_table_responses_are_pinned() {
     assert!(fitted.iter().all(|(_, d)| matches!(d, CommDist::Fit(_))));
     let got = response_hashes(fitted, &gen);
     let expected = [
-        "dist pingpong=false 7cfdf30a494fbbfe",
-        "dist pingpong=true 470525e54b16f006",
+        "dist pingpong=false aaa12b1c6f214938",
+        "dist pingpong=true be1ccc0c268d1d36",
         "avg pingpong=false 8e250ec4d921741a",
         "avg pingpong=true 3c4254ef5782a614",
         "min pingpong=false 9380e7479efb651d",
