@@ -169,33 +169,14 @@ pub struct CompiledHist {
 impl CompiledHist {
     /// A histogram's bins, each clamped to the observed `[min, max]`.
     fn new(h: &crate::Histogram, min: f64, max: f64) -> Self {
-        let bins = h.counts().iter().enumerate().map(|(i, &c)| {
-            let left = h.origin() + i as f64 * h.bin_width();
-            let lo = left.max(min);
-            (lo, (left + h.bin_width()).min(max).max(lo), c)
-        });
-        Self::from_bins(bins, min, max)
-    }
-
-    /// A fit's rendered CDF ([`crate::ParametricFit::cdf_knots`]): one bin
-    /// between each two knots.
-    fn from_knots(knots: &[(f64, u64)]) -> Self {
-        let bins = knots.windows(2).map(|k| (k[0].0, k[1].0, k[1].1 - k[0].1));
-        Self::from_bins(bins, knots[0].0, knots[knots.len() - 1].0)
-    }
-
-    /// Bins `(lo, hi, count)` in order, each `hi >= lo`.
-    fn from_bins(
-        parts: impl ExactSizeIterator<Item = (f64, f64, u64)>,
-        min: f64,
-        max: f64,
-    ) -> Self {
-        let nbins = parts.len();
+        let mut bins = Vec::with_capacity(h.counts().len() + 1);
         let mut running: u64 = 0;
-        let mut bins = Vec::with_capacity(nbins + 1);
-        for (lo, hi, c) in parts {
+        for (i, &c) in h.counts().iter().enumerate() {
             let prev = running as f64;
             running += c;
+            let left = h.origin() + i as f64 * h.bin_width();
+            let lo = left.max(min);
+            let hi = (left + h.bin_width()).min(max).max(lo);
             bins.push(Bin {
                 prev,
                 cum: running as f64,
@@ -203,10 +184,32 @@ impl CompiledHist {
                 span: hi - lo,
             });
         }
-        let total = running as f64;
+        Self::with_guide(bins, min, max)
+    }
+
+    /// A fit's rendered CDF ([`crate::ParametricFit::cdf_knots`]): one bin
+    /// between each two knots.
+    fn from_knots(knots: &[(f64, u64)]) -> Self {
+        let mut bins = Vec::with_capacity(knots.len());
+        for k in knots.windows(2) {
+            bins.push(Bin {
+                prev: k[0].1 as f64,
+                cum: k[1].1 as f64,
+                lo: k[0].0,
+                span: k[1].0 - k[0].0,
+            });
+        }
+        Self::with_guide(bins, knots[0].0, knots[knots.len() - 1].0)
+    }
+
+    /// `bins` and the guide over them, after a `+∞` sentinel bin; `bins`
+    /// has room for the sentinel.
+    fn with_guide(mut bins: Vec<Bin>, min: f64, max: f64) -> Self {
+        let nbins = bins.len();
+        let total = bins.last().map_or(0.0, |b| b.cum);
         // Past every real bin: interpolates to `max` at any finite target.
         bins.push(Bin {
-            prev: running as f64,
+            prev: total,
             cum: f64::INFINITY,
             lo: max,
             span: 0.0,
