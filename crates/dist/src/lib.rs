@@ -24,8 +24,8 @@
 //!   reloading benchmark databases (`.dist` files).
 //! - [`CompiledTable`] — an immutable, allocation-free compilation of a
 //!   [`DistTable`] for the Monte-Carlo hot path: flat sorted axes, exact
-//!   prefix-sum histogram inversion (a fit is rendered into a histogram
-//!   first), and lane-batched inverse CDFs that invert each neighbour cell
+//!   prefix-sum histogram inversion (a fit is rendered into histogram
+//!   bins first), and lane-batched inverse CDFs that invert each neighbour cell
 //!   once per draw.
 //!
 //! All times are `f64` seconds. All sampling is driven by a caller-supplied

@@ -173,7 +173,7 @@ impl TimingModel {
     ///
     /// The whole of `table` is compiled first, so a table that fails
     /// validation is an error in every mode (rendering a fitted cell into
-    /// a histogram is what checks its range is finite). The ping-pong
+    /// histogram bins is what checks its range is finite). The ping-pong
     /// slice is cut from that compilation; a collapsed table is compiled
     /// on its own.
     pub fn empirical(

@@ -75,8 +75,7 @@ fn histogram_table_responses_are_pinned() {
 /// without collectives: the inputs these values were first recorded on,
 /// kept so that the `avg`/`min` rows still compare against that record.
 /// The two `dist` rows move by design whenever the render a fitted cell
-/// compiles to (`ParametricFit::cdf_knots`) changes; they were last
-/// re-recorded when its knots began to be placed by halving.
+/// compiles to (`ParametricFit::cdf_knots`) changes.
 #[test]
 fn fitted_table_responses_are_pinned() {
     let mut p2p = DistTable::new();
